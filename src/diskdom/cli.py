@@ -203,13 +203,17 @@ def _cmd_bench(args) -> int:
             ("dp", lambda: solve_weighted(inst, args.k)),
         ):
             times = []
-            sol = None
+            result = None
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
-                sol = run()
+                try:
+                    sol = run()
+                except Infeasible:
+                    result = "infeasible"
+                else:
+                    result = repr(sol.size if solver == "greedy" else sol.weight)
                 times.append((time.perf_counter() - t0) * 1000.0)
-            result = sol.size if solver == "greedy" else sol.weight
-            writer.writerow([n, args.k, solver, f"{statistics.median(times):.3f}", repr(result)])
+            writer.writerow([n, args.k, solver, f"{statistics.median(times):.3f}", result])
     Path(args.csv).write_text(buf.getvalue())
     print(f"wrote {args.csv} ({2 * len(sizes)} rows)")
     return 0

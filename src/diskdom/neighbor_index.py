@@ -16,13 +16,13 @@ Three strategies answer the same queries:
   (built lazily, one row per queried disk) and answers with bit scans;
   the default for the solvers.
 
-All strategies evaluate the identical floating-point expression for the
-avoidance predicate, so their answers agree bit-for-bit.
+All strategies evaluate the avoidance predicate as the negation of
+`geometry.intersects`, with the same operations in the same order
+(``dx*dx + dy*dy > (r_i + r_z)**2``), so their answers agree bit-for-bit
+with each other and with `verify`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -44,10 +44,11 @@ INTERSECTS_ALL = _IntersectsAll()
 class FarthestDiskScan:
     """Farthest-disk subquery over a fixed slice of disks, by linear scan.
 
-    ``max_clearance_from(x, y, r)`` returns ``max_p(|qp| - (r + r_p))`` --
-    positive iff some disk in the slice avoids the query disk.  A
-    farthest-disk Voronoi diagram with point location could replace this
-    class without touching any caller.
+    ``max_clearance_from(x, y, r)`` returns ``max_p(|qp|^2 - (r + r_p)^2)``
+    -- positive iff some disk in the slice avoids the query disk under the
+    closed squared predicate of `geometry.intersects`.  A farthest-disk
+    Voronoi diagram with point location could replace this class without
+    touching any caller.
     """
 
     __slots__ = ("xs", "ys", "rs")
@@ -60,7 +61,8 @@ class FarthestDiskScan:
     def max_clearance_from(self, x: float, y: float, r: float) -> float:
         dx = self.xs - x
         dy = self.ys - y
-        return float(np.max(np.sqrt(dx * dx + dy * dy) - (r + self.rs)))
+        rr = r + self.rs
+        return float(np.max((dx * dx + dy * dy) - rr * rr))
 
 
 def _coords(instance: Instance):
@@ -119,7 +121,8 @@ class _NaiveNeighborIndex(_NeighborIndexBase):
         xz, yz, rz = self._pts[z]
         dx = xz - xi
         dy = yz - yi
-        return math.sqrt(dx * dx + dy * dy) - (ri + rz) > 0.0
+        rr = ri + rz
+        return dx * dx + dy * dy > rr * rr
 
     def first_disjoint_ccw(self, i, j):
         n = self.n
@@ -185,7 +188,8 @@ class _TreeNeighborIndex(_NeighborIndexBase):
     def _avoids(self, i, z):
         dx = self._xs[z] - self._xs[i]
         dy = self._ys[z] - self._ys[i]
-        return math.sqrt(dx * dx + dy * dy) - (self._rs[i] + self._rs[z]) > 0.0
+        rr = self._rs[i] + self._rs[z]
+        return dx * dx + dy * dy > rr * rr
 
     def _node_pos(self, node, i):
         scan = self._scan[node]
@@ -269,7 +273,8 @@ class _BitsetNeighborIndex(_NeighborIndexBase):
         if row is None:
             dx = self._xs - self._xs[i]
             dy = self._ys - self._ys[i]
-            pos = np.sqrt(dx * dx + dy * dy) - (self._rs[i] + self._rs) > 0.0
+            rr = self._rs[i] + self._rs
+            pos = dx * dx + dy * dy > rr * rr
             row = int.from_bytes(np.packbits(pos, bitorder="little").tobytes(), "little")
             self._rows[i] = row
         return row

@@ -12,18 +12,24 @@ candidates for point i are built three ways:
 * bidirectional: one run from i's bucket in each direction, meeting at i,
   with i's weight counted once.
 
-Instead of re-querying the enclosing-run index for every scan position,
-each driver jumps straight to the positions where the answer changes
-(the answer is constant while the query stays inside it), enumerating
-exactly the distinct query results.  A full-circle candidate of minimum
-value over all levels yields the answer.
+Each combination asks a frozen level for the cheapest run containing a
+query run that grows from a fixed anchor, one index at a time.  The answer
+only changes when the query outgrows it, so the solver consumes whole
+scan chains: the distinct answers in order of growing query.  A chain is
+read off a staircase.  Walking a level's candidates in (value, id) order,
+the ones that reach strictly farther from the anchor than every cheaper
+candidate are exactly the chain.  A full-circle candidate of minimum value
+over all levels yields the answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .geometry import (
     CyclicSublist,
@@ -71,9 +77,16 @@ class LevelTable:
     """All candidates of one level, bucketed by owning point.
 
     Mutable until `freeze()`, which assigns candidate ids (bucket order,
-    then insertion order) and builds the per-bucket and global
-    minimum-value enclosing-run indexes.  Frozen tables never change, so
-    later levels can query them and cache scan chains against them.
+    then insertion order) and lays the runs out as numpy arrays twice:
+    sorted by (value, id) over the whole level, and sorted by (value, id)
+    within each bucket, so that every bucket is a contiguous slice.  The
+    four scan-chain methods answer from those arrays (see `_staircase`)
+    and cache their chains; frozen tables never change.
+
+    `indexed=False` is the reference twin: chains come from the
+    scan-driven `_chain_ccw`/`_chain_cw` over plain-scan enclosing-run
+    queries.  `bucket_min_enclosing`/`global_min_enclosing` build their
+    `MinEnclosingIndex` on first use; the solver itself never calls them.
     """
 
     def __init__(
@@ -95,9 +108,11 @@ class LevelTable:
         self.frozen = False
         self.buckets: list[list[Candidate]] = [[] for _ in range(instance.n)]
         self._slot = [dict() for _ in range(instance.n)]  # sub -> bucket position
-        self._bucket_idx: list[MinEnclosingIndex] = []
-        self._global_idx: Optional[MinEnclosingIndex] = None
         self._by_id: list[Candidate] = []
+        self._bucket_lo: list[int] = []  # bucket i holds ids [lo[i], lo[i+1])
+        self._global_runs: Optional[_SortedRuns] = None
+        self._bucket_runs: Optional[_SortedRuns] = None
+        self._min_idx: dict[Optional[int], MinEnclosingIndex] = {}
         self._bucket_chain_ccw: dict[int, list[Candidate]] = {}
         self._bucket_chain_cw: dict[int, list[Candidate]] = {}
         self._global_chain_ccw: dict[int, list[Candidate]] = {}
@@ -119,40 +134,77 @@ class LevelTable:
             bucket[pos] = cand
 
     def freeze(self) -> None:
-        n = self.instance.n
-        per_bucket: list[list[ValuedSublist]] = []
-        all_items: list[ValuedSublist] = []
-        for i in range(n):
-            items = []
-            for cand in self.buckets[i]:
-                vs = ValuedSublist(sub=cand.sub, value=cand.value, id=len(self._by_id))
-                self._by_id.append(cand)
-                items.append(vs)
-            per_bucket.append(items)
-            all_items.extend(items)
-        self._bucket_idx = [
-            MinEnclosingIndex(items, n, indexed=self.indexed) for items in per_bucket
-        ]
-        self._global_idx = MinEnclosingIndex(all_items, n, indexed=self.indexed)
+        self._by_id = [cand for bucket in self.buckets for cand in bucket]
+        sizes = [len(bucket) for bucket in self.buckets]
+        self._bucket_lo = [0, *accumulate(sizes)]
+        self._slot = []  # dedup lookups end with inserting
+        if self.indexed:
+            m = len(self._by_id)
+            starts = np.fromiter((c.sub.start for c in self._by_id), np.int64, m)
+            lengths = np.fromiter((c.sub.length for c in self._by_id), np.int64, m)
+            values = np.fromiter((c.value for c in self._by_id), np.float64, m)
+            owners = np.repeat(np.arange(len(sizes)), sizes)
+            # both sorts are stable, so equal values stay in id order
+            by_value = np.argsort(values, kind="stable")
+            by_bucket = np.lexsort((values, owners))
+            self._global_runs = _SortedRuns(by_value, starts, lengths)
+            self._bucket_runs = _SortedRuns(by_bucket, starts, lengths)
         self.frozen = True
 
     def all_candidates(self) -> Sequence[Candidate]:
         assert self.frozen
         return self._by_id
 
+    def _min_index(self, i: Optional[int]) -> MinEnclosingIndex:
+        """Enclosing-run index over bucket i, or over the level when i is None."""
+        idx = self._min_idx.get(i)
+        if idx is None:
+            lo, hi = (0, len(self._by_id)) if i is None else self._bucket_lo[i : i + 2]
+            items = [
+                ValuedSublist(sub=cand.sub, value=cand.value, id=k)
+                for k, cand in enumerate(self._by_id[lo:hi], lo)
+            ]
+            idx = MinEnclosingIndex(items, self.instance.n, indexed=self.indexed)
+            self._min_idx[i] = idx
+        return idx
+
     def bucket_min_enclosing(self, i: int, q: CyclicSublist) -> Optional[Candidate]:
         """Cheapest candidate of bucket i whose run contains q."""
         assert self.frozen
-        hit = self._bucket_idx[i].min_enclosing(q)
+        hit = self._min_index(i).min_enclosing(q)
         return None if hit is None else self._by_id[hit.id]
 
     def global_min_enclosing(self, q: CyclicSublist) -> Optional[Candidate]:
         """Cheapest candidate of the whole level whose run contains q."""
         assert self.frozen
-        hit = self._global_idx.min_enclosing(q)
+        hit = self._min_index(None).min_enclosing(q)
         return None if hit is None else self._by_id[hit.id]
 
     # -- distinct-answer scan chains ------------------------------------
+
+    def _staircase(
+        self, runs: _SortedRuns, lo: int, hi: int, anchor: int, *, ccw: bool
+    ) -> list[Candidate]:
+        """Chain of the candidates at positions [lo, hi) of `runs`.
+
+        A candidate's reach is how far past `anchor` its run extends
+        (counterclockwise or clockwise): n for a full run, -1 for a run
+        missing the anchor.  The query of length q lies inside it exactly
+        when reach >= q - 1, so the cheapest answer to each query is the
+        first candidate in (value, id) order reaching that far, and the
+        distinct answers are the candidates that reach strictly farther
+        than every one before them.
+        """
+        n = self.instance.n
+        starts = runs.starts[lo:hi]
+        lengths = runs.lengths[lo:hi]
+        off = (anchor - starts) % n
+        reach = np.where(off < lengths, lengths - 1 - off if ccw else off, -1)
+        reach[lengths == n] = n
+        best = np.maximum.accumulate(reach)
+        steps = np.flatnonzero(np.diff(best, prepend=-1))
+        by_id = self._by_id
+        return [by_id[k] for k in runs.ids[lo:hi][steps].tolist()]
 
     def _chain_ccw(self, query, anchor: int) -> list[Candidate]:
         n = self.instance.n
@@ -182,35 +234,53 @@ class LevelTable:
             q = offset_ccw(ans.sub.cw_end, anchor, n) + 2
         return out
 
+    def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
+        assert self.frozen
+        if not self.indexed:
+            scan = self._chain_ccw if ccw else self._chain_cw
+            return scan(lambda q: self.bucket_min_enclosing(i, q), i)
+        lo, hi = self._bucket_lo[i : i + 2]
+        return self._staircase(self._bucket_runs, lo, hi, i, ccw=ccw)
+
+    def _global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
+        assert self.frozen
+        if not self.indexed:
+            scan = self._chain_ccw if ccw else self._chain_cw
+            return scan(self.global_min_enclosing, anchor)
+        return self._staircase(self._global_runs, 0, len(self._by_id), anchor, ccw=ccw)
+
     def bucket_chain_ccw(self, i: int) -> list[Candidate]:
         """Distinct bucket-i answers for queries growing ccw from i."""
         if i not in self._bucket_chain_ccw:
-            self._bucket_chain_ccw[i] = self._chain_ccw(
-                lambda q: self.bucket_min_enclosing(i, q), i
-            )
+            self._bucket_chain_ccw[i] = self._bucket_chain(i, ccw=True)
         return self._bucket_chain_ccw[i]
 
     def bucket_chain_cw(self, i: int) -> list[Candidate]:
         if i not in self._bucket_chain_cw:
-            self._bucket_chain_cw[i] = self._chain_cw(
-                lambda q: self.bucket_min_enclosing(i, q), i
-            )
+            self._bucket_chain_cw[i] = self._bucket_chain(i, ccw=False)
         return self._bucket_chain_cw[i]
 
     def global_chain_ccw(self, start: int) -> list[Candidate]:
         """Distinct global answers for queries growing ccw from `start`."""
         if start not in self._global_chain_ccw:
-            self._global_chain_ccw[start] = self._chain_ccw(
-                self.global_min_enclosing, start
-            )
+            self._global_chain_ccw[start] = self._global_chain(start, ccw=True)
         return self._global_chain_ccw[start]
 
     def global_chain_cw(self, end: int) -> list[Candidate]:
         if end not in self._global_chain_cw:
-            self._global_chain_cw[end] = self._chain_cw(
-                self.global_min_enclosing, end
-            )
+            self._global_chain_cw[end] = self._global_chain(end, ccw=False)
         return self._global_chain_cw[end]
+
+
+class _SortedRuns:
+    """A frozen level's candidate runs, permuted into one (value, id) order."""
+
+    __slots__ = ("ids", "starts", "lengths")
+
+    def __init__(self, order: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+        self.ids = order
+        self.starts = starts[order]
+        self.lengths = lengths[order]
 
 
 def init_level_one(

@@ -13,6 +13,35 @@ def mk_instance(points, *, weighted=True):
     return canonicalize(disks, weighted=weighted)
 
 
+def tangent_chain_instances(seeds=range(600)):
+    """Instances whose consecutive disks are nominally tangent.
+
+    Seed s puts n = 4 + s % 6 centers at sorted uniform angles on a
+    radius-10 circle, draws r_0 = U(0.2, 0.8) * |p_0 p_{n-1}| and sets
+    r_i = |p_i p_{i-1}| - r_{i-1}, so each (r_{i-1} + r_i)^2 lands within
+    rounding of the squared center distance, on either side.  Seeds whose
+    chain turns a radius non-positive are skipped.  Yields (seed, instance)
+    with weights U(1, 10).
+    """
+    import math
+    import random
+
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = 4 + seed % 6
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))
+        pts = [(10 * math.cos(a), 10 * math.sin(a)) for a in angles]
+        radii = [rng.uniform(0.2, 0.8) * math.dist(pts[0], pts[-1])]
+        for i in range(1, n):
+            radii.append(math.dist(pts[i], pts[i - 1]) - radii[i - 1])
+        if min(radii) <= 0:
+            continue
+        weights = [rng.uniform(1, 10) for _ in range(n)]
+        yield seed, mk_instance(
+            [(x, y, r, w) for (x, y), r, w in zip(pts, radii, weights)]
+        )
+
+
 # Unit-square corners with radius 0.6: adjacent disks meet (distance 1
 # against combined radius 1.2), diagonal ones do not (sqrt(2) > 1.2).
 T4_POINTS = [(0.0, 0.0, 0.6), (1.0, 0.0, 0.6), (1.0, 1.0, 0.6), (0.0, 1.0, 0.6)]

@@ -91,6 +91,27 @@ def test_weighted_optimality_oracle_equivalence():
     )
 
 
+def test_tangent_chain_solves_match_brute_force():
+    """Nominal tangencies: both solvers agree with brute force and verify."""
+    from conftest import tangent_chain_instances
+
+    instances = 0
+    for seed, inst in tangent_chain_instances():
+        got = solve_unweighted(inst)
+        assert verify(inst, inst.to_canonical(got.centers)), seed
+        assert got.size == brute_force_min(inst, "unweighted").size, seed
+        got = solve_weighted_unbounded(inst)
+        assert verify(inst, inst.to_canonical(got.centers)), seed
+        truth = brute_force_min(inst, "weighted").weight
+        assert abs(got.weight - truth) <= WEIGHT_TOL, (seed, got.weight, truth)
+        instances += 1
+    assert instances >= 30
+    print(
+        f"PASS tangent-chains: {instances} instances, unweighted sizes exact, "
+        f"weights within 1e-9, every solution verified"
+    )
+
+
 def test_unweighted_optimality_oracle_equivalence():
     instances = 0
     figure_instances = 0

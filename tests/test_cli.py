@@ -162,6 +162,22 @@ def test_bench_csv_shape_and_determinism(tmp_path):
     assert strip_millis(out.read_text()) == first
 
 
+def test_bench_reports_infeasible_sizes(tmp_path):
+    # radii this small need far more than 6 disks at n=300
+    out = tmp_path / "bench.csv"
+    argv = [
+        "bench", "--sizes", "300", "--repeats", "1", "--k", "6",
+        "--radius-law", "uniform(0.5,1.0)", "--csv", str(out),
+    ]
+    assert cli.main(argv) == 0
+    rows = strip_millis(out.read_text())
+    assert rows == [
+        ["n", "k", "solver", "size_or_weight"],
+        ["300", "6", "greedy", "infeasible"],
+        ["300", "6", "dp", "infeasible"],
+    ]
+
+
 def test_bench_usage_errors(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--sizes", "8;16", "--csv", str(out)]) == 2

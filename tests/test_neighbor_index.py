@@ -5,7 +5,7 @@ import pytest
 
 from diskdom.geometry import intersects
 from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
-from conftest import mk_instance
+from conftest import mk_instance, tangent_chain_instances
 
 STRATEGIES = ("naive", "tree", "bitset")
 
@@ -157,3 +157,21 @@ def test_scan_answer_is_first_by_definition():
                 for s in range(steps):  # everything passed over intersects disk i
                     assert intersects(inst.disks[i], inst.disks[(j + s) % n])
                 assert not intersects(inst.disks[i], inst.disks[z])
+
+
+def test_avoidance_is_negated_intersects_on_tangent_chains():
+    # nominally tangent neighbours: every strategy must draw the line
+    # exactly where `intersects` (and so `verify`) does
+    for _, inst in tangent_chain_instances(range(200)):
+        n = inst.n
+        for strategy in STRATEGIES:
+            idx = build_neighbor_index(inst, strategy)
+            for i in range(n):
+                for j in range(n):
+                    z = idx.first_disjoint_ccw(i, j)
+                    hits = [
+                        intersects(inst.disks[i], inst.disks[(j + s) % n])
+                        for s in range(n)
+                    ]
+                    expected = INTERSECTS_ALL if all(hits) else (j + hits.index(False)) % n
+                    assert z == expected, (strategy, i, j)

@@ -57,6 +57,52 @@ def frozen_levels(inst, upto=1, strategy="naive", **kw):
     return levels
 
 
+CHAIN_KINDS = ("bucket_chain_ccw", "bucket_chain_cw", "global_chain_ccw", "global_chain_cw")
+
+
+def chain_instances():
+    """Unit-weight instances (value ties everywhere), some with a giant disk."""
+    rng = random.Random(4242)
+    for trial in range(12):
+        n = rng.randint(4, 11)
+        inst = rand_instance(rng, n, spread=(0.8, 4.0))
+        disks = [(d.center.x, d.center.y, d.radius, 1.0) for d in inst.disks]
+        if trial % 3 == 0:
+            # big5-style: one disk reaches everything, so level 1 already
+            # holds a full run and every later level holds several
+            x, y, _, w = disks[0]
+            disks[0] = (x, y, 100.0, w)
+        yield mk_instance(disks)
+
+
+@pytest.mark.parametrize("inst", list(chain_instances()))
+def test_staircase_chains_match_scan_chains(inst):
+    k = min(inst.n, 5)
+    fast = frozen_levels(inst, upto=k, strategy="bitset")
+    slow = frozen_levels(inst, upto=k, strategy="bitset", indexed=False)
+    for t in range(1, k + 1):
+        assert fast[t].all_candidates() == slow[t].all_candidates()
+        for anchor in range(inst.n):
+            for kind in CHAIN_KINDS:
+                got = getattr(fast[t], kind)(anchor)
+                want = getattr(slow[t], kind)(anchor)
+                assert len(got) == len(want), (t, anchor, kind)
+                for a, b in zip(got, want):
+                    assert a == b, (t, anchor, kind)
+
+
+def test_big5_chains_end_in_full_runs(big5):
+    levels = frozen_levels(big5, upto=3, strategy="bitset")
+    big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
+    assert [c.sub.is_full for c in levels[1].bucket_chain_ccw(big)] == [True]
+    for t in (2, 3):
+        for anchor in range(big5.n):
+            for kind in CHAIN_KINDS:
+                chain = getattr(levels[t], kind)(anchor)
+                assert chain and chain[-1].sub.is_full
+                assert not any(c.sub.is_full for c in chain[:-1])
+
+
 def test_level_one_t4(t4):
     levels = frozen_levels(t4)
     table = levels[1]
