@@ -37,7 +37,7 @@ from .oracle import (
     verify,
     voronoi_assignment,
 )
-from .solution import Infeasible, InvalidK, Solution
+from .solution import Infeasible, InvalidK, Solution, SolverInvariantError
 from .sublist_queries import FarthestEnclosingIndex, MinEnclosingIndex, ValuedSublist
 from .unweighted_greedy import solve_unweighted
 from .weighted_dp import solve_weighted, solve_weighted_unbounded
@@ -64,6 +64,7 @@ __all__ = [
     "Point",
     "Solution",
     "SolutionDocument",
+    "SolverInvariantError",
     "TooLarge",
     "ValuedSublist",
     "WeightedDisk",

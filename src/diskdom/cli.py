@@ -1,7 +1,8 @@
 """Command line for generating, solving, verifying, and benchmarking.
 
 Exit codes: 0 success, 1 infeasible, 2 usage error, 3 I/O or validation
-error, 4 oracle mismatch. Every subcommand's output (files and stdout)
+error, 4 oracle mismatch, 5 solver invariant violated (an internal
+error, reported on stderr). Every subcommand's output (files and stdout)
 is deterministic for fixed flags; only bench's millis column varies.
 """
 
@@ -27,7 +28,7 @@ from .instance_io import (
     solution_document,
 )
 from .oracle import TooLarge, brute_force_min
-from .solution import Infeasible, InvalidK
+from .solution import Infeasible, InvalidK, SolverInvariantError
 from .unweighted_greedy import solve_unweighted
 from .weighted_dp import solve_weighted, solve_weighted_unbounded
 
@@ -250,6 +251,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SolverInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 An instance is a cyclic counterclockwise sequence of disks whose centers
 are all strict vertices of their convex hull.  Every algorithm in this
 package reasons about contiguous runs of instance indices, so the run
-type (`CyclicSublist`) and its merge operation live here next to the
-disk predicates.
+type (`CyclicSublist`) and its merge operation (`union_extend`, with an
+integer twin `union_runs` for the unweighted search) live here next to
+the disk predicates.
 """
 
 from __future__ import annotations
@@ -310,3 +311,39 @@ def union_extend(parts: Sequence[CyclicSublist]) -> CyclicSublist:
     if length >= n:
         return full_sublist(n)
     return CyclicSublist(s, length, n)
+
+
+def union_runs(n: int, runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """`union_extend` on runs given as (start, length) pairs over a cycle of n.
+
+    Starts must lie in [0, n).  Returns the merged run as (start, length),
+    canonical like `CyclicSublist`: (0, 0) when empty, (0, n) when full.
+    Gaps raise NotConsecutive under the same conditions and in the same
+    order as `union_extend`, so solvers can merge runs without building
+    `CyclicSublist` objects.
+    """
+    s = -1
+    length = 0
+    for ps, pk in runs:
+        if pk == 0:
+            continue
+        if pk == n or length >= n:
+            return 0, n
+        if s < 0:
+            s, length = ps, pk
+            continue
+        d = (ps - s) % n
+        if d <= length:
+            if d + pk > length:
+                length = d + pk
+        elif d + pk >= n:
+            # wraps around behind the accumulated run
+            length = max(pk, n - d + length)
+            s = ps
+        else:
+            raise NotConsecutive(f"gap between accumulated run and ({ps}, {pk})")
+    if s < 0:
+        return 0, 0
+    if length >= n:
+        return 0, n
+    return s, length

@@ -4,7 +4,10 @@ For a fixed disk i and a scan origin j, the two core queries return the
 first index z (counterclockwise respectively clockwise from j, inclusive)
 whose disk does *not* intersect disk i.  When no such index exists the
 explicit sentinel INTERSECTS_ALL is returned instead of a fake index, so
-callers are forced to treat saturation separately.
+callers are forced to treat saturation separately.  The shared base turns
+them into the runs the solvers merge (`dominated_run`, `run_after`,
+`run_before`) and into the counting bound on any dominating set
+(`domination_lower_bound`).
 
 Three strategies answer the same queries:
 
@@ -85,6 +88,39 @@ class _NeighborIndexBase:
 
     def first_disjoint_cw(self, i: int, j: int):
         raise NotImplementedError
+
+    def closed_neighborhood_size(self, i: int) -> int:
+        """Number of disks meeting disk i, disk i included."""
+        return sum(1 for z in range(self.n) if not self._avoids(i, z))
+
+    def domination_lower_bound(self) -> int:
+        """Fewest disks any dominating set needs.
+
+        Each disk dominates only its closed neighborhood, so at least
+        ceil(n / largest closed neighborhood) disks are needed.
+        """
+        n = self.n
+        return -(-n // max(self.closed_neighborhood_size(i) for i in range(n)))
+
+    def run_after(self, i: int, z: int) -> tuple[int, int]:
+        """The run from z+1 counterclockwise that disk i meets throughout.
+
+        Returned as (start, length): it stops just before the first disk
+        disjoint from disk i, and is (0, n) when disk i meets every disk.
+        """
+        n = self.n
+        a = self.first_disjoint_ccw(i, (z + 1) % n)
+        if a is INTERSECTS_ALL:
+            return 0, n
+        return (z + 1) % n, (a - z - 1) % n
+
+    def run_before(self, i: int, z: int) -> tuple[int, int]:
+        """Mirror of `run_after`: the run from z-1 clockwise, as (start, length)."""
+        n = self.n
+        b = self.first_disjoint_cw(i, (z - 1) % n)
+        if b is INTERSECTS_ALL:
+            return 0, n
+        return (b + 1) % n, (z - b - 1) % n
 
     def dominated_run(self, i: int) -> CyclicSublist:
         """Maximal contiguous run around p_i whose disks all meet disk i.
@@ -278,6 +314,9 @@ class _BitsetNeighborIndex(_NeighborIndexBase):
             row = int.from_bytes(np.packbits(pos, bitorder="little").tobytes(), "little")
             self._rows[i] = row
         return row
+
+    def closed_neighborhood_size(self, i):
+        return self.n - self._row(i).bit_count()
 
     def first_disjoint_ccw(self, i, j):
         row = self._row(i)

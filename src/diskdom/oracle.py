@@ -1,7 +1,9 @@
 """Ground truth the solvers are tested against.
 
 Exhaustive minimum dominating sets over domination bitmasks, solution
-verification by two independent routes (bitmask union vs. raw predicate),
+verification by two independent routes (numpy predicate rows, which
+`verify` uses at every n, vs. a bitmask union kept for brute force and
+tests),
 and the structural diagnostics: additively-weighted nearest-center
 assignment, its contiguous groups, and a segment-crossing check of
 pairwise line separability.
@@ -22,7 +24,7 @@ import numpy as np
 from .geometry import CyclicSublist, Instance, full_sublist, intersects, offset_ccw
 from .solution import Infeasible, Solution, TooLarge
 
-MASK_CAP = 4096         # n cap for materialized bitmask rows
+MASK_CAP = 4096         # n cap for build_masks' materialized bitmask rows
 BRUTE_CAP = 22          # n cap for 2^n subset enumeration
 CONTAINMENT_SLACK = 1e-12
 ORIENTATION_BAND = 1e-12
@@ -74,12 +76,15 @@ def verify_by_predicate(instance: Instance, centers: Iterable[int]) -> bool:
 
 
 def verify(instance: Instance, centers: Iterable[int]) -> bool:
-    """True iff `centers` (canonical indices) dominate every disk."""
+    """True iff `centers` (canonical indices) dominate every disk.
+
+    Evaluates the closed predicate of `geometry.intersects` from numpy rows,
+    one row per center (`verify_by_predicate`), at any n; the bitmask route
+    (`verify_by_masks`) stays as its independent twin for tests.
+    """
     centers = list(centers)
     if any(not 0 <= c < instance.n for c in centers):
         raise ValueError("center index out of range")
-    if instance.n <= MASK_CAP:
-        return verify_by_masks(instance, centers)
     return verify_by_predicate(instance, centers)
 
 

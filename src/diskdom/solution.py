@@ -22,6 +22,13 @@ class TooLarge(ValueError):
     """Instance exceeds the hard cap of an exhaustive code path."""
 
 
+class SolverInvariantError(RuntimeError):
+    """A solver reached a state its correctness argument rules out.
+
+    Raised instead of an `assert`, so the check survives `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class Solution:
     """A dominating set, reported in the caller's original disk order.

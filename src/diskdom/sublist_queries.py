@@ -7,13 +7,16 @@ Two query families serve the solvers:
 * farthest enclosing run: among stored runs containing a single index,
   the one whose counterclockwise (or clockwise) endpoint reaches farthest.
 
-Cyclic runs are unrolled onto the line [0, 2n): a run gets a copy at its
-start and, when it wraps, a second copy shifted by -n, which turns
-containment into the dominance condition ``start <= q_start and
-end >= q_end``.  Full runs contain everything and are kept aside.  Every
-index is immutable once built; ties always break toward the smallest item
-id so solver runs are reproducible.  Each index also has a plain-scan
-twin (``indexed=False``) that serves as the oracle in tests.
+Cyclic runs are unrolled onto the line [0, 2n): for min-value queries a
+run gets a copy at its start and, when it wraps, a second copy shifted by
+-n, which turns containment into the dominance condition ``start <=
+q_start and end >= q_end``.  Farthest queries have only n possible
+arguments, so the indexed form answers all of them at build time with one
+prefix/suffix-maximum sweep over the runs' starts and ends.  Full runs
+contain everything and are kept aside.  Every index is immutable once
+built; ties always break toward the smallest item id so solver runs are
+reproducible.  Each index also has a plain-scan twin (``indexed=False``)
+that serves as the oracle in tests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import CyclicSublist, offset_ccw
+import numpy as np
+
+from .geometry import CyclicSublist
 
 
 @dataclass(frozen=True)
@@ -152,11 +157,18 @@ class MinEnclosingIndex:
 
 
 class FarthestEnclosingIndex:
-    """Farthest-reaching run through a single index, O(log m) when indexed.
+    """Farthest-reaching run through a single index; a list lookup when indexed.
 
     Reach of a stored run L from index j is ``offset_ccw(j, ccw_end(L))``
     for counterclockwise queries (mirrored for clockwise) and n for full
-    runs, which therefore beat every partial run.
+    runs, which therefore beat every partial run; equal reaches go to the
+    smallest id.  The indexed form answers all n indexes of both
+    directions at build time, in one numpy sweep (see `_sweep`).
+
+    Build it from `ValuedSublist` items, or with `from_runs` from arrays of
+    starts and lengths, whose ids are the array positions.  The `*_id`
+    queries answer with an id (None when no run covers j); `farthest_ccw`
+    and `farthest_cw` answer with the item and need an item-built index.
     """
 
     def __init__(self, items: Sequence[ValuedSublist], n: int, *, indexed: bool = True):
@@ -165,98 +177,132 @@ class FarthestEnclosingIndex:
         self.items = tuple(items)
         self.indexed = indexed
         self._by_id = {it.id: it for it in items}
-        self._full_id = None
-        for it in items:
-            if it.sub.is_full and (self._full_id is None or it.id < self._full_id):
-                self._full_id = it.id
+        self._runs = [(it.sub.start, it.sub.length, it.id) for it in items]
         if indexed:
-            self._build()
+            # sweep over positions in id order, so position ties are id ties
+            ordered = sorted(items, key=lambda it: it.id)
+            m = len(ordered)
+            self._sweep(
+                np.fromiter((it.sub.start for it in ordered), np.int64, m),
+                np.fromiter((it.sub.length for it in ordered), np.int64, m),
+            )
+            ids = [it.id for it in ordered]
+            self._ccw_ids = [None if k is None else ids[k] for k in self._ccw_ids]
+            self._cw_ids = [None if k is None else ids[k] for k in self._cw_ids]
 
-    def _build(self):
-        copies = []
-        for it in self.items:
-            if it.sub.is_full:
-                continue
-            s = it.sub.start
-            copies.append((s, s + it.sub.length - 1, it.id))
-        by_start = sorted(copies)
-        self._starts = [c[0] for c in by_start]
-        self._pref_far = []  # (max end, owning id) over the start-sorted prefix
-        far = None
-        for s, e, i in by_start:
-            if far is None or e > far[0] or (e == far[0] and i < far[1]):
-                far = (e, i)
-            self._pref_far.append(far)
-        by_end = sorted(copies, key=lambda c: (c[1], c[0], c[2]))
-        self._ends = [c[1] for c in by_end]
-        self._suf_near = [None] * len(by_end)  # (min start, owning id) over the suffix
-        near = None
-        for k in range(len(by_end) - 1, -1, -1):
-            s, e, i = by_end[k]
-            if near is None or s < near[0] or (s == near[0] and i < near[1]):
-                near = (s, i)
-            self._suf_near[k] = near
+    @classmethod
+    def from_runs(cls, starts: np.ndarray, lengths: np.ndarray, n: int):
+        """Indexed form over runs (starts[k], lengths[k]) with ids k.
 
-    def farthest_ccw(self, j: int) -> Optional[ValuedSublist]:
-        """Stored run covering j with the farthest counterclockwise endpoint."""
+        Runs must be nonempty with starts in [0, n) (0 for full runs).
+        """
+        self = cls.__new__(cls)
+        self.n = n
+        self.items = ()
+        self.indexed = True
+        self._by_id = None
+        self._runs = []
+        self._sweep(np.asarray(starts, np.int64), np.asarray(lengths, np.int64))
+        return self
+
+    def _sweep(self, starts: np.ndarray, lengths: np.ndarray) -> None:
+        """Answer every index in both directions; ids are array positions.
+
+        Each partial run is one copy [s, e] on the line, e = s + length - 1
+        < 2n - 1, and covers j exactly when it covers stab j or stab j + n.
+        Counterclockwise, the best copy through a stab p is the one of
+        largest (e, -id) among starts <= p (a prefix maximum over starts),
+        valid when e >= p; clockwise, the one of largest (-s, -id) among
+        ends >= p (a suffix maximum over ends), valid when s <= p.  The two
+        stabs' answers then compete on reach, ties to the smaller id.  Both
+        pairs are packed into one int64 key, value * base + (base - 1 - id).
+        """
+        n = self.n
+        base = len(starts)
+        full = np.flatnonzero(lengths == n)
+        if len(full) or not base:
+            self._ccw_ids = self._cw_ids = [int(full[0]) if len(full) else None] * n
+            return
+        tie = np.arange(base - 1, -1, -1, dtype=np.int64)
+        ends = starts + lengths - 1
+        j = np.arange(n, dtype=np.int64)
+        stabs = (j, j + n)
+
+        best = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(best, starts, ends * base + tie)
+        pref = np.maximum.accumulate(best)
+        hits = []
+        for p in stabs:
+            key = pref[np.minimum(p, n - 1)]
+            e = key // base
+            hits.append((np.where((key >= 0) & (e >= p), e - p, -1), key % base))
+        self._ccw_ids = _pick(hits, base)
+
+        best = np.full(2 * n, -1, dtype=np.int64)
+        np.maximum.at(best, ends, (2 * n - starts) * base + tie)
+        suf = np.maximum.accumulate(best[::-1])[::-1]
+        hits = []
+        for p in stabs:
+            key = suf[p]
+            s = 2 * n - key // base
+            hits.append((np.where((key >= 0) & (s <= p), p - s, -1), key % base))
+        self._cw_ids = _pick(hits, base)
+
+    def farthest_ccw_id(self, j: int) -> Optional[int]:
+        """Id of the stored run covering j with the farthest ccw endpoint."""
         if not 0 <= j < self.n:
             raise ValueError("index out of range")
         if not self.indexed:
             return self._scan(j, ccw=True)
-        if self._full_id is not None:
-            return self._by_id[self._full_id]
-        best = None  # (reach, id)
-        for stab in (j, j + self.n):
-            pos = bisect_right(self._starts, stab)
-            if pos:
-                e, i = self._pref_far[pos - 1]
-                if e >= stab:
-                    cand = (e - stab, i)
-                    if best is None or cand[0] > best[0] or (
-                        cand[0] == best[0] and cand[1] < best[1]
-                    ):
-                        best = cand
-        return self._by_id[best[1]] if best else None
+        return self._ccw_ids[j]
 
-    def farthest_cw(self, j: int) -> Optional[ValuedSublist]:
-        """Stored run covering j with the farthest clockwise endpoint."""
+    def farthest_cw_id(self, j: int) -> Optional[int]:
+        """Id of the stored run covering j with the farthest cw endpoint."""
         if not 0 <= j < self.n:
             raise ValueError("index out of range")
         if not self.indexed:
             return self._scan(j, ccw=False)
-        if self._full_id is not None:
-            return self._by_id[self._full_id]
-        best = None
-        for stab in (j, j + self.n):
-            k = bisect_left(self._ends, stab)
-            if k < len(self._ends):
-                s, i = self._suf_near[k]
-                if s <= stab:
-                    cand = (stab - s, i)
-                    if best is None or cand[0] > best[0] or (
-                        cand[0] == best[0] and cand[1] < best[1]
-                    ):
-                        best = cand
-        return self._by_id[best[1]] if best else None
+        return self._cw_ids[j]
 
-    def _scan(self, j, *, ccw):
-        best = None
-        best_item = None
-        for it in self.items:
-            if it.sub.is_full:
-                reach = self.n
-            elif j in it.sub:
-                reach = (
-                    offset_ccw(j, it.sub.ccw_end, self.n)
-                    if ccw
-                    else offset_ccw(it.sub.cw_end, j, self.n)
-                )
+    def farthest_ccw(self, j: int) -> Optional[ValuedSublist]:
+        """Stored run covering j with the farthest counterclockwise endpoint."""
+        hit = self.farthest_ccw_id(j)
+        return None if hit is None else self._by_id[hit]
+
+    def farthest_cw(self, j: int) -> Optional[ValuedSublist]:
+        """Stored run covering j with the farthest clockwise endpoint."""
+        hit = self.farthest_cw_id(j)
+        return None if hit is None else self._by_id[hit]
+
+    def _scan(self, j: int, *, ccw: bool) -> Optional[int]:
+        """Reference answer: every stored run's reach from j, one by one."""
+        n = self.n
+        best = None  # (reach, -id)
+        for s, k, ident in self._runs:
+            if k == n:
+                reach = n
             else:
-                continue
-            key = (reach, -it.id)
+                off = (j - s) % n  # steps from the run's start to j
+                if off >= k:
+                    continue
+                reach = k - 1 - off if ccw else off
+            key = (reach, -ident)
             if best is None or key > best:
-                best, best_item = key, it
-        return best_item
+                best = key
+        return None if best is None else -best[1]
+
+
+def _pick(hits, base: int) -> list[Optional[int]]:
+    """Per index, the id of the farther of two stab answers (reach, tie key).
+
+    Reach -1 means no answer; equal reaches go to the larger tie key, which
+    is the smaller id.
+    """
+    (r1, k1), (r2, k2) = hits
+    second = (r2 > r1) | ((r2 == r1) & (k2 > k1))
+    reach = np.where(second, r2, r1)
+    ids = base - 1 - np.where(second, k2, k1)
+    return [None if r < 0 else i for r, i in zip(reach.tolist(), ids.tolist())]
 
 
 def build_min_index(items, n, *, indexed: bool = True) -> MinEnclosingIndex:

@@ -6,6 +6,12 @@ only the candidate reaching farthest around the circle, which caps every
 bucket at O(level) entries.  The first level that produces a full-circle
 candidate ends the search; that candidate's witnesses are a smallest
 dominating set.
+
+The directional steps score every split level on plain (start, length)
+integers: the far-end lookup in a frozen level reads answers that one
+numpy sweep computed for all n indexes at freeze time, and the four runs
+are merged by `geometry.union_runs`.  Only each step's
+winner becomes a `GreedyCandidate` with its run and witness set.
 """
 
 from __future__ import annotations
@@ -13,18 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .geometry import (
     CyclicSublist,
     Instance,
-    full_sublist,
     intersects,
     offset_ccw,
     union_extend,
+    union_runs,
 )
 from .neighbor_index import build_neighbor_index
-from .solution import Infeasible, InvalidK, Solution
+from .solution import Infeasible, InvalidK, Solution, SolverInvariantError
 from .sublist_queries import FarthestEnclosingIndex, ValuedSublist
-from .weighted_dp import _ccw_tail, _cw_tail
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,31 @@ def reach_cw(sub: CyclicSublist, i: int, n: int) -> int:
     return n if sub.is_full else offset_ccw(sub.cw_end, i, n)
 
 
+class _Memo(dict):
+    """Answers of a one-argument query, computed on first lookup."""
+
+    def __init__(self, query: Callable[[int], Optional[int]]):
+        super().__init__()
+        self._query = query
+
+    def __missing__(self, j: int) -> Optional[int]:
+        self[j] = hit = self._query(j)
+        return hit
+
+
 class GreedyLevel:
     """One level's candidates with cached per-point directional extremes.
 
     The extremes (farthest-reaching candidate each way around from the
-    owning point) are maintained on insertion, so later levels read them
-    in O(1); `freeze()` builds the global farthest-enclosing index and
-    records the first full candidate, if any.
+    owning point) are kept up on insertion from the runs' integer starts
+    and lengths, so later levels read them in O(1).  `freeze()` assigns
+    ids (bucket order, then insertion order), keeps every run's start and
+    length in id-indexed lists, builds the level's farthest-run index
+    (`FarthestEnclosingIndex.from_runs`, whose one numpy sweep per
+    direction answers all n indexes) and records the first full candidate,
+    if any.  Steps read the farthest answers through `far_ccw`/`far_cw`,
+    which keep each answer after its first lookup.  `indexed=False` builds
+    the plain-scan twin of the index instead.
     """
 
     def __init__(
@@ -82,41 +107,58 @@ class GreedyLevel:
         self.indexed = indexed
         self.validator = validator
         self.frozen = False
-        n = instance.n
+        self.n = n = instance.n
         self.buckets: list[list[GreedyCandidate]] = [[] for _ in range(n)]
         self._ext_ccw: list[Optional[GreedyCandidate]] = [None] * n
         self._ext_cw: list[Optional[GreedyCandidate]] = [None] * n
         self._reach_ccw = [-1] * n
         self._reach_cw = [-1] * n
         self.full_candidate: Optional[GreedyCandidate] = None
-        self._far_idx: Optional[FarthestEnclosingIndex] = None
         self._by_id: list[GreedyCandidate] = []
+        self.starts: list[int] = []  # run start of each candidate id
+        self.lengths: list[int] = []  # run length of each candidate id
+        # per index j: id of the candidate through j reaching farthest, or None
+        self.far_ccw: Optional[_Memo] = None
+        self.far_cw: Optional[_Memo] = None
 
     def insert(self, i: int, cand: GreedyCandidate) -> None:
         assert not self.frozen, "level is frozen"
         if self.validator is not None:
             self.validator(cand)
         self.buckets[i].append(cand)
-        n = self.instance.n
-        r = reach_ccw(cand.sub, i, n)
-        if r > self._reach_ccw[i]:
-            self._reach_ccw[i], self._ext_ccw[i] = r, cand
-        r = reach_cw(cand.sub, i, n)
-        if r > self._reach_cw[i]:
-            self._reach_cw[i], self._ext_cw[i] = r, cand
-        if cand.sub.is_full and self.full_candidate is None:
-            self.full_candidate = cand
+        n = self.n
+        s, k = cand.sub.start, cand.sub.length
+        if k == n:
+            r_ccw = r_cw = n
+            if self.full_candidate is None:
+                self.full_candidate = cand
+        else:
+            r_ccw = (s + k - 1 - i) % n
+            r_cw = (i - s) % n
+        if r_ccw > self._reach_ccw[i]:
+            self._reach_ccw[i], self._ext_ccw[i] = r_ccw, cand
+        if r_cw > self._reach_cw[i]:
+            self._reach_cw[i], self._ext_cw[i] = r_cw, cand
 
     def freeze(self) -> None:
-        n = self.instance.n
-        items = []
-        for bucket in self.buckets:
-            for cand in bucket:
-                items.append(
-                    ValuedSublist(sub=cand.sub, value=0.0, id=len(self._by_id))
-                )
-                self._by_id.append(cand)
-        self._far_idx = FarthestEnclosingIndex(items, n, indexed=self.indexed)
+        n = self.n
+        self._by_id = [cand for bucket in self.buckets for cand in bucket]
+        self.starts = [cand.sub.start for cand in self._by_id]
+        self.lengths = [cand.sub.length for cand in self._by_id]
+        if self.indexed:
+            far = FarthestEnclosingIndex.from_runs(
+                np.array(self.starts, dtype=np.int64),
+                np.array(self.lengths, dtype=np.int64),
+                n,
+            )
+        else:
+            items = [
+                ValuedSublist(sub=cand.sub, value=0.0, id=k)
+                for k, cand in enumerate(self._by_id)
+            ]
+            far = FarthestEnclosingIndex(items, n, indexed=False)
+        self.far_ccw = _Memo(far.farthest_ccw_id)
+        self.far_cw = _Memo(far.farthest_cw_id)
         if self.validator is not None:
             self._check_extremes()
         self.frozen = True
@@ -139,15 +181,58 @@ class GreedyLevel:
     def extreme_cw(self, i: int) -> Optional[GreedyCandidate]:
         return self._ext_cw[i]
 
-    def global_farthest_ccw(self, j: int) -> Optional[GreedyCandidate]:
-        assert self.frozen
-        hit = self._far_idx.farthest_ccw(j)
-        return None if hit is None else self._by_id[hit.id]
 
-    def global_farthest_cw(self, j: int) -> Optional[GreedyCandidate]:
-        assert self.frozen
-        hit = self._far_idx.farthest_cw(j)
-        return None if hit is None else self._by_id[hit.id]
+def _greedy_step(
+    levels: Sequence[Optional[GreedyLevel]], i: int, t: int, *, ccw: bool
+) -> Optional[GreedyCandidate]:
+    """Farthest-reaching extension of i's cached extremes in one direction.
+
+    One combination per split level t' is scored on (start, length)
+    integers: i's own level-t' extreme l1, the level-(t-t') run reaching
+    farthest past l1's far end, and the stretch disk i dominates beyond
+    that, merged with i's dominated run by `union_runs`.  The one reaching
+    farthest from i wins, ties to the smaller t'; only the winner becomes
+    a `GreedyCandidate`.
+    """
+    assert t >= 2
+    table1 = levels[1]
+    nbr, n = table1.nbr, table1.n
+    dom = nbr.dominated_run(i)
+    dom_run = (dom.start, dom.length)
+    best = None  # (l1, level of l2, id of l2 or None, start, length)
+    best_reach = -1
+    for tp in range(1, t):
+        l1 = levels[tp].extreme_ccw(i) if ccw else levels[tp].extreme_cw(i)
+        if l1 is None:
+            continue
+        s1, k1 = l1.sub.start, l1.sub.length
+        other = levels[t - tp]
+        if k1 == n:
+            hit, s, k = None, 0, n
+        else:
+            hit = other.far_ccw[(s1 + k1) % n] if ccw else other.far_cw[(s1 - 1) % n]
+            if hit is None:
+                continue
+            s2, k2 = other.starts[hit], other.lengths[hit]
+            if k2 == n:
+                s, k = 0, n
+            else:
+                # the stretch disk i dominates past l2's far end
+                tail = nbr.run_after(i, (s2 + k2 - 1) % n) if ccw else nbr.run_before(i, s2)
+                s, k = union_runs(n, (dom_run, (s1, k1), (s2, k2), tail))
+        if k == n:
+            r = n
+        else:
+            r = (s + k - 1 - i) % n if ccw else (i - s) % n
+        if r > best_reach:
+            best, best_reach = (l1, other, hit, s, k), r
+    if best is None:
+        return None
+    l1, other, hit, s, k = best
+    if hit is None:
+        return GreedyCandidate(l1.sub, l1.witnesses, i, t)
+    l2 = other.all_candidates()[hit]
+    return GreedyCandidate(CyclicSublist(s, k, n), l1.witnesses | l2.witnesses, i, t)
 
 
 def greedy_ccw_step(
@@ -155,69 +240,19 @@ def greedy_ccw_step(
 ) -> Optional[GreedyCandidate]:
     """Farthest-reaching counterclockwise extension of i's cached extremes.
 
-    One candidate per split level t' is formed (own extreme, then the
+    One combination per split level t' is scored (own extreme, then the
     globally farthest run past its end, then the stretch disk i dominates
     beyond that); the one reaching farthest counterclockwise from i wins,
     ties to the smaller t'.
     """
-    assert t >= 2
-    table1 = levels[1]
-    nbr, n = table1.nbr, table1.instance.n
-    dom = nbr.dominated_run(i)
-    best = None
-    best_reach = -1
-    for tp in range(1, t):
-        l1 = levels[tp].extreme_ccw(i)
-        if l1 is None:
-            continue
-        if l1.sub.is_full:
-            cand = GreedyCandidate(l1.sub, l1.witnesses, i, t)
-        else:
-            l2 = levels[t - tp].global_farthest_ccw((l1.sub.ccw_end + 1) % n)
-            if l2 is None:
-                continue
-            if l2.sub.is_full:
-                sub = full_sublist(n)
-            else:
-                tail = _ccw_tail(nbr, i, l2.sub.ccw_end, n)
-                sub = union_extend([dom, l1.sub, l2.sub, tail])
-            cand = GreedyCandidate(sub, l1.witnesses | l2.witnesses, i, t)
-        r = reach_ccw(cand.sub, i, n)
-        if r > best_reach:
-            best, best_reach = cand, r
-    return best
+    return _greedy_step(levels, i, t, ccw=True)
 
 
 def greedy_cw_step(
     levels: Sequence[Optional[GreedyLevel]], i: int, t: int
 ) -> Optional[GreedyCandidate]:
     """Mirror of greedy_ccw_step."""
-    assert t >= 2
-    table1 = levels[1]
-    nbr, n = table1.nbr, table1.instance.n
-    dom = nbr.dominated_run(i)
-    best = None
-    best_reach = -1
-    for tp in range(1, t):
-        l1 = levels[tp].extreme_cw(i)
-        if l1 is None:
-            continue
-        if l1.sub.is_full:
-            cand = GreedyCandidate(l1.sub, l1.witnesses, i, t)
-        else:
-            l2 = levels[t - tp].global_farthest_cw((l1.sub.cw_end - 1) % n)
-            if l2 is None:
-                continue
-            if l2.sub.is_full:
-                sub = full_sublist(n)
-            else:
-                tail = _cw_tail(nbr, i, l2.sub.cw_end, n)
-                sub = union_extend([dom, l1.sub, l2.sub, tail])
-            cand = GreedyCandidate(sub, l1.witnesses | l2.witnesses, i, t)
-        r = reach_cw(cand.sub, i, n)
-        if r > best_reach:
-            best, best_reach = cand, r
-    return best
+    return _greedy_step(levels, i, t, ccw=False)
 
 
 def greedy_bidirectional_step(
@@ -255,6 +290,11 @@ def solve_unweighted(
 ) -> Solution:
     """Smallest dominating set; Infeasible only when k_cap cuts the search off.
 
+    A k_cap below the counting bound (`domination_lower_bound`) raises
+    Infeasible right after level 1.  SolverInvariantError reports a search
+    that broke its own guarantees: no full candidate by level n, or a
+    first full candidate whose witness count differs from its level.
+
     `_include_bidirectional=False` drops the stitched candidates so tests
     can compare the variant; only the full table carries the guarantee
     that the first level holding a full candidate equals the optimum.
@@ -273,7 +313,10 @@ def solve_unweighted(
         t += 1
         if k_cap is not None and t > k_cap:
             raise Infeasible(k_cap)
-        assert t <= n, "no full candidate by level n"
+        if t == 2 and k_cap is not None and nbr.domination_lower_bound() > k_cap:
+            raise Infeasible(k_cap)
+        if t > n:
+            raise SolverInvariantError(f"no full candidate by level {n}")
         table = GreedyLevel(
             instance, nbr, t, indexed=indexed_queries, validator=validator
         )
@@ -303,9 +346,12 @@ def solve_unweighted(
         levels.append(table)
         if table.full_candidate is not None:
             winner = table.full_candidate
-            if _include_bidirectional:
-                # first full level equals the optimum cardinality
-                assert len(winner.witnesses) == t
+            if _include_bidirectional and len(winner.witnesses) != t:
+                # the first full level equals the optimum cardinality
+                raise SolverInvariantError(
+                    f"first full candidate at level {t} has "
+                    f"{len(winner.witnesses)} witnesses"
+                )
             chosen = sorted(winner.witnesses)
             weight = 0.0
             for c in chosen:

@@ -37,10 +37,9 @@ from .geometry import (
     full_sublist,
     intersects,
     offset_ccw,
-    run_between,
     union_extend,
 )
-from .neighbor_index import INTERSECTS_ALL, build_neighbor_index
+from .neighbor_index import build_neighbor_index
 from .solution import Infeasible, InvalidK, Solution
 from .sublist_queries import MinEnclosingIndex, ValuedSublist
 
@@ -311,17 +310,11 @@ def init_level_one(
 
 
 def _ccw_tail(nbr, i: int, z2: int, n: int) -> CyclicSublist:
-    a = nbr.first_disjoint_ccw(i, (z2 + 1) % n)
-    if a is INTERSECTS_ALL:
-        return full_sublist(n)
-    return run_between(z2, a, n)
+    return CyclicSublist(*nbr.run_after(i, z2), n)
 
 
 def _cw_tail(nbr, i: int, z2: int, n: int) -> CyclicSublist:
-    b = nbr.first_disjoint_cw(i, (z2 - 1) % n)
-    if b is INTERSECTS_ALL:
-        return full_sublist(n)
-    return run_between(b, z2, n)
+    return CyclicSublist(*nbr.run_before(i, z2), n)
 
 
 def ccw_processing(
@@ -535,6 +528,9 @@ def solve_weighted(
     equivalence testing and change nothing about the result's weight.
     `_include_bidirectional=False` drops the stitched candidates and
     exists only so tests can demonstrate they are load-bearing.
+
+    When the counting bound (`domination_lower_bound`) already exceeds k,
+    Infeasible is raised right after level 1, before any level is combined.
     """
     _check_k(instance, k)
     n = instance.n
@@ -546,6 +542,8 @@ def solve_weighted(
             instance, nbr, indexed=indexed_queries, prune=prune, validator=validator
         ),
     ]
+    if k < n and nbr.domination_lower_bound() > k:
+        raise Infeasible(k)
     for t in range(2, k + 1):
         table = LevelTable(
             instance, nbr, t, indexed=indexed_queries, prune=prune, validator=validator

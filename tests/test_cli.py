@@ -182,3 +182,18 @@ def test_bench_usage_errors(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--sizes", "8;16", "--csv", str(out)]) == 2
     assert cli.main(["bench", "--sizes", "8", "--repeats", "0", "--csv", str(out)]) == 2
+
+
+def test_solver_invariant_error_exits_5(t4_file, tmp_path, monkeypatch, capsys):
+    from diskdom.solution import SolverInvariantError
+
+    def broken(*args, **kwargs):
+        raise SolverInvariantError("no full candidate by level 4")
+
+    monkeypatch.setattr(cli, "solve_unweighted", broken)
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--in", str(t4_file), "--out", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert "no full candidate by level 4" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskdom.geometry import (
     CyclicSublist,
@@ -22,6 +22,7 @@ from diskdom.geometry import (
     singleton,
     sublist,
     union_extend,
+    union_runs,
 )
 from conftest import T4_POINTS, mk_instance
 
@@ -279,3 +280,80 @@ def test_t4_is_reference_instance(t4):
     assert t4.n == 4
     assert intersects(t4.disks[0], t4.disks[1])
     assert not intersects(t4.disks[0], t4.disks[2])
+
+
+# --- union_runs: the integer twin of union_extend ----------------------------
+
+
+def _union_both(n, runs):
+    """(union_extend, union_runs) on the same runs; NotConsecutive as a value."""
+    subs = [CyclicSublist(s, k, n) for s, k in runs]
+    try:
+        got = union_extend(subs)
+        want = (got.start, got.length)
+    except NotConsecutive:
+        want = NotConsecutive
+    try:
+        got_ints = union_runs(n, [(p.start, p.length) for p in subs])
+    except NotConsecutive:
+        got_ints = NotConsecutive
+    return want, got_ints
+
+
+@st.composite
+def run_lists(draw):
+    """Four runs over a cycle of n: random, or chained so they stay consecutive.
+
+    A chained run starts inside or just past the previous one, or starts
+    behind it and reaches back into it (the wrap-behind case).
+    """
+    n = draw(st.integers(1, 12))
+    runs = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n)))]
+    chained = draw(st.booleans())
+    for _ in range(3):
+        ps, pk = runs[-1]
+        if chained and 0 < pk < n:
+            d = draw(st.integers(0, pk))
+            if draw(st.booleans()):
+                runs.append(((ps + d) % n, draw(st.integers(0, n))))
+            else:
+                back = draw(st.integers(1, n))
+                runs.append(((ps - back) % n, draw(st.integers(min(back, n), n))))
+        else:
+            runs.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n))))
+    return n, runs
+
+
+@given(run_lists())
+@settings(max_examples=400, deadline=None)
+@example((10, [(2, 3), (4, 2), (8, 9), (0, 1)]))  # wraps behind the start
+@example((6, [(0, 4), (4, 2), (5, 1), (1, 1)]))  # saturates, then a part is skipped
+@example((6, [(0, 2), (3, 2), (0, 6), (0, 0)]))  # gap raises before the full part
+@example((6, [(0, 2), (1, 2), (5, 1), (0, 6)]))  # wrap-behind, then a full tail
+def test_union_runs_matches_union_extend(case):
+    n, runs = case
+    want, got = _union_both(n, runs)
+    assert got == want
+
+
+def test_union_runs_matches_union_extend_exhaustively():
+    # every list of four runs over cycles of up to 4 indexes, with each
+    # outcome union_extend can produce seen at least once
+    seen = set()
+    for n in range(1, 5):
+        runs = sorted({(CyclicSublist(s, k, n).start, k) for s in range(n) for k in range(n + 1)})
+        for a in runs:
+            for b in runs:
+                for c in runs:
+                    for d in runs:
+                        parts = [a, b, c, d]
+                        want, got = _union_both(n, parts)
+                        assert got == want, (n, parts)
+                        nonempty = [p for p in parts if p[1]]
+                        if want is NotConsecutive:
+                            seen.add("gap")
+                        elif want[1] == n and all(k < n for _, k in parts):
+                            seen.add("saturated")
+                        elif want[1] < n and nonempty and want[0] != nonempty[0][0]:
+                            seen.add("wrapped behind")
+    assert seen == {"gap", "saturated", "wrapped behind"}

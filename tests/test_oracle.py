@@ -292,3 +292,29 @@ def test_weighted_brute_force_prefers_weight_over_size():
     assert sol.weight == 2.0 and sol.size == 2
     uw = brute_force_min(inst, "unweighted")
     assert uw.size == 1 and uw.centers == (0,)
+
+
+def test_verify_matches_masks_on_tangent_chains():
+    from conftest import tangent_chain_instances
+
+    rng = random.Random(8)
+    checked = 0
+    for _, inst in tangent_chain_instances():
+        for _ in range(20):
+            centers = [i for i in range(inst.n) if rng.random() < 0.4]
+            assert verify(inst, centers) == verify_by_masks(inst, centers)
+            checked += 1
+    assert checked >= 600
+
+
+def test_verify_never_builds_masks(monkeypatch):
+    import diskdom.oracle as oracle
+
+    def forbidden(instance):
+        raise AssertionError("build_masks called")
+
+    monkeypatch.setattr(oracle, "build_masks", forbidden)
+    rng = random.Random(12)
+    inst = rand_instance(rng, 40)
+    assert verify(inst, range(inst.n))
+    assert not verify(inst, [])

@@ -7,7 +7,7 @@ from conftest import mk_instance
 from diskdom.geometry import full_sublist
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
-from diskdom.solution import Infeasible, InvalidK
+from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.unweighted_greedy import (
     GreedyCandidate,
     GreedyLevel,
@@ -263,3 +263,142 @@ def test_validator_rejects_bad_candidates(t4):
         validate(GreedyCandidate(full_sublist(4), frozenset((0,)), 0, 1))
     with pytest.raises(AssertionError):
         validate(GreedyCandidate(nbr.dominated_run(0), frozenset((0, 1, 2)), 0, 2))
+
+
+# --- counting bound, typed invariant errors, integer steps ---------------------
+
+
+def test_k_cap_below_counting_bound_stops_after_level_one(monkeypatch):
+    from diskdom import gen_random
+    import diskdom.unweighted_greedy as ug
+
+    inst = gen_random(300, 300, "circle", "uniform(0.5,1.0)", "unit").to_instance(
+        weighted=False
+    )
+    assert build_neighbor_index(inst, "bitset").domination_lower_bound() == 15
+    built = []
+
+    class CountingLevel(GreedyLevel):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ug, "GreedyLevel", CountingLevel)
+    with pytest.raises(Infeasible):
+        solve_unweighted(inst, k_cap=6)
+    assert built == [1]
+
+
+def test_counting_bound_agrees_across_strategies():
+    rng = random.Random(41)
+    for _ in range(10):
+        inst = rand_instance(rng, rng.randint(1, 14), 0.2, 2.5)
+        bounds = {
+            build_neighbor_index(inst, s).domination_lower_bound()
+            for s in ("naive", "tree", "bitset")
+        }
+        assert len(bounds) == 1
+        assert bounds.pop() <= brute_force_min(inst, "unweighted").size
+
+
+def test_no_full_candidate_by_level_n_is_a_typed_error(monkeypatch, t4):
+    import diskdom.unweighted_greedy as ug
+
+    monkeypatch.setattr(ug, "greedy_ccw_step", lambda levels, i, t: None)
+    monkeypatch.setattr(ug, "greedy_cw_step", lambda levels, i, t: None)
+    monkeypatch.setattr(ug, "greedy_bidirectional_step", lambda levels, i, t: [])
+    with pytest.raises(SolverInvariantError, match="no full candidate"):
+        solve_unweighted(t4)
+
+
+def test_first_full_candidate_of_wrong_size_is_a_typed_error(monkeypatch, t4):
+    import diskdom.unweighted_greedy as ug
+
+    def one_witness_full(levels, i, t):
+        return GreedyCandidate(full_sublist(t4.n), frozenset((i,)), i, t)
+
+    monkeypatch.setattr(ug, "greedy_ccw_step", one_witness_full)
+    with pytest.raises(SolverInvariantError, match="witnesses"):
+        solve_unweighted(t4)
+
+
+def test_steps_build_only_the_winning_candidate(monkeypatch):
+    import diskdom.unweighted_greedy as ug
+
+    rng = random.Random(17)
+    inst = rand_instance(rng, 14, 0.5, 2.0)
+    levels = build_levels(inst, 3)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return GreedyCandidate(*args)
+
+    monkeypatch.setattr(ug, "GreedyCandidate", counting)
+    for i in range(inst.n):
+        for step in (greedy_ccw_step, greedy_cw_step):
+            built.clear()
+            cand = step(levels, i, 4)
+            assert len(built) == (cand is not None)
+
+
+def test_freeze_builds_no_valued_sublists(monkeypatch):
+    import diskdom.unweighted_greedy as ug
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ValuedSublist built")
+
+    monkeypatch.setattr(ug, "ValuedSublist", forbidden)
+    rng = random.Random(3)
+    inst = rand_instance(rng, 12, 0.3, 1.5)
+    assert solve_unweighted(inst).size == brute_force_min(inst, "unweighted").size
+
+
+def test_strategies_and_index_modes_agree_beyond_brute_force():
+    from diskdom import gen_random
+
+    for n, seed in ((300, 1), (320, 2), (340, 3), (360, 4), (380, 5), (400, 6)):
+        inst = gen_random(n, seed, "circle", "uniform(1.0,3.0)", "unit").to_instance(
+            weighted=False
+        )
+        results = {
+            solve_unweighted(inst, neighbor_strategy=strategy, indexed_queries=indexed)
+            for strategy in ("bitset", "naive")
+            for indexed in (True, False)
+        }
+        assert len(results) == 1
+        (sol,) = results
+        assert verify(inst, inst.to_canonical(sol.centers))
+
+
+def test_invariant_errors_survive_optimized_mode():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import diskdom
+
+    code = "\n".join(
+        [
+            "import diskdom.unweighted_greedy as ug",
+            "from diskdom import Point, WeightedDisk, canonicalize",
+            "from diskdom.solution import SolverInvariantError",
+            "ug.greedy_ccw_step = ug.greedy_cw_step = lambda levels, i, t: None",
+            "ug.greedy_bidirectional_step = lambda levels, i, t: []",
+            "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
+            "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
+            "try:",
+            "    ug.solve_unweighted(inst)",
+            "except SolverInvariantError:",
+            "    print('raised')",
+        ]
+    )
+    src = str(Path(diskdom.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert out.stdout.strip() == "raised", out.stderr

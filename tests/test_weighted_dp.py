@@ -332,3 +332,22 @@ def test_level_tables_freeze_semantics(t4):
     table = init_level_one(t4, nbr)
     with pytest.raises(AssertionError):
         table.insert(0, table.buckets[0][0])
+
+
+def test_k_below_counting_bound_stops_after_level_one(monkeypatch):
+    from diskdom import gen_random
+    import diskdom.weighted_dp as wdp
+
+    inst = gen_random(300, 300, "circle", "uniform(0.5,1.0)", "unit").to_instance()
+    assert build_neighbor_index(inst, "bitset").domination_lower_bound() == 15
+    built = []
+
+    class CountingTable(LevelTable):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(wdp, "LevelTable", CountingTable)
+    with pytest.raises(Infeasible):
+        solve_weighted(inst, 6)
+    assert built == [1]
