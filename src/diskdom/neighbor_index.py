@@ -90,7 +90,11 @@ class _NeighborIndexBase:
         raise NotImplementedError
 
     def closed_neighborhood_size(self, i: int) -> int:
-        """Number of disks meeting disk i, disk i included."""
+        """Number of disks meeting disk i, disk i included.
+
+        Counted with the strategy's scalar `_avoids`; the bitset strategy
+        counts the bits of its row instead.
+        """
         return sum(1 for z in range(self.n) if not self._avoids(i, z))
 
     def domination_lower_bound(self) -> int:
