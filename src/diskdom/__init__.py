@@ -30,15 +30,14 @@ from .instance_io import (
 from .neighbor_index import INTERSECTS_ALL, build_neighbor_index
 from .oracle import (
     Assignment,
-    TooLarge,
     brute_force_min,
     check_domination_of_assignment,
     check_line_separable,
     verify,
     voronoi_assignment,
 )
-from .solution import Infeasible, InvalidK, Solution, SolverInvariantError
-from .sublist_queries import FarthestEnclosingIndex, MinEnclosingIndex, ValuedSublist
+from .solution import Infeasible, InvalidK, Solution, SolverInvariantError, TooLarge
+from .sublist_queries import FarthestEnclosingIndex
 from .unweighted_greedy import solve_unweighted
 from .weighted_dp import solve_weighted, solve_weighted_unbounded
 
@@ -56,7 +55,6 @@ __all__ = [
     "Instance",
     "InstanceDocument",
     "InvalidK",
-    "MinEnclosingIndex",
     "NonFiniteValue",
     "NonPositiveWeight",
     "NotConsecutive",
@@ -66,7 +64,6 @@ __all__ = [
     "SolutionDocument",
     "SolverInvariantError",
     "TooLarge",
-    "ValuedSublist",
     "WeightedDisk",
     "brute_force_min",
     "build_neighbor_index",

@@ -27,8 +27,8 @@ from .instance_io import (
     render_svg,
     solution_document,
 )
-from .oracle import TooLarge, brute_force_min
-from .solution import Infeasible, InvalidK, SolverInvariantError
+from .oracle import brute_force_min
+from .solution import Infeasible, InvalidK, SolverInvariantError, TooLarge
 from .unweighted_greedy import solve_unweighted
 from .weighted_dp import solve_weighted, solve_weighted_unbounded
 

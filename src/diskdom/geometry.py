@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class GeometryError(ValueError):
@@ -79,6 +81,27 @@ def intersects(d1: WeightedDisk, d2: WeightedDisk) -> bool:
     dx = d2.center.x - d1.center.x
     dy = d2.center.y - d1.center.y
     rr = d1.radius + d2.radius
+    return dx * dx + dy * dy <= rr * rr
+
+
+def disk_arrays(instance: "Instance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instance's center xs, center ys and radii as float64 arrays."""
+    disks = instance.disks
+    xs = np.array([d.center.x for d in disks], dtype=np.float64)
+    ys = np.array([d.center.y for d in disks], dtype=np.float64)
+    rs = np.array([d.radius for d in disks], dtype=np.float64)
+    return xs, ys, rs
+
+
+def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i: int) -> np.ndarray:
+    """`intersects(disk i, disk z)` for every z at once, as a bool array.
+
+    Takes the arrays of `disk_arrays` and does the operations of
+    `intersects` in the same order, so the two agree bit for bit.
+    """
+    dx = xs - xs[i]
+    dy = ys - ys[i]
+    rr = rs[i] + rs
     return dx * dx + dy * dy <= rr * rr
 
 
@@ -241,38 +264,6 @@ def full_sublist(n: int) -> CyclicSublist:
 
 def singleton(i: int, n: int) -> CyclicSublist:
     return CyclicSublist(i, 1, n)
-
-
-Openness = Literal["closed-closed", "open-open", "closed-open", "open-closed"]
-
-
-def sublist(i: int, j: int, n: int, openness: Openness = "closed-closed") -> CyclicSublist:
-    """The run from i counterclockwise to j, with endpoints kept or dropped.
-
-    The closed-closed run always takes the short way determined by the
-    direction: `sublist(i, i, n)` is the singleton at i and
-    `sublist(i, i-1, n)` is the full cycle.  Open variants drop endpoints
-    and clamp at empty (so the open-open run between cyclic neighbours,
-    or from an index to itself, is empty).
-    """
-    span = offset_ccw(i, j, n) + 1
-    start = i
-    if openness in ("open-open", "open-closed"):
-        start = (i + 1) % n
-        span -= 1
-    if openness in ("open-open", "closed-open"):
-        span -= 1
-    return CyclicSublist(start, max(0, span), n)
-
-
-def run_between(u: int, v: int, n: int) -> CyclicSublist:
-    """Indices a counterclockwise scan starting at u+1 passes before reaching v.
-
-    Unlike `sublist(u, v, n, "open-open")` this interprets v == u as a scan
-    that went all the way around (yielding everything except u), and
-    v == u+1 as a scan that stopped immediately (yielding the empty run).
-    """
-    return CyclicSublist((u + 1) % n, (v - u - 1) % n, n)
 
 
 def union_extend(parts: Sequence[CyclicSublist]) -> CyclicSublist:

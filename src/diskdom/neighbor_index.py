@@ -9,27 +9,25 @@ them into the runs the solvers merge (`dominated_run`, `run_after`,
 `run_before`) and into the counting bound on any dominating set
 (`domination_lower_bound`).
 
-Three strategies answer the same queries:
+Two strategies answer the same queries:
 
-* ``naive``  -- walks the cyclic order one disk at a time; the reference.
-* ``tree``   -- a balanced binary tree over the canonical order whose nodes
-  answer a farthest-disk subquery; a query climbs from the scan origin's
-  leaf and then descends into the first promising subtree.
-* ``bitset`` -- packs the per-disk avoidance predicate into integer rows
-  (built lazily, one row per queried disk) and answers with bit scans;
-  the default for the solvers.
+* ``bitset`` -- packs each disk's avoidance row (the negation of
+  `geometry.intersects_row`) into an integer, built lazily, one row per
+  queried disk, and answers with bit scans; the default and the one the
+  solvers use.
+* ``naive``  -- walks the cyclic order one disk at a time with a scalar
+  predicate; the reference.
 
-All strategies evaluate the avoidance predicate as the negation of
-`geometry.intersects`, with the same operations in the same order
-(``dx*dx + dy*dy > (r_i + r_z)**2``), so their answers agree bit-for-bit
-with each other and with `verify`.
+Both evaluate the same operations in the same order as
+`geometry.intersects` (``dx*dx + dy*dy`` against ``(r_i + r_z)**2``), so
+their answers agree bit-for-bit with each other and with `verify`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CyclicSublist, Instance, full_sublist
+from .geometry import CyclicSublist, Instance, disk_arrays, full_sublist, intersects_row
 
 
 class _IntersectsAll:
@@ -42,37 +40,6 @@ class _IntersectsAll:
 
 
 INTERSECTS_ALL = _IntersectsAll()
-
-
-class FarthestDiskScan:
-    """Farthest-disk subquery over a fixed slice of disks, by linear scan.
-
-    ``max_clearance_from(x, y, r)`` returns ``max_p(|qp|^2 - (r + r_p)^2)``
-    -- positive iff some disk in the slice avoids the query disk under the
-    closed squared predicate of `geometry.intersects`.  A farthest-disk
-    Voronoi diagram with point location could replace this class without
-    touching any caller.
-    """
-
-    __slots__ = ("xs", "ys", "rs")
-
-    def __init__(self, xs, ys, rs):
-        self.xs = xs
-        self.ys = ys
-        self.rs = rs
-
-    def max_clearance_from(self, x: float, y: float, r: float) -> float:
-        dx = self.xs - x
-        dy = self.ys - y
-        rr = r + self.rs
-        return float(np.max((dx * dx + dy * dy) - rr * rr))
-
-
-def _coords(instance: Instance):
-    xs = np.array([d.center.x for d in instance.disks], dtype=np.float64)
-    ys = np.array([d.center.y for d in instance.disks], dtype=np.float64)
-    rs = np.array([d.radius for d in instance.disks], dtype=np.float64)
-    return xs, ys, rs
 
 
 class _NeighborIndexBase:
@@ -181,119 +148,6 @@ class _NaiveNeighborIndex(_NeighborIndexBase):
         return INTERSECTS_ALL
 
 
-class _TreeNeighborIndex(_NeighborIndexBase):
-    """Balanced binary tree over the canonical order.
-
-    Each internal node holds a farthest-disk scan over its leaf range.  A
-    counterclockwise query climbs from the origin leaf testing right
-    siblings (ranges strictly after the origin) and descends into the
-    first subtree containing an avoiding disk; if the climb exhausts the
-    tree, the search wraps by probing index 0 and restarting the climb
-    from the leftmost leaf.  Clockwise queries mirror this.
-    """
-
-    strategy = "tree"
-
-    def __init__(self, instance):
-        super().__init__(instance)
-        xs, ys, rs = _coords(instance)
-        self._xs, self._ys, self._rs = xs, ys, rs
-        self._lo: list[int] = []
-        self._hi: list[int] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._parent: list[int] = []
-        self._scan: list[FarthestDiskScan | None] = []
-        self._leaf = [0] * self.n
-        self._root = self._build(0, self.n, -1)
-        self._all_hit: dict[int, bool] = {}
-
-    def _build(self, lo, hi, parent):
-        node = len(self._lo)
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._parent.append(parent)
-        if hi - lo == 1:
-            self._scan.append(None)
-            self._leaf[lo] = node
-            return node
-        self._scan.append(FarthestDiskScan(self._xs[lo:hi], self._ys[lo:hi], self._rs[lo:hi]))
-        mid = (lo + hi) // 2
-        self._left[node] = self._build(lo, mid, node)
-        self._right[node] = self._build(mid, hi, node)
-        return node
-
-    def _avoids(self, i, z):
-        dx = self._xs[z] - self._xs[i]
-        dy = self._ys[z] - self._ys[i]
-        rr = self._rs[i] + self._rs[z]
-        return dx * dx + dy * dy > rr * rr
-
-    def _node_pos(self, node, i):
-        scan = self._scan[node]
-        if scan is None:
-            return self._avoids(i, self._lo[node])
-        return scan.max_clearance_from(self._xs[i], self._ys[i], self._rs[i]) > 0.0
-
-    def _intersects_all(self, i):
-        hit = self._all_hit.get(i)
-        if hit is None:
-            hit = not self._node_pos(self._root, i)
-            self._all_hit[i] = hit
-        return hit
-
-    def _climb(self, i, start_leaf, *, ccw):
-        v = self._leaf[start_leaf]
-        while (p := self._parent[v]) != -1:
-            if ccw and self._left[p] == v:
-                u = self._right[p]
-                if self._node_pos(u, i):
-                    return u
-            elif not ccw and self._right[p] == v:
-                u = self._left[p]
-                if self._node_pos(u, i):
-                    return u
-            v = p
-        return -1
-
-    def _descend(self, i, node, *, ccw):
-        while self._left[node] != -1:
-            first = self._left[node] if ccw else self._right[node]
-            node = first if self._node_pos(first, i) else (
-                self._right[node] if ccw else self._left[node]
-            )
-        return self._lo[node]
-
-    def first_disjoint_ccw(self, i, j):
-        if self._intersects_all(i):
-            return INTERSECTS_ALL
-        if self._avoids(i, j):
-            return j
-        found = self._climb(i, j, ccw=True)
-        if found == -1:
-            if self._avoids(i, 0):
-                return 0
-            found = self._climb(i, 0, ccw=True)
-            assert found != -1, "no avoiding disk despite non-saturated root"
-        return self._descend(i, found, ccw=True)
-
-    def first_disjoint_cw(self, i, j):
-        if self._intersects_all(i):
-            return INTERSECTS_ALL
-        if self._avoids(i, j):
-            return j
-        last = self.n - 1
-        found = self._climb(i, j, ccw=False)
-        if found == -1:
-            if self._avoids(i, last):
-                return last
-            found = self._climb(i, last, ccw=False)
-            assert found != -1, "no avoiding disk despite non-saturated root"
-        return self._descend(i, found, ccw=False)
-
-
 class _BitsetNeighborIndex(_NeighborIndexBase):
     """Per-disk avoidance rows packed into integers; queried with bit scans.
 
@@ -305,17 +159,14 @@ class _BitsetNeighborIndex(_NeighborIndexBase):
 
     def __init__(self, instance):
         super().__init__(instance)
-        self._xs, self._ys, self._rs = _coords(instance)
+        self._arrays = disk_arrays(instance)
         self._rows: dict[int, int] = {}
 
     def _row(self, i):
         row = self._rows.get(i)
         if row is None:
-            dx = self._xs - self._xs[i]
-            dy = self._ys - self._ys[i]
-            rr = self._rs[i] + self._rs
-            pos = dx * dx + dy * dy > rr * rr
-            row = int.from_bytes(np.packbits(pos, bitorder="little").tobytes(), "little")
+            avoids = ~intersects_row(*self._arrays, i)
+            row = int.from_bytes(np.packbits(avoids, bitorder="little").tobytes(), "little")
             self._rows[i] = row
         return row
 
@@ -343,12 +194,11 @@ class _BitsetNeighborIndex(_NeighborIndexBase):
 
 _STRATEGIES = {
     "naive": _NaiveNeighborIndex,
-    "tree": _TreeNeighborIndex,
     "bitset": _BitsetNeighborIndex,
 }
 
 
-def build_neighbor_index(instance: Instance, strategy: str = "tree"):
+def build_neighbor_index(instance: Instance, strategy: str = "bitset"):
     try:
         cls = _STRATEGIES[strategy]
     except KeyError:

@@ -21,7 +21,15 @@ from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CyclicSublist, Instance, full_sublist, intersects, offset_ccw
+from .geometry import (
+    CyclicSublist,
+    Instance,
+    disk_arrays,
+    full_sublist,
+    intersects,
+    intersects_row,
+    offset_ccw,
+)
 from .solution import Infeasible, Solution, TooLarge
 
 MASK_CAP = 4096         # n cap for build_masks' materialized bitmask rows
@@ -62,16 +70,10 @@ def verify_by_masks(instance: Instance, centers: Iterable[int]) -> bool:
 
 
 def verify_by_predicate(instance: Instance, centers: Iterable[int]) -> bool:
-    xs = np.array([d.center.x for d in instance.disks])
-    ys = np.array([d.center.y for d in instance.disks])
-    rs = np.array([d.radius for d in instance.disks])
+    arrays = disk_arrays(instance)
     covered = np.zeros(instance.n, dtype=bool)
     for c in centers:
-        d = instance.disks[c]
-        rr = rs + d.radius
-        dx = xs - d.center.x
-        dy = ys - d.center.y
-        covered |= dx * dx + dy * dy <= rr * rr
+        covered |= intersects_row(*arrays, c)
     return bool(covered.all())
 
 

@@ -31,7 +31,7 @@ from .geometry import (
 )
 from .neighbor_index import build_neighbor_index
 from .solution import Infeasible, InvalidK, Solution, SolverInvariantError
-from .sublist_queries import FarthestEnclosingIndex, ValuedSublist
+from .sublist_queries import FarthestEnclosingIndex
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,17 @@ class GreedyCandidate:
 
 
 def make_greedy_validator(instance: Instance) -> Callable[[GreedyCandidate], None]:
+    """Checks run on every inserted candidate; failures raise SolverInvariantError."""
     disks = instance.disks
 
     def validate(cand: GreedyCandidate) -> None:
-        assert cand.owner in cand.witnesses
-        assert cand.owner in cand.sub
-        assert len(cand.witnesses) <= cand.level
+        if cand.owner not in cand.witnesses or cand.owner not in cand.sub:
+            raise SolverInvariantError(f"owner outside witnesses or run: {cand}")
+        if len(cand.witnesses) > cand.level:
+            raise SolverInvariantError(f"more witnesses than the level: {cand}")
         for idx in cand.sub.indices():
-            assert any(intersects(disks[idx], disks[w]) for w in cand.witnesses)
+            if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
+                raise SolverInvariantError(f"disk {idx} undominated: {cand}")
 
     return validate
 
@@ -85,7 +88,7 @@ class GreedyLevel:
     and lengths, so later levels read them in O(1).  `freeze()` assigns
     ids (bucket order, then insertion order), keeps every run's start and
     length in id-indexed lists, builds the level's farthest-run index
-    (`FarthestEnclosingIndex.from_runs`, whose one numpy sweep per
+    from those arrays (`FarthestEnclosingIndex`, whose one numpy sweep per
     direction answers all n indexes) and records the first full candidate,
     if any.  Steps read the farthest answers through `far_ccw`/`far_cw`,
     which keep each answer after its first lookup.  `indexed=False` builds
@@ -145,20 +148,14 @@ class GreedyLevel:
         self._by_id = [cand for bucket in self.buckets for cand in bucket]
         self.starts = [cand.sub.start for cand in self._by_id]
         self.lengths = [cand.sub.length for cand in self._by_id]
-        if self.indexed:
-            far = FarthestEnclosingIndex.from_runs(
-                np.array(self.starts, dtype=np.int64),
-                np.array(self.lengths, dtype=np.int64),
-                n,
-            )
-        else:
-            items = [
-                ValuedSublist(sub=cand.sub, value=0.0, id=k)
-                for k, cand in enumerate(self._by_id)
-            ]
-            far = FarthestEnclosingIndex(items, n, indexed=False)
-        self.far_ccw = _Memo(far.farthest_ccw_id)
-        self.far_cw = _Memo(far.farthest_cw_id)
+        far = FarthestEnclosingIndex(
+            np.array(self.starts, dtype=np.int64),
+            np.array(self.lengths, dtype=np.int64),
+            n,
+            indexed=self.indexed,
+        )
+        self.far_ccw = _Memo(far.farthest_ccw)
+        self.far_cw = _Memo(far.farthest_cw)
         if self.validator is not None:
             self._check_extremes()
         self.frozen = True
@@ -169,7 +166,10 @@ class GreedyLevel:
             for f, reach in ((self._ext_ccw[i], reach_ccw), (self._ext_cw[i], reach_cw)):
                 best = max((reach(c.sub, i, n) for c in bucket), default=-1)
                 got = -1 if f is None else reach(f.sub, i, n)
-                assert got == best
+                if got != best:
+                    raise SolverInvariantError(
+                        f"cached extreme of point {i} reaches {got}, not {best}"
+                    )
 
     def all_candidates(self) -> Sequence[GreedyCandidate]:
         assert self.frozen

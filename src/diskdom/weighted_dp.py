@@ -8,7 +8,8 @@ candidates for point i are built three ways:
 * counterclockwise: a run from i's own level-t' bucket, extended by the
   cheapest run from the previous global level starting just past it, plus
   the stretch after that which disk i dominates by itself;
-* clockwise: the mirror image;
+* clockwise: the mirror image, from the same routine
+  (`_directional_combos`) with the direction as a parameter;
 * bidirectional: one run from i's bucket in each direction, meeting at i,
   with i's weight counted once.
 
@@ -20,6 +21,10 @@ read off a staircase.  Walking a level's candidates in (value, id) order,
 the ones that reach strictly farther from the anchor than every cheaper
 candidate are exactly the chain.  A full-circle candidate of minimum value
 over all levels yields the answer.
+
+`LevelTable(indexed=False)` builds the same chains by asking plain-scan
+cheapest-enclosing queries one growing run at a time; it is the reference
+twin the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,10 +46,9 @@ from .geometry import (
     union_extend,
 )
 from .neighbor_index import build_neighbor_index
-from .solution import Infeasible, InvalidK, Solution
-from .sublist_queries import MinEnclosingIndex, ValuedSublist
+from .solution import Infeasible, InvalidK, Solution, SolverInvariantError
 
-VALUE_SLACK = 1e-9  # tolerance of the witness-weight debug assertion
+VALUE_SLACK = 1e-9  # tolerance of the validator's witness-weight check
 
 
 @dataclass(frozen=True)
@@ -58,16 +63,20 @@ class Candidate:
 
 
 def make_validator(instance: Instance) -> Callable[[Candidate], None]:
-    """Debug checks run on every inserted candidate."""
+    """Checks run on every inserted candidate; failures raise SolverInvariantError."""
     disks = instance.disks
 
     def validate(cand: Candidate) -> None:
-        assert cand.owner in cand.witnesses
-        assert len(cand.witnesses) <= cand.level
+        if cand.owner not in cand.witnesses:
+            raise SolverInvariantError(f"owner is not a witness: {cand}")
+        if len(cand.witnesses) > cand.level:
+            raise SolverInvariantError(f"more witnesses than the level: {cand}")
         total = math.fsum(disks[w].weight for w in sorted(cand.witnesses))
-        assert total <= cand.value + VALUE_SLACK * max(1.0, abs(cand.value))
+        if total > cand.value + VALUE_SLACK * max(1.0, abs(cand.value)):
+            raise SolverInvariantError(f"witnesses weigh {total}: {cand}")
         for idx in cand.sub.indices():
-            assert any(intersects(disks[idx], disks[w]) for w in cand.witnesses)
+            if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
+                raise SolverInvariantError(f"disk {idx} undominated: {cand}")
 
     return validate
 
@@ -82,10 +91,9 @@ class LevelTable:
     four scan-chain methods answer from those arrays (see `_staircase`)
     and cache their chains; frozen tables never change.
 
-    `indexed=False` is the reference twin: chains come from the
-    scan-driven `_chain_ccw`/`_chain_cw` over plain-scan enclosing-run
-    queries.  `bucket_min_enclosing`/`global_min_enclosing` build their
-    `MinEnclosingIndex` on first use; the solver itself never calls them.
+    `indexed=False` is the reference twin: chains come from `_scan_chain`,
+    which asks `bucket_min_enclosing`/`global_min_enclosing` (plain scans
+    over the candidates in id order) one growing query at a time.
     """
 
     def __init__(
@@ -111,7 +119,6 @@ class LevelTable:
         self._bucket_lo: list[int] = []  # bucket i holds ids [lo[i], lo[i+1])
         self._global_runs: Optional[_SortedRuns] = None
         self._bucket_runs: Optional[_SortedRuns] = None
-        self._min_idx: dict[Optional[int], MinEnclosingIndex] = {}
         self._bucket_chain_ccw: dict[int, list[Candidate]] = {}
         self._bucket_chain_cw: dict[int, list[Candidate]] = {}
         self._global_chain_ccw: dict[int, list[Candidate]] = {}
@@ -154,30 +161,22 @@ class LevelTable:
         assert self.frozen
         return self._by_id
 
-    def _min_index(self, i: Optional[int]) -> MinEnclosingIndex:
-        """Enclosing-run index over bucket i, or over the level when i is None."""
-        idx = self._min_idx.get(i)
-        if idx is None:
-            lo, hi = (0, len(self._by_id)) if i is None else self._bucket_lo[i : i + 2]
-            items = [
-                ValuedSublist(sub=cand.sub, value=cand.value, id=k)
-                for k, cand in enumerate(self._by_id[lo:hi], lo)
-            ]
-            idx = MinEnclosingIndex(items, self.instance.n, indexed=self.indexed)
-            self._min_idx[i] = idx
-        return idx
+    def _min_enclosing(self, lo: int, hi: int, q: CyclicSublist) -> Optional[Candidate]:
+        """Cheapest candidate with id in [lo, hi) whose run contains q; ties to the smaller id."""
+        assert self.frozen
+        best = None
+        for cand in self._by_id[lo:hi]:
+            if cand.sub.contains_sub(q) and (best is None or cand.value < best.value):
+                best = cand
+        return best
 
     def bucket_min_enclosing(self, i: int, q: CyclicSublist) -> Optional[Candidate]:
         """Cheapest candidate of bucket i whose run contains q."""
-        assert self.frozen
-        hit = self._min_index(i).min_enclosing(q)
-        return None if hit is None else self._by_id[hit.id]
+        return self._min_enclosing(*self._bucket_lo[i : i + 2], q)
 
     def global_min_enclosing(self, q: CyclicSublist) -> Optional[Candidate]:
         """Cheapest candidate of the whole level whose run contains q."""
-        assert self.frozen
-        hit = self._min_index(None).min_enclosing(q)
-        return None if hit is None else self._by_id[hit.id]
+        return self._min_enclosing(0, len(self._by_id), q)
 
     # -- distinct-answer scan chains ------------------------------------
 
@@ -205,47 +204,39 @@ class LevelTable:
         by_id = self._by_id
         return [by_id[k] for k in runs.ids[lo:hi][steps].tolist()]
 
-    def _chain_ccw(self, query, anchor: int) -> list[Candidate]:
-        n = self.instance.n
-        out = []
-        q = 1
-        while q <= n:
-            ans = query(CyclicSublist(anchor, q, n))
-            if ans is None:
-                break
-            out.append(ans)
-            if ans.sub.is_full:
-                break
-            q = offset_ccw(anchor, ans.sub.ccw_end, n) + 2
-        return out
+    def _scan_chain(self, query, anchor: int, *, ccw: bool) -> list[Candidate]:
+        """Reference chain: ask `query` for ever longer runs grown from `anchor`.
 
-    def _chain_cw(self, query, anchor: int) -> list[Candidate]:
+        The query run grows counterclockwise from the anchor (or clockwise
+        from it), each time to just past the last answer's far end.
+        """
         n = self.instance.n
         out = []
         q = 1
         while q <= n:
-            ans = query(CyclicSublist((anchor - q + 1) % n, q, n))
+            ans = query(CyclicSublist(anchor if ccw else anchor - q + 1, q, n))
             if ans is None:
                 break
             out.append(ans)
             if ans.sub.is_full:
                 break
-            q = offset_ccw(ans.sub.cw_end, anchor, n) + 2
+            if ccw:
+                q = offset_ccw(anchor, ans.sub.ccw_end, n) + 2
+            else:
+                q = offset_ccw(ans.sub.cw_end, anchor, n) + 2
         return out
 
     def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
         assert self.frozen
         if not self.indexed:
-            scan = self._chain_ccw if ccw else self._chain_cw
-            return scan(lambda q: self.bucket_min_enclosing(i, q), i)
+            return self._scan_chain(lambda q: self.bucket_min_enclosing(i, q), i, ccw=ccw)
         lo, hi = self._bucket_lo[i : i + 2]
         return self._staircase(self._bucket_runs, lo, hi, i, ccw=ccw)
 
     def _global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
         assert self.frozen
         if not self.indexed:
-            scan = self._chain_ccw if ccw else self._chain_cw
-            return scan(self.global_min_enclosing, anchor)
+            return self._scan_chain(self.global_min_enclosing, anchor, ccw=ccw)
         return self._staircase(self._global_runs, 0, len(self._by_id), anchor, ccw=ccw)
 
     def bucket_chain_ccw(self, i: int) -> list[Candidate]:
@@ -309,171 +300,34 @@ def init_level_one(
     return table
 
 
-def _ccw_tail(nbr, i: int, z2: int, n: int) -> CyclicSublist:
-    return CyclicSublist(*nbr.run_after(i, z2), n)
+def _directional_combos(levels, table: LevelTable, i: int, t: int, *, ccw: bool) -> None:
+    """Insert i's one-way level-t candidates, counterclockwise or clockwise.
 
-
-def _cw_tail(nbr, i: int, z2: int, n: int) -> CyclicSublist:
-    return CyclicSublist(*nbr.run_before(i, z2), n)
-
-
-def ccw_processing(
-    levels: Sequence[Optional[LevelTable]], i: int, j: int, t: int
-) -> Optional[Candidate]:
-    """Best level-t candidate for i from counterclockwise scans bounded by j.
-
-    Scans every split level t' and every scan stop z between i and j;
-    returns the minimum-value combination (ties to the earliest (t', z)),
-    or None when every combination failed an enclosing query.
+    For each split level t', every run l1 of i's level-t' bucket chain is
+    extended by every run l2 of the level-(t-t') global chain starting just
+    past l1's far end, then by the stretch disk i dominates past l2's far
+    end.  A full l1 is a candidate by itself.
     """
-    assert t >= 2
-    table1 = levels[1]
-    instance, nbr = table1.instance, table1.nbr
-    n = instance.n
-    dom = nbr.dominated_run(i)
-    best: Optional[Candidate] = None
-    for tp in range(1, t):
-        for dz in range(offset_ccw(i, j, n) + 1):
-            z_run = CyclicSublist(i, dz + 1, n)
-            l1 = levels[tp].bucket_min_enclosing(i, z_run)
-            if l1 is None:
-                continue
-            if l1.sub.is_full:
-                cand = Candidate(l1.sub, l1.value, l1.witnesses, i, t)
-            else:
-                z1 = l1.sub.ccw_end
-                len2 = offset_ccw((z1 + 1) % n, j, n) + 1
-                l2 = levels[t - tp].global_min_enclosing(
-                    CyclicSublist((z1 + 1) % n, len2, n)
-                )
-                if l2 is None:
-                    continue
-                if l2.sub.is_full:
-                    sub = full_sublist(n)
-                else:
-                    tail = _ccw_tail(nbr, i, l2.sub.ccw_end, n)
-                    sub = union_extend([dom, l1.sub, l2.sub, tail])
-                cand = Candidate(
-                    sub, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
-                )
-            if best is None or cand.value < best.value:
-                best = cand
-    return best
-
-
-def cw_processing(
-    levels: Sequence[Optional[LevelTable]], i: int, j: int, t: int
-) -> Optional[Candidate]:
-    """Mirror of ccw_processing: clockwise scans bounded by j."""
-    assert t >= 2
-    table1 = levels[1]
-    instance, nbr = table1.instance, table1.nbr
-    n = instance.n
-    dom = nbr.dominated_run(i)
-    best: Optional[Candidate] = None
-    for tp in range(1, t):
-        for dz in range(offset_ccw(j, i, n) + 1):
-            z_run = CyclicSublist((i - dz) % n, dz + 1, n)
-            l1 = levels[tp].bucket_min_enclosing(i, z_run)
-            if l1 is None:
-                continue
-            if l1.sub.is_full:
-                cand = Candidate(l1.sub, l1.value, l1.witnesses, i, t)
-            else:
-                z1 = l1.sub.cw_end
-                len2 = offset_ccw(j, (z1 - 1) % n, n) + 1
-                l2 = levels[t - tp].global_min_enclosing(
-                    CyclicSublist(j, len2, n)
-                )
-                if l2 is None:
-                    continue
-                if l2.sub.is_full:
-                    sub = full_sublist(n)
-                else:
-                    tail = _cw_tail(nbr, i, l2.sub.cw_end, n)
-                    sub = union_extend([dom, l1.sub, l2.sub, tail])
-                cand = Candidate(
-                    sub, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
-                )
-            if best is None or cand.value < best.value:
-                best = cand
-    return best
-
-
-def bidirectional_processing(
-    levels: Sequence[Optional[LevelTable]], i: int, x: int, y: int, t: int
-) -> Optional[Candidate]:
-    """Best candidate stitching a ccw run toward x and a cw run toward y at i."""
-    table1 = levels[1]
-    instance, nbr = table1.instance, table1.nbr
-    n = instance.n
-    dom = nbr.dominated_run(i)
-    wi = instance.disks[i].weight
-    best: Optional[Candidate] = None
-    for tp in range(2, t):
-        lx = levels[tp].bucket_min_enclosing(
-            i, CyclicSublist(i, offset_ccw(i, x, n) + 1, n)
-        )
-        if lx is None:
-            continue
-        ly = levels[t + 1 - tp].bucket_min_enclosing(
-            i, CyclicSublist(y, offset_ccw(y, i, n) + 1, n)
-        )
-        if ly is None:
-            continue
-        cand = Candidate(
-            union_extend([dom, lx.sub, ly.sub]),
-            lx.value + ly.value - wi,
-            lx.witnesses | ly.witnesses,
-            i,
-            t,
-        )
-        if best is None or cand.value < best.value:
-            best = cand
-    return best
-
-
-def _ccw_combos(levels, table: LevelTable, i: int, t: int) -> None:
     nbr = table.nbr
     n = table.instance.n
     dom = nbr.dominated_run(i)
+    if ccw:
+        bucket_chain, global_chain = LevelTable.bucket_chain_ccw, LevelTable.global_chain_ccw
+        far_end, step, tail_run = attrgetter("ccw_end"), 1, nbr.run_after
+    else:
+        bucket_chain, global_chain = LevelTable.bucket_chain_cw, LevelTable.global_chain_cw
+        far_end, step, tail_run = attrgetter("cw_end"), -1, nbr.run_before
     for tp in range(1, t):
         other = levels[t - tp]
-        for l1 in levels[tp].bucket_chain_ccw(i):
+        for l1 in bucket_chain(levels[tp], i):
             if l1.sub.is_full:
                 table.insert(i, Candidate(l1.sub, l1.value, l1.witnesses, i, t))
                 continue
-            z1 = l1.sub.ccw_end
-            for l2 in other.global_chain_ccw((z1 + 1) % n):
+            for l2 in global_chain(other, (far_end(l1.sub) + step) % n):
                 if l2.sub.is_full:
                     sub = full_sublist(n)
                 else:
-                    tail = _ccw_tail(nbr, i, l2.sub.ccw_end, n)
-                    sub = union_extend([dom, l1.sub, l2.sub, tail])
-                table.insert(
-                    i,
-                    Candidate(
-                        sub, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
-                    ),
-                )
-
-
-def _cw_combos(levels, table: LevelTable, i: int, t: int) -> None:
-    nbr = table.nbr
-    n = table.instance.n
-    dom = nbr.dominated_run(i)
-    for tp in range(1, t):
-        other = levels[t - tp]
-        for l1 in levels[tp].bucket_chain_cw(i):
-            if l1.sub.is_full:
-                table.insert(i, Candidate(l1.sub, l1.value, l1.witnesses, i, t))
-                continue
-            z1 = l1.sub.cw_end
-            for l2 in other.global_chain_cw((z1 - 1) % n):
-                if l2.sub.is_full:
-                    sub = full_sublist(n)
-                else:
-                    tail = _cw_tail(nbr, i, l2.sub.cw_end, n)
+                    tail = CyclicSublist(*tail_run(i, far_end(l2.sub)), n)
                     sub = union_extend([dom, l1.sub, l2.sub, tail])
                 table.insert(
                     i,
@@ -549,8 +403,8 @@ def solve_weighted(
             instance, nbr, t, indexed=indexed_queries, prune=prune, validator=validator
         )
         for i in range(n):
-            _ccw_combos(levels, table, i, t)
-            _cw_combos(levels, table, i, t)
+            _directional_combos(levels, table, i, t, ccw=True)
+            _directional_combos(levels, table, i, t, ccw=False)
             if _include_bidirectional:
                 _bidi_combos(levels, table, i, t)
         table.freeze()

@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 from diskdom import cli
-from diskdom.geometry import CyclicSublist
 from diskdom.instance_io import gen_figure1, gen_random
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import (
@@ -24,11 +23,7 @@ from diskdom.oracle import (
     voronoi_assignment,
 )
 from diskdom.solution import Infeasible
-from diskdom.sublist_queries import (
-    FarthestEnclosingIndex,
-    MinEnclosingIndex,
-    ValuedSublist,
-)
+from diskdom.sublist_queries import FarthestEnclosingIndex
 from diskdom.unweighted_greedy import (
     GreedyCandidate,
     GreedyLevel,
@@ -141,39 +136,43 @@ def test_unweighted_optimality_oracle_equivalence():
 
 
 def _random_runs(rng, n, count):
-    items = []
-    for ident in range(count):
-        items.append(
-            ValuedSublist(
-                CyclicSublist(rng.randrange(n), rng.randint(1, n), n),
-                round(rng.uniform(1, 50), 1),  # coarse values force ties
-                ident,
-            )
-        )
-    return items
+    """(start, length, value, owner) runs; coarse values force ties."""
+    return [
+        (rng.randrange(n), rng.randint(1, n), round(rng.uniform(1, 50), 1), rng.randrange(n))
+        for _ in range(count)
+    ]
+
+
+CHAIN_KINDS = ("bucket_chain_ccw", "bucket_chain_cw", "global_chain_ccw", "global_chain_cw")
 
 
 def test_query_structure_equivalence():
+    from weighted_reference import level_of_runs, ring
+
     rng = random.Random(31337)
     min_trials = far_trials = 0
     for _ in range(100):
         n = rng.randint(3, 80)
-        items = _random_runs(rng, n, rng.randint(1, 60))
-        fast_min = MinEnclosingIndex(items, n)
-        slow_min = MinEnclosingIndex(items, n, indexed=False)
-        fast_far = FarthestEnclosingIndex(items, n)
-        slow_far = FarthestEnclosingIndex(items, n, indexed=False)
+        runs = _random_runs(rng, n, rng.randint(1, 60))
+        # cheapest enclosing runs: staircase chains against scan-built chains
+        inst = ring(n)
+        fast_min = level_of_runs(inst, runs)
+        slow_min = level_of_runs(inst, runs, indexed=False)
+        starts = [s for s, _, _, _ in runs]
+        lengths = [k for _, k, _, _ in runs]
+        fast_far = FarthestEnclosingIndex(starts, lengths, n)
+        slow_far = FarthestEnclosingIndex(starts, lengths, n, indexed=False)
         for _ in range(100):
-            q = CyclicSublist(rng.randrange(n), rng.randint(1, n), n)
-            a, b = fast_min.min_enclosing(q), slow_min.min_enclosing(q)
-            assert (a is None) == (b is None) and (a is None or a.id == b.id), (n, q)
+            kind = rng.choice(CHAIN_KINDS)
+            anchor = rng.randrange(n)
+            a = getattr(fast_min, kind)(anchor)
+            b = getattr(slow_min, kind)(anchor)
+            assert a == b, (n, kind, anchor)
             min_trials += 1
         for _ in range(100):
             j = rng.randrange(n)
-            a, b = fast_far.farthest_ccw(j), slow_far.farthest_ccw(j)
-            assert (a is None) == (b is None) and (a is None or a.id == b.id), (n, j)
-            a, b = fast_far.farthest_cw(j), slow_far.farthest_cw(j)
-            assert (a is None) == (b is None) and (a is None or a.id == b.id), (n, j)
+            assert fast_far.farthest_ccw(j) == slow_far.farthest_ccw(j), (n, j)
+            assert fast_far.farthest_cw(j) == slow_far.farthest_cw(j), (n, j)
             far_trials += 1
     assert min_trials >= 10_000 and far_trials >= 10_000
 
@@ -184,12 +183,12 @@ def test_query_structure_equivalence():
         n = sizes[i % len(sizes)]
         law = laws[i % len(laws)] if n <= 50 else laws[i % 2]
         inst = gen_random(n, 30_000 + i, FAMILIES[i % 3], law, "unit").to_instance()
-        tree = build_neighbor_index(inst, "tree")
+        bits = build_neighbor_index(inst, "bitset")
         naive = build_neighbor_index(inst, "naive")
         for a_ in range(n):
             for b_ in range(n):
-                assert tree.first_disjoint_ccw(a_, b_) == naive.first_disjoint_ccw(a_, b_)
-                assert tree.first_disjoint_cw(a_, b_) == naive.first_disjoint_cw(a_, b_)
+                assert bits.first_disjoint_ccw(a_, b_) == naive.first_disjoint_ccw(a_, b_)
+                assert bits.first_disjoint_cw(a_, b_) == naive.first_disjoint_cw(a_, b_)
                 sweeps += 2
     print(
         f"PASS query-structures: {min_trials} min-enclosing and {far_trials} "

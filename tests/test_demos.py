@@ -1,0 +1,30 @@
+"""The quick demos run to completion.
+
+`scaling_bench.py` and `weighted_vs_bruteforce.py` take several seconds
+each and are left out to keep the suite short.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diskdom
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ("quickstart.py", "query_structures.py", "separability_diagnostic.py")
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    src = str(Path(diskdom.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout

@@ -13,18 +13,18 @@ from diskdom.geometry import (
     Point,
     WeightedDisk,
     canonicalize,
+    disk_arrays,
     disk_distance,
     empty_sublist,
     full_sublist,
     intersects,
+    intersects_row,
     offset_ccw,
-    run_between,
     singleton,
-    sublist,
     union_extend,
     union_runs,
 )
-from conftest import T4_POINTS, mk_instance
+from conftest import T4_POINTS, mk_instance, tangent_chain_instances
 
 
 def disk(x, y, r, w=1.0):
@@ -134,6 +134,19 @@ def test_canonicalize_random_circle_orders_ccw():
             assert (b.x - a.x) * (d.y - a.y) - (b.y - a.y) * (d.x - a.x) > 0
 
 
+def test_intersects_row_is_intersects_on_tangent_chains():
+    # nominally tangent neighbours sit on the rounding edge of the predicate,
+    # so any difference in operations or their order would show here
+    rows = 0
+    for _, inst in tangent_chain_instances(range(200)):
+        arrays = disk_arrays(inst)
+        for i in range(inst.n):
+            row = intersects_row(*arrays, i)
+            assert row.tolist() == [intersects(inst.disks[i], d) for d in inst.disks]
+            rows += 1
+    assert rows > 50
+
+
 # ------------------------------------------------------------ cyclic runs
 
 
@@ -141,63 +154,32 @@ def run_set(r):
     return set(r.indices())
 
 
-def walk_oracle(i, j, n, openness):
-    """Independent enumeration: walk ccw from i to j, then drop endpoints."""
-    idxs = []
-    k = i
-    while True:
-        idxs.append(k)
-        if k == j:
-            break
-        k = (k + 1) % n
-    if openness in ("open-open", "open-closed"):
-        idxs = idxs[1:]
-    if openness in ("open-open", "closed-open"):
-        idxs = idxs[:-1]
-    return idxs
-
-
 def test_sublist_wraparound_example():
-    assert list(sublist(4, 1, 6).indices()) == [4, 5, 0, 1]
-
-
-def test_sublist_open_open_neighbours_empty():
-    assert sublist(2, 3, 4, "open-open").is_empty
+    assert list(CyclicSublist(4, 4, 6).indices()) == [4, 5, 0, 1]
 
 
 def test_sublist_singleton_and_full():
-    assert list(sublist(2, 2, 5).indices()) == [2]
-    assert sublist(3, 2, 5).is_full
-    assert sublist(2, 2, 5, "open-open").is_empty
+    assert list(singleton(2, 5).indices()) == [2]
+    assert CyclicSublist(3, 5, 5).is_full
+    assert CyclicSublist(3, 0, 5) == empty_sublist(5)
 
 
 @given(st.integers(1, 9), st.data())
 def test_sublist_matches_walk_enumeration(n, data):
     i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    openness = data.draw(
-        st.sampled_from(["closed-closed", "open-open", "closed-open", "open-closed"])
-    )
-    got = list(sublist(i, j, n, openness).indices())
-    expected = walk_oracle(i, j, n, openness)
-    if len(expected) == n:
+    length = data.draw(st.integers(0, n))
+    got = list(CyclicSublist(i, length, n).indices())
+    walk = [(i + step) % n for step in range(length)]
+    if length == n:
         # a run covering everything canonicalizes its start to 0
         assert got == list(range(n))
     else:
-        assert got == expected
+        assert got == walk
 
 
 def test_offset_ccw():
     assert offset_ccw(5, 2, 7) == 4
     assert offset_ccw(2, 2, 7) == 0
-
-
-def test_run_between_semantics():
-    # scan stopped immediately: nothing in between
-    assert run_between(3, 4, 6).is_empty
-    # scan went all the way around: everything except the anchor
-    assert run_set(run_between(3, 3, 6)) == {4, 5, 0, 1, 2}
-    assert list(run_between(2, 5, 6).indices()) == [3, 4]
 
 
 def test_contains_sub_cases():

@@ -1,0 +1,69 @@
+"""Metamorphic checks beyond the brute-force limit.
+
+Rotating by 90 degrees, reflecting, reordering the input and scaling by a
+power of two all map an instance onto an equivalent one, exactly in
+floating point.  The optimum value must not change, whatever canonical
+order and tie-breaks the transformed instance gets.  Neither check
+relies on a reference twin of the solvers.
+"""
+
+import random
+
+import pytest
+
+from diskdom.geometry import Point, WeightedDisk, canonicalize
+from diskdom.instance_io import gen_random
+from diskdom.oracle import verify
+from diskdom.unweighted_greedy import solve_unweighted
+from diskdom.weighted_dp import solve_weighted
+
+
+def _raw(doc):
+    return [(p["x"], p["y"], p["r"], p.get("w", 1.0)) for p in doc.points]
+
+
+TRANSFORMS = {
+    "rotate90": lambda disks: [(-y, x, r, w) for x, y, r, w in disks],
+    "reflect": lambda disks: [(x, -y, r, w) for x, y, r, w in disks],
+    "permute": lambda disks: random.Random(len(disks)).sample(disks, len(disks)),
+    "scale8": lambda disks: [(8 * x, 8 * y, 8 * r, w) for x, y, r, w in disks],
+    "scale1/8": lambda disks: [(x / 8, y / 8, r / 8, w) for x, y, r, w in disks],
+}
+
+
+def _variants(doc, *, weighted):
+    disks = _raw(doc)
+    for name, transform in (("identity", lambda d: d), *TRANSFORMS.items()):
+        raw = [WeightedDisk(Point(x, y), r, w) for x, y, r, w in transform(disks)]
+        yield name, canonicalize(raw, weighted=weighted)
+
+
+UNWEIGHTED = [
+    (200, 1, "circle", "uniform(1.0,3.0)"),
+    (300, 2, "ellipse", "uniform(0.5,2.0)"),
+    (400, 3, "perturbed-polygon", "uniform(1.0,3.0)"),
+]
+
+
+@pytest.mark.parametrize("n, seed, family, law", UNWEIGHTED)
+def test_unweighted_optimum_is_invariant(n, seed, family, law):
+    doc = gen_random(n, 40_000 + seed, family, law, "unit")
+    sizes = {}
+    for name, inst in _variants(doc, weighted=False):
+        sol = solve_unweighted(inst)
+        assert verify(inst, inst.to_canonical(sol.centers)), name
+        sizes[name] = sol.size
+    assert sizes["identity"] > 2
+    assert set(sizes.values()) == {sizes["identity"]}, sizes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weighted_optimum_is_invariant(seed):
+    doc = gen_random(60, 41_000 + seed, "circle", "uniform(2.0,6.0)", "uniform(1,10)")
+    weights = {}
+    for name, inst in _variants(doc, weighted=True):
+        sol = solve_weighted(inst, 6)
+        assert verify(inst, inst.to_canonical(sol.centers)), name
+        weights[name] = sol.weight
+    for name, weight in weights.items():
+        assert weight == pytest.approx(weights["identity"], abs=1e-9), name

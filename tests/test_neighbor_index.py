@@ -7,7 +7,7 @@ from diskdom.geometry import intersects
 from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
 from conftest import mk_instance, tangent_chain_instances
 
-STRATEGIES = ("naive", "tree", "bitset")
+STRATEGIES = ("naive", "bitset")
 
 
 @pytest.fixture(params=STRATEGIES)
@@ -91,17 +91,12 @@ def test_strategies_agree_on_random_instances():
             continue
         done += 1
         naive = build_neighbor_index(inst, "naive")
-        tree = build_neighbor_index(inst, "tree")
         bits = build_neighbor_index(inst, "bitset")
         for i in range(n):
             for j in range(n):
-                expected = naive.first_disjoint_ccw(i, j)
-                assert tree.first_disjoint_ccw(i, j) == expected
-                assert bits.first_disjoint_ccw(i, j) == expected
-                expected = naive.first_disjoint_cw(i, j)
-                assert tree.first_disjoint_cw(i, j) == expected
-                assert bits.first_disjoint_cw(i, j) == expected
-            assert naive.dominated_run(i) == tree.dominated_run(i) == bits.dominated_run(i)
+                assert bits.first_disjoint_ccw(i, j) == naive.first_disjoint_ccw(i, j)
+                assert bits.first_disjoint_cw(i, j) == naive.first_disjoint_cw(i, j)
+            assert naive.dominated_run(i) == bits.dominated_run(i)
 
 
 def test_intersects_all_consistency():
@@ -125,7 +120,7 @@ def test_dominated_run_is_dominated_and_maximal():
         inst = rand_instance(rng, rng.randint(2, 30))
         if inst is None:
             continue
-        idx = build_neighbor_index(inst, "tree")
+        idx = build_neighbor_index(inst)
         n = inst.n
         for i in range(n):
             run = idx.dominated_run(i)
@@ -157,6 +152,12 @@ def test_scan_answer_is_first_by_definition():
                 for s in range(steps):  # everything passed over intersects disk i
                     assert intersects(inst.disks[i], inst.disks[(j + s) % n])
                 assert not intersects(inst.disks[i], inst.disks[z])
+
+
+def test_default_strategy_is_bitset_and_unknown_ones_are_rejected(t4):
+    assert build_neighbor_index(t4).strategy == "bitset"
+    with pytest.raises(ValueError, match="unknown strategy"):
+        build_neighbor_index(t4, "tree")
 
 
 def test_avoidance_is_negated_intersects_on_tangent_chains():

@@ -1,104 +1,105 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskdom.geometry import CyclicSublist, full_sublist, offset_ccw
-from diskdom.sublist_queries import (
-    FarthestEnclosingIndex,
-    MinEnclosingIndex,
-    ValuedSublist,
-    build_far_index,
-    build_min_index,
-)
+from diskdom.sublist_queries import FarthestEnclosingIndex
+from weighted_reference import chain_answer, level_of_runs, ring
 
 
 def run(start, length, n):
     return CyclicSublist(start=start, length=length, n=n)
 
 
-def vs(start, length, n, value, id):
-    return ValuedSublist(sub=run(start, length, n), value=value, id=id)
+def position(cand):
+    """Position in `level_of_runs`' input, which each candidate carries."""
+    (pos,) = cand.witnesses
+    return pos
 
 
-# --- minimum-value enclosing run -------------------------------------------
+# --- cheapest enclosing run: level-table scans and staircase chains ---------
+#
+# `indexed` picks how the level builds its chains: from (value, id)-sorted
+# staircases, or from the plain-scan queries one growing run at a time.
 
-MIN_ITEMS = [
-    vs(0, 3, 6, 3.0, 0),   # [0..2]
-    vs(0, 5, 6, 1.0, 1),   # [0..4]
-    vs(1, 3, 6, 0.0, 2),   # [1..3]
+MIN_RUNS = [
+    (0, 3, 3.0, 0),  # [0..2]
+    (0, 5, 1.0, 0),  # [0..4]
+    (1, 3, 0.0, 0),  # [1..3]
 ]
+
+
+def min_enclosing(table, q):
+    return chain_answer(table.global_chain_ccw(q.start), q)
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_min_enclosing_pinned(indexed):
-    idx = build_min_index(MIN_ITEMS, 6, indexed=indexed)
-    got = idx.min_enclosing(run(1, 2, 6))  # [1..2]
-    assert got.id == 2 and got.value == 0.0
-    got = idx.min_enclosing(run(0, 5, 6))  # [0..4]
-    assert got.id == 1 and got.value == 1.0
-    assert idx.min_enclosing(run(5, 1, 6)) is None
+    table = level_of_runs(ring(6), MIN_RUNS, indexed=indexed)
+    got = min_enclosing(table, run(1, 2, 6))  # [1..2]
+    assert position(got) == 2 and got.value == 0.0
+    got = min_enclosing(table, run(0, 5, 6))  # [0..4]
+    assert position(got) == 1 and got.value == 1.0
+    assert min_enclosing(table, run(5, 1, 6)) is None
+    assert table.global_min_enclosing(run(5, 1, 6)) is None
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_min_enclosing_full_item_answers_everything(indexed):
-    items = MIN_ITEMS + [ValuedSublist(sub=full_sublist(6), value=7.0, id=9)]
-    idx = build_min_index(items, 6, indexed=indexed)
+    table = level_of_runs(ring(6), MIN_RUNS + [(0, 6, 7.0, 0)], indexed=indexed)
     for start in range(6):
         for length in range(1, 7):
-            got = idx.min_enclosing(run(start, length, 6))
-            assert got is not None
-    # the full item is the only one containing a full query
-    assert idx.min_enclosing(full_sublist(6)).id == 9
+            assert min_enclosing(table, run(start, length, 6)) is not None
+    # the full run is the only one containing a full query
+    assert position(min_enclosing(table, full_sublist(6))) == 3
     # ...and the fallback when nothing else contains the query
-    assert idx.min_enclosing(run(5, 1, 6)).id == 9
+    assert position(min_enclosing(table, run(5, 1, 6))) == 3
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_min_enclosing_tie_breaks_to_smallest_id(indexed):
-    items = [vs(0, 4, 8, 2.0, 5), vs(1, 5, 8, 2.0, 3), vs(0, 6, 8, 2.0, 4)]
-    idx = build_min_index(items, 8, indexed=indexed)
-    got = idx.min_enclosing(run(1, 3, 8))
-    assert got.id == 3
+    runs = [(0, 4, 2.0, 0), (1, 5, 2.0, 0), (0, 6, 2.0, 0)]
+    table = level_of_runs(ring(8), runs, indexed=indexed)
+    assert position(min_enclosing(table, run(1, 3, 8))) == 0
+    # runs 1 and 2 both reach 5 from index 1: the smaller id wins
+    assert position(min_enclosing(table, run(1, 5, 8))) == 1
+    assert position(table.global_min_enclosing(run(1, 5, 8))) == 1
 
 
-def test_min_index_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_min_index([vs(0, 2, 5, 1.0, 0)], 6)
-    with pytest.raises(ValueError):
-        build_min_index([vs(0, 2, 6, 1.0, 0), vs(1, 2, 6, 2.0, 0)], 6)
-    with pytest.raises(ValueError):
-        build_min_index([ValuedSublist(sub=CyclicSublist(0, 0, 6), value=1.0, id=0)], 6)
-    idx = build_min_index(MIN_ITEMS, 6)
-    with pytest.raises(ValueError):
-        idx.min_enclosing(CyclicSublist(0, 0, 6))
-    with pytest.raises(ValueError):
-        idx.min_enclosing(run(0, 2, 7))
-
-
-def _random_items(rng, n, m):
-    items = []
-    for ident in range(m):
-        length = rng.randint(1, n)
-        items.append(vs(rng.randrange(n), length, n, rng.randint(0, 20) / 4, ident))
-    return items
+def _random_runs(rng, n, m, *, buckets=1):
+    return [
+        (rng.randrange(n), rng.randint(1, n), rng.randint(0, 20) / 4, rng.randrange(buckets))
+        for _ in range(m)
+    ]
 
 
 def test_min_enclosing_indexed_matches_naive():
     rng = random.Random(1234)
     for _ in range(200):
         n = rng.randint(1, 12)
-        items = _random_items(rng, n, rng.randint(0, 10))
-        fast = build_min_index(items, n, indexed=True)
-        slow = build_min_index(items, n, indexed=False)
+        runs = _random_runs(rng, n, rng.randint(0, 10), buckets=n)
+        inst = ring(n)
+        fast = level_of_runs(inst, runs)
+        slow = level_of_runs(inst, runs, indexed=False)
         for start in range(n):
             for length in range(1, n + 1):
                 q = run(start, length, n)
-                a, b = fast.min_enclosing(q), slow.min_enclosing(q)
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert (a.value, a.id) == (b.value, b.id)
+                assert min_enclosing(fast, q) == slow.global_min_enclosing(q)
+                cw_q = run(start - length + 1, length, n)
+                assert chain_answer(fast.global_chain_cw(start), cw_q) == (
+                    slow.global_min_enclosing(cw_q)
+                )
+            # bucket chains anchor at their owner
+            for length in range(1, n + 1):
+                q = run(start, length, n)
+                got = chain_answer(fast.bucket_chain_ccw(start), q)
+                assert got == slow.bucket_min_enclosing(start, q)
+                q = run(start - length + 1, length, n)
+                got = chain_answer(fast.bucket_chain_cw(start), q)
+                assert got == slow.bucket_min_enclosing(start, q)
 
 
 @given(st.data())
@@ -106,22 +107,21 @@ def test_min_enclosing_indexed_matches_naive():
 def test_min_enclosing_monotone_in_query(data):
     n = data.draw(st.integers(2, 10))
     m = data.draw(st.integers(1, 8))
-    items = [
-        vs(
+    runs = [
+        (
             data.draw(st.integers(0, n - 1)),
             data.draw(st.integers(1, n)),
-            n,
             data.draw(st.integers(0, 9)),
-            ident,
+            0,
         )
-        for ident in range(m)
+        for _ in range(m)
     ]
-    idx = build_min_index(items, n)
+    table = level_of_runs(ring(n), runs)
     start = data.draw(st.integers(0, n - 1))
     small = data.draw(st.integers(1, n))
     large = data.draw(st.integers(small, n))
-    a = idx.min_enclosing(run(start, small, n))
-    b = idx.min_enclosing(run(start, large, n))
+    a = table.global_min_enclosing(run(start, small, n))
+    b = table.global_min_enclosing(run(start, large, n))
     # growing the query can only lose candidates
     if b is not None:
         assert a is not None and a.value <= b.value
@@ -129,70 +129,71 @@ def test_min_enclosing_monotone_in_query(data):
 
 # --- farthest enclosing run -------------------------------------------------
 
-FAR_SINGLE = [vs(2, 3, 6, 0.0, 0)]  # [2..4]
+
+def far(runs, n, indexed=True):
+    return FarthestEnclosingIndex(
+        [s for s, _ in runs], [k for _, k in runs], n, indexed=indexed
+    )
+
+
+FAR_SINGLE = [(2, 3)]  # [2..4]
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_single_item(indexed):
-    idx = build_far_index(FAR_SINGLE, 6, indexed=indexed)
-    got = idx.farthest_ccw(3)
-    assert got.id == 0
-    assert offset_ccw(3, got.sub.ccw_end, 6) == 1
+    idx = far(FAR_SINGLE, 6, indexed)
+    assert idx.farthest_ccw(3) == 0
+    assert offset_ccw(3, run(*FAR_SINGLE[0], 6).ccw_end, 6) == 1
     assert idx.farthest_ccw(5) is None
     assert idx.farthest_cw(5) is None
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_prefers_longer_reach(indexed):
-    items = [vs(2, 3, 6, 0.0, 0), vs(3, 4, 6, 0.0, 1)]  # [2..4], [3..0]
-    idx = build_far_index(items, 6, indexed=indexed)
-    got = idx.farthest_ccw(3)
-    assert got.id == 1  # reach 3 beats reach 1
-    got = idx.farthest_cw(3)
-    assert got.id == 0  # cw reach 1 beats 0
-    got = idx.farthest_cw(4)
-    assert got.id == 0  # cw reach 2 beats 1
+    idx = far([(2, 3), (3, 4)], 6, indexed)  # [2..4], [3..0]
+    assert idx.farthest_ccw(3) == 1  # reach 3 beats reach 1
+    assert idx.farthest_cw(3) == 0  # cw reach 1 beats 0
+    assert idx.farthest_cw(4) == 0  # cw reach 2 beats 1
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_full_item_always_wins(indexed):
-    items = [vs(2, 3, 6, 0.0, 4), ValuedSublist(sub=full_sublist(6), value=9.0, id=7)]
-    idx = build_far_index(items, 6, indexed=indexed)
+    idx = far([(2, 3), (0, 6)], 6, indexed)
     for j in range(6):
-        assert idx.farthest_ccw(j).id == 7
-        assert idx.farthest_cw(j).id == 7
+        assert idx.farthest_ccw(j) == 1
+        assert idx.farthest_cw(j) == 1
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_tie_breaks_to_smallest_id(indexed):
-    items = [vs(1, 3, 6, 0.0, 5), vs(2, 2, 6, 0.0, 2)]  # both ccw-end at 3
-    idx = build_far_index(items, 6, indexed=indexed)
-    assert idx.farthest_ccw(2).id == 2
-    assert idx.farthest_ccw(1).id == 5  # only item 5 covers 1
+    idx = far([(2, 2), (1, 3)], 6, indexed)  # both ccw-end at 3
+    assert idx.farthest_ccw(2) == 0
+    assert idx.farthest_ccw(1) == 1  # only run 1 covers 1
 
 
 def test_far_index_rejects_bad_input():
-    idx = build_far_index(FAR_SINGLE, 6)
+    idx = far(FAR_SINGLE, 6)
     with pytest.raises(ValueError):
         idx.farthest_ccw(6)
     with pytest.raises(ValueError):
         idx.farthest_cw(-1)
+    for bad in ([(0, 0)], [(6, 2)], [(-1, 2)], [(0, 7)]):
+        with pytest.raises(ValueError):
+            far(bad, 6)
+    with pytest.raises(ValueError):
+        FarthestEnclosingIndex([0, 1], [2], 6)
 
 
 def test_farthest_indexed_matches_naive():
     rng = random.Random(99)
     for _ in range(200):
         n = rng.randint(1, 12)
-        items = _random_items(rng, n, rng.randint(0, 10))
-        fast = build_far_index(items, n, indexed=True)
-        slow = build_far_index(items, n, indexed=False)
+        runs = [(s, k) for s, k, _, _ in _random_runs(rng, n, rng.randint(0, 10))]
+        fast = far(runs, n, True)
+        slow = far(runs, n, False)
         for j in range(n):
-            for fname in ("farthest_ccw", "farthest_cw"):
-                a = getattr(fast, fname)(j)
-                b = getattr(slow, fname)(j)
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert a.id == b.id
+            assert fast.farthest_ccw(j) == slow.farthest_ccw(j)
+            assert fast.farthest_cw(j) == slow.farthest_cw(j)
 
 
 @given(st.data())
@@ -200,38 +201,33 @@ def test_farthest_indexed_matches_naive():
 def test_farthest_reach_is_correct_and_maximal(data):
     n = data.draw(st.integers(1, 10))
     m = data.draw(st.integers(1, 8))
-    items = [
-        vs(
-            data.draw(st.integers(0, n - 1)),
-            data.draw(st.integers(1, n)),
-            n,
-            0.0,
-            ident,
-        )
-        for ident in range(m)
+    runs = [
+        run(data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n)), n)
+        for _ in range(m)
     ]
-    idx = build_far_index(items, n)
+    idx = far([(r.start, r.length) for r in runs], n)
     j = data.draw(st.integers(0, n - 1))
     got = idx.farthest_ccw(j)
-    covering = [it for it in items if it.sub.is_full or j in it.sub]
+    covering = [r for r in runs if j in r]
     if not covering:
         assert got is None
     else:
-        def reach(it):
-            if it.sub.is_full:
-                return n
-            return offset_ccw(j, it.sub.ccw_end, n)
+        def reach(r):
+            return n if r.is_full else offset_ccw(j, r.ccw_end, n)
 
-        assert got.sub.is_full or j in got.sub
-        assert reach(got) == max(reach(it) for it in covering)
+        assert j in runs[got]
+        assert reach(runs[got]) == max(reach(r) for r in covering)
 
 
 def test_build_is_deterministic():
     rng = random.Random(7)
-    items = _random_items(rng, 9, 8)
-    a = MinEnclosingIndex(items, 9)
-    b = MinEnclosingIndex(list(items), 9)
-    queries = [run(s, l, 9) for s in range(9) for l in range(1, 10)]
-    assert [
-        x.id if (x := a.min_enclosing(q)) else None for q in queries
-    ] == [x.id if (x := b.min_enclosing(q)) else None for q in queries]
+    runs = _random_runs(rng, 9, 8, buckets=9)
+    a, b = level_of_runs(ring(9), runs), level_of_runs(ring(9), list(runs))
+    for anchor in range(9):
+        assert a.global_chain_ccw(anchor) == b.global_chain_ccw(anchor)
+        assert a.bucket_chain_cw(anchor) == b.bucket_chain_cw(anchor)
+    starts = np.array([s for s, _, _, _ in runs])
+    lengths = np.array([k for _, k, _, _ in runs])
+    c = FarthestEnclosingIndex(starts, lengths, 9)
+    d = FarthestEnclosingIndex(starts.copy(), lengths.copy(), 9)
+    assert [c.farthest_ccw(j) for j in range(9)] == [d.farthest_ccw(j) for j in range(9)]

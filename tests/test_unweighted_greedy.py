@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import mk_instance
@@ -218,7 +219,7 @@ def test_strategies_and_index_modes_agree():
     for _ in range(10):
         inst = rand_instance(rng, rng.randint(2, 12))
         results = set()
-        for strategy in ("naive", "tree", "bitset"):
+        for strategy in ("naive", "bitset"):
             for indexed in (True, False):
                 sol = solve_unweighted(
                     inst, neighbor_strategy=strategy, indexed_queries=indexed
@@ -257,12 +258,14 @@ def test_validator_rejects_bad_candidates(t4):
     validate = make_greedy_validator(t4)
     nbr = build_neighbor_index(t4, "naive")
     validate(GreedyCandidate(nbr.dominated_run(0), frozenset((0,)), 0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolverInvariantError):
         validate(GreedyCandidate(nbr.dominated_run(0), frozenset((1,)), 1, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolverInvariantError):
         validate(GreedyCandidate(full_sublist(4), frozenset((0,)), 0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolverInvariantError):
         validate(GreedyCandidate(nbr.dominated_run(0), frozenset((0, 1, 2)), 0, 2))
+    with pytest.raises(SolverInvariantError):
+        validate(GreedyCandidate(nbr.dominated_run(2), frozenset((0,)), 0, 1))
 
 
 # --- counting bound, typed invariant errors, integer steps ---------------------
@@ -295,7 +298,7 @@ def test_counting_bound_agrees_across_strategies():
         inst = rand_instance(rng, rng.randint(1, 14), 0.2, 2.5)
         bounds = {
             build_neighbor_index(inst, s).domination_lower_bound()
-            for s in ("naive", "tree", "bitset")
+            for s in ("naive", "bitset")
         }
         assert len(bounds) == 1
         assert bounds.pop() <= brute_force_min(inst, "unweighted").size
@@ -343,15 +346,24 @@ def test_steps_build_only_the_winning_candidate(monkeypatch):
 
 
 def test_freeze_builds_no_valued_sublists(monkeypatch):
+    # the farthest index of every level is built from two integer arrays,
+    # never from per-candidate objects
     import diskdom.unweighted_greedy as ug
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ValuedSublist built")
+    builds = []
 
-    monkeypatch.setattr(ug, "ValuedSublist", forbidden)
+    class ArraysOnly(ug.FarthestEnclosingIndex):
+        def __init__(self, starts, lengths, n, **kwargs):
+            assert starts.dtype == lengths.dtype == np.int64
+            builds.append(len(starts))
+            super().__init__(starts, lengths, n, **kwargs)
+
+    monkeypatch.setattr(ug, "FarthestEnclosingIndex", ArraysOnly)
     rng = random.Random(3)
     inst = rand_instance(rng, 12, 0.3, 1.5)
-    assert solve_unweighted(inst).size == brute_force_min(inst, "unweighted").size
+    size = solve_unweighted(inst).size
+    assert size == brute_force_min(inst, "unweighted").size
+    assert len(builds) == size and builds[0] == inst.n
 
 
 def test_strategies_and_index_modes_agree_beyond_brute_force():
@@ -371,14 +383,28 @@ def test_strategies_and_index_modes_agree_beyond_brute_force():
         assert verify(inst, inst.to_canonical(sol.centers))
 
 
-def test_invariant_errors_survive_optimized_mode():
+def _run_optimized(lines):
+    """Run `lines` under `python -O`, which strips every `assert`; return stdout."""
     import subprocess
     import sys
     from pathlib import Path
 
     import diskdom
 
-    code = "\n".join(
+    src = str(Path(diskdom.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", "\n".join(lines)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_invariant_errors_survive_optimized_mode():
+    out = _run_optimized(
         [
             "import diskdom.unweighted_greedy as ug",
             "from diskdom import Point, WeightedDisk, canonicalize",
@@ -393,12 +419,50 @@ def test_invariant_errors_survive_optimized_mode():
             "    print('raised')",
         ]
     )
-    src = str(Path(diskdom.__file__).parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        timeout=120,
-    )
-    assert out.stdout.strip() == "raised", out.stderr
+    assert out.strip() == "raised"
+
+
+def test_validators_raise_under_optimized_mode():
+    # each case breaks exactly one check of one validator on the unit
+    # square, where adjacent disks meet and diagonal ones do not
+    cases = {
+        "weighted owner": "wdp.Candidate(CyclicSublist(0, 2, 4), 1.0, frozenset((1,)), 0, 1)",
+        "weighted count": "wdp.Candidate(CyclicSublist(0, 2, 4), 2.0, frozenset((0, 1)), 0, 1)",
+        "weighted value": "wdp.Candidate(CyclicSublist(0, 2, 4), 0.5, frozenset((0,)), 0, 1)",
+        "weighted cover": "wdp.Candidate(CyclicSublist(0, 3, 4), 1.0, frozenset((0,)), 0, 1)",
+        "greedy owner": "ug.GreedyCandidate(CyclicSublist(0, 2, 4), frozenset((1,)), 0, 1)",
+        "greedy run": "ug.GreedyCandidate(CyclicSublist(1, 2, 4), frozenset((0,)), 0, 1)",
+        "greedy count": "ug.GreedyCandidate(CyclicSublist(0, 2, 4), frozenset((0, 1)), 0, 1)",
+        "greedy cover": "ug.GreedyCandidate(CyclicSublist(0, 3, 4), frozenset((0,)), 0, 1)",
+    }
+    lines = [
+        "import diskdom.unweighted_greedy as ug",
+        "import diskdom.weighted_dp as wdp",
+        "from diskdom import CyclicSublist, Point, WeightedDisk, canonicalize",
+        "from diskdom import build_neighbor_index",
+        "from diskdom.solution import SolverInvariantError",
+        "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
+        "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
+        "validators = {",
+        "    'weighted': wdp.make_validator(inst),",
+        "    'greedy': ug.make_greedy_validator(inst),",
+        "}",
+        "def extremes():",
+        "    nbr = build_neighbor_index(inst)",
+        "    level = ug.GreedyLevel(inst, nbr, 1, validator=validators['greedy'])",
+        "    level.insert(0, ug.GreedyCandidate(nbr.dominated_run(0), frozenset((0,)), 0, 1))",
+        "    level._ext_ccw[0] = None  # the cached extreme is lost",
+        "    level.freeze()",
+        "checks = {'extremes': extremes}",
+    ]
+    for name, cand in cases.items():
+        lines.append(f"checks[{name!r}] = lambda: validators[{name.split()[0]!r}]({cand})")
+    lines += [
+        "for name, check in checks.items():",
+        "    try:",
+        "        check()",
+        "    except SolverInvariantError:",
+        "        print(name)",
+    ]
+    raised = _run_optimized(lines).splitlines()
+    assert sorted(raised) == sorted(["extremes", *cases])

@@ -7,18 +7,24 @@ from conftest import T4_POINTS, mk_instance
 from diskdom.geometry import full_sublist
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
-from diskdom.solution import Infeasible, InvalidK
+from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.weighted_dp import (
     Candidate,
     LevelTable,
-    bidirectional_processing,
-    ccw_processing,
-    cw_processing,
     init_level_one,
     make_validator,
     solve_weighted,
     solve_weighted_unbounded,
 )
+from weighted_reference import bidirectional_processing, directional_processing
+
+
+def ccw_processing(levels, i, j, t):
+    return directional_processing(levels, i, j, t, ccw=True)
+
+
+def cw_processing(levels, i, j, t):
+    return directional_processing(levels, i, j, t, ccw=False)
 
 
 def rand_instance(rng, n, *, spread=(0.3, 3.0)):
@@ -44,13 +50,13 @@ def rand_instance(rng, n, *, spread=(0.3, 3.0)):
 def frozen_levels(inst, upto=1, strategy="naive", **kw):
     nbr = build_neighbor_index(inst, strategy)
     levels = [None, init_level_one(inst, nbr, **kw)]
-    from diskdom.weighted_dp import _bidi_combos, _ccw_combos, _cw_combos
+    from diskdom.weighted_dp import _bidi_combos, _directional_combos
 
     for t in range(2, upto + 1):
         tbl = LevelTable(inst, nbr, t, **kw)
         for i in range(inst.n):
-            _ccw_combos(levels, tbl, i, t)
-            _cw_combos(levels, tbl, i, t)
+            _directional_combos(levels, tbl, i, t, ccw=True)
+            _directional_combos(levels, tbl, i, t, ccw=False)
             _bidi_combos(levels, tbl, i, t)
         tbl.freeze()
         levels.append(tbl)
@@ -200,6 +206,54 @@ def test_bidirectional_counts_owner_once():
                 assert total <= cand.value + 1e-9
 
 
+def oracle_instances():
+    """t4, big5 and the six disjoint disks of the tests above, plus random ones."""
+    def ring(n):
+        angles = [2 * math.pi * k / n for k in range(n)]
+        return [(10 * math.cos(a), 10 * math.sin(a)) for a in angles]
+
+    yield mk_instance(T4_POINTS)
+    yield mk_instance([(x, y, 100.0 if k == 0 else 0.5) for k, (x, y) in enumerate(ring(5))])
+    yield mk_instance([(x, y, 0.01) for x, y in ring(6)])
+    rng = random.Random(77)
+    yield rand_instance(rng, 9, spread=(1.5, 4.0))
+    for n in (6, 7, 8):
+        yield rand_instance(rng, n, spread=(0.5, 3.0))
+
+
+def holds_as_good(table, i, cand):
+    """Bucket i of `table` has a run containing cand's at no greater value."""
+    return any(
+        c.sub.contains_sub(cand.sub) and c.value <= cand.value for c in table.buckets[i]
+    )
+
+
+@pytest.mark.parametrize("inst", list(oracle_instances()))
+def test_chain_tables_hold_every_processing_candidate(inst):
+    n = inst.n
+    k = min(n, 4)
+    for indexed in (True, False):
+        levels = frozen_levels(inst, upto=k, strategy="bitset", indexed=indexed)
+        checked = 0
+        for t in range(2, k + 1):
+            for i in range(n):
+                for j in range(n):
+                    for ccw in (True, False):
+                        cand = directional_processing(levels, i, j, t, ccw=ccw)
+                        if cand is not None:
+                            assert holds_as_good(levels[t], i, cand), (t, i, j, ccw)
+                            checked += 1
+                for x in range(n):
+                    for y in range(n):
+                        if i in (x, y):
+                            continue
+                        cand = bidirectional_processing(levels, i, x, y, t)
+                        if cand is not None:
+                            assert holds_as_good(levels[t], i, cand), (t, i, x, y)
+                            checked += 1
+        assert checked > 0
+
+
 def test_solve_t4_k2(t4):
     sol = solve_weighted(t4, 2)
     assert sol.weight == 2.0 and sol.size == 2
@@ -273,7 +327,7 @@ def test_solver_flags_do_not_change_weights():
         inst = rand_instance(rng, n, spread=(1.0, 4.0))
         k = rng.randint(2, n)
         results = []
-        for strategy in ("naive", "tree", "bitset"):
+        for strategy in ("naive", "bitset"):
             for indexed in (True, False):
                 for prune in (True, False):
                     try:
@@ -319,12 +373,14 @@ def test_validator_rejects_bad_candidates(t4):
     nbr = build_neighbor_index(t4, "naive")
     good = Candidate(nbr.dominated_run(0), 1.0, frozenset((0,)), 0, 1)
     validate(good)
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolverInvariantError):
         validate(Candidate(nbr.dominated_run(0), 1.0, frozenset((1,)), 0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolverInvariantError):
         validate(Candidate(full_sublist(4), 1.0, frozenset((0,)), 0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolverInvariantError):
         validate(Candidate(nbr.dominated_run(0), 0.5, frozenset((0,)), 0, 1))
+    with pytest.raises(SolverInvariantError):
+        validate(Candidate(nbr.dominated_run(0), 2.0, frozenset((0, 1)), 0, 1))
 
 
 def test_level_tables_freeze_semantics(t4):
