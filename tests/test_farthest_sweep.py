@@ -25,7 +25,7 @@ def _answers(idx, n):
 
 def test_sweep_matches_scan_twin():
     rng = random.Random(2024)
-    for trial in range(800):
+    for trial in range(400):
         n = rng.randint(1, 14)
         starts, lengths = _runs(
             rng,
@@ -33,6 +33,18 @@ def test_sweep_matches_scan_twin():
             rng.randint(0, 12),
             fulls=rng.choice([0, 0, 1, 2, 3]),
             dupes=rng.randint(0, 4),
+        )
+        fast = FarthestEnclosingIndex(starts, lengths, n)
+        slow = FarthestEnclosingIndex(starts, lengths, n, indexed=False)
+        assert _answers(fast, n) == _answers(slow, n), trial
+
+
+def test_from_runs_matches_scan_twin_with_positions_as_ids():
+    rng = random.Random(77)
+    for trial in range(400):
+        n = rng.randint(1, 14)
+        starts, lengths = _runs(
+            rng, n, rng.randint(0, 12), fulls=rng.choice([0, 0, 2]), dupes=3
         )
         fast = FarthestEnclosingIndex(starts, lengths, n)
         slow = FarthestEnclosingIndex(starts, lengths, n, indexed=False)
