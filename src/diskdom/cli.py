@@ -112,18 +112,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _solve(inst, weighted: bool, k: Optional[int]):
+    """Weighted DP (unbounded when k is None) or unweighted search with k as its cap."""
+    if not weighted:
+        return solve_unweighted(inst, k_cap=k)
+    if k is None:
+        return solve_weighted_unbounded(inst)
+    return solve_weighted(inst, k)
+
+
 def _cmd_solve(args) -> int:
     _, inst = _read_instance(args.infile, weighted=args.weighted)
-    if args.weighted:
-        sol = (
-            solve_weighted_unbounded(inst)
-            if args.k is None
-            else solve_weighted(inst, args.k)
-        )
-        tag = "dp"
-    else:
-        sol = solve_unweighted(inst, k_cap=args.k)
-        tag = "greedy"
+    sol = _solve(inst, args.weighted, args.k)
+    tag = "dp" if args.weighted else "greedy"
     doc = solution_document(sol, inst, k=args.k, solver=tag)
     Path(args.out).write_text(doc.to_json())
     print(f"size={sol.size} weight={sol.weight!r} centers={list(sol.centers)}")
@@ -156,14 +157,7 @@ def _cmd_oracle(args) -> int:
             return 1
         return 0
     try:
-        if args.weighted:
-            got = (
-                solve_weighted_unbounded(inst)
-                if args.k is None
-                else solve_weighted(inst, args.k)
-            )
-        else:
-            got = solve_unweighted(inst, k_cap=args.k)
+        got = _solve(inst, args.weighted, args.k)
     except Infeasible:
         got = None
     if (ref is None) != (got is None):
@@ -199,20 +193,17 @@ def _cmd_bench(args) -> int:
     for n in sizes:
         doc = gen_random(n, args.seed + n, args.family, args.radius_law, args.weight_law)
         inst = doc.to_instance()
-        for solver, run in (
-            ("greedy", lambda: solve_unweighted(inst, k_cap=args.k)),
-            ("dp", lambda: solve_weighted(inst, args.k)),
-        ):
+        for solver, weighted in (("greedy", False), ("dp", True)):
             times = []
             result = None
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 try:
-                    sol = run()
+                    sol = _solve(inst, weighted, args.k)
                 except Infeasible:
                     result = "infeasible"
                 else:
-                    result = repr(sol.size if solver == "greedy" else sol.weight)
+                    result = repr(sol.weight if weighted else sol.size)
                 times.append((time.perf_counter() - t0) * 1000.0)
             writer.writerow([n, args.k, solver, f"{statistics.median(times):.3f}", result])
     Path(args.csv).write_text(buf.getvalue())

@@ -2,10 +2,10 @@
 
 An instance is a cyclic counterclockwise sequence of disks whose centers
 are all strict vertices of their convex hull.  Every algorithm in this
-package reasons about contiguous runs of instance indices, so the run
-type (`CyclicSublist`) and its merge operation (`union_extend`, with an
-integer twin `union_runs` for the unweighted search) live here next to
-the disk predicates.
+package reasons about contiguous runs of instance indices.  The solvers
+carry a run as a (start, length) pair of integers and merge runs with
+`union_runs`; `CyclicSublist` is the run as a value, for results and
+reference queries.  Both live here next to the disk predicates.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class NonFiniteValue(GeometryError):
 
 
 class NotConsecutive(ValueError):
-    """Runs handed to union_extend leave a gap in the cyclic order."""
+    """Runs handed to union_runs leave a gap in the cyclic order."""
 
 
 @dataclass(frozen=True)
@@ -254,64 +254,15 @@ class CyclicSublist:
         return d + other.length <= self.length
 
 
-def empty_sublist(n: int) -> CyclicSublist:
-    return CyclicSublist(0, 0, n)
-
-
-def full_sublist(n: int) -> CyclicSublist:
-    return CyclicSublist(0, n, n)
-
-
-def singleton(i: int, n: int) -> CyclicSublist:
-    return CyclicSublist(i, 1, n)
-
-
-def union_extend(parts: Sequence[CyclicSublist]) -> CyclicSublist:
+def union_runs(n: int, runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """Merge runs that appear in overlapping-or-abutting order into one run.
 
-    Saturates to the full cycle as soon as the accumulated coverage wraps.
-    Raises NotConsecutive when a nonempty part leaves a gap against the
-    coverage accumulated so far.
-    """
-    if not parts:
-        raise ValueError("union_extend needs at least one part")
-    n = parts[0].n
-    s = None
-    length = 0
-    for p in parts:
-        if p.n != n:
-            raise ValueError("runs over different instance sizes")
-        if p.is_empty:
-            continue
-        if p.is_full or length >= n:
-            return full_sublist(n)
-        if s is None:
-            s, length = p.start, p.length
-            continue
-        d = (p.start - s) % n
-        if d <= length:
-            length = max(length, d + p.length)
-        elif d + p.length >= n:
-            # wraps around behind the accumulated run
-            length = max(p.length, n - d + length)
-            s = p.start
-        else:
-            raise NotConsecutive(f"gap between accumulated run and {p}")
-    if s is None:
-        return empty_sublist(n)
-    if length >= n:
-        return full_sublist(n)
-    return CyclicSublist(s, length, n)
-
-
-def union_runs(n: int, runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """`union_extend` on runs given as (start, length) pairs over a cycle of n.
-
-    Starts must lie in [0, n).  Returns the merged run as (start, length),
-    canonical like `CyclicSublist`: (0, 0) when empty, (0, n) when full.
-    Gaps raise NotConsecutive under the same conditions and in the same
-    order as `union_extend`, so solvers can merge runs without building
-    `CyclicSublist` objects.
+    Runs are (start, length) pairs over a cycle of n, with starts in
+    [0, n).  Empty runs are skipped, and the result saturates to the full
+    cycle as soon as the accumulated coverage wraps.  Returns the merged
+    run as (start, length), canonical like `CyclicSublist`: (0, 0) when
+    empty, (0, n) when full.  Raises NotConsecutive when a nonempty run
+    leaves a gap against the coverage accumulated so far.
     """
     s = -1
     length = 0

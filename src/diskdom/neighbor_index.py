@@ -5,9 +5,9 @@ first index z (counterclockwise respectively clockwise from j, inclusive)
 whose disk does *not* intersect disk i.  When no such index exists the
 explicit sentinel INTERSECTS_ALL is returned instead of a fake index, so
 callers are forced to treat saturation separately.  The shared base turns
-them into the runs the solvers merge (`dominated_run`, `run_after`,
-`run_before`) and into the counting bound on any dominating set
-(`domination_lower_bound`).
+them into the runs the solvers merge, as (start, length) pairs
+(`dominated_run`, `run_after`, `run_before`), and into the counting bound
+on any dominating set (`domination_lower_bound`).
 
 Two strategies answer the same queries:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CyclicSublist, Instance, disk_arrays, full_sublist, intersects_row
+from .geometry import Instance, disk_arrays, intersects_row, union_runs
 
 
 class _IntersectsAll:
@@ -48,7 +48,7 @@ class _NeighborIndexBase:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.n = instance.n
-        self._runs: dict[int, CyclicSublist] = {}
+        self._runs: dict[int, tuple[int, int]] = {}
 
     def first_disjoint_ccw(self, i: int, j: int):
         raise NotImplementedError
@@ -93,22 +93,15 @@ class _NeighborIndexBase:
             return 0, n
         return (b + 1) % n, (z - b - 1) % n
 
-    def dominated_run(self, i: int) -> CyclicSublist:
+    def dominated_run(self, i: int) -> tuple[int, int]:
         """Maximal contiguous run around p_i whose disks all meet disk i.
 
-        Full when disk i intersects everything.
+        Returned as (start, length), and (0, n) when disk i meets every disk.
         """
         run = self._runs.get(i)
         if run is None:
-            n = self.n
-            a = self.first_disjoint_ccw(i, i)
-            if a is INTERSECTS_ALL:
-                run = full_sublist(n)
-            else:
-                b = self.first_disjoint_cw(i, i)
-                ccw_count = (a - i) % n
-                cw_count = (i - b) % n
-                run = CyclicSublist((b + 1) % n, ccw_count + cw_count - 1, n)
+            # the stretch clockwise up to i, then the one counterclockwise from i
+            run = union_runs(self.n, (self.run_before(i, i + 1), self.run_after(i, i - 1)))
             self._runs[i] = run
         return run
 

@@ -25,7 +25,6 @@ from .geometry import (
     CyclicSublist,
     Instance,
     disk_arrays,
-    full_sublist,
     intersects,
     intersects_row,
     offset_ccw,
@@ -204,7 +203,7 @@ def voronoi_assignment(instance: Instance, centers: Iterable[int]) -> Assignment
                 best, best_c = val, c
         assigned.append(best_c)
     if len(set(assigned)) == 1:
-        groups = ((assigned[0], full_sublist(n)),)
+        groups = ((assigned[0], CyclicSublist(0, n, n)),)
     else:
         starts = [i for i in range(n) if assigned[i] != assigned[i - 1]]
         groups = tuple(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
+
+from .geometry import Instance, intersects
 
 
 class Infeasible(Exception):
@@ -47,3 +49,41 @@ class Solution:
             raise ValueError("size disagrees with centers")
         if self.mode not in ("weighted", "unweighted"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+def solution_of(
+    instance: Instance, witnesses: Iterable[int], mode: Literal["weighted", "unweighted"]
+) -> Solution:
+    """The Solution of a witness set given in canonical indices.
+
+    The weight is summed over the witnesses in ascending canonical order.
+    """
+    chosen = sorted(witnesses)
+    weight = 0.0
+    for c in chosen:
+        weight += instance.disks[c].weight
+    return Solution(
+        centers=tuple(sorted(instance.to_original(chosen))),
+        weight=weight,
+        size=len(chosen),
+        mode=mode,
+    )
+
+
+def check_dominated_run(instance: Instance, cand) -> None:
+    """The validator checks both solvers share; failures raise SolverInvariantError.
+
+    `cand` carries a run (`start`, `length`), `witnesses`, `owner` and
+    `level`.  The owner must be a witness, there may be no more witnesses
+    than the level, and every disk of the run must meet some witness.
+    """
+    if cand.owner not in cand.witnesses:
+        raise SolverInvariantError(f"owner is not a witness: {cand}")
+    if len(cand.witnesses) > cand.level:
+        raise SolverInvariantError(f"more witnesses than the level: {cand}")
+    disks = instance.disks
+    n = len(disks)
+    for k in range(cand.length):
+        idx = (cand.start + k) % n
+        if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
+            raise SolverInvariantError(f"disk {idx} undominated: {cand}")

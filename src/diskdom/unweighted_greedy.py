@@ -7,11 +7,11 @@ bucket at O(level) entries.  The first level that produces a full-circle
 candidate ends the search; that candidate's witnesses are a smallest
 dominating set.
 
-The directional steps score every split level on plain (start, length)
-integers: the far-end lookup in a frozen level reads answers that one
-numpy sweep computed for all n indexes at freeze time, and the four runs
-are merged by `geometry.union_runs`.  Only each step's
-winner becomes a `GreedyCandidate` with its run and witness set.
+Runs are (start, length) pairs of integers throughout, merged by
+`geometry.union_runs`.  The directional steps score every split level on
+them: the far-end lookup in a frozen level reads answers that one numpy
+sweep computed for all n indexes at freeze time.  Only each step's winner
+becomes a `GreedyCandidate` with its run and witness set.
 """
 
 from __future__ import annotations
@@ -21,24 +21,25 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    CyclicSublist,
-    Instance,
-    intersects,
-    offset_ccw,
-    union_extend,
-    union_runs,
-)
+from .geometry import Instance, union_runs
 from .neighbor_index import build_neighbor_index
-from .solution import Infeasible, InvalidK, Solution, SolverInvariantError
+from .solution import (
+    Infeasible,
+    InvalidK,
+    Solution,
+    SolverInvariantError,
+    check_dominated_run,
+    solution_of,
+)
 from .sublist_queries import FarthestEnclosingIndex
 
 
 @dataclass(frozen=True)
 class GreedyCandidate:
-    """A run `sub` through `owner`, dominated by `witnesses`."""
+    """The run (start, length) through `owner`, dominated by `witnesses`."""
 
-    sub: CyclicSublist
+    start: int
+    length: int
     witnesses: frozenset[int]
     owner: int
     level: int
@@ -46,26 +47,21 @@ class GreedyCandidate:
 
 def make_greedy_validator(instance: Instance) -> Callable[[GreedyCandidate], None]:
     """Checks run on every inserted candidate; failures raise SolverInvariantError."""
-    disks = instance.disks
+    n = instance.n
 
     def validate(cand: GreedyCandidate) -> None:
-        if cand.owner not in cand.witnesses or cand.owner not in cand.sub:
-            raise SolverInvariantError(f"owner outside witnesses or run: {cand}")
-        if len(cand.witnesses) > cand.level:
-            raise SolverInvariantError(f"more witnesses than the level: {cand}")
-        for idx in cand.sub.indices():
-            if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
-                raise SolverInvariantError(f"disk {idx} undominated: {cand}")
+        check_dominated_run(instance, cand)
+        if (cand.owner - cand.start) % n >= cand.length:
+            raise SolverInvariantError(f"owner outside its run: {cand}")
 
     return validate
 
 
-def reach_ccw(sub: CyclicSublist, i: int, n: int) -> int:
-    return n if sub.is_full else offset_ccw(i, sub.ccw_end, n)
-
-
-def reach_cw(sub: CyclicSublist, i: int, n: int) -> int:
-    return n if sub.is_full else offset_ccw(sub.cw_end, i, n)
+def _reach(start: int, length: int, i: int, n: int, ccw: bool) -> int:
+    """Steps a run through i extends past i, counterclockwise or clockwise; n when full."""
+    if length == n:
+        return n
+    return (start + length - 1 - i) % n if ccw else (i - start) % n
 
 
 class _Memo(dict):
@@ -125,19 +121,15 @@ class GreedyLevel:
         self.far_cw: Optional[_Memo] = None
 
     def insert(self, i: int, cand: GreedyCandidate) -> None:
-        assert not self.frozen, "level is frozen"
+        if self.frozen:
+            raise SolverInvariantError(f"insert into frozen level {self.level}")
         if self.validator is not None:
             self.validator(cand)
         self.buckets[i].append(cand)
-        n = self.n
-        s, k = cand.sub.start, cand.sub.length
-        if k == n:
-            r_ccw = r_cw = n
-            if self.full_candidate is None:
-                self.full_candidate = cand
-        else:
-            r_ccw = (s + k - 1 - i) % n
-            r_cw = (i - s) % n
+        s, k, n = cand.start, cand.length, self.n
+        if k == n and self.full_candidate is None:
+            self.full_candidate = cand
+        r_ccw, r_cw = _reach(s, k, i, n, True), _reach(s, k, i, n, False)
         if r_ccw > self._reach_ccw[i]:
             self._reach_ccw[i], self._ext_ccw[i] = r_ccw, cand
         if r_cw > self._reach_cw[i]:
@@ -146,8 +138,8 @@ class GreedyLevel:
     def freeze(self) -> None:
         n = self.n
         self._by_id = [cand for bucket in self.buckets for cand in bucket]
-        self.starts = [cand.sub.start for cand in self._by_id]
-        self.lengths = [cand.sub.length for cand in self._by_id]
+        self.starts = [cand.start for cand in self._by_id]
+        self.lengths = [cand.length for cand in self._by_id]
         far = FarthestEnclosingIndex(
             np.array(self.starts, dtype=np.int64),
             np.array(self.lengths, dtype=np.int64),
@@ -161,11 +153,11 @@ class GreedyLevel:
         self.frozen = True
 
     def _check_extremes(self) -> None:
-        n = self.instance.n
+        n = self.n
         for i, bucket in enumerate(self.buckets):
-            for f, reach in ((self._ext_ccw[i], reach_ccw), (self._ext_cw[i], reach_cw)):
-                best = max((reach(c.sub, i, n) for c in bucket), default=-1)
-                got = -1 if f is None else reach(f.sub, i, n)
+            for f, ccw in ((self._ext_ccw[i], True), (self._ext_cw[i], False)):
+                best = max((_reach(c.start, c.length, i, n, ccw) for c in bucket), default=-1)
+                got = -1 if f is None else _reach(f.start, f.length, i, n, ccw)
                 if got != best:
                     raise SolverInvariantError(
                         f"cached extreme of point {i} reaches {got}, not {best}"
@@ -198,14 +190,13 @@ def _greedy_step(
     table1 = levels[1]
     nbr, n = table1.nbr, table1.n
     dom = nbr.dominated_run(i)
-    dom_run = (dom.start, dom.length)
     best = None  # (l1, level of l2, id of l2 or None, start, length)
     best_reach = -1
     for tp in range(1, t):
         l1 = levels[tp].extreme_ccw(i) if ccw else levels[tp].extreme_cw(i)
         if l1 is None:
             continue
-        s1, k1 = l1.sub.start, l1.sub.length
+        s1, k1 = l1.start, l1.length
         other = levels[t - tp]
         if k1 == n:
             hit, s, k = None, 0, n
@@ -219,20 +210,17 @@ def _greedy_step(
             else:
                 # the stretch disk i dominates past l2's far end
                 tail = nbr.run_after(i, (s2 + k2 - 1) % n) if ccw else nbr.run_before(i, s2)
-                s, k = union_runs(n, (dom_run, (s1, k1), (s2, k2), tail))
-        if k == n:
-            r = n
-        else:
-            r = (s + k - 1 - i) % n if ccw else (i - s) % n
+                s, k = union_runs(n, (dom, (s1, k1), (s2, k2), tail))
+        r = _reach(s, k, i, n, ccw)
         if r > best_reach:
             best, best_reach = (l1, other, hit, s, k), r
     if best is None:
         return None
     l1, other, hit, s, k = best
-    if hit is None:
-        return GreedyCandidate(l1.sub, l1.witnesses, i, t)
-    l2 = other.all_candidates()[hit]
-    return GreedyCandidate(CyclicSublist(s, k, n), l1.witnesses | l2.witnesses, i, t)
+    witnesses = l1.witnesses
+    if hit is not None:
+        witnesses = witnesses | other.all_candidates()[hit].witnesses
+    return GreedyCandidate(s, k, witnesses, i, t)
 
 
 def greedy_ccw_step(
@@ -260,22 +248,16 @@ def greedy_bidirectional_step(
 ) -> list[GreedyCandidate]:
     """One stitched candidate per split level: ccw and cw extremes joined at i."""
     table1 = levels[1]
-    nbr = table1.nbr
-    dom = nbr.dominated_run(i)
+    n = table1.n
+    dom = table1.nbr.dominated_run(i)
     out = []
     for tp in range(2, t):
         lx = levels[tp].extreme_ccw(i)
         ly = levels[t + 1 - tp].extreme_cw(i)
         if lx is None or ly is None:
             continue
-        out.append(
-            GreedyCandidate(
-                union_extend([dom, lx.sub, ly.sub]),
-                lx.witnesses | ly.witnesses,
-                i,
-                t,
-            )
-        )
+        s, k = union_runs(n, (dom, (lx.start, lx.length), (ly.start, ly.length)))
+        out.append(GreedyCandidate(s, k, lx.witnesses | ly.witnesses, i, t))
     return out
 
 
@@ -322,15 +304,7 @@ def solve_unweighted(
         )
         if t == 1:
             for i in range(n):
-                table.insert(
-                    i,
-                    GreedyCandidate(
-                        sub=nbr.dominated_run(i),
-                        witnesses=frozenset((i,)),
-                        owner=i,
-                        level=1,
-                    ),
-                )
+                table.insert(i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1))
         else:
             for i in range(n):
                 cand = greedy_ccw_step(levels, i, t)
@@ -352,13 +326,4 @@ def solve_unweighted(
                     f"first full candidate at level {t} has "
                     f"{len(winner.witnesses)} witnesses"
                 )
-            chosen = sorted(winner.witnesses)
-            weight = 0.0
-            for c in chosen:
-                weight += instance.disks[c].weight
-            return Solution(
-                centers=tuple(sorted(instance.to_original(chosen))),
-                weight=weight,
-                size=len(chosen),
-                mode="unweighted",
-            )
+            return solution_of(instance, winner.witnesses, "unweighted")

@@ -13,6 +13,10 @@ candidates for point i are built three ways:
 * bidirectional: one run from i's bucket in each direction, meeting at i,
   with i's weight counted once.
 
+Runs are (start, length) pairs of integers throughout, merged by
+`geometry.union_runs`, and a bucket keeps one candidate per run: the
+first to arrive, replaced only by a strictly cheaper copy.
+
 Each combination asks a frozen level for the cheapest run containing a
 query run that grows from a fixed anchor, one index at a time.  The answer
 only changes when the query outgrows it, so the solver consumes whole
@@ -23,8 +27,8 @@ candidate are exactly the chain.  A full-circle candidate of minimum value
 over all levels yields the answer.
 
 `LevelTable(indexed=False)` builds the same chains by asking plain-scan
-cheapest-enclosing queries one growing run at a time; it is the reference
-twin the tests compare against.
+cheapest-enclosing queries (each a `CyclicSublist`) one growing run at a
+time; it is the reference twin the tests compare against.
 """
 
 from __future__ import annotations
@@ -32,30 +36,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    CyclicSublist,
-    Instance,
-    full_sublist,
-    intersects,
-    offset_ccw,
-    union_extend,
-)
+from .geometry import CyclicSublist, Instance, offset_ccw, union_runs
 from .neighbor_index import build_neighbor_index
-from .solution import Infeasible, InvalidK, Solution, SolverInvariantError
+from .solution import (
+    Infeasible,
+    InvalidK,
+    Solution,
+    SolverInvariantError,
+    check_dominated_run,
+    solution_of,
+)
 
 VALUE_SLACK = 1e-9  # tolerance of the validator's witness-weight check
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """A run `sub` dominated by `witnesses`, costing at most `value`."""
+    """The run (start, length) dominated by `witnesses`, costing at most `value`."""
 
-    sub: CyclicSublist
+    start: int
+    length: int
     value: float
     witnesses: frozenset[int]
     owner: int
@@ -67,16 +71,10 @@ def make_validator(instance: Instance) -> Callable[[Candidate], None]:
     disks = instance.disks
 
     def validate(cand: Candidate) -> None:
-        if cand.owner not in cand.witnesses:
-            raise SolverInvariantError(f"owner is not a witness: {cand}")
-        if len(cand.witnesses) > cand.level:
-            raise SolverInvariantError(f"more witnesses than the level: {cand}")
+        check_dominated_run(instance, cand)
         total = math.fsum(disks[w].weight for w in sorted(cand.witnesses))
         if total > cand.value + VALUE_SLACK * max(1.0, abs(cand.value)):
             raise SolverInvariantError(f"witnesses weigh {total}: {cand}")
-        for idx in cand.sub.indices():
-            if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
-                raise SolverInvariantError(f"disk {idx} undominated: {cand}")
 
     return validate
 
@@ -84,12 +82,15 @@ def make_validator(instance: Instance) -> Callable[[Candidate], None]:
 class LevelTable:
     """All candidates of one level, bucketed by owning point.
 
-    Mutable until `freeze()`, which assigns candidate ids (bucket order,
-    then insertion order) and lays the runs out as numpy arrays twice:
-    sorted by (value, id) over the whole level, and sorted by (value, id)
-    within each bucket, so that every bucket is a contiguous slice.  The
-    four scan-chain methods answer from those arrays (see `_staircase`)
-    and cache their chains; frozen tables never change.
+    Mutable until `freeze()`.  `insert` keeps one candidate per run and
+    bucket: a run's first insertion fixes its bucket position, and a later
+    copy replaces it there only when strictly cheaper.  `freeze()` assigns
+    candidate ids (bucket order, then insertion order) and lays the runs
+    out as numpy arrays twice: sorted by (value, id) over the whole level,
+    and sorted by (value, id) within each bucket, so that every bucket is
+    a contiguous slice.  The four scan-chain methods answer from those
+    arrays (see `_staircase`) and cache their chains; frozen tables never
+    change.
 
     `indexed=False` is the reference twin: chains come from `_scan_chain`,
     which asks `bucket_min_enclosing`/`global_min_enclosing` (plain scans
@@ -103,18 +104,16 @@ class LevelTable:
         level: int,
         *,
         indexed: bool = True,
-        prune: bool = True,
         validator: Optional[Callable[[Candidate], None]] = None,
     ):
         self.instance = instance
         self.nbr = nbr
         self.level = level
         self.indexed = indexed
-        self.prune = prune
         self.validator = validator
         self.frozen = False
         self.buckets: list[list[Candidate]] = [[] for _ in range(instance.n)]
-        self._slot = [dict() for _ in range(instance.n)]  # sub -> bucket position
+        self._slot = [dict() for _ in range(instance.n)]  # (start, length) -> bucket position
         self._by_id: list[Candidate] = []
         self._bucket_lo: list[int] = []  # bucket i holds ids [lo[i], lo[i+1])
         self._global_runs: Optional[_SortedRuns] = None
@@ -125,16 +124,16 @@ class LevelTable:
         self._global_chain_cw: dict[int, list[Candidate]] = {}
 
     def insert(self, i: int, cand: Candidate) -> None:
-        assert not self.frozen, "level is frozen"
+        if self.frozen:
+            raise SolverInvariantError(f"insert into frozen level {self.level}")
         if self.validator is not None:
             self.validator(cand)
         bucket = self.buckets[i]
-        if not self.prune:
-            bucket.append(cand)
-            return
-        pos = self._slot[i].get(cand.sub)
+        slot = self._slot[i]
+        run = (cand.start, cand.length)
+        pos = slot.get(run)
         if pos is None:
-            self._slot[i][cand.sub] = len(bucket)
+            slot[run] = len(bucket)
             bucket.append(cand)
         elif cand.value < bucket[pos].value:
             bucket[pos] = cand
@@ -146,8 +145,8 @@ class LevelTable:
         self._slot = []  # dedup lookups end with inserting
         if self.indexed:
             m = len(self._by_id)
-            starts = np.fromiter((c.sub.start for c in self._by_id), np.int64, m)
-            lengths = np.fromiter((c.sub.length for c in self._by_id), np.int64, m)
+            starts = np.fromiter((c.start for c in self._by_id), np.int64, m)
+            lengths = np.fromiter((c.length for c in self._by_id), np.int64, m)
             values = np.fromiter((c.value for c in self._by_id), np.float64, m)
             owners = np.repeat(np.arange(len(sizes)), sizes)
             # both sorts are stable, so equal values stay in id order
@@ -164,9 +163,11 @@ class LevelTable:
     def _min_enclosing(self, lo: int, hi: int, q: CyclicSublist) -> Optional[Candidate]:
         """Cheapest candidate with id in [lo, hi) whose run contains q; ties to the smaller id."""
         assert self.frozen
+        n = self.instance.n
         best = None
         for cand in self._by_id[lo:hi]:
-            if cand.sub.contains_sub(q) and (best is None or cand.value < best.value):
+            run = CyclicSublist(cand.start, cand.length, n)
+            if run.contains_sub(q) and (best is None or cand.value < best.value):
                 best = cand
         return best
 
@@ -218,12 +219,12 @@ class LevelTable:
             if ans is None:
                 break
             out.append(ans)
-            if ans.sub.is_full:
+            if ans.length == n:
                 break
             if ccw:
-                q = offset_ccw(anchor, ans.sub.ccw_end, n) + 2
+                q = offset_ccw(anchor, ans.start + ans.length - 1, n) + 2
             else:
-                q = offset_ccw(ans.sub.cw_end, anchor, n) + 2
+                q = offset_ccw(ans.start, anchor, n) + 2
         return out
 
     def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
@@ -278,24 +279,13 @@ def init_level_one(
     nbr,
     *,
     indexed: bool = True,
-    prune: bool = True,
     validator=None,
 ) -> LevelTable:
     """One candidate per point: its own dominated run at its own weight."""
-    table = LevelTable(
-        instance, nbr, 1, indexed=indexed, prune=prune, validator=validator
-    )
+    table = LevelTable(instance, nbr, 1, indexed=indexed, validator=validator)
     for i in range(instance.n):
-        table.insert(
-            i,
-            Candidate(
-                sub=nbr.dominated_run(i),
-                value=instance.disks[i].weight,
-                witnesses=frozenset((i,)),
-                owner=i,
-                level=1,
-            ),
-        )
+        weight = instance.disks[i].weight
+        table.insert(i, Candidate(*nbr.dominated_run(i), weight, frozenset((i,)), i, 1))
     table.freeze()
     return table
 
@@ -313,46 +303,44 @@ def _directional_combos(levels, table: LevelTable, i: int, t: int, *, ccw: bool)
     dom = nbr.dominated_run(i)
     if ccw:
         bucket_chain, global_chain = LevelTable.bucket_chain_ccw, LevelTable.global_chain_ccw
-        far_end, step, tail_run = attrgetter("ccw_end"), 1, nbr.run_after
     else:
         bucket_chain, global_chain = LevelTable.bucket_chain_cw, LevelTable.global_chain_cw
-        far_end, step, tail_run = attrgetter("cw_end"), -1, nbr.run_before
     for tp in range(1, t):
         other = levels[t - tp]
         for l1 in bucket_chain(levels[tp], i):
-            if l1.sub.is_full:
-                table.insert(i, Candidate(l1.sub, l1.value, l1.witnesses, i, t))
+            s1, k1 = l1.start, l1.length
+            if k1 == n:
+                table.insert(i, Candidate(0, n, l1.value, l1.witnesses, i, t))
                 continue
-            for l2 in global_chain(other, (far_end(l1.sub) + step) % n):
-                if l2.sub.is_full:
-                    sub = full_sublist(n)
+            for l2 in global_chain(other, (s1 + k1) % n if ccw else (s1 - 1) % n):
+                s2, k2 = l2.start, l2.length
+                if k2 == n:
+                    s, k = 0, n
                 else:
-                    tail = CyclicSublist(*tail_run(i, far_end(l2.sub)), n)
-                    sub = union_extend([dom, l1.sub, l2.sub, tail])
+                    tail = nbr.run_after(i, (s2 + k2 - 1) % n) if ccw else nbr.run_before(i, s2)
+                    s, k = union_runs(n, (dom, (s1, k1), (s2, k2), tail))
                 table.insert(
                     i,
                     Candidate(
-                        sub, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
+                        s, k, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
                     ),
                 )
 
 
 def _bidi_combos(levels, table: LevelTable, i: int, t: int) -> None:
     nbr = table.nbr
+    n = table.instance.n
     dom = nbr.dominated_run(i)
     wi = table.instance.disks[i].weight
     for tp in range(2, t):
         other = levels[t + 1 - tp]
         for lx in levels[tp].bucket_chain_ccw(i):
             for ly in other.bucket_chain_cw(i):
+                s, k = union_runs(n, (dom, (lx.start, lx.length), (ly.start, ly.length)))
                 table.insert(
                     i,
                     Candidate(
-                        union_extend([dom, lx.sub, ly.sub]),
-                        lx.value + ly.value - wi,
-                        lx.witnesses | ly.witnesses,
-                        i,
-                        t,
+                        s, k, lx.value + ly.value - wi, lx.witnesses | ly.witnesses, i, t
                     ),
                 )
 
@@ -370,16 +358,14 @@ def solve_weighted(
     *,
     neighbor_strategy: str = "bitset",
     indexed_queries: bool = True,
-    prune: bool = True,
     check_invariants: bool = False,
     _include_bidirectional: bool = True,
 ) -> Solution:
     """Minimum-weight dominating set of size at most k, or Infeasible.
 
     Deterministic for fixed inputs and flags.  `indexed_queries=False`
-    swaps every enclosing-run index for its plain-scan twin and
-    `prune=False` disables same-run bucket deduplication; both exist for
-    equivalence testing and change nothing about the result's weight.
+    swaps every enclosing-run index for its plain-scan twin; it exists for
+    equivalence testing and changes nothing about the result's weight.
     `_include_bidirectional=False` drops the stitched candidates and
     exists only so tests can demonstrate they are load-bearing.
 
@@ -392,16 +378,12 @@ def solve_weighted(
     validator = make_validator(instance) if check_invariants else None
     levels: list[Optional[LevelTable]] = [
         None,
-        init_level_one(
-            instance, nbr, indexed=indexed_queries, prune=prune, validator=validator
-        ),
+        init_level_one(instance, nbr, indexed=indexed_queries, validator=validator),
     ]
     if k < n and nbr.domination_lower_bound() > k:
         raise Infeasible(k)
     for t in range(2, k + 1):
-        table = LevelTable(
-            instance, nbr, t, indexed=indexed_queries, prune=prune, validator=validator
-        )
+        table = LevelTable(instance, nbr, t, indexed=indexed_queries, validator=validator)
         for i in range(n):
             _directional_combos(levels, table, i, t, ccw=True)
             _directional_combos(levels, table, i, t, ccw=False)
@@ -412,20 +394,11 @@ def solve_weighted(
     best: Optional[Candidate] = None
     for t in range(1, k + 1):
         for cand in levels[t].all_candidates():
-            if cand.sub.is_full and (best is None or cand.value < best.value):
+            if cand.length == n and (best is None or cand.value < best.value):
                 best = cand
     if best is None:
         raise Infeasible(k)
-    chosen = sorted(best.witnesses)
-    weight = 0.0
-    for c in chosen:
-        weight += instance.disks[c].weight
-    return Solution(
-        centers=tuple(sorted(instance.to_original(chosen))),
-        weight=weight,
-        size=len(chosen),
-        mode="weighted",
-    )
+    return solution_of(instance, best.witnesses, "weighted")
 
 
 def solve_weighted_unbounded(instance: Instance, **kwargs) -> Solution:

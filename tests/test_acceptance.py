@@ -221,7 +221,7 @@ def test_solver_invariant_suite():
             if t == 1:
                 for i in range(inst_u.n):
                     table.insert(
-                        i, GreedyCandidate(nbr.dominated_run(i), frozenset((i,)), i, 1)
+                        i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1)
                     )
             else:
                 for i in range(inst_u.n):

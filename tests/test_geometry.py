@@ -15,16 +15,13 @@ from diskdom.geometry import (
     canonicalize,
     disk_arrays,
     disk_distance,
-    empty_sublist,
-    full_sublist,
     intersects,
     intersects_row,
     offset_ccw,
-    singleton,
-    union_extend,
     union_runs,
 )
 from conftest import T4_POINTS, mk_instance, tangent_chain_instances
+from run_reference import union_extend
 
 
 def disk(x, y, r, w=1.0):
@@ -159,9 +156,9 @@ def test_sublist_wraparound_example():
 
 
 def test_sublist_singleton_and_full():
-    assert list(singleton(2, 5).indices()) == [2]
+    assert list(CyclicSublist(2, 1, 5).indices()) == [2]
     assert CyclicSublist(3, 5, 5).is_full
-    assert CyclicSublist(3, 0, 5) == empty_sublist(5)
+    assert CyclicSublist(3, 0, 5) == CyclicSublist(0, 0, 5)
 
 
 @given(st.integers(1, 9), st.data())
@@ -186,9 +183,9 @@ def test_contains_sub_cases():
     a = CyclicSublist(4, 4, 6)  # {4,5,0,1}
     assert a.contains_sub(CyclicSublist(5, 2, 6))
     assert not a.contains_sub(CyclicSublist(1, 2, 6))
-    assert a.contains_sub(empty_sublist(6))
-    assert full_sublist(6).contains_sub(a)
-    assert not a.contains_sub(full_sublist(6))
+    assert a.contains_sub(CyclicSublist(0, 0, 6))
+    assert CyclicSublist(0, 6, 6).contains_sub(a)
+    assert not a.contains_sub(CyclicSublist(0, 6, 6))
 
 
 @given(st.integers(1, 8), st.data())
@@ -222,9 +219,10 @@ def test_union_extend_backward_overlap():
 
 
 def test_union_extend_skips_empty_parts():
-    got = union_extend([empty_sublist(5), CyclicSublist(1, 2, 5), empty_sublist(5)])
+    empty = CyclicSublist(0, 0, 5)
+    got = union_extend([empty, CyclicSublist(1, 2, 5), empty])
     assert got == CyclicSublist(1, 2, 5)
-    assert union_extend([empty_sublist(5)]).is_empty
+    assert union_extend([empty]).is_empty
 
 
 @given(st.integers(2, 9), st.data())
@@ -245,17 +243,17 @@ def test_union_extend_matches_set_union(n, data):
 
 
 def test_singleton_full_n1():
-    assert singleton(0, 1).is_full
-    assert full_sublist(1) == CyclicSublist(0, 1, 1)
+    assert CyclicSublist(0, 1, 1).is_full
+    assert CyclicSublist(0, 1, 1) == CyclicSublist(0, 1, 1)
 
 
 def test_endpoints():
     r = CyclicSublist(4, 3, 6)
     assert r.cw_end == 4 and r.ccw_end == 0
     with pytest.raises(ValueError):
-        _ = full_sublist(4).ccw_end
+        _ = CyclicSublist(0, 4, 4).ccw_end
     with pytest.raises(ValueError):
-        _ = empty_sublist(4).cw_end
+        _ = CyclicSublist(0, 0, 4).cw_end
 
 
 def test_t4_is_reference_instance(t4):
@@ -264,7 +262,7 @@ def test_t4_is_reference_instance(t4):
     assert not intersects(t4.disks[0], t4.disks[2])
 
 
-# --- union_runs: the integer twin of union_extend ----------------------------
+# --- union_runs against its reference twin union_extend ---------------------
 
 
 def _union_both(n, runs):
@@ -339,3 +337,4 @@ def test_union_runs_matches_union_extend_exhaustively():
                         elif want[1] < n and nonempty and want[0] != nonempty[0][0]:
                             seen.add("wrapped behind")
     assert seen == {"gap", "saturated", "wrapped behind"}
+

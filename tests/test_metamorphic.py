@@ -1,10 +1,13 @@
-"""Metamorphic checks beyond the brute-force limit.
+"""Metamorphic and differential checks beyond the brute-force limit.
 
 Rotating by 90 degrees, reflecting, reordering the input and scaling by a
 power of two all map an instance onto an equivalent one, exactly in
 floating point.  The optimum value must not change, whatever canonical
 order and tie-breaks the transformed instance gets.  Neither check
 relies on a reference twin of the solvers.
+
+On unit weights the two solvers answer the same question, so each must
+confirm the other's optimum and refuse one disk fewer.
 """
 
 import random
@@ -14,6 +17,7 @@ import pytest
 from diskdom.geometry import Point, WeightedDisk, canonicalize
 from diskdom.instance_io import gen_random
 from diskdom.oracle import verify
+from diskdom.solution import Infeasible
 from diskdom.unweighted_greedy import solve_unweighted
 from diskdom.weighted_dp import solve_weighted
 
@@ -67,3 +71,22 @@ def test_weighted_optimum_is_invariant(seed):
         weights[name] = sol.weight
     for name, weight in weights.items():
         assert weight == pytest.approx(weights["identity"], abs=1e-9), name
+
+
+DIFFERENTIAL = [
+    (200, 42_001, "circle", "uniform(2.0,6.0)"),
+    (300, 42_002, "ellipse", "uniform(1.5,4.0)"),
+    (250, 42_003, "perturbed-polygon", "uniform(2.0,5.0)"),
+]
+
+
+@pytest.mark.parametrize("n, seed, family, law", DIFFERENTIAL)
+def test_solvers_agree_on_unit_weights(n, seed, family, law):
+    inst = gen_random(n, seed, family, law, "unit").to_instance()
+    opt = solve_unweighted(inst).size
+    assert opt > 2
+    assert solve_weighted(inst, opt).weight == opt
+    with pytest.raises(Infeasible):
+        solve_weighted(inst, opt - 1)
+    with pytest.raises(Infeasible):
+        solve_unweighted(inst, k_cap=opt - 1)

@@ -3,11 +3,16 @@ import random
 
 import pytest
 
-from diskdom.geometry import intersects
+from diskdom.geometry import CyclicSublist, intersects
 from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
 from conftest import mk_instance, tangent_chain_instances
 
 STRATEGIES = ("naive", "bitset")
+
+
+def dominated(idx, i):
+    """The (start, length) pair `dominated_run` returns, as a CyclicSublist."""
+    return CyclicSublist(*idx.dominated_run(i), idx.n)
 
 
 @pytest.fixture(params=STRATEGIES)
@@ -30,7 +35,7 @@ def test_t4_first_disjoint_cw(t4_index):
 
 
 def test_t4_dominated_run(t4_index):
-    assert set(t4_index.dominated_run(0).indices()) == {3, 0, 1}
+    assert set(dominated(t4_index, 0).indices()) == {3, 0, 1}
 
 
 def test_giant_disk_intersects_all(big5):
@@ -39,7 +44,7 @@ def test_giant_disk_intersects_all(big5):
         big = max(range(5), key=lambda i: big5.disks[i].radius)
         assert idx.first_disjoint_ccw(big, 0) is INTERSECTS_ALL
         assert idx.first_disjoint_cw(big, 3) is INTERSECTS_ALL
-        assert idx.dominated_run(big).is_full
+        assert dominated(idx, big).is_full
 
 
 def test_isolated_disk_run_is_singleton():
@@ -48,7 +53,7 @@ def test_isolated_disk_run_is_singleton():
     for strategy in STRATEGIES:
         idx = build_neighbor_index(inst, strategy)
         for i in range(4):
-            assert list(idx.dominated_run(i).indices()) == [i]
+            assert list(dominated(idx, i).indices()) == [i]
             assert idx.first_disjoint_ccw(i, i) == (i + 1) % 4
             assert idx.first_disjoint_cw(i, i) == (i - 1) % 4
 
@@ -58,15 +63,15 @@ def test_single_disk_instance():
     for strategy in STRATEGIES:
         idx = build_neighbor_index(inst, strategy)
         assert idx.first_disjoint_ccw(0, 0) is INTERSECTS_ALL
-        assert idx.dominated_run(0).is_full
+        assert dominated(idx, 0).is_full
 
 
 def test_two_disjoint_disks():
     inst = mk_instance([(0, 0, 1), (10, 0, 1)])
     for strategy in STRATEGIES:
         idx = build_neighbor_index(inst, strategy)
-        assert list(idx.dominated_run(0).indices()) == [0]
-        assert list(idx.dominated_run(1).indices()) == [1]
+        assert list(dominated(idx, 0).indices()) == [0]
+        assert list(dominated(idx, 1).indices()) == [1]
 
 
 def rand_instance(rng, n, big_fraction=0.2):
@@ -123,7 +128,7 @@ def test_dominated_run_is_dominated_and_maximal():
         idx = build_neighbor_index(inst)
         n = inst.n
         for i in range(n):
-            run = idx.dominated_run(i)
+            run = dominated(idx, i)
             assert i in run
             for p in run.indices():
                 assert intersects(inst.disks[i], inst.disks[p])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskdom.geometry import CyclicSublist, full_sublist, offset_ccw
+from diskdom.geometry import CyclicSublist, offset_ccw
 from diskdom.sublist_queries import FarthestEnclosingIndex
 from weighted_reference import chain_answer, level_of_runs, ring
 
@@ -54,7 +54,7 @@ def test_min_enclosing_full_item_answers_everything(indexed):
         for length in range(1, 7):
             assert min_enclosing(table, run(start, length, 6)) is not None
     # the full run is the only one containing a full query
-    assert position(min_enclosing(table, full_sublist(6))) == 3
+    assert position(min_enclosing(table, run(0, 6, 6))) == 3
     # ...and the fallback when nothing else contains the query
     assert position(min_enclosing(table, run(5, 1, 6))) == 3
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import mk_instance
-from diskdom.geometry import full_sublist
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
 from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
@@ -16,10 +15,9 @@ from diskdom.unweighted_greedy import (
     greedy_ccw_step,
     greedy_cw_step,
     make_greedy_validator,
-    reach_ccw,
-    reach_cw,
     solve_unweighted,
 )
+from run_reference import run_of
 
 
 def rand_instance(rng, n, rlo=0.3, rhi=3.0):
@@ -41,7 +39,7 @@ def build_levels(inst, upto, *, validator=None):
         if t == 1:
             for i in range(inst.n):
                 tbl.insert(
-                    i, GreedyCandidate(nbr.dominated_run(i), frozenset((i,)), i, 1)
+                    i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1)
                 )
         else:
             for i in range(inst.n):
@@ -61,7 +59,7 @@ def build_levels(inst, upto, *, validator=None):
 def test_greedy_ccw_step_t4(t4):
     levels = build_levels(t4, 1)
     cand = greedy_ccw_step(levels, 0, 2)
-    assert cand is not None and cand.sub.is_full
+    assert cand is not None and cand.length == 4
     # the global step picks the run through 2 reaching farthest ccw (owner 3)
     assert cand.witnesses == {0, 3}
     assert verify(t4, cand.witnesses)
@@ -70,7 +68,7 @@ def test_greedy_ccw_step_t4(t4):
 def test_greedy_cw_step_t4(t4):
     levels = build_levels(t4, 1)
     cand = greedy_cw_step(levels, 0, 2)
-    assert cand is not None and cand.sub.is_full
+    assert cand is not None and cand.length == 4
     assert verify(t4, cand.witnesses)
 
 
@@ -78,7 +76,7 @@ def test_greedy_step_big_disk_short_circuit(big5):
     levels = build_levels(big5, 1)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     cand = greedy_ccw_step(levels, big, 2)
-    assert cand.sub.is_full and cand.witnesses == {big}
+    assert cand.length == big5.n and cand.witnesses == {big}
 
 
 def test_greedy_step_crawls_on_disjoint_disks():
@@ -94,7 +92,7 @@ def test_greedy_step_crawls_on_disjoint_disks():
     levels = build_levels(inst, 1)
     cand = greedy_ccw_step(levels, 0, 2)
     assert cand is not None
-    assert sorted(cand.sub.indices()) == [0, 1]
+    assert sorted(run_of(cand, 5).indices()) == [0, 1]
     assert cand.witnesses == {0, 1}
 
 
@@ -115,7 +113,7 @@ def test_bidirectional_step_stitches_both_extremes():
             lx = levels[2].extreme_ccw(i)
             ly = levels[2].extreme_cw(i)
             assert cand.witnesses == lx.witnesses | ly.witnesses
-            assert i in cand.sub
+            assert i in run_of(cand, n)
 
 
 def test_bucket_size_bound():
@@ -131,7 +129,7 @@ def test_bucket_size_bound():
             if t == 1:
                 for i in range(inst.n):
                     tbl.insert(
-                        i, GreedyCandidate(nbr.dominated_run(i), frozenset((i,)), i, 1)
+                        i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1)
                     )
             else:
                 for i in range(inst.n):
@@ -240,32 +238,38 @@ def test_without_bidirectional_still_reports_only_verified_sets():
         assert verify(inst, inst.to_canonical(bare.centers))
 
 
-def test_reach_helpers():
-    f = full_sublist(8)
-    assert reach_ccw(f, 3, 8) == 8 and reach_cw(f, 3, 8) == 8
+def test_full_run_is_the_extreme_both_ways(t4):
+    # a full run reaches n steps either way, past any partial run
+    tbl = GreedyLevel(t4, build_neighbor_index(t4, "naive"), 2)
+    partial = GreedyCandidate(3, 3, frozenset((0, 1)), 0, 2)
+    full = GreedyCandidate(0, 4, frozenset((0, 2)), 0, 2)
+    tbl.insert(0, partial)
+    tbl.insert(0, full)
+    assert tbl.extreme_ccw(0) is full and tbl.extreme_cw(0) is full
+    assert tbl.full_candidate is full
 
 
 def test_frozen_level_rejects_insert(t4):
     nbr = build_neighbor_index(t4, "naive")
     tbl = GreedyLevel(t4, nbr, 1)
-    tbl.insert(0, GreedyCandidate(nbr.dominated_run(0), frozenset((0,)), 0, 1))
+    tbl.insert(0, GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))
     tbl.freeze()
-    with pytest.raises(AssertionError):
-        tbl.insert(1, GreedyCandidate(nbr.dominated_run(1), frozenset((1,)), 1, 1))
+    with pytest.raises(SolverInvariantError, match="frozen"):
+        tbl.insert(1, GreedyCandidate(*nbr.dominated_run(1), frozenset((1,)), 1, 1))
 
 
 def test_validator_rejects_bad_candidates(t4):
     validate = make_greedy_validator(t4)
     nbr = build_neighbor_index(t4, "naive")
-    validate(GreedyCandidate(nbr.dominated_run(0), frozenset((0,)), 0, 1))
+    validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))
     with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(nbr.dominated_run(0), frozenset((1,)), 1, 1))
+        validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((1,)), 1, 1))
     with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(full_sublist(4), frozenset((0,)), 0, 1))
+        validate(GreedyCandidate(0, 4, frozenset((0,)), 0, 1))
     with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(nbr.dominated_run(0), frozenset((0, 1, 2)), 0, 2))
+        validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((0, 1, 2)), 0, 2))
     with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(nbr.dominated_run(2), frozenset((0,)), 0, 1))
+        validate(GreedyCandidate(*nbr.dominated_run(2), frozenset((0,)), 0, 1))
 
 
 # --- counting bound, typed invariant errors, integer steps ---------------------
@@ -318,7 +322,7 @@ def test_first_full_candidate_of_wrong_size_is_a_typed_error(monkeypatch, t4):
     import diskdom.unweighted_greedy as ug
 
     def one_witness_full(levels, i, t):
-        return GreedyCandidate(full_sublist(t4.n), frozenset((i,)), i, t)
+        return GreedyCandidate(0, t4.n, frozenset((i,)), i, t)
 
     monkeypatch.setattr(ug, "greedy_ccw_step", one_witness_full)
     with pytest.raises(SolverInvariantError, match="witnesses"):
@@ -426,19 +430,19 @@ def test_validators_raise_under_optimized_mode():
     # each case breaks exactly one check of one validator on the unit
     # square, where adjacent disks meet and diagonal ones do not
     cases = {
-        "weighted owner": "wdp.Candidate(CyclicSublist(0, 2, 4), 1.0, frozenset((1,)), 0, 1)",
-        "weighted count": "wdp.Candidate(CyclicSublist(0, 2, 4), 2.0, frozenset((0, 1)), 0, 1)",
-        "weighted value": "wdp.Candidate(CyclicSublist(0, 2, 4), 0.5, frozenset((0,)), 0, 1)",
-        "weighted cover": "wdp.Candidate(CyclicSublist(0, 3, 4), 1.0, frozenset((0,)), 0, 1)",
-        "greedy owner": "ug.GreedyCandidate(CyclicSublist(0, 2, 4), frozenset((1,)), 0, 1)",
-        "greedy run": "ug.GreedyCandidate(CyclicSublist(1, 2, 4), frozenset((0,)), 0, 1)",
-        "greedy count": "ug.GreedyCandidate(CyclicSublist(0, 2, 4), frozenset((0, 1)), 0, 1)",
-        "greedy cover": "ug.GreedyCandidate(CyclicSublist(0, 3, 4), frozenset((0,)), 0, 1)",
+        "weighted owner": "wdp.Candidate(0, 2, 1.0, frozenset((1,)), 0, 1)",
+        "weighted count": "wdp.Candidate(0, 2, 2.0, frozenset((0, 1)), 0, 1)",
+        "weighted value": "wdp.Candidate(0, 2, 0.5, frozenset((0,)), 0, 1)",
+        "weighted cover": "wdp.Candidate(0, 3, 1.0, frozenset((0,)), 0, 1)",
+        "greedy owner": "ug.GreedyCandidate(0, 2, frozenset((1,)), 0, 1)",
+        "greedy run": "ug.GreedyCandidate(1, 2, frozenset((0,)), 0, 1)",
+        "greedy count": "ug.GreedyCandidate(0, 2, frozenset((0, 1)), 0, 1)",
+        "greedy cover": "ug.GreedyCandidate(0, 3, frozenset((0,)), 0, 1)",
     }
     lines = [
         "import diskdom.unweighted_greedy as ug",
         "import diskdom.weighted_dp as wdp",
-        "from diskdom import CyclicSublist, Point, WeightedDisk, canonicalize",
+        "from diskdom import Point, WeightedDisk, canonicalize",
         "from diskdom import build_neighbor_index",
         "from diskdom.solution import SolverInvariantError",
         "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
@@ -450,10 +454,23 @@ def test_validators_raise_under_optimized_mode():
         "def extremes():",
         "    nbr = build_neighbor_index(inst)",
         "    level = ug.GreedyLevel(inst, nbr, 1, validator=validators['greedy'])",
-        "    level.insert(0, ug.GreedyCandidate(nbr.dominated_run(0), frozenset((0,)), 0, 1))",
+        "    level.insert(0, ug.GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))",
         "    level._ext_ccw[0] = None  # the cached extreme is lost",
         "    level.freeze()",
-        "checks = {'extremes': extremes}",
+        "def frozen_weighted():",
+        "    table = wdp.init_level_one(inst, build_neighbor_index(inst))",
+        "    table.insert(1, table.buckets[1][0])",
+        "def frozen_greedy():",
+        "    nbr = build_neighbor_index(inst)",
+        "    level = ug.GreedyLevel(inst, nbr, 1)",
+        "    level.insert(0, ug.GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))",
+        "    level.freeze()",
+        "    level.insert(1, ug.GreedyCandidate(*nbr.dominated_run(1), frozenset((1,)), 1, 1))",
+        "checks = {",
+        "    'extremes': extremes,",
+        "    'frozen weighted': frozen_weighted,",
+        "    'frozen greedy': frozen_greedy,",
+        "}",
     ]
     for name, cand in cases.items():
         lines.append(f"checks[{name!r}] = lambda: validators[{name.split()[0]!r}]({cand})")
@@ -465,4 +482,4 @@ def test_validators_raise_under_optimized_mode():
         "        print(name)",
     ]
     raised = _run_optimized(lines).splitlines()
-    assert sorted(raised) == sorted(["extremes", *cases])
+    assert sorted(raised) == sorted(["extremes", "frozen weighted", "frozen greedy", *cases])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import T4_POINTS, mk_instance
-from diskdom.geometry import full_sublist
+from diskdom.geometry import union_runs
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
 from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
@@ -16,6 +16,7 @@ from diskdom.weighted_dp import (
     solve_weighted,
     solve_weighted_unbounded,
 )
+from run_reference import run_of
 from weighted_reference import bidirectional_processing, directional_processing
 
 
@@ -100,13 +101,14 @@ def test_staircase_chains_match_scan_chains(inst):
 def test_big5_chains_end_in_full_runs(big5):
     levels = frozen_levels(big5, upto=3, strategy="bitset")
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
-    assert [c.sub.is_full for c in levels[1].bucket_chain_ccw(big)] == [True]
+    n = big5.n
+    assert [c.length == n for c in levels[1].bucket_chain_ccw(big)] == [True]
     for t in (2, 3):
-        for anchor in range(big5.n):
+        for anchor in range(n):
             for kind in CHAIN_KINDS:
                 chain = getattr(levels[t], kind)(anchor)
-                assert chain and chain[-1].sub.is_full
-                assert not any(c.sub.is_full for c in chain[:-1])
+                assert chain and chain[-1].length == n
+                assert not any(c.length == n for c in chain[:-1])
 
 
 def test_level_one_t4(t4):
@@ -118,7 +120,7 @@ def test_level_one_t4(t4):
         assert cand.witnesses == {i}
         assert cand.value == 1.0
         assert cand.level == 1 and cand.owner == i
-        assert sorted(cand.sub.indices()) == sorted({(i - 1) % 4, i, (i + 1) % 4})
+        assert sorted(run_of(cand, 4).indices()) == sorted({(i - 1) % 4, i, (i + 1) % 4})
 
 
 def test_level_one_big_disk(big5):
@@ -126,7 +128,7 @@ def test_level_one_big_disk(big5):
     table = init_level_one(big5, nbr)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     (cand,) = table.buckets[big]
-    assert cand.sub.is_full
+    assert (cand.start, cand.length) == (0, big5.n)
 
 
 def test_level_one_single():
@@ -134,14 +136,14 @@ def test_level_one_single():
     nbr = build_neighbor_index(inst, "naive")
     table = init_level_one(inst, nbr)
     (cand,) = table.buckets[0]
-    assert cand.sub.is_full and cand.value == 2.5
+    assert (cand.start, cand.length) == (0, 1) and cand.value == 2.5
 
 
 def test_ccw_processing_t4_full(t4):
     levels = frozen_levels(t4)
     cand = ccw_processing(levels, 0, 2, 2)
     assert cand is not None
-    assert cand.sub.is_full
+    assert cand.length == 4
     assert cand.value == 2.0
     assert cand.owner == 0 and 0 in cand.witnesses
     assert len(cand.witnesses) == 2
@@ -151,7 +153,7 @@ def test_ccw_processing_t4_full(t4):
 def test_cw_processing_t4_full(t4):
     levels = frozen_levels(t4)
     cand = cw_processing(levels, 0, 2, 2)
-    assert cand is not None and cand.sub.is_full and cand.value == 2.0
+    assert cand is not None and cand.length == 4 and cand.value == 2.0
     assert verify(t4, cand.witnesses)
 
 
@@ -169,7 +171,7 @@ def test_ccw_processing_all_skipped():
     assert cw_processing(levels, 0, 3, 2) is None
     # the immediate neighbour is reachable, though
     cand = ccw_processing(levels, 0, 1, 2)
-    assert cand is not None and sorted(cand.sub.indices()) == [0, 1]
+    assert cand is not None and sorted(run_of(cand, 6).indices()) == [0, 1]
 
 
 def test_ccw_processing_big_disk_short_circuit(big5):
@@ -177,7 +179,7 @@ def test_ccw_processing_big_disk_short_circuit(big5):
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     w_big = big5.disks[big].weight
     cand = ccw_processing(levels, big, (big + 2) % 5, 2)
-    assert cand is not None and cand.sub.is_full
+    assert cand is not None and cand.length == 5
     assert cand.value == w_big and cand.witnesses == {big}
 
 
@@ -223,8 +225,10 @@ def oracle_instances():
 
 def holds_as_good(table, i, cand):
     """Bucket i of `table` has a run containing cand's at no greater value."""
+    n = table.instance.n
     return any(
-        c.sub.contains_sub(cand.sub) and c.value <= cand.value for c in table.buckets[i]
+        run_of(c, n).contains_sub(run_of(cand, n)) and c.value <= cand.value
+        for c in table.buckets[i]
     )
 
 
@@ -329,18 +333,13 @@ def test_solver_flags_do_not_change_weights():
         results = []
         for strategy in ("naive", "bitset"):
             for indexed in (True, False):
-                for prune in (True, False):
-                    try:
-                        w = solve_weighted(
-                            inst,
-                            k,
-                            neighbor_strategy=strategy,
-                            indexed_queries=indexed,
-                            prune=prune,
-                        ).weight
-                    except Infeasible:
-                        w = None
-                    results.append(w)
+                try:
+                    w = solve_weighted(
+                        inst, k, neighbor_strategy=strategy, indexed_queries=indexed
+                    ).weight
+                except Infeasible:
+                    w = None
+                results.append(w)
         first = results[0]
         for w in results[1:]:
             if first is None:
@@ -371,23 +370,57 @@ def test_solution_reports_original_indices():
 def test_validator_rejects_bad_candidates(t4):
     validate = make_validator(t4)
     nbr = build_neighbor_index(t4, "naive")
-    good = Candidate(nbr.dominated_run(0), 1.0, frozenset((0,)), 0, 1)
+    run = nbr.dominated_run(0)
+    good = Candidate(*run, 1.0, frozenset((0,)), 0, 1)
     validate(good)
     with pytest.raises(SolverInvariantError):
-        validate(Candidate(nbr.dominated_run(0), 1.0, frozenset((1,)), 0, 1))
+        validate(Candidate(*run, 1.0, frozenset((1,)), 0, 1))
     with pytest.raises(SolverInvariantError):
-        validate(Candidate(full_sublist(4), 1.0, frozenset((0,)), 0, 1))
+        validate(Candidate(0, 4, 1.0, frozenset((0,)), 0, 1))
     with pytest.raises(SolverInvariantError):
-        validate(Candidate(nbr.dominated_run(0), 0.5, frozenset((0,)), 0, 1))
+        validate(Candidate(*run, 0.5, frozenset((0,)), 0, 1))
     with pytest.raises(SolverInvariantError):
-        validate(Candidate(nbr.dominated_run(0), 2.0, frozenset((0, 1)), 0, 1))
+        validate(Candidate(*run, 2.0, frozenset((0, 1)), 0, 1))
 
 
 def test_level_tables_freeze_semantics(t4):
     nbr = build_neighbor_index(t4, "naive")
     table = init_level_one(t4, nbr)
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolverInvariantError, match="frozen"):
         table.insert(0, table.buckets[0][0])
+
+
+def test_insert_keeps_one_candidate_per_run():
+    # one bucket of a ring of 8; values and witnesses tell the copies apart
+    angles = [k * math.pi / 4 for k in range(8)]
+    inst = mk_instance([(math.cos(a), math.sin(a), 0.1) for a in angles])
+    table = LevelTable(inst, None, 2)
+
+    def cand(start, length, value, tag):
+        return Candidate(start, length, value, frozenset((0, tag)), 0, 2)
+
+    other = Candidate(1, 3, 0.5, frozenset((3,)), 3, 2)
+    table.insert(3, other)  # another bucket, inserted first, keys its runs apart
+    first = cand(1, 3, 5.0, 1)
+    table.insert(0, first)
+    table.insert(0, cand(4, 2, 1.0, 2))
+    table.insert(0, cand(1, 3, 5.0, 3))  # equal value: dropped
+    assert table.buckets[0] == [first, cand(4, 2, 1.0, 2)]
+    table.insert(0, cand(1, 3, 4.0, 4))  # strictly cheaper: replaces in place
+    assert table.buckets[0] == [cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2)]
+    # full runs from different merges all arrive as (0, n): one key
+    full = cand(*union_runs(8, [(6, 3), (0, 6)]), 9.0, 5)
+    table.insert(0, full)
+    table.insert(0, cand(*union_runs(8, [(2, 5), (7, 4)]), 9.0, 6))
+    table.insert(0, cand(*union_runs(8, [(3, 2), (5, 4), (1, 2)]), 9.5, 7))
+    assert table.buckets[0][2] is full and len(table.buckets[0]) == 3
+    table.insert(0, cand(0, 8, 3.0, 8))
+    assert table.buckets[0][2] == cand(0, 8, 3.0, 8)
+    table.freeze()
+    # ids follow bucket order, then first-insertion order within a bucket
+    assert list(table.all_candidates()) == [
+        cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2), cand(0, 8, 3.0, 8), other
+    ]
 
 
 def test_k_below_counting_bound_stops_after_level_one(monkeypatch):

@@ -7,6 +7,9 @@ The solver consumes whole scan chains instead, and the tests check that
 each chain-built table holds a candidate at least as good as every one of
 theirs.
 
+Both merge runs with the test-side `run_reference.union_extend`, not the
+solver's `union_runs`.
+
 `level_of_runs` builds a frozen level table straight from runs and
 values, so the chain and scan queries can be tested on arbitrary input.
 """
@@ -17,8 +20,13 @@ import math
 from typing import Optional, Sequence
 
 from conftest import mk_instance
-from diskdom.geometry import CyclicSublist, full_sublist, offset_ccw, union_extend
+from diskdom.geometry import CyclicSublist, offset_ccw
 from diskdom.weighted_dp import Candidate, LevelTable
+from run_reference import run_of, union_extend
+
+
+def _candidate(sub: CyclicSublist, value, witnesses, owner, level) -> Candidate:
+    return Candidate(sub.start, sub.length, value, witnesses, owner, level)
 
 
 def directional_processing(
@@ -36,34 +44,36 @@ def directional_processing(
     assert t >= 2
     table1 = levels[1]
     nbr, n = table1.nbr, table1.instance.n
-    dom = nbr.dominated_run(i)
+    dom = CyclicSublist(*nbr.dominated_run(i), n)
     best: Optional[Candidate] = None
     for tp in range(1, t):
         for dz in range(offset_ccw(i, j, n) + 1 if ccw else offset_ccw(j, i, n) + 1):
             l1 = levels[tp].bucket_min_enclosing(i, CyclicSublist(i if ccw else i - dz, dz + 1, n))
             if l1 is None:
                 continue
-            if l1.sub.is_full:
-                cand = Candidate(l1.sub, l1.value, l1.witnesses, i, t)
+            sub1 = run_of(l1, n)
+            if sub1.is_full:
+                cand = _candidate(sub1, l1.value, l1.witnesses, i, t)
             else:
                 if ccw:
-                    past = (l1.sub.ccw_end + 1) % n
+                    past = (sub1.ccw_end + 1) % n
                     rest = CyclicSublist(past, offset_ccw(past, j, n) + 1, n)
                 else:
-                    past = (l1.sub.cw_end - 1) % n
+                    past = (sub1.cw_end - 1) % n
                     rest = CyclicSublist(j, offset_ccw(j, past, n) + 1, n)
                 l2 = levels[t - tp].global_min_enclosing(rest)
                 if l2 is None:
                     continue
-                if l2.sub.is_full:
-                    sub = full_sublist(n)
+                sub2 = run_of(l2, n)
+                if sub2.is_full:
+                    sub = CyclicSublist(0, n, n)
                 else:
                     if ccw:
-                        tail = nbr.run_after(i, l2.sub.ccw_end)
+                        tail = nbr.run_after(i, sub2.ccw_end)
                     else:
-                        tail = nbr.run_before(i, l2.sub.cw_end)
-                    sub = union_extend([dom, l1.sub, l2.sub, CyclicSublist(*tail, n)])
-                cand = Candidate(
+                        tail = nbr.run_before(i, sub2.cw_end)
+                    sub = union_extend([dom, sub1, sub2, CyclicSublist(*tail, n)])
+                cand = _candidate(
                     sub, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
                 )
             if best is None or cand.value < best.value:
@@ -78,7 +88,7 @@ def bidirectional_processing(
     table1 = levels[1]
     instance, nbr = table1.instance, table1.nbr
     n = instance.n
-    dom = nbr.dominated_run(i)
+    dom = CyclicSublist(*nbr.dominated_run(i), n)
     wi = instance.disks[i].weight
     best: Optional[Candidate] = None
     for tp in range(2, t):
@@ -92,8 +102,8 @@ def bidirectional_processing(
         )
         if ly is None:
             continue
-        cand = Candidate(
-            union_extend([dom, lx.sub, ly.sub]),
+        cand = _candidate(
+            union_extend([dom, run_of(lx, n), run_of(ly, n)]),
             lx.value + ly.value - wi,
             lx.witnesses | ly.witnesses,
             i,
@@ -119,13 +129,14 @@ def level_of_runs(instance, runs, *, indexed: bool = True) -> LevelTable:
 
     Candidate ids follow bucket order, then the order of `runs`.  Each
     candidate's witness set holds its position in `runs`, so equal runs of
-    equal value stay distinguishable.  Same-run pruning is off.
+    equal value stay distinguishable.  The candidates go straight into the
+    buckets, past `insert`'s same-run dedup, so equal runs all stay.
     """
     n = instance.n
-    table = LevelTable(instance, None, 1, indexed=indexed, prune=False)
+    table = LevelTable(instance, None, 1, indexed=indexed)
     for pos, (start, length, value, owner) in enumerate(runs):
         sub = CyclicSublist(start, length, n)
-        table.insert(owner, Candidate(sub, value, frozenset((pos,)), owner, 1))
+        table.buckets[owner].append(_candidate(sub, value, frozenset((pos,)), owner, 1))
     table.freeze()
     return table
 
@@ -136,4 +147,4 @@ def chain_answer(chain: Sequence[Candidate], q: CyclicSublist) -> Optional[Candi
     Chains list their answers cheapest first, each reaching farther than the
     last, so the answer is the first chain run containing q.
     """
-    return next((cand for cand in chain if cand.sub.contains_sub(q)), None)
+    return next((cand for cand in chain if run_of(cand, q.n).contains_sub(q)), None)
