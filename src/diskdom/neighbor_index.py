@@ -4,23 +4,18 @@ For a fixed disk i and a scan origin j, the two core queries return the
 first index z (counterclockwise respectively clockwise from j, inclusive)
 whose disk does *not* intersect disk i.  When no such index exists the
 explicit sentinel INTERSECTS_ALL is returned instead of a fake index, so
-callers are forced to treat saturation separately.  The shared base turns
-them into the runs the solvers merge, as (start, length) pairs
+callers are forced to treat saturation separately.  The index turns them
+into the runs the solvers merge, as (start, length) pairs
 (`dominated_run`, `run_after`, `run_before`), and into the counting bound
 on any dominating set (`domination_lower_bound`).
 
-Two strategies answer the same queries:
-
-* ``bitset`` -- packs each disk's avoidance row (the negation of
-  `geometry.intersects_row`) into an integer, built lazily, one row per
-  queried disk, and answers with bit scans; the default and the one the
-  solvers use.
-* ``naive``  -- walks the cyclic order one disk at a time with a scalar
-  predicate; the reference.
-
-Both evaluate the same operations in the same order as
-`geometry.intersects` (``dx*dx + dy*dy`` against ``(r_i + r_z)**2``), so
-their answers agree bit-for-bit with each other and with `verify`.
+Each disk's avoidance row (the negation of `geometry.intersects_row`) is
+packed into an integer, built lazily, one row per queried disk, and the
+queries are bit scans.  The row evaluates the same operations in the same
+order as `geometry.intersects` (``dx*dx + dy*dy`` against
+``(r_i + r_z)**2``), so the answers agree bit for bit with `verify`.
+The tests check them against a disk-by-disk walk with a scalar predicate
+(`tests/query_reference.py`).
 """
 
 from __future__ import annotations
@@ -42,27 +37,49 @@ class _IntersectsAll:
 INTERSECTS_ALL = _IntersectsAll()
 
 
-class _NeighborIndexBase:
-    strategy = "?"
+class _BitsetNeighborIndex:
+    """Per-disk avoidance rows packed into integers; queried with bit scans.
+
+    Rows are built lazily (one vectorized pass per queried disk) and kept,
+    so a solver touching all disks pays O(n^2 / word) memory total.
+    """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.n = instance.n
         self._runs: dict[int, tuple[int, int]] = {}
+        self._arrays = disk_arrays(instance)
+        self._rows: dict[int, int] = {}
 
-    def first_disjoint_ccw(self, i: int, j: int):
-        raise NotImplementedError
-
-    def first_disjoint_cw(self, i: int, j: int):
-        raise NotImplementedError
+    def _row(self, i):
+        row = self._rows.get(i)
+        if row is None:
+            avoids = ~intersects_row(*self._arrays, i)
+            row = int.from_bytes(np.packbits(avoids, bitorder="little").tobytes(), "little")
+            self._rows[i] = row
+        return row
 
     def closed_neighborhood_size(self, i: int) -> int:
-        """Number of disks meeting disk i, disk i included.
+        """Number of disks meeting disk i, disk i included."""
+        return self.n - self._row(i).bit_count()
 
-        Counted with the strategy's scalar `_avoids`; the bitset strategy
-        counts the bits of its row instead.
-        """
-        return sum(1 for z in range(self.n) if not self._avoids(i, z))
+    def first_disjoint_ccw(self, i, j):
+        row = self._row(i)
+        ahead = row >> j
+        if ahead:
+            return j + ((ahead & -ahead).bit_length() - 1)
+        if row:
+            return (row & -row).bit_length() - 1
+        return INTERSECTS_ALL
+
+    def first_disjoint_cw(self, i, j):
+        row = self._row(i)
+        behind = row & ((1 << (j + 1)) - 1)
+        if behind:
+            return behind.bit_length() - 1
+        if row:
+            return row.bit_length() - 1
+        return INTERSECTS_ALL
 
     def domination_lower_bound(self) -> int:
         """Fewest disks any dominating set needs.
@@ -106,94 +123,5 @@ class _NeighborIndexBase:
         return run
 
 
-class _NaiveNeighborIndex(_NeighborIndexBase):
-    """Reference implementation: walk the cyclic order disk by disk."""
-
-    strategy = "naive"
-
-    def __init__(self, instance):
-        super().__init__(instance)
-        # plain float tuples keep the scalar predicate allocation-free
-        self._pts = [(d.center.x, d.center.y, d.radius) for d in instance.disks]
-
-    def _avoids(self, i, z):
-        xi, yi, ri = self._pts[i]
-        xz, yz, rz = self._pts[z]
-        dx = xz - xi
-        dy = yz - yi
-        rr = ri + rz
-        return dx * dx + dy * dy > rr * rr
-
-    def first_disjoint_ccw(self, i, j):
-        n = self.n
-        for step in range(n):
-            z = (j + step) % n
-            if self._avoids(i, z):
-                return z
-        return INTERSECTS_ALL
-
-    def first_disjoint_cw(self, i, j):
-        n = self.n
-        for step in range(n):
-            z = (j - step) % n
-            if self._avoids(i, z):
-                return z
-        return INTERSECTS_ALL
-
-
-class _BitsetNeighborIndex(_NeighborIndexBase):
-    """Per-disk avoidance rows packed into integers; queried with bit scans.
-
-    Rows are built lazily (one vectorized pass per queried disk) and kept,
-    so a solver touching all disks pays O(n^2 / word) memory total.
-    """
-
-    strategy = "bitset"
-
-    def __init__(self, instance):
-        super().__init__(instance)
-        self._arrays = disk_arrays(instance)
-        self._rows: dict[int, int] = {}
-
-    def _row(self, i):
-        row = self._rows.get(i)
-        if row is None:
-            avoids = ~intersects_row(*self._arrays, i)
-            row = int.from_bytes(np.packbits(avoids, bitorder="little").tobytes(), "little")
-            self._rows[i] = row
-        return row
-
-    def closed_neighborhood_size(self, i):
-        return self.n - self._row(i).bit_count()
-
-    def first_disjoint_ccw(self, i, j):
-        row = self._row(i)
-        ahead = row >> j
-        if ahead:
-            return j + ((ahead & -ahead).bit_length() - 1)
-        if row:
-            return (row & -row).bit_length() - 1
-        return INTERSECTS_ALL
-
-    def first_disjoint_cw(self, i, j):
-        row = self._row(i)
-        behind = row & ((1 << (j + 1)) - 1)
-        if behind:
-            return behind.bit_length() - 1
-        if row:
-            return row.bit_length() - 1
-        return INTERSECTS_ALL
-
-
-_STRATEGIES = {
-    "naive": _NaiveNeighborIndex,
-    "bitset": _BitsetNeighborIndex,
-}
-
-
-def build_neighbor_index(instance: Instance, strategy: str = "bitset"):
-    try:
-        cls = _STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {sorted(_STRATEGIES)}")
-    return cls(instance)
+def build_neighbor_index(instance: Instance) -> _BitsetNeighborIndex:
+    return _BitsetNeighborIndex(instance)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Optional
 
 from .geometry import Instance, intersects
 
@@ -27,8 +27,25 @@ class TooLarge(ValueError):
 class SolverInvariantError(RuntimeError):
     """A solver reached a state its correctness argument rules out.
 
-    Raised instead of an `assert`, so the check survives `python -O`.
+    Raised explicitly rather than asserted, so the check survives `python -O`.
     """
+
+
+def check_size_bound(name: str, k, hi: Optional[int] = None) -> None:
+    """Raise InvalidK unless `k` is an integer of at least 1, and at most `hi` if given."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InvalidK(f"{name} must be an integer, got {k!r}")
+    if hi is None:
+        if k < 1:
+            raise InvalidK(f"{name} must be at least 1, got {k}")
+    elif not 1 <= k <= hi:
+        raise InvalidK(f"{name} must be in [1, {hi}], got {k}")
+
+
+def check_frozen(table) -> None:
+    """A level table (`frozen`, `level`) is read only after its `freeze()`."""
+    if not table.frozen:
+        raise SolverInvariantError(f"level {table.level} read before freeze")
 
 
 @dataclass(frozen=True)

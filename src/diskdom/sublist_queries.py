@@ -2,12 +2,12 @@
 
 Among stored runs containing a single index j, the query asks for the one
 whose counterclockwise (or clockwise) endpoint reaches farthest from j.
-There are only n possible arguments, so the indexed form answers all of
-them at build time with one prefix/suffix-maximum sweep over the runs'
-starts and ends, unrolled onto the line [0, 2n).  Full runs contain
-everything and beat every partial run.  The index is immutable once
-built; ties break toward the smallest id so solver runs are reproducible.
-Its plain-scan twin (``indexed=False``) serves as the oracle in tests.
+There are only n possible arguments, so the index answers all of them at
+build time with one prefix/suffix-maximum sweep over the runs' starts and
+ends, unrolled onto the line [0, 2n).  Full runs contain everything and
+beat every partial run.  The index is immutable once built; ties break
+toward the smallest id so solver runs are reproducible.  The tests check
+it against a plain scan over the runs (`tests/query_reference.py`).
 
 The weighted DP's cheapest-enclosing-run queries need no structure of
 their own: `weighted_dp.LevelTable` reads them off (value, id)-sorted
@@ -22,16 +22,17 @@ import numpy as np
 
 
 class FarthestEnclosingIndex:
-    """Farthest-reaching run through a single index; a list lookup when indexed.
+    """Farthest-reaching run through a single index; a list lookup.
 
     Stores the runs (starts[k], lengths[k]) under ids k.  Reach of a stored
     run L from index j is ``offset_ccw(j, ccw_end(L))`` for counterclockwise
     queries (mirrored for clockwise) and n for full runs; equal reaches go
-    to the smallest id.  The indexed form answers all n indexes of both
-    directions at build time, in one numpy sweep (see `_sweep`).
+    to the smallest id.  All n indexes of both directions are answered at
+    build time, in one numpy sweep (see `_sweep`): `ccw_ids[j]` and
+    `cw_ids[j]` hold the answers, None where no run covers j.
     """
 
-    def __init__(self, starts, lengths, n: int, *, indexed: bool = True):
+    def __init__(self, starts, lengths, n: int):
         starts = np.asarray(starts, np.int64)
         lengths = np.asarray(lengths, np.int64)
         if len(starts) != len(lengths):
@@ -41,11 +42,7 @@ class FarthestEnclosingIndex:
         ):
             raise ValueError("runs must be nonempty with starts in [0, n)")
         self.n = n
-        self.indexed = indexed
-        if indexed:
-            self._sweep(starts, lengths)
-        else:
-            self._runs = list(zip(starts.tolist(), lengths.tolist()))
+        self._sweep(starts, lengths)
 
     def _sweep(self, starts: np.ndarray, lengths: np.ndarray) -> None:
         """Answer every index in both directions; ids are array positions.
@@ -63,7 +60,7 @@ class FarthestEnclosingIndex:
         base = len(starts)
         full = np.flatnonzero(lengths == n)
         if len(full) or not base:
-            self._ccw_ids = self._cw_ids = [int(full[0]) if len(full) else None] * n
+            self.ccw_ids = self.cw_ids = [int(full[0]) if len(full) else None] * n
             return
         tie = np.arange(base - 1, -1, -1, dtype=np.int64)
         ends = starts + lengths - 1
@@ -78,7 +75,7 @@ class FarthestEnclosingIndex:
             key = pref[np.minimum(p, n - 1)]
             e = key // base
             hits.append((np.where((key >= 0) & (e >= p), e - p, -1), key % base))
-        self._ccw_ids = _pick(hits, base)
+        self.ccw_ids = _pick(hits, base)
 
         best = np.full(2 * n, -1, dtype=np.int64)
         np.maximum.at(best, ends, (2 * n - starts) * base + tie)
@@ -88,40 +85,19 @@ class FarthestEnclosingIndex:
             key = suf[p]
             s = 2 * n - key // base
             hits.append((np.where((key >= 0) & (s <= p), p - s, -1), key % base))
-        self._cw_ids = _pick(hits, base)
+        self.cw_ids = _pick(hits, base)
 
     def farthest_ccw(self, j: int) -> Optional[int]:
         """Id of the stored run covering j with the farthest ccw endpoint."""
         if not 0 <= j < self.n:
             raise ValueError("index out of range")
-        if not self.indexed:
-            return self._scan(j, ccw=True)
-        return self._ccw_ids[j]
+        return self.ccw_ids[j]
 
     def farthest_cw(self, j: int) -> Optional[int]:
         """Id of the stored run covering j with the farthest cw endpoint."""
         if not 0 <= j < self.n:
             raise ValueError("index out of range")
-        if not self.indexed:
-            return self._scan(j, ccw=False)
-        return self._cw_ids[j]
-
-    def _scan(self, j: int, *, ccw: bool) -> Optional[int]:
-        """Reference answer: every stored run's reach from j, one by one."""
-        n = self.n
-        best = None  # (reach, -id)
-        for ident, (s, k) in enumerate(self._runs):
-            if k == n:
-                reach = n
-            else:
-                off = (j - s) % n  # steps from the run's start to j
-                if off >= k:
-                    continue
-                reach = k - 1 - off if ccw else off
-            key = (reach, -ident)
-            if best is None or key > best:
-                best = key
-        return None if best is None else -best[1]
+        return self.cw_ids[j]
 
 
 def _pick(hits, base: int) -> list[Optional[int]]:

@@ -12,6 +12,9 @@ Runs are (start, length) pairs of integers throughout, merged by
 them: the far-end lookup in a frozen level reads answers that one numpy
 sweep computed for all n indexes at freeze time.  Only each step's winner
 becomes a `GreedyCandidate` with its run and witness set.
+
+The tests swap in a plain-scan twin of that sweep
+(`tests/query_reference.py`) and check that the solves agree.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from .geometry import Instance, union_runs
 from .neighbor_index import build_neighbor_index
 from .solution import (
     Infeasible,
-    InvalidK,
     Solution,
     SolverInvariantError,
     check_dominated_run,
+    check_frozen,
+    check_size_bound,
     solution_of,
 )
 from .sublist_queries import FarthestEnclosingIndex
@@ -64,18 +68,6 @@ def _reach(start: int, length: int, i: int, n: int, ccw: bool) -> int:
     return (start + length - 1 - i) % n if ccw else (i - start) % n
 
 
-class _Memo(dict):
-    """Answers of a one-argument query, computed on first lookup."""
-
-    def __init__(self, query: Callable[[int], Optional[int]]):
-        super().__init__()
-        self._query = query
-
-    def __missing__(self, j: int) -> Optional[int]:
-        self[j] = hit = self._query(j)
-        return hit
-
-
 class GreedyLevel:
     """One level's candidates with cached per-point directional extremes.
 
@@ -83,12 +75,11 @@ class GreedyLevel:
     owning point) are kept up on insertion from the runs' integer starts
     and lengths, so later levels read them in O(1).  `freeze()` assigns
     ids (bucket order, then insertion order), keeps every run's start and
-    length in id-indexed lists, builds the level's farthest-run index
+    length in lists ordered by id, builds the level's farthest-run index
     from those arrays (`FarthestEnclosingIndex`, whose one numpy sweep per
     direction answers all n indexes) and records the first full candidate,
-    if any.  Steps read the farthest answers through `far_ccw`/`far_cw`,
-    which keep each answer after its first lookup.  `indexed=False` builds
-    the plain-scan twin of the index instead.
+    if any.  Steps read the farthest answers from `far_ccw`/`far_cw`, the
+    index's answer lists.
     """
 
     def __init__(
@@ -97,13 +88,11 @@ class GreedyLevel:
         nbr,
         level: int,
         *,
-        indexed: bool = True,
         validator: Optional[Callable[[GreedyCandidate], None]] = None,
     ):
         self.instance = instance
         self.nbr = nbr
         self.level = level
-        self.indexed = indexed
         self.validator = validator
         self.frozen = False
         self.n = n = instance.n
@@ -117,8 +106,8 @@ class GreedyLevel:
         self.starts: list[int] = []  # run start of each candidate id
         self.lengths: list[int] = []  # run length of each candidate id
         # per index j: id of the candidate through j reaching farthest, or None
-        self.far_ccw: Optional[_Memo] = None
-        self.far_cw: Optional[_Memo] = None
+        self.far_ccw: Sequence[Optional[int]] = []
+        self.far_cw: Sequence[Optional[int]] = []
 
     def insert(self, i: int, cand: GreedyCandidate) -> None:
         if self.frozen:
@@ -141,13 +130,9 @@ class GreedyLevel:
         self.starts = [cand.start for cand in self._by_id]
         self.lengths = [cand.length for cand in self._by_id]
         far = FarthestEnclosingIndex(
-            np.array(self.starts, dtype=np.int64),
-            np.array(self.lengths, dtype=np.int64),
-            n,
-            indexed=self.indexed,
+            np.array(self.starts, dtype=np.int64), np.array(self.lengths, dtype=np.int64), n
         )
-        self.far_ccw = _Memo(far.farthest_ccw)
-        self.far_cw = _Memo(far.farthest_cw)
+        self.far_ccw, self.far_cw = far.ccw_ids, far.cw_ids
         if self.validator is not None:
             self._check_extremes()
         self.frozen = True
@@ -164,7 +149,7 @@ class GreedyLevel:
                     )
 
     def all_candidates(self) -> Sequence[GreedyCandidate]:
-        assert self.frozen
+        check_frozen(self)
         return self._by_id
 
     def extreme_ccw(self, i: int) -> Optional[GreedyCandidate]:
@@ -186,7 +171,8 @@ def _greedy_step(
     farthest from i wins, ties to the smaller t'; only the winner becomes
     a `GreedyCandidate`.
     """
-    assert t >= 2
+    if t < 2:
+        raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
     table1 = levels[1]
     nbr, n = table1.nbr, table1.n
     dom = nbr.dominated_run(i)
@@ -262,13 +248,7 @@ def greedy_bidirectional_step(
 
 
 def solve_unweighted(
-    instance: Instance,
-    k_cap: Optional[int] = None,
-    *,
-    neighbor_strategy: str = "bitset",
-    indexed_queries: bool = True,
-    check_invariants: bool = False,
-    _include_bidirectional: bool = True,
+    instance: Instance, k_cap: Optional[int] = None, *, check_invariants: bool = False
 ) -> Solution:
     """Smallest dominating set; Infeasible only when k_cap cuts the search off.
 
@@ -276,18 +256,12 @@ def solve_unweighted(
     Infeasible right after level 1.  SolverInvariantError reports a search
     that broke its own guarantees: no full candidate by level n, or a
     first full candidate whose witness count differs from its level.
-
-    `_include_bidirectional=False` drops the stitched candidates so tests
-    can compare the variant; only the full table carries the guarantee
-    that the first level holding a full candidate equals the optimum.
+    `check_invariants=True` also validates every inserted candidate.
     """
     if k_cap is not None:
-        if isinstance(k_cap, bool) or not isinstance(k_cap, int):
-            raise InvalidK(f"k_cap must be an integer, got {k_cap!r}")
-        if k_cap < 1:
-            raise InvalidK(f"k_cap must be at least 1, got {k_cap}")
+        check_size_bound("k_cap", k_cap)
     n = instance.n
-    nbr = build_neighbor_index(instance, neighbor_strategy)
+    nbr = build_neighbor_index(instance)
     validator = make_greedy_validator(instance) if check_invariants else None
     levels: list[Optional[GreedyLevel]] = [None]
     t = 0
@@ -299,9 +273,7 @@ def solve_unweighted(
             raise Infeasible(k_cap)
         if t > n:
             raise SolverInvariantError(f"no full candidate by level {n}")
-        table = GreedyLevel(
-            instance, nbr, t, indexed=indexed_queries, validator=validator
-        )
+        table = GreedyLevel(instance, nbr, t, validator=validator)
         if t == 1:
             for i in range(n):
                 table.insert(i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1))
@@ -313,14 +285,13 @@ def solve_unweighted(
                 cand = greedy_cw_step(levels, i, t)
                 if cand is not None:
                     table.insert(i, cand)
-                if _include_bidirectional:
-                    for cand in greedy_bidirectional_step(levels, i, t):
-                        table.insert(i, cand)
+                for cand in greedy_bidirectional_step(levels, i, t):
+                    table.insert(i, cand)
         table.freeze()
         levels.append(table)
         if table.full_candidate is not None:
             winner = table.full_candidate
-            if _include_bidirectional and len(winner.witnesses) != t:
+            if len(winner.witnesses) != t:
                 # the first full level equals the optimum cardinality
                 raise SolverInvariantError(
                     f"first full candidate at level {t} has "

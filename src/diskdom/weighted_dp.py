@@ -26,9 +26,9 @@ the ones that reach strictly farther from the anchor than every cheaper
 candidate are exactly the chain.  A full-circle candidate of minimum value
 over all levels yields the answer.
 
-`LevelTable(indexed=False)` builds the same chains by asking plain-scan
-cheapest-enclosing queries (each a `CyclicSublist`) one growing run at a
-time; it is the reference twin the tests compare against.
+The tests build the same chains from plain-scan cheapest-enclosing
+queries, one growing run at a time (`tests/weighted_reference.py`), and
+compare.
 """
 
 from __future__ import annotations
@@ -40,14 +40,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CyclicSublist, Instance, offset_ccw, union_runs
+from .geometry import Instance, union_runs
 from .neighbor_index import build_neighbor_index
 from .solution import (
     Infeasible,
-    InvalidK,
     Solution,
     SolverInvariantError,
     check_dominated_run,
+    check_frozen,
+    check_size_bound,
     solution_of,
 )
 
@@ -91,10 +92,6 @@ class LevelTable:
     a contiguous slice.  The four scan-chain methods answer from those
     arrays (see `_staircase`) and cache their chains; frozen tables never
     change.
-
-    `indexed=False` is the reference twin: chains come from `_scan_chain`,
-    which asks `bucket_min_enclosing`/`global_min_enclosing` (plain scans
-    over the candidates in id order) one growing query at a time.
     """
 
     def __init__(
@@ -103,13 +100,11 @@ class LevelTable:
         nbr,
         level: int,
         *,
-        indexed: bool = True,
         validator: Optional[Callable[[Candidate], None]] = None,
     ):
         self.instance = instance
         self.nbr = nbr
         self.level = level
-        self.indexed = indexed
         self.validator = validator
         self.frozen = False
         self.buckets: list[list[Candidate]] = [[] for _ in range(instance.n)]
@@ -143,41 +138,21 @@ class LevelTable:
         sizes = [len(bucket) for bucket in self.buckets]
         self._bucket_lo = [0, *accumulate(sizes)]
         self._slot = []  # dedup lookups end with inserting
-        if self.indexed:
-            m = len(self._by_id)
-            starts = np.fromiter((c.start for c in self._by_id), np.int64, m)
-            lengths = np.fromiter((c.length for c in self._by_id), np.int64, m)
-            values = np.fromiter((c.value for c in self._by_id), np.float64, m)
-            owners = np.repeat(np.arange(len(sizes)), sizes)
-            # both sorts are stable, so equal values stay in id order
-            by_value = np.argsort(values, kind="stable")
-            by_bucket = np.lexsort((values, owners))
-            self._global_runs = _SortedRuns(by_value, starts, lengths)
-            self._bucket_runs = _SortedRuns(by_bucket, starts, lengths)
+        m = len(self._by_id)
+        starts = np.fromiter((c.start for c in self._by_id), np.int64, m)
+        lengths = np.fromiter((c.length for c in self._by_id), np.int64, m)
+        values = np.fromiter((c.value for c in self._by_id), np.float64, m)
+        owners = np.repeat(np.arange(len(sizes)), sizes)
+        # both sorts are stable, so equal values stay in id order
+        by_value = np.argsort(values, kind="stable")
+        by_bucket = np.lexsort((values, owners))
+        self._global_runs = _SortedRuns(by_value, starts, lengths)
+        self._bucket_runs = _SortedRuns(by_bucket, starts, lengths)
         self.frozen = True
 
     def all_candidates(self) -> Sequence[Candidate]:
-        assert self.frozen
+        check_frozen(self)
         return self._by_id
-
-    def _min_enclosing(self, lo: int, hi: int, q: CyclicSublist) -> Optional[Candidate]:
-        """Cheapest candidate with id in [lo, hi) whose run contains q; ties to the smaller id."""
-        assert self.frozen
-        n = self.instance.n
-        best = None
-        for cand in self._by_id[lo:hi]:
-            run = CyclicSublist(cand.start, cand.length, n)
-            if run.contains_sub(q) and (best is None or cand.value < best.value):
-                best = cand
-        return best
-
-    def bucket_min_enclosing(self, i: int, q: CyclicSublist) -> Optional[Candidate]:
-        """Cheapest candidate of bucket i whose run contains q."""
-        return self._min_enclosing(*self._bucket_lo[i : i + 2], q)
-
-    def global_min_enclosing(self, q: CyclicSublist) -> Optional[Candidate]:
-        """Cheapest candidate of the whole level whose run contains q."""
-        return self._min_enclosing(0, len(self._by_id), q)
 
     # -- distinct-answer scan chains ------------------------------------
 
@@ -205,39 +180,13 @@ class LevelTable:
         by_id = self._by_id
         return [by_id[k] for k in runs.ids[lo:hi][steps].tolist()]
 
-    def _scan_chain(self, query, anchor: int, *, ccw: bool) -> list[Candidate]:
-        """Reference chain: ask `query` for ever longer runs grown from `anchor`.
-
-        The query run grows counterclockwise from the anchor (or clockwise
-        from it), each time to just past the last answer's far end.
-        """
-        n = self.instance.n
-        out = []
-        q = 1
-        while q <= n:
-            ans = query(CyclicSublist(anchor if ccw else anchor - q + 1, q, n))
-            if ans is None:
-                break
-            out.append(ans)
-            if ans.length == n:
-                break
-            if ccw:
-                q = offset_ccw(anchor, ans.start + ans.length - 1, n) + 2
-            else:
-                q = offset_ccw(ans.start, anchor, n) + 2
-        return out
-
     def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
-        assert self.frozen
-        if not self.indexed:
-            return self._scan_chain(lambda q: self.bucket_min_enclosing(i, q), i, ccw=ccw)
+        check_frozen(self)
         lo, hi = self._bucket_lo[i : i + 2]
         return self._staircase(self._bucket_runs, lo, hi, i, ccw=ccw)
 
     def _global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
-        assert self.frozen
-        if not self.indexed:
-            return self._scan_chain(self.global_min_enclosing, anchor, ccw=ccw)
+        check_frozen(self)
         return self._staircase(self._global_runs, 0, len(self._by_id), anchor, ccw=ccw)
 
     def bucket_chain_ccw(self, i: int) -> list[Candidate]:
@@ -274,15 +223,9 @@ class _SortedRuns:
         self.lengths = lengths[order]
 
 
-def init_level_one(
-    instance: Instance,
-    nbr,
-    *,
-    indexed: bool = True,
-    validator=None,
-) -> LevelTable:
+def init_level_one(instance: Instance, nbr, *, validator=None) -> LevelTable:
     """One candidate per point: its own dominated run at its own weight."""
-    table = LevelTable(instance, nbr, 1, indexed=indexed, validator=validator)
+    table = LevelTable(instance, nbr, 1, validator=validator)
     for i in range(instance.n):
         weight = instance.disks[i].weight
         table.insert(i, Candidate(*nbr.dominated_run(i), weight, frozenset((i,)), i, 1))
@@ -345,50 +288,29 @@ def _bidi_combos(levels, table: LevelTable, i: int, t: int) -> None:
                 )
 
 
-def _check_k(instance: Instance, k) -> None:
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise InvalidK(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= instance.n:
-        raise InvalidK(f"k must be in [1, {instance.n}], got {k}")
-
-
-def solve_weighted(
-    instance: Instance,
-    k: int,
-    *,
-    neighbor_strategy: str = "bitset",
-    indexed_queries: bool = True,
-    check_invariants: bool = False,
-    _include_bidirectional: bool = True,
-) -> Solution:
+def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:
     """Minimum-weight dominating set of size at most k, or Infeasible.
 
-    Deterministic for fixed inputs and flags.  `indexed_queries=False`
-    swaps every enclosing-run index for its plain-scan twin; it exists for
-    equivalence testing and changes nothing about the result's weight.
-    `_include_bidirectional=False` drops the stitched candidates and
-    exists only so tests can demonstrate they are load-bearing.
+    Deterministic for fixed inputs.  `check_invariants=True` validates
+    every inserted candidate and raises SolverInvariantError on a broken
+    one; it changes nothing about the result.
 
     When the counting bound (`domination_lower_bound`) already exceeds k,
     Infeasible is raised right after level 1, before any level is combined.
     """
-    _check_k(instance, k)
+    check_size_bound("k", k, instance.n)
     n = instance.n
-    nbr = build_neighbor_index(instance, neighbor_strategy)
+    nbr = build_neighbor_index(instance)
     validator = make_validator(instance) if check_invariants else None
-    levels: list[Optional[LevelTable]] = [
-        None,
-        init_level_one(instance, nbr, indexed=indexed_queries, validator=validator),
-    ]
+    levels: list[Optional[LevelTable]] = [None, init_level_one(instance, nbr, validator=validator)]
     if k < n and nbr.domination_lower_bound() > k:
         raise Infeasible(k)
     for t in range(2, k + 1):
-        table = LevelTable(instance, nbr, t, indexed=indexed_queries, validator=validator)
+        table = LevelTable(instance, nbr, t, validator=validator)
         for i in range(n):
             _directional_combos(levels, table, i, t, ccw=True)
             _directional_combos(levels, table, i, t, ccw=False)
-            if _include_bidirectional:
-                _bidi_combos(levels, table, i, t)
+            _bidi_combos(levels, table, i, t)
         table.freeze()
         levels.append(table)
     best: Optional[Candidate] = None

@@ -34,6 +34,7 @@ from diskdom.unweighted_greedy import (
     solve_unweighted,
 )
 from diskdom.weighted_dp import solve_weighted, solve_weighted_unbounded
+from query_reference import NaiveNeighborIndex, ScanFarthestIndex
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
 
@@ -157,11 +158,11 @@ def test_query_structure_equivalence():
         # cheapest enclosing runs: staircase chains against scan-built chains
         inst = ring(n)
         fast_min = level_of_runs(inst, runs)
-        slow_min = level_of_runs(inst, runs, indexed=False)
+        slow_min = level_of_runs(inst, runs, indexed=False)  # the ScanLevelTable twin
         starts = [s for s, _, _, _ in runs]
         lengths = [k for _, k, _, _ in runs]
         fast_far = FarthestEnclosingIndex(starts, lengths, n)
-        slow_far = FarthestEnclosingIndex(starts, lengths, n, indexed=False)
+        slow_far = ScanFarthestIndex(starts, lengths, n)
         for _ in range(100):
             kind = rng.choice(CHAIN_KINDS)
             anchor = rng.randrange(n)
@@ -183,8 +184,8 @@ def test_query_structure_equivalence():
         n = sizes[i % len(sizes)]
         law = laws[i % len(laws)] if n <= 50 else laws[i % 2]
         inst = gen_random(n, 30_000 + i, FAMILIES[i % 3], law, "unit").to_instance()
-        bits = build_neighbor_index(inst, "bitset")
-        naive = build_neighbor_index(inst, "naive")
+        bits = build_neighbor_index(inst)
+        naive = NaiveNeighborIndex(inst)
         for a_ in range(n):
             for b_ in range(n):
                 assert bits.first_disjoint_ccw(a_, b_) == naive.first_disjoint_ccw(a_, b_)
@@ -211,7 +212,7 @@ def test_solver_invariant_suite():
 
         # bucket growth bound, checked level by level while re-running the
         # greedy table construction with its validator attached
-        nbr = build_neighbor_index(inst_u, "naive")
+        nbr = NaiveNeighborIndex(inst_u)
         validator = make_greedy_validator(inst_u)
         levels = [None]
         t = 0

@@ -13,7 +13,7 @@ import pytest
 import diskdom
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ("quickstart.py", "query_structures.py", "separability_diagnostic.py")
+DEMOS = ("quickstart.py", "separability_diagnostic.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

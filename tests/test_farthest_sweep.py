@@ -5,6 +5,7 @@ import random
 import numpy as np
 
 from diskdom.sublist_queries import FarthestEnclosingIndex
+from query_reference import ScanFarthestIndex
 
 
 def _runs(rng, n, m, *, fulls=0, dupes=0):
@@ -35,7 +36,7 @@ def test_sweep_matches_scan_twin():
             dupes=rng.randint(0, 4),
         )
         fast = FarthestEnclosingIndex(starts, lengths, n)
-        slow = FarthestEnclosingIndex(starts, lengths, n, indexed=False)
+        slow = ScanFarthestIndex(starts, lengths, n)
         assert _answers(fast, n) == _answers(slow, n), trial
 
 
@@ -47,7 +48,7 @@ def test_from_runs_matches_scan_twin_with_positions_as_ids():
             rng, n, rng.randint(0, 12), fulls=rng.choice([0, 0, 2]), dupes=3
         )
         fast = FarthestEnclosingIndex(starts, lengths, n)
-        slow = FarthestEnclosingIndex(starts, lengths, n, indexed=False)
+        slow = ScanFarthestIndex(starts, lengths, n)
         assert _answers(fast, n) == _answers(slow, n), trial
 
 
@@ -55,8 +56,8 @@ def test_duplicate_runs_answer_with_the_smallest_id():
     n = 8
     wrap = (6, 4)  # 6, 7, 0, 1
     starts, lengths = zip((2, 1), wrap, wrap, wrap)
-    for indexed in (True, False):
-        idx = FarthestEnclosingIndex(starts, lengths, n, indexed=indexed)
+    for index in (FarthestEnclosingIndex, ScanFarthestIndex):
+        idx = index(starts, lengths, n)
         assert [idx.farthest_ccw(j) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
         assert [idx.farthest_cw(j) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
 
@@ -64,7 +65,7 @@ def test_duplicate_runs_answer_with_the_smallest_id():
 def test_several_full_runs_answer_with_the_smallest_full_id():
     n = 5
     starts, lengths = [2, 0, 0], [4, n, n]
-    for indexed in (True, False):
-        idx = FarthestEnclosingIndex(starts, lengths, n, indexed=indexed)
+    for index in (FarthestEnclosingIndex, ScanFarthestIndex):
+        idx = index(starts, lengths, n)
         assert {idx.farthest_ccw(j) for j in range(n)} == {1}
         assert {idx.farthest_cw(j) for j in range(n)} == {1}

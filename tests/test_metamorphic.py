@@ -6,12 +6,18 @@ floating point.  The optimum value must not change, whatever canonical
 order and tie-breaks the transformed instance gets.  Neither check
 relies on a reference twin of the solvers.
 
+Translation is exact only when every coordinate difference survives it
+bit for bit: centers snapped to a 2**-20 grid and moved by integers keep
+all their differences, so canonical order, every intersection test and
+hence the whole solution stay the same.
+
 On unit weights the two solvers answer the same question, so each must
 confirm the other's optimum and refuse one disk fewer.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from diskdom.geometry import Point, WeightedDisk, canonicalize
@@ -90,3 +96,54 @@ def test_solvers_agree_on_unit_weights(n, seed, family, law):
         solve_weighted(inst, opt - 1)
     with pytest.raises(Infeasible):
         solve_unweighted(inst, k_cap=opt - 1)
+
+
+GRID = 2.0**-20
+OFFSETS = ((0, 0), (1024, 0), (-3, 517), (65536, -65536))
+
+
+def _snapped(disks):
+    """Centers rounded to the GRID; radii and weights unchanged."""
+    return [(round(x / GRID) * GRID, round(y / GRID) * GRID, r, w) for x, y, r, w in disks]
+
+
+def _differences(disks):
+    xs = np.array([d[0] for d in disks])
+    ys = np.array([d[1] for d in disks])
+    return np.subtract.outer(xs, xs), np.subtract.outer(ys, ys)
+
+
+def _translations(doc, *, weighted):
+    """The snapped instance moved by each offset, canonicalized."""
+    snapped = _snapped(_raw(doc))
+    for dx, dy in OFFSETS:
+        moved = [(x + dx, y + dy, r, w) for x, y, r, w in snapped]
+        for a, b in zip(_differences(moved), _differences(snapped)):
+            assert np.array_equal(a, b), (dx, dy)
+        raw = [WeightedDisk(Point(x, y), r, w) for x, y, r, w in moved]
+        inst = canonicalize(raw, weighted=weighted)
+        assert inst.n == len(doc.points)
+        yield (dx, dy), inst
+
+
+@pytest.mark.parametrize("n, seed, family, law", UNWEIGHTED)
+def test_unweighted_solution_is_invariant_under_translation(n, seed, family, law):
+    doc = gen_random(n, 40_000 + seed, family, law, "unit")
+    solutions = {}
+    for offset, inst in _translations(doc, weighted=False):
+        sol = solve_unweighted(inst)
+        assert verify(inst, inst.to_canonical(sol.centers)), offset
+        solutions[offset] = sol
+    assert solutions[(0, 0)].size > 2
+    assert set(solutions.values()) == {solutions[(0, 0)]}, solutions
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_weighted_solution_is_invariant_under_translation(seed):
+    doc = gen_random(60, 41_000 + seed, "circle", "uniform(2.0,6.0)", "uniform(1,10)")
+    solutions = {}
+    for offset, inst in _translations(doc, weighted=True):
+        sol = solve_weighted(inst, 6)
+        assert verify(inst, inst.to_canonical(sol.centers)), offset
+        solutions[offset] = sol
+    assert set(solutions.values()) == {solutions[(0, 0)]}, solutions

@@ -6,8 +6,7 @@ import pytest
 from diskdom.geometry import CyclicSublist, intersects
 from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
 from conftest import mk_instance, tangent_chain_instances
-
-STRATEGIES = ("naive", "bitset")
+from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex
 
 
 def dominated(idx, i):
@@ -15,9 +14,9 @@ def dominated(idx, i):
     return CyclicSublist(*idx.dominated_run(i), idx.n)
 
 
-@pytest.fixture(params=STRATEGIES)
+@pytest.fixture(params=list(NEIGHBOR_INDEXES))
 def t4_index(request, t4):
-    return build_neighbor_index(t4, request.param)
+    return NEIGHBOR_INDEXES[request.param](t4)
 
 
 def test_t4_first_disjoint_ccw_from_self(t4_index):
@@ -39,8 +38,8 @@ def test_t4_dominated_run(t4_index):
 
 
 def test_giant_disk_intersects_all(big5):
-    for strategy in STRATEGIES:
-        idx = build_neighbor_index(big5, strategy)
+    for build in NEIGHBOR_INDEXES.values():
+        idx = build(big5)
         big = max(range(5), key=lambda i: big5.disks[i].radius)
         assert idx.first_disjoint_ccw(big, 0) is INTERSECTS_ALL
         assert idx.first_disjoint_cw(big, 3) is INTERSECTS_ALL
@@ -50,8 +49,8 @@ def test_giant_disk_intersects_all(big5):
 def test_isolated_disk_run_is_singleton():
     # tiny disks far apart: nothing intersects anything else
     inst = mk_instance([(0, 0, 0.1), (10, 0, 0.1), (10, 10, 0.1), (0, 10, 0.1)])
-    for strategy in STRATEGIES:
-        idx = build_neighbor_index(inst, strategy)
+    for build in NEIGHBOR_INDEXES.values():
+        idx = build(inst)
         for i in range(4):
             assert list(dominated(idx, i).indices()) == [i]
             assert idx.first_disjoint_ccw(i, i) == (i + 1) % 4
@@ -60,16 +59,16 @@ def test_isolated_disk_run_is_singleton():
 
 def test_single_disk_instance():
     inst = mk_instance([(1, 2, 3)])
-    for strategy in STRATEGIES:
-        idx = build_neighbor_index(inst, strategy)
+    for build in NEIGHBOR_INDEXES.values():
+        idx = build(inst)
         assert idx.first_disjoint_ccw(0, 0) is INTERSECTS_ALL
         assert dominated(idx, 0).is_full
 
 
 def test_two_disjoint_disks():
     inst = mk_instance([(0, 0, 1), (10, 0, 1)])
-    for strategy in STRATEGIES:
-        idx = build_neighbor_index(inst, strategy)
+    for build in NEIGHBOR_INDEXES.values():
+        idx = build(inst)
         assert list(dominated(idx, 0).indices()) == [0]
         assert list(dominated(idx, 1).indices()) == [1]
 
@@ -95,8 +94,8 @@ def test_strategies_agree_on_random_instances():
         if inst is None:
             continue
         done += 1
-        naive = build_neighbor_index(inst, "naive")
-        bits = build_neighbor_index(inst, "bitset")
+        naive = NaiveNeighborIndex(inst)
+        bits = build_neighbor_index(inst)
         for i in range(n):
             for j in range(n):
                 assert bits.first_disjoint_ccw(i, j) == naive.first_disjoint_ccw(i, j)
@@ -110,7 +109,7 @@ def test_intersects_all_consistency():
         inst = rand_instance(rng, rng.randint(2, 25), big_fraction=0.6)
         if inst is None:
             continue
-        idx = build_neighbor_index(inst, "naive")
+        idx = NaiveNeighborIndex(inst)
         n = inst.n
         for i in range(n):
             answers = [idx.first_disjoint_ccw(i, j) for j in range(n)]
@@ -146,7 +145,7 @@ def test_scan_answer_is_first_by_definition():
         inst = rand_instance(rng, rng.randint(2, 20))
         if inst is None:
             continue
-        idx = build_neighbor_index(inst, "bitset")
+        idx = build_neighbor_index(inst)
         n = inst.n
         for i in range(n):
             for j in range(n):
@@ -159,19 +158,13 @@ def test_scan_answer_is_first_by_definition():
                 assert not intersects(inst.disks[i], inst.disks[z])
 
 
-def test_default_strategy_is_bitset_and_unknown_ones_are_rejected(t4):
-    assert build_neighbor_index(t4).strategy == "bitset"
-    with pytest.raises(ValueError, match="unknown strategy"):
-        build_neighbor_index(t4, "tree")
-
-
 def test_avoidance_is_negated_intersects_on_tangent_chains():
     # nominally tangent neighbours: every strategy must draw the line
     # exactly where `intersects` (and so `verify`) does
     for _, inst in tangent_chain_instances(range(200)):
         n = inst.n
-        for strategy in STRATEGIES:
-            idx = build_neighbor_index(inst, strategy)
+        for strategy, build in NEIGHBOR_INDEXES.items():
+            idx = build(inst)
             for i in range(n):
                 for j in range(n):
                     z = idx.first_disjoint_ccw(i, j)

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from diskdom.geometry import CyclicSublist, offset_ccw
 from diskdom.sublist_queries import FarthestEnclosingIndex
-from weighted_reference import chain_answer, level_of_runs, ring
+from query_reference import ScanFarthestIndex
+from weighted_reference import (
+    bucket_min_enclosing,
+    chain_answer,
+    global_min_enclosing,
+    level_of_runs,
+    ring,
+)
 
 
 def run(start, length, n):
@@ -23,7 +30,8 @@ def position(cand):
 # --- cheapest enclosing run: level-table scans and staircase chains ---------
 #
 # `indexed` picks how the level builds its chains: from (value, id)-sorted
-# staircases, or from the plain-scan queries one growing run at a time.
+# staircases (`LevelTable`), or from the plain-scan queries one growing run
+# at a time (the test-side `ScanLevelTable` twin).
 
 MIN_RUNS = [
     (0, 3, 3.0, 0),  # [0..2]
@@ -44,7 +52,7 @@ def test_min_enclosing_pinned(indexed):
     got = min_enclosing(table, run(0, 5, 6))  # [0..4]
     assert position(got) == 1 and got.value == 1.0
     assert min_enclosing(table, run(5, 1, 6)) is None
-    assert table.global_min_enclosing(run(5, 1, 6)) is None
+    assert global_min_enclosing(table, run(5, 1, 6)) is None
 
 
 @pytest.mark.parametrize("indexed", [True, False])
@@ -66,7 +74,7 @@ def test_min_enclosing_tie_breaks_to_smallest_id(indexed):
     assert position(min_enclosing(table, run(1, 3, 8))) == 0
     # runs 1 and 2 both reach 5 from index 1: the smaller id wins
     assert position(min_enclosing(table, run(1, 5, 8))) == 1
-    assert position(table.global_min_enclosing(run(1, 5, 8))) == 1
+    assert position(global_min_enclosing(table, run(1, 5, 8))) == 1
 
 
 def _random_runs(rng, n, m, *, buckets=1):
@@ -87,19 +95,19 @@ def test_min_enclosing_indexed_matches_naive():
         for start in range(n):
             for length in range(1, n + 1):
                 q = run(start, length, n)
-                assert min_enclosing(fast, q) == slow.global_min_enclosing(q)
+                assert min_enclosing(fast, q) == global_min_enclosing(slow, q)
                 cw_q = run(start - length + 1, length, n)
                 assert chain_answer(fast.global_chain_cw(start), cw_q) == (
-                    slow.global_min_enclosing(cw_q)
+                    global_min_enclosing(slow, cw_q)
                 )
             # bucket chains anchor at their owner
             for length in range(1, n + 1):
                 q = run(start, length, n)
                 got = chain_answer(fast.bucket_chain_ccw(start), q)
-                assert got == slow.bucket_min_enclosing(start, q)
+                assert got == bucket_min_enclosing(slow, start, q)
                 q = run(start - length + 1, length, n)
                 got = chain_answer(fast.bucket_chain_cw(start), q)
-                assert got == slow.bucket_min_enclosing(start, q)
+                assert got == bucket_min_enclosing(slow, start, q)
 
 
 @given(st.data())
@@ -120,8 +128,8 @@ def test_min_enclosing_monotone_in_query(data):
     start = data.draw(st.integers(0, n - 1))
     small = data.draw(st.integers(1, n))
     large = data.draw(st.integers(small, n))
-    a = table.global_min_enclosing(run(start, small, n))
-    b = table.global_min_enclosing(run(start, large, n))
+    a = global_min_enclosing(table, run(start, small, n))
+    b = global_min_enclosing(table, run(start, large, n))
     # growing the query can only lose candidates
     if b is not None:
         assert a is not None and a.value <= b.value
@@ -131,9 +139,9 @@ def test_min_enclosing_monotone_in_query(data):
 
 
 def far(runs, n, indexed=True):
-    return FarthestEnclosingIndex(
-        [s for s, _ in runs], [k for _, k in runs], n, indexed=indexed
-    )
+    """The farthest index over `runs`, or its `ScanFarthestIndex` twin."""
+    index = FarthestEnclosingIndex if indexed else ScanFarthestIndex
+    return index([s for s, _ in runs], [k for _, k in runs], n)
 
 
 FAR_SINGLE = [(2, 3)]  # [2..4]

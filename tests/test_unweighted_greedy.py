@@ -17,6 +17,7 @@ from diskdom.unweighted_greedy import (
     make_greedy_validator,
     solve_unweighted,
 )
+from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, solvers_using
 from run_reference import run_of
 
 
@@ -32,7 +33,7 @@ def rand_instance(rng, n, rlo=0.3, rhi=3.0):
 
 
 def build_levels(inst, upto, *, validator=None):
-    nbr = build_neighbor_index(inst, "naive")
+    nbr = NaiveNeighborIndex(inst)
     levels = [None]
     for t in range(1, upto + 1):
         tbl = GreedyLevel(inst, nbr, t, validator=validator)
@@ -120,7 +121,7 @@ def test_bucket_size_bound():
     rng = random.Random(10)
     for _ in range(15):
         inst = rand_instance(rng, rng.randint(3, 14), 0.2, 1.2)
-        nbr = build_neighbor_index(inst, "naive")
+        nbr = NaiveNeighborIndex(inst)
         levels = [None]
         t = 0
         while True:
@@ -219,28 +220,31 @@ def test_strategies_and_index_modes_agree():
         results = set()
         for strategy in ("naive", "bitset"):
             for indexed in (True, False):
-                sol = solve_unweighted(
-                    inst, neighbor_strategy=strategy, indexed_queries=indexed
-                )
+                with solvers_using(strategy, indexed):
+                    sol = solve_unweighted(inst)
                 results.add((sol.size, sol.centers))
         assert len(results) == 1
 
 
-def test_without_bidirectional_still_reports_only_verified_sets():
+def test_without_bidirectional_still_reports_only_verified_sets(monkeypatch):
     # the stitched candidates never hurt; dropping them must at worst delay
     # the stop, never produce an invalid or smaller answer
+    import diskdom.unweighted_greedy as ug
+
     rng = random.Random(31)
     for _ in range(25):
         inst = rand_instance(rng, rng.randint(3, 12))
         full = solve_unweighted(inst)
-        bare = solve_unweighted(inst, _include_bidirectional=False)
+        with monkeypatch.context() as mp:
+            mp.setattr(ug, "greedy_bidirectional_step", lambda levels, i, t: [])
+            bare = solve_unweighted(inst)
         assert bare.size >= full.size
         assert verify(inst, inst.to_canonical(bare.centers))
 
 
 def test_full_run_is_the_extreme_both_ways(t4):
     # a full run reaches n steps either way, past any partial run
-    tbl = GreedyLevel(t4, build_neighbor_index(t4, "naive"), 2)
+    tbl = GreedyLevel(t4, NaiveNeighborIndex(t4), 2)
     partial = GreedyCandidate(3, 3, frozenset((0, 1)), 0, 2)
     full = GreedyCandidate(0, 4, frozenset((0, 2)), 0, 2)
     tbl.insert(0, partial)
@@ -250,7 +254,7 @@ def test_full_run_is_the_extreme_both_ways(t4):
 
 
 def test_frozen_level_rejects_insert(t4):
-    nbr = build_neighbor_index(t4, "naive")
+    nbr = NaiveNeighborIndex(t4)
     tbl = GreedyLevel(t4, nbr, 1)
     tbl.insert(0, GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))
     tbl.freeze()
@@ -260,7 +264,7 @@ def test_frozen_level_rejects_insert(t4):
 
 def test_validator_rejects_bad_candidates(t4):
     validate = make_greedy_validator(t4)
-    nbr = build_neighbor_index(t4, "naive")
+    nbr = NaiveNeighborIndex(t4)
     validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))
     with pytest.raises(SolverInvariantError):
         validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((1,)), 1, 1))
@@ -282,7 +286,7 @@ def test_k_cap_below_counting_bound_stops_after_level_one(monkeypatch):
     inst = gen_random(300, 300, "circle", "uniform(0.5,1.0)", "unit").to_instance(
         weighted=False
     )
-    assert build_neighbor_index(inst, "bitset").domination_lower_bound() == 15
+    assert build_neighbor_index(inst).domination_lower_bound() == 15
     built = []
 
     class CountingLevel(GreedyLevel):
@@ -300,10 +304,7 @@ def test_counting_bound_agrees_across_strategies():
     rng = random.Random(41)
     for _ in range(10):
         inst = rand_instance(rng, rng.randint(1, 14), 0.2, 2.5)
-        bounds = {
-            build_neighbor_index(inst, s).domination_lower_bound()
-            for s in ("naive", "bitset")
-        }
+        bounds = {build(inst).domination_lower_bound() for build in NEIGHBOR_INDEXES.values()}
         assert len(bounds) == 1
         assert bounds.pop() <= brute_force_min(inst, "unweighted").size
 
@@ -377,11 +378,11 @@ def test_strategies_and_index_modes_agree_beyond_brute_force():
         inst = gen_random(n, seed, "circle", "uniform(1.0,3.0)", "unit").to_instance(
             weighted=False
         )
-        results = {
-            solve_unweighted(inst, neighbor_strategy=strategy, indexed_queries=indexed)
-            for strategy in ("bitset", "naive")
-            for indexed in (True, False)
-        }
+        results = set()
+        for strategy in ("bitset", "naive"):
+            for indexed in (True, False):
+                with solvers_using(strategy, indexed):
+                    results.add(solve_unweighted(inst))
         assert len(results) == 1
         (sol,) = results
         assert verify(inst, inst.to_canonical(sol.centers))
@@ -466,10 +467,19 @@ def test_validators_raise_under_optimized_mode():
         "    level.insert(0, ug.GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))",
         "    level.freeze()",
         "    level.insert(1, ug.GreedyCandidate(*nbr.dominated_run(1), frozenset((1,)), 1, 1))",
+        "def unfrozen_weighted():",
+        "    return wdp.LevelTable(inst, build_neighbor_index(inst), 1)",
+        "def unfrozen_greedy():",
+        "    return ug.GreedyLevel(inst, build_neighbor_index(inst), 1)",
         "checks = {",
         "    'extremes': extremes,",
         "    'frozen weighted': frozen_weighted,",
         "    'frozen greedy': frozen_greedy,",
+        "    'unfrozen weighted candidates': lambda: unfrozen_weighted().all_candidates(),",
+        "    'unfrozen weighted bucket chain': lambda: unfrozen_weighted().bucket_chain_ccw(0),",
+        "    'unfrozen weighted global chain': lambda: unfrozen_weighted().global_chain_cw(0),",
+        "    'unfrozen greedy candidates': lambda: unfrozen_greedy().all_candidates(),",
+        "    'greedy step to level 1': lambda: ug.greedy_ccw_step([None], 0, 1),",
         "}",
     ]
     for name, cand in cases.items():
@@ -482,4 +492,12 @@ def test_validators_raise_under_optimized_mode():
         "        print(name)",
     ]
     raised = _run_optimized(lines).splitlines()
-    assert sorted(raised) == sorted(["extremes", "frozen weighted", "frozen greedy", *cases])
+    reads = [
+        "unfrozen weighted candidates",
+        "unfrozen weighted bucket chain",
+        "unfrozen weighted global chain",
+        "unfrozen greedy candidates",
+        "greedy step to level 1",
+    ]
+    expected = ["extremes", "frozen weighted", "frozen greedy", *reads, *cases]
+    assert sorted(raised) == sorted(expected)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import diskdom.weighted_dp as wdp
 from conftest import T4_POINTS, mk_instance
 from diskdom.geometry import union_runs
 from diskdom.neighbor_index import build_neighbor_index
@@ -11,11 +12,14 @@ from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.weighted_dp import (
     Candidate,
     LevelTable,
+    _bidi_combos,
+    _directional_combos,
     init_level_one,
     make_validator,
     solve_weighted,
     solve_weighted_unbounded,
 )
+from query_reference import NaiveNeighborIndex, solvers_using
 from run_reference import run_of
 from weighted_reference import bidirectional_processing, directional_processing
 
@@ -48,19 +52,19 @@ def rand_instance(rng, n, *, spread=(0.3, 3.0)):
     )
 
 
-def frozen_levels(inst, upto=1, strategy="naive", **kw):
-    nbr = build_neighbor_index(inst, strategy)
-    levels = [None, init_level_one(inst, nbr, **kw)]
-    from diskdom.weighted_dp import _bidi_combos, _directional_combos
-
-    for t in range(2, upto + 1):
-        tbl = LevelTable(inst, nbr, t, **kw)
-        for i in range(inst.n):
-            _directional_combos(levels, tbl, i, t, ccw=True)
-            _directional_combos(levels, tbl, i, t, ccw=False)
-            _bidi_combos(levels, tbl, i, t)
-        tbl.freeze()
-        levels.append(tbl)
+def frozen_levels(inst, upto=1, strategy="naive", indexed=True):
+    """Levels 1..upto as `solve_weighted` builds them; `indexed=False` uses the scan twin."""
+    with solvers_using(strategy, indexed):
+        nbr = wdp.build_neighbor_index(inst)
+        levels = [None, init_level_one(inst, nbr)]
+        for t in range(2, upto + 1):
+            tbl = wdp.LevelTable(inst, nbr, t)
+            for i in range(inst.n):
+                _directional_combos(levels, tbl, i, t, ccw=True)
+                _directional_combos(levels, tbl, i, t, ccw=False)
+                _bidi_combos(levels, tbl, i, t)
+            tbl.freeze()
+            levels.append(tbl)
     return levels
 
 
@@ -124,7 +128,7 @@ def test_level_one_t4(t4):
 
 
 def test_level_one_big_disk(big5):
-    nbr = build_neighbor_index(big5, "naive")
+    nbr = NaiveNeighborIndex(big5)
     table = init_level_one(big5, nbr)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     (cand,) = table.buckets[big]
@@ -133,7 +137,7 @@ def test_level_one_big_disk(big5):
 
 def test_level_one_single():
     inst = mk_instance([(0.0, 0.0, 1.0, 2.5)])
-    nbr = build_neighbor_index(inst, "naive")
+    nbr = NaiveNeighborIndex(inst)
     table = init_level_one(inst, nbr)
     (cand,) = table.buckets[0]
     assert (cand.start, cand.length) == (0, 1) and cand.value == 2.5
@@ -334,9 +338,8 @@ def test_solver_flags_do_not_change_weights():
         for strategy in ("naive", "bitset"):
             for indexed in (True, False):
                 try:
-                    w = solve_weighted(
-                        inst, k, neighbor_strategy=strategy, indexed_queries=indexed
-                    ).weight
+                    with solvers_using(strategy, indexed):
+                        w = solve_weighted(inst, k).weight
                 except Infeasible:
                     w = None
                 results.append(w)
@@ -369,7 +372,7 @@ def test_solution_reports_original_indices():
 
 def test_validator_rejects_bad_candidates(t4):
     validate = make_validator(t4)
-    nbr = build_neighbor_index(t4, "naive")
+    nbr = NaiveNeighborIndex(t4)
     run = nbr.dominated_run(0)
     good = Candidate(*run, 1.0, frozenset((0,)), 0, 1)
     validate(good)
@@ -384,7 +387,7 @@ def test_validator_rejects_bad_candidates(t4):
 
 
 def test_level_tables_freeze_semantics(t4):
-    nbr = build_neighbor_index(t4, "naive")
+    nbr = NaiveNeighborIndex(t4)
     table = init_level_one(t4, nbr)
     with pytest.raises(SolverInvariantError, match="frozen"):
         table.insert(0, table.buckets[0][0])
@@ -425,10 +428,9 @@ def test_insert_keeps_one_candidate_per_run():
 
 def test_k_below_counting_bound_stops_after_level_one(monkeypatch):
     from diskdom import gen_random
-    import diskdom.weighted_dp as wdp
 
     inst = gen_random(300, 300, "circle", "uniform(0.5,1.0)", "unit").to_instance()
-    assert build_neighbor_index(inst, "bitset").domination_lower_bound() == 15
+    assert build_neighbor_index(inst).domination_lower_bound() == 15
     built = []
 
     class CountingTable(LevelTable):

@@ -1,5 +1,11 @@
 """Reference code the weighted DP is tested against; the solver never runs it.
 
+`bucket_min_enclosing` and `global_min_enclosing` are the plain-scan
+cheapest-enclosing queries over a frozen level: every candidate, in id
+order.  `ScanLevelTable` is the level table's reference twin: it builds
+each scan chain from those queries, one growing run at a time
+(`scan_chain`), instead of reading it off a staircase.
+
 `directional_processing` and `bidirectional_processing` are the literal
 level-building steps: for a point i and a scan bound, every split level
 and every scan stop, each answered by one plain cheapest-enclosing query.
@@ -17,16 +23,70 @@ values, so the chain and scan queries can be tested on arbitrary input.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Sequence
 
 from conftest import mk_instance
 from diskdom.geometry import CyclicSublist, offset_ccw
+from diskdom.solution import check_frozen
 from diskdom.weighted_dp import Candidate, LevelTable
 from run_reference import run_of, union_extend
 
 
 def _candidate(sub: CyclicSublist, value, witnesses, owner, level) -> Candidate:
     return Candidate(sub.start, sub.length, value, witnesses, owner, level)
+
+
+def _cheapest_containing(cands: Sequence[Candidate], q: CyclicSublist) -> Optional[Candidate]:
+    """Cheapest of `cands` whose run contains q; ties to the earliest."""
+    best = None
+    for cand in cands:
+        if run_of(cand, q.n).contains_sub(q) and (best is None or cand.value < best.value):
+            best = cand
+    return best
+
+
+def bucket_min_enclosing(table: LevelTable, i: int, q: CyclicSublist) -> Optional[Candidate]:
+    """Cheapest candidate of bucket i whose run contains q; ties to the smaller id."""
+    check_frozen(table)
+    return _cheapest_containing(table.buckets[i], q)
+
+
+def global_min_enclosing(table: LevelTable, q: CyclicSublist) -> Optional[Candidate]:
+    """Cheapest candidate of the whole level whose run contains q; ties to the smaller id."""
+    return _cheapest_containing(table.all_candidates(), q)
+
+
+def scan_chain(query, anchor: int, n: int, *, ccw: bool) -> list[Candidate]:
+    """Chain of `query`'s answers for ever longer runs grown from `anchor`.
+
+    The query run grows counterclockwise from the anchor (or clockwise
+    from it), each time to just past the last answer's far end.
+    """
+    out = []
+    q = 1
+    while q <= n:
+        ans = query(CyclicSublist(anchor if ccw else anchor - q + 1, q, n))
+        if ans is None:
+            break
+        out.append(ans)
+        if ans.length == n:
+            break
+        if ccw:
+            q = offset_ccw(anchor, ans.start + ans.length - 1, n) + 2
+        else:
+            q = offset_ccw(ans.start, anchor, n) + 2
+    return out
+
+
+class ScanLevelTable(LevelTable):
+    """Reference twin of `LevelTable`: scan chains built from plain scans."""
+
+    def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
+        return scan_chain(partial(bucket_min_enclosing, self, i), i, self.instance.n, ccw=ccw)
+
+    def _global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
+        return scan_chain(partial(global_min_enclosing, self), anchor, self.instance.n, ccw=ccw)
 
 
 def directional_processing(
@@ -48,7 +108,7 @@ def directional_processing(
     best: Optional[Candidate] = None
     for tp in range(1, t):
         for dz in range(offset_ccw(i, j, n) + 1 if ccw else offset_ccw(j, i, n) + 1):
-            l1 = levels[tp].bucket_min_enclosing(i, CyclicSublist(i if ccw else i - dz, dz + 1, n))
+            l1 = bucket_min_enclosing(levels[tp], i, CyclicSublist(i if ccw else i - dz, dz + 1, n))
             if l1 is None:
                 continue
             sub1 = run_of(l1, n)
@@ -61,7 +121,7 @@ def directional_processing(
                 else:
                     past = (sub1.cw_end - 1) % n
                     rest = CyclicSublist(j, offset_ccw(j, past, n) + 1, n)
-                l2 = levels[t - tp].global_min_enclosing(rest)
+                l2 = global_min_enclosing(levels[t - tp], rest)
                 if l2 is None:
                     continue
                 sub2 = run_of(l2, n)
@@ -92,13 +152,11 @@ def bidirectional_processing(
     wi = instance.disks[i].weight
     best: Optional[Candidate] = None
     for tp in range(2, t):
-        lx = levels[tp].bucket_min_enclosing(
-            i, CyclicSublist(i, offset_ccw(i, x, n) + 1, n)
-        )
+        lx = bucket_min_enclosing(levels[tp], i, CyclicSublist(i, offset_ccw(i, x, n) + 1, n))
         if lx is None:
             continue
-        ly = levels[t + 1 - tp].bucket_min_enclosing(
-            i, CyclicSublist(y, offset_ccw(y, i, n) + 1, n)
+        ly = bucket_min_enclosing(
+            levels[t + 1 - tp], i, CyclicSublist(y, offset_ccw(y, i, n) + 1, n)
         )
         if ly is None:
             continue
@@ -131,9 +189,10 @@ def level_of_runs(instance, runs, *, indexed: bool = True) -> LevelTable:
     candidate's witness set holds its position in `runs`, so equal runs of
     equal value stay distinguishable.  The candidates go straight into the
     buckets, past `insert`'s same-run dedup, so equal runs all stay.
+    `indexed=False` builds the `ScanLevelTable` twin instead.
     """
     n = instance.n
-    table = LevelTable(instance, None, 1, indexed=indexed)
+    table = (LevelTable if indexed else ScanLevelTable)(instance, None, 1)
     for pos, (start, length, value, owner) in enumerate(runs):
         sub = CyclicSublist(start, length, n)
         table.buckets[owner].append(_candidate(sub, value, frozenset((pos,)), owner, 1))
