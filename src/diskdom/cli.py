@@ -194,12 +194,14 @@ def _cmd_bench(args) -> int:
         doc = gen_random(n, args.seed + n, args.family, args.radius_law, args.weight_law)
         inst = doc.to_instance()
         for solver, weighted in (("greedy", False), ("dp", True)):
+            # at most k disks is all n disks when k >= n
+            k = min(args.k, n) if weighted else args.k
             times = []
             result = None
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 try:
-                    sol = _solve(inst, weighted, args.k)
+                    sol = _solve(inst, weighted, k)
                 except Infeasible:
                     result = "infeasible"
                 else:

@@ -54,18 +54,12 @@ class WeightedDisk:
     weight: float = 1.0
 
 
-def distance(p: Point, q: Point) -> float:
-    dx = q.x - p.x
-    dy = q.y - p.y
-    return math.sqrt(dx * dx + dy * dy)
-
-
 def disk_distance(d1: WeightedDisk, d2: WeightedDisk) -> float:
     """Center distance minus the two radii; negative or zero when the disks meet.
 
-    Uses an explicit sqrt of the squared center distance so that scalar and
-    vectorized callers computing the same expression get bit-identical
-    results.
+    It takes a square root, so near tangency its sign can disagree with
+    `intersects`, which compares squared distances and is the predicate
+    every solver and `verify` use.
     """
     dx = d2.center.x - d1.center.x
     dy = d2.center.y - d1.center.y

@@ -6,8 +6,10 @@ whose disk does *not* intersect disk i.  When no such index exists the
 explicit sentinel INTERSECTS_ALL is returned instead of a fake index, so
 callers are forced to treat saturation separately.  The index turns them
 into the runs the solvers merge, as (start, length) pairs
-(`dominated_run`, `run_after`, `run_before`), and into the counting bound
-on any dominating set (`domination_lower_bound`).
+(`dominated_run`, `run_after`, `run_before`), into the one-way run both
+solvers' directional steps build (`one_way_run`, with the direction as a
+parameter), and into the counting bound on any dominating set
+(`domination_lower_bound`).
 
 Each disk's avoidance row (the negation of `geometry.intersects_row`) is
 packed into an integer, built lazily, one row per queried disk, and the
@@ -109,6 +111,21 @@ class _BitsetNeighborIndex:
         if b is INTERSECTS_ALL:
             return 0, n
         return (b + 1) % n, (z - b - 1) % n
+
+    def one_way_run(self, i: int, dom, run1, run2, *, ccw: bool) -> tuple[int, int]:
+        """A directional step's run for disk i: the union of its four parts.
+
+        All runs are (start, length) pairs.  `dom` is disk i's dominated
+        run, `run1` a run through i and `run2` a run from just past run1's
+        far end, counterclockwise or clockwise; the stretch disk i meets
+        past run2's far end closes the union.  (0, n) when run2 is full.
+        """
+        n = self.n
+        s2, k2 = run2
+        if k2 == n:
+            return 0, n
+        tail = self.run_after(i, (s2 + k2 - 1) % n) if ccw else self.run_before(i, s2)
+        return union_runs(n, (dom, run1, run2, tail))
 
     def dominated_run(self, i: int) -> tuple[int, int]:
         """Maximal contiguous run around p_i whose disks all meet disk i.

@@ -28,6 +28,7 @@ from .geometry import (
     intersects,
     intersects_row,
     offset_ccw,
+    orientation,
 )
 from .solution import Infeasible, Solution, TooLarge
 
@@ -232,7 +233,7 @@ Separability = Literal["separable", "crossed", "inconclusive"]
 
 def _orient_banded(a, b, c):
     """Signed area sign, or None inside the degeneracy band."""
-    det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    det = orientation(a, b, c)
     mag = (abs(b.x - a.x) + abs(b.y - a.y)) * (abs(c.x - a.x) + abs(c.y - a.y))
     if abs(det) <= ORIENTATION_BAND * mag:
         return None

@@ -8,10 +8,11 @@ candidate ends the search; that candidate's witnesses are a smallest
 dominating set.
 
 Runs are (start, length) pairs of integers throughout, merged by
-`geometry.union_runs`.  The directional steps score every split level on
-them: the far-end lookup in a frozen level reads answers that one numpy
-sweep computed for all n indexes at freeze time.  Only each step's winner
-becomes a `GreedyCandidate` with its run and witness set.
+`geometry.union_runs`.  One directional step (`greedy_step`, with the
+direction as a parameter) serves both ways round and scores every split
+level on them: the far-end lookup in a frozen level reads answers that
+a numpy sweep computed for all n indexes at freeze time.  Only each
+step's winner becomes a `GreedyCandidate` with its run and witness set.
 
 The tests swap in a plain-scan twin of that sweep
 (`tests/query_reference.py`) and check that the solves agree.
@@ -76,8 +77,8 @@ class GreedyLevel:
     and lengths, so later levels read them in O(1).  `freeze()` assigns
     ids (bucket order, then insertion order), keeps every run's start and
     length in lists ordered by id, builds the level's farthest-run index
-    from those arrays (`FarthestEnclosingIndex`, whose one numpy sweep per
-    direction answers all n indexes) and records the first full candidate,
+    from those arrays (`FarthestEnclosingIndex`, whose numpy sweep answers
+    all n indexes in both directions) and records the first full candidate,
     if any.  Steps read the farthest answers from `far_ccw`/`far_cw`, the
     index's answer lists.
     """
@@ -152,24 +153,22 @@ class GreedyLevel:
         check_frozen(self)
         return self._by_id
 
-    def extreme_ccw(self, i: int) -> Optional[GreedyCandidate]:
-        return self._ext_ccw[i]
-
-    def extreme_cw(self, i: int) -> Optional[GreedyCandidate]:
-        return self._ext_cw[i]
+    def extreme(self, i: int, *, ccw: bool) -> Optional[GreedyCandidate]:
+        """Point i's candidate reaching farthest counterclockwise (or clockwise) from i."""
+        return (self._ext_ccw if ccw else self._ext_cw)[i]
 
 
-def _greedy_step(
+def greedy_step(
     levels: Sequence[Optional[GreedyLevel]], i: int, t: int, *, ccw: bool
 ) -> Optional[GreedyCandidate]:
-    """Farthest-reaching extension of i's cached extremes in one direction.
+    """Farthest-reaching extension of i's cached extremes, ccw or cw.
 
     One combination per split level t' is scored on (start, length)
     integers: i's own level-t' extreme l1, the level-(t-t') run reaching
     farthest past l1's far end, and the stretch disk i dominates beyond
-    that, merged with i's dominated run by `union_runs`.  The one reaching
-    farthest from i wins, ties to the smaller t'; only the winner becomes
-    a `GreedyCandidate`.
+    that, merged with i's dominated run (`neighbor_index.one_way_run`).
+    The one reaching farthest from i wins, ties to the smaller t'; only
+    the winner becomes a `GreedyCandidate`.
     """
     if t < 2:
         raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
@@ -179,7 +178,7 @@ def _greedy_step(
     best = None  # (l1, level of l2, id of l2 or None, start, length)
     best_reach = -1
     for tp in range(1, t):
-        l1 = levels[tp].extreme_ccw(i) if ccw else levels[tp].extreme_cw(i)
+        l1 = levels[tp].extreme(i, ccw=ccw)
         if l1 is None:
             continue
         s1, k1 = l1.start, l1.length
@@ -190,13 +189,8 @@ def _greedy_step(
             hit = other.far_ccw[(s1 + k1) % n] if ccw else other.far_cw[(s1 - 1) % n]
             if hit is None:
                 continue
-            s2, k2 = other.starts[hit], other.lengths[hit]
-            if k2 == n:
-                s, k = 0, n
-            else:
-                # the stretch disk i dominates past l2's far end
-                tail = nbr.run_after(i, (s2 + k2 - 1) % n) if ccw else nbr.run_before(i, s2)
-                s, k = union_runs(n, (dom, (s1, k1), (s2, k2), tail))
+            run2 = other.starts[hit], other.lengths[hit]
+            s, k = nbr.one_way_run(i, dom, (s1, k1), run2, ccw=ccw)
         r = _reach(s, k, i, n, ccw)
         if r > best_reach:
             best, best_reach = (l1, other, hit, s, k), r
@@ -209,26 +203,6 @@ def _greedy_step(
     return GreedyCandidate(s, k, witnesses, i, t)
 
 
-def greedy_ccw_step(
-    levels: Sequence[Optional[GreedyLevel]], i: int, t: int
-) -> Optional[GreedyCandidate]:
-    """Farthest-reaching counterclockwise extension of i's cached extremes.
-
-    One combination per split level t' is scored (own extreme, then the
-    globally farthest run past its end, then the stretch disk i dominates
-    beyond that); the one reaching farthest counterclockwise from i wins,
-    ties to the smaller t'.
-    """
-    return _greedy_step(levels, i, t, ccw=True)
-
-
-def greedy_cw_step(
-    levels: Sequence[Optional[GreedyLevel]], i: int, t: int
-) -> Optional[GreedyCandidate]:
-    """Mirror of greedy_ccw_step."""
-    return _greedy_step(levels, i, t, ccw=False)
-
-
 def greedy_bidirectional_step(
     levels: Sequence[Optional[GreedyLevel]], i: int, t: int
 ) -> list[GreedyCandidate]:
@@ -238,8 +212,8 @@ def greedy_bidirectional_step(
     dom = table1.nbr.dominated_run(i)
     out = []
     for tp in range(2, t):
-        lx = levels[tp].extreme_ccw(i)
-        ly = levels[t + 1 - tp].extreme_cw(i)
+        lx = levels[tp].extreme(i, ccw=True)
+        ly = levels[t + 1 - tp].extreme(i, ccw=False)
         if lx is None or ly is None:
             continue
         s, k = union_runs(n, (dom, (lx.start, lx.length), (ly.start, ly.length)))
@@ -279,12 +253,10 @@ def solve_unweighted(
                 table.insert(i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1))
         else:
             for i in range(n):
-                cand = greedy_ccw_step(levels, i, t)
-                if cand is not None:
-                    table.insert(i, cand)
-                cand = greedy_cw_step(levels, i, t)
-                if cand is not None:
-                    table.insert(i, cand)
+                for ccw in (True, False):
+                    cand = greedy_step(levels, i, t, ccw=ccw)
+                    if cand is not None:
+                        table.insert(i, cand)
                 for cand in greedy_bidirectional_step(levels, i, t):
                     table.insert(i, cand)
         table.freeze()

@@ -7,9 +7,11 @@ candidates for point i are built three ways:
 
 * counterclockwise: a run from i's own level-t' bucket, extended by the
   cheapest run from the previous global level starting just past it, plus
-  the stretch after that which disk i dominates by itself;
-* clockwise: the mirror image, from the same routine
-  (`_directional_combos`) with the direction as a parameter;
+  the stretch after that which disk i dominates by itself
+  (`neighbor_index.one_way_run`);
+* clockwise: the mirror image.  One routine (`_directional_combos`)
+  builds both, and the scan chains it reads take the direction as a
+  parameter too;
 * bidirectional: one run from i's bucket in each direction, meeting at i,
   with i's weight counted once.
 
@@ -89,9 +91,9 @@ class LevelTable:
     candidate ids (bucket order, then insertion order) and lays the runs
     out as numpy arrays twice: sorted by (value, id) over the whole level,
     and sorted by (value, id) within each bucket, so that every bucket is
-    a contiguous slice.  The four scan-chain methods answer from those
-    arrays (see `_staircase`) and cache their chains; frozen tables never
-    change.
+    a contiguous slice.  The two scan-chain methods, each taking the
+    direction as a parameter, answer from those arrays (see `_staircase`)
+    and cache their chains in one dict; frozen tables never change.
     """
 
     def __init__(
@@ -113,10 +115,7 @@ class LevelTable:
         self._bucket_lo: list[int] = []  # bucket i holds ids [lo[i], lo[i+1])
         self._global_runs: Optional[_SortedRuns] = None
         self._bucket_runs: Optional[_SortedRuns] = None
-        self._bucket_chain_ccw: dict[int, list[Candidate]] = {}
-        self._bucket_chain_cw: dict[int, list[Candidate]] = {}
-        self._global_chain_ccw: dict[int, list[Candidate]] = {}
-        self._global_chain_cw: dict[int, list[Candidate]] = {}
+        self._chains: dict[tuple, list[Candidate]] = {}  # (bucket chain?, anchor, ccw) -> chain
 
     def insert(self, i: int, cand: Candidate) -> None:
         if self.frozen:
@@ -189,27 +188,19 @@ class LevelTable:
         check_frozen(self)
         return self._staircase(self._global_runs, 0, len(self._by_id), anchor, ccw=ccw)
 
-    def bucket_chain_ccw(self, i: int) -> list[Candidate]:
-        """Distinct bucket-i answers for queries growing ccw from i."""
-        if i not in self._bucket_chain_ccw:
-            self._bucket_chain_ccw[i] = self._bucket_chain(i, ccw=True)
-        return self._bucket_chain_ccw[i]
+    def bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
+        """Distinct bucket-i answers for queries growing from i, ccw or cw."""
+        chain = self._chains.get((True, i, ccw))
+        if chain is None:
+            chain = self._chains[True, i, ccw] = self._bucket_chain(i, ccw=ccw)
+        return chain
 
-    def bucket_chain_cw(self, i: int) -> list[Candidate]:
-        if i not in self._bucket_chain_cw:
-            self._bucket_chain_cw[i] = self._bucket_chain(i, ccw=False)
-        return self._bucket_chain_cw[i]
-
-    def global_chain_ccw(self, start: int) -> list[Candidate]:
-        """Distinct global answers for queries growing ccw from `start`."""
-        if start not in self._global_chain_ccw:
-            self._global_chain_ccw[start] = self._global_chain(start, ccw=True)
-        return self._global_chain_ccw[start]
-
-    def global_chain_cw(self, end: int) -> list[Candidate]:
-        if end not in self._global_chain_cw:
-            self._global_chain_cw[end] = self._global_chain(end, ccw=False)
-        return self._global_chain_cw[end]
+    def global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
+        """Distinct global answers for queries growing from `anchor`, ccw or cw."""
+        chain = self._chains.get((False, anchor, ccw))
+        if chain is None:
+            chain = self._chains[False, anchor, ccw] = self._global_chain(anchor, ccw=ccw)
+        return chain
 
 
 class _SortedRuns:
@@ -244,24 +235,15 @@ def _directional_combos(levels, table: LevelTable, i: int, t: int, *, ccw: bool)
     nbr = table.nbr
     n = table.instance.n
     dom = nbr.dominated_run(i)
-    if ccw:
-        bucket_chain, global_chain = LevelTable.bucket_chain_ccw, LevelTable.global_chain_ccw
-    else:
-        bucket_chain, global_chain = LevelTable.bucket_chain_cw, LevelTable.global_chain_cw
     for tp in range(1, t):
         other = levels[t - tp]
-        for l1 in bucket_chain(levels[tp], i):
-            s1, k1 = l1.start, l1.length
+        for l1 in levels[tp].bucket_chain(i, ccw=ccw):
+            run1 = s1, k1 = l1.start, l1.length
             if k1 == n:
                 table.insert(i, Candidate(0, n, l1.value, l1.witnesses, i, t))
                 continue
-            for l2 in global_chain(other, (s1 + k1) % n if ccw else (s1 - 1) % n):
-                s2, k2 = l2.start, l2.length
-                if k2 == n:
-                    s, k = 0, n
-                else:
-                    tail = nbr.run_after(i, (s2 + k2 - 1) % n) if ccw else nbr.run_before(i, s2)
-                    s, k = union_runs(n, (dom, (s1, k1), (s2, k2), tail))
+            for l2 in other.global_chain((s1 + k1) % n if ccw else (s1 - 1) % n, ccw=ccw):
+                s, k = nbr.one_way_run(i, dom, run1, (l2.start, l2.length), ccw=ccw)
                 table.insert(
                     i,
                     Candidate(
@@ -277,8 +259,8 @@ def _bidi_combos(levels, table: LevelTable, i: int, t: int) -> None:
     wi = table.instance.disks[i].weight
     for tp in range(2, t):
         other = levels[t + 1 - tp]
-        for lx in levels[tp].bucket_chain_ccw(i):
-            for ly in other.bucket_chain_cw(i):
+        for lx in levels[tp].bucket_chain(i, ccw=True):
+            for ly in other.bucket_chain(i, ccw=False):
                 s, k = union_runs(n, (dom, (lx.start, lx.length), (ly.start, ly.length)))
                 table.insert(
                     i,

@@ -28,8 +28,7 @@ from diskdom.unweighted_greedy import (
     GreedyCandidate,
     GreedyLevel,
     greedy_bidirectional_step,
-    greedy_ccw_step,
-    greedy_cw_step,
+    greedy_step,
     make_greedy_validator,
     solve_unweighted,
 )
@@ -144,7 +143,12 @@ def _random_runs(rng, n, count):
     ]
 
 
-CHAIN_KINDS = ("bucket_chain_ccw", "bucket_chain_cw", "global_chain_ccw", "global_chain_cw")
+CHAIN_KINDS = (
+    ("bucket_chain", True),
+    ("bucket_chain", False),
+    ("global_chain", True),
+    ("global_chain", False),
+)
 
 
 def test_query_structure_equivalence():
@@ -164,16 +168,16 @@ def test_query_structure_equivalence():
         fast_far = FarthestEnclosingIndex(starts, lengths, n)
         slow_far = ScanFarthestIndex(starts, lengths, n)
         for _ in range(100):
-            kind = rng.choice(CHAIN_KINDS)
+            kind, ccw = rng.choice(CHAIN_KINDS)
             anchor = rng.randrange(n)
-            a = getattr(fast_min, kind)(anchor)
-            b = getattr(slow_min, kind)(anchor)
-            assert a == b, (n, kind, anchor)
+            a = getattr(fast_min, kind)(anchor, ccw=ccw)
+            b = getattr(slow_min, kind)(anchor, ccw=ccw)
+            assert a == b, (n, kind, ccw, anchor)
             min_trials += 1
         for _ in range(100):
             j = rng.randrange(n)
-            assert fast_far.farthest_ccw(j) == slow_far.farthest_ccw(j), (n, j)
-            assert fast_far.farthest_cw(j) == slow_far.farthest_cw(j), (n, j)
+            assert fast_far.farthest(j, ccw=True) == slow_far.farthest(j, ccw=True), (n, j)
+            assert fast_far.farthest(j, ccw=False) == slow_far.farthest(j, ccw=False), (n, j)
             far_trials += 1
     assert min_trials >= 10_000 and far_trials >= 10_000
 
@@ -227,8 +231,8 @@ def test_solver_invariant_suite():
             else:
                 for i in range(inst_u.n):
                     for cand in (
-                        greedy_ccw_step(levels, i, t),
-                        greedy_cw_step(levels, i, t),
+                        greedy_step(levels, i, t, ccw=True),
+                        greedy_step(levels, i, t, ccw=False),
                     ):
                         if cand is not None:
                             table.insert(i, cand)

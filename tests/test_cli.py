@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import T4_POINTS, mk_instance
-from diskdom import cli
+from diskdom import cli, gen_random, solve_weighted_unbounded
 from diskdom.instance_io import instance_document
 from diskdom.solution import Solution
 
@@ -176,6 +176,22 @@ def test_bench_reports_infeasible_sizes(tmp_path):
         ["300", "6", "greedy", "infeasible"],
         ["300", "6", "dp", "infeasible"],
     ]
+
+
+def test_bench_solves_sizes_below_k(tmp_path):
+    # at most 6 disks is every disk when n = 4, so the dp row still solves
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--sizes", "4,30", "--k", "6", "--repeats", "1", "--csv", str(out)]
+    assert cli.main(argv) == 0
+    rows = strip_millis(out.read_text())
+    assert [r[:3] for r in rows[1:]] == [
+        ["4", "6", "greedy"],
+        ["4", "6", "dp"],
+        ["30", "6", "greedy"],
+        ["30", "6", "dp"],
+    ]
+    inst = gen_random(4, 4, "circle", "uniform(2.0,6.0)", "unit").to_instance()
+    assert rows[2][3] == repr(solve_weighted_unbounded(inst).weight)
 
 
 def test_bench_usage_errors(tmp_path):

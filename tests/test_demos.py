@@ -1,7 +1,7 @@
 """The quick demos run to completion.
 
-`scaling_bench.py` and `weighted_vs_bruteforce.py` take several seconds
-each and are left out to keep the suite short.
+`weighted_vs_bruteforce.py` takes several seconds and is left out to
+keep the suite short.
 """
 
 import subprocess

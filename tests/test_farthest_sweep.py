@@ -21,7 +21,7 @@ def _runs(rng, n, m, *, fulls=0, dupes=0):
 
 
 def _answers(idx, n):
-    return [(idx.farthest_ccw(j), idx.farthest_cw(j)) for j in range(n)]
+    return [(idx.farthest(j, ccw=True), idx.farthest(j, ccw=False)) for j in range(n)]
 
 
 def test_sweep_matches_scan_twin():
@@ -58,8 +58,8 @@ def test_duplicate_runs_answer_with_the_smallest_id():
     starts, lengths = zip((2, 1), wrap, wrap, wrap)
     for index in (FarthestEnclosingIndex, ScanFarthestIndex):
         idx = index(starts, lengths, n)
-        assert [idx.farthest_ccw(j) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
-        assert [idx.farthest_cw(j) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
+        assert [idx.farthest(j, ccw=True) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
+        assert [idx.farthest(j, ccw=False) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
 
 
 def test_several_full_runs_answer_with_the_smallest_full_id():
@@ -67,5 +67,5 @@ def test_several_full_runs_answer_with_the_smallest_full_id():
     starts, lengths = [2, 0, 0], [4, n, n]
     for index in (FarthestEnclosingIndex, ScanFarthestIndex):
         idx = index(starts, lengths, n)
-        assert {idx.farthest_ccw(j) for j in range(n)} == {1}
-        assert {idx.farthest_cw(j) for j in range(n)} == {1}
+        assert {idx.farthest(j, ccw=True) for j in range(n)} == {1}
+        assert {idx.farthest(j, ccw=False) for j in range(n)} == {1}

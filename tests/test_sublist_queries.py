@@ -41,7 +41,7 @@ MIN_RUNS = [
 
 
 def min_enclosing(table, q):
-    return chain_answer(table.global_chain_ccw(q.start), q)
+    return chain_answer(table.global_chain(q.start, ccw=True), q)
 
 
 @pytest.mark.parametrize("indexed", [True, False])
@@ -97,16 +97,16 @@ def test_min_enclosing_indexed_matches_naive():
                 q = run(start, length, n)
                 assert min_enclosing(fast, q) == global_min_enclosing(slow, q)
                 cw_q = run(start - length + 1, length, n)
-                assert chain_answer(fast.global_chain_cw(start), cw_q) == (
+                assert chain_answer(fast.global_chain(start, ccw=False), cw_q) == (
                     global_min_enclosing(slow, cw_q)
                 )
             # bucket chains anchor at their owner
             for length in range(1, n + 1):
                 q = run(start, length, n)
-                got = chain_answer(fast.bucket_chain_ccw(start), q)
+                got = chain_answer(fast.bucket_chain(start, ccw=True), q)
                 assert got == bucket_min_enclosing(slow, start, q)
                 q = run(start - length + 1, length, n)
-                got = chain_answer(fast.bucket_chain_cw(start), q)
+                got = chain_answer(fast.bucket_chain(start, ccw=False), q)
                 assert got == bucket_min_enclosing(slow, start, q)
 
 
@@ -150,41 +150,41 @@ FAR_SINGLE = [(2, 3)]  # [2..4]
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_single_item(indexed):
     idx = far(FAR_SINGLE, 6, indexed)
-    assert idx.farthest_ccw(3) == 0
+    assert idx.farthest(3, ccw=True) == 0
     assert offset_ccw(3, run(*FAR_SINGLE[0], 6).ccw_end, 6) == 1
-    assert idx.farthest_ccw(5) is None
-    assert idx.farthest_cw(5) is None
+    assert idx.farthest(5, ccw=True) is None
+    assert idx.farthest(5, ccw=False) is None
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_prefers_longer_reach(indexed):
     idx = far([(2, 3), (3, 4)], 6, indexed)  # [2..4], [3..0]
-    assert idx.farthest_ccw(3) == 1  # reach 3 beats reach 1
-    assert idx.farthest_cw(3) == 0  # cw reach 1 beats 0
-    assert idx.farthest_cw(4) == 0  # cw reach 2 beats 1
+    assert idx.farthest(3, ccw=True) == 1  # reach 3 beats reach 1
+    assert idx.farthest(3, ccw=False) == 0  # cw reach 1 beats 0
+    assert idx.farthest(4, ccw=False) == 0  # cw reach 2 beats 1
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_full_item_always_wins(indexed):
     idx = far([(2, 3), (0, 6)], 6, indexed)
     for j in range(6):
-        assert idx.farthest_ccw(j) == 1
-        assert idx.farthest_cw(j) == 1
+        assert idx.farthest(j, ccw=True) == 1
+        assert idx.farthest(j, ccw=False) == 1
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_tie_breaks_to_smallest_id(indexed):
     idx = far([(2, 2), (1, 3)], 6, indexed)  # both ccw-end at 3
-    assert idx.farthest_ccw(2) == 0
-    assert idx.farthest_ccw(1) == 1  # only run 1 covers 1
+    assert idx.farthest(2, ccw=True) == 0
+    assert idx.farthest(1, ccw=True) == 1  # only run 1 covers 1
 
 
 def test_far_index_rejects_bad_input():
     idx = far(FAR_SINGLE, 6)
     with pytest.raises(ValueError):
-        idx.farthest_ccw(6)
+        idx.farthest(6, ccw=True)
     with pytest.raises(ValueError):
-        idx.farthest_cw(-1)
+        idx.farthest(-1, ccw=False)
     for bad in ([(0, 0)], [(6, 2)], [(-1, 2)], [(0, 7)]):
         with pytest.raises(ValueError):
             far(bad, 6)
@@ -200,8 +200,8 @@ def test_farthest_indexed_matches_naive():
         fast = far(runs, n, True)
         slow = far(runs, n, False)
         for j in range(n):
-            assert fast.farthest_ccw(j) == slow.farthest_ccw(j)
-            assert fast.farthest_cw(j) == slow.farthest_cw(j)
+            assert fast.farthest(j, ccw=True) == slow.farthest(j, ccw=True)
+            assert fast.farthest(j, ccw=False) == slow.farthest(j, ccw=False)
 
 
 @given(st.data())
@@ -215,7 +215,7 @@ def test_farthest_reach_is_correct_and_maximal(data):
     ]
     idx = far([(r.start, r.length) for r in runs], n)
     j = data.draw(st.integers(0, n - 1))
-    got = idx.farthest_ccw(j)
+    got = idx.farthest(j, ccw=True)
     covering = [r for r in runs if j in r]
     if not covering:
         assert got is None
@@ -232,10 +232,12 @@ def test_build_is_deterministic():
     runs = _random_runs(rng, 9, 8, buckets=9)
     a, b = level_of_runs(ring(9), runs), level_of_runs(ring(9), list(runs))
     for anchor in range(9):
-        assert a.global_chain_ccw(anchor) == b.global_chain_ccw(anchor)
-        assert a.bucket_chain_cw(anchor) == b.bucket_chain_cw(anchor)
+        assert a.global_chain(anchor, ccw=True) == b.global_chain(anchor, ccw=True)
+        assert a.bucket_chain(anchor, ccw=False) == b.bucket_chain(anchor, ccw=False)
     starts = np.array([s for s, _, _, _ in runs])
     lengths = np.array([k for _, k, _, _ in runs])
     c = FarthestEnclosingIndex(starts, lengths, 9)
     d = FarthestEnclosingIndex(starts.copy(), lengths.copy(), 9)
-    assert [c.farthest_ccw(j) for j in range(9)] == [d.farthest_ccw(j) for j in range(9)]
+    assert [c.farthest(j, ccw=True) for j in range(9)] == [
+        d.farthest(j, ccw=True) for j in range(9)
+    ]

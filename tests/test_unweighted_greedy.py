@@ -12,8 +12,7 @@ from diskdom.unweighted_greedy import (
     GreedyCandidate,
     GreedyLevel,
     greedy_bidirectional_step,
-    greedy_ccw_step,
-    greedy_cw_step,
+    greedy_step,
     make_greedy_validator,
     solve_unweighted,
 )
@@ -44,10 +43,10 @@ def build_levels(inst, upto, *, validator=None):
                 )
         else:
             for i in range(inst.n):
-                c = greedy_ccw_step(levels, i, t)
+                c = greedy_step(levels, i, t, ccw=True)
                 if c:
                     tbl.insert(i, c)
-                c = greedy_cw_step(levels, i, t)
+                c = greedy_step(levels, i, t, ccw=False)
                 if c:
                     tbl.insert(i, c)
                 for c in greedy_bidirectional_step(levels, i, t):
@@ -59,7 +58,7 @@ def build_levels(inst, upto, *, validator=None):
 
 def test_greedy_ccw_step_t4(t4):
     levels = build_levels(t4, 1)
-    cand = greedy_ccw_step(levels, 0, 2)
+    cand = greedy_step(levels, 0, 2, ccw=True)
     assert cand is not None and cand.length == 4
     # the global step picks the run through 2 reaching farthest ccw (owner 3)
     assert cand.witnesses == {0, 3}
@@ -68,7 +67,7 @@ def test_greedy_ccw_step_t4(t4):
 
 def test_greedy_cw_step_t4(t4):
     levels = build_levels(t4, 1)
-    cand = greedy_cw_step(levels, 0, 2)
+    cand = greedy_step(levels, 0, 2, ccw=False)
     assert cand is not None and cand.length == 4
     assert verify(t4, cand.witnesses)
 
@@ -76,7 +75,7 @@ def test_greedy_cw_step_t4(t4):
 def test_greedy_step_big_disk_short_circuit(big5):
     levels = build_levels(big5, 1)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
-    cand = greedy_ccw_step(levels, big, 2)
+    cand = greedy_step(levels, big, 2, ccw=True)
     assert cand.length == big5.n and cand.witnesses == {big}
 
 
@@ -91,7 +90,7 @@ def test_greedy_step_crawls_on_disjoint_disks():
         weighted=False,
     )
     levels = build_levels(inst, 1)
-    cand = greedy_ccw_step(levels, 0, 2)
+    cand = greedy_step(levels, 0, 2, ccw=True)
     assert cand is not None
     assert sorted(run_of(cand, 5).indices()) == [0, 1]
     assert cand.witnesses == {0, 1}
@@ -111,8 +110,8 @@ def test_bidirectional_step_stitches_both_extremes():
         cands = greedy_bidirectional_step(levels, i, 3)
         assert len(cands) <= 1  # one per split level; t=3 has a single split
         for cand in cands:
-            lx = levels[2].extreme_ccw(i)
-            ly = levels[2].extreme_cw(i)
+            lx = levels[2].extreme(i, ccw=True)
+            ly = levels[2].extreme(i, ccw=False)
             assert cand.witnesses == lx.witnesses | ly.witnesses
             assert i in run_of(cand, n)
 
@@ -135,8 +134,8 @@ def test_bucket_size_bound():
             else:
                 for i in range(inst.n):
                     for c in (
-                        greedy_ccw_step(levels, i, t),
-                        greedy_cw_step(levels, i, t),
+                        greedy_step(levels, i, t, ccw=True),
+                        greedy_step(levels, i, t, ccw=False),
                     ):
                         if c:
                             tbl.insert(i, c)
@@ -249,7 +248,7 @@ def test_full_run_is_the_extreme_both_ways(t4):
     full = GreedyCandidate(0, 4, frozenset((0, 2)), 0, 2)
     tbl.insert(0, partial)
     tbl.insert(0, full)
-    assert tbl.extreme_ccw(0) is full and tbl.extreme_cw(0) is full
+    assert tbl.extreme(0, ccw=True) is full and tbl.extreme(0, ccw=False) is full
     assert tbl.full_candidate is full
 
 
@@ -312,8 +311,7 @@ def test_counting_bound_agrees_across_strategies():
 def test_no_full_candidate_by_level_n_is_a_typed_error(monkeypatch, t4):
     import diskdom.unweighted_greedy as ug
 
-    monkeypatch.setattr(ug, "greedy_ccw_step", lambda levels, i, t: None)
-    monkeypatch.setattr(ug, "greedy_cw_step", lambda levels, i, t: None)
+    monkeypatch.setattr(ug, "greedy_step", lambda levels, i, t, *, ccw: None)
     monkeypatch.setattr(ug, "greedy_bidirectional_step", lambda levels, i, t: [])
     with pytest.raises(SolverInvariantError, match="no full candidate"):
         solve_unweighted(t4)
@@ -322,10 +320,10 @@ def test_no_full_candidate_by_level_n_is_a_typed_error(monkeypatch, t4):
 def test_first_full_candidate_of_wrong_size_is_a_typed_error(monkeypatch, t4):
     import diskdom.unweighted_greedy as ug
 
-    def one_witness_full(levels, i, t):
+    def one_witness_full(levels, i, t, *, ccw):
         return GreedyCandidate(0, t4.n, frozenset((i,)), i, t)
 
-    monkeypatch.setattr(ug, "greedy_ccw_step", one_witness_full)
+    monkeypatch.setattr(ug, "greedy_step", one_witness_full)
     with pytest.raises(SolverInvariantError, match="witnesses"):
         solve_unweighted(t4)
 
@@ -344,9 +342,9 @@ def test_steps_build_only_the_winning_candidate(monkeypatch):
 
     monkeypatch.setattr(ug, "GreedyCandidate", counting)
     for i in range(inst.n):
-        for step in (greedy_ccw_step, greedy_cw_step):
+        for ccw in (True, False):
             built.clear()
-            cand = step(levels, i, 4)
+            cand = greedy_step(levels, i, 4, ccw=ccw)
             assert len(built) == (cand is not None)
 
 
@@ -414,7 +412,7 @@ def test_invariant_errors_survive_optimized_mode():
             "import diskdom.unweighted_greedy as ug",
             "from diskdom import Point, WeightedDisk, canonicalize",
             "from diskdom.solution import SolverInvariantError",
-            "ug.greedy_ccw_step = ug.greedy_cw_step = lambda levels, i, t: None",
+            "ug.greedy_step = lambda levels, i, t, *, ccw: None",
             "ug.greedy_bidirectional_step = lambda levels, i, t: []",
             "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
             "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
@@ -476,10 +474,12 @@ def test_validators_raise_under_optimized_mode():
         "    'frozen weighted': frozen_weighted,",
         "    'frozen greedy': frozen_greedy,",
         "    'unfrozen weighted candidates': lambda: unfrozen_weighted().all_candidates(),",
-        "    'unfrozen weighted bucket chain': lambda: unfrozen_weighted().bucket_chain_ccw(0),",
-        "    'unfrozen weighted global chain': lambda: unfrozen_weighted().global_chain_cw(0),",
+        "    'unfrozen weighted bucket chain':",
+        "        lambda: unfrozen_weighted().bucket_chain(0, ccw=True),",
+        "    'unfrozen weighted global chain':",
+        "        lambda: unfrozen_weighted().global_chain(0, ccw=False),",
         "    'unfrozen greedy candidates': lambda: unfrozen_greedy().all_candidates(),",
-        "    'greedy step to level 1': lambda: ug.greedy_ccw_step([None], 0, 1),",
+        "    'greedy step to level 1': lambda: ug.greedy_step([None], 0, 1, ccw=True),",
         "}",
     ]
     for name, cand in cases.items():

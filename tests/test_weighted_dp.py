@@ -68,7 +68,12 @@ def frozen_levels(inst, upto=1, strategy="naive", indexed=True):
     return levels
 
 
-CHAIN_KINDS = ("bucket_chain_ccw", "bucket_chain_cw", "global_chain_ccw", "global_chain_cw")
+CHAIN_KINDS = (
+    ("bucket_chain", True),
+    ("bucket_chain", False),
+    ("global_chain", True),
+    ("global_chain", False),
+)
 
 
 def chain_instances():
@@ -94,23 +99,23 @@ def test_staircase_chains_match_scan_chains(inst):
     for t in range(1, k + 1):
         assert fast[t].all_candidates() == slow[t].all_candidates()
         for anchor in range(inst.n):
-            for kind in CHAIN_KINDS:
-                got = getattr(fast[t], kind)(anchor)
-                want = getattr(slow[t], kind)(anchor)
-                assert len(got) == len(want), (t, anchor, kind)
+            for kind, ccw in CHAIN_KINDS:
+                got = getattr(fast[t], kind)(anchor, ccw=ccw)
+                want = getattr(slow[t], kind)(anchor, ccw=ccw)
+                assert len(got) == len(want), (t, anchor, kind, ccw)
                 for a, b in zip(got, want):
-                    assert a == b, (t, anchor, kind)
+                    assert a == b, (t, anchor, kind, ccw)
 
 
 def test_big5_chains_end_in_full_runs(big5):
     levels = frozen_levels(big5, upto=3, strategy="bitset")
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     n = big5.n
-    assert [c.length == n for c in levels[1].bucket_chain_ccw(big)] == [True]
+    assert [c.length == n for c in levels[1].bucket_chain(big, ccw=True)] == [True]
     for t in (2, 3):
         for anchor in range(n):
-            for kind in CHAIN_KINDS:
-                chain = getattr(levels[t], kind)(anchor)
+            for kind, ccw in CHAIN_KINDS:
+                chain = getattr(levels[t], kind)(anchor, ccw=ccw)
                 assert chain and chain[-1].length == n
                 assert not any(c.length == n for c in chain[:-1])
 
