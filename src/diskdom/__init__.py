@@ -12,7 +12,6 @@ from .geometry import (
     Point,
     WeightedDisk,
     canonicalize,
-    disk_distance,
     intersects,
 )
 from .instance_io import (
@@ -37,7 +36,6 @@ from .oracle import (
     voronoi_assignment,
 )
 from .solution import Infeasible, InvalidK, Solution, SolverInvariantError, TooLarge
-from .sublist_queries import FarthestEnclosingIndex
 from .unweighted_greedy import solve_unweighted
 from .weighted_dp import solve_weighted, solve_weighted_unbounded
 
@@ -48,7 +46,6 @@ __all__ = [
     "BadParams",
     "CyclicSublist",
     "DuplicateCenter",
-    "FarthestEnclosingIndex",
     "GeometryError",
     "INTERSECTS_ALL",
     "Infeasible",
@@ -70,7 +67,6 @@ __all__ = [
     "canonicalize",
     "check_domination_of_assignment",
     "check_line_separable",
-    "disk_distance",
     "gen_figure1",
     "gen_random",
     "instance_document",

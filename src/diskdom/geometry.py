@@ -54,18 +54,6 @@ class WeightedDisk:
     weight: float = 1.0
 
 
-def disk_distance(d1: WeightedDisk, d2: WeightedDisk) -> float:
-    """Center distance minus the two radii; negative or zero when the disks meet.
-
-    It takes a square root, so near tangency its sign can disagree with
-    `intersects`, which compares squared distances and is the predicate
-    every solver and `verify` use.
-    """
-    dx = d2.center.x - d1.center.x
-    dy = d2.center.y - d1.center.y
-    return math.sqrt(dx * dx + dy * dy) - (d1.radius + d2.radius)
-
-
 def intersects(d1: WeightedDisk, d2: WeightedDisk) -> bool:
     """Closed intersection test; tangency counts.
 

@@ -30,7 +30,7 @@ from .geometry import (
     offset_ccw,
     orientation,
 )
-from .solution import Infeasible, Solution, TooLarge
+from .solution import Infeasible, Solution, TooLarge, check_size_bound
 
 MASK_CAP = 4096         # n cap for build_masks' materialized bitmask rows
 BRUTE_CAP = 22          # n cap for 2^n subset enumeration
@@ -99,13 +99,16 @@ def brute_force_min(
 
     Unweighted minimizes (size, weight); weighted minimizes (weight, size);
     remaining ties go to the lexicographically smallest canonical index
-    tuple, so results are deterministic.
+    tuple, so results are deterministic.  A k_cap that is not an integer
+    of at least 1 raises InvalidK.
     """
     n = instance.n
     if n > BRUTE_CAP:
         raise TooLarge(f"brute force capped at n <= {BRUTE_CAP}, got {n}")
     if mode not in ("weighted", "unweighted"):
         raise ValueError(f"unknown mode {mode!r}")
+    if k_cap is not None:
+        check_size_bound("k_cap", k_cap)
     dm = build_masks(instance)
     total = 1 << n
     cover = np.zeros(total, dtype=np.int64)

@@ -8,13 +8,16 @@ candidate ends the search; that candidate's witnesses are a smallest
 dominating set.
 
 Runs are (start, length) pairs of integers throughout, merged by
-`geometry.union_runs`.  One directional step (`greedy_step`, with the
-direction as a parameter) serves both ways round and scores every split
-level on them: the far-end lookup in a frozen level reads answers that
-a numpy sweep computed for all n indexes at freeze time.  Only each
-step's winner becomes a `GreedyCandidate` with its run and witness set.
+`geometry.union_runs`.  A level answers both of a step's questions from
+arrays that `GreedyLevel.freeze` builds once with numpy: each point's own
+candidate reaching farthest each way (`extreme`), and, for all n indexes,
+the candidate through the index reaching farthest each way
+(`farthest_ids`).  One directional step (`greedy_step`, with the direction
+as a parameter) serves both ways round and scores every split level on
+integers; only each step's winner becomes a `GreedyCandidate` with its run
+and witness set.
 
-The tests swap in a plain-scan twin of that sweep
+The tests swap in a plain-scan twin of `farthest_ids`
 (`tests/query_reference.py`) and check that the solves agree.
 """
 
@@ -36,7 +39,6 @@ from .solution import (
     check_size_bound,
     solution_of,
 )
-from .sublist_queries import FarthestEnclosingIndex
 
 
 @dataclass(frozen=True)
@@ -69,18 +71,74 @@ def _reach(start: int, length: int, i: int, n: int, ccw: bool) -> int:
     return (start + length - 1 - i) % n if ccw else (i - start) % n
 
 
-class GreedyLevel:
-    """One level's candidates with cached per-point directional extremes.
+def farthest_ids(starts, lengths, n: int) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    """Per index j, the id of the run through j reaching farthest ccw, and cw.
 
-    The extremes (farthest-reaching candidate each way around from the
-    owning point) are kept up on insertion from the runs' integer starts
-    and lengths, so later levels read them in O(1).  `freeze()` assigns
-    ids (bucket order, then insertion order), keeps every run's start and
-    length in lists ordered by id, builds the level's farthest-run index
-    from those arrays (`FarthestEnclosingIndex`, whose numpy sweep answers
-    all n indexes in both directions) and records the first full candidate,
-    if any.  Steps read the farthest answers from `far_ccw`/`far_cw`, the
-    index's answer lists.
+    The runs are (starts[k], lengths[k]) under ids k.  Reach from j is the
+    number of steps a run extends past j that way round, and n for a full
+    run, so a full run beats every partial one; equal reaches go to the
+    smallest id.  None where no run covers j.  Clockwise answers come from
+    the counterclockwise sweep (`_ccw_sweep`) over the mirrored runs:
+    mirroring the circle (index j to n - 1 - j) turns run (s, k) into
+    ((-s - k) mod n, k) and clockwise reach from j into counterclockwise
+    reach from n - 1 - j, keeping ids, so that sweep read back reversed
+    answers clockwise.
+    """
+    starts = np.asarray(starts, np.int64)
+    lengths = np.asarray(lengths, np.int64)
+    if len(starts) != len(lengths):
+        raise ValueError("starts and lengths differ in size")
+    if len(starts) and (
+        lengths.min() < 1 or lengths.max() > n or starts.min() < 0 or starts.max() >= n
+    ):
+        raise ValueError("runs must be nonempty with starts in [0, n)")
+    full = np.flatnonzero(lengths == n)
+    if len(full) or not len(starts):
+        ids = [int(full[0]) if len(full) else None] * n
+        return ids, ids
+    return _ccw_sweep(starts, lengths, n), _ccw_sweep((-starts - lengths) % n, lengths, n)[::-1]
+
+
+def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> list[Optional[int]]:
+    """Per index, the id of the partial run through it reaching farthest ccw.
+
+    Each run is one copy [s, e] on the line [0, 2n), e = s + length - 1
+    < 2n - 1, and covers j exactly when it covers stab j or stab j + n.
+    The best copy through a stab p is the one of largest (e, -id) among
+    starts <= p (a prefix maximum over starts), valid when e >= p; the
+    pair is packed into one int64 key, e * base + (base - 1 - id).  The
+    two stabs' answers then compete on reach, ties to the smaller id.
+    None where no run covers the index.
+    """
+    base = len(starts)
+    tie = np.arange(base - 1, -1, -1, dtype=np.int64)
+    best = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(best, starts, (starts + lengths - 1) * base + tie)
+    pref = np.maximum.accumulate(best)
+    j = np.arange(n, dtype=np.int64)
+    hits = []
+    for p in (j, j + n):
+        key = pref[np.minimum(p, n - 1)]
+        e = key // base
+        hits.append((np.where((key >= 0) & (e >= p), e - p, -1), key % base))
+    (r1, k1), (r2, k2) = hits
+    second = (r2 > r1) | ((r2 == r1) & (k2 > k1))
+    reach = np.where(second, r2, r1)
+    ids = base - 1 - np.where(second, k2, k1)
+    return [None if r < 0 else i for r, i in zip(reach.tolist(), ids.tolist())]
+
+
+class GreedyLevel:
+    """One level's candidates, bucketed by owning point; read only once frozen.
+
+    `insert` only appends to the owner's bucket.  `freeze()` assigns ids
+    (bucket order, then insertion order) and builds every answer the later
+    levels read, from int64 arrays of the runs' starts, lengths and owners:
+    each point's own candidate reaching farthest each way round
+    (`extreme`), the farthest-run answers for all n indexes
+    (`far_ccw`/`far_cw`, from `farthest_ids`), and the first full
+    candidate, if any.  Equal reaches go to the smallest id, the earliest
+    insert.
     """
 
     def __init__(
@@ -96,16 +154,12 @@ class GreedyLevel:
         self.level = level
         self.validator = validator
         self.frozen = False
-        self.n = n = instance.n
-        self.buckets: list[list[GreedyCandidate]] = [[] for _ in range(n)]
-        self._ext_ccw: list[Optional[GreedyCandidate]] = [None] * n
-        self._ext_cw: list[Optional[GreedyCandidate]] = [None] * n
-        self._reach_ccw = [-1] * n
-        self._reach_cw = [-1] * n
+        self.n = instance.n
+        self.buckets: list[list[GreedyCandidate]] = [[] for _ in range(self.n)]
         self.full_candidate: Optional[GreedyCandidate] = None
         self._by_id: list[GreedyCandidate] = []
-        self.starts: list[int] = []  # run start of each candidate id
-        self.lengths: list[int] = []  # run length of each candidate id
+        # per point and direction (keyed by ccw): its extreme, or None
+        self._extremes: dict[bool, list[Optional[GreedyCandidate]]] = {}
         # per index j: id of the candidate through j reaching farthest, or None
         self.far_ccw: Sequence[Optional[int]] = []
         self.far_cw: Sequence[Optional[int]] = []
@@ -116,38 +170,27 @@ class GreedyLevel:
         if self.validator is not None:
             self.validator(cand)
         self.buckets[i].append(cand)
-        s, k, n = cand.start, cand.length, self.n
-        if k == n and self.full_candidate is None:
-            self.full_candidate = cand
-        r_ccw, r_cw = _reach(s, k, i, n, True), _reach(s, k, i, n, False)
-        if r_ccw > self._reach_ccw[i]:
-            self._reach_ccw[i], self._ext_ccw[i] = r_ccw, cand
-        if r_cw > self._reach_cw[i]:
-            self._reach_cw[i], self._ext_cw[i] = r_cw, cand
 
     def freeze(self) -> None:
         n = self.n
-        self._by_id = [cand for bucket in self.buckets for cand in bucket]
-        self.starts = [cand.start for cand in self._by_id]
-        self.lengths = [cand.length for cand in self._by_id]
-        far = FarthestEnclosingIndex(
-            np.array(self.starts, dtype=np.int64), np.array(self.lengths, dtype=np.int64), n
-        )
-        self.far_ccw, self.far_cw = far.ccw_ids, far.cw_ids
-        if self.validator is not None:
-            self._check_extremes()
+        by_id = self._by_id = [cand for bucket in self.buckets for cand in bucket]
+        m = len(by_id)
+        starts = np.fromiter((cand.start for cand in by_id), np.int64, m)
+        lengths = np.fromiter((cand.length for cand in by_id), np.int64, m)
+        owners = np.repeat(np.arange(n, dtype=np.int64), [len(b) for b in self.buckets])
+        self.far_ccw, self.far_cw = farthest_ids(starts, lengths, n)
+        is_full = lengths == n
+        full = np.flatnonzero(is_full)
+        self.full_candidate = by_id[full[0]] if len(full) else None
+        # per owner, the largest key reach * m + (m - 1 - id): farthest
+        # reach, then smallest id
+        tie = np.arange(m - 1, -1, -1, dtype=np.int64)
+        for ccw, past in ((True, starts + lengths - 1 - owners), (False, owners - starts)):
+            reach = np.where(is_full, n, past % n)
+            best = np.full(n, -1, dtype=np.int64)
+            np.maximum.at(best, owners, reach * m + tie)
+            self._extremes[ccw] = [None if k < 0 else by_id[m - 1 - k % m] for k in best.tolist()]
         self.frozen = True
-
-    def _check_extremes(self) -> None:
-        n = self.n
-        for i, bucket in enumerate(self.buckets):
-            for f, ccw in ((self._ext_ccw[i], True), (self._ext_cw[i], False)):
-                best = max((_reach(c.start, c.length, i, n, ccw) for c in bucket), default=-1)
-                got = -1 if f is None else _reach(f.start, f.length, i, n, ccw)
-                if got != best:
-                    raise SolverInvariantError(
-                        f"cached extreme of point {i} reaches {got}, not {best}"
-                    )
 
     def all_candidates(self) -> Sequence[GreedyCandidate]:
         check_frozen(self)
@@ -155,16 +198,17 @@ class GreedyLevel:
 
     def extreme(self, i: int, *, ccw: bool) -> Optional[GreedyCandidate]:
         """Point i's candidate reaching farthest counterclockwise (or clockwise) from i."""
-        return (self._ext_ccw if ccw else self._ext_cw)[i]
+        check_frozen(self)
+        return self._extremes[ccw][i]
 
 
 def greedy_step(
     levels: Sequence[Optional[GreedyLevel]], i: int, t: int, *, ccw: bool
 ) -> Optional[GreedyCandidate]:
-    """Farthest-reaching extension of i's cached extremes, ccw or cw.
+    """Farthest-reaching extension of i's extremes, ccw or cw.
 
     One combination per split level t' is scored on (start, length)
-    integers: i's own level-t' extreme l1, the level-(t-t') run reaching
+    integers: i's own level-t' extreme l1, the level-(t-t') run l2 reaching
     farthest past l1's far end, and the stretch disk i dominates beyond
     that, merged with i's dominated run (`neighbor_index.one_way_run`).
     The one reaching farthest from i wins, ties to the smaller t'; only
@@ -175,31 +219,29 @@ def greedy_step(
     table1 = levels[1]
     nbr, n = table1.nbr, table1.n
     dom = nbr.dominated_run(i)
-    best = None  # (l1, level of l2, id of l2 or None, start, length)
+    best = None  # (l1, l2 or None, start, length)
     best_reach = -1
     for tp in range(1, t):
         l1 = levels[tp].extreme(i, ccw=ccw)
         if l1 is None:
             continue
         s1, k1 = l1.start, l1.length
-        other = levels[t - tp]
         if k1 == n:
-            hit, s, k = None, 0, n
+            l2, s, k = None, 0, n
         else:
+            other = levels[t - tp]
             hit = other.far_ccw[(s1 + k1) % n] if ccw else other.far_cw[(s1 - 1) % n]
             if hit is None:
                 continue
-            run2 = other.starts[hit], other.lengths[hit]
-            s, k = nbr.one_way_run(i, dom, (s1, k1), run2, ccw=ccw)
+            l2 = other.all_candidates()[hit]
+            s, k = nbr.one_way_run(i, dom, (s1, k1), (l2.start, l2.length), ccw=ccw)
         r = _reach(s, k, i, n, ccw)
         if r > best_reach:
-            best, best_reach = (l1, other, hit, s, k), r
+            best, best_reach = (l1, l2, s, k), r
     if best is None:
         return None
-    l1, other, hit, s, k = best
-    witnesses = l1.witnesses
-    if hit is not None:
-        witnesses = witnesses | other.all_candidates()[hit].witnesses
+    l1, l2, s, k = best
+    witnesses = l1.witnesses if l2 is None else l1.witnesses | l2.witnesses
     return GreedyCandidate(s, k, witnesses, i, t)
 
 

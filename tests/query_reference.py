@@ -2,9 +2,9 @@
 
 `NaiveNeighborIndex` answers the first-disjoint-disk queries by walking
 the cyclic order disk by disk with a scalar predicate, where the
-production index scans packed bit rows.  `ScanFarthestIndex` answers each
-farthest-enclosing-run query by scanning every stored run, on first
-lookup, where `FarthestEnclosingIndex` sweeps all indexes at build time.
+production index scans packed bit rows.  `scan_farthest_ids` answers each
+farthest-enclosing-run query by scanning every run, on first lookup,
+where `unweighted_greedy.farthest_ids` sweeps all indexes at once.
 The weighted DP's twin, `weighted_reference.ScanLevelTable`, builds its
 scan chains from plain cheapest-enclosing scans.
 
@@ -23,7 +23,6 @@ import pytest
 import diskdom.unweighted_greedy as ug
 import diskdom.weighted_dp as wdp
 from diskdom.neighbor_index import INTERSECTS_ALL, _BitsetNeighborIndex, build_neighbor_index
-from diskdom.sublist_queries import FarthestEnclosingIndex
 from weighted_reference import ScanLevelTable
 
 
@@ -78,18 +77,13 @@ class _Lazy(dict):
         return hit
 
 
-class ScanFarthestIndex(FarthestEnclosingIndex):
-    """Reference twin of `FarthestEnclosingIndex`: every stored run's reach, one by one."""
+def scan_farthest_ids(starts, lengths, n: int):
+    """Reference twin of `farthest_ids`: every run's reach, one by one."""
+    runs = list(zip(map(int, starts), map(int, lengths)))
 
-    def _sweep(self, starts, lengths):
-        self._runs = list(zip(starts.tolist(), lengths.tolist()))
-        self.ccw_ids = _Lazy(lambda j: self._scan(j, ccw=True))
-        self.cw_ids = _Lazy(lambda j: self._scan(j, ccw=False))
-
-    def _scan(self, j: int, *, ccw: bool) -> Optional[int]:
-        n = self.n
+    def scan(j: int, *, ccw: bool) -> Optional[int]:
         best = None  # (reach, -id)
-        for ident, (s, k) in enumerate(self._runs):
+        for ident, (s, k) in enumerate(runs):
             if k == n:
                 reach = n
             else:
@@ -102,6 +96,8 @@ class ScanFarthestIndex(FarthestEnclosingIndex):
                 best = key
         return None if best is None else -best[1]
 
+    return _Lazy(lambda j: scan(j, ccw=True)), _Lazy(lambda j: scan(j, ccw=False))
+
 
 @contextmanager
 def solvers_using(strategy: str = "bitset", indexed: bool = True):
@@ -111,5 +107,5 @@ def solvers_using(strategy: str = "bitset", indexed: bool = True):
             mp.setattr(solver, "build_neighbor_index", NEIGHBOR_INDEXES[strategy])
         if not indexed:
             mp.setattr(wdp, "LevelTable", ScanLevelTable)
-            mp.setattr(ug, "FarthestEnclosingIndex", ScanFarthestIndex)
+            mp.setattr(ug, "farthest_ids", scan_farthest_ids)
         yield

@@ -110,6 +110,7 @@ def test_usage_errors(t4_file, tmp_path):
     assert cli.main(["frobnicate"]) == 2
     out = tmp_path / "x.json"
     assert cli.main(["solve", "--in", str(t4_file), "--k", "0", "--out", str(out)]) == 2
+    assert cli.main(["oracle", "--in", str(t4_file), "--k", "0"]) == 2
     assert (
         cli.main(["gen", "--n", "5", "--family", "cube", "--out", str(out)]) == 2
     )

@@ -1,11 +1,11 @@
-"""The sweep-backed FarthestEnclosingIndex against its plain-scan twin."""
+"""The sweep behind `farthest_ids` against its plain-scan twin."""
 
 import random
 
 import numpy as np
 
-from diskdom.sublist_queries import FarthestEnclosingIndex
-from query_reference import ScanFarthestIndex
+from diskdom.unweighted_greedy import farthest_ids
+from query_reference import scan_farthest_ids
 
 
 def _runs(rng, n, m, *, fulls=0, dupes=0):
@@ -20,8 +20,9 @@ def _runs(rng, n, m, *, fulls=0, dupes=0):
     return starts, lengths
 
 
-def _answers(idx, n):
-    return [(idx.farthest(j, ccw=True), idx.farthest(j, ccw=False)) for j in range(n)]
+def _answers(ids, n):
+    ccw_ids, cw_ids = ids
+    return [(ccw_ids[j], cw_ids[j]) for j in range(n)]
 
 
 def test_sweep_matches_scan_twin():
@@ -35,8 +36,8 @@ def test_sweep_matches_scan_twin():
             fulls=rng.choice([0, 0, 1, 2, 3]),
             dupes=rng.randint(0, 4),
         )
-        fast = FarthestEnclosingIndex(starts, lengths, n)
-        slow = ScanFarthestIndex(starts, lengths, n)
+        fast = farthest_ids(starts, lengths, n)
+        slow = scan_farthest_ids(starts, lengths, n)
         assert _answers(fast, n) == _answers(slow, n), trial
 
 
@@ -47,8 +48,8 @@ def test_from_runs_matches_scan_twin_with_positions_as_ids():
         starts, lengths = _runs(
             rng, n, rng.randint(0, 12), fulls=rng.choice([0, 0, 2]), dupes=3
         )
-        fast = FarthestEnclosingIndex(starts, lengths, n)
-        slow = ScanFarthestIndex(starts, lengths, n)
+        fast = farthest_ids(starts, lengths, n)
+        slow = scan_farthest_ids(starts, lengths, n)
         assert _answers(fast, n) == _answers(slow, n), trial
 
 
@@ -56,16 +57,16 @@ def test_duplicate_runs_answer_with_the_smallest_id():
     n = 8
     wrap = (6, 4)  # 6, 7, 0, 1
     starts, lengths = zip((2, 1), wrap, wrap, wrap)
-    for index in (FarthestEnclosingIndex, ScanFarthestIndex):
-        idx = index(starts, lengths, n)
-        assert [idx.farthest(j, ccw=True) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
-        assert [idx.farthest(j, ccw=False) for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
+    for answer in (farthest_ids, scan_farthest_ids):
+        ccw_ids, cw_ids = answer(starts, lengths, n)
+        assert [ccw_ids[j] for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
+        assert [cw_ids[j] for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
 
 
 def test_several_full_runs_answer_with_the_smallest_full_id():
     n = 5
     starts, lengths = [2, 0, 0], [4, n, n]
-    for index in (FarthestEnclosingIndex, ScanFarthestIndex):
-        idx = index(starts, lengths, n)
-        assert {idx.farthest(j, ccw=True) for j in range(n)} == {1}
-        assert {idx.farthest(j, ccw=False) for j in range(n)} == {1}
+    for answer in (farthest_ids, scan_farthest_ids):
+        ccw_ids, cw_ids = answer(starts, lengths, n)
+        assert {ccw_ids[j] for j in range(n)} == {1}
+        assert {cw_ids[j] for j in range(n)} == {1}

@@ -14,7 +14,6 @@ from diskdom.geometry import (
     WeightedDisk,
     canonicalize,
     disk_arrays,
-    disk_distance,
     intersects,
     intersects_row,
     offset_ccw,
@@ -31,18 +30,6 @@ def disk(x, y, r, w=1.0):
 # ---------------------------------------------------------------- predicates
 
 
-def test_disk_distance_direct_formula():
-    d = disk_distance(disk(0, 0, 0.6), disk(1, 1, 0.6))
-    assert d == pytest.approx(math.sqrt(2.0) - 1.2, abs=1e-15)
-    assert d > 0
-
-
-def test_disk_distance_symmetry_and_overlap_sign():
-    a, b = disk(0, 0, 1.0), disk(1, 0, 0.5)
-    assert disk_distance(a, b) == disk_distance(b, a)
-    assert disk_distance(a, b) < 0  # overlapping
-
-
 def test_intersects_tangency_counts():
     assert intersects(disk(0, 0, 1.0), disk(2, 0, 1.0))
 
@@ -53,12 +40,19 @@ def test_intersects_false_beyond_reach():
 
 def test_intersects_matches_distance_sign_randomized():
     import random
+    from fractions import Fraction
+
+    def exact_meet(a, b):
+        dx = Fraction(b.center.x) - Fraction(a.center.x)
+        dy = Fraction(b.center.y) - Fraction(a.center.y)
+        rr = Fraction(a.radius) + Fraction(b.radius)
+        return dx * dx + dy * dy <= rr * rr
 
     rng = random.Random(1234)
     for _ in range(2000):
         a = disk(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 3))
         b = disk(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 3))
-        assert intersects(a, b) == (disk_distance(a, b) <= 0)
+        assert intersects(a, b) == exact_meet(a, b)
 
 
 # ------------------------------------------------------------- canonicalize

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskdom.geometry import CyclicSublist, offset_ccw
-from diskdom.sublist_queries import FarthestEnclosingIndex
-from query_reference import ScanFarthestIndex
+from diskdom.unweighted_greedy import farthest_ids
+from query_reference import scan_farthest_ids
 from weighted_reference import (
     bucket_min_enclosing,
     chain_answer,
@@ -139,9 +139,15 @@ def test_min_enclosing_monotone_in_query(data):
 
 
 def far(runs, n, indexed=True):
-    """The farthest index over `runs`, or its `ScanFarthestIndex` twin."""
-    index = FarthestEnclosingIndex if indexed else ScanFarthestIndex
-    return index([s for s, _ in runs], [k for _, k in runs], n)
+    """`farthest_ids` over `runs`, or its `scan_farthest_ids` twin, as a query."""
+    answers = (farthest_ids if indexed else scan_farthest_ids)(
+        [s for s, _ in runs], [k for _, k in runs], n
+    )
+
+    def farthest(j, *, ccw):
+        return answers[not ccw][j]
+
+    return farthest
 
 
 FAR_SINGLE = [(2, 3)]  # [2..4]
@@ -149,47 +155,42 @@ FAR_SINGLE = [(2, 3)]  # [2..4]
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_single_item(indexed):
-    idx = far(FAR_SINGLE, 6, indexed)
-    assert idx.farthest(3, ccw=True) == 0
+    farthest = far(FAR_SINGLE, 6, indexed)
+    assert farthest(3, ccw=True) == 0
     assert offset_ccw(3, run(*FAR_SINGLE[0], 6).ccw_end, 6) == 1
-    assert idx.farthest(5, ccw=True) is None
-    assert idx.farthest(5, ccw=False) is None
+    assert farthest(5, ccw=True) is None
+    assert farthest(5, ccw=False) is None
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_prefers_longer_reach(indexed):
-    idx = far([(2, 3), (3, 4)], 6, indexed)  # [2..4], [3..0]
-    assert idx.farthest(3, ccw=True) == 1  # reach 3 beats reach 1
-    assert idx.farthest(3, ccw=False) == 0  # cw reach 1 beats 0
-    assert idx.farthest(4, ccw=False) == 0  # cw reach 2 beats 1
+    farthest = far([(2, 3), (3, 4)], 6, indexed)  # [2..4], [3..0]
+    assert farthest(3, ccw=True) == 1  # reach 3 beats reach 1
+    assert farthest(3, ccw=False) == 0  # cw reach 1 beats 0
+    assert farthest(4, ccw=False) == 0  # cw reach 2 beats 1
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_full_item_always_wins(indexed):
-    idx = far([(2, 3), (0, 6)], 6, indexed)
+    farthest = far([(2, 3), (0, 6)], 6, indexed)
     for j in range(6):
-        assert idx.farthest(j, ccw=True) == 1
-        assert idx.farthest(j, ccw=False) == 1
+        assert farthest(j, ccw=True) == 1
+        assert farthest(j, ccw=False) == 1
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_farthest_tie_breaks_to_smallest_id(indexed):
-    idx = far([(2, 2), (1, 3)], 6, indexed)  # both ccw-end at 3
-    assert idx.farthest(2, ccw=True) == 0
-    assert idx.farthest(1, ccw=True) == 1  # only run 1 covers 1
+    farthest = far([(2, 2), (1, 3)], 6, indexed)  # both ccw-end at 3
+    assert farthest(2, ccw=True) == 0
+    assert farthest(1, ccw=True) == 1  # only run 1 covers 1
 
 
 def test_far_index_rejects_bad_input():
-    idx = far(FAR_SINGLE, 6)
-    with pytest.raises(ValueError):
-        idx.farthest(6, ccw=True)
-    with pytest.raises(ValueError):
-        idx.farthest(-1, ccw=False)
     for bad in ([(0, 0)], [(6, 2)], [(-1, 2)], [(0, 7)]):
         with pytest.raises(ValueError):
             far(bad, 6)
     with pytest.raises(ValueError):
-        FarthestEnclosingIndex([0, 1], [2], 6)
+        farthest_ids([0, 1], [2], 6)
 
 
 def test_farthest_indexed_matches_naive():
@@ -200,8 +201,8 @@ def test_farthest_indexed_matches_naive():
         fast = far(runs, n, True)
         slow = far(runs, n, False)
         for j in range(n):
-            assert fast.farthest(j, ccw=True) == slow.farthest(j, ccw=True)
-            assert fast.farthest(j, ccw=False) == slow.farthest(j, ccw=False)
+            assert fast(j, ccw=True) == slow(j, ccw=True)
+            assert fast(j, ccw=False) == slow(j, ccw=False)
 
 
 @given(st.data())
@@ -213,9 +214,9 @@ def test_farthest_reach_is_correct_and_maximal(data):
         run(data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n)), n)
         for _ in range(m)
     ]
-    idx = far([(r.start, r.length) for r in runs], n)
+    farthest = far([(r.start, r.length) for r in runs], n)
     j = data.draw(st.integers(0, n - 1))
-    got = idx.farthest(j, ccw=True)
+    got = farthest(j, ccw=True)
     covering = [r for r in runs if j in r]
     if not covering:
         assert got is None
@@ -236,8 +237,6 @@ def test_build_is_deterministic():
         assert a.bucket_chain(anchor, ccw=False) == b.bucket_chain(anchor, ccw=False)
     starts = np.array([s for s, _, _, _ in runs])
     lengths = np.array([k for _, k, _, _ in runs])
-    c = FarthestEnclosingIndex(starts, lengths, 9)
-    d = FarthestEnclosingIndex(starts.copy(), lengths.copy(), 9)
-    assert [c.farthest(j, ccw=True) for j in range(9)] == [
-        d.farthest(j, ccw=True) for j in range(9)
-    ]
+    c = farthest_ids(starts, lengths, 9)
+    d = farthest_ids(starts.copy(), lengths.copy(), 9)
+    assert c == d

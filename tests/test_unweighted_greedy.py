@@ -149,13 +149,81 @@ def test_bucket_size_bound():
                 break
 
 
+def scan_extreme(level, i, *, ccw):
+    """The first candidate of bucket i reaching farthest from i, or None."""
+    n = level.n
+    best, best_reach = None, -1
+    for c in level.buckets[i]:
+        if c.length == n:
+            reach = n
+        else:
+            reach = (c.start + c.length - 1 - i) % n if ccw else (i - c.start) % n
+        if reach > best_reach:
+            best, best_reach = c, reach
+    return best
+
+
+def assert_extremes_match_scans(level):
+    for i in range(level.n):
+        for ccw in (True, False):
+            assert level.extreme(i, ccw=ccw) is scan_extreme(level, i, ccw=ccw), (i, ccw)
+
+
 def test_cached_extremes_match_scans():
-    # freeze() re-derives every cached extreme by scanning the bucket when a
-    # validator is attached; any divergence trips its assertion
+    # every extreme freeze() builds, on levels built with the validator
+    # attached, is the bucket scan's first farthest-reaching candidate
     rng = random.Random(11)
     for _ in range(10):
         inst = rand_instance(rng, rng.randint(3, 12))
-        build_levels(inst, min(4, inst.n), validator=make_greedy_validator(inst))
+        levels = build_levels(inst, min(4, inst.n), validator=make_greedy_validator(inst))
+        for level in levels[1:]:
+            assert_extremes_match_scans(level)
+
+
+def test_frozen_extremes_match_scans_on_solved_instances(monkeypatch, t4):
+    import diskdom.unweighted_greedy as ug
+    from diskdom import gen_figure1, gen_random
+
+    frozen = []
+
+    class RecordingLevel(GreedyLevel):
+        def freeze(self):
+            super().freeze()
+            frozen.append(self)
+
+    monkeypatch.setattr(ug, "GreedyLevel", RecordingLevel)
+    instances = [t4, gen_figure1(9).to_instance(weighted=False)]
+    for n, seed in ((40, 1), (120, 2), (400, 3)):
+        doc = gen_random(n, seed, "circle", "uniform(1.0,3.0)", "unit")
+        instances.append(doc.to_instance(weighted=False))
+    for inst in instances:
+        frozen.clear()
+        size = solve_unweighted(inst).size
+        assert len(frozen) == size
+        for level in frozen:
+            assert_extremes_match_scans(level)
+    assert size >= 4  # the n=400 solve has several levels
+
+
+def test_extreme_reach_ties_go_to_the_earliest_insert(t4):
+    tbl = GreedyLevel(t4, NaiveNeighborIndex(t4), 2)
+    tbl.insert(0, GreedyCandidate(0, 2, frozenset((0, 1)), 0, 2))
+    first = GreedyCandidate(1, 2, frozenset((1, 2)), 1, 2)  # [1, 2]
+    later = GreedyCandidate(0, 3, frozenset((0, 1)), 1, 2)  # [0, 2]
+    tbl.insert(1, first)
+    tbl.insert(1, later)
+    first_full = GreedyCandidate(1, 4, frozenset((2, 3)), 2, 2)
+    tbl.insert(2, first_full)
+    tbl.insert(2, GreedyCandidate(2, 4, frozenset((2, 0)), 2, 2))
+    tbl.freeze()
+    # both reach 1 ccw from point 1; the earlier insert wins
+    assert tbl.extreme(1, ccw=True) is first
+    assert tbl.extreme(1, ccw=False) is later  # cw reach 1 beats 0
+    # full runs reach n both ways; the first full run wins the tie
+    assert tbl.extreme(2, ccw=True) is first_full
+    assert tbl.extreme(2, ccw=False) is first_full
+    assert tbl.full_candidate is first_full
+    assert tbl.extreme(3, ccw=True) is None and tbl.extreme(3, ccw=False) is None
 
 
 def test_solve_big_disk(big5):
@@ -248,6 +316,7 @@ def test_full_run_is_the_extreme_both_ways(t4):
     full = GreedyCandidate(0, 4, frozenset((0, 2)), 0, 2)
     tbl.insert(0, partial)
     tbl.insert(0, full)
+    tbl.freeze()
     assert tbl.extreme(0, ccw=True) is full and tbl.extreme(0, ccw=False) is full
     assert tbl.full_candidate is full
 
@@ -349,19 +418,19 @@ def test_steps_build_only_the_winning_candidate(monkeypatch):
 
 
 def test_freeze_builds_no_valued_sublists(monkeypatch):
-    # the farthest index of every level is built from two integer arrays,
-    # never from per-candidate objects
+    # the farthest answers of every level are built from two integer
+    # arrays, never from per-candidate objects
     import diskdom.unweighted_greedy as ug
 
     builds = []
+    sweep = ug.farthest_ids
 
-    class ArraysOnly(ug.FarthestEnclosingIndex):
-        def __init__(self, starts, lengths, n, **kwargs):
-            assert starts.dtype == lengths.dtype == np.int64
-            builds.append(len(starts))
-            super().__init__(starts, lengths, n, **kwargs)
+    def arrays_only(starts, lengths, n):
+        assert starts.dtype == lengths.dtype == np.int64
+        builds.append(len(starts))
+        return sweep(starts, lengths, n)
 
-    monkeypatch.setattr(ug, "FarthestEnclosingIndex", ArraysOnly)
+    monkeypatch.setattr(ug, "farthest_ids", arrays_only)
     rng = random.Random(3)
     inst = rand_instance(rng, 12, 0.3, 1.5)
     size = solve_unweighted(inst).size
@@ -450,12 +519,6 @@ def test_validators_raise_under_optimized_mode():
         "    'weighted': wdp.make_validator(inst),",
         "    'greedy': ug.make_greedy_validator(inst),",
         "}",
-        "def extremes():",
-        "    nbr = build_neighbor_index(inst)",
-        "    level = ug.GreedyLevel(inst, nbr, 1, validator=validators['greedy'])",
-        "    level.insert(0, ug.GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))",
-        "    level._ext_ccw[0] = None  # the cached extreme is lost",
-        "    level.freeze()",
         "def frozen_weighted():",
         "    table = wdp.init_level_one(inst, build_neighbor_index(inst))",
         "    table.insert(1, table.buckets[1][0])",
@@ -470,7 +533,6 @@ def test_validators_raise_under_optimized_mode():
         "def unfrozen_greedy():",
         "    return ug.GreedyLevel(inst, build_neighbor_index(inst), 1)",
         "checks = {",
-        "    'extremes': extremes,",
         "    'frozen weighted': frozen_weighted,",
         "    'frozen greedy': frozen_greedy,",
         "    'unfrozen weighted candidates': lambda: unfrozen_weighted().all_candidates(),",
@@ -479,6 +541,7 @@ def test_validators_raise_under_optimized_mode():
         "    'unfrozen weighted global chain':",
         "        lambda: unfrozen_weighted().global_chain(0, ccw=False),",
         "    'unfrozen greedy candidates': lambda: unfrozen_greedy().all_candidates(),",
+        "    'unfrozen greedy extreme': lambda: unfrozen_greedy().extreme(0, ccw=True),",
         "    'greedy step to level 1': lambda: ug.greedy_step([None], 0, 1, ccw=True),",
         "}",
     ]
@@ -497,7 +560,8 @@ def test_validators_raise_under_optimized_mode():
         "unfrozen weighted bucket chain",
         "unfrozen weighted global chain",
         "unfrozen greedy candidates",
+        "unfrozen greedy extreme",
         "greedy step to level 1",
     ]
-    expected = ["extremes", "frozen weighted", "frozen greedy", *reads, *cases]
+    expected = ["frozen weighted", "frozen greedy", *reads, *cases]
     assert sorted(raised) == sorted(expected)
