@@ -97,8 +97,15 @@ def _mode_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.set_defaults(weighted=False)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadParams(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_instance(path: str, *, weighted: bool):
-    doc = load_instance_document(Path(path).read_text())
+    doc = load_instance_document(_read_text(path))
     return doc, doc.to_instance(weighted=weighted)
 
 
@@ -133,7 +140,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     _, inst = _read_instance(args.infile, weighted=False)
-    doc = load_solution_document(Path(args.solution).read_text(), inst)
+    doc = load_solution_document(_read_text(args.solution), inst)
     if doc.verified:
         print("verified")
         return 0
@@ -217,7 +224,7 @@ def _cmd_plot(args) -> int:
     _, inst = _read_instance(args.infile, weighted=False)
     solution = None
     if args.solution is not None:
-        solution = load_solution_document(Path(args.solution).read_text(), inst).centers
+        solution = load_solution_document(_read_text(args.solution), inst).centers
     out = Path(args.out)
     out.write_text(render_svg(inst, solution))
     print(f"wrote {out}")

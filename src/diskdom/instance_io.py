@@ -175,7 +175,10 @@ def load_instance_document(text: str) -> InstanceDocument:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadParams(f"{where} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadParams(f"{where} is beyond float range") from None
 
 
 @dataclass

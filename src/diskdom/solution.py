@@ -42,12 +42,6 @@ def check_size_bound(name: str, k, hi: Optional[int] = None) -> None:
         raise InvalidK(f"{name} must be in [1, {hi}], got {k}")
 
 
-def check_frozen(table) -> None:
-    """A level table (`frozen`, `level`) is read only after its `freeze()`."""
-    if not table.frozen:
-        raise SolverInvariantError(f"level {table.level} read before freeze")
-
-
 @dataclass(frozen=True)
 class Solution:
     """A dominating set, reported in the caller's original disk order.

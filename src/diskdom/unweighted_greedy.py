@@ -8,14 +8,15 @@ candidate ends the search; that candidate's witnesses are a smallest
 dominating set.
 
 Runs are (start, length) pairs of integers throughout, merged by
-`geometry.union_runs`.  A level answers both of a step's questions from
-arrays that `GreedyLevel.freeze` builds once with numpy: each point's own
-candidate reaching farthest each way (`extreme`), and, for all n indexes,
-the candidate through the index reaching farthest each way
-(`farthest_ids`).  One directional step (`greedy_step`, with the direction
-as a parameter) serves both ways round and scores every split level on
-integers; only each step's winner becomes a `GreedyCandidate` with its run
-and witness set.
+`geometry.union_runs`.  `build_level` builds each level once, from the
+levels before it.  A level answers both of a step's questions from arrays
+its constructor builds with numpy: each point's own candidate reaching
+farthest each way (`extreme`), and, for all n indexes, the candidate
+through the index reaching farthest each way (`farthest_ids`).  One
+directional step (`greedy_step`, with the direction as a parameter)
+serves both ways round and scores every split level on integers; only
+each step's winner becomes a `GreedyCandidate` with its run and witness
+set.
 
 The tests swap in a plain-scan twin of `farthest_ids`
 (`tests/query_reference.py`) and check that the solves agree.
@@ -35,7 +36,6 @@ from .solution import (
     Solution,
     SolverInvariantError,
     check_dominated_run,
-    check_frozen,
     check_size_bound,
     solution_of,
 )
@@ -53,7 +53,7 @@ class GreedyCandidate:
 
 
 def make_greedy_validator(instance: Instance) -> Callable[[GreedyCandidate], None]:
-    """Checks run on every inserted candidate; failures raise SolverInvariantError."""
+    """Checks run on every candidate of a level; failures raise SolverInvariantError."""
     n = instance.n
 
     def validate(cand: GreedyCandidate) -> None:
@@ -129,81 +129,52 @@ def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> list[Optional
 
 
 class GreedyLevel:
-    """One level's candidates, bucketed by owning point; read only once frozen.
+    """One level's candidates, bucketed by owning point; never changed.
 
-    `insert` only appends to the owner's bucket.  `freeze()` assigns ids
-    (bucket order, then insertion order) and builds every answer the later
-    levels read, from int64 arrays of the runs' starts, lengths and owners:
-    each point's own candidate reaching farthest each way round
-    (`extreme`), the farthest-run answers for all n indexes
-    (`far_ccw`/`far_cw`, from `farthest_ids`), and the first full
-    candidate, if any.  Equal reaches go to the smallest id, the earliest
-    insert.
+    The constructor assigns ids (bucket order, then position in the
+    bucket) and builds every answer the later levels read, from int64
+    arrays of the runs' starts, lengths and owners: each point's own
+    candidate reaching farthest each way round (`extreme`), the
+    farthest-run answers for all n indexes (`far_ccw`/`far_cw`, from
+    `farthest_ids`), and the first full candidate, if any.  Equal reaches
+    go to the smallest id.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        nbr,
-        level: int,
-        *,
-        validator: Optional[Callable[[GreedyCandidate], None]] = None,
-    ):
+    def __init__(self, instance: Instance, level: int, buckets: list[list[GreedyCandidate]]):
         self.instance = instance
-        self.nbr = nbr
         self.level = level
-        self.validator = validator
-        self.frozen = False
-        self.n = instance.n
-        self.buckets: list[list[GreedyCandidate]] = [[] for _ in range(self.n)]
-        self.full_candidate: Optional[GreedyCandidate] = None
-        self._by_id: list[GreedyCandidate] = []
-        # per point and direction (keyed by ccw): its extreme, or None
-        self._extremes: dict[bool, list[Optional[GreedyCandidate]]] = {}
-        # per index j: id of the candidate through j reaching farthest, or None
-        self.far_ccw: Sequence[Optional[int]] = []
-        self.far_cw: Sequence[Optional[int]] = []
-
-    def insert(self, i: int, cand: GreedyCandidate) -> None:
-        if self.frozen:
-            raise SolverInvariantError(f"insert into frozen level {self.level}")
-        if self.validator is not None:
-            self.validator(cand)
-        self.buckets[i].append(cand)
-
-    def freeze(self) -> None:
-        n = self.n
-        by_id = self._by_id = [cand for bucket in self.buckets for cand in bucket]
+        self.buckets = buckets
+        n = self.n = instance.n
+        by_id = self._by_id = [cand for bucket in buckets for cand in bucket]
         m = len(by_id)
         starts = np.fromiter((cand.start for cand in by_id), np.int64, m)
         lengths = np.fromiter((cand.length for cand in by_id), np.int64, m)
-        owners = np.repeat(np.arange(n, dtype=np.int64), [len(b) for b in self.buckets])
+        owners = np.repeat(np.arange(n, dtype=np.int64), [len(b) for b in buckets])
+        # per index j: id of the candidate through j reaching farthest, or None
         self.far_ccw, self.far_cw = farthest_ids(starts, lengths, n)
         is_full = lengths == n
         full = np.flatnonzero(is_full)
         self.full_candidate = by_id[full[0]] if len(full) else None
-        # per owner, the largest key reach * m + (m - 1 - id): farthest
-        # reach, then smallest id
+        # per point and direction (keyed by ccw): the largest key
+        # reach * m + (m - 1 - id), farthest reach, then smallest id
+        self._extremes: dict[bool, list[Optional[GreedyCandidate]]] = {}
         tie = np.arange(m - 1, -1, -1, dtype=np.int64)
         for ccw, past in ((True, starts + lengths - 1 - owners), (False, owners - starts)):
             reach = np.where(is_full, n, past % n)
             best = np.full(n, -1, dtype=np.int64)
             np.maximum.at(best, owners, reach * m + tie)
             self._extremes[ccw] = [None if k < 0 else by_id[m - 1 - k % m] for k in best.tolist()]
-        self.frozen = True
 
     def all_candidates(self) -> Sequence[GreedyCandidate]:
-        check_frozen(self)
         return self._by_id
 
     def extreme(self, i: int, *, ccw: bool) -> Optional[GreedyCandidate]:
         """Point i's candidate reaching farthest counterclockwise (or clockwise) from i."""
-        check_frozen(self)
         return self._extremes[ccw][i]
 
 
 def greedy_step(
-    levels: Sequence[Optional[GreedyLevel]], i: int, t: int, *, ccw: bool
+    nbr, levels: Sequence[Optional[GreedyLevel]], i: int, t: int, *, ccw: bool
 ) -> Optional[GreedyCandidate]:
     """Farthest-reaching extension of i's extremes, ccw or cw.
 
@@ -216,8 +187,7 @@ def greedy_step(
     """
     if t < 2:
         raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
-    table1 = levels[1]
-    nbr, n = table1.nbr, table1.n
+    n = nbr.n
     dom = nbr.dominated_run(i)
     best = None  # (l1, l2 or None, start, length)
     best_reach = -1
@@ -246,12 +216,11 @@ def greedy_step(
 
 
 def greedy_bidirectional_step(
-    levels: Sequence[Optional[GreedyLevel]], i: int, t: int
+    nbr, levels: Sequence[Optional[GreedyLevel]], i: int, t: int
 ) -> list[GreedyCandidate]:
     """One stitched candidate per split level: ccw and cw extremes joined at i."""
-    table1 = levels[1]
-    n = table1.n
-    dom = table1.nbr.dominated_run(i)
+    n = nbr.n
+    dom = nbr.dominated_run(i)
     out = []
     for tp in range(2, t):
         lx = levels[tp].extreme(i, ccw=True)
@@ -263,6 +232,35 @@ def greedy_bidirectional_step(
     return out
 
 
+def build_level(
+    instance: Instance,
+    nbr,
+    levels: Sequence[Optional[GreedyLevel]],
+    t: int,
+    *,
+    validator: Optional[Callable[[GreedyCandidate], None]] = None,
+) -> GreedyLevel:
+    """Level t, built from levels 1..t-1 (`levels[t']`).
+
+    Level 1 holds one candidate per point: its own dominated run.  Later
+    levels hold each point's ccw and cw steps, then its stitched
+    candidates.  Every candidate goes through `validator`, if given.
+    """
+    buckets = []
+    for i in range(instance.n):
+        if t == 1:
+            bucket = [GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1)]
+        else:
+            steps = (greedy_step(nbr, levels, i, t, ccw=ccw) for ccw in (True, False))
+            bucket = [cand for cand in steps if cand is not None]
+            bucket += greedy_bidirectional_step(nbr, levels, i, t)
+        if validator is not None:
+            for cand in bucket:
+                validator(cand)
+        buckets.append(bucket)
+    return GreedyLevel(instance, t, buckets)
+
+
 def solve_unweighted(
     instance: Instance, k_cap: Optional[int] = None, *, check_invariants: bool = False
 ) -> Solution:
@@ -272,7 +270,7 @@ def solve_unweighted(
     Infeasible right after level 1.  SolverInvariantError reports a search
     that broke its own guarantees: no full candidate by level n, or a
     first full candidate whose witness count differs from its level.
-    `check_invariants=True` also validates every inserted candidate.
+    `check_invariants=True` also validates every candidate of every level.
     """
     if k_cap is not None:
         check_size_bound("k_cap", k_cap)
@@ -289,22 +287,10 @@ def solve_unweighted(
             raise Infeasible(k_cap)
         if t > n:
             raise SolverInvariantError(f"no full candidate by level {n}")
-        table = GreedyLevel(instance, nbr, t, validator=validator)
-        if t == 1:
-            for i in range(n):
-                table.insert(i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1))
-        else:
-            for i in range(n):
-                for ccw in (True, False):
-                    cand = greedy_step(levels, i, t, ccw=ccw)
-                    if cand is not None:
-                        table.insert(i, cand)
-                for cand in greedy_bidirectional_step(levels, i, t):
-                    table.insert(i, cand)
-        table.freeze()
-        levels.append(table)
-        if table.full_candidate is not None:
-            winner = table.full_candidate
+        level = build_level(instance, nbr, levels, t, validator=validator)
+        levels.append(level)
+        if level.full_candidate is not None:
+            winner = level.full_candidate
             if len(winner.witnesses) != t:
                 # the first full level equals the optimum cardinality
                 raise SolverInvariantError(

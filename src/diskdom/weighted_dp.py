@@ -19,7 +19,7 @@ Runs are (start, length) pairs of integers throughout, merged by
 `geometry.union_runs`, and a bucket keeps one candidate per run: the
 first to arrive, replaced only by a strictly cheaper copy.
 
-Each combination asks a frozen level for the cheapest run containing a
+Each combination asks a built level for the cheapest run containing a
 query run that grows from a fixed anchor, one index at a time.  The answer
 only changes when the query outgrows it, so the solver consumes whole
 scan chains: the distinct answers in order of growing query.  A chain is
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .solution import (
     Solution,
     SolverInvariantError,
     check_dominated_run,
-    check_frozen,
     check_size_bound,
     solution_of,
 )
@@ -70,7 +69,7 @@ class Candidate:
 
 
 def make_validator(instance: Instance) -> Callable[[Candidate], None]:
-    """Checks run on every inserted candidate; failures raise SolverInvariantError."""
+    """Checks run on every candidate before dedup; failures raise SolverInvariantError."""
     disks = instance.disks
 
     def validate(cand: Candidate) -> None:
@@ -83,60 +82,25 @@ def make_validator(instance: Instance) -> Callable[[Candidate], None]:
 
 
 class LevelTable:
-    """All candidates of one level, bucketed by owning point.
+    """All candidates of one level, bucketed by owning point; never changed.
 
-    Mutable until `freeze()`.  `insert` keeps one candidate per run and
-    bucket: a run's first insertion fixes its bucket position, and a later
-    copy replaces it there only when strictly cheaper.  `freeze()` assigns
-    candidate ids (bucket order, then insertion order) and lays the runs
-    out as numpy arrays twice: sorted by (value, id) over the whole level,
-    and sorted by (value, id) within each bucket, so that every bucket is
-    a contiguous slice.  The two scan-chain methods, each taking the
-    direction as a parameter, answer from those arrays (see `_staircase`)
-    and cache their chains in one dict; frozen tables never change.
+    `buckets[i]` lists point i's candidates, one per run (`dedup_runs`).
+    The constructor assigns candidate ids (bucket order, then position in
+    the bucket) and lays the runs out as numpy arrays twice: sorted by
+    (value, id) over the whole level, and sorted by (value, id) within
+    each bucket, so that every bucket is a contiguous slice.  The two
+    scan-chain methods, each taking the direction as a parameter, answer
+    from those arrays (see `_staircase`) and cache their chains in one
+    dict.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        nbr,
-        level: int,
-        *,
-        validator: Optional[Callable[[Candidate], None]] = None,
-    ):
+    def __init__(self, instance: Instance, level: int, buckets: list[list[Candidate]]):
         self.instance = instance
-        self.nbr = nbr
         self.level = level
-        self.validator = validator
-        self.frozen = False
-        self.buckets: list[list[Candidate]] = [[] for _ in range(instance.n)]
-        self._slot = [dict() for _ in range(instance.n)]  # (start, length) -> bucket position
-        self._by_id: list[Candidate] = []
-        self._bucket_lo: list[int] = []  # bucket i holds ids [lo[i], lo[i+1])
-        self._global_runs: Optional[_SortedRuns] = None
-        self._bucket_runs: Optional[_SortedRuns] = None
-        self._chains: dict[tuple, list[Candidate]] = {}  # (bucket chain?, anchor, ccw) -> chain
-
-    def insert(self, i: int, cand: Candidate) -> None:
-        if self.frozen:
-            raise SolverInvariantError(f"insert into frozen level {self.level}")
-        if self.validator is not None:
-            self.validator(cand)
-        bucket = self.buckets[i]
-        slot = self._slot[i]
-        run = (cand.start, cand.length)
-        pos = slot.get(run)
-        if pos is None:
-            slot[run] = len(bucket)
-            bucket.append(cand)
-        elif cand.value < bucket[pos].value:
-            bucket[pos] = cand
-
-    def freeze(self) -> None:
-        self._by_id = [cand for bucket in self.buckets for cand in bucket]
-        sizes = [len(bucket) for bucket in self.buckets]
-        self._bucket_lo = [0, *accumulate(sizes)]
-        self._slot = []  # dedup lookups end with inserting
+        self.buckets = buckets
+        self._by_id = [cand for bucket in buckets for cand in bucket]
+        sizes = [len(bucket) for bucket in buckets]
+        self._bucket_lo = [0, *accumulate(sizes)]  # bucket i holds ids [lo[i], lo[i+1])
         m = len(self._by_id)
         starts = np.fromiter((c.start for c in self._by_id), np.int64, m)
         lengths = np.fromiter((c.length for c in self._by_id), np.int64, m)
@@ -147,10 +111,9 @@ class LevelTable:
         by_bucket = np.lexsort((values, owners))
         self._global_runs = _SortedRuns(by_value, starts, lengths)
         self._bucket_runs = _SortedRuns(by_bucket, starts, lengths)
-        self.frozen = True
+        self._chains: dict[tuple, list[Candidate]] = {}  # (bucket chain?, anchor, ccw) -> chain
 
     def all_candidates(self) -> Sequence[Candidate]:
-        check_frozen(self)
         return self._by_id
 
     # -- distinct-answer scan chains ------------------------------------
@@ -180,12 +143,10 @@ class LevelTable:
         return [by_id[k] for k in runs.ids[lo:hi][steps].tolist()]
 
     def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
-        check_frozen(self)
         lo, hi = self._bucket_lo[i : i + 2]
         return self._staircase(self._bucket_runs, lo, hi, i, ccw=ccw)
 
     def _global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
-        check_frozen(self)
         return self._staircase(self._global_runs, 0, len(self._by_id), anchor, ccw=ccw)
 
     def bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
@@ -204,7 +165,7 @@ class LevelTable:
 
 
 class _SortedRuns:
-    """A frozen level's candidate runs, permuted into one (value, id) order."""
+    """A level's candidate runs, permuted into one (value, id) order."""
 
     __slots__ = ("ids", "starts", "lengths")
 
@@ -214,68 +175,102 @@ class _SortedRuns:
         self.lengths = lengths[order]
 
 
-def init_level_one(instance: Instance, nbr, *, validator=None) -> LevelTable:
-    """One candidate per point: its own dominated run at its own weight."""
-    table = LevelTable(instance, nbr, 1, validator=validator)
-    for i in range(instance.n):
-        weight = instance.disks[i].weight
-        table.insert(i, Candidate(*nbr.dominated_run(i), weight, frozenset((i,)), i, 1))
-    table.freeze()
-    return table
+def dedup_runs(
+    cands: Iterable[Candidate], validator: Optional[Callable[[Candidate], None]]
+) -> list[Candidate]:
+    """One bucket: `cands` with one candidate per run.
+
+    Every candidate goes through `validator` first, unless it is None.  A
+    run's first candidate fixes its position in the bucket, and a later
+    copy replaces it there only when strictly cheaper.
+    """
+    bucket: list[Candidate] = []
+    slot: dict[tuple[int, int], int] = {}  # (start, length) -> bucket position
+    for cand in cands:
+        if validator is not None:
+            validator(cand)
+        run = (cand.start, cand.length)
+        pos = slot.get(run)
+        if pos is None:
+            slot[run] = len(bucket)
+            bucket.append(cand)
+        elif cand.value < bucket[pos].value:
+            bucket[pos] = cand
+    return bucket
 
 
-def _directional_combos(levels, table: LevelTable, i: int, t: int, *, ccw: bool) -> None:
-    """Insert i's one-way level-t candidates, counterclockwise or clockwise.
+def _directional_combos(nbr, levels, i: int, t: int, *, ccw: bool) -> Iterator[Candidate]:
+    """i's one-way level-t candidates, counterclockwise or clockwise.
 
     For each split level t', every run l1 of i's level-t' bucket chain is
     extended by every run l2 of the level-(t-t') global chain starting just
     past l1's far end, then by the stretch disk i dominates past l2's far
     end.  A full l1 is a candidate by itself.
     """
-    nbr = table.nbr
-    n = table.instance.n
+    n = nbr.n
     dom = nbr.dominated_run(i)
     for tp in range(1, t):
         other = levels[t - tp]
         for l1 in levels[tp].bucket_chain(i, ccw=ccw):
             run1 = s1, k1 = l1.start, l1.length
             if k1 == n:
-                table.insert(i, Candidate(0, n, l1.value, l1.witnesses, i, t))
+                yield Candidate(0, n, l1.value, l1.witnesses, i, t)
                 continue
             for l2 in other.global_chain((s1 + k1) % n if ccw else (s1 - 1) % n, ccw=ccw):
                 s, k = nbr.one_way_run(i, dom, run1, (l2.start, l2.length), ccw=ccw)
-                table.insert(
-                    i,
-                    Candidate(
-                        s, k, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
-                    ),
-                )
+                yield Candidate(s, k, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t)
 
 
-def _bidi_combos(levels, table: LevelTable, i: int, t: int) -> None:
-    nbr = table.nbr
-    n = table.instance.n
+def _bidi_combos(nbr, levels, i: int, t: int) -> Iterator[Candidate]:
+    n = nbr.n
     dom = nbr.dominated_run(i)
-    wi = table.instance.disks[i].weight
+    wi = nbr.instance.disks[i].weight
     for tp in range(2, t):
         other = levels[t + 1 - tp]
         for lx in levels[tp].bucket_chain(i, ccw=True):
             for ly in other.bucket_chain(i, ccw=False):
                 s, k = union_runs(n, (dom, (lx.start, lx.length), (ly.start, ly.length)))
-                table.insert(
-                    i,
-                    Candidate(
-                        s, k, lx.value + ly.value - wi, lx.witnesses | ly.witnesses, i, t
-                    ),
-                )
+                yield Candidate(s, k, lx.value + ly.value - wi, lx.witnesses | ly.witnesses, i, t)
+
+
+def build_level(
+    instance: Instance,
+    nbr,
+    levels: Sequence[Optional[LevelTable]],
+    t: int,
+    *,
+    validator: Optional[Callable[[Candidate], None]] = None,
+) -> LevelTable:
+    """Level t, combined from levels 1..t-1 (`levels[t']`).
+
+    Level 1 holds one candidate per point: its own dominated run at its
+    own weight.  Every candidate goes through `validator`, if given,
+    before the same-run dedup of its bucket (`dedup_runs`).
+    """
+    if t == 1:
+        owners = (
+            [Candidate(*nbr.dominated_run(i), disk.weight, frozenset((i,)), i, 1)]
+            for i, disk in enumerate(instance.disks)
+        )
+    else:
+        owners = (
+            chain(
+                _directional_combos(nbr, levels, i, t, ccw=True),
+                _directional_combos(nbr, levels, i, t, ccw=False),
+                _bidi_combos(nbr, levels, i, t),
+            )
+            for i in range(instance.n)
+        )
+    return LevelTable(instance, t, [dedup_runs(cands, validator) for cands in owners])
 
 
 def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:
     """Minimum-weight dominating set of size at most k, or Infeasible.
 
     Deterministic for fixed inputs.  `check_invariants=True` validates
-    every inserted candidate and raises SolverInvariantError on a broken
-    one; it changes nothing about the result.
+    every candidate, also those the same-run dedup drops, and raises
+    SolverInvariantError on a broken one; it changes nothing about the
+    result.
 
     When the counting bound (`domination_lower_bound`) already exceeds k,
     Infeasible is raised right after level 1, before any level is combined.
@@ -284,17 +279,11 @@ def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False
     n = instance.n
     nbr = build_neighbor_index(instance)
     validator = make_validator(instance) if check_invariants else None
-    levels: list[Optional[LevelTable]] = [None, init_level_one(instance, nbr, validator=validator)]
-    if k < n and nbr.domination_lower_bound() > k:
-        raise Infeasible(k)
-    for t in range(2, k + 1):
-        table = LevelTable(instance, nbr, t, validator=validator)
-        for i in range(n):
-            _directional_combos(levels, table, i, t, ccw=True)
-            _directional_combos(levels, table, i, t, ccw=False)
-            _bidi_combos(levels, table, i, t)
-        table.freeze()
-        levels.append(table)
+    levels: list[Optional[LevelTable]] = [None]
+    for t in range(1, k + 1):
+        levels.append(build_level(instance, nbr, levels, t, validator=validator))
+        if t == 1 and k < n and nbr.domination_lower_bound() > k:
+            raise Infeasible(k)
     best: Optional[Candidate] = None
     for t in range(1, k + 1):
         for cand in levels[t].all_candidates():

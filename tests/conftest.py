@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import pytest
 
 from diskdom.geometry import Point, WeightedDisk, canonicalize
@@ -63,3 +65,28 @@ def big5():
         r = 100.0 if k == 0 else 0.5
         pts.append((10 * math.cos(a), 10 * math.sin(a), r))
     return mk_instance(pts)
+
+
+def subprocess_env():
+    """This environment with PYTHONPATH set to the package's `src`, for child Pythons."""
+    import os
+    from pathlib import Path
+
+    import diskdom
+
+    return {**os.environ, "PYTHONPATH": str(Path(diskdom.__file__).parent.parent)}
+
+
+@contextmanager
+def recording(module, name):
+    """Every instance of the class `module.<name>` built inside the block, in order."""
+    built = []
+
+    class Recording(getattr(module, name)):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, Recording)
+        yield built

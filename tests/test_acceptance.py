@@ -12,6 +12,8 @@ import random
 import time
 from pathlib import Path
 
+import diskdom.unweighted_greedy as ug
+from conftest import recording
 from diskdom import cli
 from diskdom.instance_io import gen_figure1, gen_random
 from diskdom.neighbor_index import build_neighbor_index
@@ -23,15 +25,7 @@ from diskdom.oracle import (
     voronoi_assignment,
 )
 from diskdom.solution import Infeasible
-from diskdom.unweighted_greedy import (
-    GreedyCandidate,
-    GreedyLevel,
-    greedy_bidirectional_step,
-    greedy_step,
-    farthest_ids,
-    make_greedy_validator,
-    solve_unweighted,
-)
+from diskdom.unweighted_greedy import farthest_ids, solve_unweighted
 from diskdom.weighted_dp import solve_weighted, solve_weighted_unbounded
 from query_reference import NaiveNeighborIndex, scan_farthest_ids
 
@@ -205,45 +199,19 @@ def test_solver_invariant_suite():
     checked = 0
     for path in CORPUS:
         inst_u = load_corpus(path, weighted=False)
-        sol = solve_unweighted(inst_u, check_invariants=True)
+        # bucket growth bound, checked on every level the validated solve builds
+        with recording(ug, "GreedyLevel") as levels:
+            sol = solve_unweighted(inst_u, check_invariants=True)
         assert verify(inst_u, inst_u.to_canonical(sol.centers)), path.name
+        for level in levels:
+            for i, bucket in enumerate(level.buckets):
+                assert len(bucket) <= 2 + max(0, level.level - 2), (path.name, level.level, i)
         inst_w = load_corpus(path, weighted=True)
         for k in (sol.size, inst_w.n):
             got = solve_weighted(inst_w, k, check_invariants=True)
             assert verify(inst_w, inst_w.to_canonical(got.centers)), (path.name, k)
         unbounded = solve_weighted_unbounded(inst_w, check_invariants=True)
         assert verify(inst_w, inst_w.to_canonical(unbounded.centers)), path.name
-
-        # bucket growth bound, checked level by level while re-running the
-        # greedy table construction with its validator attached
-        nbr = NaiveNeighborIndex(inst_u)
-        validator = make_greedy_validator(inst_u)
-        levels = [None]
-        t = 0
-        while True:
-            t += 1
-            table = GreedyLevel(inst_u, nbr, t, validator=validator)
-            if t == 1:
-                for i in range(inst_u.n):
-                    table.insert(
-                        i, GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1)
-                    )
-            else:
-                for i in range(inst_u.n):
-                    for cand in (
-                        greedy_step(levels, i, t, ccw=True),
-                        greedy_step(levels, i, t, ccw=False),
-                    ):
-                        if cand is not None:
-                            table.insert(i, cand)
-                    for cand in greedy_bidirectional_step(levels, i, t):
-                        table.insert(i, cand)
-            for i in range(inst_u.n):
-                assert len(table.buckets[i]) <= 2 + max(0, t - 2), (path.name, t, i)
-            table.freeze()
-            levels.append(table)
-            if table.full_candidate is not None or t >= inst_u.n:
-                break
         checked += 1
     assert checked == len(CORPUS) and checked >= 8
     print(

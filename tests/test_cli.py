@@ -126,6 +126,35 @@ def test_io_errors(tmp_path):
     assert cli.main(["gen", "--n", "0", "--out", str(out)]) == 3
 
 
+def test_integer_beyond_float_range_is_a_validation_error(t4_file, tmp_path, capsys):
+    huge = 10**400  # 401 digits; json writes it out exactly
+    doc = json.loads(t4_file.read_text())
+    doc["points"][0]["x"] = huge
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--in", str(bad), "--out", str(out)]) == 3
+    assert cli.main(["solve", "--in", str(t4_file), "--out", str(out)]) == 0
+    assert cli.main(["verify", "--in", str(bad), "--solution", str(out)]) == 3
+    sol = json.loads(out.read_text())
+    sol["weight"] = huge
+    out.write_text(json.dumps(sol))
+    assert cli.main(["verify", "--in", str(t4_file), "--solution", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "Traceback" not in err
+
+
+def test_file_that_is_not_utf8_is_a_validation_error(t4_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--in", str(bad), "--out", str(out)]) == 3
+    assert cli.main(["solve", "--in", str(t4_file), "--out", str(out)]) == 0
+    assert cli.main(["verify", "--in", str(bad), "--solution", str(out)]) == 3
+    assert cli.main(["verify", "--in", str(t4_file), "--solution", str(bad)]) == 3
+    assert capsys.readouterr().err.count("error:") == 3
+
+
 def test_plot_writes_svg(t4_file, tmp_path):
     sol = tmp_path / "sol.json"
     cli.main(["solve", "--in", str(t4_file), "--out", str(sol)])

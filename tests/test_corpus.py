@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-import diskdom
+from conftest import subprocess_env
 from diskdom.instance_io import load_instance_document
 from diskdom.oracle import brute_force_min
 
@@ -38,13 +38,12 @@ def test_corpus_pinned_optimum_sizes():
 
 def test_generator_script_reproduces_corpus_byte_identically(tmp_path):
     script = ROOT / "demos" / "generate_corpus.py"
-    src = str(Path(diskdom.__file__).parent.parent)
     subprocess.run(
         [sys.executable, str(script), str(tmp_path)],
         check=True,
         capture_output=True,
         cwd=ROOT,
-        env={"PYTHONPATH": src},
+        env=subprocess_env(),
     )
     rebuilt = sorted(tmp_path.glob("*.json"))
     assert [p.name for p in rebuilt] == [p.name for p in CORPUS]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import diskdom
+from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("quickstart.py", "separability_diagnostic.py")
@@ -18,12 +18,11 @@ DEMOS = ("quickstart.py", "separability_diagnostic.py")
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    src = str(Path(diskdom.__file__).parent.parent)
     out = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src},
+        env=subprocess_env(),
         timeout=120,
     )
     assert out.returncode == 0, out.stderr

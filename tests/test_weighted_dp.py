@@ -4,7 +4,7 @@ import random
 import pytest
 
 import diskdom.weighted_dp as wdp
-from conftest import T4_POINTS, mk_instance
+from conftest import T4_POINTS, mk_instance, recording
 from diskdom.geometry import union_runs
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
@@ -12,9 +12,8 @@ from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.weighted_dp import (
     Candidate,
     LevelTable,
-    _bidi_combos,
-    _directional_combos,
-    init_level_one,
+    build_level,
+    dedup_runs,
     make_validator,
     solve_weighted,
     solve_weighted_unbounded,
@@ -24,12 +23,12 @@ from run_reference import run_of
 from weighted_reference import bidirectional_processing, directional_processing
 
 
-def ccw_processing(levels, i, j, t):
-    return directional_processing(levels, i, j, t, ccw=True)
+def ccw_processing(nbr, levels, i, j, t):
+    return directional_processing(nbr, levels, i, j, t, ccw=True)
 
 
-def cw_processing(levels, i, j, t):
-    return directional_processing(levels, i, j, t, ccw=False)
+def cw_processing(nbr, levels, i, j, t):
+    return directional_processing(nbr, levels, i, j, t, ccw=False)
 
 
 def rand_instance(rng, n, *, spread=(0.3, 3.0)):
@@ -52,20 +51,17 @@ def rand_instance(rng, n, *, spread=(0.3, 3.0)):
     )
 
 
-def frozen_levels(inst, upto=1, strategy="naive", indexed=True):
-    """Levels 1..upto as `solve_weighted` builds them; `indexed=False` uses the scan twin."""
+def build_levels(inst, upto=1, strategy="naive", indexed=True):
+    """The neighbor index and levels 1..upto that `solve_weighted` builds.
+
+    `indexed=False` builds the levels as the scan twin.
+    """
     with solvers_using(strategy, indexed):
         nbr = wdp.build_neighbor_index(inst)
-        levels = [None, init_level_one(inst, nbr)]
-        for t in range(2, upto + 1):
-            tbl = wdp.LevelTable(inst, nbr, t)
-            for i in range(inst.n):
-                _directional_combos(levels, tbl, i, t, ccw=True)
-                _directional_combos(levels, tbl, i, t, ccw=False)
-                _bidi_combos(levels, tbl, i, t)
-            tbl.freeze()
-            levels.append(tbl)
-    return levels
+        levels = [None]
+        for t in range(1, upto + 1):
+            levels.append(build_level(inst, nbr, levels, t))
+    return nbr, levels
 
 
 CHAIN_KINDS = (
@@ -94,8 +90,8 @@ def chain_instances():
 @pytest.mark.parametrize("inst", list(chain_instances()))
 def test_staircase_chains_match_scan_chains(inst):
     k = min(inst.n, 5)
-    fast = frozen_levels(inst, upto=k, strategy="bitset")
-    slow = frozen_levels(inst, upto=k, strategy="bitset", indexed=False)
+    _, fast = build_levels(inst, upto=k, strategy="bitset")
+    _, slow = build_levels(inst, upto=k, strategy="bitset", indexed=False)
     for t in range(1, k + 1):
         assert fast[t].all_candidates() == slow[t].all_candidates()
         for anchor in range(inst.n):
@@ -108,7 +104,7 @@ def test_staircase_chains_match_scan_chains(inst):
 
 
 def test_big5_chains_end_in_full_runs(big5):
-    levels = frozen_levels(big5, upto=3, strategy="bitset")
+    _, levels = build_levels(big5, upto=3, strategy="bitset")
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     n = big5.n
     assert [c.length == n for c in levels[1].bucket_chain(big, ccw=True)] == [True]
@@ -121,9 +117,8 @@ def test_big5_chains_end_in_full_runs(big5):
 
 
 def test_level_one_t4(t4):
-    levels = frozen_levels(t4)
+    _, levels = build_levels(t4)
     table = levels[1]
-    assert table.frozen
     for i in range(4):
         (cand,) = table.buckets[i]
         assert cand.witnesses == {i}
@@ -133,8 +128,7 @@ def test_level_one_t4(t4):
 
 
 def test_level_one_big_disk(big5):
-    nbr = NaiveNeighborIndex(big5)
-    table = init_level_one(big5, nbr)
+    table = build_level(big5, NaiveNeighborIndex(big5), [None], 1)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     (cand,) = table.buckets[big]
     assert (cand.start, cand.length) == (0, big5.n)
@@ -142,15 +136,14 @@ def test_level_one_big_disk(big5):
 
 def test_level_one_single():
     inst = mk_instance([(0.0, 0.0, 1.0, 2.5)])
-    nbr = NaiveNeighborIndex(inst)
-    table = init_level_one(inst, nbr)
+    table = build_level(inst, NaiveNeighborIndex(inst), [None], 1)
     (cand,) = table.buckets[0]
     assert (cand.start, cand.length) == (0, 1) and cand.value == 2.5
 
 
 def test_ccw_processing_t4_full(t4):
-    levels = frozen_levels(t4)
-    cand = ccw_processing(levels, 0, 2, 2)
+    nbr, levels = build_levels(t4)
+    cand = ccw_processing(nbr, levels, 0, 2, 2)
     assert cand is not None
     assert cand.length == 4
     assert cand.value == 2.0
@@ -160,8 +153,8 @@ def test_ccw_processing_t4_full(t4):
 
 
 def test_cw_processing_t4_full(t4):
-    levels = frozen_levels(t4)
-    cand = cw_processing(levels, 0, 2, 2)
+    nbr, levels = build_levels(t4)
+    cand = cw_processing(nbr, levels, 0, 2, 2)
     assert cand is not None and cand.length == 4 and cand.value == 2.0
     assert verify(t4, cand.witnesses)
 
@@ -175,39 +168,39 @@ def test_ccw_processing_all_skipped():
             for a in [k * 2 * math.pi / 6 for k in range(6)]
         ]
     )
-    levels = frozen_levels(inst)
-    assert ccw_processing(levels, 0, 3, 2) is None
-    assert cw_processing(levels, 0, 3, 2) is None
+    nbr, levels = build_levels(inst)
+    assert ccw_processing(nbr, levels, 0, 3, 2) is None
+    assert cw_processing(nbr, levels, 0, 3, 2) is None
     # the immediate neighbour is reachable, though
-    cand = ccw_processing(levels, 0, 1, 2)
+    cand = ccw_processing(nbr, levels, 0, 1, 2)
     assert cand is not None and sorted(run_of(cand, 6).indices()) == [0, 1]
 
 
 def test_ccw_processing_big_disk_short_circuit(big5):
-    levels = frozen_levels(big5)
+    nbr, levels = build_levels(big5)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     w_big = big5.disks[big].weight
-    cand = ccw_processing(levels, big, (big + 2) % 5, 2)
+    cand = ccw_processing(nbr, levels, big, (big + 2) % 5, 2)
     assert cand is not None and cand.length == 5
     assert cand.value == w_big and cand.witnesses == {big}
 
 
 def test_bidirectional_t2_empty_range(t4):
-    levels = frozen_levels(t4)
-    assert bidirectional_processing(levels, 0, 1, 3, 2) is None
+    nbr, levels = build_levels(t4)
+    assert bidirectional_processing(nbr, levels, 0, 1, 3, 2) is None
 
 
 def test_bidirectional_counts_owner_once():
     rng = random.Random(77)
     inst = rand_instance(rng, 9, spread=(1.5, 4.0))
-    levels = frozen_levels(inst, upto=2)
+    nbr, levels = build_levels(inst, upto=2)
     n = inst.n
     for i in range(n):
         for x in range(n):
             for y in range(n):
                 if x == i or y == i:
                     continue
-                cand = bidirectional_processing(levels, i, x, y, 3)
+                cand = bidirectional_processing(nbr, levels, i, x, y, 3)
                 if cand is None:
                     continue
                 assert i in cand.witnesses
@@ -246,13 +239,13 @@ def test_chain_tables_hold_every_processing_candidate(inst):
     n = inst.n
     k = min(n, 4)
     for indexed in (True, False):
-        levels = frozen_levels(inst, upto=k, strategy="bitset", indexed=indexed)
+        nbr, levels = build_levels(inst, upto=k, strategy="bitset", indexed=indexed)
         checked = 0
         for t in range(2, k + 1):
             for i in range(n):
                 for j in range(n):
                     for ccw in (True, False):
-                        cand = directional_processing(levels, i, j, t, ccw=ccw)
+                        cand = directional_processing(nbr, levels, i, j, t, ccw=ccw)
                         if cand is not None:
                             assert holds_as_good(levels[t], i, cand), (t, i, j, ccw)
                             checked += 1
@@ -260,7 +253,7 @@ def test_chain_tables_hold_every_processing_candidate(inst):
                     for y in range(n):
                         if i in (x, y):
                             continue
-                        cand = bidirectional_processing(levels, i, x, y, t)
+                        cand = bidirectional_processing(nbr, levels, i, x, y, t)
                         if cand is not None:
                             assert holds_as_good(levels[t], i, cand), (t, i, x, y)
                             checked += 1
@@ -391,59 +384,46 @@ def test_validator_rejects_bad_candidates(t4):
         validate(Candidate(*run, 2.0, frozenset((0, 1)), 0, 1))
 
 
-def test_level_tables_freeze_semantics(t4):
-    nbr = NaiveNeighborIndex(t4)
-    table = init_level_one(t4, nbr)
-    with pytest.raises(SolverInvariantError, match="frozen"):
-        table.insert(0, table.buckets[0][0])
-
-
 def test_insert_keeps_one_candidate_per_run():
     # one bucket of a ring of 8; values and witnesses tell the copies apart
     angles = [k * math.pi / 4 for k in range(8)]
     inst = mk_instance([(math.cos(a), math.sin(a), 0.1) for a in angles])
-    table = LevelTable(inst, None, 2)
 
     def cand(start, length, value, tag):
         return Candidate(start, length, value, frozenset((0, tag)), 0, 2)
 
-    other = Candidate(1, 3, 0.5, frozenset((3,)), 3, 2)
-    table.insert(3, other)  # another bucket, inserted first, keys its runs apart
     first = cand(1, 3, 5.0, 1)
-    table.insert(0, first)
-    table.insert(0, cand(4, 2, 1.0, 2))
-    table.insert(0, cand(1, 3, 5.0, 3))  # equal value: dropped
-    assert table.buckets[0] == [first, cand(4, 2, 1.0, 2)]
-    table.insert(0, cand(1, 3, 4.0, 4))  # strictly cheaper: replaces in place
-    assert table.buckets[0] == [cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2)]
+    cands = [first, cand(4, 2, 1.0, 2), cand(1, 3, 5.0, 3)]  # equal value: dropped
+    assert dedup_runs(cands, None) == [first, cand(4, 2, 1.0, 2)]
+    cands.append(cand(1, 3, 4.0, 4))  # strictly cheaper: replaces in place
+    assert dedup_runs(cands, None) == [cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2)]
     # full runs from different merges all arrive as (0, n): one key
     full = cand(*union_runs(8, [(6, 3), (0, 6)]), 9.0, 5)
-    table.insert(0, full)
-    table.insert(0, cand(*union_runs(8, [(2, 5), (7, 4)]), 9.0, 6))
-    table.insert(0, cand(*union_runs(8, [(3, 2), (5, 4), (1, 2)]), 9.5, 7))
-    assert table.buckets[0][2] is full and len(table.buckets[0]) == 3
-    table.insert(0, cand(0, 8, 3.0, 8))
-    assert table.buckets[0][2] == cand(0, 8, 3.0, 8)
-    table.freeze()
+    cands.append(full)
+    cands.append(cand(*union_runs(8, [(2, 5), (7, 4)]), 9.0, 6))
+    cands.append(cand(*union_runs(8, [(3, 2), (5, 4), (1, 2)]), 9.5, 7))
+    bucket = dedup_runs(cands, None)
+    assert bucket[2] is full and len(bucket) == 3
+    cands.append(cand(0, 8, 3.0, 8))
+    seen = []
+    bucket = dedup_runs(cands, seen.append)
+    assert bucket[2] == cand(0, 8, 3.0, 8)
+    assert seen == cands  # the validator sees every candidate, dropped ones too
+    # another bucket holding the same run keeps its own copy
+    other = Candidate(1, 3, 0.5, frozenset((3,)), 3, 2)
+    buckets = [bucket, [], [], dedup_runs([other], None), [], [], [], []]
+    table = LevelTable(inst, 2, buckets)
     # ids follow bucket order, then first-insertion order within a bucket
     assert list(table.all_candidates()) == [
         cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2), cand(0, 8, 3.0, 8), other
     ]
 
 
-def test_k_below_counting_bound_stops_after_level_one(monkeypatch):
+def test_k_below_counting_bound_stops_after_level_one():
     from diskdom import gen_random
 
     inst = gen_random(300, 300, "circle", "uniform(0.5,1.0)", "unit").to_instance()
     assert build_neighbor_index(inst).domination_lower_bound() == 15
-    built = []
-
-    class CountingTable(LevelTable):
-        def __init__(self, *args, **kwargs):
-            built.append(args[2])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(wdp, "LevelTable", CountingTable)
-    with pytest.raises(Infeasible):
+    with recording(wdp, "LevelTable") as built, pytest.raises(Infeasible):
         solve_weighted(inst, 6)
-    assert built == [1]
+    assert [table.level for table in built] == [1]

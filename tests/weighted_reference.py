@@ -1,7 +1,7 @@
 """Reference code the weighted DP is tested against; the solver never runs it.
 
 `bucket_min_enclosing` and `global_min_enclosing` are the plain-scan
-cheapest-enclosing queries over a frozen level: every candidate, in id
+cheapest-enclosing queries over a level: every candidate, in id
 order.  `ScanLevelTable` is the level table's reference twin: it builds
 each scan chain from those queries, one growing run at a time
 (`scan_chain`), instead of reading it off a staircase.
@@ -16,8 +16,8 @@ theirs.
 Both merge runs with the test-side `run_reference.union_extend`, not the
 solver's `union_runs`.
 
-`level_of_runs` builds a frozen level table straight from runs and
-values, so the chain and scan queries can be tested on arbitrary input.
+`level_of_runs` builds a level table straight from runs and values, so
+the chain and scan queries can be tested on arbitrary input.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from conftest import mk_instance
 from diskdom.geometry import CyclicSublist, offset_ccw
-from diskdom.solution import check_frozen
 from diskdom.weighted_dp import Candidate, LevelTable
 from run_reference import run_of, union_extend
 
@@ -48,7 +47,6 @@ def _cheapest_containing(cands: Sequence[Candidate], q: CyclicSublist) -> Option
 
 def bucket_min_enclosing(table: LevelTable, i: int, q: CyclicSublist) -> Optional[Candidate]:
     """Cheapest candidate of bucket i whose run contains q; ties to the smaller id."""
-    check_frozen(table)
     return _cheapest_containing(table.buckets[i], q)
 
 
@@ -90,7 +88,7 @@ class ScanLevelTable(LevelTable):
 
 
 def directional_processing(
-    levels: Sequence[Optional[LevelTable]], i: int, j: int, t: int, *, ccw: bool
+    nbr, levels: Sequence[Optional[LevelTable]], i: int, j: int, t: int, *, ccw: bool
 ) -> Optional[Candidate]:
     """Best level-t candidate for i from one-way scans bounded by j.
 
@@ -102,8 +100,7 @@ def directional_processing(
     stop z (ties to the earliest), or None when every one failed a query.
     """
     assert t >= 2
-    table1 = levels[1]
-    nbr, n = table1.nbr, table1.instance.n
+    n = nbr.n
     dom = CyclicSublist(*nbr.dominated_run(i), n)
     best: Optional[Candidate] = None
     for tp in range(1, t):
@@ -142,11 +139,10 @@ def directional_processing(
 
 
 def bidirectional_processing(
-    levels: Sequence[Optional[LevelTable]], i: int, x: int, y: int, t: int
+    nbr, levels: Sequence[Optional[LevelTable]], i: int, x: int, y: int, t: int
 ) -> Optional[Candidate]:
     """Best candidate stitching a ccw run toward x and a cw run toward y at i."""
-    table1 = levels[1]
-    instance, nbr = table1.instance, table1.nbr
+    instance = nbr.instance
     n = instance.n
     dom = CyclicSublist(*nbr.dominated_run(i), n)
     wi = instance.disks[i].weight
@@ -183,21 +179,21 @@ def ring(n: int):
 
 
 def level_of_runs(instance, runs, *, indexed: bool = True) -> LevelTable:
-    """Frozen level holding one candidate per (start, length, value, owner).
+    """Level holding one candidate per (start, length, value, owner).
 
     Candidate ids follow bucket order, then the order of `runs`.  Each
     candidate's witness set holds its position in `runs`, so equal runs of
-    equal value stay distinguishable.  The candidates go straight into the
-    buckets, past `insert`'s same-run dedup, so equal runs all stay.
-    `indexed=False` builds the `ScanLevelTable` twin instead.
+    equal value stay distinguishable.  The buckets go straight to the
+    constructor, without the solver's same-run dedup (`dedup_runs`), so
+    equal runs all stay.  `indexed=False` builds the `ScanLevelTable` twin
+    instead.
     """
     n = instance.n
-    table = (LevelTable if indexed else ScanLevelTable)(instance, None, 1)
+    buckets = [[] for _ in range(n)]
     for pos, (start, length, value, owner) in enumerate(runs):
         sub = CyclicSublist(start, length, n)
-        table.buckets[owner].append(_candidate(sub, value, frozenset((pos,)), owner, 1))
-    table.freeze()
-    return table
+        buckets[owner].append(_candidate(sub, value, frozenset((pos,)), owner, 1))
+    return (LevelTable if indexed else ScanLevelTable)(instance, 1, buckets)
 
 
 def chain_answer(chain: Sequence[Candidate], q: CyclicSublist) -> Optional[Candidate]:
