@@ -6,9 +6,9 @@ whose disk does *not* intersect disk i.  When no such index exists the
 explicit sentinel INTERSECTS_ALL is returned instead of a fake index, so
 callers are forced to treat saturation separately.  The index turns them
 into the runs the solvers merge, as (start, length) pairs
-(`dominated_run`, `run_after`, `run_before`), into the one-way run both
-solvers' directional steps build (`one_way_run`, with the direction as a
-parameter), and into the counting bound on any dominating set
+(`dominated_run`, `run_after`, `run_before`), into the one-way run the
+unweighted directional step builds (`one_way_run`, with the direction as
+a parameter), and into the counting bound on any dominating set
 (`domination_lower_bound`).
 
 Each disk's avoidance row (the negation of `geometry.intersects_row`) is

@@ -7,8 +7,7 @@ candidates for point i are built three ways:
 
 * counterclockwise: a run from i's own level-t' bucket, extended by the
   cheapest run from the previous global level starting just past it, plus
-  the stretch after that which disk i dominates by itself
-  (`neighbor_index.one_way_run`);
+  the stretch after that which disk i dominates by itself (`run_after`);
 * clockwise: the mirror image.  One routine (`_directional_combos`)
   builds both, and the scan chains it reads take the direction as a
   parameter too;
@@ -16,8 +15,9 @@ candidates for point i are built three ways:
   with i's weight counted once.
 
 Runs are (start, length) pairs of integers throughout, merged by
-`geometry.union_runs`, and a bucket keeps one candidate per run: the
-first to arrive, replaced only by a strictly cheaper copy.
+`geometry.union_runs`.  Combinations are plain tuples, and a bucket keeps
+one per run, the first to arrive, replaced only by a strictly cheaper
+copy; only the kept ones become `Candidate`s (`dedup_runs`).
 
 Each combination asks a built level for the cheapest run containing a
 query run that grows from a fixed anchor, one index at a time.  The answer
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -138,9 +139,8 @@ class LevelTable:
         reach = np.where(off < lengths, lengths - 1 - off if ccw else off, -1)
         reach[lengths == n] = n
         best = np.maximum.accumulate(reach)
-        steps = np.flatnonzero(np.diff(best, prepend=-1))
-        by_id = self._by_id
-        return [by_id[k] for k in runs.ids[lo:hi][steps].tolist()]
+        step = best != np.concatenate(([-1], best[:-1]))  # the best reach grows
+        return list(map(self._by_id.__getitem__, runs.ids[lo:hi][step].tolist()))
 
     def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
         lo, hi = self._bucket_lo[i : i + 2]
@@ -175,62 +175,63 @@ class _SortedRuns:
         self.lengths = lengths[order]
 
 
-def dedup_runs(
-    cands: Iterable[Candidate], validator: Optional[Callable[[Candidate], None]]
-) -> list[Candidate]:
-    """One bucket: `cands` with one candidate per run.
-
-    Every candidate goes through `validator` first, unless it is None.  A
-    run's first candidate fixes its position in the bucket, and a later
-    copy replaces it there only when strictly cheaper.
+def dedup_runs(combos: Iterable[tuple], owner: int, level: int, validator=None) -> list[Candidate]:
+    """One bucket: a `Candidate` for each run of `combos`, plain tuples
+    (start, length, value, witnesses_a, witnesses_b), each validated first
+    if `validator` is given.  A run's first combination fixes its position
+    in the bucket, and a later copy replaces it only when strictly cheaper.
     """
-    bucket: list[Candidate] = []
-    slot: dict[tuple[int, int], int] = {}  # (start, length) -> bucket position
-    for cand in cands:
+    kept: dict[tuple[int, int], tuple] = {}  # (start, length) -> (value, a, b)
+    for s, k, value, a, b in combos:
         if validator is not None:
-            validator(cand)
-        run = (cand.start, cand.length)
-        pos = slot.get(run)
-        if pos is None:
-            slot[run] = len(bucket)
-            bucket.append(cand)
-        elif cand.value < bucket[pos].value:
-            bucket[pos] = cand
-    return bucket
+            validator(Candidate(s, k, value, a | b, owner, level))
+        old = kept.get((s, k))
+        if old is None or value < old[0]:
+            kept[s, k] = value, a, b
+    return [Candidate(s, k, v, a | b, owner, level) for (s, k), (v, a, b) in kept.items()]
 
 
-def _directional_combos(nbr, levels, i: int, t: int, *, ccw: bool) -> Iterator[Candidate]:
-    """i's one-way level-t candidates, counterclockwise or clockwise.
+def _directional_combos(nbr, levels, i: int, t: int, *, ccw: bool, every: bool) -> Iterator[tuple]:
+    """i's one-way level-t combinations, counterclockwise or clockwise.
 
     For each split level t', every run l1 of i's level-t' bucket chain is
     extended by every run l2 of the level-(t-t') global chain starting just
     past l1's far end, then by the stretch disk i dominates past l2's far
-    end.  A full l1 is a candidate by itself.
+    end.  A full l1 is a combination by itself.  Unless `every`, a run equal
+    to the one just made from the same l1 (never cheaper) is skipped.
     """
     n = nbr.n
     dom = nbr.dominated_run(i)
+    tail = cache(partial(nbr.run_after if ccw else nbr.run_before, i))  # of l2's far end
     for tp in range(1, t):
-        other = levels[t - tp]
         for l1 in levels[tp].bucket_chain(i, ccw=ccw):
-            run1 = s1, k1 = l1.start, l1.length
+            s1, k1, v1, a = l1.start, l1.length, l1.value, l1.witnesses
             if k1 == n:
-                yield Candidate(0, n, l1.value, l1.witnesses, i, t)
+                yield 0, n, v1, a, a
                 continue
-            for l2 in other.global_chain((s1 + k1) % n if ccw else (s1 - 1) % n, ccw=ccw):
-                s, k = nbr.one_way_run(i, dom, run1, (l2.start, l2.length), ccw=ccw)
-                yield Candidate(s, k, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t)
+            head, last = union_runs(n, (dom, (s1, k1))), None
+            for l2 in levels[t - tp].global_chain((s1 + k1) % n if ccw else (s1 - 1) % n, ccw=ccw):
+                s2, k2 = l2.start, l2.length
+                run = union_runs(n, (head, (s2, k2), tail((s2 + k2 - 1) % n if ccw else s2)))
+                if run != last or every:
+                    last = run
+                    yield *run, v1 + l2.value, a, l2.witnesses
 
 
-def _bidi_combos(nbr, levels, i: int, t: int) -> Iterator[Candidate]:
+def _bidi_combos(nbr, levels, i: int, t: int, *, every: bool) -> Iterator[tuple]:
+    """i's combinations of a ccw run lx and a cw run ly, weight wi counted once."""
     n = nbr.n
     dom = nbr.dominated_run(i)
     wi = nbr.instance.disks[i].weight
     for tp in range(2, t):
-        other = levels[t + 1 - tp]
+        ys = levels[t + 1 - tp].bucket_chain(i, ccw=False)
         for lx in levels[tp].bucket_chain(i, ccw=True):
-            for ly in other.bucket_chain(i, ccw=False):
-                s, k = union_runs(n, (dom, (lx.start, lx.length), (ly.start, ly.length)))
-                yield Candidate(s, k, lx.value + ly.value - wi, lx.witnesses | ly.witnesses, i, t)
+            head, last = union_runs(n, (dom, (lx.start, lx.length))), None
+            for ly in ys:
+                run = union_runs(n, (head, (ly.start, ly.length)))
+                if run != last or every:
+                    last = run
+                    yield *run, lx.value + ly.value - wi, lx.witnesses, ly.witnesses
 
 
 def build_level(
@@ -244,24 +245,22 @@ def build_level(
     """Level t, combined from levels 1..t-1 (`levels[t']`).
 
     Level 1 holds one candidate per point: its own dominated run at its
-    own weight.  Every candidate goes through `validator`, if given,
-    before the same-run dedup of its bucket (`dedup_runs`).
+    own weight.  With a `validator`, every combination, same-run repeats
+    included, is validated before its bucket's dedup (`dedup_runs`).
     """
-    if t == 1:
-        owners = (
-            [Candidate(*nbr.dominated_run(i), disk.weight, frozenset((i,)), i, 1)]
-            for i, disk in enumerate(instance.disks)
-        )
-    else:
-        owners = (
-            chain(
-                _directional_combos(nbr, levels, i, t, ccw=True),
-                _directional_combos(nbr, levels, i, t, ccw=False),
-                _bidi_combos(nbr, levels, i, t),
+    every = validator is not None
+    buckets = []
+    for i, disk in enumerate(instance.disks):
+        if t == 1:
+            combos = [(*nbr.dominated_run(i), disk.weight, frozenset((i,)), frozenset((i,)))]
+        else:
+            combos = chain(
+                _directional_combos(nbr, levels, i, t, ccw=True, every=every),
+                _directional_combos(nbr, levels, i, t, ccw=False, every=every),
+                _bidi_combos(nbr, levels, i, t, every=every),
             )
-            for i in range(instance.n)
-        )
-    return LevelTable(instance, t, [dedup_runs(cands, validator) for cands in owners])
+        buckets.append(dedup_runs(combos, i, t, validator))
+    return LevelTable(instance, t, buckets)
 
 
 def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:

@@ -76,6 +76,22 @@ def test_verify_rejects_tampered_solution(t4_file, tmp_path, capsys):
     assert "not verified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["--weighted", "--unweighted"])
+def test_verify_checks_the_solution_weight(mode, tmp_path, capsys):
+    inst = gen(tmp_path, "--radius-law", "uniform(1.5,4.0)", "--weight-law", "uniform(1,10)")
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--in", str(inst), mode, "--out", str(out)]) == 0
+    assert cli.main(["verify", "--in", str(inst), "--solution", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verified"
+    doc = json.loads(out.read_text())
+    for bad in ("NaN", "1e400", "-5.0", repr(doc["weight"] + 1e-6)):
+        tampered = out.read_text().replace(f'"weight": {doc["weight"]!r}', f'"weight": {bad}')
+        assert tampered != out.read_text()
+        (tmp_path / "bad.json").write_text(tampered)
+        assert cli.main(["verify", "--in", str(inst), "--solution", str(tmp_path / "bad.json")]) == 3
+        assert capsys.readouterr().out == "not verified\n"
+
+
 def test_oracle_compare_agrees(tmp_path, capsys):
     inst = gen(tmp_path, "--radius-law", "uniform(1.5,4.0)")
     code = cli.main(["oracle", "--in", str(inst), "--compare"])

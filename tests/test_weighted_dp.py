@@ -389,34 +389,139 @@ def test_insert_keeps_one_candidate_per_run():
     angles = [k * math.pi / 4 for k in range(8)]
     inst = mk_instance([(math.cos(a), math.sin(a), 0.1) for a in angles])
 
+    def combo(start, length, value, tag):
+        return start, length, value, frozenset((0,)), frozenset((tag,))
+
     def cand(start, length, value, tag):
         return Candidate(start, length, value, frozenset((0, tag)), 0, 2)
 
-    first = cand(1, 3, 5.0, 1)
-    cands = [first, cand(4, 2, 1.0, 2), cand(1, 3, 5.0, 3)]  # equal value: dropped
-    assert dedup_runs(cands, None) == [first, cand(4, 2, 1.0, 2)]
-    cands.append(cand(1, 3, 4.0, 4))  # strictly cheaper: replaces in place
-    assert dedup_runs(cands, None) == [cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2)]
+    def dedup(combos, validator=None):
+        return dedup_runs(combos, 0, 2, validator)
+
+    # the second copy of run (1, 3) has an equal value: dropped
+    combos = [combo(1, 3, 5.0, 1), combo(4, 2, 1.0, 2), combo(1, 3, 5.0, 3)]
+    assert dedup(combos) == [cand(1, 3, 5.0, 1), cand(4, 2, 1.0, 2)]
+    combos.append(combo(1, 3, 4.0, 4))  # strictly cheaper: replaces in place
+    assert dedup(combos) == [cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2)]
     # full runs from different merges all arrive as (0, n): one key
-    full = cand(*union_runs(8, [(6, 3), (0, 6)]), 9.0, 5)
-    cands.append(full)
-    cands.append(cand(*union_runs(8, [(2, 5), (7, 4)]), 9.0, 6))
-    cands.append(cand(*union_runs(8, [(3, 2), (5, 4), (1, 2)]), 9.5, 7))
-    bucket = dedup_runs(cands, None)
-    assert bucket[2] is full and len(bucket) == 3
-    cands.append(cand(0, 8, 3.0, 8))
+    combos.append(combo(*union_runs(8, [(6, 3), (0, 6)]), 9.0, 5))
+    combos.append(combo(*union_runs(8, [(2, 5), (7, 4)]), 9.0, 6))
+    combos.append(combo(*union_runs(8, [(3, 2), (5, 4), (1, 2)]), 9.5, 7))
+    bucket = dedup(combos)
+    assert bucket[2] == cand(0, 8, 9.0, 5) and len(bucket) == 3
+    combos.append(combo(0, 8, 3.0, 8))
     seen = []
-    bucket = dedup_runs(cands, seen.append)
+    bucket = dedup(combos, seen.append)
     assert bucket[2] == cand(0, 8, 3.0, 8)
-    assert seen == cands  # the validator sees every candidate, dropped ones too
+    # the validator sees every combination as a candidate, dropped ones too
+    assert seen == [cand(s, k, v, tag) for s, k, v, _, (tag,) in combos]
     # another bucket holding the same run keeps its own copy
     other = Candidate(1, 3, 0.5, frozenset((3,)), 3, 2)
-    buckets = [bucket, [], [], dedup_runs([other], None), [], [], [], []]
+    assert dedup_runs([(1, 3, 0.5, frozenset((3,)), frozenset())], 3, 2) == [other]
+    buckets = [bucket, [], [], [other], [], [], [], []]
     table = LevelTable(inst, 2, buckets)
     # ids follow bucket order, then first-insertion order within a bucket
     assert list(table.all_candidates()) == [
         cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2), cand(0, 8, 3.0, 8), other
     ]
+
+
+def test_equal_value_copies_keep_the_first_witness_set():
+    # a regular 7-gon of unit weights: every disk meets its two neighbours
+    # only, so many triples dominate at weight 3 and the full run arrives in
+    # several equal-value copies; the first copy's witnesses are returned
+    n = 7
+    angles = [2 * math.pi * k / n for k in range(n)]
+    inst = mk_instance([(math.cos(a), math.sin(a), 0.5) for a in angles])
+    sol = solve_weighted(inst, 3)
+    assert sol.centers == (1, 4, 5) and sol.weight == 3.0
+    # a later, equally cheap copy, which must not replace the first
+    assert verify(inst, inst.to_canonical((0, 1, 4)))
+
+
+def combination_count(levels, i, t):
+    """How many combinations make point i's level-t bucket, read off the chains."""
+    n = levels[1].instance.n
+    count = 0
+    for ccw in (True, False):
+        for tp in range(1, t):
+            for l1 in levels[tp].bucket_chain(i, ccw=ccw):
+                if l1.length == n:
+                    count += 1
+                else:
+                    anchor = (l1.start + l1.length) % n if ccw else (l1.start - 1) % n
+                    count += len(levels[t - tp].global_chain(anchor, ccw=ccw))
+    for tp in range(2, t):
+        xs = levels[tp].bucket_chain(i, ccw=True)
+        count += len(xs) * len(levels[t + 1 - tp].bucket_chain(i, ccw=False))
+    return count
+
+
+def invariant_instances():
+    yield from oracle_instances()
+    rng = random.Random(2024)
+    for _ in range(8):
+        yield rand_instance(rng, rng.randint(4, 12), spread=(0.5, 4.0))
+
+
+def test_check_invariants_changes_nothing_and_sees_every_combination(monkeypatch):
+    yielded = []  # combinations each default bucket is given
+
+    def listing(combos, *args):
+        combos = list(combos)
+        yielded.append(len(combos))
+        return dedup_runs(combos, *args)
+
+    skipped = 0
+    for inst in invariant_instances():
+        n = inst.n
+        nbr = build_neighbor_index(inst)
+        validate = make_validator(inst)
+        seen = []
+
+        def counting(cand):
+            validate(cand)
+            seen.append(cand)
+
+        plain, checked = [None], [None]
+        for t in range(1, min(n, 5) + 1):
+            yielded.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(wdp, "dedup_runs", listing)
+                plain.append(build_level(inst, nbr, plain, t))
+            seen.clear()
+            checked.append(build_level(inst, nbr, checked, t, validator=counting))
+            # same ids (bucket order), runs, values and witness sets
+            assert checked[t].buckets == plain[t].buckets
+            for i in range(n):
+                got = [c for c in seen if c.owner == i]
+                want = 1 if t == 1 else combination_count(plain, i, t)
+                assert len(got) == want, (n, t, i)
+                assert set(plain[t].buckets[i]) <= set(got)
+            # the default path skips same-run repeats; the validator saw them
+            assert len(seen) >= sum(yielded)
+            skipped += len(seen) - sum(yielded)
+    assert skipped > 0
+
+
+def test_default_solve_builds_candidates_only_for_kept_runs(monkeypatch):
+    from diskdom import gen_random
+
+    built = []
+    init = Candidate.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    inst = gen_random(30, 1001, "circle", "uniform(2.0,6.0)", "uniform(1,10)").to_instance()
+    monkeypatch.setattr(Candidate, "__init__", counting)
+    with recording(wdp, "LevelTable") as tables:
+        solve_weighted(inst, 6)
+    assert [table.level for table in tables] == [1, 2, 3, 4, 5, 6]
+    assert len(built) == sum(len(table.all_candidates()) for table in tables)
+    Candidate(0, 1, 1.0, frozenset((0,)), 0, 1)  # the counter sees constructions
+    assert len(built) == sum(len(table.all_candidates()) for table in tables) + 1
 
 
 def test_k_below_counting_bound_stops_after_level_one():
