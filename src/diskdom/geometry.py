@@ -4,8 +4,9 @@ An instance is a cyclic counterclockwise sequence of disks whose centers
 are all strict vertices of their convex hull.  Every algorithm in this
 package reasons about contiguous runs of instance indices.  The solvers
 carry a run as a (start, length) pair of integers and merge runs with
-`union_runs`; `CyclicSublist` is the run as a value, for results and
-reference queries.  Both live here next to the disk predicates.
+`union_runs`, or many rows of runs at once with `union_columns`;
+`CyclicSublist` is the run as a value, for results and reference
+queries.  They live here next to the disk predicates.
 """
 
 from __future__ import annotations
@@ -79,12 +80,18 @@ def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i: int) -> np
     """`intersects(disk i, disk z)` for every z at once, as a bool array.
 
     Takes the arrays of `disk_arrays` and does the operations of
-    `intersects` in the same order, so the two agree bit for bit.
+    `intersects` in the same order, so the two agree bit for bit.  An
+    index array of shape (B, 1) for i gives B rows at once.
     """
     dx = xs - xs[i]
     dy = ys - ys[i]
     rr = rs[i] + rs
-    return dx * dx + dy * dy <= rr * rr
+    # dx*dx + dy*dy <= rr*rr, in place: a block of rows makes no extra temporaries
+    dx *= dx
+    dy *= dy
+    dx += dy
+    rr *= rr
+    return dx <= rr
 
 
 def orientation(a: Point, b: Point, c: Point) -> float:
@@ -271,3 +278,32 @@ def union_runs(n: int, runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     if length >= n:
         return 0, n
     return s, length
+
+
+def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
+    """`union_runs` of many rows at once: the runs are (starts, lengths) array pairs.
+
+    Row q merges the q-th entry of each pair, in order, exactly as
+    `union_runs` does (a saturated row ignores later parts), and returns
+    start and length arrays.  Raises NotConsecutive when any row leaves a
+    gap before it saturates.
+    """
+    (s, length), *rest = [(np.asarray(ps, np.int64), np.asarray(pk, np.int64)) for ps, pk in runs]
+    done = length == n
+    s = np.where(length == 0, -1, s)
+    for ps, pk in rest:
+        live = (pk != 0) & ~done
+        done |= live & (pk == n)
+        live &= pk != n
+        fresh = live & (s < 0)
+        d = (ps - s) % n
+        inside = live & ~fresh & (d <= length)
+        behind = live & ~fresh & ~inside & (d + pk >= n)
+        if (live & ~fresh & ~inside & ~behind).any():
+            raise NotConsecutive("gap between accumulated run and the next part in a row")
+        length = np.where(fresh, pk, np.where(inside, np.maximum(length, d + pk), length))
+        length = np.where(behind, np.maximum(pk, n - d + length), length)
+        s = np.where(fresh | behind, ps, s)
+        done |= length >= n
+    empty = s < 0
+    return np.where(done | empty, 0, s), np.where(done, n, np.where(empty, 0, length))

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .geometry import GeometryError, Instance, Point, WeightedDisk, canonicalize, intersects
 from .oracle import verify
-from .solution import Solution
+from .solution import WEIGHT_TOLERANCE, Solution, solution_of
 
 SCHEMA_VERSION = 1
 
@@ -222,7 +222,8 @@ def solution_document(
 
 def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
     """Parse a solution file; `verified` is recomputed against `instance`,
-    never trusted from the file."""
+    never trusted from the file: the centers must dominate, and `weight`
+    must be their `solution_of` weight within WEIGHT_TOLERANCE."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -250,6 +251,8 @@ def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
     if size != len(centers):
         raise BadParams(f"size {size!r} does not match centers")
     weight = _number(payload.get("weight", 0.0), "weight")
+    canonical = instance.to_canonical(centers)
+    exact = solution_of(instance, canonical, mode).weight
     return SolutionDocument(
         mode=mode,
         k=k,
@@ -257,7 +260,7 @@ def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
         weight=weight,
         centers=list(centers),
         solver=solver,
-        verified=verify(instance, instance.to_canonical(centers)),
+        verified=abs(weight - exact) <= WEIGHT_TOLERANCE and verify(instance, canonical),
     )
 
 

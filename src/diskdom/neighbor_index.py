@@ -6,25 +6,29 @@ whose disk does *not* intersect disk i.  When no such index exists the
 explicit sentinel INTERSECTS_ALL is returned instead of a fake index, so
 callers are forced to treat saturation separately.  The index turns them
 into the runs the solvers merge, as (start, length) pairs
-(`dominated_run`, `run_after`, `run_before`), into the one-way run the
-unweighted directional step builds (`one_way_run`, with the direction as
-a parameter), and into the counting bound on any dominating set
-(`domination_lower_bound`).
+(`dominated_run`, `run_after`, `run_before`), and into the counting bound
+on any dominating set (`domination_lower_bound`).
 
-Each disk's avoidance row (the negation of `geometry.intersects_row`) is
-packed into an integer, built lazily, one row per queried disk, and the
-queries are bit scans.  The row evaluates the same operations in the same
-order as `geometry.intersects` (``dx*dx + dy*dy`` against
-``(r_i + r_z)**2``), so the answers agree bit for bit with `verify`.
-The tests check them against a disk-by-disk walk with a scalar predicate
-(`tests/query_reference.py`).
+All avoidance rows (the negation of `geometry.intersects_row`, so the
+answers agree bit for bit with `verify`) are built once, in blocks of
+rows, into one n x ceil(n/64) matrix of packed little-endian uint64
+words, and the queries are bit scans.  `first_disjoint` answers arrays of
+queries in word-by-word numpy passes, as the unweighted search asks them
+(`runs_past`, `dominated_runs`); the scalar queries read a Python-int
+view of one row.  The tests check both against a disk-by-disk walk with a
+scalar predicate (`tests/query_reference.py`).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .geometry import Instance, disk_arrays, intersects_row, union_runs
+from .geometry import Instance, disk_arrays, intersects_row, union_columns
+
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 class _IntersectsAll:
@@ -39,31 +43,45 @@ class _IntersectsAll:
 INTERSECTS_ALL = _IntersectsAll()
 
 
-class _BitsetNeighborIndex:
-    """Per-disk avoidance rows packed into integers; queried with bit scans.
+def _bit_index(x: np.ndarray, *, lowest: bool) -> np.ndarray:
+    """Index of the lowest (or highest) set bit of each nonzero uint64 word."""
+    if lowest:
+        x = x & (~x + np.uint64(1))
+    else:
+        for shift in (1, 2, 4, 8, 16, 32):
+            x = x | (x >> np.uint64(shift))
+        x = x ^ (x >> np.uint64(1))
+    # x is a power of two, which float64 holds exactly
+    return np.frexp(x.astype(np.float64))[1].astype(np.int64) - 1
 
-    Rows are built lazily (one vectorized pass per queried disk) and kept,
-    so a solver touching all disks pays O(n^2 / word) memory total.
-    """
+
+class _BitsetNeighborIndex:
+    """Per-disk avoidance rows packed into one uint64 matrix; queried with bit scans."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.n = instance.n
-        self._runs: dict[int, tuple[int, int]] = {}
-        self._arrays = disk_arrays(instance)
         self._rows: dict[int, int] = {}
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """Bit z of row i (word z >> 6, bit z & 63) is set when disk i misses disk z."""
+        n = self.n
+        arrays = disk_arrays(self.instance)
+        bits = np.zeros((n, -(-n // 64) * 8), np.uint8)
+        block = max(1, (1 << 15) // n)  # rows whose temporaries stay in cache
+        for lo in range(0, n, block):
+            rows = np.arange(lo, min(n, lo + block))
+            avoids = ~intersects_row(*arrays, rows[:, None])
+            packed = np.packbits(avoids, axis=1, bitorder="little")
+            bits[rows, : packed.shape[1]] = packed
+        return bits.view("<u8")
 
     def _row(self, i):
         row = self._rows.get(i)
         if row is None:
-            avoids = ~intersects_row(*self._arrays, i)
-            row = int.from_bytes(np.packbits(avoids, bitorder="little").tobytes(), "little")
-            self._rows[i] = row
+            row = self._rows[i] = int.from_bytes(self._bits[i].tobytes(), "little")
         return row
-
-    def closed_neighborhood_size(self, i: int) -> int:
-        """Number of disks meeting disk i, disk i included."""
-        return self.n - self._row(i).bit_count()
 
     def first_disjoint_ccw(self, i, j):
         row = self._row(i)
@@ -83,14 +101,38 @@ class _BitsetNeighborIndex:
             return row.bit_length() - 1
         return INTERSECTS_ALL
 
+    def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
+        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL.
+
+        Reads the origin word j >> 6 cut to the bits from j on that way
+        round, then steps word by word, cyclically, over only the queries
+        still open; the origin word comes round again last, whole.
+        """
+        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
+        w, bit = j >> 6, (j & 63).astype(np.uint64)
+        bits = self._bits
+        words = bits.shape[1]
+        x = bits[i, w] & ((_ONES << bit) if ccw else (_ONES >> (np.uint64(63) - bit)))
+        out = np.full(len(i), -1, np.int64)
+        todo = np.arange(len(i))
+        for step in range(words + 1):
+            hit = x != 0
+            out[todo[hit]] = w[hit] * 64 + _bit_index(x[hit], lowest=ccw)
+            todo, w = todo[~hit], w[~hit]
+            if not len(todo) or step == words:
+                break
+            w = (w + (1 if ccw else -1)) % words
+            x = bits[i[todo], w]
+        return out
+
     def domination_lower_bound(self) -> int:
         """Fewest disks any dominating set needs.
 
         Each disk dominates only its closed neighborhood, so at least
         ceil(n / largest closed neighborhood) disks are needed.
         """
-        n = self.n
-        return -(-n // max(self.closed_neighborhood_size(i) for i in range(n)))
+        missed = _POPCOUNT8[self._bits.view(np.uint8)].sum(axis=1)
+        return -(-self.n // (self.n - int(missed.min())))
 
     def run_after(self, i: int, z: int) -> tuple[int, int]:
         """The run from z+1 counterclockwise that disk i meets throughout.
@@ -112,32 +154,30 @@ class _BitsetNeighborIndex:
             return 0, n
         return (b + 1) % n, (z - b - 1) % n
 
-    def one_way_run(self, i: int, dom, run1, run2, *, ccw: bool) -> tuple[int, int]:
-        """A directional step's run for disk i: the union of its four parts.
-
-        All runs are (start, length) pairs.  `dom` is disk i's dominated
-        run, `run1` a run through i and `run2` a run from just past run1's
-        far end, counterclockwise or clockwise; the stretch disk i meets
-        past run2's far end closes the union.  (0, n) when run2 is full.
-        """
+    def runs_past(self, i, z, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """`run_after(i[q], z[q])` (or `run_before`) of each pair, as start and length arrays."""
         n = self.n
-        s2, k2 = run2
-        if k2 == n:
-            return 0, n
-        tail = self.run_after(i, (s2 + k2 - 1) % n) if ccw else self.run_before(i, s2)
-        return union_runs(n, (dom, run1, run2, tail))
+        j = (np.asarray(z, np.int64) + (1 if ccw else -1)) % n
+        f = self.first_disjoint(i, j, ccw=ccw)
+        full = f < 0
+        starts = np.where(full, 0, j if ccw else (f + 1) % n)
+        return starts, np.where(full, n, (f - j) % n if ccw else (j - f) % n)
+
+    @cached_property
+    def dominated_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every disk's `dominated_run`, as start and length arrays."""
+        i = np.arange(self.n)
+        # the stretch clockwise up to i, then the one counterclockwise from i
+        before = self.runs_past(i, i + 1, ccw=False)
+        return union_columns(self.n, (before, self.runs_past(i, i - 1, ccw=True)))
 
     def dominated_run(self, i: int) -> tuple[int, int]:
         """Maximal contiguous run around p_i whose disks all meet disk i.
 
         Returned as (start, length), and (0, n) when disk i meets every disk.
         """
-        run = self._runs.get(i)
-        if run is None:
-            # the stretch clockwise up to i, then the one counterclockwise from i
-            run = union_runs(self.n, (self.run_before(i, i + 1), self.run_after(i, i - 1)))
-            self._runs[i] = run
-        return run
+        starts, lengths = self.dominated_runs
+        return int(starts[i]), int(lengths[i])
 
 
 def build_neighbor_index(instance: Instance) -> _BitsetNeighborIndex:

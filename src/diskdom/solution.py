@@ -7,6 +7,8 @@ from typing import Iterable, Literal, Optional
 
 from .geometry import Instance, intersects
 
+WEIGHT_TOLERANCE = 1e-9  # how far a stated weight may be from its centers' sum
+
 
 class Infeasible(Exception):
     """No dominating set exists within the requested size bound."""

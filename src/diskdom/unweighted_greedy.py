@@ -7,19 +7,19 @@ bucket at O(level) entries.  The first level that produces a full-circle
 candidate ends the search; that candidate's witnesses are a smallest
 dominating set.
 
-Runs are (start, length) pairs of integers throughout, merged by
-`geometry.union_runs`.  `build_level` builds each level once, from the
-levels before it.  A level answers both of a step's questions from arrays
-its constructor builds with numpy: each point's own candidate reaching
-farthest each way (`extreme`), and, for all n indexes, the candidate
-through the index reaching farthest each way (`farthest_ids`).  One
-directional step (`greedy_step`, with the direction as a parameter)
-serves both ways round and scores every split level on integers; only
-each step's winner becomes a `GreedyCandidate` with its run and witness
-set.
+A level is a set of int64 columns (`GreedyLevel`): each candidate's run
+as (start, length), its owner, and a parent row naming the lower-level
+candidates it joins.  `build_level` builds level t in whole-level numpy
+passes, one per direction and split level over all points
+(`directional_steps`, `bidirectional_steps`), with batched neighbor
+queries (`neighbor_index.runs_past`) and row-wise merges
+(`geometry.union_columns`).  No candidate is an object: only the
+winner's witness set is rebuilt, by walking its parents down to level 1,
+unless `check_invariants=True` asks for every candidate.
 
-The tests swap in a plain-scan twin of `farthest_ids`
-(`tests/query_reference.py`) and check that the solves agree.
+The tests compare each level with a point-by-point scalar twin
+(`tests/greedy_reference.py`), and swap in a plain-scan twin of
+`farthest_ids` (`tests/query_reference.py`) to check that the solves agree.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Instance, union_runs
+from .geometry import Instance, union_columns
 from .neighbor_index import build_neighbor_index
 from .solution import (
     Infeasible,
@@ -64,20 +64,13 @@ def make_greedy_validator(instance: Instance) -> Callable[[GreedyCandidate], Non
     return validate
 
 
-def _reach(start: int, length: int, i: int, n: int, ccw: bool) -> int:
-    """Steps a run through i extends past i, counterclockwise or clockwise; n when full."""
-    if length == n:
-        return n
-    return (start + length - 1 - i) % n if ccw else (i - start) % n
-
-
-def farthest_ids(starts, lengths, n: int) -> tuple[list[Optional[int]], list[Optional[int]]]:
+def farthest_ids(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per index j, the id of the run through j reaching farthest ccw, and cw.
 
     The runs are (starts[k], lengths[k]) under ids k.  Reach from j is the
     number of steps a run extends past j that way round, and n for a full
     run, so a full run beats every partial one; equal reaches go to the
-    smallest id.  None where no run covers j.  Clockwise answers come from
+    smallest id.  -1 where no run covers j.  Clockwise answers come from
     the counterclockwise sweep (`_ccw_sweep`) over the mirrored runs:
     mirroring the circle (index j to n - 1 - j) turns run (s, k) into
     ((-s - k) mod n, k) and clockwise reach from j into counterclockwise
@@ -94,12 +87,12 @@ def farthest_ids(starts, lengths, n: int) -> tuple[list[Optional[int]], list[Opt
         raise ValueError("runs must be nonempty with starts in [0, n)")
     full = np.flatnonzero(lengths == n)
     if len(full) or not len(starts):
-        ids = [int(full[0]) if len(full) else None] * n
+        ids = np.full(n, full[0] if len(full) else -1, np.int64)
         return ids, ids
     return _ccw_sweep(starts, lengths, n), _ccw_sweep((-starts - lengths) % n, lengths, n)[::-1]
 
 
-def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> list[Optional[int]]:
+def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """Per index, the id of the partial run through it reaching farthest ccw.
 
     Each run is one copy [s, e] on the line [0, 2n), e = s + length - 1
@@ -108,7 +101,7 @@ def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> list[Optional
     starts <= p (a prefix maximum over starts), valid when e >= p; the
     pair is packed into one int64 key, e * base + (base - 1 - id).  The
     two stabs' answers then compete on reach, ties to the smaller id.
-    None where no run covers the index.
+    -1 where no run covers the index.
     """
     base = len(starts)
     tie = np.arange(base - 1, -1, -1, dtype=np.int64)
@@ -124,112 +117,135 @@ def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> list[Optional
     (r1, k1), (r2, k2) = hits
     second = (r2 > r1) | ((r2 == r1) & (k2 > k1))
     reach = np.where(second, r2, r1)
-    ids = base - 1 - np.where(second, k2, k1)
-    return [None if r < 0 else i for r, i in zip(reach.tolist(), ids.tolist())]
+    return np.where(reach < 0, -1, base - 1 - np.where(second, k2, k1))
 
 
 class GreedyLevel:
-    """One level's candidates, bucketed by owning point; never changed.
+    """One level's candidates as int64 columns, in id order; never changed.
 
-    The constructor assigns ids (bucket order, then position in the
-    bucket) and builds every answer the later levels read, from int64
-    arrays of the runs' starts, lengths and owners: each point's own
-    candidate reaching farthest each way round (`extreme`), the
-    farthest-run answers for all n indexes (`far_ccw`/`far_cw`, from
-    `farthest_ids`), and the first full candidate, if any.  Equal reaches
-    go to the smallest id.
+    Ids run owner by owner, and within an owner: ccw step, cw step, then
+    the stitched candidates by split level.  Row c of `parents` is (level
+    of l1, id of l1, level of l2, id of l2), -1 where there is no l2 and
+    throughout level 1, where the owner is the witness; `below` holds the
+    lower levels.  The constructor builds the answers later levels read, as
+    ids (-1 for none, equal reaches to the smallest id): each point's own
+    candidate reaching farthest each way (`ext[ccw]`), per index the
+    candidate through it reaching farthest each way (`far[ccw]`), and the
+    first full candidate (`full_id`).
     """
 
-    def __init__(self, instance: Instance, level: int, buckets: list[list[GreedyCandidate]]):
+    def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, parents):
         self.instance = instance
         self.level = level
-        self.buckets = buckets
+        self.below = below
         n = self.n = instance.n
-        by_id = self._by_id = [cand for bucket in buckets for cand in bucket]
-        m = len(by_id)
-        starts = np.fromiter((cand.start for cand in by_id), np.int64, m)
-        lengths = np.fromiter((cand.length for cand in by_id), np.int64, m)
-        owners = np.repeat(np.arange(n, dtype=np.int64), [len(b) for b in buckets])
-        # per index j: id of the candidate through j reaching farthest, or None
-        self.far_ccw, self.far_cw = farthest_ids(starts, lengths, n)
+        self.starts, self.lengths, self.owners, self.parents = starts, lengths, owners, parents
+        self._witnesses: dict[int, frozenset[int]] = {}  # by id, as `witnesses` rebuilds them
+        m = len(starts)
+        self.far = dict(zip((True, False), farthest_ids(starts, lengths, n)))
         is_full = lengths == n
         full = np.flatnonzero(is_full)
-        self.full_candidate = by_id[full[0]] if len(full) else None
+        self.full_id = int(full[0]) if len(full) else -1
         # per point and direction (keyed by ccw): the largest key
         # reach * m + (m - 1 - id), farthest reach, then smallest id
-        self._extremes: dict[bool, list[Optional[GreedyCandidate]]] = {}
+        self.ext: dict[bool, np.ndarray] = {}
         tie = np.arange(m - 1, -1, -1, dtype=np.int64)
         for ccw, past in ((True, starts + lengths - 1 - owners), (False, owners - starts)):
             reach = np.where(is_full, n, past % n)
             best = np.full(n, -1, dtype=np.int64)
             np.maximum.at(best, owners, reach * m + tie)
-            self._extremes[ccw] = [None if k < 0 else by_id[m - 1 - k % m] for k in best.tolist()]
+            self.ext[ccw] = np.where(best < 0, -1, m - 1 - best % max(m, 1))
 
-    def all_candidates(self) -> Sequence[GreedyCandidate]:
-        return self._by_id
+    def witnesses(self, ident: int) -> frozenset[int]:
+        """Candidate `ident`'s witness set: the owners its parents lead to at level 1.
 
-    def extreme(self, i: int, *, ccw: bool) -> Optional[GreedyCandidate]:
-        """Point i's candidate reaching farthest counterclockwise (or clockwise) from i."""
-        return self._extremes[ccw][i]
+        Walks the parents down and keeps every set it rebuilds, so each
+        candidate's set is the union of its parents' sets, built once.
+        """
+        todo = [(self, ident)]
+        while todo:
+            level, c = todo[-1]
+            if c in level._witnesses:
+                todo.pop()
+            elif level.level == 1:
+                level._witnesses[c] = frozenset((int(level.owners[c]),))
+            else:
+                t1, c1, t2, c2 = level.parents[c].tolist()
+                parents = [(self.below[t1], c1)] + ([(self.below[t2], c2)] if c2 >= 0 else [])
+                missing = [(p, pc) for p, pc in parents if pc not in p._witnesses]
+                if missing:
+                    todo += missing
+                else:
+                    sets = (p._witnesses[pc] for p, pc in parents)
+                    level._witnesses[c] = frozenset().union(*sets)
+        return self._witnesses[ident]
+
+    def candidate(self, ident: int) -> GreedyCandidate:
+        start, length, owner = (int(col[ident]) for col in (self.starts, self.lengths, self.owners))
+        return GreedyCandidate(start, length, self.witnesses(ident), owner, self.level)
 
 
-def greedy_step(
-    nbr, levels: Sequence[Optional[GreedyLevel]], i: int, t: int, *, ccw: bool
-) -> Optional[GreedyCandidate]:
-    """Farthest-reaching extension of i's extremes, ccw or cw.
+def directional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int, *, ccw: bool):
+    """Each point's farthest-reaching extension of its extremes, ccw or cw.
 
-    One combination per split level t' is scored on (start, length)
-    integers: i's own level-t' extreme l1, the level-(t-t') run l2 reaching
-    farthest past l1's far end, and the stretch disk i dominates beyond
-    that, merged with i's dominated run (`neighbor_index.one_way_run`).
-    The one reaching farthest from i wins, ties to the smaller t'; only
-    the winner becomes a `GreedyCandidate`.
+    One pass over all points per split level t': l1 is the point's own
+    level-t' extreme, l2 the level-(t-t') run reaching farthest past l1's
+    far end, and the tail the stretch the point's disk meets past l2's far
+    end (`runs_past`); the run is the union of the point's dominated run,
+    l1, l2 and the tail.  A full l1 gives (0, n) without l2, a full l2
+    gives (0, n).  Per point the split reaching farthest wins, ties to the
+    smaller t'; points with no split are left out.  Returns one block of
+    int64 columns: owners, starts, lengths and (m, 4) parent rows.
     """
     if t < 2:
         raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
     n = nbr.n
-    dom = nbr.dominated_run(i)
-    best = None  # (l1, l2 or None, start, length)
-    best_reach = -1
+    dom_s, dom_k = nbr.dominated_runs
+    best = np.full(n, -1, np.int64)  # reach of each point's winner so far
+    won = np.zeros((n, 6), np.int64)  # its start, length and parent row
     for tp in range(1, t):
-        l1 = levels[tp].extreme(i, ccw=ccw)
-        if l1 is None:
-            continue
-        s1, k1 = l1.start, l1.length
-        if k1 == n:
-            l2, s, k = None, 0, n
-        else:
-            other = levels[t - tp]
-            hit = other.far_ccw[(s1 + k1) % n] if ccw else other.far_cw[(s1 - 1) % n]
-            if hit is None:
-                continue
-            l2 = other.all_candidates()[hit]
-            s, k = nbr.one_way_run(i, dom, (s1, k1), (l2.start, l2.length), ccw=ccw)
-        r = _reach(s, k, i, n, ccw)
-        if r > best_reach:
-            best, best_reach = (l1, l2, s, k), r
-    if best is None:
-        return None
-    l1, l2, s, k = best
-    witnesses = l1.witnesses if l2 is None else l1.witnesses | l2.witnesses
-    return GreedyCandidate(s, k, witnesses, i, t)
+        near, other = levels[tp], levels[t - tp]
+        i = np.flatnonzero(near.ext[ccw] >= 0)
+        l1 = near.ext[ccw][i]
+        s1, k1 = near.starts[l1], near.lengths[l1]
+        l2 = np.where(k1 == n, -1, other.far[ccw][(s1 + k1) % n if ccw else (s1 - 1) % n])
+        ok = (k1 == n) | (l2 >= 0)
+        i, l1, s1, k1, l2 = i[ok], l1[ok], s1[ok], k1[ok], l2[ok]
+        s2, k2, tail_s, tail_k = (np.zeros_like(i) for _ in range(4))  # empty parts
+        has2 = l2 >= 0
+        s2[has2], k2[has2] = other.starts[l2[has2]], other.lengths[l2[has2]]
+        # the tail only where no part is full: the union saturates on those
+        open_ = (k1 < n) & (k2 < n)
+        tail_s[open_], tail_k[open_] = nbr.runs_past(
+            i[open_], ((s2 + k2 - 1) % n if ccw else s2)[open_], ccw=ccw
+        )
+        s, k = union_columns(n, ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k)))
+        reach = np.where(k == n, n, (s + k - 1 - i) % n if ccw else (i - s) % n)
+        win = reach > best[i]
+        best[i[win]] = reach[win]
+        t2 = np.where(l2 < 0, -1, t - tp)
+        won[i[win]] = np.stack((s, k, np.full_like(i, tp), l1, t2, l2), axis=1)[win]
+    i = np.flatnonzero(best >= 0)
+    return i, won[i, 0], won[i, 1], won[i, 2:]
 
 
-def greedy_bidirectional_step(
-    nbr, levels: Sequence[Optional[GreedyLevel]], i: int, t: int
-) -> list[GreedyCandidate]:
-    """One stitched candidate per split level: ccw and cw extremes joined at i."""
+def bidirectional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int) -> list:
+    """One block (as `directional_steps`) per split level t' = 2..t-1: the stitched candidates.
+
+    A point's dominated run joined with its ccw extreme of level t' and its
+    cw extreme of level t+1-t'; points missing either extreme are left out.
+    """
     n = nbr.n
-    dom = nbr.dominated_run(i)
-    out = []
+    dom_s, dom_k = nbr.dominated_runs
+    blocks = []
     for tp in range(2, t):
-        lx = levels[tp].extreme(i, ccw=True)
-        ly = levels[t + 1 - tp].extreme(i, ccw=False)
-        if lx is None or ly is None:
-            continue
-        s, k = union_runs(n, (dom, (lx.start, lx.length), (ly.start, ly.length)))
-        out.append(GreedyCandidate(s, k, lx.witnesses | ly.witnesses, i, t))
-    return out
+        x, y = levels[tp], levels[t + 1 - tp]
+        i = np.flatnonzero((x.ext[True] >= 0) & (y.ext[False] >= 0))
+        lx, ly = x.ext[True][i], y.ext[False][i]
+        runs = ((dom_s[i], dom_k[i]), (x.starts[lx], x.lengths[lx]), (y.starts[ly], y.lengths[ly]))
+        parents = np.stack((np.full_like(i, tp), lx, np.full_like(i, t + 1 - tp), ly), axis=1)
+        blocks.append((i, *union_columns(n, runs), parents))
+    return blocks
 
 
 def build_level(
@@ -244,21 +260,25 @@ def build_level(
 
     Level 1 holds one candidate per point: its own dominated run.  Later
     levels hold each point's ccw and cw steps, then its stitched
-    candidates.  Every candidate goes through `validator`, if given.
+    candidates.  With a `validator`, every candidate is built as a
+    `GreedyCandidate` and passed to it.
     """
-    buckets = []
-    for i in range(instance.n):
-        if t == 1:
-            bucket = [GreedyCandidate(*nbr.dominated_run(i), frozenset((i,)), i, 1)]
-        else:
-            steps = (greedy_step(nbr, levels, i, t, ccw=ccw) for ccw in (True, False))
-            bucket = [cand for cand in steps if cand is not None]
-            bucket += greedy_bidirectional_step(nbr, levels, i, t)
-        if validator is not None:
-            for cand in bucket:
-                validator(cand)
-        buckets.append(bucket)
-    return GreedyLevel(instance, t, buckets)
+    n = instance.n
+    if t == 1:
+        blocks = [(np.arange(n), *nbr.dominated_runs, np.full((n, 4), -1))]
+    else:
+        blocks = [directional_steps(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
+        blocks += bidirectional_steps(nbr, levels, t)
+    owners, starts, lengths, parents = (np.concatenate(col) for col in zip(*blocks))
+    slots = np.repeat(np.arange(len(blocks)), [len(block[0]) for block in blocks])
+    order = np.lexsort((slots, owners))
+    level = GreedyLevel(
+        instance, t, levels, starts[order], lengths[order], owners[order], parents[order]
+    )
+    if validator is not None:
+        for ident in range(len(order)):
+            validator(level.candidate(ident))
+    return level
 
 
 def solve_unweighted(
@@ -289,12 +309,11 @@ def solve_unweighted(
             raise SolverInvariantError(f"no full candidate by level {n}")
         level = build_level(instance, nbr, levels, t, validator=validator)
         levels.append(level)
-        if level.full_candidate is not None:
-            winner = level.full_candidate
-            if len(winner.witnesses) != t:
+        if level.full_id >= 0:
+            witnesses = level.candidate(level.full_id).witnesses
+            if len(witnesses) != t:
                 # the first full level equals the optimum cardinality
                 raise SolverInvariantError(
-                    f"first full candidate at level {t} has "
-                    f"{len(winner.witnesses)} witnesses"
+                    f"first full candidate at level {t} has {len(witnesses)} witnesses"
                 )
-            return solution_of(instance, winner.witnesses, "unweighted")
+            return solution_of(instance, witnesses, "unweighted")

@@ -2,9 +2,12 @@
 
 `NaiveNeighborIndex` answers the first-disjoint-disk queries by walking
 the cyclic order disk by disk with a scalar predicate, where the
-production index scans packed bit rows.  `scan_farthest_ids` answers each
-farthest-enclosing-run query by scanning every run, on first lookup,
-where `unweighted_greedy.farthest_ids` sweeps all indexes at once.
+production index scans packed bit rows; its batched `first_disjoint`
+runs that walk once per query, and its counting bound counts each disk's
+neighborhood with the same predicate.  `scan_farthest_ids` answers each
+farthest-enclosing-run query by scanning every run's reach, index by
+index, where `unweighted_greedy.farthest_ids` sweeps all indexes at once.
+The unweighted level builder's scalar twin is `greedy_reference.py`.
 The weighted DP's twin, `weighted_reference.ScanLevelTable`, builds its
 scan chains from plain cheapest-enclosing scans.
 
@@ -16,8 +19,8 @@ indexes and {indexed, scan} query structures.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Optional
 
+import numpy as np
 import pytest
 
 import diskdom.unweighted_greedy as ug
@@ -42,8 +45,10 @@ class NaiveNeighborIndex(_BitsetNeighborIndex):
         rr = ri + rz
         return dx * dx + dy * dy > rr * rr
 
-    def closed_neighborhood_size(self, i):
-        return sum(1 for z in range(self.n) if not self._avoids(i, z))
+    def domination_lower_bound(self):
+        n = self.n
+        largest = max(sum(not self._avoids(i, z) for z in range(n)) for i in range(n))
+        return -(-n // largest)
 
     def first_disjoint_ccw(self, i, j):
         n = self.n
@@ -61,42 +66,29 @@ class NaiveNeighborIndex(_BitsetNeighborIndex):
                 return z
         return INTERSECTS_ALL
 
+    def first_disjoint(self, i, j, *, ccw):
+        walk = self.first_disjoint_ccw if ccw else self.first_disjoint_cw
+        hits = (walk(a, b) for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
+        return np.array([-1 if z is INTERSECTS_ALL else z for z in hits], np.int64)
+
 
 NEIGHBOR_INDEXES = {"bitset": build_neighbor_index, "naive": NaiveNeighborIndex}
 
 
-class _Lazy(dict):
-    """Answers of a one-argument query, computed on first lookup."""
-
-    def __init__(self, query: Callable[[int], Optional[int]]):
-        super().__init__()
-        self._query = query
-
-    def __missing__(self, j: int) -> Optional[int]:
-        self[j] = hit = self._query(j)
-        return hit
-
-
 def scan_farthest_ids(starts, lengths, n: int):
-    """Reference twin of `farthest_ids`: every run's reach, one by one."""
-    runs = list(zip(map(int, starts), map(int, lengths)))
-
-    def scan(j: int, *, ccw: bool) -> Optional[int]:
-        best = None  # (reach, -id)
-        for ident, (s, k) in enumerate(runs):
-            if k == n:
-                reach = n
-            else:
-                off = (j - s) % n  # steps from the run's start to j
-                if off >= k:
-                    continue
-                reach = k - 1 - off if ccw else off
-            key = (reach, -ident)
-            if best is None or key > best:
-                best = key
-        return None if best is None else -best[1]
-
-    return _Lazy(lambda j: scan(j, ccw=True)), _Lazy(lambda j: scan(j, ccw=False))
+    """Reference twin of `farthest_ids`: at each index, every run's reach."""
+    starts = np.asarray(starts, np.int64)
+    lengths = np.asarray(lengths, np.int64)
+    answers = {ccw: np.full(n, -1, np.int64) for ccw in (True, False)}
+    for j in range(n):
+        off = (j - starts) % n  # steps from each run's start to j
+        covers = off < lengths
+        if not covers.any():
+            continue
+        for ccw, answer in answers.items():
+            reach = np.where(lengths == n, n, lengths - 1 - off if ccw else off)
+            answer[j] = np.argmax(np.where(covers, reach, -1))  # ties to the smallest id
+    return answers[True], answers[False]
 
 
 @contextmanager

@@ -12,11 +12,13 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
+
 import diskdom.unweighted_greedy as ug
 from conftest import recording
 from diskdom import cli
 from diskdom.instance_io import gen_figure1, gen_random
-from diskdom.neighbor_index import build_neighbor_index
+from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
 from diskdom.oracle import (
     brute_force_min,
     check_domination_of_assignment,
@@ -175,7 +177,7 @@ def test_query_structure_equivalence():
             far_trials += 1
     assert min_trials >= 10_000 and far_trials >= 10_000
 
-    sweeps = 0
+    sweeps = batched = 0
     sizes = (10, 25, 50, 100, 150, 200)
     laws = ("uniform(0.3,1.2)", "uniform(0.5,2.5)", "uniform(4.0,9.0)")
     for i in range(50):
@@ -184,14 +186,23 @@ def test_query_structure_equivalence():
         inst = gen_random(n, 30_000 + i, FAMILIES[i % 3], law, "unit").to_instance()
         bits = build_neighbor_index(inst)
         naive = NaiveNeighborIndex(inst)
+        expected = {True: [], False: []}  # naive answers by direction, -1 for INTERSECTS_ALL
         for a_ in range(n):
             for b_ in range(n):
-                assert bits.first_disjoint_ccw(a_, b_) == naive.first_disjoint_ccw(a_, b_)
-                assert bits.first_disjoint_cw(a_, b_) == naive.first_disjoint_cw(a_, b_)
-                sweeps += 2
+                for ccw, scan in ((True, "first_disjoint_ccw"), (False, "first_disjoint_cw")):
+                    hit = getattr(naive, scan)(a_, b_)
+                    assert getattr(bits, scan)(a_, b_) == hit
+                    expected[ccw].append(-1 if hit is INTERSECTS_ALL else hit)
+                    sweeps += 1
+        # every (i, j) pair at once through the batched bit scan
+        i_all, j_all = np.divmod(np.arange(n * n), n)
+        for ccw, hits in expected.items():
+            assert bits.first_disjoint(i_all, j_all, ccw=ccw).tolist() == hits, (i, ccw)
+            batched += n * n
     print(
         f"PASS query-structures: {min_trials} min-enclosing and {far_trials} "
-        f"farthest trials, {sweeps} swept neighbor queries, zero mismatches"
+        f"farthest trials, {sweeps} swept and {batched} batched neighbor queries, "
+        f"zero mismatches"
     )
 
 
@@ -204,8 +215,8 @@ def test_solver_invariant_suite():
             sol = solve_unweighted(inst_u, check_invariants=True)
         assert verify(inst_u, inst_u.to_canonical(sol.centers)), path.name
         for level in levels:
-            for i, bucket in enumerate(level.buckets):
-                assert len(bucket) <= 2 + max(0, level.level - 2), (path.name, level.level, i)
+            sizes = np.bincount(level.owners, minlength=level.n)
+            assert sizes.max() <= 2 + max(0, level.level - 2), (path.name, level.level)
         inst_w = load_corpus(path, weighted=True)
         for k in (sol.size, inst_w.n):
             got = solve_weighted(inst_w, k, check_invariants=True)

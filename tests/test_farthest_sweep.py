@@ -59,8 +59,8 @@ def test_duplicate_runs_answer_with_the_smallest_id():
     starts, lengths = zip((2, 1), wrap, wrap, wrap)
     for answer in (farthest_ids, scan_farthest_ids):
         ccw_ids, cw_ids = answer(starts, lengths, n)
-        assert [ccw_ids[j] for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
-        assert [cw_ids[j] for j in range(n)] == [1, 1, 0, None, None, None, 1, 1]
+        assert [ccw_ids[j] for j in range(n)] == [1, 1, 0, -1, -1, -1, 1, 1]
+        assert [cw_ids[j] for j in range(n)] == [1, 1, 0, -1, -1, -1, 1, 1]
 
 
 def test_several_full_runs_answer_with_the_smallest_full_id():

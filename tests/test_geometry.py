@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from diskdom.geometry import (
     intersects,
     intersects_row,
     offset_ccw,
+    union_columns,
     union_runs,
 )
 from conftest import T4_POINTS, mk_instance, tangent_chain_instances
@@ -274,14 +276,12 @@ def _union_both(n, runs):
     return want, got_ints
 
 
-@st.composite
-def run_lists(draw):
+def _four_runs(draw, n):
     """Four runs over a cycle of n: random, or chained so they stay consecutive.
 
     A chained run starts inside or just past the previous one, or starts
     behind it and reaches back into it (the wrap-behind case).
     """
-    n = draw(st.integers(1, 12))
     runs = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n)))]
     chained = draw(st.booleans())
     for _ in range(3):
@@ -295,7 +295,14 @@ def run_lists(draw):
                 runs.append(((ps - back) % n, draw(st.integers(min(back, n), n))))
         else:
             runs.append((draw(st.integers(0, n - 1)), draw(st.integers(0, n))))
-    return n, runs
+    return runs
+
+
+@st.composite
+def run_lists(draw):
+    """One list of four runs over a cycle of n (`_four_runs`)."""
+    n = draw(st.integers(1, 12))
+    return n, _four_runs(draw, n)
 
 
 @given(run_lists())
@@ -332,3 +339,67 @@ def test_union_runs_matches_union_extend_exhaustively():
                             seen.add("wrapped behind")
     assert seen == {"gap", "saturated", "wrapped behind"}
 
+
+
+# --- union_columns against union_runs, row by row ------------------------------
+
+
+def _scalar_rows(n, rows):
+    """`union_runs` of each row of runs; NotConsecutive as a value."""
+    out = []
+    for runs in rows:
+        try:
+            out.append(union_runs(n, runs))
+        except NotConsecutive:
+            out.append(NotConsecutive)
+    return out
+
+
+def _columnar(n, rows):
+    """`union_columns` of the rows, or NotConsecutive if it raises."""
+    parts = [
+        (np.array([runs[p][0] for runs in rows]), np.array([runs[p][1] for runs in rows]))
+        for p in range(len(rows[0]))
+    ]
+    try:
+        starts, lengths = union_columns(n, parts)
+    except NotConsecutive:
+        return NotConsecutive
+    return list(zip(starts.tolist(), lengths.tolist()))
+
+
+def assert_columns_match_rows(n, rows):
+    want = _scalar_rows(n, rows)
+    # a gap in any row raises for the whole table; each row alone matches
+    assert _columnar(n, rows) == (NotConsecutive if NotConsecutive in want else want)
+    for runs, one in zip(rows, want):
+        assert _columnar(n, [runs]) == (one if one is NotConsecutive else [one]), (n, runs)
+
+
+@st.composite
+def run_tables(draw):
+    """Up to six rows of four runs (`_four_runs`) over one cycle of n."""
+    n = draw(st.integers(1, 12))
+    return n, [_four_runs(draw, n) for _ in range(draw(st.integers(1, 6)))]
+
+
+@given(run_tables())
+@settings(max_examples=400, deadline=None)
+@example((10, [[(2, 3), (4, 2), (8, 9), (0, 1)], [(0, 4), (4, 2), (5, 1), (1, 1)]]))
+@example((6, [[(0, 2), (3, 2), (0, 6), (0, 0)], [(0, 2), (1, 2), (5, 1), (0, 6)]]))
+def test_union_columns_matches_union_runs(case):
+    assert_columns_match_rows(*case)
+
+
+def test_union_columns_matches_union_runs_exhaustively():
+    # every list of four runs over cycles of up to 4 indexes: the rows
+    # without a gap as one table, then each row with a gap alone
+    for n in range(1, 5):
+        runs = sorted({(CyclicSublist(s, k, n).start, k) for s in range(n) for k in range(n + 1)})
+        rows = [[a, b, c, d] for a in runs for b in runs for c in runs for d in runs]
+        want = _scalar_rows(n, rows)
+        assert (NotConsecutive in want) == (n == 4)  # no smaller cycle has room for a gap
+        whole = [runs_ for runs_, w in zip(rows, want) if w is not NotConsecutive]
+        assert _columnar(n, whole) == [w for w in want if w is not NotConsecutive]
+        for runs_ in (runs_ for runs_, w in zip(rows, want) if w is NotConsecutive):
+            assert _columnar(n, [runs_]) is NotConsecutive, (n, runs_)

@@ -203,6 +203,16 @@ def test_solution_document_round_trip_and_recompute(t4):
     assert not load_solution_document(json.dumps(lying), t4).verified
 
 
+def test_load_solution_document_checks_the_weight(t4):
+    # the stated weight must be the centers' weight, as `diskdom verify` requires
+    sol = solve_weighted(t4, 2)
+    good = json.loads(solution_document(sol, t4, k=2, solver="dp").to_json())
+    assert load_solution_document(json.dumps(good), t4).verified
+    for weight in (float("nan"), sol.weight + 1.0, sol.weight - 1e-6):
+        text = json.dumps(dict(good, weight=weight))
+        assert not load_solution_document(text, t4).verified, weight
+
+
 def test_load_solution_document_errors(t4):
     sol = solve_weighted(t4, 2)
     base = json.loads(solution_document(sol, t4, k=2, solver="dp").to_json())

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from diskdom.geometry import CyclicSublist, intersects
@@ -174,3 +175,40 @@ def test_avoidance_is_negated_intersects_on_tangent_chains():
                     ]
                     expected = INTERSECTS_ALL if all(hits) else (j + hits.index(False)) % n
                     assert z == expected, (strategy, i, j)
+
+
+def _ring_with_giant(n):
+    """n disks on a circle; input disk 0 is large enough to meet every other disk."""
+    pts = []
+    for k in range(n):
+        a = 2 * math.pi * k / n
+        pts.append((20 * math.cos(a), 20 * math.sin(a), 100.0 if k == 0 else 0.3 + k % 13 / 10))
+    return mk_instance(pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129])
+def test_batched_first_disjoint_matches_scalar_and_naive(n):
+    from diskdom import gen_random
+    from greedy_reference import dominated_run
+
+    instances = [_ring_with_giant(n)]
+    for law in ("uniform(0.3,1.2)", "uniform(1.0,3.0)", "uniform(4.0,9.0)"):
+        instances.append(gen_random(n, 7 + n, "circle", law, "unit").to_instance())
+    i_all, j_all = np.divmod(np.arange(n * n), n)
+    for inst in instances:
+        bits, naive = build_neighbor_index(inst), NaiveNeighborIndex(inst)
+        for ccw, scan in ((True, "first_disjoint_ccw"), (False, "first_disjoint_cw")):
+            scalar = [getattr(bits, scan)(i, j) for i, j in zip(i_all.tolist(), j_all.tolist())]
+            want = [-1 if z is INTERSECTS_ALL else z for z in scalar]
+            assert bits.first_disjoint(i_all, j_all, ccw=ccw).tolist() == want
+            assert naive.first_disjoint(i_all, j_all, ccw=ccw).tolist() == want
+        starts, lengths = bits.dominated_runs
+        assert list(zip(starts.tolist(), lengths.tolist())) == [
+            dominated_run(bits, i) for i in range(n)
+        ]
+    # the giant disk meets every disk: each of its queries saturates
+    (g,) = instances[0].to_canonical((0,))
+    index = build_neighbor_index(instances[0])
+    for ccw in (True, False):
+        assert (index.first_disjoint(np.full(n, g), np.arange(n), ccw=ccw) == -1).all()
+    assert index.dominated_run(g) == (0, n)

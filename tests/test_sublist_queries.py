@@ -158,8 +158,8 @@ def test_farthest_single_item(indexed):
     farthest = far(FAR_SINGLE, 6, indexed)
     assert farthest(3, ccw=True) == 0
     assert offset_ccw(3, run(*FAR_SINGLE[0], 6).ccw_end, 6) == 1
-    assert farthest(5, ccw=True) is None
-    assert farthest(5, ccw=False) is None
+    assert farthest(5, ccw=True) == -1
+    assert farthest(5, ccw=False) == -1
 
 
 @pytest.mark.parametrize("indexed", [True, False])
@@ -219,7 +219,7 @@ def test_farthest_reach_is_correct_and_maximal(data):
     got = farthest(j, ccw=True)
     covering = [r for r in runs if j in r]
     if not covering:
-        assert got is None
+        assert got == -1
     else:
         def reach(r):
             return n if r.is_full else offset_ccw(j, r.ccw_end, n)
@@ -239,4 +239,4 @@ def test_build_is_deterministic():
     lengths = np.array([k for _, k, _, _ in runs])
     c = farthest_ids(starts, lengths, 9)
     d = farthest_ids(starts.copy(), lengths.copy(), 9)
-    assert c == d
+    assert all(np.array_equal(x, y) for x, y in zip(c, d))

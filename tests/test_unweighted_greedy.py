@@ -12,9 +12,9 @@ from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.unweighted_greedy import (
     GreedyCandidate,
     GreedyLevel,
+    bidirectional_steps,
     build_level,
-    greedy_bidirectional_step,
-    greedy_step,
+    directional_steps,
     make_greedy_validator,
     solve_unweighted,
 )
@@ -42,9 +42,28 @@ def build_levels(inst, upto, *, validator=None):
     return nbr, levels
 
 
+def step(nbr, levels, i, t, *, ccw):
+    """Point i's ccw (or cw) step at level t from `directional_steps`, or None."""
+    owners, starts, lengths, parents = directional_steps(nbr, levels, t, ccw=ccw)
+    rows = np.flatnonzero(owners == i)
+    if not len(rows):
+        return None
+    (row,) = rows
+    t1, c1, t2, c2 = parents[row].tolist()
+    witnesses = levels[t1].witnesses(c1) | (levels[t2].witnesses(c2) if c2 >= 0 else set())
+    return GreedyCandidate(int(starts[row]), int(lengths[row]), witnesses, i, t)
+
+
+def level_of(inst, t, buckets):
+    """A level holding `buckets[i]`, a list of (start, length) runs, for each point i."""
+    rows = [(i, s, k) for i, bucket in enumerate(buckets) for s, k in bucket]
+    owners, starts, lengths = (np.array([r[c] for r in rows], np.int64) for c in range(3))
+    return GreedyLevel(inst, t, [None], starts, lengths, owners, np.full((len(rows), 4), -1))
+
+
 def test_greedy_ccw_step_t4(t4):
     nbr, levels = build_levels(t4, 1)
-    cand = greedy_step(nbr, levels, 0, 2, ccw=True)
+    cand = step(nbr, levels, 0, 2, ccw=True)
     assert cand is not None and cand.length == 4
     # the global step picks the run through 2 reaching farthest ccw (owner 3)
     assert cand.witnesses == {0, 3}
@@ -53,7 +72,7 @@ def test_greedy_ccw_step_t4(t4):
 
 def test_greedy_cw_step_t4(t4):
     nbr, levels = build_levels(t4, 1)
-    cand = greedy_step(nbr, levels, 0, 2, ccw=False)
+    cand = step(nbr, levels, 0, 2, ccw=False)
     assert cand is not None and cand.length == 4
     assert verify(t4, cand.witnesses)
 
@@ -61,7 +80,7 @@ def test_greedy_cw_step_t4(t4):
 def test_greedy_step_big_disk_short_circuit(big5):
     nbr, levels = build_levels(big5, 1)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
-    cand = greedy_step(nbr, levels, big, 2, ccw=True)
+    cand = step(nbr, levels, big, 2, ccw=True)
     assert cand.length == big5.n and cand.witnesses == {big}
 
 
@@ -76,7 +95,7 @@ def test_greedy_step_crawls_on_disjoint_disks():
         weighted=False,
     )
     nbr, levels = build_levels(inst, 1)
-    cand = greedy_step(nbr, levels, 0, 2, ccw=True)
+    cand = step(nbr, levels, 0, 2, ccw=True)
     assert cand is not None
     assert sorted(run_of(cand, 5).indices()) == [0, 1]
     assert cand.witnesses == {0, 1}
@@ -84,22 +103,28 @@ def test_greedy_step_crawls_on_disjoint_disks():
 
 def test_bidirectional_step_t2_empty(t4):
     nbr, levels = build_levels(t4, 1)
-    assert greedy_bidirectional_step(nbr, levels, 0, 2) == []
+    assert bidirectional_steps(nbr, levels, 2) == []
 
 
 def test_bidirectional_step_stitches_both_extremes():
     rng = random.Random(9)
     inst = rand_instance(rng, 10, 1.5, 3.5)
-    nbr, levels = build_levels(inst, 2)
+    nbr, levels = build_levels(inst, 3)
     n = inst.n
-    for i in range(n):
-        cands = greedy_bidirectional_step(nbr, levels, i, 3)
-        assert len(cands) <= 1  # one per split level; t=3 has a single split
-        for cand in cands:
-            lx = levels[2].extreme(i, ccw=True)
-            ly = levels[2].extreme(i, ccw=False)
-            assert cand.witnesses == lx.witnesses | ly.witnesses
-            assert i in run_of(cand, n)
+    (block,) = bidirectional_steps(nbr, levels, 3)  # one per split level; t=3 has a single split
+    assert len(block[0]) == n
+    for i, s, k, parent in zip(*block):
+        lx, ly = levels[2].ext[True][i], levels[2].ext[False][i]
+        assert parent.tolist() == [2, lx, 2, ly]
+        assert (i - s) % n < k  # the run passes through i
+    # in level 3, each stitched candidate witnesses with both extremes' witnesses
+    level = levels[3]
+    stitched = np.flatnonzero((level.parents[:, 0] == 2) & (level.parents[:, 2] == 2))
+    assert len(stitched) == n
+    for c in stitched:
+        i = level.owners[c]
+        lx, ly = levels[2].ext[True][i], levels[2].ext[False][i]
+        assert level.witnesses(c) == levels[2].witnesses(lx) | levels[2].witnesses(ly)
 
 
 def test_bucket_size_bound():
@@ -109,19 +134,20 @@ def test_bucket_size_bound():
         with recording(ug, "GreedyLevel") as levels:
             solve_unweighted(inst)
         for level in levels:
-            for bucket in level.buckets:
-                assert len(bucket) <= 2 + max(0, level.level - 2)
+            sizes = np.bincount(level.owners, minlength=level.n)
+            assert sizes.max() <= 2 + max(0, level.level - 2)
 
 
 def scan_extreme(level, i, *, ccw):
-    """The first candidate of bucket i reaching farthest from i, or None."""
+    """The id of the first candidate of point i reaching farthest from i, or -1."""
     n = level.n
-    best, best_reach = None, -1
-    for c in level.buckets[i]:
-        if c.length == n:
+    best, best_reach = -1, -1
+    for c in np.flatnonzero(level.owners == i):
+        s, k = level.starts[c], level.lengths[c]
+        if k == n:
             reach = n
         else:
-            reach = (c.start + c.length - 1 - i) % n if ccw else (i - c.start) % n
+            reach = (s + k - 1 - i) % n if ccw else (i - s) % n
         if reach > best_reach:
             best, best_reach = c, reach
     return best
@@ -130,7 +156,7 @@ def scan_extreme(level, i, *, ccw):
 def assert_extremes_match_scans(level):
     for i in range(level.n):
         for ccw in (True, False):
-            assert level.extreme(i, ccw=ccw) is scan_extreme(level, i, ccw=ccw), (i, ccw)
+            assert level.ext[ccw][i] == scan_extreme(level, i, ccw=ccw), (i, ccw)
 
 
 def test_cached_extremes_match_scans():
@@ -161,24 +187,17 @@ def test_frozen_extremes_match_scans_on_solved_instances(t4):
 
 
 def test_extreme_reach_ties_go_to_the_earliest_insert(t4):
-    first = GreedyCandidate(1, 2, frozenset((1, 2)), 1, 2)  # [1, 2]
-    later = GreedyCandidate(0, 3, frozenset((0, 1)), 1, 2)  # [0, 2]
-    first_full = GreedyCandidate(1, 4, frozenset((2, 3)), 2, 2)
-    buckets = [
-        [GreedyCandidate(0, 2, frozenset((0, 1)), 0, 2)],
-        [first, later],
-        [first_full, GreedyCandidate(2, 4, frozenset((2, 0)), 2, 2)],
-        [],
-    ]
-    tbl = GreedyLevel(t4, 2, buckets)
+    # ids: 0 [0, 1] of point 0; 1 [1, 2] and 2 [0, 2] of point 1; 3 and 4
+    # full runs of point 2; point 3 has none
+    tbl = level_of(t4, 2, [[(0, 2)], [(1, 2), (0, 3)], [(1, 4), (2, 4)], []])
     # both reach 1 ccw from point 1; the earlier candidate wins
-    assert tbl.extreme(1, ccw=True) is first
-    assert tbl.extreme(1, ccw=False) is later  # cw reach 1 beats 0
+    assert tbl.ext[True][1] == 1
+    assert tbl.ext[False][1] == 2  # cw reach 1 beats 0
     # full runs reach n both ways; the first full run wins the tie
-    assert tbl.extreme(2, ccw=True) is first_full
-    assert tbl.extreme(2, ccw=False) is first_full
-    assert tbl.full_candidate is first_full
-    assert tbl.extreme(3, ccw=True) is None and tbl.extreme(3, ccw=False) is None
+    assert tbl.ext[True][2] == 3
+    assert tbl.ext[False][2] == 3
+    assert tbl.full_id == 3
+    assert tbl.ext[True][3] == -1 and tbl.ext[False][3] == -1
 
 
 def test_solve_big_disk(big5):
@@ -256,7 +275,7 @@ def test_without_bidirectional_still_reports_only_verified_sets(monkeypatch):
         inst = rand_instance(rng, rng.randint(3, 12))
         full = solve_unweighted(inst)
         with monkeypatch.context() as mp:
-            mp.setattr(ug, "greedy_bidirectional_step", lambda nbr, levels, i, t: [])
+            mp.setattr(ug, "bidirectional_steps", lambda nbr, levels, t: [])
             bare = solve_unweighted(inst)
         assert bare.size >= full.size
         assert verify(inst, inst.to_canonical(bare.centers))
@@ -264,11 +283,34 @@ def test_without_bidirectional_still_reports_only_verified_sets(monkeypatch):
 
 def test_full_run_is_the_extreme_both_ways(t4):
     # a full run reaches n steps either way, past any partial run
-    partial = GreedyCandidate(3, 3, frozenset((0, 1)), 0, 2)
-    full = GreedyCandidate(0, 4, frozenset((0, 2)), 0, 2)
-    tbl = GreedyLevel(t4, 2, [[partial, full], [], [], []])
-    assert tbl.extreme(0, ccw=True) is full and tbl.extreme(0, ccw=False) is full
-    assert tbl.full_candidate is full
+    tbl = level_of(t4, 2, [[(3, 3), (0, 4)], [], [], []])  # the full run is id 1
+    assert tbl.ext[True][0] == 1 and tbl.ext[False][0] == 1
+    assert tbl.full_id == 1
+
+
+def test_check_invariants_validates_every_candidate(monkeypatch):
+    rng = random.Random(23)
+    inst = rand_instance(rng, 14, 0.5, 2.0)
+    seen = []
+    validator = make_greedy_validator(inst)
+
+    def counting(instance):
+        def validate(cand):
+            seen.append((cand.level, cand.owner, cand.start, cand.length))
+            validator(cand)
+
+        return validate
+
+    monkeypatch.setattr(ug, "make_greedy_validator", counting)
+    with recording(ug, "GreedyLevel") as levels:
+        checked = solve_unweighted(inst, check_invariants=True)
+    assert checked == solve_unweighted(inst)
+    want = [
+        (level.level, o, s, k)
+        for level in levels
+        for o, s, k in zip(level.owners.tolist(), level.starts.tolist(), level.lengths.tolist())
+    ]
+    assert len(levels) >= 3 and seen == want
 
 
 def test_validator_rejects_bad_candidates(t4):
@@ -309,38 +351,49 @@ def test_counting_bound_agrees_across_strategies():
         assert bounds.pop() <= brute_force_min(inst, "unweighted").size
 
 
+def no_steps(nbr, levels, t, *, ccw):
+    none = np.empty(0, np.int64)
+    return none, none, none, np.empty((0, 4), np.int64)
+
+
 def test_no_full_candidate_by_level_n_is_a_typed_error(monkeypatch, t4):
-    monkeypatch.setattr(ug, "greedy_step", lambda nbr, levels, i, t, *, ccw: None)
-    monkeypatch.setattr(ug, "greedy_bidirectional_step", lambda nbr, levels, i, t: [])
+    monkeypatch.setattr(ug, "directional_steps", no_steps)
+    monkeypatch.setattr(ug, "bidirectional_steps", lambda nbr, levels, t: [])
     with pytest.raises(SolverInvariantError, match="no full candidate"):
         solve_unweighted(t4)
 
 
 def test_first_full_candidate_of_wrong_size_is_a_typed_error(monkeypatch, t4):
-    def one_witness_full(nbr, levels, i, t, *, ccw):
-        return GreedyCandidate(0, t4.n, frozenset((i,)), i, t)
+    def one_witness_full(nbr, levels, t, *, ccw):
+        # every point's own level-1 run as sole parent, claiming the full circle
+        i = np.arange(t4.n)
+        parents = np.stack([np.ones_like(i), i, -np.ones_like(i), -np.ones_like(i)], axis=1)
+        return i, np.zeros_like(i), np.full_like(i, t4.n), parents
 
-    monkeypatch.setattr(ug, "greedy_step", one_witness_full)
+    monkeypatch.setattr(ug, "directional_steps", one_witness_full)
     with pytest.raises(SolverInvariantError, match="witnesses"):
         solve_unweighted(t4)
 
 
-def test_steps_build_only_the_winning_candidate(monkeypatch):
-    rng = random.Random(17)
-    inst = rand_instance(rng, 14, 0.5, 2.0)
-    nbr, levels = build_levels(inst, 3)
+def test_default_solve_builds_only_the_winner(monkeypatch):
+    from diskdom import gen_random
+
     built = []
+    init = GreedyCandidate.__init__
 
-    def counting(*args):
-        built.append(args)
-        return GreedyCandidate(*args)
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(ug, "GreedyCandidate", counting)
-    for i in range(inst.n):
-        for ccw in (True, False):
-            built.clear()
-            cand = greedy_step(nbr, levels, i, 4, ccw=ccw)
-            assert len(built) == (cand is not None)
+    inst = gen_random(400, 3, "circle", "uniform(1.0,3.0)", "unit").to_instance(weighted=False)
+    monkeypatch.setattr(GreedyCandidate, "__init__", counting)
+    with recording(ug, "GreedyLevel") as levels:
+        sol = solve_unweighted(inst)
+    assert sol.size == len(levels) >= 4
+    assert sum(len(level.starts) for level in levels) > 1000  # many candidates, one object
+    assert len(built) <= 1
+    GreedyCandidate(0, 1, frozenset((0,)), 0, 1)  # the counter sees constructions
+    assert len(built) <= 2 and built[-1].level == 1
 
 
 def test_freeze_builds_no_valued_sublists(monkeypatch):
@@ -401,8 +454,11 @@ def test_invariant_errors_survive_optimized_mode():
             "import diskdom.unweighted_greedy as ug",
             "from diskdom import Point, WeightedDisk, canonicalize",
             "from diskdom.solution import SolverInvariantError",
-            "ug.greedy_step = lambda nbr, levels, i, t, *, ccw: None",
-            "ug.greedy_bidirectional_step = lambda nbr, levels, i, t: []",
+            "import numpy as np",
+            "none = np.empty(0, np.int64)",
+            "parents = np.empty((0, 4), np.int64)",
+            "ug.directional_steps = lambda nbr, levels, t, *, ccw: (none, none, none, parents)",
+            "ug.bidirectional_steps = lambda nbr, levels, t: []",
             "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
             "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
             "try:",
@@ -428,9 +484,11 @@ def test_validators_raise_under_optimized_mode():
         "greedy cover": "ug.GreedyCandidate(0, 3, frozenset((0,)), 0, 1)",
     }
     lines = [
+        "import numpy as np",
         "import diskdom.unweighted_greedy as ug",
         "import diskdom.weighted_dp as wdp",
         "from diskdom import Point, WeightedDisk, canonicalize",
+        "from diskdom.geometry import NotConsecutive, union_columns",
         "from diskdom.solution import SolverInvariantError",
         "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
         "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
@@ -439,8 +497,13 @@ def test_validators_raise_under_optimized_mode():
         "    'greedy': ug.make_greedy_validator(inst),",
         "}",
         "checks = {",
-        "    'greedy step to level 1': lambda: ug.greedy_step(None, [None], 0, 1, ccw=True),",
+        "    'greedy step to level 1': lambda: ug.directional_steps(None, [None], 1, ccw=True),",
         "}",
+        "gap = ((np.array([0, 0]), np.array([1, 1])), (np.array([1, 2]), np.array([1, 1])))",
+        "try:",
+        "    union_columns(4, gap)",  # row 1 leaves index 1 uncovered
+        "except NotConsecutive:",
+        "    print('columnar union gap')",
     ]
     for name, cand in cases.items():
         lines.append(f"checks[{name!r}] = lambda: validators[{name.split()[0]!r}]({cand})")
@@ -452,4 +515,4 @@ def test_validators_raise_under_optimized_mode():
         "        print(name)",
     ]
     raised = _run_optimized(lines).splitlines()
-    assert sorted(raised) == sorted(["greedy step to level 1", *cases])
+    assert sorted(raised) == sorted(["columnar union gap", "greedy step to level 1", *cases])
