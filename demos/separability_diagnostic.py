@@ -29,7 +29,7 @@ for seed in range(25):
     assert check_domination_of_assignment(instance, assignment)
     verdict = check_line_separable(instance, assignment)
     verdicts[verdict] += 1
-    runs = [run.length for _, run in assignment.groups]
+    runs = [length for _, (_, length) in assignment.groups]
     print(f"seed {7000 + seed}: optimum size {optimum.size}, "
           f"group runs {runs}, separability: {verdict}")
 

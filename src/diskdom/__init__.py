@@ -1,7 +1,6 @@
 """Exact dominating-set solvers for disk graphs with centers in convex position."""
 
 from .geometry import (
-    CyclicSublist,
     DuplicateCenter,
     GeometryError,
     Instance,
@@ -37,14 +36,13 @@ from .oracle import (
 )
 from .solution import Infeasible, InvalidK, Solution, SolverInvariantError, TooLarge
 from .unweighted_greedy import solve_unweighted
-from .weighted_dp import solve_weighted, solve_weighted_unbounded
+from .weighted_dp import solve_weighted, solve_weighted_all_k, solve_weighted_unbounded
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
     "BadParams",
-    "CyclicSublist",
     "DuplicateCenter",
     "GeometryError",
     "INTERSECTS_ALL",
@@ -77,6 +75,7 @@ __all__ = [
     "solution_document",
     "solve_unweighted",
     "solve_weighted",
+    "solve_weighted_all_k",
     "solve_weighted_unbounded",
     "verify",
     "voronoi_assignment",

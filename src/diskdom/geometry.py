@@ -2,18 +2,17 @@
 
 An instance is a cyclic counterclockwise sequence of disks whose centers
 are all strict vertices of their convex hull.  Every algorithm in this
-package reasons about contiguous runs of instance indices.  The solvers
-carry a run as a (start, length) pair of integers and merge runs with
-`union_runs`, or many rows of runs at once with `union_columns`;
-`CyclicSublist` is the run as a value, for results and reference
-queries.  They live here next to the disk predicates.
+package reasons about contiguous runs of instance indices, carried as
+(start, length) pairs of integers.  The solvers merge many rows of runs
+at once with `union_columns`, which lives here next to the disk
+predicates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +38,7 @@ class NonFiniteValue(GeometryError):
 
 
 class NotConsecutive(ValueError):
-    """Runs handed to union_runs leave a gap in the cyclic order."""
+    """Runs handed to union_columns leave a gap in the cyclic order."""
 
 
 @dataclass(frozen=True)
@@ -175,135 +174,42 @@ def offset_ccw(i: int, j: int, n: int) -> int:
     return (j - i) % n
 
 
-@dataclass(frozen=True)
-class CyclicSublist:
-    """A contiguous run of instance indices: start, start+1, ... (mod n).
-
-    Empty and full runs are canonicalized to start 0 so equality is plain
-    structural equality.
-    """
-
-    start: int
-    length: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 0 <= self.length <= self.n:
-            raise ValueError("length out of range")
-        if self.length in (0, self.n):
-            object.__setattr__(self, "start", 0)
-        else:
-            object.__setattr__(self, "start", self.start % self.n)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.length == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.length == self.n
-
-    @property
-    def cw_end(self) -> int:
-        """First covered index; undefined for empty or full runs."""
-        if self.is_empty or self.is_full:
-            raise ValueError("endpoint undefined for empty/full run")
-        return self.start
-
-    @property
-    def ccw_end(self) -> int:
-        """Last covered index; undefined for empty or full runs."""
-        if self.is_empty or self.is_full:
-            raise ValueError("endpoint undefined for empty/full run")
-        return (self.start + self.length - 1) % self.n
-
-    def covers(self, idx: int) -> bool:
-        if self.is_empty:
-            return False
-        return (idx - self.start) % self.n < self.length
-
-    def __contains__(self, idx: int) -> bool:
-        return self.covers(idx)
-
-    def indices(self) -> Iterator[int]:
-        for k in range(self.length):
-            yield (self.start + k) % self.n
-
-    def contains_sub(self, other: "CyclicSublist") -> bool:
-        """True when every index of `other` is covered by this run."""
-        if other.n != self.n:
-            raise ValueError("runs over different instance sizes")
-        if other.is_empty or self.is_full:
-            return True
-        if other.length > self.length:
-            return False
-        d = (other.start - self.start) % self.n
-        return d + other.length <= self.length
-
-
-def union_runs(n: int, runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Merge runs that appear in overlapping-or-abutting order into one run.
-
-    Runs are (start, length) pairs over a cycle of n, with starts in
-    [0, n).  Empty runs are skipped, and the result saturates to the full
-    cycle as soon as the accumulated coverage wraps.  Returns the merged
-    run as (start, length), canonical like `CyclicSublist`: (0, 0) when
-    empty, (0, n) when full.  Raises NotConsecutive when a nonempty run
-    leaves a gap against the coverage accumulated so far.
-    """
-    s = -1
-    length = 0
-    for ps, pk in runs:
-        if pk == 0:
-            continue
-        if pk == n or length >= n:
-            return 0, n
-        if s < 0:
-            s, length = ps, pk
-            continue
-        d = (ps - s) % n
-        if d <= length:
-            if d + pk > length:
-                length = d + pk
-        elif d + pk >= n:
-            # wraps around behind the accumulated run
-            length = max(pk, n - d + length)
-            s = ps
-        else:
-            raise NotConsecutive(f"gap between accumulated run and ({ps}, {pk})")
-    if s < 0:
-        return 0, 0
-    if length >= n:
-        return 0, n
-    return s, length
-
-
 def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
-    """`union_runs` of many rows at once: the runs are (starts, lengths) array pairs.
+    """Merge rows of runs, each row's parts in overlapping-or-abutting order, into one run each.
 
-    Row q merges the q-th entry of each pair, in order, exactly as
-    `union_runs` does (a saturated row ignores later parts), and returns
-    start and length arrays.  Raises NotConsecutive when any row leaves a
-    gap before it saturates.
+    The runs are (starts, lengths) array pairs over a cycle of n, starts in
+    [0, n): row q merges the q-th entry of each pair, in order.  Empty
+    parts are skipped, and a row saturates to the full cycle as soon as
+    its accumulated coverage wraps, ignoring its later parts.  Returns
+    start and length arrays, canonical: (0, 0) for an empty row, (0, n)
+    for a full one.  Raises NotConsecutive when a nonempty part of any row
+    leaves a gap against that row's coverage so far.  Each part touches
+    only the rows still open, and gaps are raised once, after every part.
     """
-    (s, length), *rest = [(np.asarray(ps, np.int64), np.asarray(pk, np.int64)) for ps, pk in runs]
-    done = length == n
-    s = np.where(length == 0, -1, s)
+    (s0, k0), *rest = [(np.asarray(ps, np.int64), np.asarray(pk, np.int64)) for ps, pk in runs]
+    out_s, out_k = np.zeros_like(s0), np.full_like(k0, n)  # saturated rows read (0, n)
+    rows = np.flatnonzero(k0 < n)  # rows still open, with their accumulated run:
+    s, length = np.where(k0 == 0, -1, s0)[rows], k0[rows]  # start -1 while empty
+    gaps = False
+    # selects are arithmetic, a + mask * (b - a), and no `%` is taken: both
+    # beat np.where and np.mod on int64 columns
     for ps, pk in rest:
-        live = (pk != 0) & ~done
-        done |= live & (pk == n)
-        live &= pk != n
-        fresh = live & (s < 0)
-        d = (ps - s) % n
-        inside = live & ~fresh & (d <= length)
-        behind = live & ~fresh & ~inside & (d + pk >= n)
-        if (live & ~fresh & ~inside & ~behind).any():
-            raise NotConsecutive("gap between accumulated run and the next part in a row")
-        length = np.where(fresh, pk, np.where(inside, np.maximum(length, d + pk), length))
-        length = np.where(behind, np.maximum(pk, n - d + length), length)
-        s = np.where(fresh | behind, ps, s)
-        done |= length >= n
+        k, p = pk[rows], ps[rows]
+        p += (k == 0) * (s - p)  # an empty part merges as (s, 0): no change
+        d = p - s  # how far past the accumulated start the part starts
+        d += (d < 0) * n
+        fresh = s < 0
+        wrap = (d > length) & ~fresh  # starts past the accumulated end: must wrap behind it
+        gaps |= bool((wrap & (d + k < n)).any())
+        grown = np.maximum(length, d + k)
+        grown += wrap * (np.maximum(k, n - d + length) - grown)
+        length = grown + fresh * (k - grown)
+        s += (fresh | wrap) * (p - s)
+        open_ = length < n
+        if not open_.all():
+            rows, s, length = rows[open_], s[open_], length[open_]
+    if gaps:
+        raise NotConsecutive("gap between accumulated run and the next part in a row")
     empty = s < 0
-    return np.where(done | empty, 0, s), np.where(done, n, np.where(empty, 0, length))
+    out_s[rows], out_k[rows] = np.where(empty, 0, s), np.where(empty, 0, length)
+    return out_s, out_k

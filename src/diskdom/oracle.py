@@ -22,7 +22,6 @@ from typing import Iterable, Literal, Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    CyclicSublist,
     Instance,
     disk_arrays,
     intersects,
@@ -154,15 +153,15 @@ def brute_force_min(
 class Assignment:
     """Nearest-center assignment (by |p c| - r_c) and its contiguous groups.
 
-    `groups` lists (center, run) pairs: the maximal cyclic runs of points
-    sharing an assigned center, in order of run start.  `dominating` and
-    `containment_pairs` report whether the separability preconditions held;
-    violations are flagged, never fatal.
+    `groups` lists (center, (start, length)) pairs: the maximal cyclic runs
+    of points sharing an assigned center, in order of run start.
+    `dominating` and `containment_pairs` report whether the separability
+    preconditions held; violations are flagged, never fatal.
     """
 
     centers: tuple[int, ...]
     assigned: tuple[int, ...]
-    groups: tuple[tuple[int, CyclicSublist], ...]
+    groups: tuple[tuple[int, tuple[int, int]], ...]
     dominating: bool
     containment_pairs: tuple[tuple[int, int], ...]
 
@@ -207,11 +206,11 @@ def voronoi_assignment(instance: Instance, centers: Iterable[int]) -> Assignment
                 best, best_c = val, c
         assigned.append(best_c)
     if len(set(assigned)) == 1:
-        groups = ((assigned[0], CyclicSublist(0, n, n)),)
+        groups = ((assigned[0], (0, n)),)
     else:
         starts = [i for i in range(n) if assigned[i] != assigned[i - 1]]
         groups = tuple(
-            (assigned[s], CyclicSublist(s, offset_ccw(s, starts[(k + 1) % len(starts)], n), n))
+            (assigned[s], (s, offset_ccw(s, starts[(k + 1) % len(starts)], n)))
             for k, s in enumerate(starts)
         )
     return Assignment(

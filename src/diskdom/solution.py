@@ -1,4 +1,4 @@
-"""Solver results and the failure modes shared by every solver."""
+"""Solver results, the failure modes and the level columns shared by every solver."""
 
 from __future__ import annotations
 
@@ -100,3 +100,64 @@ def check_dominated_run(instance: Instance, cand) -> None:
         idx = (cand.start + k) % n
         if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
             raise SolverInvariantError(f"disk {idx} undominated: {cand}")
+
+
+class RunLevel:
+    """One solver level's candidates as int64 columns, in id order; never changed.
+
+    Candidate c has the run (`starts[c]`, `lengths[c]`) and the owner
+    `owners[c]`.  Row c of `parents` is (level of l1, id of l1, level of
+    l2, id of l2): the lower-level candidates it joins, -1 where there is
+    no l2 and throughout level 1, where the owner is the witness.  `below`
+    holds the lower levels by level.  A candidate becomes an object
+    (`candidate_type`) only when `candidate` is asked for it.
+    """
+
+    candidate_type: type
+
+    def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, parents):
+        self.instance = instance
+        self.level = level
+        self.below = below
+        self.n = instance.n
+        self.starts, self.lengths, self.owners, self.parents = starts, lengths, owners, parents
+        self._witnesses: dict[int, frozenset[int]] = {}  # by id, as `witnesses` rebuilds them
+
+    def witnesses(self, ident: int) -> frozenset[int]:
+        """Candidate `ident`'s witness set: the owners its parents lead to at level 1.
+
+        Walks the parents down and keeps every set it rebuilds, so each
+        candidate's set is the union of its parents' sets, built once.
+        """
+        todo = [(self, ident)]
+        while todo:
+            level, c = todo[-1]
+            if c in level._witnesses:
+                todo.pop()
+            elif level.level == 1:
+                level._witnesses[c] = frozenset((level.owners[c].item(),))
+            else:
+                t1, c1, t2, c2 = level.parents[c].tolist()
+                parents = [(level.below[t1], c1)] + ([(level.below[t2], c2)] if c2 >= 0 else [])
+                missing = [(p, pc) for p, pc in parents if pc not in p._witnesses]
+                if missing:
+                    todo += missing
+                else:
+                    sets = (p._witnesses[pc] for p, pc in parents)
+                    level._witnesses[c] = frozenset().union(*sets)
+                    todo.pop()
+        return self._witnesses[ident]
+
+    def candidate(self, ident: int):
+        """Candidate `ident` as a `candidate_type`, with its rebuilt witness set.
+
+        Built from (start, length, *`_extra(ident)`, witnesses, owner, level).
+        """
+        columns = (self.starts, self.lengths, self.owners)
+        start, length, owner = (col[ident].item() for col in columns)
+        extra = self._extra(ident)
+        return self.candidate_type(start, length, *extra, self.witnesses(ident), owner, self.level)
+
+    def _extra(self, ident: int) -> tuple:
+        """Fields of `candidate_type` between the run and the witnesses."""
+        return ()

@@ -7,12 +7,13 @@ bucket at O(level) entries.  The first level that produces a full-circle
 candidate ends the search; that candidate's witnesses are a smallest
 dominating set.
 
-A level is a set of int64 columns (`GreedyLevel`): each candidate's run
-as (start, length), its owner, and a parent row naming the lower-level
-candidates it joins.  `build_level` builds level t in whole-level numpy
-passes, one per direction and split level over all points
-(`directional_steps`, `bidirectional_steps`), with batched neighbor
-queries (`neighbor_index.runs_past`) and row-wise merges
+A level is a set of int64 columns (`GreedyLevel`, on the `RunLevel` base
+the weighted DP shares): each candidate's run as (start, length), its
+owner, and a parent row naming the lower-level candidates it joins.
+`build_level` builds level t in whole-level numpy passes, one per
+direction and split level over all points (`directional_steps`,
+`bidirectional_steps`), with batched neighbor queries
+(`neighbor_index.runs_past`) and row-wise merges
 (`geometry.union_columns`).  No candidate is an object: only the
 winner's witness set is rebuilt, by walking its parents down to level 1,
 unless `check_invariants=True` asks for every candidate.
@@ -33,6 +34,7 @@ from .geometry import Instance, union_columns
 from .neighbor_index import build_neighbor_index
 from .solution import (
     Infeasible,
+    RunLevel,
     Solution,
     SolverInvariantError,
     check_dominated_run,
@@ -120,28 +122,22 @@ def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     return np.where(reach < 0, -1, base - 1 - np.where(second, k2, k1))
 
 
-class GreedyLevel:
-    """One level's candidates as int64 columns, in id order; never changed.
+class GreedyLevel(RunLevel):
+    """One level's candidates as int64 columns, in id order (`RunLevel`).
 
     Ids run owner by owner, and within an owner: ccw step, cw step, then
-    the stitched candidates by split level.  Row c of `parents` is (level
-    of l1, id of l1, level of l2, id of l2), -1 where there is no l2 and
-    throughout level 1, where the owner is the witness; `below` holds the
-    lower levels.  The constructor builds the answers later levels read, as
-    ids (-1 for none, equal reaches to the smallest id): each point's own
-    candidate reaching farthest each way (`ext[ccw]`), per index the
-    candidate through it reaching farthest each way (`far[ccw]`), and the
-    first full candidate (`full_id`).
+    the stitched candidates by split level.  The constructor builds the
+    answers later levels read, as ids (-1 for none, equal reaches to the
+    smallest id): each point's own candidate reaching farthest each way
+    (`ext[ccw]`), per index the candidate through it reaching farthest each
+    way (`far[ccw]`), and the first full candidate (`full_id`).
     """
 
+    candidate_type = GreedyCandidate
+
     def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, parents):
-        self.instance = instance
-        self.level = level
-        self.below = below
-        n = self.n = instance.n
-        self.starts, self.lengths, self.owners, self.parents = starts, lengths, owners, parents
-        self._witnesses: dict[int, frozenset[int]] = {}  # by id, as `witnesses` rebuilds them
-        m = len(starts)
+        super().__init__(instance, level, below, starts, lengths, owners, parents)
+        n, m = self.n, len(starts)
         self.far = dict(zip((True, False), farthest_ids(starts, lengths, n)))
         is_full = lengths == n
         full = np.flatnonzero(is_full)
@@ -155,34 +151,6 @@ class GreedyLevel:
             best = np.full(n, -1, dtype=np.int64)
             np.maximum.at(best, owners, reach * m + tie)
             self.ext[ccw] = np.where(best < 0, -1, m - 1 - best % max(m, 1))
-
-    def witnesses(self, ident: int) -> frozenset[int]:
-        """Candidate `ident`'s witness set: the owners its parents lead to at level 1.
-
-        Walks the parents down and keeps every set it rebuilds, so each
-        candidate's set is the union of its parents' sets, built once.
-        """
-        todo = [(self, ident)]
-        while todo:
-            level, c = todo[-1]
-            if c in level._witnesses:
-                todo.pop()
-            elif level.level == 1:
-                level._witnesses[c] = frozenset((int(level.owners[c]),))
-            else:
-                t1, c1, t2, c2 = level.parents[c].tolist()
-                parents = [(self.below[t1], c1)] + ([(self.below[t2], c2)] if c2 >= 0 else [])
-                missing = [(p, pc) for p, pc in parents if pc not in p._witnesses]
-                if missing:
-                    todo += missing
-                else:
-                    sets = (p._witnesses[pc] for p, pc in parents)
-                    level._witnesses[c] = frozenset().union(*sets)
-        return self._witnesses[ident]
-
-    def candidate(self, ident: int) -> GreedyCandidate:
-        start, length, owner = (int(col[ident]) for col in (self.starts, self.lengths, self.owners))
-        return GreedyCandidate(start, length, self.witnesses(ident), owner, self.level)
 
 
 def directional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int, *, ccw: bool):

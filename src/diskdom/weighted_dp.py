@@ -6,18 +6,25 @@ dominates the run and a value bounding the witness weight.  Level t
 candidates for point i are built three ways:
 
 * counterclockwise: a run from i's own level-t' bucket, extended by the
-  cheapest run from the previous global level starting just past it, plus
-  the stretch after that which disk i dominates by itself (`run_after`);
-* clockwise: the mirror image.  One routine (`_directional_combos`)
-  builds both, and the scan chains it reads take the direction as a
-  parameter too;
+  cheapest run from the level-(t-t') global level starting just past it,
+  plus the stretch after that which disk i dominates by itself;
+* clockwise: the mirror image; one routine (`directional_combos`) builds
+  both;
 * bidirectional: one run from i's bucket in each direction, meeting at i,
-  with i's weight counted once.
+  with i's weight counted once (`bidirectional_combos`).
 
-Runs are (start, length) pairs of integers throughout, merged by
-`geometry.union_runs`.  Combinations are plain tuples, and a bucket keeps
-one per run, the first to arrive, replaced only by a strictly cheaper
-copy; only the kept ones become `Candidate`s (`dedup_runs`).
+A level is a set of columns (`LevelTable`, on the `RunLevel` base the
+unweighted search shares): each candidate's run as (start, length), its
+owner, its value, and a parent row naming the lower-level candidates it
+joins.  `build_level` makes every combination of a level in whole-level
+numpy passes, one per direction and split level and one per bidirectional
+split, over all points at once: runs merged row-wise by
+`geometry.union_columns`, tails from the batched
+`neighbor_index.runs_past`.  `dedup_rows` then keeps one combination per
+run in each bucket, the first to arrive, replaced only by a strictly
+cheaper copy, in one sort.  No combination is an object: the winner's
+witness set is rebuilt by walking its parents, and `check_invariants=True`
+builds every combination as a `Candidate` for the validator.
 
 Each combination asks a built level for the cheapest run containing a
 query run that grows from a fixed anchor, one index at a time.  The answer
@@ -25,28 +32,29 @@ only changes when the query outgrows it, so the solver consumes whole
 scan chains: the distinct answers in order of growing query.  A chain is
 read off a staircase.  Walking a level's candidates in (value, id) order,
 the ones that reach strictly farther from the anchor than every cheaper
-candidate are exactly the chain.  A full-circle candidate of minimum value
-over all levels yields the answer.
+candidate are exactly the chain.  A level builds all chains of one kind at
+once, as id arrays (`LevelTable.chains`).  A full-circle candidate of
+minimum value over levels 1..k yields the answer for size bound k, for
+every k at once (`solve_weighted_all_k`).
 
-The tests build the same chains from plain-scan cheapest-enclosing
-queries, one growing run at a time (`tests/weighted_reference.py`), and
-compare.
+The tests compare each level with a point-by-point scalar twin and the
+chains with plain-scan cheapest-enclosing queries
+(`tests/weighted_reference.py`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import accumulate, chain
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import Instance, union_runs
+from .geometry import Instance, union_columns
 from .neighbor_index import build_neighbor_index
 from .solution import (
     Infeasible,
+    RunLevel,
     Solution,
     SolverInvariantError,
     check_dominated_run,
@@ -55,6 +63,7 @@ from .solution import (
 )
 
 VALUE_SLACK = 1e-9  # tolerance of the validator's witness-weight check
+CHAIN_BLOCK = 1 << 16  # (anchor, candidate) cells per pass of the global staircase
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ class Candidate:
 
 
 def make_validator(instance: Instance) -> Callable[[Candidate], None]:
-    """Checks run on every candidate before dedup; failures raise SolverInvariantError."""
+    """Checks run on every combination before dedup; failures raise SolverInvariantError."""
     disks = instance.disks
 
     def validate(cand: Candidate) -> None:
@@ -82,156 +91,179 @@ def make_validator(instance: Instance) -> Callable[[Candidate], None]:
     return validate
 
 
-class LevelTable:
-    """All candidates of one level, bucketed by owning point; never changed.
+def _reach(starts, lengths, anchors, n: int, *, ccw: bool) -> np.ndarray:
+    """Steps each run extends past its anchor, ccw or cw: n when full, -1 when missing it."""
+    off = (anchors - starts) % n
+    reach = np.where(off < lengths, lengths - 1 - off if ccw else off, -1)
+    return np.where(lengths == n, n, reach)
 
-    `buckets[i]` lists point i's candidates, one per run (`dedup_runs`).
-    The constructor assigns candidate ids (bucket order, then position in
-    the bucket) and lays the runs out as numpy arrays twice: sorted by
-    (value, id) over the whole level, and sorted by (value, id) within
-    each bucket, so that every bucket is a contiguous slice.  The two
-    scan-chain methods, each taking the direction as a parameter, answer
-    from those arrays (see `_staircase`) and cache their chains in one
-    dict.
+
+class LevelTable(RunLevel):
+    """One level's candidates as columns in id order (`RunLevel`), plus `values`.
+
+    Ids run owner by owner (bucket order), and within an owner in order of
+    first arrival (`dedup_rows`).  A candidate's reach is how far past an
+    anchor its run extends (counterclockwise or clockwise): n for a full
+    run, -1 for a run missing the anchor.  A query of length q grown from
+    the anchor lies inside it exactly when reach >= q - 1, so the cheapest
+    answer to each query is the first candidate in (value, id) order
+    reaching that far, and the chain of distinct answers holds the
+    candidates reaching strictly farther than every one before them.
     """
 
-    def __init__(self, instance: Instance, level: int, buckets: list[list[Candidate]]):
-        self.instance = instance
-        self.level = level
-        self.buckets = buckets
-        self._by_id = [cand for bucket in buckets for cand in bucket]
-        sizes = [len(bucket) for bucket in buckets]
-        self._bucket_lo = [0, *accumulate(sizes)]  # bucket i holds ids [lo[i], lo[i+1])
-        m = len(self._by_id)
-        starts = np.fromiter((c.start for c in self._by_id), np.int64, m)
-        lengths = np.fromiter((c.length for c in self._by_id), np.int64, m)
-        values = np.fromiter((c.value for c in self._by_id), np.float64, m)
-        owners = np.repeat(np.arange(len(sizes)), sizes)
-        # both sorts are stable, so equal values stay in id order
-        by_value = np.argsort(values, kind="stable")
-        by_bucket = np.lexsort((values, owners))
-        self._global_runs = _SortedRuns(by_value, starts, lengths)
-        self._bucket_runs = _SortedRuns(by_bucket, starts, lengths)
-        self._chains: dict[tuple, list[Candidate]] = {}  # (bucket chain?, anchor, ccw) -> chain
+    candidate_type = Candidate
 
-    def all_candidates(self) -> Sequence[Candidate]:
-        return self._by_id
+    def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, values,
+                 parents):
+        super().__init__(instance, level, below, starts, lengths, owners, parents)
+        self.values = values
+        self._chains: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- distinct-answer scan chains ------------------------------------
+    def _extra(self, ident: int) -> tuple:
+        return (self.values[ident].item(),)
 
-    def _staircase(
-        self, runs: _SortedRuns, lo: int, hi: int, anchor: int, *, ccw: bool
-    ) -> list[Candidate]:
-        """Chain of the candidates at positions [lo, hi) of `runs`.
+    def chains(self, *, bucket: bool, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Every chain of one kind, as (ptr, ids): anchor a's is ids[ptr[a]:ptr[a + 1]].
 
-        A candidate's reach is how far past `anchor` its run extends
-        (counterclockwise or clockwise): n for a full run, -1 for a run
-        missing the anchor.  The query of length q lies inside it exactly
-        when reach >= q - 1, so the cheapest answer to each query is the
-        first candidate in (value, id) order reaching that far, and the
-        distinct answers are the candidates that reach strictly farther
-        than every one before them.
+        Bucket chains read only bucket a, anchored at its owner a; global
+        chains read the whole level.  Built once per kind.
         """
-        n = self.instance.n
-        starts = runs.starts[lo:hi]
-        lengths = runs.lengths[lo:hi]
-        off = (anchor - starts) % n
-        reach = np.where(off < lengths, lengths - 1 - off if ccw else off, -1)
-        reach[lengths == n] = n
-        best = np.maximum.accumulate(reach)
-        step = best != np.concatenate(([-1], best[:-1]))  # the best reach grows
-        return list(map(self._by_id.__getitem__, runs.ids[lo:hi][step].tolist()))
+        table = self._chains.get((bucket, ccw))
+        if table is None:
+            table = self._chains[bucket, ccw] = self._chain_table(bucket, ccw=ccw)
+        return table
 
-    def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
-        lo, hi = self._bucket_lo[i : i + 2]
-        return self._staircase(self._bucket_runs, lo, hi, i, ccw=ccw)
+    def bucket_chain(self, i: int, *, ccw: bool) -> np.ndarray:
+        """Ids of the distinct bucket-i answers for queries growing from i, ccw or cw."""
+        ptr, ids = self.chains(bucket=True, ccw=ccw)
+        return ids[ptr[i] : ptr[i + 1]]
 
-    def _global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
-        return self._staircase(self._global_runs, 0, len(self._by_id), anchor, ccw=ccw)
+    def global_chain(self, anchor: int, *, ccw: bool) -> np.ndarray:
+        """Ids of the distinct global answers for queries growing from `anchor`, ccw or cw."""
+        ptr, ids = self.chains(bucket=False, ccw=ccw)
+        return ids[ptr[anchor] : ptr[anchor + 1]]
 
-    def bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
-        """Distinct bucket-i answers for queries growing from i, ccw or cw."""
-        chain = self._chains.get((True, i, ccw))
-        if chain is None:
-            chain = self._chains[True, i, ccw] = self._bucket_chain(i, ccw=ccw)
-        return chain
+    def _chain_table(self, bucket: bool, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The staircases of one kind, all anchors in whole-array passes.
 
-    def global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
-        """Distinct global answers for queries growing from `anchor`, ccw or cw."""
-        chain = self._chains.get((False, anchor, ccw))
-        if chain is None:
-            chain = self._chains[False, anchor, ccw] = self._global_chain(anchor, ccw=ccw)
-        return chain
-
-
-class _SortedRuns:
-    """A level's candidate runs, permuted into one (value, id) order."""
-
-    __slots__ = ("ids", "starts", "lengths")
-
-    def __init__(self, order: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-        self.ids = order
-        self.starts = starts[order]
-        self.lengths = lengths[order]
-
-
-def dedup_runs(combos: Iterable[tuple], owner: int, level: int, validator=None) -> list[Candidate]:
-    """One bucket: a `Candidate` for each run of `combos`, plain tuples
-    (start, length, value, witnesses_a, witnesses_b), each validated first
-    if `validator` is given.  A run's first combination fixes its position
-    in the bucket, and a later copy replaces it only when strictly cheaper.
-    """
-    kept: dict[tuple[int, int], tuple] = {}  # (start, length) -> (value, a, b)
-    for s, k, value, a, b in combos:
-        if validator is not None:
-            validator(Candidate(s, k, value, a | b, owner, level))
-        old = kept.get((s, k))
-        if old is None or value < old[0]:
-            kept[s, k] = value, a, b
-    return [Candidate(s, k, v, a | b, owner, level) for (s, k), (v, a, b) in kept.items()]
+        Bucket chains: one pass in (owner, value, id) order, where the
+        running best is a running maximum of owner * (n + 2) + reach + 1,
+        a key that grows with the owner.  Global chains: blocks of anchors
+        against the first copy of each run in (value, id) order.
+        """
+        n = self.n
+        if bucket:
+            order = np.lexsort((self.values, self.owners))
+            anchors = self.owners[order]
+            reach = _reach(self.starts[order], self.lengths[order], anchors, n, ccw=ccw)
+            key = anchors * (n + 2) + reach + 1
+            best = np.maximum.accumulate(key)
+            step = (reach >= 0) & (key > np.concatenate(([-1], best[:-1])))
+            rows, ids = anchors[step], order[step]
+        else:
+            order = np.argsort(self.values, kind="stable")
+            # a later copy of a run never reaches farther than its first copy
+            runs = self.starts[order] * (n + 1) + self.lengths[order]
+            order = order[np.sort(np.unique(runs, return_index=True)[1])]
+            starts, lengths = self.starts[order], self.lengths[order]
+            block = max(1, CHAIN_BLOCK // max(len(order), 1))
+            rows, cols = [], []
+            for lo in range(0, n, block):
+                anchor = np.arange(lo, min(n, lo + block))[:, None]
+                best = np.maximum.accumulate(_reach(starts, lengths, anchor, n, ccw=ccw), axis=1)
+                r, c = np.nonzero(np.diff(best, axis=1, prepend=-1) > 0)
+                rows.append(r + lo)
+                cols.append(c)
+            rows, ids = np.concatenate(rows), order[np.concatenate(cols)]
+        return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), ids
 
 
-def _directional_combos(nbr, levels, i: int, t: int, *, ccw: bool, every: bool) -> Iterator[tuple]:
-    """i's one-way level-t combinations, counterclockwise or clockwise.
+def _ranges(lo, count) -> tuple[np.ndarray, np.ndarray]:
+    """Item q repeated count[q] times, and the indices lo[q], lo[q] + 1, ... beside it."""
+    item = np.repeat(np.arange(len(lo)), count)
+    return item, lo[item] + np.arange(len(item)) - (np.cumsum(count) - count)[item]
 
-    For each split level t', every run l1 of i's level-t' bucket chain is
-    extended by every run l2 of the level-(t-t') global chain starting just
-    past l1's far end, then by the stretch disk i dominates past l2's far
-    end.  A full l1 is a combination by itself.  Unless `every`, a run equal
-    to the one just made from the same l1 (never cheaper) is skipped.
+
+def directional_combos(nbr, levels: Sequence[Optional[LevelTable]], t: int, tp: int, *,
+                       ccw: bool) -> tuple:
+    """Every point's one-way level-t combinations of split level t', ccw or cw.
+
+    Each run l1 of a point's level-t' bucket chain is extended by each run
+    l2 of the level-(t-t') global chain anchored just past l1's far end,
+    then by the stretch the point's disk meets past l2's far end
+    (`runs_past`); the run is the union of the point's dominated run, l1,
+    l2 and that tail, at value v1 + v2.  A full l1 is a combination by
+    itself, at v1.  Rows come point by point, then in l1 and l2 chain
+    order.  Returns int64 columns owners, starts, lengths, the float64
+    values and (m, 4) parent rows.
     """
     n = nbr.n
-    dom = nbr.dominated_run(i)
-    tail = cache(partial(nbr.run_after if ccw else nbr.run_before, i))  # of l2's far end
-    for tp in range(1, t):
-        for l1 in levels[tp].bucket_chain(i, ccw=ccw):
-            s1, k1, v1, a = l1.start, l1.length, l1.value, l1.witnesses
-            if k1 == n:
-                yield 0, n, v1, a, a
-                continue
-            head, last = union_runs(n, (dom, (s1, k1))), None
-            for l2 in levels[t - tp].global_chain((s1 + k1) % n if ccw else (s1 - 1) % n, ccw=ccw):
-                s2, k2 = l2.start, l2.length
-                run = union_runs(n, (head, (s2, k2), tail((s2 + k2 - 1) % n if ccw else s2)))
-                if run != last or every:
-                    last = run
-                    yield *run, v1 + l2.value, a, l2.witnesses
+    near, other = levels[tp], levels[t - tp]
+    _, l1 = near.chains(bucket=True, ccw=ccw)
+    s1, k1 = near.starts[l1], near.lengths[l1]
+    ptr, l2s = other.chains(bucket=False, ccw=ccw)
+    anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
+    full1 = k1 == n
+    row, at = _ranges(ptr[anchor], np.where(full1, 1, ptr[anchor + 1] - ptr[anchor]))
+    l1, s1, k1, has2 = l1[row], s1[row], k1[row], ~full1[row]
+    i = near.owners[l1]
+    l2 = np.full_like(l1, -1)
+    l2[has2] = l2s[at[has2]]
+    s2, k2, tail_s, tail_k = (np.zeros_like(l1) for _ in range(4))  # empty parts
+    s2[has2], k2[has2] = other.starts[l2[has2]], other.lengths[l2[has2]]
+    # the tail only where l2 is partial: the union saturates on a full part
+    open_ = has2 & (k2 < n)
+    tail_s[open_], tail_k[open_] = nbr.runs_past(
+        i[open_], ((s2 + k2 - 1) % n if ccw else s2)[open_], ccw=ccw
+    )
+    dom_s, dom_k = nbr.dominated_runs
+    s, k = union_columns(n, ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k)))
+    v1 = near.values[l1]
+    values = v1.copy()
+    values[has2] = v1[has2] + other.values[l2[has2]]
+    parents = np.stack((np.full_like(l1, tp), l1, np.where(has2, t - tp, -1), l2), axis=1)
+    return i, s, k, values, parents
 
 
-def _bidi_combos(nbr, levels, i: int, t: int, *, every: bool) -> Iterator[tuple]:
-    """i's combinations of a ccw run lx and a cw run ly, weight wi counted once."""
+def bidirectional_combos(nbr, levels: Sequence[Optional[LevelTable]], t: int, tp: int,
+                         weights: np.ndarray) -> tuple:
+    """Every point's combinations of a ccw run lx of level t' and a cw run ly of level t+1-t'.
+
+    lx and ly walk the point's two bucket chains, ly fastest; the run is
+    the union of the point's dominated run, lx and ly, at value
+    (vx + vy) - wi, the point's weight counted once.  Columns as
+    `directional_combos`.
+    """
     n = nbr.n
-    dom = nbr.dominated_run(i)
-    wi = nbr.instance.disks[i].weight
-    for tp in range(2, t):
-        ys = levels[t + 1 - tp].bucket_chain(i, ccw=False)
-        for lx in levels[tp].bucket_chain(i, ccw=True):
-            head, last = union_runs(n, (dom, (lx.start, lx.length))), None
-            for ly in ys:
-                run = union_runs(n, (head, (ly.start, ly.length)))
-                if run != last or every:
-                    last = run
-                    yield *run, lx.value + ly.value - wi, lx.witnesses, ly.witnesses
+    x, y = levels[tp], levels[t + 1 - tp]
+    _, lx = x.chains(bucket=True, ccw=True)
+    ptr, lys = y.chains(bucket=True, ccw=False)
+    i = x.owners[lx]
+    row, at = _ranges(ptr[i], ptr[i + 1] - ptr[i])
+    i, lx, ly = i[row], lx[row], lys[at]
+    dom_s, dom_k = nbr.dominated_runs
+    runs = ((dom_s[i], dom_k[i]), (x.starts[lx], x.lengths[lx]), (y.starts[ly], y.lengths[ly]))
+    values = (x.values[lx] + y.values[ly]) - weights[i]
+    parents = np.stack((np.full_like(i, tp), lx, np.full_like(i, t + 1 - tp), ly), axis=1)
+    return (i, *union_columns(n, runs), values, parents)
+
+
+def dedup_rows(n: int, owners, starts, lengths, values) -> np.ndarray:
+    """The rows a level keeps, in id order: one per (owner, run).
+
+    Rows are combinations in arrival order within each owner.  A run's
+    first row fixes its place in the owner's bucket, and its kept row is
+    the first of its cheapest copies: a later copy wins only when strictly
+    cheaper.  One stable sort on the packed key (owner, start, length),
+    then value, leaves each run's copies cheapest first, equal values in
+    arrival order.
+    """
+    key = (owners * n + starts) * (n + 1) + lengths
+    order = np.lexsort((values, key))
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    kept = order[first]
+    arrival = np.minimum.reduceat(order, first) if len(order) else first
+    return kept[np.argsort(owners[kept] * len(order) + arrival)]
 
 
 def build_level(
@@ -245,52 +277,82 @@ def build_level(
     """Level t, combined from levels 1..t-1 (`levels[t']`).
 
     Level 1 holds one candidate per point: its own dominated run at its
-    own weight.  With a `validator`, every combination, same-run repeats
-    included, is validated before its bucket's dedup (`dedup_runs`).
+    own weight.  Later levels hold, per point, its ccw combinations by
+    split level, then its cw ones, then its bidirectional ones, deduplicated
+    by `dedup_rows`.  With a `validator`, every combination, same-run
+    copies included, is built as a `Candidate` and validated first.
     """
-    every = validator is not None
-    buckets = []
-    for i, disk in enumerate(instance.disks):
-        if t == 1:
-            combos = [(*nbr.dominated_run(i), disk.weight, frozenset((i,)), frozenset((i,)))]
-        else:
-            combos = chain(
-                _directional_combos(nbr, levels, i, t, ccw=True, every=every),
-                _directional_combos(nbr, levels, i, t, ccw=False, every=every),
-                _bidi_combos(nbr, levels, i, t, every=every),
-            )
-        buckets.append(dedup_runs(combos, i, t, validator))
-    return LevelTable(instance, t, buckets)
+    n = instance.n
+    weights = np.array([d.weight for d in instance.disks], np.float64)
+    if t == 1:
+        blocks = [(np.arange(n), *nbr.dominated_runs, weights, np.full((n, 4), -1))]
+    else:
+        blocks = [
+            directional_combos(nbr, levels, t, tp, ccw=ccw)
+            for ccw in (True, False)
+            for tp in range(1, t)
+        ]
+        blocks += [bidirectional_combos(nbr, levels, t, tp, weights) for tp in range(2, t)]
+    # concatenated block by block, each owner's rows stay in arrival order
+    owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
+    if validator is not None:
+        every = LevelTable(instance, t, levels, starts, lengths, owners, values, parents)
+        for row in range(len(owners)):
+            validator(every.candidate(row))
+    keep = dedup_rows(n, owners, starts, lengths, values)
+    return LevelTable(
+        instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
+    )
 
 
-def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:
-    """Minimum-weight dominating set of size at most k, or Infeasible.
+def solve_weighted_all_k(
+    instance: Instance, k: int, *, check_invariants: bool = False
+) -> dict[int, Union[Solution, Infeasible]]:
+    """Every size bound k' = 1..k answered from one build of levels 1..k.
 
-    Deterministic for fixed inputs.  `check_invariants=True` validates
-    every candidate, also those the same-run dedup drops, and raises
-    SolverInvariantError on a broken one; it changes nothing about the
-    result.
-
-    When the counting bound (`domination_lower_bound`) already exceeds k,
-    Infeasible is raised right after level 1, before any level is combined.
+    Level t does not depend on k, so the answer for k' is the cheapest full
+    candidate over levels 1..k' (the first one at equal value), or an
+    `Infeasible(k')` value when there is none.  When the counting bound
+    (`domination_lower_bound`) already exceeds k, every answer is
+    Infeasible and no level is combined past level 1.
+    `check_invariants=True` validates every combination of every level and
+    raises SolverInvariantError on a broken one; it changes no answer.
     """
     check_size_bound("k", k, instance.n)
     n = instance.n
     nbr = build_neighbor_index(instance)
     validator = make_validator(instance) if check_invariants else None
     levels: list[Optional[LevelTable]] = [None]
+    answers: dict[int, Union[Solution, Infeasible]] = {}
+    best, answer = None, None  # (value, level, id) of the cheapest full candidate so far
     for t in range(1, k + 1):
-        levels.append(build_level(instance, nbr, levels, t, validator=validator))
+        level = build_level(instance, nbr, levels, t, validator=validator)
+        levels.append(level)
         if t == 1 and k < n and nbr.domination_lower_bound() > k:
-            raise Infeasible(k)
-    best: Optional[Candidate] = None
-    for t in range(1, k + 1):
-        for cand in levels[t].all_candidates():
-            if cand.length == n and (best is None or cand.value < best.value):
-                best = cand
-    if best is None:
-        raise Infeasible(k)
-    return solution_of(instance, best.witnesses, "weighted")
+            return {kp: Infeasible(kp) for kp in range(1, k + 1)}
+        full = np.flatnonzero(level.lengths == n)
+        if len(full):
+            c = int(full[np.argmin(level.values[full])])
+            if best is None or level.values[c] < best[0]:
+                best = (level.values[c], level, c)
+                answer = solution_of(instance, level.witnesses(c), "weighted")
+        answers[t] = Infeasible(t) if answer is None else answer
+    return answers
+
+
+def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:
+    """Minimum-weight dominating set of size at most k, or Infeasible.
+
+    Deterministic for fixed inputs; `solve_weighted_all_k`'s answer for k.
+    `check_invariants=True` validates every combination, also those the
+    same-run dedup drops, and raises SolverInvariantError on a broken
+    one; it changes nothing about the result.  When the counting bound
+    already exceeds k, Infeasible is raised right after level 1.
+    """
+    answer = solve_weighted_all_k(instance, k, check_invariants=check_invariants)[k]
+    if isinstance(answer, Infeasible):
+        raise answer
+    return answer
 
 
 def solve_weighted_unbounded(instance: Instance, **kwargs) -> Solution:

@@ -4,7 +4,7 @@
 `unweighted_greedy.build_level`, but with the scalar step: per point,
 direction and split level it reads the lower levels' answers one by one,
 asks only the scalar neighbor queries (`run_after`/`run_before`) and
-merges with scalar `geometry.union_runs`.  It returns a `GreedyLevel` with the
+merges with the scalar `run_reference.union_runs`.  It returns a `GreedyLevel` with the
 same columns and parent rows, so the tests compare the two builders id by
 id.  The solvers never run it.
 """
@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from diskdom.geometry import union_runs
 from diskdom.solution import SolverInvariantError
 from diskdom.unweighted_greedy import GreedyLevel
+from run_reference import union_runs
 
 
 def _reach(start: int, length: int, i: int, n: int, ccw: bool) -> int:

@@ -1,17 +1,127 @@
-"""Reference twin of `geometry.union_runs`; the solvers never run it.
+"""Reference twins of the run merge `geometry.union_columns`; the solvers never run them.
 
-`union_extend` merges runs given as `CyclicSublist` values instead of
-(start, length) pairs.  Tests check that the two agree on every outcome
-(merged run, saturation, wrap-behind and `NotConsecutive`), and the
-weighted reference steps in `weighted_reference` merge with it, so that
-oracle stays independent of the production merge.
+`CyclicSublist` is a run of instance indices as a value, for the
+reference queries and the tests.  `union_runs` merges one row of runs
+given as (start, length) pairs, and `union_extend` merges runs given as
+`CyclicSublist` values.  Tests check that `union_columns` agrees with
+`union_runs` row by row, and `union_runs` with `union_extend`, on every
+outcome (merged run, saturation, wrap-behind and `NotConsecutive`).  The
+scalar level builders of `greedy_reference` and `weighted_reference`
+merge with `union_runs`, and the weighted reference steps with
+`union_extend`, so those oracles stay independent of the production merge.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from diskdom.geometry import CyclicSublist, NotConsecutive
+from diskdom.geometry import NotConsecutive
+
+
+@dataclass(frozen=True)
+class CyclicSublist:
+    """A contiguous run of instance indices: start, start+1, ... (mod n).
+
+    Empty and full runs are canonicalized to start 0 so equality is plain
+    structural equality.
+    """
+
+    start: int
+    length: int
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
+        if not 0 <= self.length <= self.n:
+            raise ValueError("length out of range")
+        if self.length in (0, self.n):
+            object.__setattr__(self, "start", 0)
+        else:
+            object.__setattr__(self, "start", self.start % self.n)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.length == 0
+
+    @property
+    def is_full(self) -> bool:
+        return self.length == self.n
+
+    @property
+    def cw_end(self) -> int:
+        """First covered index; undefined for empty or full runs."""
+        if self.is_empty or self.is_full:
+            raise ValueError("endpoint undefined for empty/full run")
+        return self.start
+
+    @property
+    def ccw_end(self) -> int:
+        """Last covered index; undefined for empty or full runs."""
+        if self.is_empty or self.is_full:
+            raise ValueError("endpoint undefined for empty/full run")
+        return (self.start + self.length - 1) % self.n
+
+    def covers(self, idx: int) -> bool:
+        if self.is_empty:
+            return False
+        return (idx - self.start) % self.n < self.length
+
+    def __contains__(self, idx: int) -> bool:
+        return self.covers(idx)
+
+    def indices(self) -> Iterator[int]:
+        for k in range(self.length):
+            yield (self.start + k) % self.n
+
+    def contains_sub(self, other: "CyclicSublist") -> bool:
+        """True when every index of `other` is covered by this run."""
+        if other.n != self.n:
+            raise ValueError("runs over different instance sizes")
+        if other.is_empty or self.is_full:
+            return True
+        if other.length > self.length:
+            return False
+        d = (other.start - self.start) % self.n
+        return d + other.length <= self.length
+
+
+def union_runs(n: int, runs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Merge runs that appear in overlapping-or-abutting order into one run.
+
+    Runs are (start, length) pairs over a cycle of n, with starts in
+    [0, n).  Empty runs are skipped, and the result saturates to the full
+    cycle as soon as the accumulated coverage wraps.  Returns the merged
+    run as (start, length), canonical like `CyclicSublist`: (0, 0) when
+    empty, (0, n) when full.  Raises NotConsecutive when a nonempty run
+    leaves a gap against the coverage accumulated so far.
+    """
+    s = -1
+    length = 0
+    for ps, pk in runs:
+        if pk == 0:
+            continue
+        if pk == n or length >= n:
+            return 0, n
+        if s < 0:
+            s, length = ps, pk
+            continue
+        d = (ps - s) % n
+        if d <= length:
+            if d + pk > length:
+                length = d + pk
+        elif d + pk >= n:
+            # wraps around behind the accumulated run
+            length = max(pk, n - d + length)
+            s = ps
+        else:
+            raise NotConsecutive(f"gap between accumulated run and ({ps}, {pk})")
+    if s < 0:
+        return 0, 0
+    if length >= n:
+        return 0, n
+    return s, length
 
 
 def union_extend(parts: Sequence[CyclicSublist]) -> CyclicSublist:
@@ -53,5 +163,5 @@ def union_extend(parts: Sequence[CyclicSublist]) -> CyclicSublist:
 
 
 def run_of(cand, n: int) -> CyclicSublist:
-    """A solver candidate's (start, length) run as a `CyclicSublist` over n."""
+    """A candidate's (start, length) run as a `CyclicSublist` over n."""
     return CyclicSublist(cand.start, cand.length, n)

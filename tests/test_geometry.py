@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diskdom.geometry import (
-    CyclicSublist,
     DuplicateCenter,
     NonFiniteValue,
     NonPositiveWeight,
@@ -19,10 +18,9 @@ from diskdom.geometry import (
     intersects_row,
     offset_ccw,
     union_columns,
-    union_runs,
 )
 from conftest import T4_POINTS, mk_instance, tangent_chain_instances
-from run_reference import union_extend
+from run_reference import CyclicSublist, union_extend, union_runs
 
 
 def disk(x, y, r, w=1.0):

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from diskdom.geometry import CyclicSublist, intersects
+from diskdom.geometry import intersects
 from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
 from conftest import mk_instance, tangent_chain_instances
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex
+from run_reference import CyclicSublist
 
 
 def dominated(idx, i):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import T4_POINTS, mk_instance
+from run_reference import CyclicSublist
 from diskdom.geometry import WeightedDisk, canonicalize, intersects
 from diskdom.oracle import (
     brute_force_min,
@@ -164,7 +165,7 @@ def test_brute_force_size_monotone_in_radius():
 def test_voronoi_assignment_single_center(t4, big5):
     asg = voronoi_assignment(t4, [2])
     assert asg.assigned == (2, 2, 2, 2)
-    assert len(asg.groups) == 1 and asg.groups[0][1].is_full
+    assert asg.groups == ((2, (0, 4)),)
     assert not asg.dominating  # one corner disk misses its opposite
     assert check_line_separable(t4, asg) == "separable"
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
@@ -183,7 +184,7 @@ def test_voronoi_assignment_t4_diagonal(t4):
     assert check_domination_of_assignment(t4, asg)
     assert check_line_separable(t4, asg) != "crossed"
     for c, run in asg.groups:
-        members = list(run.indices())
+        members = list(CyclicSublist(*run, t4.n).indices())
         assert all(asg.assigned[i] == c for i in members)
 
 
@@ -194,9 +195,10 @@ def test_voronoi_groups_are_maximal():
         k = rng.randint(1, inst.n)
         centers = sorted(rng.sample(range(inst.n), k))
         asg = voronoi_assignment(inst, centers)
-        covered = sorted(i for _, run in asg.groups for i in run.indices())
+        runs = [(c, CyclicSublist(*run, inst.n)) for c, run in asg.groups]
+        covered = sorted(i for _, run in runs for i in run.indices())
         assert covered == list(range(inst.n))
-        for c, run in asg.groups:
+        for c, run in runs:
             assert all(asg.assigned[i] == c for i in run.indices())
             # maximality: the neighbours outside belong to someone else
             if not run.is_full:

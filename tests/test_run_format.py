@@ -1,15 +1,18 @@
 """Both solvers carry runs as (start, length) integers on every default path.
 
-`CyclicSublist` stays the public run value (assignment groups, reference
-queries), but a default solve builds none, and the `CyclicSublist` merge
-lives only in the tests' `run_reference`.
+`CyclicSublist`, the run as a value, lives with the scalar merges
+`union_runs` and `union_extend` in the tests' `run_reference`; the package
+merges runs only row-wise (`geometry.union_columns`) and has no run type.
 """
 
+import sys
+
+import diskdom
 import diskdom.geometry
 from diskdom import gen_random
-from diskdom.geometry import CyclicSublist
 from diskdom.unweighted_greedy import solve_unweighted
 from diskdom.weighted_dp import solve_weighted
+from run_reference import CyclicSublist
 
 
 def test_default_solves_build_no_cyclic_sublists(monkeypatch):
@@ -28,7 +31,11 @@ def test_default_solves_build_no_cyclic_sublists(monkeypatch):
     assert built == []
     CyclicSublist(0, 1, 2)  # the counter sees constructions
     assert len(built) == 1
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "diskdom"]
+    assert modules and not any(hasattr(m, "CyclicSublist") for m in modules)
 
 
 def test_geometry_has_no_sublist_merge():
-    assert not hasattr(diskdom.geometry, "union_extend")
+    for name in ("union_extend", "union_runs", "CyclicSublist"):
+        assert not hasattr(diskdom.geometry, name)
+    assert "CyclicSublist" not in diskdom.__all__

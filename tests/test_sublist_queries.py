@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskdom.geometry import CyclicSublist, offset_ccw
+from diskdom.geometry import offset_ccw
 from diskdom.unweighted_greedy import farthest_ids
 from query_reference import scan_farthest_ids
+from run_reference import CyclicSublist
 from weighted_reference import (
     bucket_min_enclosing,
     chain_answer,
@@ -21,10 +22,9 @@ def run(start, length, n):
     return CyclicSublist(start=start, length=length, n=n)
 
 
-def position(cand):
-    """Position in `level_of_runs`' input, which each candidate carries."""
-    (pos,) = cand.witnesses
-    return pos
+def position(table, ident):
+    """Position in `level_of_runs`' input of candidate `ident`."""
+    return table.positions[ident]
 
 
 # --- cheapest enclosing run: level-table scans and staircase chains ---------
@@ -41,16 +41,16 @@ MIN_RUNS = [
 
 
 def min_enclosing(table, q):
-    return chain_answer(table.global_chain(q.start, ccw=True), q)
+    return chain_answer(table, table.global_chain(q.start, ccw=True), q)
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_min_enclosing_pinned(indexed):
     table = level_of_runs(ring(6), MIN_RUNS, indexed=indexed)
     got = min_enclosing(table, run(1, 2, 6))  # [1..2]
-    assert position(got) == 2 and got.value == 0.0
+    assert position(table, got) == 2 and table.values[got] == 0.0
     got = min_enclosing(table, run(0, 5, 6))  # [0..4]
-    assert position(got) == 1 and got.value == 1.0
+    assert position(table, got) == 1 and table.values[got] == 1.0
     assert min_enclosing(table, run(5, 1, 6)) is None
     assert global_min_enclosing(table, run(5, 1, 6)) is None
 
@@ -62,19 +62,19 @@ def test_min_enclosing_full_item_answers_everything(indexed):
         for length in range(1, 7):
             assert min_enclosing(table, run(start, length, 6)) is not None
     # the full run is the only one containing a full query
-    assert position(min_enclosing(table, run(0, 6, 6))) == 3
+    assert position(table, min_enclosing(table, run(0, 6, 6))) == 3
     # ...and the fallback when nothing else contains the query
-    assert position(min_enclosing(table, run(5, 1, 6))) == 3
+    assert position(table, min_enclosing(table, run(5, 1, 6))) == 3
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_min_enclosing_tie_breaks_to_smallest_id(indexed):
     runs = [(0, 4, 2.0, 0), (1, 5, 2.0, 0), (0, 6, 2.0, 0)]
     table = level_of_runs(ring(8), runs, indexed=indexed)
-    assert position(min_enclosing(table, run(1, 3, 8))) == 0
+    assert position(table, min_enclosing(table, run(1, 3, 8))) == 0
     # runs 1 and 2 both reach 5 from index 1: the smaller id wins
-    assert position(min_enclosing(table, run(1, 5, 8))) == 1
-    assert position(global_min_enclosing(table, run(1, 5, 8))) == 1
+    assert position(table, min_enclosing(table, run(1, 5, 8))) == 1
+    assert position(table, global_min_enclosing(table, run(1, 5, 8))) == 1
 
 
 def _random_runs(rng, n, m, *, buckets=1):
@@ -97,16 +97,16 @@ def test_min_enclosing_indexed_matches_naive():
                 q = run(start, length, n)
                 assert min_enclosing(fast, q) == global_min_enclosing(slow, q)
                 cw_q = run(start - length + 1, length, n)
-                assert chain_answer(fast.global_chain(start, ccw=False), cw_q) == (
+                assert chain_answer(fast, fast.global_chain(start, ccw=False), cw_q) == (
                     global_min_enclosing(slow, cw_q)
                 )
             # bucket chains anchor at their owner
             for length in range(1, n + 1):
                 q = run(start, length, n)
-                got = chain_answer(fast.bucket_chain(start, ccw=True), q)
+                got = chain_answer(fast, fast.bucket_chain(start, ccw=True), q)
                 assert got == bucket_min_enclosing(slow, start, q)
                 q = run(start - length + 1, length, n)
-                got = chain_answer(fast.bucket_chain(start, ccw=False), q)
+                got = chain_answer(fast, fast.bucket_chain(start, ccw=False), q)
                 assert got == bucket_min_enclosing(slow, start, q)
 
 
@@ -132,7 +132,7 @@ def test_min_enclosing_monotone_in_query(data):
     b = global_min_enclosing(table, run(start, large, n))
     # growing the query can only lose candidates
     if b is not None:
-        assert a is not None and a.value <= b.value
+        assert a is not None and table.values[a] <= table.values[b]
 
 
 # --- farthest enclosing run -------------------------------------------------
@@ -233,8 +233,8 @@ def test_build_is_deterministic():
     runs = _random_runs(rng, 9, 8, buckets=9)
     a, b = level_of_runs(ring(9), runs), level_of_runs(ring(9), list(runs))
     for anchor in range(9):
-        assert a.global_chain(anchor, ccw=True) == b.global_chain(anchor, ccw=True)
-        assert a.bucket_chain(anchor, ccw=False) == b.bucket_chain(anchor, ccw=False)
+        assert np.array_equal(a.global_chain(anchor, ccw=True), b.global_chain(anchor, ccw=True))
+        assert np.array_equal(a.bucket_chain(anchor, ccw=False), b.bucket_chain(anchor, ccw=False))
     starts = np.array([s for s, _, _, _ in runs])
     lengths = np.array([k for _, k, _, _ in runs])
     c = farthest_ids(starts, lengths, 9)

@@ -1,21 +1,22 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import diskdom.weighted_dp as wdp
 from conftest import T4_POINTS, mk_instance, recording
-from diskdom.geometry import union_runs
+from diskdom.geometry import union_columns
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
 from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.weighted_dp import (
     Candidate,
-    LevelTable,
     build_level,
-    dedup_runs,
+    dedup_rows,
     make_validator,
     solve_weighted,
+    solve_weighted_all_k,
     solve_weighted_unbounded,
 )
 from query_reference import NaiveNeighborIndex, solvers_using
@@ -49,6 +50,25 @@ def rand_instance(rng, n, *, spread=(0.3, 3.0)):
             for a in angles
         ]
     )
+
+
+def bucket(level, i):
+    """Point i's candidates in id order, as `Candidate`s."""
+    return [level.candidate(c) for c in np.flatnonzero(level.owners == i).tolist()]
+
+
+COLUMNS = ("starts", "lengths", "owners", "values", "parents")
+
+
+def assert_same_level(a, b):
+    """Same ids, runs, owners, values (bit for bit), parent rows and witness sets."""
+    for column in COLUMNS:
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and np.array_equal(x, y), column
+    assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+    assert [a.witnesses(c) for c in range(len(a.starts))] == [
+        b.witnesses(c) for c in range(len(b.starts))
+    ]
 
 
 def build_levels(inst, upto=1, strategy="naive", indexed=True):
@@ -93,34 +113,31 @@ def test_staircase_chains_match_scan_chains(inst):
     _, fast = build_levels(inst, upto=k, strategy="bitset")
     _, slow = build_levels(inst, upto=k, strategy="bitset", indexed=False)
     for t in range(1, k + 1):
-        assert fast[t].all_candidates() == slow[t].all_candidates()
+        assert_same_level(fast[t], slow[t])
         for anchor in range(inst.n):
             for kind, ccw in CHAIN_KINDS:
                 got = getattr(fast[t], kind)(anchor, ccw=ccw)
                 want = getattr(slow[t], kind)(anchor, ccw=ccw)
-                assert len(got) == len(want), (t, anchor, kind, ccw)
-                for a, b in zip(got, want):
-                    assert a == b, (t, anchor, kind, ccw)
+                assert got.tolist() == want.tolist(), (t, anchor, kind, ccw)
 
 
 def test_big5_chains_end_in_full_runs(big5):
     _, levels = build_levels(big5, upto=3, strategy="bitset")
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     n = big5.n
-    assert [c.length == n for c in levels[1].bucket_chain(big, ccw=True)] == [True]
+    assert (levels[1].lengths[levels[1].bucket_chain(big, ccw=True)] == n).tolist() == [True]
     for t in (2, 3):
         for anchor in range(n):
             for kind, ccw in CHAIN_KINDS:
-                chain = getattr(levels[t], kind)(anchor, ccw=ccw)
-                assert chain and chain[-1].length == n
-                assert not any(c.length == n for c in chain[:-1])
+                full = levels[t].lengths[getattr(levels[t], kind)(anchor, ccw=ccw)] == n
+                assert len(full) and full[-1] and not full[:-1].any()
 
 
 def test_level_one_t4(t4):
     _, levels = build_levels(t4)
     table = levels[1]
     for i in range(4):
-        (cand,) = table.buckets[i]
+        (cand,) = bucket(table, i)
         assert cand.witnesses == {i}
         assert cand.value == 1.0
         assert cand.level == 1 and cand.owner == i
@@ -130,14 +147,14 @@ def test_level_one_t4(t4):
 def test_level_one_big_disk(big5):
     table = build_level(big5, NaiveNeighborIndex(big5), [None], 1)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
-    (cand,) = table.buckets[big]
+    (cand,) = bucket(table, big)
     assert (cand.start, cand.length) == (0, big5.n)
 
 
 def test_level_one_single():
     inst = mk_instance([(0.0, 0.0, 1.0, 2.5)])
     table = build_level(inst, NaiveNeighborIndex(inst), [None], 1)
-    (cand,) = table.buckets[0]
+    (cand,) = bucket(table, 0)
     assert (cand.start, cand.length) == (0, 1) and cand.value == 2.5
 
 
@@ -230,7 +247,7 @@ def holds_as_good(table, i, cand):
     n = table.instance.n
     return any(
         run_of(c, n).contains_sub(run_of(cand, n)) and c.value <= cand.value
-        for c in table.buckets[i]
+        for c in bucket(table, i)
     )
 
 
@@ -385,45 +402,36 @@ def test_validator_rejects_bad_candidates(t4):
 
 
 def test_insert_keeps_one_candidate_per_run():
-    # one bucket of a ring of 8; values and witnesses tell the copies apart
-    angles = [k * math.pi / 4 for k in range(8)]
-    inst = mk_instance([(math.cos(a), math.sin(a), 0.1) for a in angles])
+    # rows of a ring of 8, tagged by arrival; values tell the copies apart
+    n = 8
 
-    def combo(start, length, value, tag):
-        return start, length, value, frozenset((0,)), frozenset((tag,))
+    def kept(rows):
+        """Arrival tags of the rows `dedup_rows` keeps, in id order."""
+        owners, starts, lengths, values = (np.array(col) for col in zip(*rows))
+        return dedup_rows(n, owners, starts, lengths, values.astype(np.float64)).tolist()
 
-    def cand(start, length, value, tag):
-        return Candidate(start, length, value, frozenset((0, tag)), 0, 2)
-
-    def dedup(combos, validator=None):
-        return dedup_runs(combos, 0, 2, validator)
+    def row(start, length, value, owner=0):
+        return owner, start, length, value
 
     # the second copy of run (1, 3) has an equal value: dropped
-    combos = [combo(1, 3, 5.0, 1), combo(4, 2, 1.0, 2), combo(1, 3, 5.0, 3)]
-    assert dedup(combos) == [cand(1, 3, 5.0, 1), cand(4, 2, 1.0, 2)]
-    combos.append(combo(1, 3, 4.0, 4))  # strictly cheaper: replaces in place
-    assert dedup(combos) == [cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2)]
+    rows = [row(1, 3, 5.0), row(4, 2, 1.0), row(1, 3, 5.0)]
+    assert kept(rows) == [0, 1]
+    rows.append(row(1, 3, 4.0))  # strictly cheaper: replaces in place
+    assert kept(rows) == [3, 1]
     # full runs from different merges all arrive as (0, n): one key
-    combos.append(combo(*union_runs(8, [(6, 3), (0, 6)]), 9.0, 5))
-    combos.append(combo(*union_runs(8, [(2, 5), (7, 4)]), 9.0, 6))
-    combos.append(combo(*union_runs(8, [(3, 2), (5, 4), (1, 2)]), 9.5, 7))
-    bucket = dedup(combos)
-    assert bucket[2] == cand(0, 8, 9.0, 5) and len(bucket) == 3
-    combos.append(combo(0, 8, 3.0, 8))
-    seen = []
-    bucket = dedup(combos, seen.append)
-    assert bucket[2] == cand(0, 8, 3.0, 8)
-    # the validator sees every combination as a candidate, dropped ones too
-    assert seen == [cand(s, k, v, tag) for s, k, v, _, (tag,) in combos]
-    # another bucket holding the same run keeps its own copy
-    other = Candidate(1, 3, 0.5, frozenset((3,)), 3, 2)
-    assert dedup_runs([(1, 3, 0.5, frozenset((3,)), frozenset())], 3, 2) == [other]
-    buckets = [bucket, [], [], [other], [], [], [], []]
-    table = LevelTable(inst, 2, buckets)
-    # ids follow bucket order, then first-insertion order within a bucket
-    assert list(table.all_candidates()) == [
-        cand(1, 3, 4.0, 4), cand(4, 2, 1.0, 2), cand(0, 8, 3.0, 8), other
-    ]
+    merges = (([(6, 3), (0, 6)], 9.0), ([(2, 5), (7, 4)], 9.0), ([(3, 2), (5, 4), (1, 2)], 9.5))
+    for parts, value in merges:
+        s, k = union_columns(n, [(np.array([ps]), np.array([pk])) for ps, pk in parts])
+        rows.append(row(int(s[0]), int(k[0]), value))
+    assert kept(rows) == [3, 1, 4]
+    rows.append(row(0, 8, 3.0))
+    assert kept(rows) == [3, 1, 7]
+    # another bucket holding the same run keeps its own copy; ids follow
+    # bucket order, then first arrival within the bucket
+    rows.insert(0, row(1, 3, 0.5, owner=3))
+    assert kept(rows) == [4, 2, 8, 0]
+    none = np.zeros(0, np.int64)
+    assert dedup_rows(n, none, none, none, np.zeros(0)).tolist() == []
 
 
 def test_equal_value_copies_keep_the_first_witness_set():
@@ -441,15 +449,17 @@ def test_equal_value_copies_keep_the_first_witness_set():
 
 def combination_count(levels, i, t):
     """How many combinations make point i's level-t bucket, read off the chains."""
-    n = levels[1].instance.n
+    n = levels[1].n
     count = 0
     for ccw in (True, False):
         for tp in range(1, t):
-            for l1 in levels[tp].bucket_chain(i, ccw=ccw):
-                if l1.length == n:
+            near = levels[tp]
+            for l1 in near.bucket_chain(i, ccw=ccw).tolist():
+                s1, k1 = int(near.starts[l1]), int(near.lengths[l1])
+                if k1 == n:
                     count += 1
                 else:
-                    anchor = (l1.start + l1.length) % n if ccw else (l1.start - 1) % n
+                    anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
                     count += len(levels[t - tp].global_chain(anchor, ccw=ccw))
     for tp in range(2, t):
         xs = levels[tp].bucket_chain(i, ccw=True)
@@ -464,15 +474,8 @@ def invariant_instances():
         yield rand_instance(rng, rng.randint(4, 12), spread=(0.5, 4.0))
 
 
-def test_check_invariants_changes_nothing_and_sees_every_combination(monkeypatch):
-    yielded = []  # combinations each default bucket is given
-
-    def listing(combos, *args):
-        combos = list(combos)
-        yielded.append(len(combos))
-        return dedup_runs(combos, *args)
-
-    skipped = 0
+def test_check_invariants_changes_nothing_and_sees_every_combination():
+    repeats = 0
     for inst in invariant_instances():
         n = inst.n
         nbr = build_neighbor_index(inst)
@@ -485,43 +488,59 @@ def test_check_invariants_changes_nothing_and_sees_every_combination(monkeypatch
 
         plain, checked = [None], [None]
         for t in range(1, min(n, 5) + 1):
-            yielded.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr(wdp, "dedup_runs", listing)
-                plain.append(build_level(inst, nbr, plain, t))
+            plain.append(build_level(inst, nbr, plain, t))
             seen.clear()
             checked.append(build_level(inst, nbr, checked, t, validator=counting))
-            # same ids (bucket order), runs, values and witness sets
-            assert checked[t].buckets == plain[t].buckets
+            # same ids (bucket order), runs, values, parent rows and witness sets
+            assert_same_level(checked[t], plain[t])
             for i in range(n):
                 got = [c for c in seen if c.owner == i]
                 want = 1 if t == 1 else combination_count(plain, i, t)
                 assert len(got) == want, (n, t, i)
-                assert set(plain[t].buckets[i]) <= set(got)
-            # the default path skips same-run repeats; the validator saw them
-            assert len(seen) >= sum(yielded)
-            skipped += len(seen) - sum(yielded)
-    assert skipped > 0
+                assert set(bucket(plain[t], i)) <= set(got)
+            # the validator also sees the same-run copies the dedup drops
+            repeats += len(seen) - len({(c.owner, c.start, c.length) for c in seen})
+    assert repeats > 0
 
 
-def test_default_solve_builds_candidates_only_for_kept_runs(monkeypatch):
+def test_default_solve_builds_at_most_one_candidate(monkeypatch):
     from diskdom import gen_random
 
     built = []
     init = Candidate.__init__
 
-    def counting(self, *args):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     inst = gen_random(30, 1001, "circle", "uniform(2.0,6.0)", "uniform(1,10)").to_instance()
     monkeypatch.setattr(Candidate, "__init__", counting)
     with recording(wdp, "LevelTable") as tables:
         solve_weighted(inst, 6)
     assert [table.level for table in tables] == [1, 2, 3, 4, 5, 6]
-    assert len(built) == sum(len(table.all_candidates()) for table in tables)
+    assert sum(len(table.starts) for table in tables) > 1000
+    assert len(built) <= 1
+    before = len(built)
     Candidate(0, 1, 1.0, frozenset((0,)), 0, 1)  # the counter sees constructions
-    assert len(built) == sum(len(table.all_candidates()) for table in tables) + 1
+    assert len(built) == before + 1
+
+
+def test_all_k_answers_match_single_solves():
+    rng = random.Random(4040)
+    infeasible = 0
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        inst = rand_instance(rng, n, spread=(0.5, 4.0))
+        answers = solve_weighted_all_k(inst, n)
+        assert sorted(answers) == list(range(1, n + 1))
+        for k, answer in answers.items():
+            if isinstance(answer, Infeasible):
+                infeasible += 1
+                with pytest.raises(Infeasible):
+                    solve_weighted(inst, k)
+            else:
+                assert solve_weighted(inst, k) == answer
+    assert infeasible > 0
 
 
 def test_k_below_counting_bound_stops_after_level_one():
@@ -532,3 +551,7 @@ def test_k_below_counting_bound_stops_after_level_one():
     with recording(wdp, "LevelTable") as built, pytest.raises(Infeasible):
         solve_weighted(inst, 6)
     assert [table.level for table in built] == [1]
+    with recording(wdp, "LevelTable") as built:
+        answers = solve_weighted_all_k(inst, 6)
+    assert [table.level for table in built] == [1]
+    assert all(isinstance(answers[k], Infeasible) for k in range(1, 7))

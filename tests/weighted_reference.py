@@ -1,20 +1,30 @@
 """Reference code the weighted DP is tested against; the solver never runs it.
 
+`build_level` is the level builder's scalar twin.  Point by point it
+walks the lower levels' chains one answer at a time
+(`directional_combos`, `bidi_combos`: plain tuples, a run equal to the
+one just made from the same l1 or lx skipped, since it is never
+cheaper), merges with the scalar `run_reference.union_runs`, asks only
+the scalar neighbor queries (`run_after`/`run_before`), and keeps one
+combination per run in a dict (`dedup_runs`).  It returns a
+`StaircaseLevelTable` with the same columns and parent rows as
+`weighted_dp.build_level`, so the tests compare the two builders id by
+id.  That twin level builds each chain one anchor at a time from the
+whole level (`staircase`), where `LevelTable` builds every chain of a
+kind at once from the first copy of each run.
+
 `bucket_min_enclosing` and `global_min_enclosing` are the plain-scan
-cheapest-enclosing queries over a level: every candidate, in id
-order.  `ScanLevelTable` is the level table's reference twin: it builds
-each scan chain from those queries, one growing run at a time
-(`scan_chain`), instead of reading it off a staircase.
+cheapest-enclosing queries over a level: every candidate, in id order;
+they answer with ids.  `ScanLevelTable` is the level table's plain-scan
+twin: it builds each scan chain from those queries, one growing run at a
+time (`scan_chain`), instead of reading it off a staircase.
 
 `directional_processing` and `bidirectional_processing` are the literal
 level-building steps: for a point i and a scan bound, every split level
 and every scan stop, each answered by one plain cheapest-enclosing query.
 The solver consumes whole scan chains instead, and the tests check that
 each chain-built table holds a candidate at least as good as every one of
-theirs.
-
-Both merge runs with the test-side `run_reference.union_extend`, not the
-solver's `union_runs`.
+theirs.  They merge runs with `run_reference.union_extend`.
 
 `level_of_runs` builds a level table straight from runs and values, so
 the chain and scan queries can be tested on arbitrary input.
@@ -23,44 +33,182 @@ the chain and scan queries can be tested on arbitrary input.
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Optional, Sequence
+from functools import cache, partial
+from itertools import chain
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from conftest import mk_instance
-from diskdom.geometry import CyclicSublist, offset_ccw
+from diskdom.geometry import offset_ccw
 from diskdom.weighted_dp import Candidate, LevelTable
-from run_reference import run_of, union_extend
+from greedy_reference import dominated_run
+from run_reference import CyclicSublist, run_of, union_extend, union_runs
+
+# -- the scalar level builder ---------------------------------------------------
 
 
-def _candidate(sub: CyclicSublist, value, witnesses, owner, level) -> Candidate:
-    return Candidate(sub.start, sub.length, value, witnesses, owner, level)
+def _run(level: LevelTable, ident: int) -> tuple[int, int, float]:
+    return int(level.starts[ident]), int(level.lengths[ident]), float(level.values[ident])
 
 
-def _cheapest_containing(cands: Sequence[Candidate], q: CyclicSublist) -> Optional[Candidate]:
-    """Cheapest of `cands` whose run contains q; ties to the earliest."""
+def directional_combos(nbr, levels, i: int, t: int, *, ccw: bool) -> Iterator[tuple]:
+    """i's one-way level-t combinations (start, length, value, parent row), ccw or cw.
+
+    For each split level t', every run l1 of i's level-t' bucket chain is
+    extended by every run l2 of the level-(t-t') global chain starting just
+    past l1's far end, then by the stretch disk i dominates past l2's far
+    end.  A full l1 is a combination by itself.  A run equal to the one
+    just made from the same l1 (never cheaper) is skipped.
+    """
+    n = nbr.n
+    dom = dominated_run(nbr, i)
+    tail = cache(partial(nbr.run_after if ccw else nbr.run_before, i))  # of l2's far end
+    for tp in range(1, t):
+        near, other = levels[tp], levels[t - tp]
+        for l1 in near.bucket_chain(i, ccw=ccw).tolist():
+            s1, k1, v1 = _run(near, l1)
+            if k1 == n:
+                yield 0, n, v1, (tp, l1, -1, -1)
+                continue
+            head, last = union_runs(n, (dom, (s1, k1))), None
+            for l2 in other.global_chain((s1 + k1) % n if ccw else (s1 - 1) % n, ccw=ccw).tolist():
+                s2, k2, v2 = _run(other, l2)
+                run = union_runs(n, (head, (s2, k2), tail((s2 + k2 - 1) % n if ccw else s2)))
+                if run != last:
+                    last = run
+                    yield *run, v1 + v2, (tp, l1, t - tp, l2)
+
+
+def bidi_combos(nbr, levels, i: int, t: int) -> Iterator[tuple]:
+    """i's combinations of a ccw run lx and a cw run ly, weight wi counted once."""
+    n = nbr.n
+    dom = dominated_run(nbr, i)
+    wi = nbr.instance.disks[i].weight
+    for tp in range(2, t):
+        x, y = levels[tp], levels[t + 1 - tp]
+        ys = y.bucket_chain(i, ccw=False).tolist()
+        for lx in x.bucket_chain(i, ccw=True).tolist():
+            sx, kx, vx = _run(x, lx)
+            head, last = union_runs(n, (dom, (sx, kx))), None
+            for ly in ys:
+                sy, ky, vy = _run(y, ly)
+                run = union_runs(n, (head, (sy, ky)))
+                if run != last:
+                    last = run
+                    yield *run, vx + vy - wi, (tp, lx, t + 1 - tp, ly)
+
+
+def dedup_runs(combos) -> list[tuple]:
+    """One bucket: per run, its first cheapest combination, in order of the run's first arrival.
+
+    A later copy of a run replaces the kept one only when strictly cheaper.
+    """
+    kept: dict[tuple[int, int], tuple] = {}  # (start, length) -> (value, parent row)
+    for s, k, value, parent in combos:
+        old = kept.get((s, k))
+        if old is None or value < old[0]:
+            kept[s, k] = value, parent
+    return [(s, k, v, parent) for (s, k), (v, parent) in kept.items()]
+
+
+def build_level(instance, nbr, levels, t: int) -> LevelTable:
+    """Level t from levels 1..t-1, point by point: the twin of `weighted_dp.build_level`."""
+    rows = []  # (owner, start, length, value, parent row), in id order
+    for i, disk in enumerate(instance.disks):
+        if t == 1:
+            combos = [(*dominated_run(nbr, i), disk.weight, (-1, -1, -1, -1))]
+        else:
+            combos = chain(
+                directional_combos(nbr, levels, i, t, ccw=True),
+                directional_combos(nbr, levels, i, t, ccw=False),
+                bidi_combos(nbr, levels, i, t),
+            )
+        rows += [(i, *row) for row in dedup_runs(combos)]
+    owners, starts, lengths = (np.array([row[c] for row in rows], np.int64) for c in range(3))
+    values = np.array([row[3] for row in rows], np.float64)
+    parents = np.array([row[4] for row in rows], np.int64).reshape(-1, 4)
+    return StaircaseLevelTable(instance, t, levels, starts, lengths, owners, values, parents)
+
+
+# -- chain twins ----------------------------------------------------------------
+
+
+class _AnchorChains(LevelTable):
+    """A level whose chains are built one anchor at a time, by `_chain`, when asked for."""
+
+    def _chain(self, anchor: int, *, bucket: bool, ccw: bool) -> list[int]:
+        raise NotImplementedError
+
+    def bucket_chain(self, i: int, *, ccw: bool) -> np.ndarray:
+        return np.array(self._chain(i, bucket=True, ccw=ccw), np.int64)
+
+    def global_chain(self, anchor: int, *, ccw: bool) -> np.ndarray:
+        return np.array(self._chain(anchor, bucket=False, ccw=ccw), np.int64)
+
+    def _chain_table(self, bucket: bool, *, ccw: bool):
+        chains = [self._chain(a, bucket=bucket, ccw=ccw) for a in range(self.n)]
+        ptr = np.cumsum([0] + [len(c) for c in chains])
+        return ptr, np.array([c for chain_ in chains for c in chain_], np.int64)
+
+
+def staircase(level: LevelTable, anchor: int, *, bucket: bool, ccw: bool) -> list[int]:
+    """Chain at `anchor` from every candidate (bucket `anchor`'s only, for a bucket chain).
+
+    Walks them in (value, id) order and keeps those reaching strictly
+    farther past the anchor than every one before them.
+    """
+    n = level.n
+    ids = np.flatnonzero(level.owners == anchor) if bucket else np.arange(len(level.starts))
+    ids = ids[np.lexsort((ids, level.values[ids]))]
+    off = (anchor - level.starts[ids]) % n
+    lengths = level.lengths[ids]
+    reach = np.where(off < lengths, lengths - 1 - off if ccw else off, -1)
+    reach[lengths == n] = n
+    best = np.maximum.accumulate(reach)
+    return ids[best > np.concatenate(([-1], best[:-1]))].tolist()
+
+
+class StaircaseLevelTable(_AnchorChains):
+    """Twin of `LevelTable`: each chain a staircase over the whole level, one anchor at a time."""
+
+    def _chain(self, anchor, *, bucket, ccw):
+        return staircase(self, anchor, bucket=bucket, ccw=ccw)
+
+
+def sub_of(level: LevelTable, ident: int) -> CyclicSublist:
+    """Candidate `ident`'s run as a `CyclicSublist`."""
+    return CyclicSublist(int(level.starts[ident]), int(level.lengths[ident]), level.n)
+
+
+def _cheapest_containing(level: LevelTable, ids, q: CyclicSublist) -> Optional[int]:
+    """Cheapest of `ids` whose run contains q; ties to the earliest."""
     best = None
-    for cand in cands:
-        if run_of(cand, q.n).contains_sub(q) and (best is None or cand.value < best.value):
-            best = cand
+    for c in ids:
+        if sub_of(level, c).contains_sub(q) and (
+            best is None or level.values[c] < level.values[best]
+        ):
+            best = c
     return best
 
 
-def bucket_min_enclosing(table: LevelTable, i: int, q: CyclicSublist) -> Optional[Candidate]:
-    """Cheapest candidate of bucket i whose run contains q; ties to the smaller id."""
-    return _cheapest_containing(table.buckets[i], q)
+def bucket_min_enclosing(level: LevelTable, i: int, q: CyclicSublist) -> Optional[int]:
+    """Id of the cheapest candidate of bucket i whose run contains q; ties to the smaller id."""
+    return _cheapest_containing(level, np.flatnonzero(level.owners == i).tolist(), q)
 
 
-def global_min_enclosing(table: LevelTable, q: CyclicSublist) -> Optional[Candidate]:
-    """Cheapest candidate of the whole level whose run contains q; ties to the smaller id."""
-    return _cheapest_containing(table.all_candidates(), q)
+def global_min_enclosing(level: LevelTable, q: CyclicSublist) -> Optional[int]:
+    """Id of the cheapest candidate of the level whose run contains q; ties to the smaller id."""
+    return _cheapest_containing(level, range(len(level.starts)), q)
 
 
-def scan_chain(query, anchor: int, n: int, *, ccw: bool) -> list[Candidate]:
+def scan_chain(level: LevelTable, query, anchor: int, *, ccw: bool) -> list[int]:
     """Chain of `query`'s answers for ever longer runs grown from `anchor`.
 
     The query run grows counterclockwise from the anchor (or clockwise
     from it), each time to just past the last answer's far end.
     """
+    n = level.n
     out = []
     q = 1
     while q <= n:
@@ -68,23 +216,35 @@ def scan_chain(query, anchor: int, n: int, *, ccw: bool) -> list[Candidate]:
         if ans is None:
             break
         out.append(ans)
-        if ans.length == n:
+        start, length = int(level.starts[ans]), int(level.lengths[ans])
+        if length == n:
             break
         if ccw:
-            q = offset_ccw(anchor, ans.start + ans.length - 1, n) + 2
+            q = offset_ccw(anchor, start + length - 1, n) + 2
         else:
-            q = offset_ccw(ans.start, anchor, n) + 2
+            q = offset_ccw(start, anchor, n) + 2
     return out
 
 
-class ScanLevelTable(LevelTable):
+class ScanLevelTable(_AnchorChains):
     """Reference twin of `LevelTable`: scan chains built from plain scans."""
 
-    def _bucket_chain(self, i: int, *, ccw: bool) -> list[Candidate]:
-        return scan_chain(partial(bucket_min_enclosing, self, i), i, self.instance.n, ccw=ccw)
+    def _chain(self, anchor, *, bucket, ccw):
+        query = partial(bucket_min_enclosing, self, anchor) if bucket else partial(
+            global_min_enclosing, self
+        )
+        return scan_chain(self, query, anchor, ccw=ccw)
 
-    def _global_chain(self, anchor: int, *, ccw: bool) -> list[Candidate]:
-        return scan_chain(partial(global_min_enclosing, self), anchor, self.instance.n, ccw=ccw)
+
+# -- the literal processing steps -------------------------------------------------
+
+
+def _answer(level: LevelTable, ident: Optional[int]) -> Optional[Candidate]:
+    return None if ident is None else level.candidate(ident)
+
+
+def _candidate(sub: CyclicSublist, value, witnesses, owner, level) -> Candidate:
+    return Candidate(sub.start, sub.length, value, witnesses, owner, level)
 
 
 def directional_processing(
@@ -105,7 +265,8 @@ def directional_processing(
     best: Optional[Candidate] = None
     for tp in range(1, t):
         for dz in range(offset_ccw(i, j, n) + 1 if ccw else offset_ccw(j, i, n) + 1):
-            l1 = bucket_min_enclosing(levels[tp], i, CyclicSublist(i if ccw else i - dz, dz + 1, n))
+            q1 = CyclicSublist(i if ccw else i - dz, dz + 1, n)
+            l1 = _answer(levels[tp], bucket_min_enclosing(levels[tp], i, q1))
             if l1 is None:
                 continue
             sub1 = run_of(l1, n)
@@ -118,7 +279,7 @@ def directional_processing(
                 else:
                     past = (sub1.cw_end - 1) % n
                     rest = CyclicSublist(j, offset_ccw(j, past, n) + 1, n)
-                l2 = global_min_enclosing(levels[t - tp], rest)
+                l2 = _answer(levels[t - tp], global_min_enclosing(levels[t - tp], rest))
                 if l2 is None:
                     continue
                 sub2 = run_of(l2, n)
@@ -148,12 +309,12 @@ def bidirectional_processing(
     wi = instance.disks[i].weight
     best: Optional[Candidate] = None
     for tp in range(2, t):
-        lx = bucket_min_enclosing(levels[tp], i, CyclicSublist(i, offset_ccw(i, x, n) + 1, n))
+        qx = CyclicSublist(i, offset_ccw(i, x, n) + 1, n)
+        lx = _answer(levels[tp], bucket_min_enclosing(levels[tp], i, qx))
         if lx is None:
             continue
-        ly = bucket_min_enclosing(
-            levels[t + 1 - tp], i, CyclicSublist(y, offset_ccw(y, i, n) + 1, n)
-        )
+        qy = CyclicSublist(y, offset_ccw(y, i, n) + 1, n)
+        ly = _answer(levels[t + 1 - tp], bucket_min_enclosing(levels[t + 1 - tp], i, qy))
         if ly is None:
             continue
         cand = _candidate(
@@ -168,6 +329,9 @@ def bidirectional_processing(
     return best
 
 
+# -- levels from arbitrary runs ---------------------------------------------------
+
+
 def ring(n: int):
     """n small disjoint disks on a circle: an instance that only sets n."""
     return mk_instance(
@@ -179,27 +343,35 @@ def ring(n: int):
 
 
 def level_of_runs(instance, runs, *, indexed: bool = True) -> LevelTable:
-    """Level holding one candidate per (start, length, value, owner).
+    """Level-1 table holding one candidate per (start, length, value, owner).
 
-    Candidate ids follow bucket order, then the order of `runs`.  Each
-    candidate's witness set holds its position in `runs`, so equal runs of
-    equal value stay distinguishable.  The buckets go straight to the
-    constructor, without the solver's same-run dedup (`dedup_runs`), so
-    equal runs all stay.  `indexed=False` builds the `ScanLevelTable` twin
-    instead.
+    Candidate ids follow bucket order, then the order of `runs`, and
+    `positions[id]` is the candidate's place in `runs`, so equal runs of
+    equal value stay distinguishable.  The runs go straight to the
+    constructor, without the solver's same-run dedup, so equal runs all
+    stay.  `indexed=False` builds the `ScanLevelTable` twin instead.
     """
     n = instance.n
-    buckets = [[] for _ in range(n)]
-    for pos, (start, length, value, owner) in enumerate(runs):
-        sub = CyclicSublist(start, length, n)
-        buckets[owner].append(_candidate(sub, value, frozenset((pos,)), owner, 1))
-    return (LevelTable if indexed else ScanLevelTable)(instance, 1, buckets)
+    runs = [(CyclicSublist(s, k, n), v, owner) for s, k, v, owner in runs]
+    order = sorted(range(len(runs)), key=lambda pos: runs[pos][2])
+    starts, lengths, owners = (
+        np.array([col(runs[pos]) for pos in order], np.int64)
+        for col in (lambda r: r[0].start, lambda r: r[0].length, lambda r: r[2])
+    )
+    values = np.array([runs[pos][1] for pos in order], np.float64)
+    parents = np.full((len(order), 4), -1, np.int64)
+    level = (LevelTable if indexed else ScanLevelTable)(
+        instance, 1, [None], starts, lengths, owners, values, parents
+    )
+    level.positions = order
+    return level
 
 
-def chain_answer(chain: Sequence[Candidate], q: CyclicSublist) -> Optional[Candidate]:
-    """Cheapest enclosing answer to q read off a chain anchored at q's near end.
+def chain_answer(level: LevelTable, chain_ids, q: CyclicSublist) -> Optional[int]:
+    """Cheapest enclosing answer to q read off a chain anchored at q's near end, as an id.
 
     Chains list their answers cheapest first, each reaching farther than the
     last, so the answer is the first chain run containing q.
     """
-    return next((cand for cand in chain if run_of(cand, q.n).contains_sub(q)), None)
+    ids = np.asarray(chain_ids).tolist()
+    return next((c for c in ids if sub_of(level, c).contains_sub(q)), None)
