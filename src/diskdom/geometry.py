@@ -75,16 +75,20 @@ def disk_arrays(instance: "Instance") -> tuple[np.ndarray, np.ndarray, np.ndarra
     return xs, ys, rs
 
 
-def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i: int) -> np.ndarray:
+def intersects_row(
+    xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=slice(None)
+) -> np.ndarray:
     """`intersects(disk i, disk z)` for every z at once, as a bool array.
 
     Takes the arrays of `disk_arrays` and does the operations of
     `intersects` in the same order, so the two agree bit for bit.  An
-    index array of shape (B, 1) for i gives B rows at once.
+    index array of shape (B, 1) for i gives B rows at once.  z picks the
+    disks tested, every disk by default; an index array for z is
+    broadcast against i, so shape (B, 64) tests B gathered blocks.
     """
-    dx = xs - xs[i]
-    dy = ys - ys[i]
-    rr = rs[i] + rs
+    dx = xs[z] - xs[i]
+    dy = ys[z] - ys[i]
+    rr = rs[i] + rs[z]
     # dx*dx + dy*dy <= rr*rr, in place: a block of rows makes no extra temporaries
     dx *= dx
     dy *= dy

@@ -9,14 +9,31 @@ into the runs the solvers merge, as (start, length) pairs
 (`dominated_run`, `run_after`, `run_before`), and into the counting bound
 on any dominating set (`domination_lower_bound`).
 
-All avoidance rows (the negation of `geometry.intersects_row`, so the
-answers agree bit for bit with `verify`) are built once, in blocks of
-rows, into one n x ceil(n/64) matrix of packed little-endian uint64
-words, and the queries are bit scans.  `first_disjoint` answers arrays of
-queries in word-by-word numpy passes, as the unweighted search asks them
-(`runs_past`, `dominated_runs`); the scalar queries read a Python-int
-view of one row.  The tests check both against a disk-by-disk walk with a
-scalar predicate (`tests/query_reference.py`).
+Every answer is decided by `geometry.intersects_row`, negated, so it
+agrees bit for bit with `verify`.  Two indexes answer the queries, and
+`build_neighbor_index` picks one by the number of disks:
+
+- up to `MATRIX_MAX_N` disks, `_BitsetNeighborIndex` builds every
+  avoidance row once, in blocks of rows, into one n x ceil(n/64) matrix
+  of packed little-endian uint64 words, and the queries are bit scans;
+- above it, `_TreeNeighborIndex` keeps no n² data.  A static tree over
+  blocks of 64 consecutive disks stores a bounding circle of each node's
+  centers and its smallest radius; a query skips every node the circle
+  proves to meet disk i throughout, and evaluates the other blocks
+  exactly, as 64-bit words like the matrix's.
+
+The matrix pays n² pair tests up front, then answers a query in a few
+word reads; the tree pays a few node tests and one or two 64-disk blocks
+per query that disk j does not end.  On unweighted solves of the
+`uniform(4.5,7.5)` and `uniform(1.0,3.0)` radius laws the matrix is
+faster or level at 4096 disks and the tree faster at 8192, where it
+also needs O(n) memory against the matrix's n²/8 bytes.
+
+`first_disjoint` answers arrays of queries, as the unweighted search asks
+them (`runs_past`, `dominated_runs`); the runs and the scalar queries are
+built on it once, in `_NeighborIndex`.  The tests check every index
+against a disk-by-disk walk with a scalar predicate
+(`tests/query_reference.py`).
 """
 
 from __future__ import annotations
@@ -27,8 +44,13 @@ import numpy as np
 
 from .geometry import Instance, disk_arrays, intersects_row, union_columns
 
+# build_neighbor_index's cut: the matrix index up to this many disks, the tree above
+MATRIX_MAX_N = 4096
+
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+_LANES = np.arange(64)
+_PAIRS_PER_BLOCK = 1 << 15  # pair tests per block of rows: temporaries stay in cache
 
 
 class _IntersectsAll:
@@ -55,84 +77,40 @@ def _bit_index(x: np.ndarray, *, lowest: bool) -> np.ndarray:
     return np.frexp(x.astype(np.float64))[1].astype(np.int64) - 1
 
 
-class _BitsetNeighborIndex:
-    """Per-disk avoidance rows packed into one uint64 matrix; queried with bit scans."""
+def _cut(x: np.ndarray, bit: np.ndarray, *, ccw: bool) -> np.ndarray:
+    """Each word's bits from `bit` on (ccw) or up to `bit` (cw), inclusive."""
+    bit = bit.astype(np.uint64)
+    return x & ((_ONES << bit) if ccw else (_ONES >> (np.uint64(63) - bit)))
+
+
+def _row_blocks(arrays, n: int):
+    """`intersects_row` of every disk, as (rows, block) pairs of whole rows."""
+    block = max(1, _PAIRS_PER_BLOCK // n)
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(n, lo + block))
+        yield rows, intersects_row(*arrays, rows[:, None])
+
+
+class _NeighborIndex:
+    """The runs and scalar queries, built on a subclass's batched `first_disjoint`."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.n = instance.n
-        self._rows: dict[int, int] = {}
-
-    @cached_property
-    def _bits(self) -> np.ndarray:
-        """Bit z of row i (word z >> 6, bit z & 63) is set when disk i misses disk z."""
-        n = self.n
-        arrays = disk_arrays(self.instance)
-        bits = np.zeros((n, -(-n // 64) * 8), np.uint8)
-        block = max(1, (1 << 15) // n)  # rows whose temporaries stay in cache
-        for lo in range(0, n, block):
-            rows = np.arange(lo, min(n, lo + block))
-            avoids = ~intersects_row(*arrays, rows[:, None])
-            packed = np.packbits(avoids, axis=1, bitorder="little")
-            bits[rows, : packed.shape[1]] = packed
-        return bits.view("<u8")
-
-    def _row(self, i):
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = int.from_bytes(self._bits[i].tobytes(), "little")
-        return row
-
-    def first_disjoint_ccw(self, i, j):
-        row = self._row(i)
-        ahead = row >> j
-        if ahead:
-            return j + ((ahead & -ahead).bit_length() - 1)
-        if row:
-            return (row & -row).bit_length() - 1
-        return INTERSECTS_ALL
-
-    def first_disjoint_cw(self, i, j):
-        row = self._row(i)
-        behind = row & ((1 << (j + 1)) - 1)
-        if behind:
-            return behind.bit_length() - 1
-        if row:
-            return row.bit_length() - 1
-        return INTERSECTS_ALL
 
     def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
-        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL.
+        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL."""
+        raise NotImplementedError
 
-        Reads the origin word j >> 6 cut to the bits from j on that way
-        round, then steps word by word, cyclically, over only the queries
-        still open; the origin word comes round again last, whole.
-        """
-        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
-        w, bit = j >> 6, (j & 63).astype(np.uint64)
-        bits = self._bits
-        words = bits.shape[1]
-        x = bits[i, w] & ((_ONES << bit) if ccw else (_ONES >> (np.uint64(63) - bit)))
-        out = np.full(len(i), -1, np.int64)
-        todo = np.arange(len(i))
-        for step in range(words + 1):
-            hit = x != 0
-            out[todo[hit]] = w[hit] * 64 + _bit_index(x[hit], lowest=ccw)
-            todo, w = todo[~hit], w[~hit]
-            if not len(todo) or step == words:
-                break
-            w = (w + (1 if ccw else -1)) % words
-            x = bits[i[todo], w]
-        return out
+    def _first_disjoint_one(self, i: int, j: int, *, ccw: bool):
+        z = int(self.first_disjoint(np.array([i]), np.array([j]), ccw=ccw)[0])
+        return INTERSECTS_ALL if z < 0 else z
 
-    def domination_lower_bound(self) -> int:
-        """Fewest disks any dominating set needs.
+    def first_disjoint_ccw(self, i, j):
+        return self._first_disjoint_one(i, j, ccw=True)
 
-        Each disk dominates only its closed neighborhood, so at least
-        ceil(n / largest closed neighborhood) disks are needed.
-        """
-        missed = _POPCOUNT8[self._bits.view(np.uint8)].sum(axis=1)
-        return -(-self.n // (self.n - int(missed.min())))
+    def first_disjoint_cw(self, i, j):
+        return self._first_disjoint_one(i, j, ccw=False)
 
     def run_after(self, i: int, z: int) -> tuple[int, int]:
         """The run from z+1 counterclockwise that disk i meets throughout.
@@ -180,5 +158,222 @@ class _BitsetNeighborIndex:
         return int(starts[i]), int(lengths[i])
 
 
-def build_neighbor_index(instance: Instance) -> _BitsetNeighborIndex:
-    return _BitsetNeighborIndex(instance)
+class _BitsetNeighborIndex(_NeighborIndex):
+    """Per-disk avoidance rows packed into one uint64 matrix; queried with bit scans."""
+
+    def __init__(self, instance: Instance):
+        super().__init__(instance)
+        self._rows: dict[int, int] = {}
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """Bit z of row i (word z >> 6, bit z & 63) is set when disk i misses disk z."""
+        n = self.n
+        bits = np.zeros((n, -(-n // 64) * 8), np.uint8)
+        for rows, block in _row_blocks(disk_arrays(self.instance), n):
+            packed = np.packbits(~block, axis=1, bitorder="little")
+            bits[rows, : packed.shape[1]] = packed
+        return bits.view("<u8")
+
+    def _row(self, i):
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = int.from_bytes(self._bits[i].tobytes(), "little")
+        return row
+
+    def first_disjoint_ccw(self, i, j):
+        row = self._row(i)
+        ahead = row >> j
+        if ahead:
+            return j + ((ahead & -ahead).bit_length() - 1)
+        if row:
+            return (row & -row).bit_length() - 1
+        return INTERSECTS_ALL
+
+    def first_disjoint_cw(self, i, j):
+        row = self._row(i)
+        behind = row & ((1 << (j + 1)) - 1)
+        if behind:
+            return behind.bit_length() - 1
+        if row:
+            return row.bit_length() - 1
+        return INTERSECTS_ALL
+
+    def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
+        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL.
+
+        Reads the origin word j >> 6 cut to the bits from j on that way
+        round, then steps word by word, cyclically, over only the queries
+        still open; the origin word comes round again last, whole.
+        """
+        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
+        w = j >> 6
+        bits = self._bits
+        words = bits.shape[1]
+        x = _cut(bits[i, w], j & 63, ccw=ccw)
+        out = np.full(len(i), -1, np.int64)
+        todo = np.arange(len(i))
+        for step in range(words + 1):
+            hit = x != 0
+            out[todo[hit]] = w[hit] * 64 + _bit_index(x[hit], lowest=ccw)
+            todo, w = todo[~hit], w[~hit]
+            if not len(todo) or step == words:
+                break
+            w = (w + (1 if ccw else -1)) % words
+            x = bits[i[todo], w]
+        return out
+
+    def domination_lower_bound(self) -> int:
+        """Fewest disks any dominating set needs.
+
+        Each disk dominates only its closed neighborhood, so at least
+        ceil(n / largest closed neighborhood) disks are needed.
+        """
+        missed = _POPCOUNT8[self._bits.view(np.uint8)].sum(axis=1)
+        return -(-self.n // (self.n - int(missed.min())))
+
+
+class _TreeNeighborIndex(_NeighborIndex):
+    """Bounding circles over blocks of 64 disks; only unproven blocks are evaluated.
+
+    Leaf w holds disks 64w..64w+63, and its avoidance word has bit b set
+    when disk i misses disk 64w + b, as a row word of the matrix index.
+    Over the leaves, padded to 2**top, sits a dyadic tree: node m of level
+    l covers leaves m * 2**l .. (m+1) * 2**l - 1 and stores the bounding
+    circle (C, R) of its centers and its smallest radius r_min.  When
+    |c_i - C| + R <= (r_i + r_min)(1 - 1e-9), every disk z of the node has
+    |c_i - c_z| <= r_i + r_z with a relative margin far above the rounding
+    of the bound and of `intersects_row`, so disk i meets all of them, and
+    the float predicate says so too.  A node is skipped only then, and only
+    while r_i + r_min lies in [2**-500, 2**500]: then dx² + dy² cannot
+    overflow, and (r_i + r_z)² is normal (or infinite, which also reads as
+    meeting), so the predicate's roundings are relative ones the margin
+    covers.  Below it they need not be: `tests/test_neighbor_index.py` has
+    two disks at 1e-162 that meet, which the predicate calls disjoint.
+    """
+
+    _MARGIN = 1 - 1e-9
+    _SAFE = (2.0**-500, 2.0**500)
+
+    def __init__(self, instance: Instance):
+        super().__init__(instance)
+        n = self.n
+        xs, ys, rs = self._arrays = disk_arrays(instance)
+        self._leaves = leaves = -(-n // 64)
+        self._top = top = (leaves - 1).bit_length()
+        # blocks are gathered from copies padded to whole leaves with disks
+        # of infinite radius, which meet every disk
+        pad = leaves * 64 - n
+        self._padded = (
+            np.append(xs, np.full(pad, xs[-1])),
+            np.append(ys, np.full(pad, ys[-1])),
+            np.append(rs, np.full(pad, np.inf)),
+        )
+        # node m of level l is row offset[l] + m; the padding's nodes are
+        # never visited, and hold NaN
+        self._offset = np.cumsum([0] + [(1 << top) >> lvl for lvl in range(top)])
+        stats = np.full((4, 2 << top), np.nan)
+        for lvl in range(top + 1):
+            firsts = np.arange(0, n, 64 << lvl)
+            owner = np.arange(n) >> (6 + lvl)
+            cx = np.minimum.reduceat(xs, firsts) / 2 + np.maximum.reduceat(xs, firsts) / 2
+            cy = np.minimum.reduceat(ys, firsts) / 2 + np.maximum.reduceat(ys, firsts) / 2
+            reach = np.maximum.reduceat(np.hypot(xs - cx[owner], ys - cy[owner]), firsts)
+            nodes = self._offset[lvl] + np.arange(len(firsts))
+            stats[:, nodes] = cx, cy, reach, np.minimum.reduceat(rs, firsts)
+        self._cx, self._cy, self._reach, self._rmin = stats
+
+    def domination_lower_bound(self) -> int:
+        """`_BitsetNeighborIndex.domination_lower_bound`, counted in row blocks, kept nowhere."""
+        blocks = _row_blocks(self._arrays, self.n)
+        largest = max(int(block.sum(axis=1).max()) for _, block in blocks)
+        return -(-self.n // largest)
+
+    def _leaf_words(self, i: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+        """Avoidance word of disk i[q] against leaf leaves[q], exactly."""
+        words = np.empty(len(i), np.uint64)
+        chunk = _PAIRS_PER_BLOCK // 64
+        for lo in range(0, len(i), chunk):
+            part = slice(lo, lo + chunk)
+            z = leaves[part, None] * 64 + _LANES
+            block = intersects_row(*self._padded, i[part, None], z)
+            words[part] = np.packbits(~block, axis=1, bitorder="little").view("<u8")[:, 0]
+        return words
+
+    def _skips(self, i: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Whether disk i[q] provably meets every disk of node nodes[q]."""
+        xs, ys, rs = self._arrays
+        bound = np.hypot(self._cx[nodes] - xs[i], self._cy[nodes] - ys[i]) + self._reach[nodes]
+        radii = rs[i] + self._rmin[nodes]
+        lo, hi = self._SAFE
+        return (bound <= radii * self._MARGIN) & (radii >= lo) & (radii <= hi)
+
+    def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
+        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL.
+
+        Tests disk j, then the rest of j's leaf that way round, then walks
+        the tree.  The walk runs in scan positions s, the leaf index
+        counterclockwise and its mirror 2**top - 1 - leaf clockwise, so it
+        always moves up: from the leaf after j's to the last one, then
+        round from the first to j's leaf, which comes last, whole.  At
+        position s it tests the largest node starting there, skips it when
+        `_skips` proves it, and otherwise descends to its first child, or,
+        at a leaf, evaluates the leaf's word.
+        """
+        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
+        out = np.full(len(i), -1, np.int64)
+        xs, ys, rs = self._arrays
+        hit = ~intersects_row(xs, ys, rs, i, j)
+        out[hit] = j[hit]
+        todo = np.flatnonzero(~hit)
+        i, j = i[todo], j[todo]
+        x = np.zeros(len(i), np.uint64)
+        open_ = np.flatnonzero(~self._skips(i, j >> 6))  # leaf w is node w of level 0
+        x[open_] = _cut(self._leaf_words(i[open_], j[open_] >> 6), j[open_] & 63, ccw=ccw)
+        hit = x != 0
+        out[todo[hit]] = (j[hit] >> 6) * 64 + _bit_index(x[hit], lowest=ccw)
+        todo, i, j = todo[~hit], i[~hit], j[~hit]
+
+        top, leaves = self._top, self._leaves
+        span = 1 << top
+        mirror = 0 if ccw else span - 1  # scan position <-> leaf index: s ^ mirror
+        first, end = (0, leaves) if ccw else (span - leaves, span)  # real leaves' positions
+        last = (j >> 6) ^ mirror  # j's leaf, where the walk ends
+        s = last + 1
+        wrapped = s >= end
+        s[wrapped] = first
+
+        def climb(s):
+            # level of the largest aligned node starting at s: trailing zeros, top at 0
+            return np.frexp((s | span) & -(s | span))[1] - 1
+
+        lvl = climb(s)
+        while len(todo):
+            leaf = s ^ mirror
+            nodes = self._offset[lvl] + (leaf >> lvl)
+            skip = self._skips(i, nodes)
+            exact = np.flatnonzero(~skip & (lvl == 0))
+            found = np.zeros(len(todo), bool)
+            if len(exact):
+                x = self._leaf_words(i[exact], leaf[exact])
+                hit = x != 0
+                found[exact[hit]] = True
+                out[todo[exact[hit]]] = leaf[exact[hit]] * 64 + _bit_index(x[hit], lowest=ccw)
+            step = skip | ((lvl == 0) & ~found)
+            lvl -= ~skip & (lvl > 0)  # descend to the first child
+            s += step * (1 << lvl)
+            wrap = step & (s >= end) & ~wrapped
+            s[wrap], wrapped = first, wrapped | wrap
+            lvl[step] = climb(s[step])
+            keep = ~found & ~(wrapped & (s > last))
+            todo, i, s, lvl, last, wrapped = (
+                a[keep] for a in (todo, i, s, lvl, last, wrapped)
+            )
+        return out
+
+
+def build_neighbor_index(instance: Instance) -> _NeighborIndex:
+    """The matrix index up to MATRIX_MAX_N disks, the tree index above."""
+    if instance.n <= MATRIX_MAX_N:
+        return _BitsetNeighborIndex(instance)
+    return _TreeNeighborIndex(instance)

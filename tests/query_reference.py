@@ -2,18 +2,21 @@
 
 `NaiveNeighborIndex` answers the first-disjoint-disk queries by walking
 the cyclic order disk by disk with a scalar predicate, where the
-production index scans packed bit rows; its batched `first_disjoint`
-runs that walk once per query, and its counting bound counts each disk's
-neighborhood with the same predicate.  `scan_farthest_ids` answers each
-farthest-enclosing-run query by scanning every run's reach, index by
-index, where `unweighted_greedy.farthest_ids` sweeps all indexes at once.
+production indexes scan packed bit rows or walk a bounding-circle tree;
+its batched `first_disjoint` runs that walk once per query, and its
+counting bound counts each disk's neighborhood with the same predicate.
+It shares only the runs built on those answers (`_NeighborIndex`).
+`scan_farthest_ids` answers each farthest-enclosing-run query by
+scanning every run's reach, index by index, where
+`unweighted_greedy.farthest_ids` sweeps all indexes at once.
 The unweighted level builder's scalar twin is `greedy_reference.py`.
 The weighted DP's twin, `weighted_reference.ScanLevelTable`, builds its
 scan chains from plain cheapest-enclosing scans.
 
 `solvers_using` swaps them into both solvers for the length of a `with`
-block, so whole solves can be compared across {bitset, naive} neighbor
-indexes and {indexed, scan} query structures.
+block, so whole solves can be compared across {bitset, tree, naive}
+neighbor indexes and {indexed, scan} query structures.  "bitset" and
+"tree" name the two production indexes whatever the instance's size.
 """
 
 from __future__ import annotations
@@ -25,12 +28,17 @@ import pytest
 
 import diskdom.unweighted_greedy as ug
 import diskdom.weighted_dp as wdp
-from diskdom.neighbor_index import INTERSECTS_ALL, _BitsetNeighborIndex, build_neighbor_index
+from diskdom.neighbor_index import (
+    INTERSECTS_ALL,
+    _BitsetNeighborIndex,
+    _NeighborIndex,
+    _TreeNeighborIndex,
+)
 from weighted_reference import ScanLevelTable
 
 
-class NaiveNeighborIndex(_BitsetNeighborIndex):
-    """Walks the cyclic order disk by disk; builds no bit rows."""
+class NaiveNeighborIndex(_NeighborIndex):
+    """Walks the cyclic order disk by disk; builds no bit rows and no tree."""
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -72,7 +80,11 @@ class NaiveNeighborIndex(_BitsetNeighborIndex):
         return np.array([-1 if z is INTERSECTS_ALL else z for z in hits], np.int64)
 
 
-NEIGHBOR_INDEXES = {"bitset": build_neighbor_index, "naive": NaiveNeighborIndex}
+NEIGHBOR_INDEXES = {
+    "bitset": _BitsetNeighborIndex,
+    "tree": _TreeNeighborIndex,
+    "naive": NaiveNeighborIndex,
+}
 
 
 def scan_farthest_ids(starts, lengths, n: int):

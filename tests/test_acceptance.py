@@ -18,7 +18,12 @@ import diskdom.unweighted_greedy as ug
 from conftest import recording
 from diskdom import cli
 from diskdom.instance_io import gen_figure1, gen_random
-from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
+from diskdom.neighbor_index import (
+    INTERSECTS_ALL,
+    _BitsetNeighborIndex,
+    _TreeNeighborIndex,
+    build_neighbor_index,
+)
 from diskdom.oracle import (
     brute_force_min,
     check_domination_of_assignment,
@@ -182,7 +187,7 @@ def test_query_structure_equivalence():
         n = sizes[i % len(sizes)]
         law = laws[i % len(laws)] if n <= 50 else laws[i % 2]
         inst = gen_random(n, 30_000 + i, FAMILIES[i % 3], law, "unit").to_instance()
-        bits = build_neighbor_index(inst)
+        bits, tree = _BitsetNeighborIndex(inst), _TreeNeighborIndex(inst)
         naive = NaiveNeighborIndex(inst)
         expected = {True: [], False: []}  # naive answers by direction, -1 for INTERSECTS_ALL
         for a_ in range(n):
@@ -192,11 +197,12 @@ def test_query_structure_equivalence():
                     assert getattr(bits, scan)(a_, b_) == hit
                     expected[ccw].append(-1 if hit is INTERSECTS_ALL else hit)
                     sweeps += 1
-        # every (i, j) pair at once through the batched bit scan
+        # every (i, j) pair at once through the batched bit scan and the tree walk
         i_all, j_all = np.divmod(np.arange(n * n), n)
         for ccw, hits in expected.items():
-            assert bits.first_disjoint(i_all, j_all, ccw=ccw).tolist() == hits, (i, ccw)
-            batched += n * n
+            for index in (bits, tree):
+                assert index.first_disjoint(i_all, j_all, ccw=ccw).tolist() == hits, (i, ccw)
+                batched += n * n
     print(
         f"PASS query-structures: {min_trials} min-enclosing and {far_trials} "
         f"farthest trials, {sweeps} swept and {batched} batched neighbor queries, "
@@ -283,6 +289,28 @@ def test_scaling_smoke(tmp_path):
         f"PASS scaling: unweighted n=5000 in {big_elapsed:.2f}s (size {sol.size}); "
         f"weighted n=60 k=6 in {med_elapsed:.2f}s; doubling ratios "
         f"{ratios[0]:.1f}, {ratios[1]:.1f} (cap 12)"
+    )
+
+
+def test_large_unweighted_solve_builds_no_matrix(monkeypatch):
+    """n=20000 on the wide law, past the matrix's range: the tree index answers alone."""
+
+    def no_matrix(self):
+        raise AssertionError("the n x n avoidance matrix was built")
+
+    monkeypatch.setattr(_BitsetNeighborIndex, "_bits", property(no_matrix))
+    inst = gen_random(20_000, 557, "circle", "uniform(4.5,7.5)", "unit").to_instance(
+        weighted=False
+    )
+    t0 = time.perf_counter()
+    sol = solve_unweighted(inst)
+    elapsed = time.perf_counter() - t0
+    bound = build_neighbor_index(inst).domination_lower_bound()
+    assert sol.size == bound and elapsed < 10.0
+    assert verify(inst, inst.to_canonical(sol.centers))
+    print(
+        f"PASS large-unweighted: n=20000 in {elapsed:.2f}s, size {sol.size} = counting "
+        f"bound, no avoidance matrix built"
     )
 
 

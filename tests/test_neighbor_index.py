@@ -4,8 +4,20 @@ import random
 import numpy as np
 import pytest
 
-from diskdom.geometry import intersects
-from diskdom.neighbor_index import INTERSECTS_ALL, build_neighbor_index
+from diskdom.geometry import (
+    Instance,
+    Point,
+    WeightedDisk,
+    disk_arrays,
+    intersects,
+    intersects_row,
+)
+from diskdom.neighbor_index import (
+    INTERSECTS_ALL,
+    _BitsetNeighborIndex,
+    _TreeNeighborIndex,
+    build_neighbor_index,
+)
 from conftest import mk_instance, tangent_chain_instances
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex
 from run_reference import CyclicSublist
@@ -187,29 +199,112 @@ def _ring_with_giant(n):
     return mk_instance(pts)
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 4097])
 def test_batched_first_disjoint_matches_scalar_and_naive(n):
+    """Both production indexes, built directly, against the scalar bit scans and the walk.
+
+    Every (i, j) pair up to n = 129; at n = 4097 (one disk past the
+    matrix's range, so the tree's last leaf holds one disk) 3000 sampled
+    pairs, of which the disk-by-disk walk answers the first 200, and the
+    matrix, checked against the walk below, stands in for it on the runs
+    and the counting bound.
+    """
     from diskdom import gen_random
     from greedy_reference import dominated_run
 
     instances = [_ring_with_giant(n)]
     for law in ("uniform(0.3,1.2)", "uniform(1.0,3.0)", "uniform(4.0,9.0)"):
         instances.append(gen_random(n, 7 + n, "circle", law, "unit").to_instance())
-    i_all, j_all = np.divmod(np.arange(n * n), n)
+    small = n <= 129
+    if small:
+        i_all, j_all = np.divmod(np.arange(n * n), n)
+    else:
+        i_all, j_all = np.random.default_rng(n).integers(0, n, (2, 3000))
+    walked = slice(None) if small else slice(200)
     for inst in instances:
-        bits, naive = build_neighbor_index(inst), NaiveNeighborIndex(inst)
+        bits, tree = _BitsetNeighborIndex(inst), _TreeNeighborIndex(inst)
+        naive = NaiveNeighborIndex(inst)
         for ccw, scan in ((True, "first_disjoint_ccw"), (False, "first_disjoint_cw")):
             scalar = [getattr(bits, scan)(i, j) for i, j in zip(i_all.tolist(), j_all.tolist())]
             want = [-1 if z is INTERSECTS_ALL else z for z in scalar]
             assert bits.first_disjoint(i_all, j_all, ccw=ccw).tolist() == want
-            assert naive.first_disjoint(i_all, j_all, ccw=ccw).tolist() == want
-        starts, lengths = bits.dominated_runs
-        assert list(zip(starts.tolist(), lengths.tolist())) == [
-            dominated_run(bits, i) for i in range(n)
-        ]
+            assert tree.first_disjoint(i_all, j_all, ccw=ccw).tolist() == want
+            walk = naive.first_disjoint(i_all[walked], j_all[walked], ccw=ccw)
+            assert walk.tolist() == want[walked]
+        runs = list(zip(*(a.tolist() for a in tree.dominated_runs)))
+        assert runs == list(zip(*(a.tolist() for a in bits.dominated_runs)))
+        reference = naive if small else bits
+        assert tree.domination_lower_bound() == reference.domination_lower_bound()
+        if small:
+            assert runs == [dominated_run(bits, i) for i in range(n)]
+            assert runs == list(zip(*(a.tolist() for a in naive.dominated_runs)))
     # the giant disk meets every disk: each of its queries saturates
     (g,) = instances[0].to_canonical((0,))
-    index = build_neighbor_index(instances[0])
+    for index in (_BitsetNeighborIndex(instances[0]), _TreeNeighborIndex(instances[0])):
+        for ccw in (True, False):
+            assert (index.first_disjoint(np.full(n, g), np.arange(n), ccw=ccw) == -1).all()
+        assert index.dominated_run(g) == (0, n)
+
+
+def _first_in_row(avoids, j, *, ccw):
+    """First z from each j (ccw or cw, cyclically) with avoids[z]; -1 when there is none."""
+    (z,) = np.nonzero(avoids)
+    if not len(z):
+        return np.full(len(j), -1)
+    if ccw:
+        return z[np.searchsorted(z, j) % len(z)]
+    return z[np.searchsorted(z, j, side="right") - 1]
+
+
+@pytest.mark.parametrize("scale", [1e198, 1e-150])
+def test_tree_answers_as_the_float_predicate_at_extreme_scales(scale):
+    """A scaled wide-law instance: every tree answer is the one `~intersects_row` gives.
+
+    At 1e198 every square overflows, so the predicate says that every two
+    disks meet, where most do not, and no node may be skipped; at 1e-150
+    the tree does skip nodes, and each skip must agree with the predicate.
+    """
+    from diskdom import gen_random
+
+    base = gen_random(320, 5, "circle", "uniform(4.5,7.5)", "unit").to_instance(weighted=False)
+    inst = Instance(
+        tuple(
+            WeightedDisk(Point(d.center.x * scale, d.center.y * scale), d.radius * scale)
+            for d in base.disks
+        ),
+        base.original_index,
+    )
+    n = inst.n
+    arrays = disk_arrays(inst)
+    tree = _TreeNeighborIndex(inst)
+    i_all, j_all = np.divmod(np.arange(n * n), n)
+    with np.errstate(over="ignore"):
+        rows = [~intersects_row(*arrays, i) for i in range(n)]
+        for ccw in (True, False):
+            want = np.concatenate([_first_in_row(row, np.arange(n), ccw=ccw) for row in rows])
+            got = tree.first_disjoint(i_all, j_all, ccw=ccw)
+            assert got.tolist() == want.tolist()
+            if scale > 1:  # the overflow decides: unscaled, many of these pairs miss
+                assert (got == -1).all()
+                assert (_TreeNeighborIndex(base).first_disjoint(i_all, j_all, ccw=ccw) >= 0).any()
+    assert tree._skips(i_all, j_all >> 6).any() == (scale < 1)
+
+
+def test_tree_does_not_skip_where_squares_are_subnormal():
+    """Two disks that meet with 1% to spare in exact arithmetic, at a scale of 1e-162.
+
+    Their squares are subnormal, and the predicate's roundings call them
+    disjoint, as `verify` does.  The bounding circle of their leaf proves
+    that they meet; only the range guard on r_i + r_min keeps the tree
+    from skipping the leaf on that proof.
+    """
+    from fractions import Fraction
+
+    a = WeightedDisk(Point(0.0, 0.0), 3.407285830449474e-162)
+    b = WeightedDisk(Point(4.744700532046208e-162, 4.764597878845263e-162), 3.417353947513618e-162)
+    x, y, r_a, r_b = map(Fraction, (b.center.x, b.center.y, a.radius, b.radius))
+    assert x * x + y * y <= (r_a + r_b) ** 2 * Fraction(98, 100)
+    assert not intersects(a, b)
+    tree = _TreeNeighborIndex(Instance((a, b), (0, 1)))
     for ccw in (True, False):
-        assert (index.first_disjoint(np.full(n, g), np.arange(n), ccw=ccw) == -1).all()
-    assert index.dominated_run(g) == (0, n)
+        assert tree.first_disjoint([0, 1], [0, 1], ccw=ccw).tolist() == [1, 0]

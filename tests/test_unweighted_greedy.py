@@ -259,7 +259,7 @@ def test_strategies_and_index_modes_agree():
     for _ in range(10):
         inst = rand_instance(rng, rng.randint(2, 12))
         results = set()
-        for strategy in ("naive", "bitset"):
+        for strategy in NEIGHBOR_INDEXES:
             for indexed in (True, False):
                 with solvers_using(strategy, indexed):
                     sol = solve_unweighted(inst)
@@ -423,7 +423,7 @@ def test_strategies_and_index_modes_agree_beyond_brute_force():
             weighted=False
         )
         results = set()
-        for strategy in ("bitset", "naive"):
+        for strategy in NEIGHBOR_INDEXES:
             for indexed in (True, False):
                 with solvers_using(strategy, indexed):
                     results.add(solve_unweighted(inst))

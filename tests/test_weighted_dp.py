@@ -19,7 +19,7 @@ from diskdom.weighted_dp import (
     solve_weighted_all_k,
     solve_weighted_unbounded,
 )
-from query_reference import NaiveNeighborIndex, solvers_using
+from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, solvers_using
 from run_reference import run_of
 from weighted_reference import bidirectional_processing, directional_processing
 
@@ -350,7 +350,7 @@ def test_solver_flags_do_not_change_weights():
         inst = rand_instance(rng, n, spread=(1.0, 4.0))
         k = rng.randint(2, n)
         results = []
-        for strategy in ("naive", "bitset"):
+        for strategy in NEIGHBOR_INDEXES:
             for indexed in (True, False):
                 try:
                     with solvers_using(strategy, indexed):
