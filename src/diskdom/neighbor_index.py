@@ -27,12 +27,14 @@ word reads; the tree pays a few node tests and one or two 64-disk blocks
 per query that disk j does not end.  On unweighted solves of the
 `uniform(4.5,7.5)` and `uniform(1.0,3.0)` radius laws the matrix is
 faster or level at 4096 disks and the tree faster at 8192, where it
-also needs O(n) memory against the matrix's n²/8 bytes.
+also needs O(n) memory against the matrix's n²/8 bytes; at 2000 disks of
+the second law, solves on the tree take a quarter longer.
 
 `first_disjoint` answers arrays of queries, as the unweighted search asks
 them (`runs_past`, `dominated_runs`); the runs and the scalar queries are
-built on it once, in `_NeighborIndex`.  The tests check every index
-against a disk-by-disk walk with a scalar predicate
+built on it once, in `_NeighborIndex`, beside the counting bound, which
+both indexes count from blocks of `intersects_row` rows.  The tests check
+every index against a disk-by-disk walk with a scalar predicate
 (`tests/query_reference.py`).
 """
 
@@ -48,7 +50,6 @@ from .geometry import Instance, disk_arrays, intersects_row, union_columns
 MATRIX_MAX_N = 4096
 
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 _LANES = np.arange(64)
 _PAIRS_PER_BLOCK = 1 << 15  # pair tests per block of rows: temporaries stay in cache
 
@@ -149,6 +150,17 @@ class _NeighborIndex:
         before = self.runs_past(i, i + 1, ccw=False)
         return union_columns(self.n, (before, self.runs_past(i, i - 1, ccw=True)))
 
+    def domination_lower_bound(self) -> int:
+        """Fewest disks any dominating set needs.
+
+        Each disk dominates only its closed neighborhood, so at least
+        ceil(n / largest closed neighborhood) disks are needed.  The
+        neighborhoods are counted in blocks of rows, and kept nowhere.
+        """
+        blocks = _row_blocks(disk_arrays(self.instance), self.n)
+        largest = max(int(block.sum(axis=1).max()) for _, block in blocks)
+        return -(-self.n // largest)
+
     def dominated_run(self, i: int) -> tuple[int, int]:
         """Maximal contiguous run around p_i whose disks all meet disk i.
 
@@ -223,15 +235,6 @@ class _BitsetNeighborIndex(_NeighborIndex):
             x = bits[i[todo], w]
         return out
 
-    def domination_lower_bound(self) -> int:
-        """Fewest disks any dominating set needs.
-
-        Each disk dominates only its closed neighborhood, so at least
-        ceil(n / largest closed neighborhood) disks are needed.
-        """
-        missed = _POPCOUNT8[self._bits.view(np.uint8)].sum(axis=1)
-        return -(-self.n // (self.n - int(missed.min())))
-
 
 class _TreeNeighborIndex(_NeighborIndex):
     """Bounding circles over blocks of 64 disks; only unproven blocks are evaluated.
@@ -282,12 +285,6 @@ class _TreeNeighborIndex(_NeighborIndex):
             nodes = self._offset[lvl] + np.arange(len(firsts))
             stats[:, nodes] = cx, cy, reach, np.minimum.reduceat(rs, firsts)
         self._cx, self._cy, self._reach, self._rmin = stats
-
-    def domination_lower_bound(self) -> int:
-        """`_BitsetNeighborIndex.domination_lower_bound`, counted in row blocks, kept nowhere."""
-        blocks = _row_blocks(self._arrays, self.n)
-        largest = max(int(block.sum(axis=1).max()) for _, block in blocks)
-        return -(-self.n // largest)
 
     def _leaf_words(self, i: np.ndarray, leaves: np.ndarray) -> np.ndarray:
         """Avoidance word of disk i[q] against leaf leaves[q], exactly."""

@@ -14,6 +14,7 @@ from diskdom.geometry import (
 )
 from diskdom.neighbor_index import (
     INTERSECTS_ALL,
+    MATRIX_MAX_N,
     _BitsetNeighborIndex,
     _TreeNeighborIndex,
     build_neighbor_index,
@@ -244,6 +245,16 @@ def test_batched_first_disjoint_matches_scalar_and_naive(n):
         for ccw in (True, False):
             assert (index.first_disjoint(np.full(n, g), np.arange(n), ccw=ccw) == -1).all()
         assert index.dominated_run(g) == (0, n)
+
+
+def test_build_neighbor_index_picks_the_matrix_up_to_the_cut():
+    """The matrix index up to MATRIX_MAX_N disks, the tree index from one disk more.
+
+    Neither index does its quadratic or per-query work here: the matrix
+    is built lazily, on the first query.
+    """
+    for n, kind in ((MATRIX_MAX_N, _BitsetNeighborIndex), (MATRIX_MAX_N + 1, _TreeNeighborIndex)):
+        assert type(build_neighbor_index(_ring_with_giant(n))) is kind
 
 
 def _first_in_row(avoids, j, *, ccw):
