@@ -158,9 +158,11 @@ def canonicalize(raw: Sequence[WeightedDisk], *, weighted: bool = True) -> Insta
     def chain(idxs):
         out: list[int] = []
         for i in idxs:
-            while len(out) >= 2 and orientation(
+            # pop unless provably a left turn: an overflowed orientation
+            # (inf - inf = NaN) must not keep a point
+            while len(out) >= 2 and not orientation(
                 raw[out[-2]].center, raw[out[-1]].center, raw[i].center
-            ) <= 0:
+            ) > 0:
                 out.pop()
             out.append(i)
         return out

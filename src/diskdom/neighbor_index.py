@@ -10,32 +10,28 @@ into the runs the solvers merge, as (start, length) pairs
 on any dominating set (`domination_lower_bound`).
 
 Every answer is decided by `geometry.intersects_row`, negated, so it
-agrees bit for bit with `verify`.  Two indexes answer the queries, and
-`build_neighbor_index` picks one by the number of disks:
+agrees bit for bit with `verify`.  One index answers them at every n,
+`_TreeNeighborIndex`, and keeps no n² data: a static tree over blocks of
+64 consecutive disks stores a bounding circle of each node's centers and
+its smallest radius; a query skips every node the circle proves to meet
+disk i throughout, and evaluates the other blocks exactly, as 64-bit
+avoidance words.
 
-- up to `MATRIX_MAX_N` disks, `_BitsetNeighborIndex` builds every
-  avoidance row once, in blocks of rows, into one n x ceil(n/64) matrix
-  of packed little-endian uint64 words, and the queries are bit scans;
-- above it, `_TreeNeighborIndex` keeps no n² data.  A static tree over
-  blocks of 64 consecutive disks stores a bounding circle of each node's
-  centers and its smallest radius; a query skips every node the circle
-  proves to meet disk i throughout, and evaluates the other blocks
-  exactly, as 64-bit words like the matrix's.
+The solvers ask batches of queries, and the query flow is:
 
-The matrix pays n² pair tests up front, then answers a query in a few
-word reads; the tree pays a few node tests and one or two 64-disk blocks
-per query that disk j does not end.  On unweighted solves of the
-`uniform(4.5,7.5)` and `uniform(1.0,3.0)` radius laws the matrix is
-faster or level at 4096 disks and the tree faster at 8192, where it
-also needs O(n) memory against the matrix's n²/8 bytes; at 2000 disks of
-the second law, solves on the tree take a quarter longer.
+- `first_disjoint` answers an array of (i, j) pairs by walking the tree;
+  it is asked directly only for the 2n walks from each disk i itself that
+  build `dominated_runs`;
+- `runs_past` answers the tails the solvers ask past the far end z of a
+  run, from j = z±1 on.  Most need no walk: when j lies in disk i's own
+  dominated run, the answer is the rest of that run, which is maximal;
+  when disk i misses disk j, it is the empty tail.  Only the rest, which
+  start outside the run on a disk i meets, walk `first_disjoint`.
 
-`first_disjoint` answers arrays of queries, as the unweighted search asks
-them (`runs_past`, `dominated_runs`); the runs and the scalar queries are
-built on it once, in `_NeighborIndex`, beside the counting bound, which
-both indexes count from blocks of `intersects_row` rows.  The tests check
-every index against a disk-by-disk walk with a scalar predicate
-(`tests/query_reference.py`).
+The runs and the scalar queries are built on `first_disjoint` once, in
+`_NeighborIndex`, beside the counting bound, which is counted from blocks
+of `intersects_row` rows.  The tests check the index against a
+disk-by-disk walk with a scalar predicate (`tests/query_reference.py`).
 """
 
 from __future__ import annotations
@@ -46,12 +42,9 @@ import numpy as np
 
 from .geometry import Instance, disk_arrays, intersects_row, union_columns
 
-# build_neighbor_index's cut: the matrix index up to this many disks, the tree above
-MATRIX_MAX_N = 4096
-
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _LANES = np.arange(64)
-_PAIRS_PER_BLOCK = 1 << 15  # pair tests per block of rows: temporaries stay in cache
+_PAIRS_PER_BLOCK = 1 << 15  # pair tests per block: temporaries stay in cache
 
 
 class _IntersectsAll:
@@ -84,20 +77,13 @@ def _cut(x: np.ndarray, bit: np.ndarray, *, ccw: bool) -> np.ndarray:
     return x & ((_ONES << bit) if ccw else (_ONES >> (np.uint64(63) - bit)))
 
 
-def _row_blocks(arrays, n: int):
-    """`intersects_row` of every disk, as (rows, block) pairs of whole rows."""
-    block = max(1, _PAIRS_PER_BLOCK // n)
-    for lo in range(0, n, block):
-        rows = np.arange(lo, min(n, lo + block))
-        yield rows, intersects_row(*arrays, rows[:, None])
-
-
 class _NeighborIndex:
     """The runs and scalar queries, built on a subclass's batched `first_disjoint`."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.n = instance.n
+        self._arrays = disk_arrays(instance)
 
     def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
         """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL."""
@@ -133,22 +119,49 @@ class _NeighborIndex:
             return 0, n
         return (b + 1) % n, (z - b - 1) % n
 
-    def runs_past(self, i, z, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
-        """`run_after(i[q], z[q])` (or `run_before`) of each pair, as start and length arrays."""
+    def _runs_from(self, i, j, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The run disk i[q] meets from j[q] on, ccw or cw, walked by `first_disjoint`."""
         n = self.n
-        j = (np.asarray(z, np.int64) + (1 if ccw else -1)) % n
         f = self.first_disjoint(i, j, ccw=ccw)
         full = f < 0
         starts = np.where(full, 0, j if ccw else (f + 1) % n)
         return starts, np.where(full, n, (f - j) % n if ccw else (j - f) % n)
+
+    def runs_past(self, i, z, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """`run_after(i[q], z[q])` (or `run_before`) of each pair, as start and length arrays.
+
+        With j = z+1 (z-1 clockwise) and disk i's dominated run (s, k):
+        1. j in the run, at off = j - s: the run is maximal, so the answer
+           is the rest of it, (j, k - off) counterclockwise and
+           (s, off + 1) clockwise, or (0, n) when the run is full;
+        2. otherwise, when disk i misses disk j: the empty tail, (j, 0)
+           counterclockwise and (j + 1, 0) clockwise;
+        3. otherwise `first_disjoint` walks from j.
+        """
+        n = self.n
+        i = np.asarray(i, np.int64)
+        j = (np.asarray(z, np.int64) + (1 if ccw else -1)) % n
+        dom_s, dom_k = self.dominated_runs
+        s, k = dom_s[i], dom_k[i]
+        off = (j - s) % n
+        starts, lengths = (j, k - off) if ccw else (s, off + 1)
+        full = k == n
+        starts, lengths = np.where(full, 0, starts), np.where(full, n, lengths)
+        past = np.flatnonzero(off >= k)
+        starts[past] = j[past] if ccw else (j[past] + 1) % n
+        lengths[past] = 0
+        walk = past[intersects_row(*self._arrays, i[past], j[past])]
+        if len(walk):
+            starts[walk], lengths[walk] = self._runs_from(i[walk], j[walk], ccw=ccw)
+        return starts, lengths
 
     @cached_property
     def dominated_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every disk's `dominated_run`, as start and length arrays."""
         i = np.arange(self.n)
         # the stretch clockwise up to i, then the one counterclockwise from i
-        before = self.runs_past(i, i + 1, ccw=False)
-        return union_columns(self.n, (before, self.runs_past(i, i - 1, ccw=True)))
+        before = self._runs_from(i, i, ccw=False)
+        return union_columns(self.n, (before, self._runs_from(i, i, ccw=True)))
 
     def domination_lower_bound(self) -> int:
         """Fewest disks any dominating set needs.
@@ -157,9 +170,11 @@ class _NeighborIndex:
         ceil(n / largest closed neighborhood) disks are needed.  The
         neighborhoods are counted in blocks of rows, and kept nowhere.
         """
-        blocks = _row_blocks(disk_arrays(self.instance), self.n)
-        largest = max(int(block.sum(axis=1).max()) for _, block in blocks)
-        return -(-self.n // largest)
+        n = self.n
+        block = max(1, _PAIRS_PER_BLOCK // n)
+        rows = (np.arange(lo, min(n, lo + block))[:, None] for lo in range(0, n, block))
+        largest = max(int(intersects_row(*self._arrays, r).sum(axis=1).max()) for r in rows)
+        return -(-n // largest)
 
     def dominated_run(self, i: int) -> tuple[int, int]:
         """Maximal contiguous run around p_i whose disks all meet disk i.
@@ -170,77 +185,11 @@ class _NeighborIndex:
         return int(starts[i]), int(lengths[i])
 
 
-class _BitsetNeighborIndex(_NeighborIndex):
-    """Per-disk avoidance rows packed into one uint64 matrix; queried with bit scans."""
-
-    def __init__(self, instance: Instance):
-        super().__init__(instance)
-        self._rows: dict[int, int] = {}
-
-    @cached_property
-    def _bits(self) -> np.ndarray:
-        """Bit z of row i (word z >> 6, bit z & 63) is set when disk i misses disk z."""
-        n = self.n
-        bits = np.zeros((n, -(-n // 64) * 8), np.uint8)
-        for rows, block in _row_blocks(disk_arrays(self.instance), n):
-            packed = np.packbits(~block, axis=1, bitorder="little")
-            bits[rows, : packed.shape[1]] = packed
-        return bits.view("<u8")
-
-    def _row(self, i):
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = int.from_bytes(self._bits[i].tobytes(), "little")
-        return row
-
-    def first_disjoint_ccw(self, i, j):
-        row = self._row(i)
-        ahead = row >> j
-        if ahead:
-            return j + ((ahead & -ahead).bit_length() - 1)
-        if row:
-            return (row & -row).bit_length() - 1
-        return INTERSECTS_ALL
-
-    def first_disjoint_cw(self, i, j):
-        row = self._row(i)
-        behind = row & ((1 << (j + 1)) - 1)
-        if behind:
-            return behind.bit_length() - 1
-        if row:
-            return row.bit_length() - 1
-        return INTERSECTS_ALL
-
-    def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
-        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL.
-
-        Reads the origin word j >> 6 cut to the bits from j on that way
-        round, then steps word by word, cyclically, over only the queries
-        still open; the origin word comes round again last, whole.
-        """
-        i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
-        w = j >> 6
-        bits = self._bits
-        words = bits.shape[1]
-        x = _cut(bits[i, w], j & 63, ccw=ccw)
-        out = np.full(len(i), -1, np.int64)
-        todo = np.arange(len(i))
-        for step in range(words + 1):
-            hit = x != 0
-            out[todo[hit]] = w[hit] * 64 + _bit_index(x[hit], lowest=ccw)
-            todo, w = todo[~hit], w[~hit]
-            if not len(todo) or step == words:
-                break
-            w = (w + (1 if ccw else -1)) % words
-            x = bits[i[todo], w]
-        return out
-
-
 class _TreeNeighborIndex(_NeighborIndex):
     """Bounding circles over blocks of 64 disks; only unproven blocks are evaluated.
 
     Leaf w holds disks 64w..64w+63, and its avoidance word has bit b set
-    when disk i misses disk 64w + b, as a row word of the matrix index.
+    when disk i misses disk 64w + b.
     Over the leaves, padded to 2**top, sits a dyadic tree: node m of level
     l covers leaves m * 2**l .. (m+1) * 2**l - 1 and stores the bounding
     circle (C, R) of its centers and its smallest radius r_min.  When
@@ -261,7 +210,7 @@ class _TreeNeighborIndex(_NeighborIndex):
     def __init__(self, instance: Instance):
         super().__init__(instance)
         n = self.n
-        xs, ys, rs = self._arrays = disk_arrays(instance)
+        xs, ys, rs = self._arrays
         self._leaves = leaves = -(-n // 64)
         self._top = top = (leaves - 1).bit_length()
         # blocks are gathered from copies padded to whole leaves with disks
@@ -323,6 +272,8 @@ class _TreeNeighborIndex(_NeighborIndex):
         hit = ~intersects_row(xs, ys, rs, i, j)
         out[hit] = j[hit]
         todo = np.flatnonzero(~hit)
+        if not len(todo):
+            return out
         i, j = i[todo], j[todo]
         x = np.zeros(len(i), np.uint64)
         open_ = np.flatnonzero(~self._skips(i, j >> 6))  # leaf w is node w of level 0
@@ -330,6 +281,8 @@ class _TreeNeighborIndex(_NeighborIndex):
         hit = x != 0
         out[todo[hit]] = (j[hit] >> 6) * 64 + _bit_index(x[hit], lowest=ccw)
         todo, i, j = todo[~hit], i[~hit], j[~hit]
+        if not len(todo):
+            return out
 
         top, leaves = self._top, self._leaves
         span = 1 << top
@@ -370,7 +323,5 @@ class _TreeNeighborIndex(_NeighborIndex):
 
 
 def build_neighbor_index(instance: Instance) -> _NeighborIndex:
-    """The matrix index up to MATRIX_MAX_N disks, the tree index above."""
-    if instance.n <= MATRIX_MAX_N:
-        return _BitsetNeighborIndex(instance)
+    """The neighbor index both solvers query: the bounding-circle tree, at every n."""
     return _TreeNeighborIndex(instance)

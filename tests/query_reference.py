@@ -2,21 +2,25 @@
 
 `NaiveNeighborIndex` answers the first-disjoint-disk queries by walking
 the cyclic order disk by disk with a scalar predicate, where the
-production indexes scan packed bit rows or walk a bounding-circle tree;
-its batched `first_disjoint` runs that walk once per query, and its
-counting bound counts each disk's neighborhood with the same predicate.
-It shares only the runs built on those answers (`_NeighborIndex`).
+production index walks a bounding-circle tree; its batched
+`first_disjoint` runs that walk once per query, its `runs_past` walks
+every tail with `run_after`/`run_before` (no dominated-run shortcut), and
+its counting bound counts each disk's neighborhood with the same
+predicate.  It shares only the runs built on those answers
+(`_NeighborIndex`).
 `scan_farthest_ids` answers each farthest-enclosing-run query by
 scanning every run's reach, index by index, where
 `unweighted_greedy.farthest_ids` sweeps all indexes at once.
 The unweighted level builder's scalar twin is `greedy_reference.py`.
 The weighted DP's twin, `weighted_reference.ScanLevelTable`, builds its
 scan chains from plain cheapest-enclosing scans.
+`tail_walks` counts the tail queries that must walk the tree, from whole
+`intersects_row` rows rather than from any index; `counting_queries`
+records what a solve asks the index, so tests can compare the two.
 
 `solvers_using` swaps them into both solvers for the length of a `with`
-block, so whole solves can be compared across {bitset, tree, naive}
-neighbor indexes and {indexed, scan} query structures.  "bitset" and
-"tree" name the two production indexes whatever the instance's size.
+block, so whole solves can be compared across the {tree, naive} neighbor
+indexes and {indexed, scan} query structures.
 """
 
 from __future__ import annotations
@@ -28,12 +32,8 @@ import pytest
 
 import diskdom.unweighted_greedy as ug
 import diskdom.weighted_dp as wdp
-from diskdom.neighbor_index import (
-    INTERSECTS_ALL,
-    _BitsetNeighborIndex,
-    _NeighborIndex,
-    _TreeNeighborIndex,
-)
+from diskdom.geometry import disk_arrays, intersects_row
+from diskdom.neighbor_index import INTERSECTS_ALL, _NeighborIndex, _TreeNeighborIndex
 from weighted_reference import ScanLevelTable
 
 
@@ -79,12 +79,75 @@ class NaiveNeighborIndex(_NeighborIndex):
         hits = (walk(a, b) for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
         return np.array([-1 if z is INTERSECTS_ALL else z for z in hits], np.int64)
 
+    def runs_past(self, i, z, *, ccw):
+        run = self.run_after if ccw else self.run_before
+        runs = [run(a, b) for a, b in zip(np.asarray(i).tolist(), np.asarray(z).tolist())]
+        return tuple(np.array([r[part] for r in runs], np.int64) for part in (0, 1))
+
 
 NEIGHBOR_INDEXES = {
-    "bitset": _BitsetNeighborIndex,
     "tree": _TreeNeighborIndex,
     "naive": NaiveNeighborIndex,
 }
+
+
+def tail_walks(instance, tails) -> int:
+    """How many tail queries start outside disk i's dominated run on a disk i meets.
+
+    `tails` holds (i, z, ccw) batches as `runs_past` takes them; a query's
+    first disk is j = z+1 (z-1 clockwise).  Each disk's run is read off
+    its whole `intersects_row` row: the steps from disk i to the first
+    disk it misses, each way round.
+    """
+    if not tails:
+        return 0
+    arrays = disk_arrays(instance)
+    n = instance.n
+    i = np.concatenate([a for a, _, _ in tails])
+    j = np.concatenate([(z + (1 if ccw else -1)) % n for _, z, ccw in tails])
+    ahead, behind = np.full(n, n), np.full(n, n)  # steps to the first disk missed, or n
+
+    def first_miss(*walk):
+        """Steps to the first False along the walk's pieces (disk i not counted), or n."""
+        done = 1
+        for piece in walk:
+            if len(piece) and not piece.all():
+                return done + int(piece.argmin())
+            done += len(piece)
+        return n
+
+    for d in np.unique(i).tolist():
+        row = intersects_row(*arrays, d)
+        ahead[d] = first_miss(row[d + 1:], row[:d])
+        behind[d] = first_miss(row[:d][::-1], row[d + 1:][::-1])
+    step = (j - i) % n
+    inside = (step < ahead[i]) | ((n - step) % n < behind[i])
+    meets = intersects_row(*arrays, i, j)
+    return int((~inside & meets).sum())
+
+
+@contextmanager
+def counting_queries():
+    """Counts `first_disjoint` queries and records the `runs_past` batches asked inside the block.
+
+    Yields a dict: "walked" is the number of (i, j) pairs `first_disjoint`
+    answered, "tails" the (i, z, ccw) batches of `runs_past`, copied.
+    """
+    asked = {"walked": 0, "tails": []}
+    walk, tail = _TreeNeighborIndex.first_disjoint, _NeighborIndex.runs_past
+
+    def first_disjoint(self, i, j, *, ccw):
+        asked["walked"] += len(i)
+        return walk(self, i, j, ccw=ccw)
+
+    def runs_past(self, i, z, *, ccw):
+        asked["tails"].append((np.array(i, np.int64), np.array(z, np.int64), ccw))
+        return tail(self, i, z, ccw=ccw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeNeighborIndex, "first_disjoint", first_disjoint)
+        mp.setattr(_NeighborIndex, "runs_past", runs_past)
+        yield asked
 
 
 def scan_farthest_ids(starts, lengths, n: int):
@@ -104,7 +167,7 @@ def scan_farthest_ids(starts, lengths, n: int):
 
 
 @contextmanager
-def solvers_using(strategy: str = "bitset", indexed: bool = True):
+def solvers_using(strategy: str = "tree", indexed: bool = True):
     """Both solvers on the `strategy` neighbor index, and on the scan twins unless `indexed`."""
     with pytest.MonkeyPatch.context() as mp:
         for solver in (wdp, ug):

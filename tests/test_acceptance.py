@@ -18,12 +18,7 @@ import diskdom.unweighted_greedy as ug
 from conftest import recording
 from diskdom import cli
 from diskdom.instance_io import gen_figure1, gen_random
-from diskdom.neighbor_index import (
-    INTERSECTS_ALL,
-    _BitsetNeighborIndex,
-    _TreeNeighborIndex,
-    build_neighbor_index,
-)
+from diskdom.neighbor_index import INTERSECTS_ALL, _TreeNeighborIndex, build_neighbor_index
 from diskdom.oracle import (
     brute_force_min,
     check_domination_of_assignment,
@@ -34,7 +29,7 @@ from diskdom.oracle import (
 from diskdom.solution import Infeasible
 from diskdom.unweighted_greedy import farthest_ids, solve_unweighted
 from diskdom.weighted_dp import solve_weighted, solve_weighted_all_k, solve_weighted_unbounded
-from query_reference import NaiveNeighborIndex, scan_farthest_ids
+from query_reference import NaiveNeighborIndex, counting_queries, scan_farthest_ids, tail_walks
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
 
@@ -187,22 +182,20 @@ def test_query_structure_equivalence():
         n = sizes[i % len(sizes)]
         law = laws[i % len(laws)] if n <= 50 else laws[i % 2]
         inst = gen_random(n, 30_000 + i, FAMILIES[i % 3], law, "unit").to_instance()
-        bits, tree = _BitsetNeighborIndex(inst), _TreeNeighborIndex(inst)
+        tree = _TreeNeighborIndex(inst)
         naive = NaiveNeighborIndex(inst)
         expected = {True: [], False: []}  # naive answers by direction, -1 for INTERSECTS_ALL
         for a_ in range(n):
             for b_ in range(n):
                 for ccw, scan in ((True, "first_disjoint_ccw"), (False, "first_disjoint_cw")):
                     hit = getattr(naive, scan)(a_, b_)
-                    assert getattr(bits, scan)(a_, b_) == hit
                     expected[ccw].append(-1 if hit is INTERSECTS_ALL else hit)
                     sweeps += 1
-        # every (i, j) pair at once through the batched bit scan and the tree walk
+        # every (i, j) pair at once through the tree walk
         i_all, j_all = np.divmod(np.arange(n * n), n)
         for ccw, hits in expected.items():
-            for index in (bits, tree):
-                assert index.first_disjoint(i_all, j_all, ccw=ccw).tolist() == hits, (i, ccw)
-                batched += n * n
+            assert tree.first_disjoint(i_all, j_all, ccw=ccw).tolist() == hits, (i, ccw)
+            batched += n * n
     print(
         f"PASS query-structures: {min_trials} min-enclosing and {far_trials} "
         f"farthest trials, {sweeps} swept and {batched} batched neighbor queries, "
@@ -292,25 +285,28 @@ def test_scaling_smoke(tmp_path):
     )
 
 
-def test_large_unweighted_solve_builds_no_matrix(monkeypatch):
-    """n=20000 on the wide law, past the matrix's range: the tree index answers alone."""
+def test_large_unweighted_solve_builds_no_matrix():
+    """n=20000 on the wide law: the tree walks only the 2n dominated-run queries.
 
-    def no_matrix(self):
-        raise AssertionError("the n x n avoidance matrix was built")
-
-    monkeypatch.setattr(_BitsetNeighborIndex, "_bits", property(no_matrix))
+    No n x n data is built; every tail query past the dominated runs is
+    answered from them or from disk j itself, as the tails counted from
+    whole `intersects_row` rows (`query_reference.tail_walks`) say.
+    """
     inst = gen_random(20_000, 557, "circle", "uniform(4.5,7.5)", "unit").to_instance(
         weighted=False
     )
     t0 = time.perf_counter()
-    sol = solve_unweighted(inst)
+    with counting_queries() as asked:
+        sol = solve_unweighted(inst)
     elapsed = time.perf_counter() - t0
+    walks = tail_walks(inst, asked["tails"])
+    assert asked["walked"] == 2 * inst.n + walks
     bound = build_neighbor_index(inst).domination_lower_bound()
     assert sol.size == bound and elapsed < 10.0
     assert verify(inst, inst.to_canonical(sol.centers))
     print(
         f"PASS large-unweighted: n=20000 in {elapsed:.2f}s, size {sol.size} = counting "
-        f"bound, no avoidance matrix built"
+        f"bound, {asked['walked']} walked queries = 2n + {walks} tails"
     )
 
 

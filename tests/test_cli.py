@@ -37,6 +37,28 @@ def test_gen_families(tmp_path):
         assert json.loads(out.read_text())["schema_version"] == 1
 
 
+def test_main_carries_no_values_between_calls(t4_file, tmp_path, monkeypatch):
+    """One parser serves every `main` call in a process; no flag outlives its call."""
+    calls = []
+    real = cli._solve
+    monkeypatch.setattr(
+        cli, "_solve", lambda inst, weighted, k: calls.append((weighted, k)) or real(inst, weighted, k)
+    )
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--in", str(t4_file), "--weighted", "--k", "3", "--out", str(out)]) == 0
+    custom = tmp_path / "custom.json"
+    assert cli.main(["gen", "--n", "9", "--seed", "5", "--family", "ellipse", "--out", str(custom)]) == 0
+    assert cli.main(["solve", "--in", str(t4_file), "--out", str(out)]) == 0
+    assert calls == [(True, 3), (False, None)]
+    assert json.loads(out.read_text())["solver"] == "greedy"
+    plain = tmp_path / "plain.json"
+    assert cli.main(["gen", "--n", "9", "--out", str(plain)]) == 0
+    explicit = tmp_path / "explicit.json"
+    assert cli.main(["gen", "--n", "9", "--seed", "0", "--family", "circle", "--out", str(explicit)]) == 0
+    assert plain.read_bytes() == explicit.read_bytes() != custom.read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_solve_unweighted_summary(t4_file, tmp_path, capsys):
     out = tmp_path / "sol.json"
     code = cli.main(["solve", "--in", str(t4_file), "--out", str(out)])

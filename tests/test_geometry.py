@@ -84,6 +84,18 @@ def test_canonicalize_rejects_interior_point():
         mk_instance([(0, 0, 1), (4, 0, 1), (0, 4, 1), (1, 1, 1)])
 
 
+def test_canonicalize_rejects_interior_point_when_orientation_overflows():
+    # orientations of this triangle overflow to inf - inf = NaN, which is
+    # neither a left nor a right turn; the interior point must still fail
+    triangle = [
+        (3.298140274240375e179, 4.136387574164211e180),
+        (-3.4471480616112906e180, -2.3099025299166354e180),
+        (1.913873263100668e180, -3.6817887757412363e180),
+    ]
+    with pytest.raises(NotStrictlyConvex):
+        mk_instance([(x, y, 1) for x, y in triangle + [(0.0, 0.0)]])
+
+
 def test_canonicalize_rejects_duplicate_center():
     with pytest.raises(DuplicateCenter):
         mk_instance([(0, 0, 1), (0, 0, 2), (1, 1, 1)])

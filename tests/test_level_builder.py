@@ -1,7 +1,7 @@
 """Both whole-level numpy builders against their point-by-point twins.
 
 Each level is built twice from the same lower levels: by the solver's
-`build_level` on the bitset index, and by the scalar twin on the naive
+`build_level` on the tree index, and by the scalar twin on the naive
 index (`greedy_reference.py`, `weighted_reference.py`).  The two must hold
 the same candidates under the same ids (run, owner, the weighted value bit
 for bit, and the witness set rebuilt from the parents) and give the same

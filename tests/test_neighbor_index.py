@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,15 +13,9 @@ from diskdom.geometry import (
     intersects,
     intersects_row,
 )
-from diskdom.neighbor_index import (
-    INTERSECTS_ALL,
-    MATRIX_MAX_N,
-    _BitsetNeighborIndex,
-    _TreeNeighborIndex,
-    build_neighbor_index,
-)
+from diskdom.neighbor_index import INTERSECTS_ALL, _TreeNeighborIndex, build_neighbor_index
 from conftest import mk_instance, tangent_chain_instances
-from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex
+from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, counting_queries, tail_walks
 from run_reference import CyclicSublist
 
 
@@ -110,12 +105,12 @@ def test_strategies_agree_on_random_instances():
             continue
         done += 1
         naive = NaiveNeighborIndex(inst)
-        bits = build_neighbor_index(inst)
+        tree = build_neighbor_index(inst)
         for i in range(n):
             for j in range(n):
-                assert bits.first_disjoint_ccw(i, j) == naive.first_disjoint_ccw(i, j)
-                assert bits.first_disjoint_cw(i, j) == naive.first_disjoint_cw(i, j)
-            assert naive.dominated_run(i) == bits.dominated_run(i)
+                assert tree.first_disjoint_ccw(i, j) == naive.first_disjoint_ccw(i, j)
+                assert tree.first_disjoint_cw(i, j) == naive.first_disjoint_cw(i, j)
+            assert naive.dominated_run(i) == tree.dominated_run(i)
 
 
 def test_intersects_all_consistency():
@@ -200,15 +195,34 @@ def _ring_with_giant(n):
     return mk_instance(pts)
 
 
+def _first_in_row(avoids, j, *, ccw):
+    """First z from each j (ccw or cw, cyclically) with avoids[z]; -1 when there is none."""
+    (z,) = np.nonzero(avoids)
+    if not len(z):
+        return np.full(len(j), -1)
+    if ccw:
+        return z[np.searchsorted(z, j) % len(z)]
+    return z[np.searchsorted(z, j, side="right") - 1]
+
+
+def _row_answers(inst, i_all, j_all, *, ccw):
+    """`first_disjoint` of each pair, read off whole `~intersects_row` rows."""
+    arrays = disk_arrays(inst)
+    out = np.empty(len(i_all), np.int64)
+    for i in np.unique(i_all):
+        q = np.flatnonzero(i_all == i)
+        out[q] = _first_in_row(~intersects_row(*arrays, i), j_all[q], ccw=ccw)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 4097])
 def test_batched_first_disjoint_matches_scalar_and_naive(n):
-    """Both production indexes, built directly, against the scalar bit scans and the walk.
+    """The tree index's batched and scalar queries against the disk-by-disk walk.
 
-    Every (i, j) pair up to n = 129; at n = 4097 (one disk past the
-    matrix's range, so the tree's last leaf holds one disk) 3000 sampled
-    pairs, of which the disk-by-disk walk answers the first 200, and the
-    matrix, checked against the walk below, stands in for it on the runs
-    and the counting bound.
+    Every (i, j) pair up to n = 129; at n = 4097 (so the tree's last leaf
+    holds one disk) 3000 sampled pairs, of which the disk-by-disk walk
+    answers the first 200, and whole `intersects_row` rows stand in for it
+    on the rest, the runs and the counting bound.
     """
     from diskdom import gen_random
     from greedy_reference import dominated_run
@@ -223,48 +237,132 @@ def test_batched_first_disjoint_matches_scalar_and_naive(n):
         i_all, j_all = np.random.default_rng(n).integers(0, n, (2, 3000))
     walked = slice(None) if small else slice(200)
     for inst in instances:
-        bits, tree = _BitsetNeighborIndex(inst), _TreeNeighborIndex(inst)
+        tree = _TreeNeighborIndex(inst)
         naive = NaiveNeighborIndex(inst)
         for ccw, scan in ((True, "first_disjoint_ccw"), (False, "first_disjoint_cw")):
-            scalar = [getattr(bits, scan)(i, j) for i, j in zip(i_all.tolist(), j_all.tolist())]
-            want = [-1 if z is INTERSECTS_ALL else z for z in scalar]
-            assert bits.first_disjoint(i_all, j_all, ccw=ccw).tolist() == want
-            assert tree.first_disjoint(i_all, j_all, ccw=ccw).tolist() == want
+            got = tree.first_disjoint(i_all, j_all, ccw=ccw).tolist()
+            assert got == _row_answers(inst, i_all, j_all, ccw=ccw).tolist()
             walk = naive.first_disjoint(i_all[walked], j_all[walked], ccw=ccw)
-            assert walk.tolist() == want[walked]
+            assert walk.tolist() == got[walked]
+            scalar = [getattr(tree, scan)(i, j) for i, j in zip(i_all[:50].tolist(), j_all[:50].tolist())]
+            assert [-1 if z is INTERSECTS_ALL else z for z in scalar] == got[:50]
         runs = list(zip(*(a.tolist() for a in tree.dominated_runs)))
-        assert runs == list(zip(*(a.tolist() for a in bits.dominated_runs)))
-        reference = naive if small else bits
-        assert tree.domination_lower_bound() == reference.domination_lower_bound()
         if small:
-            assert runs == [dominated_run(bits, i) for i in range(n)]
+            assert runs == [dominated_run(naive, i) for i in range(n)]
             assert runs == list(zip(*(a.tolist() for a in naive.dominated_runs)))
+            assert tree.domination_lower_bound() == naive.domination_lower_bound()
+        else:
+            i = np.arange(n)
+            after = _row_answers(inst, i, i, ccw=True).tolist()
+            before = _row_answers(inst, i, i, ccw=False).tolist()
+            assert runs == [(0, n) if a < 0 else ((b + 1) % n, (a - b - 1) % n)
+                            for a, b in zip(after, before)]
+            arrays = disk_arrays(inst)
+            largest = max(int(intersects_row(*arrays, i).sum()) for i in range(n))
+            assert tree.domination_lower_bound() == -(-n // largest)
     # the giant disk meets every disk: each of its queries saturates
     (g,) = instances[0].to_canonical((0,))
-    for index in (_BitsetNeighborIndex(instances[0]), _TreeNeighborIndex(instances[0])):
-        for ccw in (True, False):
-            assert (index.first_disjoint(np.full(n, g), np.arange(n), ccw=ccw) == -1).all()
-        assert index.dominated_run(g) == (0, n)
+    tree = _TreeNeighborIndex(instances[0])
+    for ccw in (True, False):
+        assert (tree.first_disjoint(np.full(n, g), np.arange(n), ccw=ccw) == -1).all()
+    assert tree.dominated_run(g) == (0, n)
 
 
-def test_build_neighbor_index_picks_the_matrix_up_to_the_cut():
-    """The matrix index up to MATRIX_MAX_N disks, the tree index from one disk more.
+def _ring_missing_one(n):
+    """n disks on a circle; input disk 0 meets every disk but the one opposite it."""
+    pts = []
+    for k in range(n):
+        a = 2 * math.pi * k / n
+        r = 39.7 if k == 0 else 0.1 if k == n // 2 else 0.5
+        pts.append((20 * math.cos(a), 20 * math.sin(a), r))
+    return mk_instance(pts)
 
-    Neither index does its quadratic or per-query work here: the matrix
-    is built lazily, on the first query.
+
+def _runs_past_cases(t4, big5):
+    from diskdom import gen_random
+
+    yield t4
+    yield big5
+    yield from (inst for _, inst in tangent_chain_instances(range(40)))
+    for n in (1, 2, 63, 64, 65, 300):
+        yield _ring_with_giant(n)
+        yield _ring_missing_one(n)
+        for law in ("uniform(0.3,1.2)", "uniform(1.0,3.0)", "uniform(4.0,9.0)"):
+            yield gen_random(n, 11 + n, "circle", law, "unit").to_instance()
+
+
+def test_runs_past_matches_the_disk_by_disk_walk(t4, big5):
+    """`runs_past` of the tree index against `run_after`/`run_before` walked disk by disk.
+
+    Every (i, z) pair up to 65 disks and 3000 sampled at 300, both ways
+    round.  Each query is sorted by where its first disk j = z±1 lies
+    against disk i's dominated run, and every kind must occur: inside the
+    run on either side of i, in a full run, in a run of n - 1 disks, on a
+    disk i misses (the exact empty tail), and outside the run on a disk i
+    meets, which walks.
     """
-    for n, kind in ((MATRIX_MAX_N, _BitsetNeighborIndex), (MATRIX_MAX_N + 1, _TreeNeighborIndex)):
-        assert type(build_neighbor_index(_ring_with_giant(n))) is kind
+    seen = Counter()
+    for inst in _runs_past_cases(t4, big5):
+        n = inst.n
+        tree, naive = _TreeNeighborIndex(inst), NaiveNeighborIndex(inst)
+        if n <= 65:
+            i, z = np.divmod(np.arange(n * n), n)
+        else:
+            i, z = np.random.default_rng(n).integers(0, n, (2, 3000))
+        dom_s, dom_k = (a[i] for a in naive.dominated_runs)
+        for ccw in (True, False):
+            starts, lengths = tree.runs_past(i, z, ccw=ccw)
+            want_s, want_k = naive.runs_past(i, z, ccw=ccw)
+            assert starts.dtype == lengths.dtype == np.int64
+            assert starts.tolist() == want_s.tolist() and lengths.tolist() == want_k.tolist()
+            j = (z + (1 if ccw else -1)) % n
+            off = (j - dom_s) % n
+            inside = off < dom_k
+            misses = np.array([naive._avoids(a, b) for a, b in zip(i.tolist(), j.tolist())], bool)
+            assert not (inside & misses).any()
+            # the empty tail of a missed disk, exactly
+            assert (starts[misses] == (j if ccw else (j + 1) % n)[misses]).all()
+            assert (lengths[misses] == 0).all()
+            mine = (i - dom_s) % n  # disk i's own place in its run
+            kinds = {
+                "full": inside & (dom_k == n),
+                "n - 1": inside & (dom_k == n - 1),
+                "ccw of i": inside & (dom_k < n) & (off > mine),
+                "cw of i": inside & (dom_k < n) & (off < mine),
+                "missed": misses,
+                "walked": ~inside & ~misses,
+            }
+            for kind, hit in kinds.items():
+                seen[kind, ccw] += int(hit.sum())
+    assert all(seen[kind, ccw] for kind in ("full", "n - 1", "ccw of i", "cw of i", "missed", "walked")
+               for ccw in (True, False)), seen
 
 
-def _first_in_row(avoids, j, *, ccw):
-    """First z from each j (ccw or cw, cyclically) with avoids[z]; -1 when there is none."""
-    (z,) = np.nonzero(avoids)
-    if not len(z):
-        return np.full(len(j), -1)
-    if ccw:
-        return z[np.searchsorted(z, j) % len(z)]
-    return z[np.searchsorted(z, j, side="right") - 1]
+@pytest.mark.parametrize("n, seed, law", [(5000, 555, "uniform(4.5,7.5)"), (2000, 1001, "uniform(1.0,3.0)")])
+def test_unweighted_solve_walks_only_the_dominated_runs_and_the_tails_outside_them(n, seed, law):
+    """`first_disjoint` answers the 2n dominated-run walks and only the tails that need one.
+
+    Every other tail query starts inside disk i's dominated run or on a
+    disk i misses, and `runs_past` answers it without a walk.  The tails
+    that must walk are counted from whole `intersects_row` rows
+    (`query_reference.tail_walks`); on the wide law there are none, on the
+    deep law some.
+    """
+    from diskdom import gen_random
+    from diskdom.unweighted_greedy import solve_unweighted
+
+    inst = gen_random(n, seed, "circle", law, "unit").to_instance(weighted=False)
+    with counting_queries() as asked:
+        solve_unweighted(inst)
+    walks = tail_walks(inst, asked["tails"])
+    assert asked["walked"] == 2 * n + walks
+    assert (walks == 0) == (law == "uniform(4.5,7.5)")
+
+
+def test_build_neighbor_index_builds_the_tree_at_every_n():
+    """One index at every size: no cut, no n x n matrix below it."""
+    for n in (1, 2, 60, 4096, 4097):
+        assert type(build_neighbor_index(_ring_with_giant(n))) is _TreeNeighborIndex
 
 
 @pytest.mark.parametrize("scale", [1e198, 1e-150])

@@ -3,10 +3,8 @@
 Clockwise processing is the mirror image of counterclockwise processing,
 so the package passes `ccw` to one function instead of keeping a
 hand-written `*_ccw`/`*_cw` copy of each.  The one exception is the
-neighbor index's pair of scalar first-disjoint queries: the base class
-writes them as two one-line calls of the batched query, and the bitset
-index's versions scan in different ways (lowest set bit ahead, highest
-set bit behind).
+neighbor index's pair of scalar first-disjoint queries, which the base
+class writes as two one-line calls of the batched query.
 Properties are values rather than steps, so a run's two ends
 (`CyclicSublist.ccw_end`/`cw_end`) are not pairs.
 """

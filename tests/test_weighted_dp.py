@@ -110,8 +110,8 @@ def chain_instances():
 @pytest.mark.parametrize("inst", list(chain_instances()))
 def test_staircase_chains_match_scan_chains(inst):
     k = min(inst.n, 5)
-    _, fast = build_levels(inst, upto=k, strategy="bitset")
-    _, slow = build_levels(inst, upto=k, strategy="bitset", indexed=False)
+    _, fast = build_levels(inst, upto=k, strategy="tree")
+    _, slow = build_levels(inst, upto=k, strategy="tree", indexed=False)
     for t in range(1, k + 1):
         assert_same_level(fast[t], slow[t])
         for anchor in range(inst.n):
@@ -122,7 +122,7 @@ def test_staircase_chains_match_scan_chains(inst):
 
 
 def test_big5_chains_end_in_full_runs(big5):
-    _, levels = build_levels(big5, upto=3, strategy="bitset")
+    _, levels = build_levels(big5, upto=3, strategy="tree")
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     n = big5.n
     assert (levels[1].lengths[levels[1].bucket_chain(big, ccw=True)] == n).tolist() == [True]
@@ -256,7 +256,7 @@ def test_chain_tables_hold_every_processing_candidate(inst):
     n = inst.n
     k = min(n, 4)
     for indexed in (True, False):
-        nbr, levels = build_levels(inst, upto=k, strategy="bitset", indexed=indexed)
+        nbr, levels = build_levels(inst, upto=k, strategy="tree", indexed=indexed)
         checked = 0
         for t in range(2, k + 1):
             for i in range(n):
