@@ -105,8 +105,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_instance(path: str, *, weighted: bool):
-    doc = load_instance_document(_read_text(path))
-    return doc, doc.to_instance(weighted=weighted)
+    return load_instance_document(_read_text(path)).to_instance(weighted=weighted)
 
 
 def _cmd_gen(args) -> int:
@@ -129,7 +128,7 @@ def _solve(inst, weighted: bool, k: Optional[int]):
 
 
 def _cmd_solve(args) -> int:
-    _, inst = _read_instance(args.infile, weighted=args.weighted)
+    inst = _read_instance(args.infile, weighted=args.weighted)
     sol = _solve(inst, args.weighted, args.k)
     tag = "dp" if args.weighted else "greedy"
     doc = solution_document(sol, inst, k=args.k, solver=tag)
@@ -139,7 +138,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _, inst = _read_instance(args.infile, weighted=False)
+    inst = _read_instance(args.infile, weighted=False)
     if load_solution_document(_read_text(args.solution), inst).verified:
         print("verified")
         return 0
@@ -149,7 +148,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mode = "weighted" if args.weighted else "unweighted"
-    _, inst = _read_instance(args.infile, weighted=args.weighted)
+    inst = _read_instance(args.infile, weighted=args.weighted)
     try:
         ref = brute_force_min(inst, mode, k_cap=args.k)
     except Infeasible:
@@ -220,7 +219,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    _, inst = _read_instance(args.infile, weighted=False)
+    inst = _read_instance(args.infile, weighted=False)
     solution = None
     if args.solution is not None:
         solution = load_solution_document(_read_text(args.solution), inst).centers

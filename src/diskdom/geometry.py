@@ -1,10 +1,13 @@
 """Weighted disks in strictly convex position, plus cyclic index runs.
 
 An instance is a cyclic counterclockwise sequence of disks whose centers
-are all strict vertices of their convex hull.  Every algorithm in this
-package reasons about contiguous runs of instance indices, carried as
-(start, length) pairs of integers.  The solvers merge many rows of runs
-at once with `union_columns`, which lives here next to the disk
+are all strict vertices of their convex hull.  It holds its disks as
+float64 columns (center xs and ys, radii, weights), and `canonicalize`
+validates and orders whole columns at once; `WeightedDisk` objects are
+built only for code that asks for `Instance.disks`.  Every algorithm in
+this package reasons about contiguous runs of instance indices, carried
+as (start, length) pairs of integers.  The solvers merge many rows of
+runs at once with `union_columns`, which lives here next to the disk
 predicates.
 """
 
@@ -12,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -66,21 +70,12 @@ def intersects(d1: WeightedDisk, d2: WeightedDisk) -> bool:
     return dx * dx + dy * dy <= rr * rr
 
 
-def disk_arrays(instance: "Instance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The instance's center xs, center ys and radii as float64 arrays."""
-    disks = instance.disks
-    xs = np.array([d.center.x for d in disks], dtype=np.float64)
-    ys = np.array([d.center.y for d in disks], dtype=np.float64)
-    rs = np.array([d.radius for d in disks], dtype=np.float64)
-    return xs, ys, rs
-
-
 def intersects_row(
     xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=slice(None)
 ) -> np.ndarray:
     """`intersects(disk i, disk z)` for every z at once, as a bool array.
 
-    Takes the arrays of `disk_arrays` and does the operations of
+    Takes an instance's `xs`, `ys` and `rs` columns and does the operations of
     `intersects` in the same order, so the two agree bit for bit.  An
     index array of shape (B, 1) for i gives B rows at once.  z picks the
     disks tested, every disk by default; an index array for z is
@@ -97,25 +92,53 @@ def intersects_row(
     return dx <= rr
 
 
+def _cross(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
 def orientation(a: Point, b: Point, c: Point) -> float:
     """Twice the signed area of triangle abc (positive = counterclockwise)."""
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return _cross(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
-@dataclass(frozen=True)
+class DiskColumns(NamedTuple):
+    """Disks as float64 columns: center xs, center ys, radii and weights."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    rs: np.ndarray
+    ws: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "DiskColumns":
+        """The columns of (x, y, r, w) rows."""
+        return cls(*np.array(rows, np.float64).reshape(-1, 4).T.copy())
+
+
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """Disks in canonical counterclockwise order.
+    """Disks in canonical counterclockwise order, as read-only float64 columns.
 
-    `original_index[i]` is the position the i-th canonical disk had in the
-    input passed to `canonicalize`.
+    Disk i has center (`xs[i]`, `ys[i]`), radius `rs[i]` and weight
+    `ws[i]`.  `original_index[i]` is the position the i-th canonical disk
+    had in the input passed to `canonicalize`.
     """
 
-    disks: tuple[WeightedDisk, ...]
+    xs: np.ndarray
+    ys: np.ndarray
+    rs: np.ndarray
+    ws: np.ndarray
     original_index: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.disks)
+        return len(self.original_index)
+
+    @cached_property
+    def disks(self) -> tuple[WeightedDisk, ...]:
+        """The disks as objects, built on first use (scalar oracle routes, invariant checks)."""
+        cols = (self.xs.tolist(), self.ys.tolist(), self.rs.tolist(), self.ws.tolist())
+        return tuple(WeightedDisk(Point(x, y), r, w) for x, y, r, w in zip(*cols))
 
     def to_original(self, canonical_indices) -> tuple[int, ...]:
         return tuple(self.original_index[i] for i in canonical_indices)
@@ -125,54 +148,66 @@ class Instance:
         return tuple(inv[i] for i in original_indices)
 
 
-def _validate_disks(raw: Sequence[WeightedDisk], weighted: bool) -> None:
-    for d in raw:
-        for v in (d.center.x, d.center.y, d.radius, d.weight):
-            if not math.isfinite(v):
-                raise NonFiniteValue(f"non-finite value in disk {d}")
-        if d.radius < 0:
-            raise GeometryError(f"negative radius in disk {d}")
-        if weighted and d.weight <= 0:
-            raise NonPositiveWeight(f"weight must be positive, got {d.weight}")
+def _validate_disks(cols: DiskColumns, weighted: bool) -> None:
+    """Raise for the first disk with a non-finite value, a negative radius or,
+    when `weighted`, a weight that is not positive."""
+    bad = ~np.isfinite(cols).all(axis=0) | (cols.rs < 0) | (weighted & (cols.ws <= 0))
+    if not bad.any():
+        return
+    x, y, r, w = (col[np.argmax(bad)].item() for col in cols)
+    d = WeightedDisk(Point(x, y), r, w)
+    if not all(map(math.isfinite, (x, y, r, w))):
+        raise NonFiniteValue(f"non-finite value in disk {d}")
+    if r < 0:
+        raise GeometryError(f"negative radius in disk {d}")
+    raise NonPositiveWeight(f"weight must be positive, got {w}")
 
 
-def canonicalize(raw: Sequence[WeightedDisk], *, weighted: bool = True) -> Instance:
+def _hull_order(xs: np.ndarray, ys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`order`, sorted by (x, y), rearranged counterclockwise: the points below
+    the line from the first sorted point to the last, then those above it.
+
+    NotStrictlyConvex unless no point is on that line and every cyclic
+    triple turns left; an overflowed orientation (NaN) is no left turn.
+    """
+    first, mid, last = order[:1], order[1:-1], order[-1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = _cross(xs[first], ys[first], xs[last], ys[last], xs[mid], ys[mid])
+        below, above = side < 0, side > 0
+        hull = np.concatenate((first, mid[below], last, mid[above][::-1]))
+        hx, hy = xs[hull], ys[hull]
+        turns = _cross(np.roll(hx, 1), np.roll(hy, 1), hx, hy, np.roll(hx, -1), np.roll(hy, -1))
+        if not ((below | above).all() and (turns > 0).all()):
+            raise NotStrictlyConvex("centers are not in strictly convex position")
+    return hull
+
+
+def canonicalize(
+    raw: Union[DiskColumns, Sequence[WeightedDisk]], *, weighted: bool = True
+) -> Instance:
     """Order disks counterclockwise starting at the lexicographically smallest center.
 
-    Every center must be a strict vertex of the convex hull: duplicate
-    centers, collinear triples, and interior points are all rejected.
-    The result is idempotent (canonicalizing a canonical order is the
-    identity).
+    `raw` is the disks as `DiskColumns`, or a sequence of `WeightedDisk`
+    that is turned into columns first.  Every center must be a strict
+    vertex of the convex hull: duplicate centers, collinear triples, and
+    interior points are all rejected.  The result is idempotent
+    (canonicalizing a canonical order is the identity).
     """
-    if not raw:
+    if not isinstance(raw, DiskColumns):
+        raw = DiskColumns.from_rows([(d.center.x, d.center.y, d.radius, d.weight) for d in raw])
+    if not len(raw.xs):
         raise ValueError("an instance needs at least one disk")
     _validate_disks(raw, weighted)
-    pts = [(d.center.x, d.center.y) for d in raw]
-    if len(set(pts)) != len(pts):
+    order = np.lexsort((raw.ys, raw.xs))
+    sx, sy = raw.xs[order], raw.ys[order]
+    if ((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
         raise DuplicateCenter("two disks share a center")
-    n = len(raw)
-    order = sorted(range(n), key=lambda i: pts[i])
-    if n <= 2:
-        return Instance(tuple(raw[i] for i in order), tuple(order))
-
-    def chain(idxs):
-        out: list[int] = []
-        for i in idxs:
-            # pop unless provably a left turn: an overflowed orientation
-            # (inf - inf = NaN) must not keep a point
-            while len(out) >= 2 and not orientation(
-                raw[out[-2]].center, raw[out[-1]].center, raw[i].center
-            ) > 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = chain(order)
-    upper = chain(reversed(order))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) != n:
-        raise NotStrictlyConvex("centers are not in strictly convex position")
-    return Instance(tuple(raw[i] for i in hull), tuple(hull))
+    if len(order) > 2:
+        order = _hull_order(raw.xs, raw.ys, order)
+    cols = [col[order] for col in raw]
+    for col in cols:
+        col.flags.writeable = False
+    return Instance(*cols, tuple(order.tolist()))
 
 
 def offset_ccw(i: int, j: int, n: int) -> int:

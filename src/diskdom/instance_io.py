@@ -1,7 +1,10 @@
 """Instance/solution files, seeded generators, and SVG rendering.
 
 Documents are JSON. Floats go through Python's shortest round-trip
-repr, so serialize → parse returns the exact same doubles. Generation
+repr, so serialize → parse returns the exact same doubles. An instance
+document holds its disks as float64 columns in input order: loading
+checks the records' fields column by column and hands the columns to
+`canonicalize` as they are, building no per-disk object. Generation
 uses splitmix64 (documented below) rather than a platform RNG, so a
 (seed, params) pair pins the instance bytes on any machine.
 """
@@ -10,10 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .geometry import GeometryError, Instance, Point, WeightedDisk, canonicalize, intersects
+import numpy as np
+
+from .geometry import DiskColumns, GeometryError, Instance, canonicalize, intersects_row
 from .oracle import verify
 from .solution import WEIGHT_TOLERANCE, Solution, solution_of
 
@@ -105,20 +111,21 @@ def _draw(law: Law, rng: SplitMix64) -> float:
 
 @dataclass
 class InstanceDocument:
-    points: list[dict]
+    """An instance file: its disks as columns in input order, and its metadata."""
+
+    columns: DiskColumns
     metadata: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
+    @property
+    def points(self) -> list[dict]:
+        """The disks as the file's {"x", "y", "r", "w"} records, in input order."""
+        rows = zip(*(col.tolist() for col in self.columns))
+        return [dict(zip("xyrw", row)) for row in rows]
+
     def to_instance(self, *, weighted: bool = True) -> Instance:
-        disks = []
-        for rec in self.points:
-            disks.append(
-                WeightedDisk(
-                    Point(rec["x"], rec["y"]), rec["r"], rec.get("w", 1.0)
-                )
-            )
         try:
-            return canonicalize(disks, weighted=weighted)
+            return canonicalize(self.columns, weighted=weighted)
         except GeometryError as exc:
             raise BadParams(f"document is not a valid instance: {exc}") from exc
 
@@ -133,12 +140,9 @@ class InstanceDocument:
 
 def instance_document(instance: Instance, metadata: Optional[dict] = None) -> InstanceDocument:
     """Document for an existing instance, points in original input order."""
-    order = sorted(range(instance.n), key=lambda c: instance.original_index[c])
-    pts = []
-    for c in order:
-        d = instance.disks[c]
-        pts.append({"x": d.center.x, "y": d.center.y, "r": d.radius, "w": d.weight})
-    return InstanceDocument(points=pts, metadata=dict(metadata or {}))
+    order = np.argsort(instance.original_index)
+    cols = (instance.xs, instance.ys, instance.rs, instance.ws)
+    return InstanceDocument(DiskColumns(*(col[order] for col in cols)), dict(metadata or {}))
 
 
 def load_instance_document(text: str) -> InstanceDocument:
@@ -149,27 +153,40 @@ def load_instance_document(text: str) -> InstanceDocument:
     if not isinstance(payload, dict):
         raise BadParams("instance document must be a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
-        raise BadParams(
-            f"unsupported schema_version {payload.get('schema_version')!r}"
-        )
+        raise BadParams(f"unsupported schema_version {payload.get('schema_version')!r}")
     raw = payload.get("points")
     if not isinstance(raw, list) or not raw:
         raise BadParams("points must be a non-empty list")
-    points = []
-    for pos, rec in enumerate(raw):
-        if not isinstance(rec, dict):
-            raise BadParams(f"points[{pos}] is not an object")
-        clean = {}
-        for key in ("x", "y", "r"):
-            if key not in rec:
-                raise BadParams(f"points[{pos}] lacks {key!r}")
-            clean[key] = _number(rec[key], f"points[{pos}].{key}")
-        clean["w"] = _number(rec.get("w", 1.0), f"points[{pos}].w")
-        points.append(clean)
+    columns = _point_columns(raw)
     meta = payload.get("metadata", {})
     if not isinstance(meta, dict):
         raise BadParams("metadata must be an object")
-    return InstanceDocument(points=points, metadata=meta)
+    return InstanceDocument(columns, meta)
+
+
+def _point_columns(raw: list) -> DiskColumns:
+    """The records' x, y, r and w (1.0 where absent) as float64 columns.
+
+    Checked a column at a time; when a check fails, the records are read
+    one by one to raise the BadParams of the first bad field.
+    """
+    if set(map(type, raw)) == {dict}:
+        try:
+            cols = [list(map(operator.itemgetter(key), raw)) for key in "xyr"]
+            cols.append([rec.get("w", 1.0) for rec in raw])
+            if all(set(map(type, col)) <= {int, float} for col in cols):  # bool is not int here
+                return DiskColumns(*(np.array(col, np.float64) for col in cols))
+        except (KeyError, OverflowError):  # a field is missing, or an int is beyond float range
+            pass
+    for pos, rec in enumerate(raw):
+        if not isinstance(rec, dict):
+            raise BadParams(f"points[{pos}] is not an object")
+        for key in ("x", "y", "r"):
+            if key not in rec:
+                raise BadParams(f"points[{pos}] lacks {key!r}")
+            _number(rec[key], f"points[{pos}].{key}")
+        _number(rec.get("w", 1.0), f"points[{pos}].w")
+    raise BadParams("points must hold numbers")  # not reached: some field failed a check
 
 
 def _number(value, where: str) -> float:
@@ -192,16 +209,7 @@ class SolutionDocument:
     verified: bool
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "k": self.k,
-            "size": self.size,
-            "weight": self.weight,
-            "centers": self.centers,
-            "solver": self.solver,
-            "verified": self.verified,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
 def solution_document(
@@ -319,12 +327,9 @@ def gen_random(
         for t in thetas:
             rho = scale * (1.0 + eta * rng.uniform())
             centers.append((rho * math.cos(t), rho * math.sin(t)))
-    points = [
-        {"x": x, "y": y, "r": r, "w": w}
-        for (x, y), r, w in zip(centers, radii, weights)
-    ]
+    rows = [(x, y, r, w) for (x, y), r, w in zip(centers, radii, weights)]
     doc = InstanceDocument(
-        points=points,
+        DiskColumns.from_rows(rows),
         metadata={
             "generator": "gen_random",
             "n": str(n),
@@ -366,32 +371,21 @@ def gen_figure1(n: int) -> InstanceDocument:
         raise BadParams(f"n must be an integer >= 5, got {n!r}")
     scale = 10.0
     m = n - 1
-    thetas = [
-        -ARC_HALF_WIDTH + 2.0 * ARC_HALF_WIDTH * j / (m - 1) for j in range(m)
-    ]
+    thetas = [-ARC_HALF_WIDTH + 2.0 * ARC_HALF_WIDTH * j / (m - 1) for j in range(m)]
     big_center = (scale * math.cos(BIG_ANGLE), scale * math.sin(BIG_ANGLE))
     smalls = [(scale * math.cos(t), scale * math.sin(t)) for t in thetas]
     dists = [math.dist(big_center, c) for c in smalls]
     big_r = min(dists) - BIG_CLEARANCE
-    points = [{"x": big_center[0], "y": big_center[1], "r": big_r, "w": 1.0}]
+    rows = [(*big_center, big_r, 1.0)]
     for j, ((x, y), d) in enumerate(zip(smalls, dists)):
         r = d - big_r + INTERSECT_OVERLAP if j % 2 == 0 else AVOIDER_RADIUS
-        points.append({"x": x, "y": y, "r": r, "w": 1.0})
-    doc = InstanceDocument(
-        points=points,
-        metadata={"generator": "gen_figure1", "n": str(n)},
-    )
-    disks = [
-        WeightedDisk(Point(p["x"], p["y"]), p["r"], 1.0) for p in points
-    ]
-    big = disks[0]
-    for j, small in enumerate(disks[1:]):
-        if intersects(big, small) != (j % 2 == 0):
-            raise BadParams(f"n={n} breaks the alternation pattern")
-    for a in range(1, len(disks)):
-        for b in range(a + 1, len(disks)):
-            if intersects(disks[a], disks[b]):
-                raise BadParams(f"n={n} is too large for the fixed arc")
+        rows.append((x, y, r, 1.0))
+    doc = InstanceDocument(DiskColumns.from_rows(rows), {"generator": "gen_figure1", "n": str(n)})
+    meets = [intersects_row(*doc.columns[:3], a)[a + 1 :] for a in range(n)]  # disks past a
+    if meets[0].tolist() != [j % 2 == 0 for j in range(m)]:
+        raise BadParams(f"n={n} breaks the alternation pattern")
+    if any(row.any() for row in meets[1:]):
+        raise BadParams(f"n={n} is too large for the fixed arc")
     doc.to_instance()
     return doc
 
@@ -411,9 +405,7 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def render_svg(
-    instance: Instance, solution: Optional[Iterable[int]] = None
-) -> str:
+def render_svg(instance: Instance, solution: Optional[Iterable[int]] = None) -> str:
     """Deterministic SVG 1.1 picture: hull polygon, all disks, and the
     solution's disks highlighted. `solution` takes original input indices
     (a Solution object works too)."""
@@ -421,11 +413,9 @@ def render_svg(
     if solution is not None:
         raw = solution.centers if isinstance(solution, Solution) else solution
         chosen = set(instance.to_canonical(raw))
-    xs, ys = [], []
-    for d in instance.disks:
-        xs += [d.center.x - d.radius, d.center.x + d.radius]
-        ys += [d.center.y - d.radius, d.center.y + d.radius]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    xs, ys, rs = (col.tolist() for col in (instance.xs, instance.ys, instance.rs))
+    lo_x, hi_x = min(map(operator.sub, xs, rs)), max(map(operator.add, xs, rs))
+    lo_y, hi_y = min(map(operator.sub, ys, rs)), max(map(operator.add, ys, rs))
     margin = 0.05 * max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     lo_x, lo_y = lo_x - margin, lo_y - margin
     w, h = hi_x + margin - lo_x, hi_y + margin - lo_y
@@ -439,14 +429,12 @@ def render_svg(
         f'viewBox="{_fmt(lo_x)} {_fmt(lo_y)} {_fmt(w)} {_fmt(h)}">',
         f"<style>{_SVG_STYLE}</style>",
     ]
-    hull = " ".join(
-        f"{_fmt(d.center.x)},{_fmt(fy(d.center.y))}" for d in instance.disks
-    )
+    hull = " ".join(f"{_fmt(x)},{_fmt(fy(y))}" for x, y in zip(xs, ys))
     parts.append(f'<polygon class="hull" points="{hull}"/>')
     dot = 0.008 * max(w, h)
-    for c, d in enumerate(instance.disks):
+    for c, (x, y, r) in enumerate(zip(xs, ys, rs)):
         cls = "chosen" if c in chosen else "disk"
-        cx, cy, r = _fmt(d.center.x), _fmt(fy(d.center.y)), _fmt(d.radius)
+        cx, cy, r = _fmt(x), _fmt(fy(y)), _fmt(r)
         parts.append(f'<circle class="{cls}" cx="{cx}" cy="{cy}" r="{r}"/>')
         parts.append(
             f'<circle class="center" cx="{cx}" cy="{cy}" r="{_fmt(dot)}"/>'

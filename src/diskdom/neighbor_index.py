@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Instance, disk_arrays, intersects_row, union_columns
+from .geometry import Instance, intersects_row, union_columns
 
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _LANES = np.arange(64)
@@ -83,7 +83,7 @@ class _NeighborIndex:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.n = instance.n
-        self._arrays = disk_arrays(instance)
+        self._arrays = instance.xs, instance.ys, instance.rs
 
     def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
         """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL."""

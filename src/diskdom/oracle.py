@@ -15,20 +15,12 @@ order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Instance,
-    disk_arrays,
-    intersects,
-    intersects_row,
-    offset_ccw,
-    orientation,
-)
+from .geometry import Instance, intersects, intersects_row, offset_ccw, orientation
 from .solution import Infeasible, Solution, TooLarge, check_size_bound
 
 MASK_CAP = 4096         # n cap for build_masks' materialized bitmask rows
@@ -69,10 +61,9 @@ def verify_by_masks(instance: Instance, centers: Iterable[int]) -> bool:
 
 
 def verify_by_predicate(instance: Instance, centers: Iterable[int]) -> bool:
-    arrays = disk_arrays(instance)
     covered = np.zeros(instance.n, dtype=bool)
     for c in centers:
-        covered |= intersects_row(*arrays, c)
+        covered |= intersects_row(instance.xs, instance.ys, instance.rs, c)
     return bool(covered.all())
 
 
@@ -117,7 +108,7 @@ def brute_force_min(
         lo, hi = 1 << b, 1 << (b + 1)
         cover[lo:hi] = cover[:lo] | np.int64(dm.masks[b])
         size[lo:hi] = size[:lo] + 1
-        wt[lo:hi] = wt[:lo] + instance.disks[b].weight
+        wt[lo:hi] = wt[:lo] + instance.ws[b]
     ok = cover == np.int64(dm.universe)
     if k_cap is not None and k_cap < n:
         ok &= size <= k_cap
@@ -170,18 +161,13 @@ def disk_containment_pairs(
     instance: Instance, indices: Sequence[int]
 ) -> tuple[tuple[int, int], ...]:
     """Pairs (i, j) among `indices` with disk i inside disk j, up to slack."""
-    out = []
-    for i in indices:
-        di = instance.disks[i]
-        for j in indices:
-            if i == j:
-                continue
-            dj = instance.disks[j]
-            dx = dj.center.x - di.center.x
-            dy = dj.center.y - di.center.y
-            if math.sqrt(dx * dx + dy * dy) + di.radius <= dj.radius + CONTAINMENT_SLACK:
-                out.append((i, j))
-    return tuple(out)
+    idx = np.asarray(indices, np.int64)
+    xs, ys, rs = (col[idx] for col in (instance.xs, instance.ys, instance.rs))
+    dx, dy = xs - xs[:, None], ys - ys[:, None]  # row i, column j: disk j's center less disk i's
+    with np.errstate(over="ignore"):  # an overflowed distance is inf, as in Python floats
+        inside = np.sqrt(dx * dx + dy * dy) + rs[:, None] <= rs + CONTAINMENT_SLACK
+    i, j = np.nonzero(inside & (idx[:, None] != idx))
+    return tuple(zip(idx[i].tolist(), idx[j].tolist()))
 
 
 def voronoi_assignment(instance: Instance, centers: Iterable[int]) -> Assignment:
@@ -192,19 +178,11 @@ def voronoi_assignment(instance: Instance, centers: Iterable[int]) -> Assignment
     if any(not 0 <= c < instance.n for c in centers):
         raise ValueError("center index out of range")
     n = instance.n
-    assigned = []
-    for i in range(n):
-        p = instance.disks[i].center
-        best = None
-        best_c = -1
-        for c in centers:
-            d = instance.disks[c]
-            dx = p.x - d.center.x
-            dy = p.y - d.center.y
-            val = math.sqrt(dx * dx + dy * dy) - d.radius
-            if best is None or val < best:
-                best, best_c = val, c
-        assigned.append(best_c)
+    c = np.array(centers)
+    dx, dy = instance.xs[:, None] - instance.xs[c], instance.ys[:, None] - instance.ys[c]
+    with np.errstate(over="ignore"):  # an overflowed distance is inf, as in Python floats
+        val = np.sqrt(dx * dx + dy * dy) - instance.rs[c]
+    assigned = c[np.argmin(val, axis=1)].tolist()  # ties to the first, smallest center
     if len(set(assigned)) == 1:
         groups = ((assigned[0], (0, n)),)
     else:
@@ -224,10 +202,10 @@ def voronoi_assignment(instance: Instance, centers: Iterable[int]) -> Assignment
 
 def check_domination_of_assignment(instance: Instance, assignment: Assignment) -> bool:
     """Every point's disk must intersect its assigned center's disk."""
-    return all(
-        intersects(instance.disks[i], instance.disks[c])
-        for i, c in enumerate(assignment.assigned)
-    )
+    points = np.arange(instance.n)
+    centers = np.array(assignment.assigned)
+    hit = intersects_row(instance.xs, instance.ys, instance.rs, points, centers)
+    return bool(hit.all())
 
 
 Separability = Literal["separable", "crossed", "inconclusive"]

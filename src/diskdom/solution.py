@@ -73,8 +73,8 @@ def solution_of(
     """
     chosen = sorted(witnesses)
     weight = 0.0
-    for c in chosen:
-        weight += instance.disks[c].weight
+    for w in instance.ws[chosen].tolist():
+        weight += w
     return Solution(
         centers=tuple(sorted(instance.to_original(chosen))),
         weight=weight,

@@ -80,11 +80,10 @@ class Candidate:
 
 def make_validator(instance: Instance) -> Callable[[Candidate], None]:
     """Checks run on every combination before dedup; failures raise SolverInvariantError."""
-    disks = instance.disks
 
     def validate(cand: Candidate) -> None:
         check_dominated_run(instance, cand)
-        total = math.fsum(disks[w].weight for w in sorted(cand.witnesses))
+        total = math.fsum(instance.ws[sorted(cand.witnesses)].tolist())
         if total > cand.value + VALUE_SLACK * max(1.0, abs(cand.value)):
             raise SolverInvariantError(f"witnesses weigh {total}: {cand}")
 
@@ -283,7 +282,7 @@ def build_level(
     copies included, is built as a `Candidate` and validated first.
     """
     n = instance.n
-    weights = np.array([d.weight for d in instance.disks], np.float64)
+    weights = instance.ws
     if t == 1:
         blocks = [(np.arange(n), *nbr.dominated_runs, weights, np.full((n, 4), -1))]
     else:

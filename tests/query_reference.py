@@ -32,7 +32,7 @@ import pytest
 
 import diskdom.unweighted_greedy as ug
 import diskdom.weighted_dp as wdp
-from diskdom.geometry import disk_arrays, intersects_row
+from diskdom.geometry import intersects_row
 from diskdom.neighbor_index import INTERSECTS_ALL, _NeighborIndex, _TreeNeighborIndex
 from weighted_reference import ScanLevelTable
 
@@ -101,7 +101,7 @@ def tail_walks(instance, tails) -> int:
     """
     if not tails:
         return 0
-    arrays = disk_arrays(instance)
+    arrays = instance.xs, instance.ys, instance.rs
     n = instance.n
     i = np.concatenate([a for a, _, _ in tails])
     j = np.concatenate([(z + (1 if ccw else -1)) % n for _, z, ccw in tails])

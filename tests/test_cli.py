@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from conftest import T4_POINTS, mk_instance
 from diskdom import cli, gen_random, solve_weighted_unbounded
+from diskdom.geometry import Instance
 from diskdom.instance_io import instance_document
 from diskdom.solution import Solution
 
@@ -152,6 +154,24 @@ def test_usage_errors(t4_file, tmp_path):
     assert (
         cli.main(["gen", "--n", "5", "--family", "cube", "--out", str(out)]) == 2
     )
+
+
+@pytest.mark.parametrize("mode", [["--unweighted"], ["--weighted", "--k", "4"], ["--weighted"]])
+def test_solve_reads_columns_and_writes_plain_floats(mode, tmp_path, monkeypatch, capsys):
+    """A solve builds no disk objects, and its weights leave it as plain float reprs."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(gen_random(12, 5, "circle", "uniform(2.0,6.0)", "uniform(1,10)").to_json())
+
+    def no_disks(self):
+        raise AssertionError("the solve path asked for Instance.disks")
+
+    monkeypatch.setattr(Instance, "disks", property(no_disks))
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", "--in", str(inst), *mode, "--out", str(out)]) == 0
+    shown = re.search(r"weight=(\S+)", capsys.readouterr().out).group(1)
+    written = re.search(r'"weight": ([^,}]+)', out.read_text()).group(1)
+    assert shown == written == repr(json.loads(out.read_text())["weight"])
+    assert "np." not in shown
 
 
 def test_io_errors(tmp_path):

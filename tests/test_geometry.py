@@ -1,11 +1,14 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from diskdom.geometry import (
     DuplicateCenter,
+    GeometryError,
     NonFiniteValue,
     NonPositiveWeight,
     NotConsecutive,
@@ -13,13 +16,13 @@ from diskdom.geometry import (
     Point,
     WeightedDisk,
     canonicalize,
-    disk_arrays,
     intersects,
     intersects_row,
     offset_ccw,
     union_columns,
 )
 from conftest import T4_POINTS, mk_instance, tangent_chain_instances
+from hull_reference import chain_order, float_fragile
 from run_reference import CyclicSublist, union_extend, union_runs
 
 
@@ -84,16 +87,29 @@ def test_canonicalize_rejects_interior_point():
         mk_instance([(0, 0, 1), (4, 0, 1), (0, 4, 1), (1, 1, 1)])
 
 
+# orientations of this triangle overflow to inf - inf = NaN, which is
+# neither a left nor a right turn
+OVERFLOW_TRIANGLE = [
+    (3.298140274240375e179, 4.136387574164211e180),
+    (-3.4471480616112906e180, -2.3099025299166354e180),
+    (1.913873263100668e180, -3.6817887757412363e180),
+]
+
+
 def test_canonicalize_rejects_interior_point_when_orientation_overflows():
-    # orientations of this triangle overflow to inf - inf = NaN, which is
-    # neither a left nor a right turn; the interior point must still fail
-    triangle = [
-        (3.298140274240375e179, 4.136387574164211e180),
-        (-3.4471480616112906e180, -2.3099025299166354e180),
-        (1.913873263100668e180, -3.6817887757412363e180),
-    ]
+    # the interior point must still fail
     with pytest.raises(NotStrictlyConvex):
-        mk_instance([(x, y, 1) for x, y in triangle + [(0.0, 0.0)]])
+        mk_instance([(x, y, 1) for x, y in OVERFLOW_TRIANGLE + [(0.0, 0.0)]])
+
+
+@pytest.mark.parametrize("interior", [[], [(0.0, 0.0)]])
+def test_canonicalize_warns_nothing_when_orientations_overflow(interior):
+    # numpy reports overflow and inf - inf as RuntimeWarnings, which would
+    # reach stderr; canonicalize must reject the input without them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotStrictlyConvex):
+            mk_instance([(x, y, 1) for x, y in OVERFLOW_TRIANGLE + interior])
 
 
 def test_canonicalize_rejects_duplicate_center():
@@ -137,12 +153,101 @@ def test_canonicalize_random_circle_orders_ccw():
             assert (b.x - a.x) * (d.y - a.y) - (b.y - a.y) * (d.x - a.x) > 0
 
 
+def _nudged(v: float, steps: int) -> float:
+    """`v` moved `steps` floats up (or down, for negative steps)."""
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+@st.composite
+def hull_inputs(draw):
+    """Disks for `canonicalize`: mostly centers near or off a convex hull.
+
+    Random centers (mostly not convex), centers on a circle (convex), the
+    same with one center put on a chord and nudged a few floats off it
+    (near-collinear), and small integer grids (shared x coordinates,
+    collinear rows).  All of them scaled by 2**e with |e| up
+    to 600, and one input in three with a radius or weight that may be invalid.
+    """
+    kind = draw(st.sampled_from(["random", "circle", "near-collinear", "grid"]))
+    if kind == "random":
+        coord = st.floats(-1e3, 1e3)
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=9, unique=True))
+    elif kind == "grid":
+        cell = st.tuples(st.integers(-2, 2), st.integers(-3, 3))
+        cells = draw(st.lists(cell, min_size=1, max_size=8, unique=True))
+        pts = [(float(x), float(y)) for x, y in cells]
+    else:
+        steps = sorted(draw(st.lists(st.integers(0, 2**20 - 1), min_size=3, max_size=9, unique=True)))
+        angles = [2 * math.pi * k / 2**20 for k in steps]
+        pts = [(10 * math.cos(a), 10 * math.sin(a)) for a in angles]
+        if kind == "near-collinear":
+            k = draw(st.integers(0, len(pts) - 1))
+            (px, py), (qx, qy) = pts[k], pts[(k + 1) % len(pts)]
+            t = draw(st.floats(0.01, 0.99))
+            x, y = px + t * (qx - px), py + t * (qy - py)
+            x, y = _nudged(x, draw(st.integers(-4, 4))), _nudged(y, draw(st.integers(-4, 4)))
+            pts.insert(k + 1, (x, y))
+        pts = draw(st.permutations(pts))
+    scale = 2.0 ** draw(st.one_of(st.just(0), st.integers(-600, 600)))
+    disks = [disk(x * scale, y * scale, 1.0) for x, y in pts]
+    spoiled = draw(st.sampled_from([None] * 4 + ["radius", "weight"]))
+    if spoiled:
+        bad = [0.0, -0.5, math.nan, math.inf] if spoiled == "radius" else [0.0, -1.0, math.nan]
+        i = draw(st.integers(0, len(disks) - 1))
+        disks[i] = replace(disks[i], **{spoiled: draw(st.sampled_from(bad))})
+    return disks
+
+
+def _outcome(order, disks, weighted):
+    """("ok", canonical order) or (exception class, message) of one call."""
+    try:
+        return "ok", tuple(order(disks, weighted=weighted))
+    except (GeometryError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _bulk_order(disks, *, weighted):
+    return canonicalize(disks, weighted=weighted).original_index
+
+
+@given(hull_inputs(), st.booleans())
+@settings(max_examples=600, deadline=None)
+@example([disk(x, y, 1.0) for x, y in OVERFLOW_TRIANGLE], True)
+@example([disk(x * 2.0**-600, y * 2.0**-600, 1.0) for x, y, _ in T4_POINTS], True)
+@example([disk(0.0, 1.0, 1.0), disk(-0.0, 1.0, 1.0), disk(1.0, 0.0, 1.0)], True)
+@example(  # convex, but the split puts the second point below the chord, off by 3e-14
+    [
+        disk(10.0, 0.0, 1.0),
+        disk(9.557454113579018, 0.28415544588302555, 1.0),
+        disk(-4.161468365471424, 9.092974268256818, 1.0),
+        disk(2.8366218546322624, -9.589242746631385, 1.0),
+    ],
+    False,
+)
+def test_canonicalize_agrees_with_the_scalar_chain(disks, weighted):
+    """The bulk hull accepts what the scalar monotone chain accepts, in the
+    same order, and rejects the rest with the same exception and message.
+
+    The two evaluate orientations from different base points, so their
+    verdicts may differ only on a float-fragile input, where some
+    orientation's sign depends on its base point; the exact predicates
+    of ROADMAP item 4 would remove that case.
+    """
+    got, want = _outcome(_bulk_order, disks, weighted), _outcome(chain_order, disks, weighted)
+    if got != want:
+        assert {got[0], want[0]} <= {"ok", NotStrictlyConvex}, (got, want)
+        assert float_fragile([(d.center.x, d.center.y) for d in disks]), (got, want)
+        event("hull verdicts differ on a float-fragile input")
+
+
 def test_intersects_row_is_intersects_on_tangent_chains():
     # nominally tangent neighbours sit on the rounding edge of the predicate,
     # so any difference in operations or their order would show here
     rows = 0
     for _, inst in tangent_chain_instances(range(200)):
-        arrays = disk_arrays(inst)
+        arrays = inst.xs, inst.ys, inst.rs
         for i in range(inst.n):
             row = intersects_row(*arrays, i)
             assert row.tolist() == [intersects(inst.disks[i], d) for d in inst.disks]

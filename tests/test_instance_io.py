@@ -187,6 +187,57 @@ def test_load_instance_document_errors():
         load_instance_document(flat).to_instance()
 
 
+P0 = {"x": 0, "y": 0, "r": 1}
+P1 = {"x": 1, "y": 3, "r": 1}
+P2 = {"x": 2, "y": 0, "r": 1}
+MALFORMED = [  # (points, weighted, message): messages pinned from the record-by-record parser
+    ([P0, [1, 2]], False, "points[1] is not an object"),
+    ([{"y": 0, "r": 1}], False, "points[0] lacks 'x'"),
+    ([P0, {"x": 0, "r": 1}], False, "points[1] lacks 'y'"),
+    ([{"x": 0, "y": 1}], False, "points[0] lacks 'r'"),
+    ([{"x": 0, "y": 0, "r": "s"}, {"y": 0, "r": 1}], False, "points[0].r is not a number"),
+    ([{"x": True, "y": 0, "r": 1}], False, "points[0].x is not a number"),
+    ([{"x": 0, "y": 0, "r": 1, "w": False}], True, "points[0].w is not a number"),
+    ([P0, {"x": 0, "y": "1", "r": 1}], False, "points[1].y is not a number"),
+    ([{"x": 0, "y": 0, "r": None}], False, "points[0].r is not a number"),
+    ([P0, {"x": 10**400, "y": 0, "r": 1}], False, "points[1].x is beyond float range"),
+    ([{"x": 0, "y": 0, "r": 1, "w": 10**400}], True, "points[0].w is beyond float range"),
+    (
+        [P0, {"x": 1, "y": math.nan, "r": 1}, P2], False,
+        "document is not a valid instance: non-finite value in disk "
+        "WeightedDisk(center=Point(x=1.0, y=nan), radius=1.0, weight=1.0)",
+    ),
+    (
+        [P0, {"x": 1, "y": 3, "r": math.inf}, P2], True,
+        "document is not a valid instance: non-finite value in disk "
+        "WeightedDisk(center=Point(x=1.0, y=3.0), radius=inf, weight=1.0)",
+    ),
+    (
+        [P0, {"x": 1, "y": 3, "r": -0.5}, P2], False,
+        "document is not a valid instance: negative radius in disk "
+        "WeightedDisk(center=Point(x=1.0, y=3.0), radius=-0.5, weight=1.0)",
+    ),
+    (
+        [P0, dict(P1, w=0), P2], True,
+        "document is not a valid instance: weight must be positive, got 0.0",
+    ),
+]
+
+
+@pytest.mark.parametrize("points, weighted, message", MALFORMED, ids=range(len(MALFORMED)))
+def test_malformed_documents_keep_their_messages(points, weighted, message):
+    text = json.dumps({"schema_version": 1, "points": points})  # NaN, Infinity as literals
+    with pytest.raises(BadParams) as info:
+        load_instance_document(text).to_instance(weighted=weighted)
+    assert type(info.value) is BadParams
+    assert str(info.value) == message
+
+
+def test_zero_weight_is_read_in_unweighted_mode():
+    doc = load_instance_document(json.dumps({"schema_version": 1, "points": [P0, dict(P1, w=0), P2]}))
+    assert doc.to_instance(weighted=False).n == 3
+
+
 def test_solution_document_round_trip_and_recompute(t4):
     sol = solve_weighted(t4, 2)
     doc = solution_document(sol, t4, k=2, solver="dp")

@@ -18,7 +18,6 @@ import greedy_reference
 import weighted_reference
 from conftest import tangent_chain_instances
 from diskdom import gen_random
-from diskdom.geometry import Instance
 from diskdom.instance_io import load_instance_document
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.unweighted_greedy import build_level
@@ -83,9 +82,8 @@ WEIGHTED_DEPTH = 4  # levels built per random instance: the scalar twin is slow
 
 def small_integer_weights(inst, seed):
     """`inst` with weights 1, 2 or 3: many runs then arrive in equal-value copies."""
-    weights = (float(1 + (seed + 7 * i) % 3) for i in range(inst.n))
-    disks = tuple(replace(d, weight=w) for d, w in zip(inst.disks, weights))
-    return Instance(disks, inst.original_index)
+    weights = np.array([float(1 + (seed + 7 * i) % 3) for i in range(inst.n)])
+    return replace(inst, ws=weights)
 
 
 def assert_weighted_levels_agree(inst, depth) -> int:

@@ -1,15 +1,16 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diskdom.geometry import (
+    DiskColumns,
     Instance,
     Point,
     WeightedDisk,
-    disk_arrays,
     intersects,
     intersects_row,
 )
@@ -207,7 +208,7 @@ def _first_in_row(avoids, j, *, ccw):
 
 def _row_answers(inst, i_all, j_all, *, ccw):
     """`first_disjoint` of each pair, read off whole `~intersects_row` rows."""
-    arrays = disk_arrays(inst)
+    arrays = inst.xs, inst.ys, inst.rs
     out = np.empty(len(i_all), np.int64)
     for i in np.unique(i_all):
         q = np.flatnonzero(i_all == i)
@@ -257,7 +258,7 @@ def test_batched_first_disjoint_matches_scalar_and_naive(n):
             before = _row_answers(inst, i, i, ccw=False).tolist()
             assert runs == [(0, n) if a < 0 else ((b + 1) % n, (a - b - 1) % n)
                             for a, b in zip(after, before)]
-            arrays = disk_arrays(inst)
+            arrays = inst.xs, inst.ys, inst.rs
             largest = max(int(intersects_row(*arrays, i).sum()) for i in range(n))
             assert tree.domination_lower_bound() == -(-n // largest)
     # the giant disk meets every disk: each of its queries saturates
@@ -376,15 +377,9 @@ def test_tree_answers_as_the_float_predicate_at_extreme_scales(scale):
     from diskdom import gen_random
 
     base = gen_random(320, 5, "circle", "uniform(4.5,7.5)", "unit").to_instance(weighted=False)
-    inst = Instance(
-        tuple(
-            WeightedDisk(Point(d.center.x * scale, d.center.y * scale), d.radius * scale)
-            for d in base.disks
-        ),
-        base.original_index,
-    )
+    inst = replace(base, xs=base.xs * scale, ys=base.ys * scale, rs=base.rs * scale)
     n = inst.n
-    arrays = disk_arrays(inst)
+    arrays = inst.xs, inst.ys, inst.rs
     tree = _TreeNeighborIndex(inst)
     i_all, j_all = np.divmod(np.arange(n * n), n)
     with np.errstate(over="ignore"):
@@ -414,6 +409,7 @@ def test_tree_does_not_skip_where_squares_are_subnormal():
     x, y, r_a, r_b = map(Fraction, (b.center.x, b.center.y, a.radius, b.radius))
     assert x * x + y * y <= (r_a + r_b) ** 2 * Fraction(98, 100)
     assert not intersects(a, b)
-    tree = _TreeNeighborIndex(Instance((a, b), (0, 1)))
+    rows = [(d.center.x, d.center.y, d.radius, d.weight) for d in (a, b)]
+    tree = _TreeNeighborIndex(Instance(*DiskColumns.from_rows(rows), (0, 1)))
     for ccw in (True, False):
         assert tree.first_disjoint([0, 1], [0, 1], ccw=ccw).tolist() == [1, 0]
