@@ -243,10 +243,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidK as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BadParams, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (BadParams, TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolverInvariantError as exc:

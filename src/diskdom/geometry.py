@@ -42,7 +42,11 @@ class NonFiniteValue(GeometryError):
 
 
 class NotConsecutive(ValueError):
-    """Runs handed to union_columns leave a gap in the cyclic order."""
+    """Runs handed to union_columns leave a gap in the cyclic order, first in row `row`."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ class Instance:
 
     @cached_property
     def disks(self) -> tuple[WeightedDisk, ...]:
-        """The disks as objects, built on first use (scalar oracle routes, invariant checks)."""
+        """The disks as objects, built on first use (the scalar oracle routes and the tests)."""
         cols = (self.xs.tolist(), self.ys.tolist(), self.rs.tolist(), self.ws.tolist())
         return tuple(WeightedDisk(Point(x, y), r, w) for x, y, r, w in zip(*cols))
 
@@ -225,13 +229,14 @@ def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
     start and length arrays, canonical: (0, 0) for an empty row, (0, n)
     for a full one.  Raises NotConsecutive when a nonempty part of any row
     leaves a gap against that row's coverage so far.  Each part touches
-    only the rows still open, and gaps are raised once, after every part.
+    only the rows still open, and gaps are raised once, after every part,
+    naming the first row with one.
     """
     (s0, k0), *rest = [(np.asarray(ps, np.int64), np.asarray(pk, np.int64)) for ps, pk in runs]
     out_s, out_k = np.zeros_like(s0), np.full_like(k0, n)  # saturated rows read (0, n)
     rows = np.flatnonzero(k0 < n)  # rows still open, with their accumulated run:
     s, length = np.where(k0 == 0, -1, s0)[rows], k0[rows]  # start -1 while empty
-    gaps = False
+    gap = len(s0)  # the first row with a gap so far
     # selects are arithmetic, a + mask * (b - a), and no `%` is taken: both
     # beat np.where and np.mod on int64 columns
     for ps, pk in rest:
@@ -241,7 +246,9 @@ def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
         d += (d < 0) * n
         fresh = s < 0
         wrap = (d > length) & ~fresh  # starts past the accumulated end: must wrap behind it
-        gaps |= bool((wrap & (d + k < n)).any())
+        broken = wrap & (d + k < n)
+        if broken.any():
+            gap = min(gap, int(rows[np.argmax(broken)]))
         grown = np.maximum(length, d + k)
         grown += wrap * (np.maximum(k, n - d + length) - grown)
         length = grown + fresh * (k - grown)
@@ -249,8 +256,8 @@ def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
         open_ = length < n
         if not open_.all():
             rows, s, length = rows[open_], s[open_], length[open_]
-    if gaps:
-        raise NotConsecutive("gap between accumulated run and the next part in a row")
+    if gap < len(s0):
+        raise NotConsecutive(f"gap between accumulated run and the next part in row {gap}", gap)
     empty = s < 0
     out_s[rows], out_k[rows] = np.where(empty, 0, s), np.where(empty, 0, length)
     return out_s, out_k

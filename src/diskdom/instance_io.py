@@ -230,8 +230,9 @@ def solution_document(
 
 def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
     """Parse a solution file; `verified` is recomputed against `instance`,
-    never trusted from the file: the centers must dominate, and `weight`
-    must be their `solution_of` weight within WEIGHT_TOLERANCE."""
+    never trusted from the file: the centers must dominate and number at
+    most a stated bound `k` (which must be at least 1), and `weight` must
+    be their `solution_of` weight within WEIGHT_TOLERANCE."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -245,7 +246,7 @@ def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
     if solver not in ("dp", "greedy", "brute"):
         raise BadParams(f"bad solver {solver!r}")
     k = payload.get("k")
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
         raise BadParams(f"bad k {k!r}")
     centers = payload.get("centers")
     if not isinstance(centers, list) or not all(
@@ -268,7 +269,9 @@ def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
         weight=weight,
         centers=list(centers),
         solver=solver,
-        verified=abs(weight - exact) <= WEIGHT_TOLERANCE and verify(instance, canonical),
+        verified=(k is None or size <= k)
+        and abs(weight - exact) <= WEIGHT_TOLERANCE
+        and verify(instance, canonical),
     )
 
 

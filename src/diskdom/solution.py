@@ -5,9 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
-from .geometry import Instance, intersects
+import numpy as np
+
+from .geometry import Instance, NotConsecutive, intersects_row, union_columns
 
 WEIGHT_TOLERANCE = 1e-9  # how far a stated weight may be from its centers' sum
+VALUE_SLACK = 1e-9  # relative slack of a row's value against its parents' (`check_level`)
+CHECK_BLOCK = 1 << 16  # (row, disk) pairs per `intersects_row` pass of `check_level`
 
 
 class Infeasible(Exception):
@@ -83,37 +87,112 @@ def solution_of(
     )
 
 
-def check_dominated_run(instance: Instance, cand) -> None:
-    """The validator checks both solvers share; failures raise SolverInvariantError.
+def expand_runs(lo, count) -> tuple[np.ndarray, np.ndarray]:
+    """Item q repeated count[q] times, and the indices lo[q], lo[q] + 1, ... beside it."""
+    item = np.repeat(np.arange(len(lo)), count)
+    return item, lo[item] + np.arange(len(item)) - (np.cumsum(count) - count)[item]
 
-    `cand` carries a run (`start`, `length`), `witnesses`, `owner` and
-    `level`.  The owner must be a witness, there may be no more witnesses
-    than the level, and every disk of the run must meet some witness.
+
+def _fail(t: int, bad: np.ndarray, rule: str) -> None:
+    """Raise SolverInvariantError naming the first row of level t that `bad` marks."""
+    if bad.any():
+        raise SolverInvariantError(f"level {t}, row {int(np.argmax(bad))}: {rule}")
+
+
+def _misses_owner(instance: Instance, owners, starts, lengths) -> np.ndarray:
+    """Per run (start, length), whether a disk of it misses its owner; by blocks of CHECK_BLOCK."""
+    n, bad = instance.n, np.zeros(len(owners), bool)
+    # rows [lo, hi) end in one block of CHECK_BLOCK disks (leading empty rows test nothing)
+    bounds = np.searchsorted(np.cumsum(lengths), np.arange(0, lengths.sum(), CHECK_BLOCK), "right")
+    for lo, hi in zip(bounds.tolist(), [*bounds[1:].tolist(), len(owners)]):
+        row, disk = expand_runs(starts[lo:hi], lengths[lo:hi])
+        meets = intersects_row(instance.xs, instance.ys, instance.rs, owners[lo:hi][row], disk % n)
+        bad[lo + row[~meets]] = True
+    return bad
+
+
+def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values=None) -> None:
+    """Check level t's rows against their parents; a broken row raises SolverInvariantError.
+
+    The rows are `RunLevel` columns plus the weighted DP's `values` (None
+    when unweighted), over the checked `levels[1..t-1]` and their neighbor
+    index `nbr`.  Each rule is a whole-column test:
+
+    * every row: the owner is in [0, n), the run is valid (start in
+      [0, n), length in [1, n]) and holds the owner;
+    * level 1: no parents (-1 throughout), the run is the owner's dominated
+      run and its every disk meets the owner, the value is its weight;
+    * t >= 2: parent levels t1, t2 in [1, t), ids in range, a missing l2
+      reading (-1, -1); the owner owns l1.  With `shared` when it owns l2
+      too, t1 + t2 - shared <= t and value >= v1 + v2 - (w_i if shared) -
+      VALUE_SLACK * max(1, |value|).  The owner's dominated run, run(l1)
+      and run(l2) merge into a consecutive union inside the run, and every
+      disk of the run outside it (at most two arcs) meets the owner.
+
+    By induction over levels this is the global check of each witness set
+    W (the owners a row's parents lead to at level 1: {owner}, then
+    W(l1) | W(l2), with the owner in W(l1)): |W| <= t1 + t2 - shared <= t,
+    weight(W) <= v1 + v2 - (w_i if shared) <= value up to VALUE_SLACK, and
+    W dominates the run, as W(l1) and W(l2) dominate theirs, the owner the rest.
     """
-    if cand.owner not in cand.witnesses:
-        raise SolverInvariantError(f"owner is not a witness: {cand}")
-    if len(cand.witnesses) > cand.level:
-        raise SolverInvariantError(f"more witnesses than the level: {cand}")
-    disks = instance.disks
-    n = len(disks)
-    for k in range(cand.length):
-        idx = (cand.start + k) % n
-        if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
-            raise SolverInvariantError(f"disk {idx} undominated: {cand}")
+    instance = nbr.instance
+    n, m, ws = instance.n, len(owners), instance.ws
+    _fail(t, (owners < 0) | (owners >= n), "owner out of range")
+    _fail(t, (starts < 0) | (starts >= n) | (lengths < 1) | (lengths > n), "invalid run")
+    _fail(t, (owners - starts) % n >= lengths, "owner outside its run")
+    dom_s, dom_k = nbr.dominated_runs
+    if t == 1:
+        _fail(t, (parents != -1).any(axis=1), "a level-1 row has parents")
+        _fail(t, (starts != dom_s[owners]) | (lengths != dom_k[owners]), "not its dominated run")
+        if values is not None:
+            _fail(t, values != ws[owners], "value is not the owner's weight")
+        us, uk = starts, np.zeros_like(lengths)  # no parts: every disk of the run is tested
+    else:
+        t1, c1, t2, c2 = parents.T
+        has2 = t2 != -1
+        bad = (t1 < 1) | (t1 >= t) | (has2 & ((t2 < 1) | (t2 >= t)))
+        _fail(t, bad, "parent level outside [1, t)")
+        sizes = np.array([0, *(len(level.owners) for level in levels[1:t])])
+        t2 = has2 * t2
+        bad2 = np.where(has2, (c2 < 0) | (c2 >= sizes[t2]), c2 != -1)  # a missing l2 is (-1, -1)
+        _fail(t, (c1 < 0) | (c1 >= sizes[t1]) | bad2, "parent id out of range")
+        # the parents' columns, from levels 1..t-1 laid end to end
+        offsets = np.cumsum(sizes) - sizes
+        g1, g2 = offsets[t1] + c1, offsets[t2] + has2 * c2
+
+        def parent_col(name):
+            col = np.concatenate([getattr(level, name) for level in levels[1:t]])
+            return col[g1], has2 * col[g2]  # 0 for a missing l2
+        (o1, o2), (s1, s2), (k1, k2) = (parent_col(col) for col in ("owners", "starts", "lengths"))
+        _fail(t, o1 != owners, "the owner does not own l1")
+        shared = has2 & (o2 == owners)
+        _fail(t, t1 + t2 - shared > t, "more than t witnesses")
+        if values is not None:
+            v1, v2 = parent_col("values")
+            slack = VALUE_SLACK * np.maximum(1.0, np.abs(values))
+            _fail(t, ~(values >= v1 + v2 - shared * ws[owners] - slack), "value below its parents'")
+        try:
+            us, uk = union_columns(n, ((dom_s[owners], dom_k[owners]), (s1, k1), (s2, k2)))
+        except NotConsecutive as exc:
+            raise SolverInvariantError(f"level {t}, row {exc.row}: gap between the parts") from None
+    s = np.where(lengths == n, us, starts)  # a full run may start anywhere: at the union
+    d = (us - s) % n
+    _fail(t, d + uk > lengths, "the parts leave the run")
+    arcs = np.concatenate((s, (us + uk) % n)), np.concatenate((d, lengths - d - uk))
+    bad = _misses_owner(instance, np.tile(owners, 2), *arcs)
+    _fail(t, bad[:m] | bad[m:], "a disk of the run outside the parts misses the owner")
 
 
 class RunLevel:
     """One solver level's candidates as int64 columns, in id order; never changed.
 
-    Candidate c has the run (`starts[c]`, `lengths[c]`) and the owner
+    Row c has the run (`starts[c]`, `lengths[c]`) and the owner
     `owners[c]`.  Row c of `parents` is (level of l1, id of l1, level of
     l2, id of l2): the lower-level candidates it joins, -1 where there is
     no l2 and throughout level 1, where the owner is the witness.  `below`
-    holds the lower levels by level.  A candidate becomes an object
-    (`candidate_type`) only when `candidate` is asked for it.
+    holds the lower levels by level.  No candidate is an object: a witness
+    set is rebuilt from the parents only when `witnesses` is asked for it.
     """
-
-    candidate_type: type
 
     def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, parents):
         self.instance = instance
@@ -124,7 +203,7 @@ class RunLevel:
         self._witnesses: dict[int, frozenset[int]] = {}  # by id, as `witnesses` rebuilds them
 
     def witnesses(self, ident: int) -> frozenset[int]:
-        """Candidate `ident`'s witness set: the owners its parents lead to at level 1.
+        """Row `ident`'s witness set: the owners its parents lead to at level 1.
 
         Walks the parents down and keeps every set it rebuilds, so each
         candidate's set is the union of its parents' sets, built once.
@@ -140,24 +219,8 @@ class RunLevel:
                 t1, c1, t2, c2 = level.parents[c].tolist()
                 parents = [(level.below[t1], c1)] + ([(level.below[t2], c2)] if c2 >= 0 else [])
                 missing = [(p, pc) for p, pc in parents if pc not in p._witnesses]
-                if missing:
-                    todo += missing
-                else:
+                todo += missing  # built first; c is popped once its set is kept
+                if not missing:
                     sets = (p._witnesses[pc] for p, pc in parents)
                     level._witnesses[c] = frozenset().union(*sets)
-                    todo.pop()
         return self._witnesses[ident]
-
-    def candidate(self, ident: int):
-        """Candidate `ident` as a `candidate_type`, with its rebuilt witness set.
-
-        Built from (start, length, *`_extra(ident)`, witnesses, owner, level).
-        """
-        columns = (self.starts, self.lengths, self.owners)
-        start, length, owner = (col[ident].item() for col in columns)
-        extra = self._extra(ident)
-        return self.candidate_type(start, length, *extra, self.witnesses(ident), owner, self.level)
-
-    def _extra(self, ident: int) -> tuple:
-        """Fields of `candidate_type` between the run and the witnesses."""
-        return ()

@@ -15,8 +15,8 @@ direction and split level over all points (`directional_steps`,
 `bidirectional_steps`), with batched neighbor queries
 (`neighbor_index.runs_past`) and row-wise merges
 (`geometry.union_columns`).  No candidate is an object: only the
-winner's witness set is rebuilt, by walking its parents down to level 1,
-unless `check_invariants=True` asks for every candidate.
+winner's witness set is rebuilt, by walking its parents down to level 1;
+`check_invariants=True` checks every level against its parent rows.
 
 The tests compare each level with a point-by-point scalar twin
 (`tests/greedy_reference.py`), and swap in a plain-scan twin of
@@ -25,8 +25,7 @@ The tests compare each level with a point-by-point scalar twin
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,33 +36,10 @@ from .solution import (
     RunLevel,
     Solution,
     SolverInvariantError,
-    check_dominated_run,
+    check_level,
     check_size_bound,
     solution_of,
 )
-
-
-@dataclass(frozen=True)
-class GreedyCandidate:
-    """The run (start, length) through `owner`, dominated by `witnesses`."""
-
-    start: int
-    length: int
-    witnesses: frozenset[int]
-    owner: int
-    level: int
-
-
-def make_greedy_validator(instance: Instance) -> Callable[[GreedyCandidate], None]:
-    """Checks run on every candidate of a level; failures raise SolverInvariantError."""
-    n = instance.n
-
-    def validate(cand: GreedyCandidate) -> None:
-        check_dominated_run(instance, cand)
-        if (cand.owner - cand.start) % n >= cand.length:
-            raise SolverInvariantError(f"owner outside its run: {cand}")
-
-    return validate
 
 
 def farthest_ids(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,8 +108,6 @@ class GreedyLevel(RunLevel):
     (`ext[ccw]`), per index the candidate through it reaching farthest each
     way (`far[ccw]`), and the first full candidate (`full_id`).
     """
-
-    candidate_type = GreedyCandidate
 
     def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, parents):
         super().__init__(instance, level, below, starts, lengths, owners, parents)
@@ -222,14 +196,14 @@ def build_level(
     levels: Sequence[Optional[GreedyLevel]],
     t: int,
     *,
-    validator: Optional[Callable[[GreedyCandidate], None]] = None,
+    check_invariants: bool = False,
 ) -> GreedyLevel:
     """Level t, built from levels 1..t-1 (`levels[t']`).
 
     Level 1 holds one candidate per point: its own dominated run.  Later
     levels hold each point's ccw and cw steps, then its stitched
-    candidates.  With a `validator`, every candidate is built as a
-    `GreedyCandidate` and passed to it.
+    candidates.  With `check_invariants`, every candidate is checked
+    against its parents (`check_level`).
     """
     n = instance.n
     if t == 1:
@@ -240,13 +214,10 @@ def build_level(
     owners, starts, lengths, parents = (np.concatenate(col) for col in zip(*blocks))
     slots = np.repeat(np.arange(len(blocks)), [len(block[0]) for block in blocks])
     order = np.lexsort((slots, owners))
-    level = GreedyLevel(
-        instance, t, levels, starts[order], lengths[order], owners[order], parents[order]
-    )
-    if validator is not None:
-        for ident in range(len(order)):
-            validator(level.candidate(ident))
-    return level
+    owners, starts, lengths, parents = owners[order], starts[order], lengths[order], parents[order]
+    if check_invariants:
+        check_level(nbr, levels, t, owners, starts, lengths, parents)
+    return GreedyLevel(instance, t, levels, starts, lengths, owners, parents)
 
 
 def solve_unweighted(
@@ -258,13 +229,12 @@ def solve_unweighted(
     Infeasible right after level 1.  SolverInvariantError reports a search
     that broke its own guarantees: no full candidate by level n, or a
     first full candidate whose witness count differs from its level.
-    `check_invariants=True` also validates every candidate of every level.
+    `check_invariants=True` also checks every level (`check_level`).
     """
     if k_cap is not None:
         check_size_bound("k_cap", k_cap)
     n = instance.n
     nbr = build_neighbor_index(instance)
-    validator = make_greedy_validator(instance) if check_invariants else None
     levels: list[Optional[GreedyLevel]] = [None]
     t = 0
     while True:
@@ -275,10 +245,10 @@ def solve_unweighted(
             raise Infeasible(k_cap)
         if t > n:
             raise SolverInvariantError(f"no full candidate by level {n}")
-        level = build_level(instance, nbr, levels, t, validator=validator)
+        level = build_level(instance, nbr, levels, t, check_invariants=check_invariants)
         levels.append(level)
         if level.full_id >= 0:
-            witnesses = level.candidate(level.full_id).witnesses
+            witnesses = level.witnesses(level.full_id)
             if len(witnesses) != t:
                 # the first full level equals the optimum cardinality
                 raise SolverInvariantError(

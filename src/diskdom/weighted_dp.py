@@ -24,7 +24,7 @@ split, over all points at once: runs merged row-wise by
 run in each bucket, the first to arrive, replaced only by a strictly
 cheaper copy, in one sort.  No combination is an object: the winner's
 witness set is rebuilt by walking its parents, and `check_invariants=True`
-builds every combination as a `Candidate` for the validator.
+checks every combination against its parents first (`solution.check_level`).
 
 Each combination asks a built level for the cheapest run containing a
 query run that grows from a fixed anchor, one index at a time.  The answer
@@ -44,9 +44,7 @@ chains with plain-scan cheapest-enclosing queries
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,38 +54,13 @@ from .solution import (
     Infeasible,
     RunLevel,
     Solution,
-    SolverInvariantError,
-    check_dominated_run,
+    check_level,
     check_size_bound,
+    expand_runs,
     solution_of,
 )
 
-VALUE_SLACK = 1e-9  # tolerance of the validator's witness-weight check
 CHAIN_BLOCK = 1 << 16  # (anchor, candidate) cells per pass of the global staircase
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """The run (start, length) dominated by `witnesses`, costing at most `value`."""
-
-    start: int
-    length: int
-    value: float
-    witnesses: frozenset[int]
-    owner: int
-    level: int
-
-
-def make_validator(instance: Instance) -> Callable[[Candidate], None]:
-    """Checks run on every combination before dedup; failures raise SolverInvariantError."""
-
-    def validate(cand: Candidate) -> None:
-        check_dominated_run(instance, cand)
-        total = math.fsum(instance.ws[sorted(cand.witnesses)].tolist())
-        if total > cand.value + VALUE_SLACK * max(1.0, abs(cand.value)):
-            raise SolverInvariantError(f"witnesses weigh {total}: {cand}")
-
-    return validate
 
 
 def _reach(starts, lengths, anchors, n: int, *, ccw: bool) -> np.ndarray:
@@ -110,16 +83,11 @@ class LevelTable(RunLevel):
     candidates reaching strictly farther than every one before them.
     """
 
-    candidate_type = Candidate
-
     def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, values,
                  parents):
         super().__init__(instance, level, below, starts, lengths, owners, parents)
         self.values = values
         self._chains: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray]] = {}
-
-    def _extra(self, ident: int) -> tuple:
-        return (self.values[ident].item(),)
 
     def chains(self, *, bucket: bool, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
         """Every chain of one kind, as (ptr, ids): anchor a's is ids[ptr[a]:ptr[a + 1]].
@@ -177,12 +145,6 @@ class LevelTable(RunLevel):
         return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), ids
 
 
-def _ranges(lo, count) -> tuple[np.ndarray, np.ndarray]:
-    """Item q repeated count[q] times, and the indices lo[q], lo[q] + 1, ... beside it."""
-    item = np.repeat(np.arange(len(lo)), count)
-    return item, lo[item] + np.arange(len(item)) - (np.cumsum(count) - count)[item]
-
-
 def directional_combos(nbr, levels: Sequence[Optional[LevelTable]], t: int, tp: int, *,
                        ccw: bool) -> tuple:
     """Every point's one-way level-t combinations of split level t', ccw or cw.
@@ -203,7 +165,7 @@ def directional_combos(nbr, levels: Sequence[Optional[LevelTable]], t: int, tp: 
     ptr, l2s = other.chains(bucket=False, ccw=ccw)
     anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
     full1 = k1 == n
-    row, at = _ranges(ptr[anchor], np.where(full1, 1, ptr[anchor + 1] - ptr[anchor]))
+    row, at = expand_runs(ptr[anchor], np.where(full1, 1, ptr[anchor + 1] - ptr[anchor]))
     l1, s1, k1, has2 = l1[row], s1[row], k1[row], ~full1[row]
     i = near.owners[l1]
     l2 = np.full_like(l1, -1)
@@ -238,7 +200,7 @@ def bidirectional_combos(nbr, levels: Sequence[Optional[LevelTable]], t: int, tp
     _, lx = x.chains(bucket=True, ccw=True)
     ptr, lys = y.chains(bucket=True, ccw=False)
     i = x.owners[lx]
-    row, at = _ranges(ptr[i], ptr[i + 1] - ptr[i])
+    row, at = expand_runs(ptr[i], ptr[i + 1] - ptr[i])
     i, lx, ly = i[row], lx[row], lys[at]
     dom_s, dom_k = nbr.dominated_runs
     runs = ((dom_s[i], dom_k[i]), (x.starts[lx], x.lengths[lx]), (y.starts[ly], y.lengths[ly]))
@@ -271,15 +233,15 @@ def build_level(
     levels: Sequence[Optional[LevelTable]],
     t: int,
     *,
-    validator: Optional[Callable[[Candidate], None]] = None,
+    check_invariants: bool = False,
 ) -> LevelTable:
     """Level t, combined from levels 1..t-1 (`levels[t']`).
 
     Level 1 holds one candidate per point: its own dominated run at its
     own weight.  Later levels hold, per point, its ccw combinations by
     split level, then its cw ones, then its bidirectional ones, deduplicated
-    by `dedup_rows`.  With a `validator`, every combination, same-run
-    copies included, is built as a `Candidate` and validated first.
+    by `dedup_rows`.  With `check_invariants`, every combination, same-run
+    copies included, is first checked against its parents (`check_level`).
     """
     n = instance.n
     weights = instance.ws
@@ -294,10 +256,8 @@ def build_level(
         blocks += [bidirectional_combos(nbr, levels, t, tp, weights) for tp in range(2, t)]
     # concatenated block by block, each owner's rows stay in arrival order
     owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
-    if validator is not None:
-        every = LevelTable(instance, t, levels, starts, lengths, owners, values, parents)
-        for row in range(len(owners)):
-            validator(every.candidate(row))
+    if check_invariants:
+        check_level(nbr, levels, t, owners, starts, lengths, parents, values)
     keep = dedup_rows(n, owners, starts, lengths, values)
     return LevelTable(
         instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
@@ -314,18 +274,18 @@ def solve_weighted_all_k(
     `Infeasible(k')` value when there is none.  When the counting bound
     (`domination_lower_bound`) already exceeds k, every answer is
     Infeasible and no level is combined past level 1.
-    `check_invariants=True` validates every combination of every level and
-    raises SolverInvariantError on a broken one; it changes no answer.
+    `check_invariants=True` checks every combination of every level
+    (`check_level`) and raises SolverInvariantError on a broken one; it
+    changes no answer.
     """
     check_size_bound("k", k, instance.n)
     n = instance.n
     nbr = build_neighbor_index(instance)
-    validator = make_validator(instance) if check_invariants else None
     levels: list[Optional[LevelTable]] = [None]
     answers: dict[int, Union[Solution, Infeasible]] = {}
     best, answer = None, None  # (value, level, id) of the cheapest full candidate so far
     for t in range(1, k + 1):
-        level = build_level(instance, nbr, levels, t, validator=validator)
+        level = build_level(instance, nbr, levels, t, check_invariants=check_invariants)
         levels.append(level)
         if t == 1 and k < n and nbr.domination_lower_bound() > k:
             return {kp: Infeasible(kp) for kp in range(1, k + 1)}
@@ -342,11 +302,9 @@ def solve_weighted_all_k(
 def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:
     """Minimum-weight dominating set of size at most k, or Infeasible.
 
-    Deterministic for fixed inputs; `solve_weighted_all_k`'s answer for k.
-    `check_invariants=True` validates every combination, also those the
-    same-run dedup drops, and raises SolverInvariantError on a broken
-    one; it changes nothing about the result.  When the counting bound
-    already exceeds k, Infeasible is raised right after level 1.
+    Deterministic for fixed inputs; `solve_weighted_all_k`'s answer for k,
+    `check_invariants` included.  When the counting bound already exceeds
+    k, Infeasible is raised right after level 1.
     """
     answer = solve_weighted_all_k(instance, k, check_invariants=check_invariants)[k]
     if isinstance(answer, Infeasible):

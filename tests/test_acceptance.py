@@ -224,7 +224,7 @@ def test_solver_invariant_suite():
     assert checked == len(CORPUS) and checked >= 8
     print(
         f"PASS invariant-suite: {checked} corpus instances solved with "
-        f"validators on; all solutions verified; bucket bound 2+max(0,t-2) held"
+        f"level checks on; all solutions verified; bucket bound 2+max(0,t-2) held"
     )
 
 

@@ -100,6 +100,22 @@ def test_verify_rejects_tampered_solution(t4_file, tmp_path, capsys):
     assert "not verified" in capsys.readouterr().out
 
 
+def test_verify_checks_the_size_bound(t4_file, tmp_path, capsys):
+    # the unit square needs two centers; a file claiming them under k = 1 is wrong
+    out = tmp_path / "sol.json"
+    argv = ["solve", "--in", str(t4_file), "--weighted", "--k", "2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["size"] == 2 and doc["k"] == 2
+    capsys.readouterr()
+    for k, code, shown in ((1, 3, "not verified\n"), (0, 3, ""), (-3, 3, "")):
+        out.write_text(json.dumps(dict(doc, k=k)))
+        assert cli.main(["verify", "--in", str(t4_file), "--solution", str(out)]) == code
+        assert capsys.readouterr().out == shown
+    out.write_text(json.dumps(dict(doc, k=3)))
+    assert cli.main(["verify", "--in", str(t4_file), "--solution", str(out)]) == 0
+
+
 @pytest.mark.parametrize("mode", ["--weighted", "--unweighted"])
 def test_verify_checks_the_solution_weight(mode, tmp_path, capsys):
     inst = gen(tmp_path, "--radius-law", "uniform(1.5,4.0)", "--weight-law", "uniform(1,10)")

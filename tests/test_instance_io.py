@@ -272,6 +272,8 @@ def test_load_solution_document_errors(t4):
         {"solver": "magic"},
         {"k": True},
         {"k": "two"},
+        {"k": 0},
+        {"k": -3},
         {"centers": [0, 0], "size": 2},
         {"centers": [99], "size": 1},
         {"centers": "0,2"},
@@ -283,6 +285,10 @@ def test_load_solution_document_errors(t4):
             load_solution_document(json.dumps(bad), t4)
     with pytest.raises(BadParams):
         load_solution_document("{", t4)
+    # a dominating set larger than its stated bound loads, but is not verified
+    assert load_solution_document(json.dumps(base), t4).verified
+    assert not load_solution_document(json.dumps(dict(base, k=1)), t4).verified
+    assert load_solution_document(json.dumps(dict(base, k=None)), t4).verified
 
 
 def test_render_svg_highlights_and_determinism(t4):

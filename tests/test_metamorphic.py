@@ -13,6 +13,9 @@ hence the whole solution stay the same.
 
 On unit weights the two solvers answer the same question, so each must
 confirm the other's optimum and refuse one disk fewer.
+
+Every solve runs with `check_invariants=True`, so each level of these
+instances, beyond the brute-force limit, also passes the column check.
 """
 
 import random
@@ -60,7 +63,7 @@ def test_unweighted_optimum_is_invariant(n, seed, family, law):
     doc = gen_random(n, 40_000 + seed, family, law, "unit")
     sizes = {}
     for name, inst in _variants(doc, weighted=False):
-        sol = solve_unweighted(inst)
+        sol = solve_unweighted(inst, check_invariants=True)
         assert verify(inst, inst.to_canonical(sol.centers)), name
         sizes[name] = sol.size
     assert sizes["identity"] > 2
@@ -72,7 +75,7 @@ def test_weighted_optimum_is_invariant(seed):
     doc = gen_random(60, 41_000 + seed, "circle", "uniform(2.0,6.0)", "uniform(1,10)")
     weights = {}
     for name, inst in _variants(doc, weighted=True):
-        sol = solve_weighted(inst, 6)
+        sol = solve_weighted(inst, 6, check_invariants=True)
         assert verify(inst, inst.to_canonical(sol.centers)), name
         weights[name] = sol.weight
     for name, weight in weights.items():
@@ -89,13 +92,13 @@ DIFFERENTIAL = [
 @pytest.mark.parametrize("n, seed, family, law", DIFFERENTIAL)
 def test_solvers_agree_on_unit_weights(n, seed, family, law):
     inst = gen_random(n, seed, family, law, "unit").to_instance()
-    opt = solve_unweighted(inst).size
+    opt = solve_unweighted(inst, check_invariants=True).size
     assert opt > 2
-    assert solve_weighted(inst, opt).weight == opt
+    assert solve_weighted(inst, opt, check_invariants=True).weight == opt
     with pytest.raises(Infeasible):
-        solve_weighted(inst, opt - 1)
+        solve_weighted(inst, opt - 1, check_invariants=True)
     with pytest.raises(Infeasible):
-        solve_unweighted(inst, k_cap=opt - 1)
+        solve_unweighted(inst, k_cap=opt - 1, check_invariants=True)
 
 
 GRID = 2.0**-20
@@ -131,7 +134,7 @@ def test_unweighted_solution_is_invariant_under_translation(n, seed, family, law
     doc = gen_random(n, 40_000 + seed, family, law, "unit")
     solutions = {}
     for offset, inst in _translations(doc, weighted=False):
-        sol = solve_unweighted(inst)
+        sol = solve_unweighted(inst, check_invariants=True)
         assert verify(inst, inst.to_canonical(sol.centers)), offset
         solutions[offset] = sol
     assert solutions[(0, 0)].size > 2
@@ -143,7 +146,7 @@ def test_weighted_solution_is_invariant_under_translation(seed):
     doc = gen_random(60, 41_000 + seed, "circle", "uniform(2.0,6.0)", "uniform(1,10)")
     solutions = {}
     for offset, inst in _translations(doc, weighted=True):
-        sol = solve_weighted(inst, 6)
+        sol = solve_weighted(inst, 6, check_invariants=True)
         assert verify(inst, inst.to_canonical(sol.centers)), offset
         solutions[offset] = sol
     assert set(solutions.values()) == {solutions[(0, 0)]}, solutions

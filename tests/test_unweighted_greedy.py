@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
 from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.unweighted_greedy import (
-    GreedyCandidate,
     GreedyLevel,
     bidirectional_steps,
     build_level,
     directional_steps,
-    make_greedy_validator,
     solve_unweighted,
 )
+from invariant_reference import GreedyCandidate, checked_levels, recording_checks
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, solvers_using
 from run_reference import run_of
 
@@ -33,12 +33,12 @@ def rand_instance(rng, n, rlo=0.3, rhi=3.0):
     return mk_instance(pts, weighted=False)
 
 
-def build_levels(inst, upto, *, validator=None):
+def build_levels(inst, upto, *, check_invariants=False):
     """The neighbor index and levels 1..upto that `solve_unweighted` builds."""
     nbr = NaiveNeighborIndex(inst)
     levels = [None]
     for t in range(1, upto + 1):
-        levels.append(build_level(inst, nbr, levels, t, validator=validator))
+        levels.append(build_level(inst, nbr, levels, t, check_invariants=check_invariants))
     return nbr, levels
 
 
@@ -160,12 +160,12 @@ def assert_extremes_match_scans(level):
 
 
 def test_cached_extremes_match_scans():
-    # every extreme a level builds, on levels built with the validator
-    # attached, is the bucket scan's first farthest-reaching candidate
+    # every extreme a level builds, on levels built with the invariant
+    # check on, is the bucket scan's first farthest-reaching candidate
     rng = random.Random(11)
     for _ in range(10):
         inst = rand_instance(rng, rng.randint(3, 12))
-        _, levels = build_levels(inst, min(4, inst.n), validator=make_greedy_validator(inst))
+        _, levels = build_levels(inst, min(4, inst.n), check_invariants=True)
         for level in levels[1:]:
             assert_extremes_match_scans(level)
 
@@ -288,23 +288,17 @@ def test_full_run_is_the_extreme_both_ways(t4):
     assert tbl.full_id == 1
 
 
-def test_check_invariants_validates_every_candidate(monkeypatch):
+def test_check_invariants_validates_every_candidate():
     rng = random.Random(23)
     inst = rand_instance(rng, 14, 0.5, 2.0)
-    seen = []
-    validator = make_greedy_validator(inst)
-
-    def counting(instance):
-        def validate(cand):
-            seen.append((cand.level, cand.owner, cand.start, cand.length))
-            validator(cand)
-
-        return validate
-
-    monkeypatch.setattr(ug, "make_greedy_validator", counting)
-    with recording(ug, "GreedyLevel") as levels:
+    with recording(ug, "GreedyLevel") as levels, recording_checks(ug) as checks:
         checked = solve_unweighted(inst, check_invariants=True)
     assert checked == solve_unweighted(inst)
+    seen = [
+        (rows.t, o, s, k)
+        for rows in checks
+        for o, s, k in zip(rows.owners.tolist(), rows.starts.tolist(), rows.lengths.tolist())
+    ]
     want = [
         (level.level, o, s, k)
         for level in levels
@@ -314,17 +308,19 @@ def test_check_invariants_validates_every_candidate(monkeypatch):
 
 
 def test_validator_rejects_bad_candidates(t4):
-    validate = make_greedy_validator(t4)
-    nbr = NaiveNeighborIndex(t4)
-    validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((0,)), 0, 1))
-    with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((1,)), 1, 1))
-    with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(0, 4, frozenset((0,)), 0, 1))
-    with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(*nbr.dominated_run(0), frozenset((0, 1, 2)), 0, 2))
-    with pytest.raises(SolverInvariantError):
-        validate(GreedyCandidate(*nbr.dominated_run(2), frozenset((0,)), 0, 1))
+    # the unit square's rows, each broken in one column: another disk's
+    # dominated run, a run longer than the owner dominates, a level-2 row
+    # joining a row of its own level, and a run that misses its owner
+    level1, level2 = checked_levels(t4, ug, 2)
+    cases = [
+        (level1.broken("owners", 1), "dominated run"),
+        (level1.broken("lengths", 4), "dominated run"),
+        (level2.broken("parents", (2, 0, 1, 1)), "parent level"),
+        (level1.broken("starts", level1.nbr.dominated_run(2)[0]), "owner outside its run"),
+    ]
+    for rows, words in cases:
+        with pytest.raises(SolverInvariantError, match=words):
+            rows.check()
 
 
 # --- counting bound, typed invariant errors, integer steps ---------------------
@@ -375,25 +371,11 @@ def test_first_full_candidate_of_wrong_size_is_a_typed_error(monkeypatch, t4):
         solve_unweighted(t4)
 
 
-def test_default_solve_builds_only_the_winner(monkeypatch):
-    from diskdom import gen_random
-
-    built = []
-    init = GreedyCandidate.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    inst = gen_random(400, 3, "circle", "uniform(1.0,3.0)", "unit").to_instance(weighted=False)
-    monkeypatch.setattr(GreedyCandidate, "__init__", counting)
-    with recording(ug, "GreedyLevel") as levels:
-        sol = solve_unweighted(inst)
-    assert sol.size == len(levels) >= 4
-    assert sum(len(level.starts) for level in levels) > 1000  # many candidates, one object
-    assert len(built) <= 1
-    GreedyCandidate(0, 1, frozenset((0,)), 0, 1)  # the counter sees constructions
-    assert len(built) <= 2 and built[-1].level == 1
+def test_module_defines_no_candidate_type():
+    # candidates stay rows of columns: the module has no candidate class,
+    # no validator and no row-to-object method
+    assert not [name for name in vars(ug) if "Candidate" in name or "validator" in name]
+    assert not hasattr(ug.GreedyLevel, "candidate")
 
 
 def test_freeze_builds_no_valued_sublists(monkeypatch):
@@ -471,48 +453,37 @@ def test_invariant_errors_survive_optimized_mode():
 
 
 def test_validators_raise_under_optimized_mode():
-    # each case breaks exactly one check of one validator on the unit
-    # square, where adjacent disks meet and diagonal ones do not
-    cases = {
-        "weighted owner": "wdp.Candidate(0, 2, 1.0, frozenset((1,)), 0, 1)",
-        "weighted count": "wdp.Candidate(0, 2, 2.0, frozenset((0, 1)), 0, 1)",
-        "weighted value": "wdp.Candidate(0, 2, 0.5, frozenset((0,)), 0, 1)",
-        "weighted cover": "wdp.Candidate(0, 3, 1.0, frozenset((0,)), 0, 1)",
-        "greedy owner": "ug.GreedyCandidate(0, 2, frozenset((1,)), 0, 1)",
-        "greedy run": "ug.GreedyCandidate(1, 2, frozenset((0,)), 0, 1)",
-        "greedy count": "ug.GreedyCandidate(0, 2, frozenset((0, 1)), 0, 1)",
-        "greedy cover": "ug.GreedyCandidate(0, 3, frozenset((0,)), 0, 1)",
-    }
+    # every corruption of the column check, for each solver that has the
+    # rule, on the ring the corruptions are written for
+    from invariant_reference import CORRUPTIONS
+
+    cases = [
+        f"{weighted} {name}"
+        for name, (_, weighted_only, _, _) in CORRUPTIONS.items()
+        for weighted in ((True,) if weighted_only else (True, False))
+    ]
     lines = [
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})",
         "import numpy as np",
         "import diskdom.unweighted_greedy as ug",
-        "import diskdom.weighted_dp as wdp",
-        "from diskdom import Point, WeightedDisk, canonicalize",
         "from diskdom.geometry import NotConsecutive, union_columns",
         "from diskdom.solution import SolverInvariantError",
-        "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
-        "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
-        "validators = {",
-        "    'weighted': wdp.make_validator(inst),",
-        "    'greedy': ug.make_greedy_validator(inst),",
-        "}",
-        "checks = {",
-        "    'greedy step to level 1': lambda: ug.directional_steps(None, [None], 1, ccw=True),",
-        "}",
+        "from invariant_reference import CORRUPTIONS, corrupted, rejects",
+        "try:",
+        "    ug.directional_steps(None, [None], 1, ccw=True)",
+        "except SolverInvariantError:",
+        "    print('greedy step to level 1')",
         "gap = ((np.array([0, 0]), np.array([1, 1])), (np.array([1, 2]), np.array([1, 1])))",
         "try:",
         "    union_columns(4, gap)",  # row 1 leaves index 1 uncovered
-        "except NotConsecutive:",
-        "    print('columnar union gap')",
-    ]
-    for name, cand in cases.items():
-        lines.append(f"checks[{name!r}] = lambda: validators[{name.split()[0]!r}]({cand})")
-    lines += [
-        "for name, check in checks.items():",
-        "    try:",
-        "        check()",
-        "    except SolverInvariantError:",
-        "        print(name)",
+        "except NotConsecutive as exc:",
+        "    print(f'columnar union gap in row {exc.row}')",
+        "for name, (_, weighted_only, _, _) in CORRUPTIONS.items():",
+        "    for weighted in (True,) if weighted_only else (True, False):",
+        "        if rejects(*corrupted(name, weighted=weighted)):",
+        "            print(weighted, name)",
     ]
     raised = _run_optimized(lines).splitlines()
-    assert sorted(raised) == sorted(["columnar union gap", "greedy step to level 1", *cases])
+    other = ["columnar union gap in row 1", "greedy step to level 1"]
+    assert sorted(raised) == sorted(other + cases)

@@ -11,14 +11,13 @@ from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
 from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.weighted_dp import (
-    Candidate,
     build_level,
     dedup_rows,
-    make_validator,
     solve_weighted,
     solve_weighted_all_k,
     solve_weighted_unbounded,
 )
+from invariant_reference import candidate_of, checked_levels, recording_checks
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, solvers_using
 from run_reference import run_of
 from weighted_reference import bidirectional_processing, directional_processing
@@ -54,7 +53,7 @@ def rand_instance(rng, n, *, spread=(0.3, 3.0)):
 
 def bucket(level, i):
     """Point i's candidates in id order, as `Candidate`s."""
-    return [level.candidate(c) for c in np.flatnonzero(level.owners == i).tolist()]
+    return [candidate_of(level, c) for c in np.flatnonzero(level.owners == i).tolist()]
 
 
 COLUMNS = ("starts", "lengths", "owners", "values", "parents")
@@ -386,19 +385,22 @@ def test_solution_reports_original_indices():
 
 
 def test_validator_rejects_bad_candidates(t4):
-    validate = make_validator(t4)
-    nbr = NaiveNeighborIndex(t4)
-    run = nbr.dominated_run(0)
-    good = Candidate(*run, 1.0, frozenset((0,)), 0, 1)
-    validate(good)
-    with pytest.raises(SolverInvariantError):
-        validate(Candidate(*run, 1.0, frozenset((1,)), 0, 1))
-    with pytest.raises(SolverInvariantError):
-        validate(Candidate(0, 4, 1.0, frozenset((0,)), 0, 1))
-    with pytest.raises(SolverInvariantError):
-        validate(Candidate(*run, 0.5, frozenset((0,)), 0, 1))
-    with pytest.raises(SolverInvariantError):
-        validate(Candidate(*run, 2.0, frozenset((0, 1)), 0, 1))
+    # the unit square's rows, each broken in one column: a witness that is
+    # not the owner, a run longer than the owner dominates, a value below
+    # the owner's weight, and a level-1 row joining another row
+    level1, level2 = checked_levels(t4, wdp, 2)
+    level1.check()
+    level2.check()
+    cases = [
+        (level2.broken("parents", (1, 1, -1, -1)), "does not own l1"),
+        (level1.broken("lengths", 4), "dominated run"),
+        (level1.broken("values", 0.5), "owner's weight"),
+        (level1.broken("parents", (1, 1, -1, -1)), "has parents"),
+    ]
+    assert level2.owners[0] == 0
+    for rows, words in cases:
+        with pytest.raises(SolverInvariantError, match=words):
+            rows.check()
 
 
 def test_insert_keeps_one_candidate_per_run():
@@ -479,50 +481,32 @@ def test_check_invariants_changes_nothing_and_sees_every_combination():
     for inst in invariant_instances():
         n = inst.n
         nbr = build_neighbor_index(inst)
-        validate = make_validator(inst)
-        seen = []
-
-        def counting(cand):
-            validate(cand)
-            seen.append(cand)
-
         plain, checked = [None], [None]
         for t in range(1, min(n, 5) + 1):
             plain.append(build_level(inst, nbr, plain, t))
-            seen.clear()
-            checked.append(build_level(inst, nbr, checked, t, validator=counting))
+            with recording_checks(wdp) as seen:
+                checked.append(build_level(inst, nbr, checked, t, check_invariants=True))
             # same ids (bucket order), runs, values, parent rows and witness sets
             assert_same_level(checked[t], plain[t])
+            (rows,) = seen
+            assert rows.t == t
+            every = rows.level()
             for i in range(n):
-                got = [c for c in seen if c.owner == i]
+                got = np.flatnonzero(rows.owners == i).tolist()
                 want = 1 if t == 1 else combination_count(plain, i, t)
                 assert len(got) == want, (n, t, i)
-                assert set(bucket(plain[t], i)) <= set(got)
-            # the validator also sees the same-run copies the dedup drops
-            repeats += len(seen) - len({(c.owner, c.start, c.length) for c in seen})
+                assert set(bucket(plain[t], i)) <= {candidate_of(every, c) for c in got}
+            # the check also sees the same-run copies the dedup drops
+            runs = set(zip(rows.owners.tolist(), rows.starts.tolist(), rows.lengths.tolist()))
+            repeats += len(rows.owners) - len(runs)
     assert repeats > 0
 
 
-def test_default_solve_builds_at_most_one_candidate(monkeypatch):
-    from diskdom import gen_random
-
-    built = []
-    init = Candidate.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    inst = gen_random(30, 1001, "circle", "uniform(2.0,6.0)", "uniform(1,10)").to_instance()
-    monkeypatch.setattr(Candidate, "__init__", counting)
-    with recording(wdp, "LevelTable") as tables:
-        solve_weighted(inst, 6)
-    assert [table.level for table in tables] == [1, 2, 3, 4, 5, 6]
-    assert sum(len(table.starts) for table in tables) > 1000
-    assert len(built) <= 1
-    before = len(built)
-    Candidate(0, 1, 1.0, frozenset((0,)), 0, 1)  # the counter sees constructions
-    assert len(built) == before + 1
+def test_module_defines_no_candidate_type():
+    # combinations stay rows of columns: the module has no candidate class,
+    # no validator and no row-to-object method
+    assert not [name for name in vars(wdp) if "Candidate" in name or "validator" in name]
+    assert not hasattr(wdp.LevelTable, "candidate")
 
 
 def test_all_k_answers_match_single_solves():

@@ -41,8 +41,9 @@ import numpy as np
 
 from conftest import mk_instance
 from diskdom.geometry import offset_ccw
-from diskdom.weighted_dp import Candidate, LevelTable
+from diskdom.weighted_dp import LevelTable
 from greedy_reference import dominated_run
+from invariant_reference import Candidate, candidate_of
 from run_reference import CyclicSublist, run_of, union_extend, union_runs
 
 # -- the scalar level builder ---------------------------------------------------
@@ -240,7 +241,7 @@ class ScanLevelTable(_AnchorChains):
 
 
 def _answer(level: LevelTable, ident: Optional[int]) -> Optional[Candidate]:
-    return None if ident is None else level.candidate(ident)
+    return None if ident is None else candidate_of(level, ident)
 
 
 def _candidate(sub: CyclicSublist, value, witnesses, owner, level) -> Candidate:
