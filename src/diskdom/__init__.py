@@ -25,7 +25,7 @@ from .instance_io import (
     render_svg,
     solution_document,
 )
-from .neighbor_index import INTERSECTS_ALL, build_neighbor_index
+from .neighbor_index import build_neighbor_index
 from .oracle import (
     Assignment,
     brute_force_min,
@@ -45,7 +45,6 @@ __all__ = [
     "BadParams",
     "DuplicateCenter",
     "GeometryError",
-    "INTERSECTS_ALL",
     "Infeasible",
     "Instance",
     "InstanceDocument",

@@ -1,13 +1,12 @@
-"""First-non-intersecting-disk queries along the cyclic order.
+"""First-disjoint-disk queries along the cyclic order, asked in batches.
 
-For a fixed disk i and a scan origin j, the two core queries return the
-first index z (counterclockwise respectively clockwise from j, inclusive)
-whose disk does *not* intersect disk i.  When no such index exists the
-explicit sentinel INTERSECTS_ALL is returned instead of a fake index, so
-callers are forced to treat saturation separately.  The index turns them
-into the runs the solvers merge, as (start, length) pairs
-(`dominated_run`, `run_after`, `run_before`), and into the counting bound
-on any dominating set (`domination_lower_bound`).
+For a disk i and a scan origin j, `first_disjoint` returns the first
+index z, counterclockwise or clockwise from j inclusive, whose disk does
+*not* intersect disk i, and -1 when disk i meets every disk.  It answers
+arrays of (i, j) pairs at once.  The index turns the answers into the
+runs the solvers merge, as start and length arrays (`dominated_runs`,
+`runs_past`), and gives the counting bound on any dominating set
+(`domination_lower_bound`), which the weighted DP asks after level 1.
 
 Every answer is decided by `geometry.intersects_row`, negated, so it
 agrees bit for bit with `verify`.  One index answers them at every n,
@@ -17,7 +16,7 @@ its smallest radius; a query skips every node the circle proves to meet
 disk i throughout, and evaluates the other blocks exactly, as 64-bit
 avoidance words.
 
-The solvers ask batches of queries, and the query flow is:
+The query flow is:
 
 - `first_disjoint` answers an array of (i, j) pairs by walking the tree;
   it is asked directly only for the 2n walks from each disk i itself that
@@ -28,10 +27,10 @@ The solvers ask batches of queries, and the query flow is:
   when disk i misses disk j, it is the empty tail.  Only the rest, which
   start outside the run on a disk i meets, walk `first_disjoint`.
 
-The runs and the scalar queries are built on `first_disjoint` once, in
-`_NeighborIndex`, beside the counting bound, which is counted from blocks
-of `intersects_row` rows.  The tests check the index against a
-disk-by-disk walk with a scalar predicate (`tests/query_reference.py`).
+The counting bound is counted from blocks of `intersects_row` rows.  The
+tests check the index against a disk-by-disk walk with a scalar
+predicate, whose scalar runs are the reference for `runs_past`
+(`tests/query_reference.py`).
 """
 
 from __future__ import annotations
@@ -45,18 +44,6 @@ from .geometry import Instance, intersects_row, union_columns
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _LANES = np.arange(64)
 _PAIRS_PER_BLOCK = 1 << 15  # pair tests per block: temporaries stay in cache
-
-
-class _IntersectsAll:
-    """Sentinel: the queried disk intersects every disk of the instance."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INTERSECTS_ALL"
-
-
-INTERSECTS_ALL = _IntersectsAll()
 
 
 def _bit_index(x: np.ndarray, *, lowest: bool) -> np.ndarray:
@@ -77,115 +64,7 @@ def _cut(x: np.ndarray, bit: np.ndarray, *, ccw: bool) -> np.ndarray:
     return x & ((_ONES << bit) if ccw else (_ONES >> (np.uint64(63) - bit)))
 
 
-class _NeighborIndex:
-    """The runs and scalar queries, built on a subclass's batched `first_disjoint`."""
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self.n = instance.n
-        self._arrays = instance.xs, instance.ys, instance.rs
-
-    def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
-        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL."""
-        raise NotImplementedError
-
-    def _first_disjoint_one(self, i: int, j: int, *, ccw: bool):
-        z = int(self.first_disjoint(np.array([i]), np.array([j]), ccw=ccw)[0])
-        return INTERSECTS_ALL if z < 0 else z
-
-    def first_disjoint_ccw(self, i, j):
-        return self._first_disjoint_one(i, j, ccw=True)
-
-    def first_disjoint_cw(self, i, j):
-        return self._first_disjoint_one(i, j, ccw=False)
-
-    def run_after(self, i: int, z: int) -> tuple[int, int]:
-        """The run from z+1 counterclockwise that disk i meets throughout.
-
-        Returned as (start, length): it stops just before the first disk
-        disjoint from disk i, and is (0, n) when disk i meets every disk.
-        """
-        n = self.n
-        a = self.first_disjoint_ccw(i, (z + 1) % n)
-        if a is INTERSECTS_ALL:
-            return 0, n
-        return (z + 1) % n, (a - z - 1) % n
-
-    def run_before(self, i: int, z: int) -> tuple[int, int]:
-        """Mirror of `run_after`: the run from z-1 clockwise, as (start, length)."""
-        n = self.n
-        b = self.first_disjoint_cw(i, (z - 1) % n)
-        if b is INTERSECTS_ALL:
-            return 0, n
-        return (b + 1) % n, (z - b - 1) % n
-
-    def _runs_from(self, i, j, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The run disk i[q] meets from j[q] on, ccw or cw, walked by `first_disjoint`."""
-        n = self.n
-        f = self.first_disjoint(i, j, ccw=ccw)
-        full = f < 0
-        starts = np.where(full, 0, j if ccw else (f + 1) % n)
-        return starts, np.where(full, n, (f - j) % n if ccw else (j - f) % n)
-
-    def runs_past(self, i, z, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
-        """`run_after(i[q], z[q])` (or `run_before`) of each pair, as start and length arrays.
-
-        With j = z+1 (z-1 clockwise) and disk i's dominated run (s, k):
-        1. j in the run, at off = j - s: the run is maximal, so the answer
-           is the rest of it, (j, k - off) counterclockwise and
-           (s, off + 1) clockwise, or (0, n) when the run is full;
-        2. otherwise, when disk i misses disk j: the empty tail, (j, 0)
-           counterclockwise and (j + 1, 0) clockwise;
-        3. otherwise `first_disjoint` walks from j.
-        """
-        n = self.n
-        i = np.asarray(i, np.int64)
-        j = (np.asarray(z, np.int64) + (1 if ccw else -1)) % n
-        dom_s, dom_k = self.dominated_runs
-        s, k = dom_s[i], dom_k[i]
-        off = (j - s) % n
-        starts, lengths = (j, k - off) if ccw else (s, off + 1)
-        full = k == n
-        starts, lengths = np.where(full, 0, starts), np.where(full, n, lengths)
-        past = np.flatnonzero(off >= k)
-        starts[past] = j[past] if ccw else (j[past] + 1) % n
-        lengths[past] = 0
-        walk = past[intersects_row(*self._arrays, i[past], j[past])]
-        if len(walk):
-            starts[walk], lengths[walk] = self._runs_from(i[walk], j[walk], ccw=ccw)
-        return starts, lengths
-
-    @cached_property
-    def dominated_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every disk's `dominated_run`, as start and length arrays."""
-        i = np.arange(self.n)
-        # the stretch clockwise up to i, then the one counterclockwise from i
-        before = self._runs_from(i, i, ccw=False)
-        return union_columns(self.n, (before, self._runs_from(i, i, ccw=True)))
-
-    def domination_lower_bound(self) -> int:
-        """Fewest disks any dominating set needs.
-
-        Each disk dominates only its closed neighborhood, so at least
-        ceil(n / largest closed neighborhood) disks are needed.  The
-        neighborhoods are counted in blocks of rows, and kept nowhere.
-        """
-        n = self.n
-        block = max(1, _PAIRS_PER_BLOCK // n)
-        rows = (np.arange(lo, min(n, lo + block))[:, None] for lo in range(0, n, block))
-        largest = max(int(intersects_row(*self._arrays, r).sum(axis=1).max()) for r in rows)
-        return -(-n // largest)
-
-    def dominated_run(self, i: int) -> tuple[int, int]:
-        """Maximal contiguous run around p_i whose disks all meet disk i.
-
-        Returned as (start, length), and (0, n) when disk i meets every disk.
-        """
-        starts, lengths = self.dominated_runs
-        return int(starts[i]), int(lengths[i])
-
-
-class _TreeNeighborIndex(_NeighborIndex):
+class _TreeNeighborIndex:
     """Bounding circles over blocks of 64 disks; only unproven blocks are evaluated.
 
     Leaf w holds disks 64w..64w+63, and its avoidance word has bit b set
@@ -208,9 +87,9 @@ class _TreeNeighborIndex(_NeighborIndex):
     _SAFE = (2.0**-500, 2.0**500)
 
     def __init__(self, instance: Instance):
-        super().__init__(instance)
-        n = self.n
-        xs, ys, rs = self._arrays
+        self.instance = instance
+        self.n = n = instance.n
+        self._arrays = xs, ys, rs = instance.xs, instance.ys, instance.rs
         self._leaves = leaves = -(-n // 64)
         self._top = top = (leaves - 1).bit_length()
         # blocks are gathered from copies padded to whole leaves with disks
@@ -255,7 +134,7 @@ class _TreeNeighborIndex(_NeighborIndex):
         return (bound <= radii * self._MARGIN) & (radii >= lo) & (radii <= hi)
 
     def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
-        """`first_disjoint_ccw` (or `_cw`) of each pair (i[q], j[q]); -1 for INTERSECTS_ALL.
+        """First disk from j[q] on, ccw or cw, that misses disk i[q]; -1 where i[q] meets all.
 
         Tests disk j, then the rest of j's leaf that way round, then walks
         the tree.  The walk runs in scan positions s, the leaf index
@@ -321,7 +200,70 @@ class _TreeNeighborIndex(_NeighborIndex):
             )
         return out
 
+    def _runs_from(self, i, j, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The run disk i[q] meets from j[q] on, ccw or cw, walked by `first_disjoint`."""
+        n = self.n
+        f = self.first_disjoint(i, j, ccw=ccw)
+        full = f < 0
+        starts = np.where(full, 0, j if ccw else (f + 1) % n)
+        return starts, np.where(full, n, (f - j) % n if ccw else (j - f) % n)
 
-def build_neighbor_index(instance: Instance) -> _NeighborIndex:
+    def runs_past(self, i, z, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The run disk i[q] meets from z[q]+1 on ccw (z[q]-1 on cw), as start and length arrays.
+
+        Each run stops just before the first disk disjoint from disk i, and
+        is (0, n) when disk i meets every disk.  With j = z+1 (z-1
+        clockwise) and disk i's dominated run (s, k):
+        1. j in the run, at off = j - s: the run is maximal, so the answer
+           is the rest of it, (j, k - off) counterclockwise and
+           (s, off + 1) clockwise, or (0, n) when the run is full;
+        2. otherwise, when disk i misses disk j: the empty tail, (j, 0)
+           counterclockwise and (j + 1, 0) clockwise;
+        3. otherwise `first_disjoint` walks from j.
+        """
+        n = self.n
+        i = np.asarray(i, np.int64)
+        j = (np.asarray(z, np.int64) + (1 if ccw else -1)) % n
+        dom_s, dom_k = self.dominated_runs
+        s, k = dom_s[i], dom_k[i]
+        off = (j - s) % n
+        starts, lengths = (j, k - off) if ccw else (s, off + 1)
+        full = k == n
+        starts, lengths = np.where(full, 0, starts), np.where(full, n, lengths)
+        past = np.flatnonzero(off >= k)
+        starts[past] = j[past] if ccw else (j[past] + 1) % n
+        lengths[past] = 0
+        walk = past[intersects_row(*self._arrays, i[past], j[past])]
+        if len(walk):
+            starts[walk], lengths[walk] = self._runs_from(i[walk], j[walk], ccw=ccw)
+        return starts, lengths
+
+    @cached_property
+    def dominated_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each disk's dominated run, as start and length arrays.
+
+        That is the maximal run around disk i whose disks all meet disk i,
+        and (0, n) when disk i meets every disk.
+        """
+        i = np.arange(self.n)
+        # the stretch clockwise up to i, then the one counterclockwise from i
+        before = self._runs_from(i, i, ccw=False)
+        return union_columns(self.n, (before, self._runs_from(i, i, ccw=True)))
+
+    def domination_lower_bound(self) -> int:
+        """Fewest disks any dominating set needs.
+
+        Each disk dominates only its closed neighborhood, so at least
+        ceil(n / largest closed neighborhood) disks are needed.  The
+        neighborhoods are counted in blocks of rows, and kept nowhere.
+        """
+        n = self.n
+        block = max(1, _PAIRS_PER_BLOCK // n)
+        rows = (np.arange(lo, min(n, lo + block))[:, None] for lo in range(0, n, block))
+        largest = max(int(intersects_row(*self._arrays, r).sum(axis=1).max()) for r in rows)
+        return -(-n // largest)
+
+
+def build_neighbor_index(instance: Instance) -> _TreeNeighborIndex:
     """The neighbor index both solvers query: the bounding-circle tree, at every n."""
     return _TreeNeighborIndex(instance)

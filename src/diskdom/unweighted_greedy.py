@@ -5,21 +5,23 @@ weight, so each step can be greedy: per direction and split level it keeps
 only the candidate reaching farthest around the circle, which caps every
 bucket at O(level) entries.  The first level that produces a full-circle
 candidate ends the search; that candidate's witnesses are a smallest
-dominating set.
+dominating set.  So a size bound k_cap needs no proof of its own: the
+search stops, infeasible, after level k_cap.
 
 A level is a set of int64 columns (`GreedyLevel`, on the `RunLevel` base
 the weighted DP shares): each candidate's run as (start, length), its
 owner, and a parent row naming the lower-level candidates it joins.
 `build_level` builds level t in whole-level numpy passes, one per
 direction and split level over all points (`directional_steps`,
-`bidirectional_steps`), with batched neighbor queries
-(`neighbor_index.runs_past`) and row-wise merges
+`bidirectional_steps`), with the neighbor index's batched runs
+(`dominated_runs`, and `runs_past` for the tails) and row-wise merges
 (`geometry.union_columns`).  No candidate is an object: only the
 winner's witness set is rebuilt, by walking its parents down to level 1;
 `check_invariants=True` checks every level against its parent rows.
 
 The tests compare each level with a point-by-point scalar twin
-(`tests/greedy_reference.py`), and swap in a plain-scan twin of
+(`tests/greedy_reference.py`) that asks a disk-by-disk walk for one run
+at a time, and swap in a plain-scan twin of
 `farthest_ids` (`tests/query_reference.py`) to check that the solves agree.
 """
 
@@ -212,8 +214,8 @@ def build_level(
         blocks = [directional_steps(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
         blocks += bidirectional_steps(nbr, levels, t)
     owners, starts, lengths, parents = (np.concatenate(col) for col in zip(*blocks))
-    slots = np.repeat(np.arange(len(blocks)), [len(block[0]) for block in blocks])
-    order = np.lexsort((slots, owners))
+    # blocks are concatenated in slot order, so a stable sort keeps it per owner
+    order = np.argsort(owners, kind="stable")
     owners, starts, lengths, parents = owners[order], starts[order], lengths[order], parents[order]
     if check_invariants:
         check_level(nbr, levels, t, owners, starts, lengths, parents)
@@ -225,8 +227,9 @@ def solve_unweighted(
 ) -> Solution:
     """Smallest dominating set; Infeasible only when k_cap cuts the search off.
 
-    A k_cap below the counting bound (`domination_lower_bound`) raises
-    Infeasible right after level 1.  SolverInvariantError reports a search
+    The first level with a full candidate is the optimum size, so the
+    search raises Infeasible once it would build level k_cap + 1; no
+    counting bound is asked first.  SolverInvariantError reports a search
     that broke its own guarantees: no full candidate by level n, or a
     first full candidate whose witness count differs from its level.
     `check_invariants=True` also checks every level (`check_level`).
@@ -240,8 +243,6 @@ def solve_unweighted(
     while True:
         t += 1
         if k_cap is not None and t > k_cap:
-            raise Infeasible(k_cap)
-        if t == 2 and k_cap is not None and nbr.domination_lower_bound() > k_cap:
             raise Infeasible(k_cap)
         if t > n:
             raise SolverInvariantError(f"no full candidate by level {n}")

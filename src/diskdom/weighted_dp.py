@@ -100,16 +100,6 @@ class LevelTable(RunLevel):
             table = self._chains[bucket, ccw] = self._chain_table(bucket, ccw=ccw)
         return table
 
-    def bucket_chain(self, i: int, *, ccw: bool) -> np.ndarray:
-        """Ids of the distinct bucket-i answers for queries growing from i, ccw or cw."""
-        ptr, ids = self.chains(bucket=True, ccw=ccw)
-        return ids[ptr[i] : ptr[i + 1]]
-
-    def global_chain(self, anchor: int, *, ccw: bool) -> np.ndarray:
-        """Ids of the distinct global answers for queries growing from `anchor`, ccw or cw."""
-        ptr, ids = self.chains(bucket=False, ccw=ccw)
-        return ids[ptr[anchor] : ptr[anchor + 1]]
-
     def _chain_table(self, bucket: bool, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
         """The staircases of one kind, all anchors in whole-array passes.
 

@@ -3,8 +3,9 @@
 `build_level` builds a level from the same lower levels as
 `unweighted_greedy.build_level`, but with the scalar step: per point,
 direction and split level it reads the lower levels' answers one by one,
-asks only the scalar neighbor queries (`run_after`/`run_before`) and
-merges with the scalar `run_reference.union_runs`.  It returns a `GreedyLevel` with the
+asks only the scalar runs of `query_reference.NaiveNeighborIndex`
+(`run_after`/`run_before`), which it must be given, and merges with the
+scalar `run_reference.union_runs`.  It returns a `GreedyLevel` with the
 same columns and parent rows, so the tests compare the two builders id by
 id.  The solvers never run it.
 """

@@ -1,17 +1,18 @@
 """Reference twins of the solvers' query structures; the solvers never run them.
 
 `NaiveNeighborIndex` answers the first-disjoint-disk queries by walking
-the cyclic order disk by disk with a scalar predicate, where the
-production index walks a bounding-circle tree; its batched
-`first_disjoint` runs that walk once per query, its `runs_past` walks
-every tail with `run_after`/`run_before` (no dominated-run shortcut), and
-its counting bound counts each disk's neighborhood with the same
-predicate.  It shares only the runs built on those answers
-(`_NeighborIndex`).
+the cyclic order disk by disk with a scalar predicate (`walk`), where the
+production index walks a bounding-circle tree.  Its scalar runs
+(`run_after`, `run_before`) are the reference the tests hold the batched
+runs to: its batched `first_disjoint` runs the walk once per query, its
+`runs_past` asks `run_after`/`run_before` for every tail (no dominated-run
+shortcut), and the scalar level builder `greedy_reference.py` asks them
+one run at a time.  Its counting bound counts each disk's neighborhood
+with the same predicate.  It shares only `dominated_runs`, built on its
+`first_disjoint`, with the production index it subclasses.
 `scan_farthest_ids` answers each farthest-enclosing-run query by
 scanning every run's reach, index by index, where
 `unweighted_greedy.farthest_ids` sweeps all indexes at once.
-The unweighted level builder's scalar twin is `greedy_reference.py`.
 The weighted DP's twin, `weighted_reference.ScanLevelTable`, builds its
 scan chains from plain cheapest-enclosing scans.
 `tail_walks` counts the tail queries that must walk the tree, from whole
@@ -33,12 +34,12 @@ import pytest
 import diskdom.unweighted_greedy as ug
 import diskdom.weighted_dp as wdp
 from diskdom.geometry import intersects_row
-from diskdom.neighbor_index import INTERSECTS_ALL, _NeighborIndex, _TreeNeighborIndex
+from diskdom.neighbor_index import _TreeNeighborIndex
 from weighted_reference import ScanLevelTable
 
 
-class NaiveNeighborIndex(_NeighborIndex):
-    """Walks the cyclic order disk by disk; builds no bit rows and no tree."""
+class NaiveNeighborIndex(_TreeNeighborIndex):
+    """Walks the cyclic order disk by disk; its tree is built but never asked."""
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -58,26 +59,38 @@ class NaiveNeighborIndex(_NeighborIndex):
         largest = max(sum(not self._avoids(i, z) for z in range(n)) for i in range(n))
         return -(-n // largest)
 
-    def first_disjoint_ccw(self, i, j):
+    def walk(self, i: int, j: int, *, ccw: bool) -> int:
+        """First disk from j on, ccw or cw, that misses disk i; -1 when i meets all."""
         n = self.n
         for step in range(n):
-            z = (j + step) % n
+            z = (j + step if ccw else j - step) % n
             if self._avoids(i, z):
                 return z
-        return INTERSECTS_ALL
+        return -1
 
-    def first_disjoint_cw(self, i, j):
+    def run_after(self, i: int, z: int) -> tuple[int, int]:
+        """The run from z+1 counterclockwise that disk i meets throughout.
+
+        Returned as (start, length): it stops just before the first disk
+        disjoint from disk i, and is (0, n) when disk i meets every disk.
+        """
         n = self.n
-        for step in range(n):
-            z = (j - step) % n
-            if self._avoids(i, z):
-                return z
-        return INTERSECTS_ALL
+        a = self.walk(i, (z + 1) % n, ccw=True)
+        if a < 0:
+            return 0, n
+        return (z + 1) % n, (a - z - 1) % n
+
+    def run_before(self, i: int, z: int) -> tuple[int, int]:
+        """Mirror of `run_after`: the run from z-1 clockwise, as (start, length)."""
+        n = self.n
+        b = self.walk(i, (z - 1) % n, ccw=False)
+        if b < 0:
+            return 0, n
+        return (b + 1) % n, (z - b - 1) % n
 
     def first_disjoint(self, i, j, *, ccw):
-        walk = self.first_disjoint_ccw if ccw else self.first_disjoint_cw
-        hits = (walk(a, b) for a, b in zip(np.asarray(i).tolist(), np.asarray(j).tolist()))
-        return np.array([-1 if z is INTERSECTS_ALL else z for z in hits], np.int64)
+        pairs = zip(np.asarray(i).tolist(), np.asarray(j).tolist())
+        return np.array([self.walk(a, b, ccw=ccw) for a, b in pairs], np.int64)
 
     def runs_past(self, i, z, *, ccw):
         run = self.run_after if ccw else self.run_before
@@ -134,7 +147,7 @@ def counting_queries():
     answered, "tails" the (i, z, ccw) batches of `runs_past`, copied.
     """
     asked = {"walked": 0, "tails": []}
-    walk, tail = _TreeNeighborIndex.first_disjoint, _NeighborIndex.runs_past
+    walk, tail = _TreeNeighborIndex.first_disjoint, _TreeNeighborIndex.runs_past
 
     def first_disjoint(self, i, j, *, ccw):
         asked["walked"] += len(i)
@@ -146,7 +159,7 @@ def counting_queries():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_TreeNeighborIndex, "first_disjoint", first_disjoint)
-        mp.setattr(_NeighborIndex, "runs_past", runs_past)
+        mp.setattr(_TreeNeighborIndex, "runs_past", runs_past)
         yield asked
 
 

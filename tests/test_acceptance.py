@@ -18,7 +18,7 @@ import diskdom.unweighted_greedy as ug
 from conftest import recording
 from diskdom import cli
 from diskdom.instance_io import gen_figure1, gen_random
-from diskdom.neighbor_index import INTERSECTS_ALL, _TreeNeighborIndex, build_neighbor_index
+from diskdom.neighbor_index import _TreeNeighborIndex, build_neighbor_index
 from diskdom.oracle import (
     brute_force_min,
     check_domination_of_assignment,
@@ -137,16 +137,11 @@ def _random_runs(rng, n, count):
     ]
 
 
-CHAIN_KINDS = (
-    ("bucket_chain", True),
-    ("bucket_chain", False),
-    ("global_chain", True),
-    ("global_chain", False),
-)
+CHAIN_KINDS = ((True, True), (True, False), (False, True), (False, False))  # (bucket, ccw)
 
 
 def test_query_structure_equivalence():
-    from weighted_reference import level_of_runs, ring
+    from weighted_reference import chain_of, level_of_runs, ring
 
     rng = random.Random(31337)
     min_trials = far_trials = 0
@@ -162,11 +157,11 @@ def test_query_structure_equivalence():
         fast_far = farthest_ids(starts, lengths, n)
         slow_far = scan_farthest_ids(starts, lengths, n)
         for _ in range(100):
-            kind, ccw = rng.choice(CHAIN_KINDS)
+            bucket, ccw = rng.choice(CHAIN_KINDS)
             anchor = rng.randrange(n)
-            a = getattr(fast_min, kind)(anchor, ccw=ccw)
-            b = getattr(slow_min, kind)(anchor, ccw=ccw)
-            assert a.tolist() == b.tolist(), (n, kind, ccw, anchor)
+            a = chain_of(fast_min, anchor, bucket=bucket, ccw=ccw)
+            b = chain_of(slow_min, anchor, bucket=bucket, ccw=ccw)
+            assert a.tolist() == b.tolist(), (n, bucket, ccw, anchor)
             min_trials += 1
         for _ in range(100):
             j = rng.randrange(n)
@@ -184,12 +179,11 @@ def test_query_structure_equivalence():
         inst = gen_random(n, 30_000 + i, FAMILIES[i % 3], law, "unit").to_instance()
         tree = _TreeNeighborIndex(inst)
         naive = NaiveNeighborIndex(inst)
-        expected = {True: [], False: []}  # naive answers by direction, -1 for INTERSECTS_ALL
+        expected = {True: [], False: []}  # naive answers by direction, -1 where i meets all
         for a_ in range(n):
             for b_ in range(n):
-                for ccw, scan in ((True, "first_disjoint_ccw"), (False, "first_disjoint_cw")):
-                    hit = getattr(naive, scan)(a_, b_)
-                    expected[ccw].append(-1 if hit is INTERSECTS_ALL else hit)
+                for ccw in (True, False):
+                    expected[ccw].append(naive.walk(a_, b_, ccw=ccw))
                     sweeps += 1
         # every (i, j) pair at once through the tree walk
         i_all, j_all = np.divmod(np.arange(n * n), n)

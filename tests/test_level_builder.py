@@ -101,10 +101,10 @@ def assert_weighted_levels_agree(inst, depth) -> int:
             assert level.witnesses(c) == twin.witnesses(c), (t, c)
         for anchor in range(n):
             for ccw in (True, False):
-                for kind in ("bucket_chain", "global_chain"):
-                    got = getattr(level, kind)(anchor, ccw=ccw)
-                    want = getattr(twin, kind)(anchor, ccw=ccw)
-                    assert got.tolist() == want.tolist(), (t, anchor, ccw, kind)
+                for bucket in (True, False):
+                    got = weighted_reference.chain_of(level, anchor, bucket=bucket, ccw=ccw)
+                    want = weighted_reference.chain_of(twin, anchor, bucket=bucket, ccw=ccw)
+                    assert got.tolist() == want.tolist(), (t, anchor, ccw, bucket)
         levels.append(level)
     return sum(len(level.starts) for level in levels[1:])
 

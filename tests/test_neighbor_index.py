@@ -14,15 +14,22 @@ from diskdom.geometry import (
     intersects,
     intersects_row,
 )
-from diskdom.neighbor_index import INTERSECTS_ALL, _TreeNeighborIndex, build_neighbor_index
+from diskdom.neighbor_index import _TreeNeighborIndex, build_neighbor_index
 from conftest import mk_instance, tangent_chain_instances
+from greedy_reference import dominated_run
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, counting_queries, tail_walks
 from run_reference import CyclicSublist
 
 
 def dominated(idx, i):
-    """The (start, length) pair `dominated_run` returns, as a CyclicSublist."""
-    return CyclicSublist(*idx.dominated_run(i), idx.n)
+    """Disk i's run in `dominated_runs`, as a CyclicSublist."""
+    starts, lengths = idx.dominated_runs
+    return CyclicSublist(int(starts[i]), int(lengths[i]), idx.n)
+
+
+def all_pairs(n):
+    """Every (i, j) pair as two arrays, i major."""
+    return np.divmod(np.arange(n * n), n)
 
 
 @pytest.fixture(params=list(NEIGHBOR_INDEXES))
@@ -32,16 +39,15 @@ def t4_index(request, t4):
 
 def test_t4_first_disjoint_ccw_from_self(t4_index):
     # walking ccw from p_0: p_0 and p_1 intersect disk 0, the diagonal p_2 doesn't
-    assert t4_index.first_disjoint_ccw(0, 0) == 2
+    assert t4_index.first_disjoint([0], [0], ccw=True).tolist() == [2]
 
 
 def test_t4_first_disjoint_ccw_scan_includes_origin(t4_index):
-    assert t4_index.first_disjoint_ccw(0, 2) == 2
+    assert t4_index.first_disjoint([0], [2], ccw=True).tolist() == [2]
 
 
 def test_t4_first_disjoint_cw(t4_index):
-    assert t4_index.first_disjoint_cw(0, 0) == 2
-    assert t4_index.first_disjoint_cw(1, 1) == 3
+    assert t4_index.first_disjoint([0, 1], [0, 1], ccw=False).tolist() == [2, 3]
 
 
 def test_t4_dominated_run(t4_index):
@@ -52,8 +58,8 @@ def test_giant_disk_intersects_all(big5):
     for build in NEIGHBOR_INDEXES.values():
         idx = build(big5)
         big = max(range(5), key=lambda i: big5.disks[i].radius)
-        assert idx.first_disjoint_ccw(big, 0) is INTERSECTS_ALL
-        assert idx.first_disjoint_cw(big, 3) is INTERSECTS_ALL
+        assert idx.first_disjoint([big], [0], ccw=True).tolist() == [-1]
+        assert idx.first_disjoint([big], [3], ccw=False).tolist() == [-1]
         assert dominated(idx, big).is_full
 
 
@@ -64,15 +70,16 @@ def test_isolated_disk_run_is_singleton():
         idx = build(inst)
         for i in range(4):
             assert list(dominated(idx, i).indices()) == [i]
-            assert idx.first_disjoint_ccw(i, i) == (i + 1) % 4
-            assert idx.first_disjoint_cw(i, i) == (i - 1) % 4
+        i = np.arange(4)
+        assert idx.first_disjoint(i, i, ccw=True).tolist() == [1, 2, 3, 0]
+        assert idx.first_disjoint(i, i, ccw=False).tolist() == [3, 0, 1, 2]
 
 
 def test_single_disk_instance():
     inst = mk_instance([(1, 2, 3)])
     for build in NEIGHBOR_INDEXES.values():
         idx = build(inst)
-        assert idx.first_disjoint_ccw(0, 0) is INTERSECTS_ALL
+        assert idx.first_disjoint([0], [0], ccw=True).tolist() == [-1]
         assert dominated(idx, 0).is_full
 
 
@@ -107,11 +114,12 @@ def test_strategies_agree_on_random_instances():
         done += 1
         naive = NaiveNeighborIndex(inst)
         tree = build_neighbor_index(inst)
-        for i in range(n):
-            for j in range(n):
-                assert tree.first_disjoint_ccw(i, j) == naive.first_disjoint_ccw(i, j)
-                assert tree.first_disjoint_cw(i, j) == naive.first_disjoint_cw(i, j)
-            assert naive.dominated_run(i) == tree.dominated_run(i)
+        i_all, j_all = all_pairs(n)
+        for ccw in (True, False):
+            walks = [naive.walk(i, j, ccw=ccw) for i, j in zip(i_all.tolist(), j_all.tolist())]
+            assert tree.first_disjoint(i_all, j_all, ccw=ccw).tolist() == walks
+        runs = list(zip(*(a.tolist() for a in tree.dominated_runs)))
+        assert runs == [dominated_run(naive, i) for i in range(n)]
 
 
 def test_intersects_all_consistency():
@@ -123,9 +131,8 @@ def test_intersects_all_consistency():
         idx = NaiveNeighborIndex(inst)
         n = inst.n
         for i in range(n):
-            answers = [idx.first_disjoint_ccw(i, j) for j in range(n)]
-            answers += [idx.first_disjoint_cw(i, j) for j in range(n)]
-            saturated = [a is INTERSECTS_ALL for a in answers]
+            answers = [idx.walk(i, j, ccw=ccw) for ccw in (True, False) for j in range(n)]
+            saturated = [a < 0 for a in answers]
             assert all(saturated) or not any(saturated)
 
 
@@ -158,15 +165,15 @@ def test_scan_answer_is_first_by_definition():
             continue
         idx = build_neighbor_index(inst)
         n = inst.n
-        for i in range(n):
-            for j in range(n):
-                z = idx.first_disjoint_ccw(i, j)
-                if z is INTERSECTS_ALL:
-                    continue
-                steps = (z - j) % n
-                for s in range(steps):  # everything passed over intersects disk i
-                    assert intersects(inst.disks[i], inst.disks[(j + s) % n])
-                assert not intersects(inst.disks[i], inst.disks[z])
+        i_all, j_all = all_pairs(n)
+        answers = idx.first_disjoint(i_all, j_all, ccw=True).tolist()
+        for i, j, z in zip(i_all.tolist(), j_all.tolist(), answers):
+            if z < 0:
+                continue
+            steps = (z - j) % n
+            for s in range(steps):  # everything passed over intersects disk i
+                assert intersects(inst.disks[i], inst.disks[(j + s) % n])
+            assert not intersects(inst.disks[i], inst.disks[z])
 
 
 def test_avoidance_is_negated_intersects_on_tangent_chains():
@@ -175,16 +182,12 @@ def test_avoidance_is_negated_intersects_on_tangent_chains():
     for _, inst in tangent_chain_instances(range(200)):
         n = inst.n
         for strategy, build in NEIGHBOR_INDEXES.items():
-            idx = build(inst)
-            for i in range(n):
-                for j in range(n):
-                    z = idx.first_disjoint_ccw(i, j)
-                    hits = [
-                        intersects(inst.disks[i], inst.disks[(j + s) % n])
-                        for s in range(n)
-                    ]
-                    expected = INTERSECTS_ALL if all(hits) else (j + hits.index(False)) % n
-                    assert z == expected, (strategy, i, j)
+            i_all, j_all = all_pairs(n)
+            answers = build(inst).first_disjoint(i_all, j_all, ccw=True).tolist()
+            for i, j, z in zip(i_all.tolist(), j_all.tolist(), answers):
+                hits = [intersects(inst.disks[i], inst.disks[(j + s) % n]) for s in range(n)]
+                expected = -1 if all(hits) else (j + hits.index(False)) % n
+                assert z == expected, (strategy, i, j)
 
 
 def _ring_with_giant(n):
@@ -218,7 +221,7 @@ def _row_answers(inst, i_all, j_all, *, ccw):
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 4097])
 def test_batched_first_disjoint_matches_scalar_and_naive(n):
-    """The tree index's batched and scalar queries against the disk-by-disk walk.
+    """The tree index's batched queries against the disk-by-disk scalar walk.
 
     Every (i, j) pair up to n = 129; at n = 4097 (so the tree's last leaf
     holds one disk) 3000 sampled pairs, of which the disk-by-disk walk
@@ -226,27 +229,24 @@ def test_batched_first_disjoint_matches_scalar_and_naive(n):
     on the rest, the runs and the counting bound.
     """
     from diskdom import gen_random
-    from greedy_reference import dominated_run
 
     instances = [_ring_with_giant(n)]
     for law in ("uniform(0.3,1.2)", "uniform(1.0,3.0)", "uniform(4.0,9.0)"):
         instances.append(gen_random(n, 7 + n, "circle", law, "unit").to_instance())
     small = n <= 129
     if small:
-        i_all, j_all = np.divmod(np.arange(n * n), n)
+        i_all, j_all = all_pairs(n)
     else:
         i_all, j_all = np.random.default_rng(n).integers(0, n, (2, 3000))
     walked = slice(None) if small else slice(200)
     for inst in instances:
         tree = _TreeNeighborIndex(inst)
         naive = NaiveNeighborIndex(inst)
-        for ccw, scan in ((True, "first_disjoint_ccw"), (False, "first_disjoint_cw")):
+        for ccw in (True, False):
             got = tree.first_disjoint(i_all, j_all, ccw=ccw).tolist()
             assert got == _row_answers(inst, i_all, j_all, ccw=ccw).tolist()
             walk = naive.first_disjoint(i_all[walked], j_all[walked], ccw=ccw)
             assert walk.tolist() == got[walked]
-            scalar = [getattr(tree, scan)(i, j) for i, j in zip(i_all[:50].tolist(), j_all[:50].tolist())]
-            assert [-1 if z is INTERSECTS_ALL else z for z in scalar] == got[:50]
         runs = list(zip(*(a.tolist() for a in tree.dominated_runs)))
         if small:
             assert runs == [dominated_run(naive, i) for i in range(n)]
@@ -266,7 +266,7 @@ def test_batched_first_disjoint_matches_scalar_and_naive(n):
     tree = _TreeNeighborIndex(instances[0])
     for ccw in (True, False):
         assert (tree.first_disjoint(np.full(n, g), np.arange(n), ccw=ccw) == -1).all()
-    assert tree.dominated_run(g) == (0, n)
+    assert dominated(tree, g).is_full
 
 
 def _ring_missing_one(n):
@@ -293,7 +293,7 @@ def _runs_past_cases(t4, big5):
 
 
 def test_runs_past_matches_the_disk_by_disk_walk(t4, big5):
-    """`runs_past` of the tree index against `run_after`/`run_before` walked disk by disk.
+    """`runs_past` of the tree index against the naive `run_after`/`run_before`, walked disk by disk.
 
     Every (i, z) pair up to 65 disks and 3000 sampled at 300, both ways
     round.  Each query is sorted by where its first disk j = z±1 lies

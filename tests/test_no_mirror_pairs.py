@@ -2,9 +2,7 @@
 
 Clockwise processing is the mirror image of counterclockwise processing,
 so the package passes `ccw` to one function instead of keeping a
-hand-written `*_ccw`/`*_cw` copy of each.  The one exception is the
-neighbor index's pair of scalar first-disjoint queries, which the base
-class writes as two one-line calls of the batched query.
+hand-written `*_ccw`/`*_cw` copy of each, with no exception.
 Properties are values rather than steps, so a run's two ends
 (`CyclicSublist.ccw_end`/`cw_end`) are not pairs.
 """
@@ -15,7 +13,6 @@ from pathlib import Path
 import diskdom
 
 SOURCES = sorted(Path(diskdom.__file__).parent.glob("*.py"))
-ALLOWED = {("first_disjoint_ccw", "first_disjoint_cw")}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -65,6 +62,5 @@ def test_package_has_no_mirror_pairs():
         f"{path.name}: {pair}"
         for path in SOURCES
         for pair in mirror_pairs(ast.parse(path.read_text(), filename=str(path)))
-        if pair not in ALLOWED
     ]
     assert found == []

@@ -12,6 +12,7 @@ from run_reference import CyclicSublist
 from weighted_reference import (
     bucket_min_enclosing,
     chain_answer,
+    chain_of,
     global_min_enclosing,
     level_of_runs,
     ring,
@@ -41,7 +42,7 @@ MIN_RUNS = [
 
 
 def min_enclosing(table, q):
-    return chain_answer(table, table.global_chain(q.start, ccw=True), q)
+    return chain_answer(table, chain_of(table, q.start, bucket=False, ccw=True), q)
 
 
 @pytest.mark.parametrize("indexed", [True, False])
@@ -97,16 +98,17 @@ def test_min_enclosing_indexed_matches_naive():
                 q = run(start, length, n)
                 assert min_enclosing(fast, q) == global_min_enclosing(slow, q)
                 cw_q = run(start - length + 1, length, n)
-                assert chain_answer(fast, fast.global_chain(start, ccw=False), cw_q) == (
+                cw_chain = chain_of(fast, start, bucket=False, ccw=False)
+                assert chain_answer(fast, cw_chain, cw_q) == (
                     global_min_enclosing(slow, cw_q)
                 )
             # bucket chains anchor at their owner
             for length in range(1, n + 1):
                 q = run(start, length, n)
-                got = chain_answer(fast, fast.bucket_chain(start, ccw=True), q)
+                got = chain_answer(fast, chain_of(fast, start, bucket=True, ccw=True), q)
                 assert got == bucket_min_enclosing(slow, start, q)
                 q = run(start - length + 1, length, n)
-                got = chain_answer(fast, fast.bucket_chain(start, ccw=False), q)
+                got = chain_answer(fast, chain_of(fast, start, bucket=True, ccw=False), q)
                 assert got == bucket_min_enclosing(slow, start, q)
 
 
@@ -233,8 +235,10 @@ def test_build_is_deterministic():
     runs = _random_runs(rng, 9, 8, buckets=9)
     a, b = level_of_runs(ring(9), runs), level_of_runs(ring(9), list(runs))
     for anchor in range(9):
-        assert np.array_equal(a.global_chain(anchor, ccw=True), b.global_chain(anchor, ccw=True))
-        assert np.array_equal(a.bucket_chain(anchor, ccw=False), b.bucket_chain(anchor, ccw=False))
+        for bucket, ccw in ((False, True), (True, False)):
+            assert np.array_equal(
+                chain_of(a, anchor, bucket=bucket, ccw=ccw), chain_of(b, anchor, bucket=bucket, ccw=ccw)
+            )
     starts = np.array([s for s, _, _, _ in runs])
     lengths = np.array([k for _, k, _, _ in runs])
     c = farthest_ids(starts, lengths, 9)

@@ -7,7 +7,7 @@ import pytest
 
 import diskdom.unweighted_greedy as ug
 from conftest import mk_instance, recording, subprocess_env
-from diskdom.neighbor_index import build_neighbor_index
+from diskdom.neighbor_index import _TreeNeighborIndex, build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
 from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.unweighted_greedy import (
@@ -316,7 +316,7 @@ def test_validator_rejects_bad_candidates(t4):
         (level1.broken("owners", 1), "dominated run"),
         (level1.broken("lengths", 4), "dominated run"),
         (level2.broken("parents", (2, 0, 1, 1)), "parent level"),
-        (level1.broken("starts", level1.nbr.dominated_run(2)[0]), "owner outside its run"),
+        (level1.broken("starts", int(level1.nbr.dominated_runs[0][2])), "owner outside its run"),
     ]
     for rows, words in cases:
         with pytest.raises(SolverInvariantError, match=words):
@@ -326,16 +326,27 @@ def test_validator_rejects_bad_candidates(t4):
 # --- counting bound, typed invariant errors, integer steps ---------------------
 
 
-def test_k_cap_below_counting_bound_stops_after_level_one():
+def test_k_cap_is_decided_by_the_search_without_the_counting_bound(monkeypatch):
+    """A capped solve stops after level k_cap and never counts neighborhoods (O(n²))."""
     from diskdom import gen_random
 
     inst = gen_random(300, 300, "circle", "uniform(0.5,1.0)", "unit").to_instance(
         weighted=False
     )
     assert build_neighbor_index(inst).domination_lower_bound() == 15
-    with recording(ug, "GreedyLevel") as built, pytest.raises(Infeasible):
+    opt = solve_unweighted(inst)
+
+    def no_bound(self):
+        raise AssertionError("the unweighted search asked for the counting bound")
+
+    monkeypatch.setattr(_TreeNeighborIndex, "domination_lower_bound", no_bound)
+    with recording(ug, "GreedyLevel") as built, pytest.raises(Infeasible) as caught:
         solve_unweighted(inst, k_cap=6)
-    assert [level.level for level in built] == [1]
+    assert str(caught.value) == "no dominating set of size <= 6" and caught.value.k == 6
+    assert [level.level for level in built] == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(Infeasible, match=rf"^no dominating set of size <= {opt.size - 1}$"):
+        solve_unweighted(inst, k_cap=opt.size - 1)
+    assert solve_unweighted(inst, k_cap=opt.size) == opt
 
 
 def test_counting_bound_agrees_across_strategies():

@@ -20,7 +20,7 @@ from diskdom.weighted_dp import (
 from invariant_reference import candidate_of, checked_levels, recording_checks
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, solvers_using
 from run_reference import run_of
-from weighted_reference import bidirectional_processing, directional_processing
+from weighted_reference import bidirectional_processing, chain_of, directional_processing
 
 
 def ccw_processing(nbr, levels, i, j, t):
@@ -83,12 +83,7 @@ def build_levels(inst, upto=1, strategy="naive", indexed=True):
     return nbr, levels
 
 
-CHAIN_KINDS = (
-    ("bucket_chain", True),
-    ("bucket_chain", False),
-    ("global_chain", True),
-    ("global_chain", False),
-)
+CHAIN_KINDS = ((True, True), (True, False), (False, True), (False, False))  # (bucket, ccw)
 
 
 def chain_instances():
@@ -114,21 +109,22 @@ def test_staircase_chains_match_scan_chains(inst):
     for t in range(1, k + 1):
         assert_same_level(fast[t], slow[t])
         for anchor in range(inst.n):
-            for kind, ccw in CHAIN_KINDS:
-                got = getattr(fast[t], kind)(anchor, ccw=ccw)
-                want = getattr(slow[t], kind)(anchor, ccw=ccw)
-                assert got.tolist() == want.tolist(), (t, anchor, kind, ccw)
+            for bucket, ccw in CHAIN_KINDS:
+                got = chain_of(fast[t], anchor, bucket=bucket, ccw=ccw)
+                want = chain_of(slow[t], anchor, bucket=bucket, ccw=ccw)
+                assert got.tolist() == want.tolist(), (t, anchor, bucket, ccw)
 
 
 def test_big5_chains_end_in_full_runs(big5):
     _, levels = build_levels(big5, upto=3, strategy="tree")
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
     n = big5.n
-    assert (levels[1].lengths[levels[1].bucket_chain(big, ccw=True)] == n).tolist() == [True]
+    chain = chain_of(levels[1], big, bucket=True, ccw=True)
+    assert (levels[1].lengths[chain] == n).tolist() == [True]
     for t in (2, 3):
         for anchor in range(n):
-            for kind, ccw in CHAIN_KINDS:
-                full = levels[t].lengths[getattr(levels[t], kind)(anchor, ccw=ccw)] == n
+            for bucket, ccw in CHAIN_KINDS:
+                full = levels[t].lengths[chain_of(levels[t], anchor, bucket=bucket, ccw=ccw)] == n
                 assert len(full) and full[-1] and not full[:-1].any()
 
 
@@ -456,16 +452,16 @@ def combination_count(levels, i, t):
     for ccw in (True, False):
         for tp in range(1, t):
             near = levels[tp]
-            for l1 in near.bucket_chain(i, ccw=ccw).tolist():
+            for l1 in chain_of(near, i, bucket=True, ccw=ccw).tolist():
                 s1, k1 = int(near.starts[l1]), int(near.lengths[l1])
                 if k1 == n:
                     count += 1
                 else:
                     anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
-                    count += len(levels[t - tp].global_chain(anchor, ccw=ccw))
+                    count += len(chain_of(levels[t - tp], anchor, bucket=False, ccw=ccw))
     for tp in range(2, t):
-        xs = levels[tp].bucket_chain(i, ccw=True)
-        count += len(xs) * len(levels[t + 1 - tp].bucket_chain(i, ccw=False))
+        xs = chain_of(levels[tp], i, bucket=True, ccw=True)
+        count += len(xs) * len(chain_of(levels[t + 1 - tp], i, bucket=True, ccw=False))
     return count
 
 

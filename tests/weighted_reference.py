@@ -5,13 +5,15 @@ walks the lower levels' chains one answer at a time
 (`directional_combos`, `bidi_combos`: plain tuples, a run equal to the
 one just made from the same l1 or lx skipped, since it is never
 cheaper), merges with the scalar `run_reference.union_runs`, asks only
-the scalar neighbor queries (`run_after`/`run_before`), and keeps one
-combination per run in a dict (`dedup_runs`).  It returns a
+the scalar runs of `query_reference.NaiveNeighborIndex`
+(`run_after`/`run_before`), and keeps one combination per run in a dict
+(`dedup_runs`).  It returns a
 `StaircaseLevelTable` with the same columns and parent rows as
 `weighted_dp.build_level`, so the tests compare the two builders id by
 id.  That twin level builds each chain one anchor at a time from the
 whole level (`staircase`), where `LevelTable` builds every chain of a
-kind at once from the first copy of each run.
+kind at once from the first copy of each run.  `chain_of` reads one anchor's
+chain off a level's `chains` table, for either kind of table.
 
 `bucket_min_enclosing` and `global_min_enclosing` are the plain-scan
 cheapest-enclosing queries over a level: every candidate, in id order;
@@ -24,7 +26,9 @@ level-building steps: for a point i and a scan bound, every split level
 and every scan stop, each answered by one plain cheapest-enclosing query.
 The solver consumes whole scan chains instead, and the tests check that
 each chain-built table holds a candidate at least as good as every one of
-theirs.  They merge runs with `run_reference.union_extend`.
+theirs.  They merge runs with `run_reference.union_extend`, and ask
+whichever neighbor index they are given for one run at a time, as a
+batch of one (`_dominated`, `_tail`).
 
 `level_of_runs` builds a level table straight from runs and values, so
 the chain and scan queries can be tested on arbitrary input.
@@ -67,13 +71,14 @@ def directional_combos(nbr, levels, i: int, t: int, *, ccw: bool) -> Iterator[tu
     tail = cache(partial(nbr.run_after if ccw else nbr.run_before, i))  # of l2's far end
     for tp in range(1, t):
         near, other = levels[tp], levels[t - tp]
-        for l1 in near.bucket_chain(i, ccw=ccw).tolist():
+        for l1 in chain_of(near, i, bucket=True, ccw=ccw).tolist():
             s1, k1, v1 = _run(near, l1)
             if k1 == n:
                 yield 0, n, v1, (tp, l1, -1, -1)
                 continue
             head, last = union_runs(n, (dom, (s1, k1))), None
-            for l2 in other.global_chain((s1 + k1) % n if ccw else (s1 - 1) % n, ccw=ccw).tolist():
+            anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
+            for l2 in chain_of(other, anchor, bucket=False, ccw=ccw).tolist():
                 s2, k2, v2 = _run(other, l2)
                 run = union_runs(n, (head, (s2, k2), tail((s2 + k2 - 1) % n if ccw else s2)))
                 if run != last:
@@ -88,8 +93,8 @@ def bidi_combos(nbr, levels, i: int, t: int) -> Iterator[tuple]:
     wi = nbr.instance.disks[i].weight
     for tp in range(2, t):
         x, y = levels[tp], levels[t + 1 - tp]
-        ys = y.bucket_chain(i, ccw=False).tolist()
-        for lx in x.bucket_chain(i, ccw=True).tolist():
+        ys = chain_of(y, i, bucket=True, ccw=False).tolist()
+        for lx in chain_of(x, i, bucket=True, ccw=True).tolist():
             sx, kx, vx = _run(x, lx)
             head, last = union_runs(n, (dom, (sx, kx))), None
             for ly in ys:
@@ -135,17 +140,17 @@ def build_level(instance, nbr, levels, t: int) -> LevelTable:
 # -- chain twins ----------------------------------------------------------------
 
 
+def chain_of(level: LevelTable, anchor: int, *, bucket: bool, ccw: bool) -> np.ndarray:
+    """Ids of one chain: `anchor`'s slice of the level's `chains` table of that kind."""
+    ptr, ids = level.chains(bucket=bucket, ccw=ccw)
+    return ids[ptr[anchor] : ptr[anchor + 1]]
+
+
 class _AnchorChains(LevelTable):
-    """A level whose chains are built one anchor at a time, by `_chain`, when asked for."""
+    """A level whose chain tables are built one anchor at a time, by `_chain`."""
 
     def _chain(self, anchor: int, *, bucket: bool, ccw: bool) -> list[int]:
         raise NotImplementedError
-
-    def bucket_chain(self, i: int, *, ccw: bool) -> np.ndarray:
-        return np.array(self._chain(i, bucket=True, ccw=ccw), np.int64)
-
-    def global_chain(self, anchor: int, *, ccw: bool) -> np.ndarray:
-        return np.array(self._chain(anchor, bucket=False, ccw=ccw), np.int64)
 
     def _chain_table(self, bucket: bool, *, ccw: bool):
         chains = [self._chain(a, bucket=bucket, ccw=ccw) for a in range(self.n)]
@@ -240,6 +245,18 @@ class ScanLevelTable(_AnchorChains):
 # -- the literal processing steps -------------------------------------------------
 
 
+def _dominated(nbr, i: int) -> CyclicSublist:
+    """Disk i's dominated run, read off the index's `dominated_runs`."""
+    starts, lengths = nbr.dominated_runs
+    return CyclicSublist(int(starts[i]), int(lengths[i]), nbr.n)
+
+
+def _tail(nbr, i: int, z: int, *, ccw: bool) -> CyclicSublist:
+    """The run disk i meets past z, ccw or cw: `runs_past` asked a batch of one."""
+    starts, lengths = nbr.runs_past([i], [z], ccw=ccw)
+    return CyclicSublist(int(starts[0]), int(lengths[0]), nbr.n)
+
+
 def _answer(level: LevelTable, ident: Optional[int]) -> Optional[Candidate]:
     return None if ident is None else candidate_of(level, ident)
 
@@ -262,7 +279,7 @@ def directional_processing(
     """
     assert t >= 2
     n = nbr.n
-    dom = CyclicSublist(*nbr.dominated_run(i), n)
+    dom = _dominated(nbr, i)
     best: Optional[Candidate] = None
     for tp in range(1, t):
         for dz in range(offset_ccw(i, j, n) + 1 if ccw else offset_ccw(j, i, n) + 1):
@@ -287,11 +304,8 @@ def directional_processing(
                 if sub2.is_full:
                     sub = CyclicSublist(0, n, n)
                 else:
-                    if ccw:
-                        tail = nbr.run_after(i, sub2.ccw_end)
-                    else:
-                        tail = nbr.run_before(i, sub2.cw_end)
-                    sub = union_extend([dom, sub1, sub2, CyclicSublist(*tail, n)])
+                    tail = _tail(nbr, i, sub2.ccw_end if ccw else sub2.cw_end, ccw=ccw)
+                    sub = union_extend([dom, sub1, sub2, tail])
                 cand = _candidate(
                     sub, l1.value + l2.value, l1.witnesses | l2.witnesses, i, t
                 )
@@ -306,7 +320,7 @@ def bidirectional_processing(
     """Best candidate stitching a ccw run toward x and a cw run toward y at i."""
     instance = nbr.instance
     n = instance.n
-    dom = CyclicSublist(*nbr.dominated_run(i), n)
+    dom = _dominated(nbr, i)
     wi = instance.disks[i].weight
     best: Optional[Candidate] = None
     for tp in range(2, t):
