@@ -152,8 +152,9 @@ def load_instance_document(text: str) -> InstanceDocument:
         raise BadParams(f"not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise BadParams("instance document must be a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise BadParams(f"unsupported schema_version {payload.get('schema_version')!r}")
+    version = payload.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1: neither is an int
+        raise BadParams(f"unsupported schema_version {version!r}")
     raw = payload.get("points")
     if not isinstance(raw, list) or not raw:
         raise BadParams("points must be a non-empty list")
@@ -246,18 +247,16 @@ def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
     if solver not in ("dp", "greedy", "brute"):
         raise BadParams(f"bad solver {solver!r}")
     k = payload.get("k")
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+    if k is not None and (type(k) is not int or k < 1):
         raise BadParams(f"bad k {k!r}")
     centers = payload.get("centers")
-    if not isinstance(centers, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in centers
-    ):
+    if not isinstance(centers, list) or not all(type(c) is int for c in centers):
         raise BadParams("centers must be a list of integers")
     known = set(instance.original_index)
     if len(set(centers)) != len(centers) or not set(centers) <= known:
         raise BadParams("centers must be distinct original indices")
     size = payload.get("size")
-    if size != len(centers):
+    if type(size) is not int or size != len(centers):  # not True, nor 2.0
         raise BadParams(f"size {size!r} does not match centers")
     weight = _number(payload.get("weight", 0.0), "weight")
     canonical = instance.to_canonical(centers)

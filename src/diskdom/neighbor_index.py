@@ -14,13 +14,14 @@ agrees bit for bit with `verify`.  One index answers them at every n,
 64 consecutive disks stores a bounding circle of each node's centers and
 its smallest radius; a query skips every node the circle proves to meet
 disk i throughout, and evaluates the other blocks exactly, as 64-bit
-avoidance words.
+avoidance words read in the query's direction: either way, the first
+disk that misses disk i is the lowest set bit.
 
 The query flow is:
 
-- `first_disjoint` answers an array of (i, j) pairs by walking the tree;
-  it is asked directly only for the 2n walks from each disk i itself that
-  build `dominated_runs`;
+- `first_disjoint` answers an array of (i, j) pairs from j's leaf, cut
+  at j, and then by walking the tree; it is asked directly only for the
+  2n walks from each disk i itself that build `dominated_runs`;
 - `runs_past` answers the tails the solvers ask past the far end z of a
   run, from j = z±1 on.  Most need no walk: when j lies in disk i's own
   dominated run, the answer is the rest of that run, which is maximal;
@@ -42,33 +43,21 @@ import numpy as np
 from .geometry import Instance, intersects_row, union_columns
 
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-_LANES = np.arange(64)
 _PAIRS_PER_BLOCK = 1 << 15  # pair tests per block: temporaries stay in cache
 
 
-def _bit_index(x: np.ndarray, *, lowest: bool) -> np.ndarray:
-    """Index of the lowest (or highest) set bit of each nonzero uint64 word."""
-    if lowest:
-        x = x & (~x + np.uint64(1))
-    else:
-        for shift in (1, 2, 4, 8, 16, 32):
-            x = x | (x >> np.uint64(shift))
-        x = x ^ (x >> np.uint64(1))
-    # x is a power of two, which float64 holds exactly
-    return np.frexp(x.astype(np.float64))[1].astype(np.int64) - 1
-
-
-def _cut(x: np.ndarray, bit: np.ndarray, *, ccw: bool) -> np.ndarray:
-    """Each word's bits from `bit` on (ccw) or up to `bit` (cw), inclusive."""
-    bit = bit.astype(np.uint64)
-    return x & ((_ONES << bit) if ccw else (_ONES >> (np.uint64(63) - bit)))
+def _lowest_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each nonzero uint64 word."""
+    # x & -x is a power of two, which float64 holds exactly
+    return np.frexp((x & (~x + np.uint64(1))).astype(np.float64))[1].astype(np.int64) - 1
 
 
 class _TreeNeighborIndex:
     """Bounding circles over blocks of 64 disks; only unproven blocks are evaluated.
 
     Leaf w holds disks 64w..64w+63, and its avoidance word has bit b set
-    when disk i misses disk 64w + b.
+    when disk i misses disk 64w + lanes[b]: bit b is lane b of the read
+    order, lanes 0..63 counterclockwise and 63..0 clockwise.
     Over the leaves, padded to 2**top, sits a dyadic tree: node m of level
     l covers leaves m * 2**l .. (m+1) * 2**l - 1 and stores the bounding
     circle (C, R) of its centers and its smallest radius r_min.  When
@@ -114,13 +103,13 @@ class _TreeNeighborIndex:
             stats[:, nodes] = cx, cy, reach, np.minimum.reduceat(rs, firsts)
         self._cx, self._cy, self._reach, self._rmin = stats
 
-    def _leaf_words(self, i: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-        """Avoidance word of disk i[q] against leaf leaves[q], exactly."""
+    def _leaf_words(self, i: np.ndarray, leaves: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Avoidance word of disk i[q] against leaf leaves[q], exactly: bit b for lane lanes[b]."""
         words = np.empty(len(i), np.uint64)
         chunk = _PAIRS_PER_BLOCK // 64
         for lo in range(0, len(i), chunk):
             part = slice(lo, lo + chunk)
-            z = leaves[part, None] * 64 + _LANES
+            z = leaves[part, None] * 64 + lanes
             block = intersects_row(*self._padded, i[part, None], z)
             words[part] = np.packbits(~block, axis=1, bitorder="little").view("<u8")[:, 0]
         return words
@@ -136,8 +125,8 @@ class _TreeNeighborIndex:
     def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
         """First disk from j[q] on, ccw or cw, that misses disk i[q]; -1 where i[q] meets all.
 
-        Tests disk j, then the rest of j's leaf that way round, then walks
-        the tree.  The walk runs in scan positions s, the leaf index
+        Reads j's leaf word, cut to j's lane and the lanes after it, then
+        walks the tree.  The walk runs in scan positions s, the leaf index
         counterclockwise and its mirror 2**top - 1 - leaf clockwise, so it
         always moves up: from the leaf after j's to the last one, then
         round from the first to j's leaf, which comes last, whole.  At
@@ -147,19 +136,15 @@ class _TreeNeighborIndex:
         """
         i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
         out = np.full(len(i), -1, np.int64)
-        xs, ys, rs = self._arrays
-        hit = ~intersects_row(xs, ys, rs, i, j)
-        out[hit] = j[hit]
-        todo = np.flatnonzero(~hit)
-        if not len(todo):
-            return out
-        i, j = i[todo], j[todo]
+        lanes = np.arange(64) if ccw else np.arange(63, -1, -1)  # the read order of leaf words
         x = np.zeros(len(i), np.uint64)
         open_ = np.flatnonzero(~self._skips(i, j >> 6))  # leaf w is node w of level 0
-        x[open_] = _cut(self._leaf_words(i[open_], j[open_] >> 6), j[open_] & 63, ccw=ccw)
+        cut = _ONES << lanes[j[open_] & 63].astype(np.uint64)  # j's lane and the ones after it
+        x[open_] = self._leaf_words(i[open_], j[open_] >> 6, lanes) & cut
         hit = x != 0
-        out[todo[hit]] = (j[hit] >> 6) * 64 + _bit_index(x[hit], lowest=ccw)
-        todo, i, j = todo[~hit], i[~hit], j[~hit]
+        out[hit] = (j[hit] >> 6) * 64 + lanes[_lowest_bit(x[hit])]
+        todo = np.flatnonzero(~hit)
+        i, j = i[todo], j[todo]
         if not len(todo):
             return out
 
@@ -184,10 +169,10 @@ class _TreeNeighborIndex:
             exact = np.flatnonzero(~skip & (lvl == 0))
             found = np.zeros(len(todo), bool)
             if len(exact):
-                x = self._leaf_words(i[exact], leaf[exact])
+                x = self._leaf_words(i[exact], leaf[exact], lanes)
                 hit = x != 0
                 found[exact[hit]] = True
-                out[todo[exact[hit]]] = leaf[exact[hit]] * 64 + _bit_index(x[hit], lowest=ccw)
+                out[todo[exact[hit]]] = leaf[exact[hit]] * 64 + lanes[_lowest_bit(x[hit])]
             step = skip | ((lvl == 0) & ~found)
             lvl -= ~skip & (lvl > 0)  # descend to the first child
             s += step * (1 << lvl)
@@ -217,8 +202,8 @@ class _TreeNeighborIndex:
         1. j in the run, at off = j - s: the run is maximal, so the answer
            is the rest of it, (j, k - off) counterclockwise and
            (s, off + 1) clockwise, or (0, n) when the run is full;
-        2. otherwise, when disk i misses disk j: the empty tail, (j, 0)
-           counterclockwise and (j + 1, 0) clockwise;
+        2. otherwise, when disk i misses disk j (the only test of disk j):
+           the empty tail, (j, 0) counterclockwise and (j + 1, 0) clockwise;
         3. otherwise `first_disjoint` walks from j.
         """
         n = self.n

@@ -93,6 +93,13 @@ def expand_runs(lo, count) -> tuple[np.ndarray, np.ndarray]:
     return item, lo[item] + np.arange(len(item)) - (np.cumsum(count) - count)[item]
 
 
+def run_reach(starts, lengths, anchors, n: int, *, ccw: bool) -> np.ndarray:
+    """Steps each run extends past its anchor, ccw or cw: n when full, -1 when missing it."""
+    off = (anchors - starts) % n
+    reach = np.where(off < lengths, lengths - 1 - off if ccw else off, -1)
+    return np.where(lengths == n, n, reach)
+
+
 def _fail(t: int, bad: np.ndarray, rule: str) -> None:
     """Raise SolverInvariantError naming the first row of level t that `bad` marks."""
     if bad.any():

@@ -40,6 +40,7 @@ from .solution import (
     SolverInvariantError,
     check_level,
     check_size_bound,
+    run_reach,
     solution_of,
 )
 
@@ -115,15 +116,14 @@ class GreedyLevel(RunLevel):
         super().__init__(instance, level, below, starts, lengths, owners, parents)
         n, m = self.n, len(starts)
         self.far = dict(zip((True, False), farthest_ids(starts, lengths, n)))
-        is_full = lengths == n
-        full = np.flatnonzero(is_full)
+        full = np.flatnonzero(lengths == n)
         self.full_id = int(full[0]) if len(full) else -1
         # per point and direction (keyed by ccw): the largest key
         # reach * m + (m - 1 - id), farthest reach, then smallest id
         self.ext: dict[bool, np.ndarray] = {}
         tie = np.arange(m - 1, -1, -1, dtype=np.int64)
-        for ccw, past in ((True, starts + lengths - 1 - owners), (False, owners - starts)):
-            reach = np.where(is_full, n, past % n)
+        for ccw in (True, False):
+            reach = run_reach(starts, lengths, owners, n, ccw=ccw)
             best = np.full(n, -1, dtype=np.int64)
             np.maximum.at(best, owners, reach * m + tie)
             self.ext[ccw] = np.where(best < 0, -1, m - 1 - best % max(m, 1))
@@ -164,7 +164,7 @@ def directional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int, *, c
             i[open_], ((s2 + k2 - 1) % n if ccw else s2)[open_], ccw=ccw
         )
         s, k = union_columns(n, ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k)))
-        reach = np.where(k == n, n, (s + k - 1 - i) % n if ccw else (i - s) % n)
+        reach = run_reach(s, k, i, n, ccw=ccw)
         win = reach > best[i]
         best[i[win]] = reach[win]
         t2 = np.where(l2 < 0, -1, t - tp)

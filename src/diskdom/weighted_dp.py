@@ -57,17 +57,11 @@ from .solution import (
     check_level,
     check_size_bound,
     expand_runs,
+    run_reach,
     solution_of,
 )
 
 CHAIN_BLOCK = 1 << 16  # (anchor, candidate) cells per pass of the global staircase
-
-
-def _reach(starts, lengths, anchors, n: int, *, ccw: bool) -> np.ndarray:
-    """Steps each run extends past its anchor, ccw or cw: n when full, -1 when missing it."""
-    off = (anchors - starts) % n
-    reach = np.where(off < lengths, lengths - 1 - off if ccw else off, -1)
-    return np.where(lengths == n, n, reach)
 
 
 class LevelTable(RunLevel):
@@ -112,7 +106,7 @@ class LevelTable(RunLevel):
         if bucket:
             order = np.lexsort((self.values, self.owners))
             anchors = self.owners[order]
-            reach = _reach(self.starts[order], self.lengths[order], anchors, n, ccw=ccw)
+            reach = run_reach(self.starts[order], self.lengths[order], anchors, n, ccw=ccw)
             key = anchors * (n + 2) + reach + 1
             best = np.maximum.accumulate(key)
             step = (reach >= 0) & (key > np.concatenate(([-1], best[:-1])))
@@ -127,7 +121,7 @@ class LevelTable(RunLevel):
             rows, cols = [], []
             for lo in range(0, n, block):
                 anchor = np.arange(lo, min(n, lo + block))[:, None]
-                best = np.maximum.accumulate(_reach(starts, lengths, anchor, n, ccw=ccw), axis=1)
+                best = np.maximum.accumulate(run_reach(starts, lengths, anchor, n, ccw=ccw), axis=1)
                 r, c = np.nonzero(np.diff(best, axis=1, prepend=-1) > 0)
                 rows.append(r + lo)
                 cols.append(c)

@@ -175,6 +175,12 @@ def test_load_instance_document_errors():
     for text in cases:
         with pytest.raises(BadParams):
             load_instance_document(text)
+    # true and 1.0 compare equal to 1, but the version must be the integer 1
+    for version in (True, 1.0):
+        text = json.dumps(dict(json.loads(good), schema_version=version))
+        with pytest.raises(BadParams) as info:
+            load_instance_document(text)
+        assert str(info.value) == f"unsupported schema_version {version!r}"
     # collinear centers parse fine but cannot canonicalize
     flat = json.dumps(
         {
@@ -283,6 +289,11 @@ def test_load_solution_document_errors(t4):
         bad = dict(base, **patch)
         with pytest.raises(BadParams):
             load_solution_document(json.dumps(bad), t4)
+    # true and 2.0 compare equal to 1 and 2, but a size must be an integer
+    for patch in ({"centers": [base["centers"][0]], "size": True}, {"size": 2.0}):
+        with pytest.raises(BadParams) as info:
+            load_solution_document(json.dumps(dict(base, **patch)), t4)
+        assert str(info.value) == f"size {patch['size']!r} does not match centers"
     with pytest.raises(BadParams):
         load_solution_document("{", t4)
     # a dominating set larger than its stated bound loads, but is not verified

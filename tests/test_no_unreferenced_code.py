@@ -1,11 +1,14 @@
-"""Every function and class in the package is used by the package itself.
+"""Every function, class and constant in the package is used by the package itself.
 
-A definition counts as used when some code in `src/diskdom/` names it
-(a call, an attribute read, a decorator, a base class, a `set_defaults`
-entry of the CLI) or when `__all__` exports it.  Code that only the tests
-call belongs beside its test, in a reference module under `tests/`, so
-the package keeps one production path per query.  Dunder methods are
-called by Python itself and are not checked.
+The definitions checked are functions, methods, classes, and the names a
+module or class body assigns a value to (constants, class attributes,
+fields with a default), so a deleted helper cannot leave its constant
+behind.  A definition counts as used when some code in `src/diskdom/`
+names it (a call, an attribute read, a decorator, a base class, a
+`set_defaults` entry of the CLI) or when `__all__` exports it.  Code that
+only the tests call belongs beside its test, in a reference module under
+`tests/`, so the package keeps one production path per query.  Dunder
+names are read by Python itself and are not checked.
 """
 
 import ast
@@ -26,22 +29,40 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def definitions(tree: ast.AST) -> list[tuple[str, int]]:
-    """(name, line) of every function, method and class defined in the module."""
+def _assigned(stmt: ast.stmt) -> list[ast.Name]:
+    """The names a statement assigns a value to: `a = ...`, `a, b = ...`, `a: T = ...`."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        targets = [stmt.target]
+    else:
+        return []
     return [
-        (node.name, node.lineno)
-        for node in ast.walk(tree)
-        if isinstance(node, DEFINITIONS) and not _is_dunder(node.name)
+        node
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     ]
+
+
+def definitions(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every function, method, class and module- or class-level assignment."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS):
+            found.append((node.name, node.lineno))
+        if isinstance(node, (ast.Module, ast.ClassDef)):
+            found += [(name.id, name.lineno) for stmt in node.body for name in _assigned(stmt)]
+    return [(name, line) for name, line in found if not _is_dunder(name)]
 
 
 def references(tree: ast.AST) -> set[str]:
     """Every name the module reads, as a plain name, an attribute or an `__all__` entry."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             names.add(node.attr)
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
@@ -68,19 +89,26 @@ def unreferenced(trees: dict[str, ast.AST]) -> list[str]:
 def test_guard_finds_unreferenced_code():
     source = """
 __all__ = ["exported"]
-def exported(): pass
+LIMIT, SPARE = 3, 4
+STEP: int = 1
+def exported(): return LIMIT
 def called(): pass
 def orphan(): pass
 class Base:
+    _MARGIN = 0.5
+    _unused = {}
+    field: int
     def __init__(self): called()
     def method(self): pass
-    def used(self): pass
+    def used(self): return self._MARGIN
 class Child(Base):
     pass
 Child().used()
 """
     found = unreferenced({"m.py": ast.parse(source)})
-    assert [entry.split()[1] for entry in found] == ["orphan", "method"]
+    assert sorted(entry.split()[1] for entry in found) == [
+        "SPARE", "STEP", "_unused", "method", "orphan"
+    ]
 
 
 def test_package_has_no_unreferenced_code():
