@@ -20,6 +20,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
+_UNSCALE = 2.0**-600  # exact; coordinates and radii scaled by it square finitely
+
 
 class GeometryError(ValueError):
     """Input that cannot form a valid instance."""
@@ -66,12 +68,27 @@ def intersects(d1: WeightedDisk, d2: WeightedDisk) -> bool:
     """Closed intersection test; tangency counts.
 
     Compares squared distances so no square root is taken: exact whenever
-    the inputs are exactly representable.
+    the inputs are exactly representable.  Where both squares overflow to
+    inf, which decides nothing, the pair is decided again on its
+    coordinates and radii scaled by the exact power of two `_UNSCALE`.
     """
-    dx = d2.center.x - d1.center.x
-    dy = d2.center.y - d1.center.y
-    rr = d1.radius + d2.radius
-    return dx * dx + dy * dy <= rr * rr
+    a, b = d1.center, d2.center
+    dx, dy, rr = b.x - a.x, b.y - a.y, d1.radius + d2.radius
+    dd, r2 = dx * dx + dy * dy, rr * rr
+    if dd == r2 == math.inf:
+        s = _UNSCALE
+        dx, dy, rr = b.x * s - a.x * s, b.y * s - a.y * s, d1.radius * s + d2.radius * s
+        dd, r2 = dx * dx + dy * dy, rr * rr
+    return dd <= r2
+
+
+def _squares(dx: np.ndarray, dy: np.ndarray, rr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dx*dx + dy*dy and rr*rr, in place: a block of rows makes no extra temporaries."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    rr *= rr
+    return dx, rr
 
 
 def intersects_row(
@@ -80,20 +97,21 @@ def intersects_row(
     """`intersects(disk i, disk z)` for every z at once, as a bool array.
 
     Takes an instance's `xs`, `ys` and `rs` columns and does the operations of
-    `intersects` in the same order, so the two agree bit for bit.  An
+    `intersects` in the same order, so the two agree bit for bit; where
+    some square overflows, the scaled pass runs over the whole block.  An
     index array of shape (B, 1) for i gives B rows at once.  z picks the
     disks tested, every disk by default; an index array for z is
     broadcast against i, so shape (B, 64) tests B gathered blocks.
     """
-    dx = xs[z] - xs[i]
-    dy = ys[z] - ys[i]
-    rr = rs[i] + rs[z]
-    # dx*dx + dy*dy <= rr*rr, in place: a block of rows makes no extra temporaries
-    dx *= dx
-    dy *= dy
-    dx += dy
-    rr *= rr
-    return dx <= rr
+    with np.errstate(over="ignore"):
+        dd, r2 = _squares(xs[z] - xs[i], ys[z] - ys[i], rs[i] + rs[z])
+        meets = dd <= r2
+        over = dd == np.inf
+        if over.any():
+            unsure, s = over & (r2 == np.inf), _UNSCALE
+            dd, r2 = _squares(xs[z] * s - xs[i] * s, ys[z] * s - ys[i] * s, rs[i] * s + rs[z] * s)
+            meets = np.where(unsure, dd <= r2, meets)
+    return meets
 
 
 def _cross(ax, ay, bx, by, cx, cy):

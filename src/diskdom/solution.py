@@ -1,9 +1,15 @@
-"""Solver results, the failure modes and the level columns shared by every solver."""
+"""Solver results, failure modes, and the level columns and steps both solvers share.
+
+Both solvers build levels (`RunLevel`) with the same combination steps
+(`directional_combos`, `bidirectional_combos`) over lower levels' scan
+chains; the unweighted search runs them under unit weights, its chains
+cut to their farthest entry.  `check_level` checks either solver's rows.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -118,12 +124,13 @@ def _misses_owner(instance: Instance, owners, starts, lengths) -> np.ndarray:
     return bad
 
 
-def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values=None) -> None:
+def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values, weights) -> None:
     """Check level t's rows against their parents; a broken row raises SolverInvariantError.
 
-    The rows are `RunLevel` columns plus the weighted DP's `values` (None
-    when unweighted), over the checked `levels[1..t-1]` and their neighbor
-    index `nbr`.  Each rule is a whole-column test:
+    The rows are `RunLevel` columns with their `values`, sums of `weights`
+    (the instance's in the weighted DP, ones in the unweighted search),
+    over the checked `levels[1..t-1]` and their neighbor index `nbr`.
+    Each rule is a whole-column test:
 
     * every row: the owner is in [0, n), the run is valid (start in
       [0, n), length in [1, n]) and holds the owner;
@@ -143,7 +150,7 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values=No
     W dominates the run, as W(l1) and W(l2) dominate theirs, the owner the rest.
     """
     instance = nbr.instance
-    n, m, ws = instance.n, len(owners), instance.ws
+    n, m = instance.n, len(owners)
     _fail(t, (owners < 0) | (owners >= n), "owner out of range")
     _fail(t, (starts < 0) | (starts >= n) | (lengths < 1) | (lengths > n), "invalid run")
     _fail(t, (owners - starts) % n >= lengths, "owner outside its run")
@@ -151,8 +158,7 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values=No
     if t == 1:
         _fail(t, (parents != -1).any(axis=1), "a level-1 row has parents")
         _fail(t, (starts != dom_s[owners]) | (lengths != dom_k[owners]), "not its dominated run")
-        if values is not None:
-            _fail(t, values != ws[owners], "value is not the owner's weight")
+        _fail(t, values != weights[owners], "value is not the owner's weight")
         us, uk = starts, np.zeros_like(lengths)  # no parts: every disk of the run is tested
     else:
         t1, c1, t2, c2 = parents.T
@@ -174,10 +180,10 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values=No
         _fail(t, o1 != owners, "the owner does not own l1")
         shared = has2 & (o2 == owners)
         _fail(t, t1 + t2 - shared > t, "more than t witnesses")
-        if values is not None:
-            v1, v2 = parent_col("values")
-            slack = VALUE_SLACK * np.maximum(1.0, np.abs(values))
-            _fail(t, ~(values >= v1 + v2 - shared * ws[owners] - slack), "value below its parents'")
+        v1, v2 = parent_col("values")
+        slack = VALUE_SLACK * np.maximum(1.0, np.abs(values))
+        low = ~(values >= v1 + v2 - shared * weights[owners] - slack)
+        _fail(t, low, "value below its parents'")
         try:
             us, uk = union_columns(n, ((dom_s[owners], dom_k[owners]), (s1, k1), (s2, k2)))
         except NotConsecutive as exc:
@@ -191,23 +197,48 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values=No
 
 
 class RunLevel:
-    """One solver level's candidates as int64 columns, in id order; never changed.
+    """One solver level's candidates as columns, in id order; never changed.
 
-    Row c has the run (`starts[c]`, `lengths[c]`) and the owner
-    `owners[c]`.  Row c of `parents` is (level of l1, id of l1, level of
-    l2, id of l2): the lower-level candidates it joins, -1 where there is
-    no l2 and throughout level 1, where the owner is the witness.  `below`
-    holds the lower levels by level.  No candidate is an object: a witness
-    set is rebuilt from the parents only when `witnesses` is asked for it.
+    Row c has the run (`starts[c]`, `lengths[c]`), the owner `owners[c]`
+    and the value `values[c]`, a sum of the weights the solver reads.  Row
+    c of `parents` is (level of l1, id of l1, level of l2, id of l2): the
+    lower-level candidates it joins, -1 where there is no l2 and
+    throughout level 1, where the owner is the witness.  `below` holds the
+    lower levels by level.  No candidate is an object: a witness set is
+    rebuilt from the parents only when `witnesses` is asked for it.  Later
+    levels read a level through its scan chains (`chains`): for a query
+    run grown from an anchor, the distinct cheapest runs containing it, a
+    staircase of runs reaching ever farther (`run_reach`) in (value, id)
+    order.  Each level type supplies them (`_chain_table`).
     """
 
-    def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, parents):
-        self.instance = instance
-        self.level = level
-        self.below = below
-        self.n = instance.n
-        self.starts, self.lengths, self.owners, self.parents = starts, lengths, owners, parents
+    def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, values,
+                 parents):
+        self.instance, self.level, self.below, self.n = instance, level, below, instance.n
+        self.starts, self.lengths, self.owners = starts, lengths, owners
+        self.values, self.parents = values, parents
+        self._chains: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray]] = {}
         self._witnesses: dict[int, frozenset[int]] = {}  # by id, as `witnesses` rebuilds them
+
+    def chains(self, *, bucket: bool, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Every chain of one kind, as (ptr, ids): anchor a's is ids[ptr[a]:ptr[a + 1]].
+
+        Bucket chains read only bucket a, anchored at its owner a; global
+        chains read the whole level.  Built once per kind.
+        """
+        table = self._chains.get((bucket, ccw))
+        if table is None:
+            table = self._chains[bucket, ccw] = self._chain_table(bucket, ccw=ccw)
+        return table
+
+    def _chain_table(self, bucket: bool, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The chains of one kind, all anchors at once, as `chains` returns them."""
+        raise NotImplementedError
+
+    def cheapest_full(self) -> int:
+        """The id of the first full candidate of least value, or -1 when none is full."""
+        full = np.flatnonzero(self.lengths == self.n)
+        return int(full[np.argmin(self.values[full])]) if len(full) else -1
 
     def witnesses(self, ident: int) -> frozenset[int]:
         """Row `ident`'s witness set: the owners its parents lead to at level 1.
@@ -231,3 +262,67 @@ class RunLevel:
                     sets = (p._witnesses[pc] for p, pc in parents)
                     level._witnesses[c] = frozenset().union(*sets)
         return self._witnesses[ident]
+
+
+def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, tp: int, *,
+                       ccw: bool) -> tuple:
+    """Every point's one-way level-t combinations of split level t', ccw or cw.
+
+    Each run l1 of a point's level-t' bucket chain is extended by each run
+    l2 of the level-(t-t') global chain anchored just past l1's far end,
+    then by the stretch the point's disk meets past l2's far end
+    (`runs_past`); the run is the union of the point's dominated run, l1,
+    l2 and that tail, at value v1 + v2.  A full l1 is a combination by
+    itself, at v1.  Rows come point by point, then in l1 and l2 chain
+    order.  Returns int64 columns owners, starts, lengths, the float64
+    values and (m, 4) parent rows.
+    """
+    n = nbr.n
+    near, other = levels[tp], levels[t - tp]
+    _, l1 = near.chains(bucket=True, ccw=ccw)
+    s1, k1 = near.starts[l1], near.lengths[l1]
+    ptr, l2s = other.chains(bucket=False, ccw=ccw)
+    anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
+    full1 = k1 == n
+    lo = ptr[anchor]
+    row, at = expand_runs(lo, np.where(full1, 1, ptr[anchor + 1] - lo))
+    l1, s1, k1, has2 = l1[row], s1[row], k1[row], ~full1[row]
+    i = near.owners[l1]
+    l2 = np.full_like(l1, -1)
+    s2, k2, tail_s, tail_k = (np.zeros_like(l1) for _ in range(4))  # empty parts
+    j = l2s[at[has2]]
+    l2[has2], s2[has2], k2[has2] = j, other.starts[j], other.lengths[j]
+    # the tail only where l2 is partial: the union saturates on a full part
+    open_ = has2 & (k2 < n)
+    tail_s[open_], tail_k[open_] = nbr.runs_past(
+        i[open_], ((s2 + k2 - 1) % n if ccw else s2)[open_], ccw=ccw
+    )
+    dom_s, dom_k = nbr.dominated_runs
+    s, k = union_columns(n, ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k)))
+    values = near.values[l1]
+    values[has2] += other.values[j]
+    parents = np.stack((np.full_like(l1, tp), l1, np.where(has2, t - tp, -1), l2), axis=1)
+    return i, s, k, values, parents
+
+
+def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, tp: int,
+                         weights: np.ndarray) -> tuple:
+    """Every point's combinations of a ccw run lx of level t' and a cw run ly of level t+1-t'.
+
+    lx and ly walk the point's two bucket chains, ly fastest; the run is
+    the union of the point's dominated run, lx and ly, at value
+    (vx + vy) - wi, the point's weight counted once.  Columns as
+    `directional_combos`.
+    """
+    n = nbr.n
+    x, y = levels[tp], levels[t + 1 - tp]
+    _, lx = x.chains(bucket=True, ccw=True)
+    ptr, lys = y.chains(bucket=True, ccw=False)
+    i = x.owners[lx]
+    row, at = expand_runs(ptr[i], ptr[i + 1] - ptr[i])
+    i, lx, ly = i[row], lx[row], lys[at]
+    dom_s, dom_k = nbr.dominated_runs
+    runs = ((dom_s[i], dom_k[i]), (x.starts[lx], x.lengths[lx]), (y.starts[ly], y.lengths[ly]))
+    values = (x.values[lx] + y.values[ly]) - weights[i]
+    parents = np.stack((np.full_like(i, tp), lx, np.full_like(i, t + 1 - tp), ly), axis=1)
+    return (i, *union_columns(n, runs), values, parents)

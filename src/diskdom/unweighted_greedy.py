@@ -1,45 +1,45 @@
 """Smallest dominating sets of convex-position disk graphs.
 
-Same level structure as the weighted solver, but cardinality replaces
-weight, so each step can be greedy: per direction and split level it keeps
-only the candidate reaching farthest around the circle, which caps every
-bucket at O(level) entries.  The first level that produces a full-circle
-candidate ends the search; that candidate's witnesses are a smallest
-dominating set.  So a size bound k_cap needs no proof of its own: the
-search stops, infeasible, after level k_cap.
+The weighted DP under unit weights, searched greedily.  Every candidate
+of level t then weighs t, and on equal values a scan chain's last entry
+is the candidate reaching farthest around the circle, ties to the
+smallest id; so each chain is cut to that entry (`GreedyLevel`), and
+each step keeps per point and direction only the split reaching
+farthest (`directional_steps`), which caps every bucket at O(level)
+entries.  The first level that produces a full-circle candidate ends the
+search; that candidate's witnesses are a smallest dominating set.  So a
+size bound k_cap needs no proof of its own: the search stops,
+infeasible, after level k_cap.
 
-A level is a set of int64 columns (`GreedyLevel`, on the `RunLevel` base
-the weighted DP shares): each candidate's run as (start, length), its
-owner, and a parent row naming the lower-level candidates it joins.
-`build_level` builds level t in whole-level numpy passes, one per
-direction and split level over all points (`directional_steps`,
-`bidirectional_steps`), with the neighbor index's batched runs
-(`dominated_runs`, and `runs_past` for the tails) and row-wise merges
-(`geometry.union_columns`).  No candidate is an object: only the
-winner's witness set is rebuilt, by walking its parents down to level 1;
-`check_invariants=True` checks every level against its parent rows.
-
-The tests compare each level with a point-by-point scalar twin
+`build_level` builds level t with the DP's combination steps
+(`solution.directional_combos`, `solution.bidirectional_combos`) in
+whole-level numpy passes over all points.  No candidate is an object:
+only the winner's witness set is rebuilt, by walking its parents down to
+level 1; `check_invariants=True` checks every level against its parent
+rows.  The tests compare each level with a point-by-point scalar twin
 (`tests/greedy_reference.py`) that asks a disk-by-disk walk for one run
-at a time, and swap in a plain-scan twin of
-`farthest_ids` (`tests/query_reference.py`) to check that the solves agree.
+at a time, and swap in a plain-scan twin of `farthest_ids`
+(`tests/query_reference.py`) to check that the solves agree.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Instance, union_columns
+from .geometry import Instance
 from .neighbor_index import build_neighbor_index
 from .solution import (
     Infeasible,
     RunLevel,
     Solution,
     SolverInvariantError,
+    bidirectional_combos,
     check_level,
     check_size_bound,
+    directional_combos,
     run_reach,
     solution_of,
 )
@@ -102,94 +102,60 @@ def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
 
 
 class GreedyLevel(RunLevel):
-    """One level's candidates as int64 columns, in id order (`RunLevel`).
+    """One level's candidates as columns in id order (`RunLevel`), valued by unit weights.
 
     Ids run owner by owner, and within an owner: ccw step, cw step, then
-    the stitched candidates by split level.  The constructor builds the
-    answers later levels read, as ids (-1 for none, equal reaches to the
-    smallest id): each point's own candidate reaching farthest each way
-    (`ext[ccw]`), per index the candidate through it reaching farthest each
-    way (`far[ccw]`), and the first full candidate (`full_id`).
+    the stitched candidates by split level.  Each chain is its staircase's
+    last entry alone, or empty: a bucket chain holds the owner's own
+    candidate reaching farthest from it, a global chain the candidate
+    through the anchor reaching farthest past it (`farthest_ids`), equal
+    reaches to the smallest id.
     """
 
-    def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, parents):
-        super().__init__(instance, level, below, starts, lengths, owners, parents)
-        n, m = self.n, len(starts)
-        self.far = dict(zip((True, False), farthest_ids(starts, lengths, n)))
-        full = np.flatnonzero(lengths == n)
-        self.full_id = int(full[0]) if len(full) else -1
-        # per point and direction (keyed by ccw): the largest key
-        # reach * m + (m - 1 - id), farthest reach, then smallest id
-        self.ext: dict[bool, np.ndarray] = {}
-        tie = np.arange(m - 1, -1, -1, dtype=np.int64)
-        for ccw in (True, False):
-            reach = run_reach(starts, lengths, owners, n, ccw=ccw)
+    @cached_property
+    def _farthest(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both ways' global answers, from one call on first use."""
+        return farthest_ids(self.starts, self.lengths, self.n)
+
+    def _chain_table(self, bucket: bool, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The one-entry chains of one kind; a bucket's has the largest reach * m + (m - 1 - id)."""
+        n, m = self.n, len(self.starts)
+        if bucket:
+            reach = run_reach(self.starts, self.lengths, self.owners, n, ccw=ccw)
             best = np.full(n, -1, dtype=np.int64)
-            np.maximum.at(best, owners, reach * m + tie)
-            self.ext[ccw] = np.where(best < 0, -1, m - 1 - best % max(m, 1))
+            np.maximum.at(best, self.owners, reach * m + np.arange(m - 1, -1, -1))
+            ids = np.where(best < 0, -1, m - 1 - best % max(m, 1))
+        else:
+            ids = self._farthest[0 if ccw else 1]
+        has = ids >= 0
+        return np.concatenate(([0], np.cumsum(has))), ids[has]
 
 
 def directional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int, *, ccw: bool):
-    """Each point's farthest-reaching extension of its extremes, ccw or cw.
+    """Each point's farthest-reaching one-way combination at level t, ccw or cw.
 
-    One pass over all points per split level t': l1 is the point's own
-    level-t' extreme, l2 the level-(t-t') run reaching farthest past l1's
-    far end, and the tail the stretch the point's disk meets past l2's far
-    end (`runs_past`); the run is the union of the point's dominated run,
-    l1, l2 and the tail.  A full l1 gives (0, n) without l2, a full l2
-    gives (0, n).  Per point the split reaching farthest wins, ties to the
-    smaller t'; points with no split are left out.  Returns one block of
-    int64 columns: owners, starts, lengths and (m, 4) parent rows.
+    `directional_combos` of every split level t' gives each point at most
+    one combination, its chains holding one entry each; per point the
+    split reaching farthest wins, ties to the smaller t'.  Points with no
+    split are left out.  Returns the columns of `directional_combos`.
     """
     if t < 2:
         raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
     n = nbr.n
-    dom_s, dom_k = nbr.dominated_runs
     best = np.full(n, -1, np.int64)  # reach of each point's winner so far
-    won = np.zeros((n, 6), np.int64)  # its start, length and parent row
+    won = np.zeros(n, np.int64)  # its row among the splits' rows laid end to end
+    blocks, offset = [], 0
     for tp in range(1, t):
-        near, other = levels[tp], levels[t - tp]
-        i = np.flatnonzero(near.ext[ccw] >= 0)
-        l1 = near.ext[ccw][i]
-        s1, k1 = near.starts[l1], near.lengths[l1]
-        l2 = np.where(k1 == n, -1, other.far[ccw][(s1 + k1) % n if ccw else (s1 - 1) % n])
-        ok = (k1 == n) | (l2 >= 0)
-        i, l1, s1, k1, l2 = i[ok], l1[ok], s1[ok], k1[ok], l2[ok]
-        s2, k2, tail_s, tail_k = (np.zeros_like(i) for _ in range(4))  # empty parts
-        has2 = l2 >= 0
-        s2[has2], k2[has2] = other.starts[l2[has2]], other.lengths[l2[has2]]
-        # the tail only where no part is full: the union saturates on those
-        open_ = (k1 < n) & (k2 < n)
-        tail_s[open_], tail_k[open_] = nbr.runs_past(
-            i[open_], ((s2 + k2 - 1) % n if ccw else s2)[open_], ccw=ccw
-        )
-        s, k = union_columns(n, ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k)))
+        block = directional_combos(nbr, levels, t, tp, ccw=ccw)
+        i, s, k = block[:3]
         reach = run_reach(s, k, i, n, ccw=ccw)
         win = reach > best[i]
         best[i[win]] = reach[win]
-        t2 = np.where(l2 < 0, -1, t - tp)
-        won[i[win]] = np.stack((s, k, np.full_like(i, tp), l1, t2, l2), axis=1)[win]
-    i = np.flatnonzero(best >= 0)
-    return i, won[i, 0], won[i, 1], won[i, 2:]
-
-
-def bidirectional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int) -> list:
-    """One block (as `directional_steps`) per split level t' = 2..t-1: the stitched candidates.
-
-    A point's dominated run joined with its ccw extreme of level t' and its
-    cw extreme of level t+1-t'; points missing either extreme are left out.
-    """
-    n = nbr.n
-    dom_s, dom_k = nbr.dominated_runs
-    blocks = []
-    for tp in range(2, t):
-        x, y = levels[tp], levels[t + 1 - tp]
-        i = np.flatnonzero((x.ext[True] >= 0) & (y.ext[False] >= 0))
-        lx, ly = x.ext[True][i], y.ext[False][i]
-        runs = ((dom_s[i], dom_k[i]), (x.starts[lx], x.lengths[lx]), (y.starts[ly], y.lengths[ly]))
-        parents = np.stack((np.full_like(i, tp), lx, np.full_like(i, t + 1 - tp), ly), axis=1)
-        blocks.append((i, *union_columns(n, runs), parents))
-    return blocks
+        won[i[win]] = offset + np.flatnonzero(win)
+        blocks.append(block)
+        offset += len(i)
+    rows = won[best >= 0]
+    return tuple(np.concatenate(col)[rows] for col in zip(*blocks))
 
 
 def build_level(
@@ -208,18 +174,19 @@ def build_level(
     against its parents (`check_level`).
     """
     n = instance.n
+    units = np.ones(n)
     if t == 1:
-        blocks = [(np.arange(n), *nbr.dominated_runs, np.full((n, 4), -1))]
+        blocks = [(np.arange(n), *nbr.dominated_runs, units, np.full((n, 4), -1))]
     else:
         blocks = [directional_steps(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
-        blocks += bidirectional_steps(nbr, levels, t)
-    owners, starts, lengths, parents = (np.concatenate(col) for col in zip(*blocks))
+        blocks += [bidirectional_combos(nbr, levels, t, tp, units) for tp in range(2, t)]
+    cols = [np.concatenate(col) for col in zip(*blocks)]
     # blocks are concatenated in slot order, so a stable sort keeps it per owner
-    order = np.argsort(owners, kind="stable")
-    owners, starts, lengths, parents = owners[order], starts[order], lengths[order], parents[order]
+    order = np.argsort(cols[0], kind="stable")
+    owners, starts, lengths, values, parents = (col[order] for col in cols)
     if check_invariants:
-        check_level(nbr, levels, t, owners, starts, lengths, parents)
-    return GreedyLevel(instance, t, levels, starts, lengths, owners, parents)
+        check_level(nbr, levels, t, owners, starts, lengths, parents, values, units)
+    return GreedyLevel(instance, t, levels, starts, lengths, owners, values, parents)
 
 
 def solve_unweighted(
@@ -248,8 +215,9 @@ def solve_unweighted(
             raise SolverInvariantError(f"no full candidate by level {n}")
         level = build_level(instance, nbr, levels, t, check_invariants=check_invariants)
         levels.append(level)
-        if level.full_id >= 0:
-            witnesses = level.witnesses(level.full_id)
+        c = level.cheapest_full()
+        if c >= 0:
+            witnesses = level.witnesses(c)
             if len(witnesses) != t:
                 # the first full level equals the optimum cardinality
                 raise SolverInvariantError(

@@ -3,13 +3,13 @@
 The solvers never run this module.  `check_level` checks each row of a
 level against its parents only, and reaches the whole witness set by
 induction over the levels.  The reference rebuilds a row as an object
-(`candidate_of`: a `Candidate` with its value in the weighted DP, a
-`GreedyCandidate` in the unweighted search) holding its whole witness
+(`candidate_of`: a `Candidate` with its value) holding its whole witness
 set, and checks that set disk by disk with the scalar `intersects`
-(`reference_check`): the owner is a witness, there are no more witnesses
-than the level, and every disk of the run meets one.  The weighted check
-adds that the witnesses weigh at most the value, the unweighted one that
-the owner lies inside its run.
+(`reference_check`): the owner is a witness and lies inside its run,
+there are no more witnesses than the level, every disk of the run meets
+one, and the witnesses weigh at most the value under the weights the
+solver's values sum (the instance's in the weighted DP, ones in the
+unweighted search).
 
 `recording_checks` records the rows a solver module hands `check_level`.
 `CORRUPTIONS` breaks one rule of `check_level` in one row of a built
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from diskdom.solution import VALUE_SLACK, RunLevel, SolverInvariantError, check_
 
 @dataclass(frozen=True)
 class Candidate:
-    """The run (start, length) dominated by `witnesses`, costing at most `value`."""
+    """The run (start, length) through `owner`, dominated by `witnesses`, costing <= `value`."""
 
     start: int
     length: int
@@ -48,73 +48,36 @@ class Candidate:
     level: int
 
 
-@dataclass(frozen=True)
-class GreedyCandidate:
-    """The run (start, length) through `owner`, dominated by `witnesses`."""
-
-    start: int
-    length: int
-    witnesses: frozenset[int]
-    owner: int
-    level: int
+def candidate_of(level, ident: int) -> Candidate:
+    """Row `ident` of a level as a `Candidate`, its witnesses rebuilt."""
+    start, length, owner = (int(col[ident]) for col in (level.starts, level.lengths, level.owners))
+    value = float(level.values[ident])
+    return Candidate(start, length, value, level.witnesses(ident), owner, level.level)
 
 
-def check_dominated_run(instance, cand) -> None:
-    """The checks both candidate kinds share; failures raise SolverInvariantError.
+def reference_check(instance, cand: Candidate, weights) -> None:
+    """The global check of one candidate, its witnesses weighed by `weights`.
 
-    `cand` carries a run (`start`, `length`), `witnesses`, `owner` and
-    `level`.  The owner must be a witness, there may be no more witnesses
-    than the level, and every disk of the run must meet some witness.
+    The owner must be a witness inside the run, there may be no more
+    witnesses than the level, every disk of the run must meet some
+    witness, and the witnesses may weigh no more than the value.
+    Failures raise SolverInvariantError.
     """
+    n = instance.n
     if cand.owner not in cand.witnesses:
         raise SolverInvariantError(f"owner is not a witness: {cand}")
+    if (cand.owner - cand.start) % n >= cand.length:
+        raise SolverInvariantError(f"owner outside its run: {cand}")
     if len(cand.witnesses) > cand.level:
         raise SolverInvariantError(f"more witnesses than the level: {cand}")
     disks = instance.disks
-    n = len(disks)
     for k in range(cand.length):
         idx = (cand.start + k) % n
         if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
             raise SolverInvariantError(f"disk {idx} undominated: {cand}")
-
-
-def make_validator(instance):
-    """The global check of a `Candidate`; failures raise SolverInvariantError."""
-
-    def validate(cand: Candidate) -> None:
-        check_dominated_run(instance, cand)
-        total = math.fsum(instance.ws[sorted(cand.witnesses)].tolist())
-        if total > cand.value + VALUE_SLACK * max(1.0, abs(cand.value)):
-            raise SolverInvariantError(f"witnesses weigh {total}: {cand}")
-
-    return validate
-
-
-def make_greedy_validator(instance):
-    """The global check of a `GreedyCandidate`; failures raise SolverInvariantError."""
-    n = instance.n
-
-    def validate(cand: GreedyCandidate) -> None:
-        check_dominated_run(instance, cand)
-        if (cand.owner - cand.start) % n >= cand.length:
-            raise SolverInvariantError(f"owner outside its run: {cand}")
-
-    return validate
-
-
-def candidate_of(level, ident: int):
-    """Row `ident` of a level as a `Candidate` (valued) or `GreedyCandidate`, witnesses rebuilt."""
-    start, length, owner = (int(col[ident]) for col in (level.starts, level.lengths, level.owners))
-    witnesses = level.witnesses(ident)
-    if hasattr(level, "values"):
-        return Candidate(start, length, float(level.values[ident]), witnesses, owner, level.level)
-    return GreedyCandidate(start, length, witnesses, owner, level.level)
-
-
-def reference_check(instance, cand) -> None:
-    """The global check of one candidate of either kind."""
-    validator = make_validator if isinstance(cand, Candidate) else make_greedy_validator
-    validator(instance)(cand)
+    total = math.fsum(weights[sorted(cand.witnesses)].tolist())
+    if total > cand.value + VALUE_SLACK * max(1.0, abs(cand.value)):
+        raise SolverInvariantError(f"witnesses weigh {total}: {cand}")
 
 
 # -- the rows check_level receives ---------------------------------------------------
@@ -130,23 +93,21 @@ class CheckedRows(NamedTuple):
     starts: np.ndarray
     lengths: np.ndarray
     parents: np.ndarray
-    values: Optional[np.ndarray]
+    values: np.ndarray
+    weights: np.ndarray
 
     def check(self) -> None:
         check_level(*self)
 
     def level(self) -> RunLevel:
-        """The rows as a level over `levels`: a `LevelTable` when valued, else a `RunLevel`."""
-        inst, t, levels = self.nbr.instance, self.t, self.levels
+        """The rows as a level over `levels`."""
         runs = self.starts, self.lengths, self.owners
-        if self.values is None:
-            return RunLevel(inst, t, levels, *runs, self.parents)
-        return wdp.LevelTable(inst, t, levels, *runs, self.values, self.parents)
+        return RunLevel(self.nbr.instance, self.t, self.levels, *runs, self.values, self.parents)
 
     def row(self, r: int) -> "CheckedRows":
         """Row r alone, its columns copied."""
-        cols = (col if col is None else col[r : r + 1].copy() for col in self[3:])
-        return CheckedRows(self.nbr, self.levels, self.t, *cols)
+        cols = (col[r : r + 1].copy() for col in self[3:8])
+        return CheckedRows(self.nbr, self.levels, self.t, *cols, self.weights)
 
     def broken(self, column: str, value) -> "CheckedRows":
         """Row 0 alone, with `column` set to `value`."""
@@ -160,8 +121,8 @@ def recording_checks(module):
     """Every `check_level` call `module` makes inside the block, as `CheckedRows`, still run."""
     seen = []
 
-    def record(nbr, levels, t, owners, starts, lengths, parents, values=None):
-        rows = CheckedRows(nbr, list(levels[:t]), t, owners, starts, lengths, parents, values)
+    def record(nbr, levels, t, *cols):
+        rows = CheckedRows(nbr, list(levels[:t]), t, *cols)
         seen.append(rows)
         rows.check()
 
@@ -219,8 +180,7 @@ def _gap(rows: CheckedRows) -> None:
     r = _first(rows.parents[:, 3] >= 0)
     n = rows.nbr.n
     rows.parents[r, 3] = (rows.owners[r] + n // 2) % n
-    if rows.values is not None:
-        rows.values[r] += 100.0  # no lower than the new parents allow
+    rows.values[r] += 100.0  # no lower than the new parents allow
 
 
 def _owner_outside(rows: CheckedRows) -> None:
@@ -249,36 +209,36 @@ def _set(column: str, row_value):
     return corrupt
 
 
-# name -> (level, whether only the weighted DP has it, corruption, words of the raised rule)
+# name -> (level, corruption, words of the raised rule); each applies to both solvers
 CORRUPTIONS = {
     "level-1 run is not the dominated run": (
-        1, False, _set("lengths", lambda rows: rows.lengths[0] + 1), "dominated run"
+        1, _set("lengths", lambda rows: rows.lengths[0] + 1), "dominated run"
     ),
-    "lowered level-1 value": (1, True, _set("values", lambda rows: rows.values[0] - 0.25),
+    "lowered level-1 value": (1, _set("values", lambda rows: rows.values[0] - 0.25),
                               "owner's weight"),
-    "parent level >= t": (2, False, _set("parents", lambda rows: (2, 0, 1, 0)), "parent level"),
+    "parent level >= t": (2, _set("parents", lambda rows: (2, 0, 1, 0)), "parent level"),
     "parent id out of range": (
-        2, False, _set("parents", lambda rows: (1, rows.nbr.n, -1, -1)), "parent id"
+        2, _set("parents", lambda rows: (1, rows.nbr.n, -1, -1)), "parent id"
     ),
     "owner does not own l1": (
-        2, False, _set("parents", lambda rows: (1, (rows.owners[0] + 1) % rows.nbr.n, -1, -1)),
+        2, _set("parents", lambda rows: (1, (rows.owners[0] + 1) % rows.nbr.n, -1, -1)),
         "does not own l1",
     ),
-    "too many witnesses": (3, False, _too_many_witnesses, "more than t witnesses"),
-    "lowered value": (2, True, _set("values", lambda rows: 0.0), "value below"),
-    "gap between the parts": (2, False, _gap, "gap between the parts"),
-    "owner outside its run": (2, False, _owner_outside, "owner outside its run"),
-    "undominated disk in the tail": (2, False, _undominated_tail, "misses the owner"),
-    "parts leave the run": (2, False, _parts_leave_the_run, "parts leave the run"),
+    "too many witnesses": (3, _too_many_witnesses, "more than t witnesses"),
+    "lowered value": (2, _set("values", lambda rows: 0.0), "value below"),
+    "gap between the parts": (2, _gap, "gap between the parts"),
+    "owner outside its run": (2, _owner_outside, "owner outside its run"),
+    "undominated disk in the tail": (2, _undominated_tail, "misses the owner"),
+    "parts leave the run": (2, _parts_leave_the_run, "parts leave the run"),
 }
 
 
 def corrupted(name: str, *, weighted: bool) -> tuple[CheckedRows, str]:
     """Ring rows one solver checks at the corruption's level, broken; and the rule's words."""
-    t, _, corrupt, words = CORRUPTIONS[name]
+    t, corrupt, words = CORRUPTIONS[name]
     module = wdp if weighted else ug
     rows = checked_levels(ring(weighted=weighted), module, t)[t - 1]
-    rows = CheckedRows(*rows[:3], *(None if col is None else col.copy() for col in rows[3:]))
+    rows = CheckedRows(*rows[:3], *(col.copy() for col in rows[3:8]), rows.weights)
     corrupt(rows)
     return rows, words
 

@@ -255,6 +255,49 @@ def test_intersects_row_is_intersects_on_tangent_chains():
     assert rows > 50
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_overflowing_squares_do_not_read_as_meeting(scale):
+    """Three pairwise-disjoint disks whose squares overflow: each meets only itself.
+
+    Both d² and (r_i + r_j)² overflow to inf, and inf <= inf says nothing,
+    so the predicate decides such a pair again on exactly scaled operands.
+    Both solvers and brute force then need all three centers, and `verify`
+    rejects any fewer; a tangent pair at the same scale still meets.
+    """
+    from itertools import combinations
+
+    from diskdom.oracle import brute_force_min, verify
+    from diskdom.solution import Infeasible
+    from diskdom.unweighted_greedy import solve_unweighted
+    from diskdom.weighted_dp import solve_weighted
+
+    inst = mk_instance([(x * scale, y * scale, scale) for x, y in ((0, 0), (3, 0), (1.5, 5))])
+    arrays = inst.xs, inst.ys, inst.rs
+    for i, d in enumerate(inst.disks):
+        assert [intersects(d, e) for e in inst.disks] == [z == i for z in range(3)]
+        assert intersects_row(*arrays, i).tolist() == [z == i for z in range(3)]
+    assert intersects(disk(0, 0, scale), disk(2 * scale, 0, scale))
+    assert solve_unweighted(inst).size == 3
+    assert solve_weighted(inst, 3).size == 3
+    with pytest.raises(Infeasible):
+        solve_weighted(inst, 2)
+    assert brute_force_min(inst, "unweighted").size == 3
+    assert brute_force_min(inst, "weighted").size == 3
+    assert not any(verify(inst, c) for k in (1, 2) for c in combinations(range(3), k))
+    assert verify(inst, range(3))
+
+
+def test_overflowing_center_difference_does_not_read_as_meeting():
+    # the centers' difference itself overflows, so the pair is decided on
+    # coordinates scaled before they are subtracted: 3.4e308 apart, radii
+    # summing to 2e308 (disjoint) and to 3.4e308 (tangent)
+    for r, meets in ((1e308, False), (1.7e308, True)):
+        pair = [disk(-1.7e308, 0.0, r), disk(1.7e308, 0.0, r)]
+        cols = [np.array(col) for col in zip(*((d.center.x, d.center.y, d.radius) for d in pair))]
+        assert intersects(*pair) == meets
+        assert intersects_row(*cols, 0).tolist() == [True, meets]
+
+
 # ------------------------------------------------------------ cyclic runs
 
 

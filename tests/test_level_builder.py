@@ -3,10 +3,13 @@
 Each level is built twice from the same lower levels: by the solver's
 `build_level` on the tree index, and by the scalar twin on the naive
 index (`greedy_reference.py`, `weighted_reference.py`).  The two must hold
-the same candidates under the same ids (run, owner, the weighted value bit
+the same candidates under the same ids (run, owner, parent row, value bit
 for bit, and the witness set rebuilt from the parents) and give the same
-answers later levels read: extremes, farthest ids and first full id for
-the unweighted search, every bucket and global chain for the weighted DP.
+answers later levels read: every bucket and global chain, and for the
+unweighted search the cheapest full id.  An unweighted level's values are
+all its level, whatever the instance's weights, and each of its one-entry
+chains is the weighted DP's staircase over the same rows cut to its last,
+farthest entry.
 """
 
 from dataclasses import replace
@@ -21,7 +24,9 @@ from diskdom import gen_random
 from diskdom.instance_io import load_instance_document
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.unweighted_greedy import build_level
+from diskdom.weighted_dp import LevelTable
 from diskdom.weighted_dp import build_level as build_weighted_level
+from greedy_reference import farthest_entry
 from query_reference import NaiveNeighborIndex
 from test_weighted_dp import oracle_instances
 
@@ -39,20 +44,31 @@ RADIUS_LAWS = (
 def assert_levels_agree(inst) -> int:
     """Build levels until the first full one, comparing both builders; return its level."""
     nbr, naive = build_neighbor_index(inst), NaiveNeighborIndex(inst)
+    n = inst.n
     levels = [None]
-    for t in range(1, inst.n + 1):
+    for t in range(1, n + 1):
         level = build_level(inst, nbr, levels, t)
         twin = greedy_reference.build_level(inst, naive, levels, t)
-        for column in ("starts", "lengths", "owners"):
+        for column in ("starts", "lengths", "owners", "parents"):
             assert np.array_equal(getattr(level, column), getattr(twin, column)), (t, column)
+        assert np.array_equal(level.values.view(np.int64), twin.values.view(np.int64)), t
+        assert (level.values == t).all(), t  # unit weights, not the instance's
         for c in range(len(level.starts)):
             assert level.witnesses(c) == twin.witnesses(c), (t, c)
+        runs = level.starts, level.lengths, level.owners, level.values, level.parents
+        staircases = LevelTable(inst, t, levels, *runs)
         for ccw in (True, False):
-            assert np.array_equal(level.ext[ccw], twin.ext[ccw]), (t, ccw)
-            assert np.array_equal(level.far[ccw], twin.far[ccw]), (t, ccw)
-        assert level.full_id == twin.full_id, t
+            for bucket in (True, False):
+                got = level.chains(bucket=bucket, ccw=ccw)
+                want = twin.chains(bucket=bucket, ccw=ccw)
+                assert all(map(np.array_equal, got, want)), (t, ccw, bucket)
+                assert (np.diff(got[0]) <= 1).all(), (t, ccw, bucket)  # one entry at most
+                for anchor in range(n):
+                    cut = farthest_entry(staircases, anchor, bucket=bucket, ccw=ccw)
+                    assert farthest_entry(level, anchor, bucket=bucket, ccw=ccw) == cut
+        assert level.cheapest_full() == twin.cheapest_full(), t
         levels.append(level)
-        if level.full_id >= 0:
+        if level.cheapest_full() >= 0:
             return t
     raise AssertionError("no full candidate by level n")
 
@@ -71,7 +87,10 @@ def test_levels_agree_on_random_instances():
     for seed in range(200):
         n = 3 + seed * 7 % 58  # every n in 3..60
         doc = gen_random(n, 50_000 + seed, FAMILIES[seed % 3], RADIUS_LAWS[seed % 5], "unit")
-        deepest = max(deepest, assert_levels_agree(doc.to_instance(weighted=False)))
+        inst = doc.to_instance(weighted=False)
+        if seed % 2:
+            inst = small_integer_weights(inst, seed)  # which the search must not read
+        deepest = max(deepest, assert_levels_agree(inst))
     assert deepest >= 8  # some instances need many levels
 
 

@@ -64,7 +64,7 @@ def test_reference_accepts_every_checked_row():
         for checked in seen:
             level = checked.level()
             for r in range(len(checked.owners)):
-                reference_check(inst, candidate_of(level, r))
+                reference_check(inst, candidate_of(level, r), checked.weights)
             rows += len(checked.owners)
     assert rows > 10_000
 
@@ -72,8 +72,7 @@ def test_reference_accepts_every_checked_row():
 def _corrupt(rng, rows: CheckedRows) -> None:
     """Break row 0 of a one-row copy at random, as a bug might."""
     n, t = rows.nbr.n, rows.t
-    kinds = ["start", "owner", "parent"] + (["longer"] if rows.lengths[0] < n else [])
-    kinds += ["value"] if rows.values is not None else []
+    kinds = ["start", "owner", "parent"] + (["longer"] if rows.lengths[0] < n else []) + ["value"]
     kind = rng.choice(kinds)
     if kind == "start":
         rows.starts[0] = (rows.starts[0] + rng.choice((-2, -1, 1, 2))) % n
@@ -114,7 +113,7 @@ def test_no_row_the_reference_rejects_passes():
                 rows = checked.row(r)
                 _corrupt(rng, rows)
                 tried += 1
-                if _raises(reference_check, inst, candidate_of(rows.level(), 0)):
+                if _raises(reference_check, inst, candidate_of(rows.level(), 0), rows.weights):
                     rejected += 1
                     misses += not _raises(rows.check)
     assert misses == 0
@@ -122,10 +121,9 @@ def test_no_row_the_reference_rejects_passes():
 
 
 def _cases():
-    for name, (_, weighted_only, _, _) in CORRUPTIONS.items():
+    for name in CORRUPTIONS:
         for solver, weighted in SOLVERS.items():
-            if weighted or not weighted_only:
-                yield pytest.param(name, weighted, id=f"{solver}: {name}")
+            yield pytest.param(name, weighted, id=f"{solver}: {name}")
 
 
 @pytest.mark.parametrize("name, weighted", list(_cases()))

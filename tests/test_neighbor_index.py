@@ -366,13 +366,15 @@ def test_build_neighbor_index_builds_the_tree_at_every_n():
         assert type(build_neighbor_index(_ring_with_giant(n))) is _TreeNeighborIndex
 
 
-@pytest.mark.parametrize("scale", [1e198, 1e-150])
+@pytest.mark.parametrize("scale", [2.0**658, 1e-150])
 def test_tree_answers_as_the_float_predicate_at_extreme_scales(scale):
     """A scaled wide-law instance: every tree answer is the one `~intersects_row` gives.
 
-    At 1e198 every square overflows, so the predicate says that every two
-    disks meet, where most do not, and no node may be skipped; at 1e-150
-    the tree does skip nodes, and each skip must agree with the predicate.
+    At 2**658 every square overflows, so the predicate decides every pair
+    again on operands scaled by 2**-600, exactly as the unscaled instance
+    scaled by 2**58: it answers as the unscaled instance, and no node may
+    be skipped; at 1e-150 the tree does skip nodes, and each skip must
+    agree with the predicate.
     """
     from diskdom import gen_random
 
@@ -382,15 +384,14 @@ def test_tree_answers_as_the_float_predicate_at_extreme_scales(scale):
     arrays = inst.xs, inst.ys, inst.rs
     tree = _TreeNeighborIndex(inst)
     i_all, j_all = np.divmod(np.arange(n * n), n)
-    with np.errstate(over="ignore"):
-        rows = [~intersects_row(*arrays, i) for i in range(n)]
-        for ccw in (True, False):
-            want = np.concatenate([_first_in_row(row, np.arange(n), ccw=ccw) for row in rows])
-            got = tree.first_disjoint(i_all, j_all, ccw=ccw)
-            assert got.tolist() == want.tolist()
-            if scale > 1:  # the overflow decides: unscaled, many of these pairs miss
-                assert (got == -1).all()
-                assert (_TreeNeighborIndex(base).first_disjoint(i_all, j_all, ccw=ccw) >= 0).any()
+    rows = [~intersects_row(*arrays, i) for i in range(n)]
+    for ccw in (True, False):
+        want = np.concatenate([_first_in_row(row, np.arange(n), ccw=ccw) for row in rows])
+        got = tree.first_disjoint(i_all, j_all, ccw=ccw)
+        assert got.tolist() == want.tolist()
+        if scale > 1:  # no overflowed square decides: the answers are the unscaled ones
+            unscaled = _TreeNeighborIndex(base).first_disjoint(i_all, j_all, ccw=ccw)
+            assert got.tolist() == unscaled.tolist() and (got >= 0).any()
     assert tree._skips(i_all, j_all >> 6).any() == (scale < 1)
 
 

@@ -9,15 +9,10 @@ import diskdom.unweighted_greedy as ug
 from conftest import mk_instance, recording, subprocess_env
 from diskdom.neighbor_index import _TreeNeighborIndex, build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
-from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
-from diskdom.unweighted_greedy import (
-    GreedyLevel,
-    bidirectional_steps,
-    build_level,
-    directional_steps,
-    solve_unweighted,
-)
-from invariant_reference import GreedyCandidate, checked_levels, recording_checks
+from diskdom.solution import Infeasible, InvalidK, SolverInvariantError, bidirectional_combos
+from diskdom.unweighted_greedy import GreedyLevel, build_level, directional_steps, solve_unweighted
+from greedy_reference import farthest_entry
+from invariant_reference import Candidate, checked_levels, recording_checks
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, solvers_using
 from run_reference import run_of
 
@@ -44,27 +39,33 @@ def build_levels(inst, upto, *, check_invariants=False):
 
 def step(nbr, levels, i, t, *, ccw):
     """Point i's ccw (or cw) step at level t from `directional_steps`, or None."""
-    owners, starts, lengths, parents = directional_steps(nbr, levels, t, ccw=ccw)
+    owners, starts, lengths, values, parents = directional_steps(nbr, levels, t, ccw=ccw)
     rows = np.flatnonzero(owners == i)
     if not len(rows):
         return None
     (row,) = rows
     t1, c1, t2, c2 = parents[row].tolist()
     witnesses = levels[t1].witnesses(c1) | (levels[t2].witnesses(c2) if c2 >= 0 else set())
-    return GreedyCandidate(int(starts[row]), int(lengths[row]), witnesses, i, t)
+    return Candidate(int(starts[row]), int(lengths[row]), float(values[row]), witnesses, i, t)
 
 
 def level_of(inst, t, buckets):
     """A level holding `buckets[i]`, a list of (start, length) runs, for each point i."""
     rows = [(i, s, k) for i, bucket in enumerate(buckets) for s, k in bucket]
     owners, starts, lengths = (np.array([r[c] for r in rows], np.int64) for c in range(3))
-    return GreedyLevel(inst, t, [None], starts, lengths, owners, np.full((len(rows), 4), -1))
+    values, parents = np.full(len(rows), float(t)), np.full((len(rows), 4), -1)
+    return GreedyLevel(inst, t, [None], starts, lengths, owners, values, parents)
+
+
+def extreme(level, i, *, ccw):
+    """Point i's own candidate reaching farthest from it, ccw or cw: its bucket chain's entry."""
+    return farthest_entry(level, i, bucket=True, ccw=ccw)
 
 
 def test_greedy_ccw_step_t4(t4):
     nbr, levels = build_levels(t4, 1)
     cand = step(nbr, levels, 0, 2, ccw=True)
-    assert cand is not None and cand.length == 4
+    assert cand is not None and cand.length == 4 and cand.value == 2
     # the global step picks the run through 2 reaching farthest ccw (owner 3)
     assert cand.witnesses == {0, 3}
     assert verify(t4, cand.witnesses)
@@ -102,8 +103,10 @@ def test_greedy_step_crawls_on_disjoint_disks():
 
 
 def test_bidirectional_step_t2_empty(t4):
-    nbr, levels = build_levels(t4, 1)
-    assert bidirectional_steps(nbr, levels, 2) == []
+    # level 2 has no stitched split: every row joins two level-1 rows
+    _, levels = build_levels(t4, 2)
+    t1, _, t2, _ = levels[2].parents.T
+    assert len(t1) and ((t1 == 1) & (t2 == 1)).all()
 
 
 def test_bidirectional_step_stitches_both_extremes():
@@ -111,11 +114,12 @@ def test_bidirectional_step_stitches_both_extremes():
     inst = rand_instance(rng, 10, 1.5, 3.5)
     nbr, levels = build_levels(inst, 3)
     n = inst.n
-    (block,) = bidirectional_steps(nbr, levels, 3)  # one per split level; t=3 has a single split
+    block = bidirectional_combos(nbr, levels, 3, 2, np.ones(n))  # t=3 has the single split 2
     assert len(block[0]) == n
-    for i, s, k, parent in zip(*block):
-        lx, ly = levels[2].ext[True][i], levels[2].ext[False][i]
+    for i, s, k, value, parent in zip(*block):
+        lx, ly = extreme(levels[2], i, ccw=True), extreme(levels[2], i, ccw=False)
         assert parent.tolist() == [2, lx, 2, ly]
+        assert value == 3  # point i's unit weight counted once
         assert (i - s) % n < k  # the run passes through i
     # in level 3, each stitched candidate witnesses with both extremes' witnesses
     level = levels[3]
@@ -123,7 +127,7 @@ def test_bidirectional_step_stitches_both_extremes():
     assert len(stitched) == n
     for c in stitched:
         i = level.owners[c]
-        lx, ly = levels[2].ext[True][i], levels[2].ext[False][i]
+        lx, ly = extreme(levels[2], i, ccw=True), extreme(levels[2], i, ccw=False)
         assert level.witnesses(c) == levels[2].witnesses(lx) | levels[2].witnesses(ly)
 
 
@@ -156,7 +160,7 @@ def scan_extreme(level, i, *, ccw):
 def assert_extremes_match_scans(level):
     for i in range(level.n):
         for ccw in (True, False):
-            assert level.ext[ccw][i] == scan_extreme(level, i, ccw=ccw), (i, ccw)
+            assert extreme(level, i, ccw=ccw) == scan_extreme(level, i, ccw=ccw), (i, ccw)
 
 
 def test_cached_extremes_match_scans():
@@ -191,13 +195,13 @@ def test_extreme_reach_ties_go_to_the_earliest_insert(t4):
     # full runs of point 2; point 3 has none
     tbl = level_of(t4, 2, [[(0, 2)], [(1, 2), (0, 3)], [(1, 4), (2, 4)], []])
     # both reach 1 ccw from point 1; the earlier candidate wins
-    assert tbl.ext[True][1] == 1
-    assert tbl.ext[False][1] == 2  # cw reach 1 beats 0
+    assert extreme(tbl, 1, ccw=True) == 1
+    assert extreme(tbl, 1, ccw=False) == 2  # cw reach 1 beats 0
     # full runs reach n both ways; the first full run wins the tie
-    assert tbl.ext[True][2] == 3
-    assert tbl.ext[False][2] == 3
-    assert tbl.full_id == 3
-    assert tbl.ext[True][3] == -1 and tbl.ext[False][3] == -1
+    assert extreme(tbl, 2, ccw=True) == 3
+    assert extreme(tbl, 2, ccw=False) == 3
+    assert tbl.cheapest_full() == 3
+    assert extreme(tbl, 3, ccw=True) == -1 and extreme(tbl, 3, ccw=False) == -1
 
 
 def test_solve_big_disk(big5):
@@ -275,7 +279,7 @@ def test_without_bidirectional_still_reports_only_verified_sets(monkeypatch):
         inst = rand_instance(rng, rng.randint(3, 12))
         full = solve_unweighted(inst)
         with monkeypatch.context() as mp:
-            mp.setattr(ug, "bidirectional_steps", lambda nbr, levels, t: [])
+            mp.setattr(ug, "bidirectional_combos", no_combos)
             bare = solve_unweighted(inst)
         assert bare.size >= full.size
         assert verify(inst, inst.to_canonical(bare.centers))
@@ -284,8 +288,8 @@ def test_without_bidirectional_still_reports_only_verified_sets(monkeypatch):
 def test_full_run_is_the_extreme_both_ways(t4):
     # a full run reaches n steps either way, past any partial run
     tbl = level_of(t4, 2, [[(3, 3), (0, 4)], [], [], []])  # the full run is id 1
-    assert tbl.ext[True][0] == 1 and tbl.ext[False][0] == 1
-    assert tbl.full_id == 1
+    assert extreme(tbl, 0, ccw=True) == 1 and extreme(tbl, 0, ccw=False) == 1
+    assert tbl.cheapest_full() == 1
 
 
 def test_check_invariants_validates_every_candidate():
@@ -360,12 +364,16 @@ def test_counting_bound_agrees_across_strategies():
 
 def no_steps(nbr, levels, t, *, ccw):
     none = np.empty(0, np.int64)
-    return none, none, none, np.empty((0, 4), np.int64)
+    return none, none, none, np.empty(0), np.empty((0, 4), np.int64)
+
+
+def no_combos(nbr, levels, t, tp, weights):
+    return no_steps(nbr, levels, t, ccw=True)
 
 
 def test_no_full_candidate_by_level_n_is_a_typed_error(monkeypatch, t4):
     monkeypatch.setattr(ug, "directional_steps", no_steps)
-    monkeypatch.setattr(ug, "bidirectional_steps", lambda nbr, levels, t: [])
+    monkeypatch.setattr(ug, "bidirectional_combos", no_combos)
     with pytest.raises(SolverInvariantError, match="no full candidate"):
         solve_unweighted(t4)
 
@@ -375,7 +383,7 @@ def test_first_full_candidate_of_wrong_size_is_a_typed_error(monkeypatch, t4):
         # every point's own level-1 run as sole parent, claiming the full circle
         i = np.arange(t4.n)
         parents = np.stack([np.ones_like(i), i, -np.ones_like(i), -np.ones_like(i)], axis=1)
-        return i, np.zeros_like(i), np.full_like(i, t4.n), parents
+        return i, np.zeros_like(i), np.full_like(i, t4.n), np.ones(t4.n), parents
 
     monkeypatch.setattr(ug, "directional_steps", one_witness_full)
     with pytest.raises(SolverInvariantError, match="witnesses"):
@@ -390,8 +398,9 @@ def test_module_defines_no_candidate_type():
 
 
 def test_freeze_builds_no_valued_sublists(monkeypatch):
-    # the farthest answers of every level are built from two integer
-    # arrays, never from per-candidate objects
+    # the farthest answers of every level a later level reads (all but the
+    # last, whose global chains are never asked) are built from two
+    # integer arrays, never from per-candidate objects
     builds = []
     sweep = ug.farthest_ids
 
@@ -405,7 +414,7 @@ def test_freeze_builds_no_valued_sublists(monkeypatch):
     inst = rand_instance(rng, 12, 0.3, 1.5)
     size = solve_unweighted(inst).size
     assert size == brute_force_min(inst, "unweighted").size
-    assert len(builds) == size and builds[0] == inst.n
+    assert len(builds) == size - 1 and builds[0] == inst.n
 
 
 def test_strategies_and_index_modes_agree_beyond_brute_force():
@@ -449,9 +458,9 @@ def test_invariant_errors_survive_optimized_mode():
             "from diskdom.solution import SolverInvariantError",
             "import numpy as np",
             "none = np.empty(0, np.int64)",
-            "parents = np.empty((0, 4), np.int64)",
-            "ug.directional_steps = lambda nbr, levels, t, *, ccw: (none, none, none, parents)",
-            "ug.bidirectional_steps = lambda nbr, levels, t: []",
+            "rows = (none, none, none, np.empty(0), np.empty((0, 4), np.int64))",
+            "ug.directional_steps = lambda nbr, levels, t, *, ccw: rows",
+            "ug.bidirectional_combos = lambda nbr, levels, t, tp, weights: rows",
             "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
             "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
             "try:",
@@ -464,15 +473,11 @@ def test_invariant_errors_survive_optimized_mode():
 
 
 def test_validators_raise_under_optimized_mode():
-    # every corruption of the column check, for each solver that has the
-    # rule, on the ring the corruptions are written for
+    # every corruption of the column check, for both solvers, on the ring
+    # the corruptions are written for
     from invariant_reference import CORRUPTIONS
 
-    cases = [
-        f"{weighted} {name}"
-        for name, (_, weighted_only, _, _) in CORRUPTIONS.items()
-        for weighted in ((True,) if weighted_only else (True, False))
-    ]
+    cases = [f"{weighted} {name}" for name in CORRUPTIONS for weighted in (True, False)]
     lines = [
         "import sys",
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})",
@@ -490,8 +495,8 @@ def test_validators_raise_under_optimized_mode():
         "    union_columns(4, gap)",  # row 1 leaves index 1 uncovered
         "except NotConsecutive as exc:",
         "    print(f'columnar union gap in row {exc.row}')",
-        "for name, (_, weighted_only, _, _) in CORRUPTIONS.items():",
-        "    for weighted in (True,) if weighted_only else (True, False):",
+        "for name in CORRUPTIONS:",
+        "    for weighted in (True, False):",
         "        if rejects(*corrupted(name, weighted=weighted)):",
         "            print(weighted, name)",
     ]
