@@ -1,9 +1,10 @@
 """Solver results, failure modes, and the level columns and steps both solvers share.
 
 Both solvers build levels (`RunLevel`) with the same combination steps
-(`directional_combos`, `bidirectional_combos`) over lower levels' scan
-chains; the unweighted search runs them under unit weights, its chains
-cut to their farthest entry.  `check_level` checks either solver's rows.
+(`directional_combos`, `bidirectional_combos`), one pass for all splits
+of a level over the lower levels' scan chains; the unweighted search runs
+them under unit weights, its chains cut to their farthest entry.
+`check_level` checks either solver's rows.
 """
 
 from __future__ import annotations
@@ -264,65 +265,78 @@ class RunLevel:
         return self._witnesses[ident]
 
 
-def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, tp: int, *,
-                       ccw: bool) -> tuple:
-    """Every point's one-way level-t combinations of split level t', ccw or cw.
+def _chain_batch(levels: Sequence[Optional[RunLevel]], tags: np.ndarray, n: int, *,
+                 bucket: bool, ccw: bool) -> tuple:
+    """One kind of chains of levels[tags[0]], levels[tags[1]], ... laid end to end.
+
+    Returns the (len(tags), n + 1) pointer table, slot q's chain of anchor
+    a being entries ptr[q, a]:ptr[q, a + 1], then per entry its slot, id,
+    owner, start, length and value (chain entries only, never whole levels).
+    """
+    tables = [(levels[tp], *levels[tp].chains(bucket=bucket, ccw=ccw)) for tp in tags.tolist()]
+    sizes = np.array([len(ids) for *_, ids in tables], np.int64)
+    ptr = np.array([p for _, p, _ in tables], np.int64).reshape(len(tags), n + 1)
+    ptr += (np.cumsum(sizes) - sizes)[:, None]
+    none = np.empty(0, np.int64)  # leads each concatenation, so no tags still give columns
+    cols = [np.concatenate([none, *(getattr(level, name)[ids] for level, _, ids in tables)])
+            for name in ("owners", "starts", "lengths", "values")]
+    ids = np.concatenate([none, *(ids for *_, ids in tables)])
+    return (ptr, np.repeat(np.arange(len(tags)), sizes), ids, *cols)
+
+
+def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw: bool) -> tuple:
+    """Every point's one-way level-t combinations over all splits t' + (t - t'), ccw or cw.
 
     Each run l1 of a point's level-t' bucket chain is extended by each run
     l2 of the level-(t-t') global chain anchored just past l1's far end,
     then by the stretch the point's disk meets past l2's far end
     (`runs_past`); the run is the union of the point's dominated run, l1,
     l2 and that tail, at value v1 + v2.  A full l1 is a combination by
-    itself, at v1.  Rows come point by point, then in l1 and l2 chain
-    order.  Returns int64 columns owners, starts, lengths, the float64
-    values and (m, 4) parent rows.
+    itself, at v1.  Rows are split-major: by t' = 1..t-1, then point by
+    point, then in l1 and l2 chain order.  Returns int64 columns owners,
+    starts, lengths, the float64 values and (m, 4) parent rows.
     """
     n = nbr.n
-    near, other = levels[tp], levels[t - tp]
-    _, l1 = near.chains(bucket=True, ccw=ccw)
-    s1, k1 = near.starts[l1], near.lengths[l1]
-    ptr, l2s = other.chains(bucket=False, ccw=ccw)
+    splits = np.arange(1, t)
+    _, q, l1, i, s1, k1, v1 = _chain_batch(levels, splits, n, bucket=True, ccw=ccw)
+    ptr, _, l2s, _, s2s, k2s, v2s = _chain_batch(levels, t - splits, n, bucket=False, ccw=ccw)
+    # a full l1 stands alone: it reads the empty entry appended past every chain
+    l2s, s2s, k2s, v2s = np.append(l2s, -1), np.append(s2s, 0), np.append(k2s, 0), np.append(v2s, 0)
     anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
+    lo, hi = ptr[q, anchor], ptr[q, anchor + 1]
     full1 = k1 == n
-    lo = ptr[anchor]
-    row, at = expand_runs(lo, np.where(full1, 1, ptr[anchor + 1] - lo))
-    l1, s1, k1, has2 = l1[row], s1[row], k1[row], ~full1[row]
-    i = near.owners[l1]
-    l2 = np.full_like(l1, -1)
-    s2, k2, tail_s, tail_k = (np.zeros_like(l1) for _ in range(4))  # empty parts
-    j = l2s[at[has2]]
-    l2[has2], s2[has2], k2[has2] = j, other.starts[j], other.lengths[j]
-    # the tail only where l2 is partial: the union saturates on a full part
-    open_ = has2 & (k2 < n)
-    tail_s[open_], tail_k[open_] = nbr.runs_past(
-        i[open_], ((s2 + k2 - 1) % n if ccw else s2)[open_], ccw=ccw
-    )
+    row, at = expand_runs(np.where(full1, len(l2s) - 1, lo), np.where(full1, 1, hi - lo))
+    tp, i, l1, s1, k1, v1 = splits[q[row]], i[row], l1[row], s1[row], k1[row], v1[row]
+    l2, s2, k2 = l2s[at], s2s[at], k2s[at]
+    # the tail only where l2 is there and partial: the union saturates on a full part
+    tail_s, tail_k = np.zeros_like(l1), np.zeros_like(l1)
+    open_ = (k2 > 0) & (k2 < n)
+    end2 = (s2 + k2 - 1) % n if ccw else s2
+    tail_s[open_], tail_k[open_] = nbr.runs_past(i[open_], end2[open_], ccw=ccw)
     dom_s, dom_k = nbr.dominated_runs
-    s, k = union_columns(n, ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k)))
-    values = near.values[l1]
-    values[has2] += other.values[j]
-    parents = np.stack((np.full_like(l1, tp), l1, np.where(has2, t - tp, -1), l2), axis=1)
-    return i, s, k, values, parents
+    runs = ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k))
+    parents = np.stack((tp, l1, np.where(l2 >= 0, t - tp, -1), l2), axis=1)
+    return (i, *union_columns(n, runs), v1 + v2s[at], parents)
 
 
-def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, tp: int,
+def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
                          weights: np.ndarray) -> tuple:
     """Every point's combinations of a ccw run lx of level t' and a cw run ly of level t+1-t'.
 
     lx and ly walk the point's two bucket chains, ly fastest; the run is
     the union of the point's dominated run, lx and ly, at value
-    (vx + vy) - wi, the point's weight counted once.  Columns as
-    `directional_combos`.
+    (vx + vy) - wi, the point's weight counted once.  Splits t' = 2..t-1,
+    none at t = 2; rows and columns as `directional_combos`.
     """
     n = nbr.n
-    x, y = levels[tp], levels[t + 1 - tp]
-    _, lx = x.chains(bucket=True, ccw=True)
-    ptr, lys = y.chains(bucket=True, ccw=False)
-    i = x.owners[lx]
-    row, at = expand_runs(ptr[i], ptr[i + 1] - ptr[i])
-    i, lx, ly = i[row], lx[row], lys[at]
+    splits = np.arange(2, t)
+    _, q, lx, i, sx, kx, vx = _chain_batch(levels, splits, n, bucket=True, ccw=True)
+    ptr, _, lys, _, sy, ky, vy = _chain_batch(levels, t + 1 - splits, n, bucket=True, ccw=False)
+    lo = ptr[q, i]
+    row, at = expand_runs(lo, ptr[q, i + 1] - lo)
+    tp, i = splits[q[row]], i[row]
     dom_s, dom_k = nbr.dominated_runs
-    runs = ((dom_s[i], dom_k[i]), (x.starts[lx], x.lengths[lx]), (y.starts[ly], y.lengths[ly]))
-    values = (x.values[lx] + y.values[ly]) - weights[i]
-    parents = np.stack((np.full_like(i, tp), lx, np.full_like(i, t + 1 - tp), ly), axis=1)
+    runs = ((dom_s[i], dom_k[i]), (sx[row], kx[row]), (sy[at], ky[at]))
+    values = (vx[row] + vy[at]) - weights[i]
+    parents = np.stack((tp, lx[row], t + 1 - tp, lys[at]), axis=1)
     return (i, *union_columns(n, runs), values, parents)

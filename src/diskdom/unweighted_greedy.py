@@ -3,23 +3,21 @@
 The weighted DP under unit weights, searched greedily.  Every candidate
 of level t then weighs t, and on equal values a scan chain's last entry
 is the candidate reaching farthest around the circle, ties to the
-smallest id; so each chain is cut to that entry (`GreedyLevel`), and
-each step keeps per point and direction only the split reaching
-farthest (`directional_steps`), which caps every bucket at O(level)
-entries.  The first level that produces a full-circle candidate ends the
-search; that candidate's witnesses are a smallest dominating set.  So a
-size bound k_cap needs no proof of its own: the search stops,
-infeasible, after level k_cap.
+smallest id; so each chain is cut to that entry (`GreedyLevel`), and a
+one-way step keeps per point only its farthest-reaching combination
+over all splits (`directional_steps`): every bucket holds O(level)
+rows.  The first level that produces a full-circle candidate ends the
+search; its witnesses are a smallest dominating set.  So a size bound
+k_cap needs no proof of its own: the search stops after level k_cap.
 
 `build_level` builds level t with the DP's combination steps
-(`solution.directional_combos`, `solution.bidirectional_combos`) in
-whole-level numpy passes over all points.  No candidate is an object:
-only the winner's witness set is rebuilt, by walking its parents down to
+(`solution.directional_combos`, `solution.bidirectional_combos`): one
+pass each way and one stitched, each over all points and splits.  Only
+the winner's witness set is rebuilt, by walking its parents down to
 level 1; `check_invariants=True` checks every level against its parent
 rows.  The tests compare each level with a point-by-point scalar twin
-(`tests/greedy_reference.py`) that asks a disk-by-disk walk for one run
-at a time, and swap in a plain-scan twin of `farthest_ids`
-(`tests/query_reference.py`) to check that the solves agree.
+(`tests/greedy_reference.py`) and the solves with a plain-scan twin of
+`farthest_ids` (`tests/query_reference.py`).
 """
 
 from __future__ import annotations
@@ -134,28 +132,20 @@ class GreedyLevel(RunLevel):
 def directional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int, *, ccw: bool):
     """Each point's farthest-reaching one-way combination at level t, ccw or cw.
 
-    `directional_combos` of every split level t' gives each point at most
-    one combination, its chains holding one entry each; per point the
-    split reaching farthest wins, ties to the smaller t'.  Points with no
-    split are left out.  Returns the columns of `directional_combos`.
+    With one-entry chains, `directional_combos` gives a point at most one
+    row per split; the farthest reaching wins, ties to the first row (the
+    smaller t'): a segmented maximum of reach * m + (m - 1 - row).  Points
+    with no row are left out.  Returns the columns of `directional_combos`.
     """
     if t < 2:
         raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
     n = nbr.n
-    best = np.full(n, -1, np.int64)  # reach of each point's winner so far
-    won = np.zeros(n, np.int64)  # its row among the splits' rows laid end to end
-    blocks, offset = [], 0
-    for tp in range(1, t):
-        block = directional_combos(nbr, levels, t, tp, ccw=ccw)
-        i, s, k = block[:3]
-        reach = run_reach(s, k, i, n, ccw=ccw)
-        win = reach > best[i]
-        best[i[win]] = reach[win]
-        won[i[win]] = offset + np.flatnonzero(win)
-        blocks.append(block)
-        offset += len(i)
-    rows = won[best >= 0]
-    return tuple(np.concatenate(col)[rows] for col in zip(*blocks))
+    cols = i, s, k, *_ = directional_combos(nbr, levels, t, ccw=ccw)
+    m = len(i)
+    best = np.full(n, -1, np.int64)
+    np.maximum.at(best, i, run_reach(s, k, i, n, ccw=ccw) * m + np.arange(m - 1, -1, -1))
+    rows = m - 1 - best[best >= 0] % max(m, 1)
+    return tuple(col[rows] for col in cols)
 
 
 def build_level(
@@ -179,7 +169,7 @@ def build_level(
         blocks = [(np.arange(n), *nbr.dominated_runs, units, np.full((n, 4), -1))]
     else:
         blocks = [directional_steps(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
-        blocks += [bidirectional_combos(nbr, levels, t, tp, units) for tp in range(2, t)]
+        blocks.append(bidirectional_combos(nbr, levels, t, units))
     cols = [np.concatenate(col) for col in zip(*blocks)]
     # blocks are concatenated in slot order, so a stable sort keeps it per owner
     order = np.argsort(cols[0], kind="stable")

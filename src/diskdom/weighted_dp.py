@@ -18,14 +18,14 @@ A level is a set of columns (`LevelTable`, on the `solution.RunLevel`
 base the unweighted search shares): each candidate's run as (start,
 length), its owner, its value, and a parent row naming the lower-level
 candidates it joins.  `build_level` makes every combination of a level
-in whole-level numpy passes, one per direction and split level and one
-per bidirectional split, over all points at once: runs merged row-wise
-by `geometry.union_columns`, tails from the batched
-`neighbor_index.runs_past`.  `dedup_rows` then keeps one combination per
-run in each bucket, the first to arrive, replaced only by a strictly
-cheaper copy, in one sort.  No combination is an object: the winner's
-witness set is rebuilt by walking its parents, and `check_invariants=True`
-checks every combination against its parents first (`solution.check_level`).
+in three numpy passes (ccw, cw, bidirectional), each over all points and
+split levels: runs merged row-wise by `geometry.union_columns`, tails
+from the batched `neighbor_index.runs_past`.  `dedup_rows` then keeps
+one combination per run in each bucket, the first to arrive, replaced
+only by a strictly cheaper copy, in one sort.  No combination is an
+object: the winner's witness set is rebuilt by walking its parents, and
+`check_invariants=True` first checks every combination against its
+parents (`solution.check_level`).
 
 Each combination asks a built level for the cheapest run containing a
 query run that grows from a fixed anchor, one index at a time.  The answer
@@ -149,12 +149,8 @@ def build_level(
     if t == 1:
         blocks = [(np.arange(n), *nbr.dominated_runs, weights, np.full((n, 4), -1))]
     else:
-        blocks = [
-            directional_combos(nbr, levels, t, tp, ccw=ccw)
-            for ccw in (True, False)
-            for tp in range(1, t)
-        ]
-        blocks += [bidirectional_combos(nbr, levels, t, tp, weights) for tp in range(2, t)]
+        blocks = [directional_combos(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
+        blocks.append(bidirectional_combos(nbr, levels, t, weights))
     # concatenated block by block, each owner's rows stay in arrival order
     owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
     if check_invariants:

@@ -114,7 +114,7 @@ def test_bidirectional_step_stitches_both_extremes():
     inst = rand_instance(rng, 10, 1.5, 3.5)
     nbr, levels = build_levels(inst, 3)
     n = inst.n
-    block = bidirectional_combos(nbr, levels, 3, 2, np.ones(n))  # t=3 has the single split 2
+    block = bidirectional_combos(nbr, levels, 3, np.ones(n))  # t=3 has the single split 2
     assert len(block[0]) == n
     for i, s, k, value, parent in zip(*block):
         lx, ly = extreme(levels[2], i, ccw=True), extreme(levels[2], i, ccw=False)
@@ -367,7 +367,7 @@ def no_steps(nbr, levels, t, *, ccw):
     return none, none, none, np.empty(0), np.empty((0, 4), np.int64)
 
 
-def no_combos(nbr, levels, t, tp, weights):
+def no_combos(nbr, levels, t, weights):
     return no_steps(nbr, levels, t, ccw=True)
 
 
@@ -460,7 +460,7 @@ def test_invariant_errors_survive_optimized_mode():
             "none = np.empty(0, np.int64)",
             "rows = (none, none, none, np.empty(0), np.empty((0, 4), np.int64))",
             "ug.directional_steps = lambda nbr, levels, t, *, ccw: rows",
-            "ug.bidirectional_combos = lambda nbr, levels, t, tp, weights: rows",
+            "ug.bidirectional_combos = lambda nbr, levels, t, weights: rows",
             "pts = [(0, 0), (1, 0), (1, 1), (0, 1)]",
             "inst = canonicalize([WeightedDisk(Point(x, y), 0.6) for x, y in pts])",
             "try:",

@@ -535,3 +535,34 @@ def test_k_below_counting_bound_stops_after_level_one():
         answers = solve_weighted_all_k(inst, 6)
     assert [table.level for table in built] == [1]
     assert all(isinstance(answers[k], Infeasible) for k in range(1, 7))
+
+
+def test_each_level_makes_one_pass_per_combination_step(monkeypatch):
+    # level t >= 2 combines all of its splits t' + (t - t') at once: one
+    # one-way pass each way and one stitched pass, in both solvers
+    from collections import Counter
+
+    import diskdom.unweighted_greedy as ug
+    from diskdom import gen_figure1
+
+    calls = []
+
+    def counting(step, name):
+        def counted(nbr, levels, t, *args, **kwargs):
+            calls.append((t, name))
+            return step(nbr, levels, t, *args, **kwargs)
+        return counted
+
+    for module in (wdp, ug):
+        for name in ("directional_combos", "bidirectional_combos"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name), name))
+    doc = gen_figure1(9)
+    for solve, weighted in ((solve_weighted_unbounded, True), (ug.solve_unweighted, False)):
+        calls.clear()
+        size = solve(doc.to_instance(weighted=weighted)).size
+        levels = Counter(t for t, _ in calls)
+        assert size == 5 and max(levels) >= 4
+        assert sorted(levels) == list(range(2, max(levels) + 1))
+        for t in levels:
+            counts = Counter(name for tt, name in calls if tt == t)
+            assert counts == {"directional_combos": 2, "bidirectional_combos": 1}, (weighted, t)
