@@ -18,7 +18,7 @@ from diskdom.oracle import (
     voronoi_assignment,
 )
 
-verdicts = {"separable": 0, "inconclusive": 0, "crossed": 0}
+verdicts = {"separable": 0, "crossed": 0}
 
 for seed in range(25):
     doc = gen_random(4 + seed % 9, 7000 + seed, "circle", "uniform(0.8,3.2)", "unit")

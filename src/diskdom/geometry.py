@@ -9,6 +9,11 @@ this package reasons about contiguous runs of instance indices, carried
 as (start, length) pairs of integers.  The solvers merge many rows of
 runs at once with `union_columns`, which lives here next to the disk
 predicates.
+
+Both geometric tests, `intersects_row` (do two closed disks meet) and
+`orientation_row` (which way three centers turn), are exact: a float filter
+with a forward error bound, then integer arithmetic where it cannot decide.
+Their scalar forms, `intersects` and `orientation`, only call them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-_UNSCALE = 2.0**-600  # exact; coordinates and radii scaled by it square finitely
+_REL, _ABS = 2.0**-48, 2.0**-1020  # the float filters' error bound (`_unsure`)
 
 
 class GeometryError(ValueError):
@@ -65,62 +70,101 @@ class WeightedDisk:
 
 
 def intersects(d1: WeightedDisk, d2: WeightedDisk) -> bool:
-    """Closed intersection test; tangency counts.
+    """Closed intersection test, tangency counts, exactly: `intersects_row` on the pair."""
+    cols = np.array([(d.center.x, d.center.y, d.radius) for d in (d1, d2)], np.float64).T
+    return bool(intersects_row(*cols, 0, [1])[0])
 
-    Compares squared distances so no square root is taken: exact whenever
-    the inputs are exactly representable.  Where both squares overflow to
-    inf, which decides nothing, the pair is decided again on its
-    coordinates and radii scaled by the exact power of two `_UNSCALE`.
+
+def _unsure(value: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Where the float `value` may have the wrong sign: within `_REL * size + _ABS` of 0,
+    NaN, or with `size` infinite.  `size`, the sum of the magnitudes of `value`'s terms,
+    bounds their few roundings, each of relative error 2**-53 at most (or, underflowed,
+    of absolute error 2**-1075).  Both arrays are overwritten."""
+    size *= _REL
+    size += _ABS
+    return ~(np.abs(value, out=value) > size)
+
+
+def _exact_signs(formula, *operands: np.ndarray) -> np.ndarray:
+    """The sign of `formula` at each tuple of the float `operands` (1-D, finite), in
+    integer arithmetic: each tuple scaled by its largest denominator, a power of two."""
+    signs = []
+    for values in zip(*(op.tolist() for op in operands)):
+        ratios = [v.as_integer_ratio() for v in values]
+        k = max(d for _, d in ratios).bit_length()
+        value = formula(*(n << (k - d.bit_length()) for n, d in ratios))
+        signs.append((value > 0) - (value < 0))
+    return np.array(signs, np.int8)
+
+
+def _gap(x1, x2, y1, y2, r1, r2):
+    """(r1 + r2)² - d², where d is the distance between (x1, y1) and (x2, y2)."""
+    dx, dy, rr = x2 - x1, y2 - y1, r1 + r2
+    return rr * rr - dx * dx - dy * dy
+
+
+def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=None) -> np.ndarray:
+    """`intersects(disk i, disk z)` for every z at once, as a bool array, exactly.
+
+    Takes an instance's finite `xs`, `ys` and `rs` columns.  A float filter decides
+    d² <= (r_i + r_z)² within its error bound (`_unsure`), and integer arithmetic
+    (`_exact_signs`) the rest.  i of shape (B, 1) gives B rows; z, an index array
+    broadcast against i, picks the disks tested (all when None): (B, 64) tests B blocks.
     """
-    a, b = d1.center, d2.center
-    dx, dy, rr = b.x - a.x, b.y - a.y, d1.radius + d2.radius
-    dd, r2 = dx * dx + dy * dy, rr * rr
-    if dd == r2 == math.inf:
-        s = _UNSCALE
-        dx, dy, rr = b.x * s - a.x * s, b.y * s - a.y * s, d1.radius * s + d2.radius * s
-        dd, r2 = dx * dx + dy * dy, rr * rr
-    return dd <= r2
-
-
-def _squares(dx: np.ndarray, dy: np.ndarray, rr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dx*dx + dy*dy and rr*rr, in place: a block of rows makes no extra temporaries."""
-    dx *= dx
-    dy *= dy
-    dx += dy
-    rr *= rr
-    return dx, rr
-
-
-def intersects_row(
-    xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=slice(None)
-) -> np.ndarray:
-    """`intersects(disk i, disk z)` for every z at once, as a bool array.
-
-    Takes an instance's `xs`, `ys` and `rs` columns and does the operations of
-    `intersects` in the same order, so the two agree bit for bit; where
-    some square overflows, the scaled pass runs over the whole block.  An
-    index array of shape (B, 1) for i gives B rows at once.  z picks the
-    disks tested, every disk by default; an index array for z is
-    broadcast against i, so shape (B, 64) tests B gathered blocks.
-    """
-    with np.errstate(over="ignore"):
-        dd, r2 = _squares(xs[z] - xs[i], ys[z] - ys[i], rs[i] + rs[z])
-        meets = dd <= r2
-        over = dd == np.inf
-        if over.any():
-            unsure, s = over & (r2 == np.inf), _UNSCALE
-            dd, r2 = _squares(xs[z] * s - xs[i] * s, ys[z] * s - ys[i] * s, rs[i] * s + rs[z] * s)
-            meets = np.where(unsure, dd <= r2, meets)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if z is None:  # whole rows, read from the columns
+            dx, dy, rr = xs - xs[i], ys - ys[i], rs + rs[i]
+        else:  # gathered copies in the result's shape, worked in place
+            z = np.broadcast_to(z, np.broadcast(i, z).shape)
+            dx, dy, rr = xs[z], ys[z], rs[z]
+            dx -= xs[i]
+            dy -= ys[i]
+            rr += rs[i]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        rr *= rr
+        rr -= dx  # (r_i + r_z)² - d²
+        meets = rr >= 0
+        dx += dx
+        dx += rr  # d² + (r_i + r_z)², the size of the terms
+        unsure = _unsure(rr, dx)
+    if unsure.any():  # each distinct pair once
+        i, z = np.broadcast_arrays(i, np.arange(len(xs)) if z is None else z)
+        pairs = i[unsure] * len(xs) + z[unsure]
+        pairs, back = np.unique(pairs, return_inverse=True)
+        i, z = np.divmod(pairs, len(xs))
+        meets[unsure] = (_exact_signs(_gap, xs[i], xs[z], ys[i], ys[z], rs[i], rs[z]) >= 0)[back]
     return meets
 
 
-def _cross(ax, ay, bx, by, cx, cy):
+def _area(ax, ay, bx, by, cx, cy):
+    """Twice the signed area of triangle abc."""
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def orientation(a: Point, b: Point, c: Point) -> float:
-    """Twice the signed area of triangle abc (positive = counterclockwise)."""
-    return _cross(a.x, a.y, b.x, b.y, c.x, c.y)
+def orientation_row(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """Exact sign of twice the signed area of each triangle abc, as int8: 1 if ccw, -1 if cw.
+
+    The coordinates are finite float64 arrays, broadcast together.  A float
+    filter decides every sign its forward error bound (`_unsure`) allows, and
+    integer arithmetic the rest (`_exact_signs`), 0 for collinear points.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        left, right = (bx - ax) * (cy - ay), (by - ay) * (cx - ax)
+        area = left - right
+        sign = np.sign(area).astype(np.int8)
+        unsure = _unsure(area, np.abs(left) + np.abs(right))
+    if unsure.any():
+        points = (q[unsure] for q in np.broadcast_arrays(ax, ay, bx, by, cx, cy))
+        sign[unsure] = _exact_signs(_area, *points)
+    return sign
+
+
+def orientation(a: Point, b: Point, c: Point) -> int:
+    """1 if abc turns counterclockwise, -1 if clockwise, 0 if collinear: `orientation_row`."""
+    coords = np.array([[a.x], [a.y], [b.x], [b.y], [c.x], [c.y]], np.float64)
+    return int(orientation_row(*coords)[0])
 
 
 class DiskColumns(NamedTuple):
@@ -190,17 +234,16 @@ def _hull_order(xs: np.ndarray, ys: np.ndarray, order: np.ndarray) -> np.ndarray
     the line from the first sorted point to the last, then those above it.
 
     NotStrictlyConvex unless no point is on that line and every cyclic
-    triple turns left; an overflowed orientation (NaN) is no left turn.
+    triple turns left, both by the exact `orientation_row`.
     """
     first, mid, last = order[:1], order[1:-1], order[-1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        side = _cross(xs[first], ys[first], xs[last], ys[last], xs[mid], ys[mid])
-        below, above = side < 0, side > 0
-        hull = np.concatenate((first, mid[below], last, mid[above][::-1]))
-        hx, hy = xs[hull], ys[hull]
-        turns = _cross(np.roll(hx, 1), np.roll(hy, 1), hx, hy, np.roll(hx, -1), np.roll(hy, -1))
-        if not ((below | above).all() and (turns > 0).all()):
-            raise NotStrictlyConvex("centers are not in strictly convex position")
+    side = orientation_row(xs[first], ys[first], xs[last], ys[last], xs[mid], ys[mid])
+    below, above = side < 0, side > 0
+    hull = np.concatenate((first, mid[below], last, mid[above][::-1]))
+    before, after = np.roll(hull, 1), np.roll(hull, -1)
+    turns = orientation_row(xs[before], ys[before], xs[hull], ys[hull], xs[after], ys[after])
+    if not ((below | above).all() and (turns > 0).all()):
+        raise NotStrictlyConvex("centers are not in strictly convex position")
     return hull
 
 

@@ -8,8 +8,8 @@ runs the solvers merge, as start and length arrays (`dominated_runs`,
 `runs_past`), and gives the counting bound on any dominating set
 (`domination_lower_bound`), which the weighted DP asks after level 1.
 
-Every answer is decided by `geometry.intersects_row`, negated, so it
-agrees bit for bit with `verify`.  One index answers them at every n,
+Every answer is decided by the exact predicate `geometry.intersects_row`,
+negated, the one `verify` uses.  One index answers them at every n,
 `_TreeNeighborIndex`, and keeps no n² data: a static tree over blocks of
 64 consecutive disks stores a bounding circle of each node's centers and
 its smallest radius; a query skips every node the circle proves to meet
@@ -63,13 +63,10 @@ class _TreeNeighborIndex:
     circle (C, R) of its centers and its smallest radius r_min.  When
     |c_i - C| + R <= (r_i + r_min)(1 - 1e-9), every disk z of the node has
     |c_i - c_z| <= r_i + r_z with a relative margin far above the rounding
-    of the bound and of `intersects_row`, so disk i meets all of them, and
-    the float predicate says so too.  A node is skipped only then, and only
-    while r_i + r_min lies in [2**-500, 2**500]: then dx² + dy² cannot
-    overflow, and (r_i + r_z)² is normal (or infinite, which also reads as
-    meeting), so the predicate's roundings are relative ones the margin
-    covers.  Below it they need not be: `tests/test_neighbor_index.py` has
-    two disks at 1e-162 that meet, which the predicate calls disjoint.
+    of the bound, so disk i meets all of them, and the exact predicate
+    `intersects_row` says so too.  A node is skipped only then, and only
+    while r_i + r_min lies in [2**-500, 2**500], where the bound's
+    roundings are relative ones the margin covers.
     """
 
     _MARGIN = 1 - 1e-9
@@ -81,14 +78,10 @@ class _TreeNeighborIndex:
         self._arrays = xs, ys, rs = instance.xs, instance.ys, instance.rs
         self._leaves = leaves = -(-n // 64)
         self._top = top = (leaves - 1).bit_length()
-        # blocks are gathered from copies padded to whole leaves with disks
-        # of infinite radius, which meet every disk
+        # blocks are gathered from copies padded to whole leaves with copies
+        # of the last disk, whose bits `_leaf_words` clears
         pad = leaves * 64 - n
-        self._padded = (
-            np.append(xs, np.full(pad, xs[-1])),
-            np.append(ys, np.full(pad, ys[-1])),
-            np.append(rs, np.full(pad, np.inf)),
-        )
+        self._padded = tuple(np.append(col, np.full(pad, col[-1])) for col in self._arrays)
         # node m of level l is row offset[l] + m; the padding's nodes are
         # never visited, and hold NaN
         self._offset = np.cumsum([0] + [(1 << top) >> lvl for lvl in range(top)])
@@ -105,6 +98,9 @@ class _TreeNeighborIndex:
 
     def _leaf_words(self, i: np.ndarray, leaves: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         """Avoidance word of disk i[q] against leaf leaves[q], exactly: bit b for lane lanes[b]."""
+        last = self._leaves - 1  # its lanes past disk n - 1 are padding, with bits cleared
+        pad = np.packbits(last * 64 + lanes >= self.n, bitorder="little").view("<u8")[0]
+        keep = np.where(leaves == last, ~pad, _ONES)
         words = np.empty(len(i), np.uint64)
         chunk = _PAIRS_PER_BLOCK // 64
         for lo in range(0, len(i), chunk):
@@ -112,10 +108,10 @@ class _TreeNeighborIndex:
             z = leaves[part, None] * 64 + lanes
             block = intersects_row(*self._padded, i[part, None], z)
             words[part] = np.packbits(~block, axis=1, bitorder="little").view("<u8")[:, 0]
-        return words
+        return words & keep
 
     def _skips(self, i: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Whether disk i[q] provably meets every disk of node nodes[q]."""
+        """Whether disk i[q] provably meets every disk of node nodes[q], by the exact predicate."""
         xs, ys, rs = self._arrays
         bound = np.hypot(self._cx[nodes] - xs[i], self._cy[nodes] - ys[i]) + self._reach[nodes]
         radii = rs[i] + self._rmin[nodes]

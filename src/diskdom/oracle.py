@@ -16,17 +16,17 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Instance, intersects, intersects_row, offset_ccw, orientation
+from .geometry import Instance, intersects_row, offset_ccw, orientation
 from .solution import Infeasible, Solution, TooLarge, check_size_bound
 
 MASK_CAP = 4096         # n cap for build_masks' materialized bitmask rows
 BRUTE_CAP = 22          # n cap for 2^n subset enumeration
 CONTAINMENT_SLACK = 1e-12
-ORIENTATION_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,13 @@ class DominationMasks:
 
 
 def build_masks(instance: Instance) -> DominationMasks:
+    """Each disk's row of `intersects_row`, packed into an int: bit z for disk z."""
     n = instance.n
     if n > MASK_CAP:
         raise TooLarge(f"domination masks capped at n <= {MASK_CAP}, got {n}")
-    disks = instance.disks
-    masks = [1 << i for i in range(n)]
-    for i in range(n):
-        di = disks[i]
-        for j in range(i + 1, n):
-            if intersects(di, disks[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return DominationMasks(tuple(masks), (1 << n) - 1)
+    cols = instance.xs, instance.ys, instance.rs
+    rows = (np.packbits(intersects_row(*cols, i), bitorder="little").tobytes() for i in range(n))
+    return DominationMasks(tuple(int.from_bytes(row, "little") for row in rows), (1 << n) - 1)
 
 
 def verify_by_masks(instance: Instance, centers: Iterable[int]) -> bool:
@@ -70,9 +65,9 @@ def verify_by_predicate(instance: Instance, centers: Iterable[int]) -> bool:
 def verify(instance: Instance, centers: Iterable[int]) -> bool:
     """True iff `centers` (canonical indices) dominate every disk.
 
-    Evaluates the closed predicate of `geometry.intersects` from numpy rows,
-    one row per center (`verify_by_predicate`), at any n; the bitmask route
-    (`verify_by_masks`) stays as its independent twin for tests.
+    Evaluates the exact closed predicate `geometry.intersects_row`, one
+    row per center (`verify_by_predicate`), at any n; the bitmask route
+    (`verify_by_masks`, the same rows packed into ints) stays as its twin for tests.
     """
     centers = list(centers)
     if any(not 0 <= c < instance.n for c in centers):
@@ -208,52 +203,23 @@ def check_domination_of_assignment(instance: Instance, assignment: Assignment) -
     return bool(hit.all())
 
 
-Separability = Literal["separable", "crossed", "inconclusive"]
-
-
-def _orient_banded(a, b, c):
-    """Signed area sign, or None inside the degeneracy band."""
-    det = orientation(a, b, c)
-    mag = (abs(b.x - a.x) + abs(b.y - a.y)) * (abs(c.x - a.x) + abs(c.y - a.y))
-    if abs(det) <= ORIENTATION_BAND * mag:
-        return None
-    return 1 if det > 0 else -1
+Separability = Literal["separable", "crossed"]
 
 
 def check_line_separable(instance: Instance, assignment: Assignment) -> Separability:
     """Scan for proper crossings between segments of different groups.
 
     A segment joins each point to its assigned center.  Two groups admit a
-    separating line exactly when no two of their segments properly cross;
-    shared endpoints and touching do not count.  Orientation tests falling
-    inside a relative 1e-12 band make the verdict "inconclusive" instead
-    of deciding either way.
+    separating line exactly when no two of their segments properly cross:
+    each segment's ends lie strictly on opposite sides of the other's line,
+    by the exact `orientation`.  Shared endpoints and touching do not count.
     """
     disks = instance.disks
-    segs = [
-        (disks[c].center, disks[i].center, c)
-        for i, c in enumerate(assignment.assigned)
-        if i != c
-    ]
-    inconclusive = False
-    for si in range(len(segs)):
-        a, b, ca = segs[si]
-        for sj in range(si + 1, len(segs)):
-            c, d, cb = segs[sj]
-            if ca == cb:
-                continue
-            if (a.x, a.y) in ((c.x, c.y), (d.x, d.y)) or (b.x, b.y) in (
-                (c.x, c.y),
-                (d.x, d.y),
-            ):
-                continue
-            o1 = _orient_banded(a, b, c)
-            o2 = _orient_banded(a, b, d)
-            o3 = _orient_banded(c, d, a)
-            o4 = _orient_banded(c, d, b)
-            if (o1 and o2 and o1 == o2) or (o3 and o4 and o3 == o4):
-                continue  # strictly same side: no proper crossing
-            if o1 and o2 and o3 and o4:
-                return "crossed"
-            inconclusive = True
-    return "inconclusive" if inconclusive else "separable"
+    segs = [(disks[c].center, disks[i].center, c) for i, c in enumerate(assignment.assigned)]
+    crossed = any(
+        ca != cb
+        and orientation(a, b, c) * orientation(a, b, d) < 0
+        and orientation(c, d, a) * orientation(c, d, b) < 0
+        for (a, b, ca), (c, d, cb) in combinations(segs, 2)
+    )
+    return "crossed" if crossed else "separable"

@@ -22,7 +22,6 @@ rows.  The tests compare each level with a point-by-point scalar twin
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,8 +42,8 @@ from .solution import (
 )
 
 
-def farthest_ids(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per index j, the id of the run through j reaching farthest ccw, and cw.
+def farthest_ids(starts, lengths, n: int, *, ccw: bool) -> np.ndarray:
+    """Per index j, the id of the run through j reaching farthest ccw, or cw.
 
     The runs are (starts[k], lengths[k]) under ids k.  Reach from j is the
     number of steps a run extends past j that way round, and n for a full
@@ -66,9 +65,10 @@ def farthest_ids(starts, lengths, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("runs must be nonempty with starts in [0, n)")
     full = np.flatnonzero(lengths == n)
     if len(full) or not len(starts):
-        ids = np.full(n, full[0] if len(full) else -1, np.int64)
-        return ids, ids
-    return _ccw_sweep(starts, lengths, n), _ccw_sweep((-starts - lengths) % n, lengths, n)[::-1]
+        return np.full(n, full[0] if len(full) else -1, np.int64)
+    if ccw:
+        return _ccw_sweep(starts, lengths, n)
+    return _ccw_sweep((-starts - lengths) % n, lengths, n)[::-1]
 
 
 def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
@@ -110,11 +110,6 @@ class GreedyLevel(RunLevel):
     reaches to the smallest id.
     """
 
-    @cached_property
-    def _farthest(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both ways' global answers, from one call on first use."""
-        return farthest_ids(self.starts, self.lengths, self.n)
-
     def _chain_table(self, bucket: bool, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
         """The one-entry chains of one kind; a bucket's has the largest reach * m + (m - 1 - id)."""
         n, m = self.n, len(self.starts)
@@ -124,7 +119,7 @@ class GreedyLevel(RunLevel):
             np.maximum.at(best, self.owners, reach * m + np.arange(m - 1, -1, -1))
             ids = np.where(best < 0, -1, m - 1 - best % max(m, 1))
         else:
-            ids = self._farthest[0 if ccw else 1]
+            ids = farthest_ids(self.starts, self.lengths, n, ccw=ccw)
         has = ids >= 0
         return np.concatenate(([0], np.cumsum(has))), ids[has]
 

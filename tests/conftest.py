@@ -44,6 +44,34 @@ def tangent_chain_instances(seeds=range(600)):
         )
 
 
+def nudged(v: float, steps: int) -> float:
+    """`v` moved `steps` floats up (or down, for negative steps)."""
+    import math
+
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return v
+
+
+# float orientations of this triangle overflow to inf - inf = NaN, which
+# is neither a left nor a right turn; the exact ones are not
+OVERFLOW_TRIANGLE = [
+    (3.298140274240375e179, 4.136387574164211e180),
+    (-3.4471480616112906e180, -2.3099025299166354e180),
+    (1.913873263100668e180, -3.6817887757412363e180),
+]
+
+
+# convex in exact arithmetic, but its float side test read -2.8e-14 for the
+# second point against the chord, where the exact value is +7.6e-16
+FOUND_CONVEX_QUAD = [
+    (10.0, 0.0),
+    (9.557454113579018, 0.28415544588302555),
+    (-4.161468365471424, 9.092974268256818),
+    (2.8366218546322624, -9.589242746631385),
+]
+
+
 # Unit-square corners with radius 0.6: adjacent disks meet (distance 1
 # against combined radius 1.2), diagonal ones do not (sqrt(2) > 1.2).
 T4_POINTS = [(0.0, 0.0, 0.6), (1.0, 0.0, 0.6), (1.0, 1.0, 0.6), (0.0, 1.0, 0.6)]

@@ -18,7 +18,6 @@ from diskdom.geometry import (
     NonFiniteValue,
     NonPositiveWeight,
     NotStrictlyConvex,
-    Point,
     WeightedDisk,
     orientation,
 )
@@ -55,8 +54,7 @@ def chain_order(raw: Sequence[WeightedDisk], *, weighted: bool = True) -> tuple[
     def chain(idxs):
         out: list[int] = []
         for i in idxs:
-            # pop unless provably a left turn: an overflowed orientation
-            # (inf - inf = NaN) must not keep a point
+            # pop unless a left turn
             while len(out) >= 2 and not orientation(
                 raw[out[-2]].center, raw[out[-1]].center, raw[i].center
             ) > 0:
@@ -70,25 +68,3 @@ def chain_order(raw: Sequence[WeightedDisk], *, weighted: bool = True) -> tuple[
     if len(hull) != n:
         raise NotStrictlyConvex("centers are not in strictly convex position")
     return tuple(hull)
-
-
-def float_fragile(points: Sequence[tuple[float, float]]) -> bool:
-    """True if the float orientation of some triple of `points` may be wrong.
-
-    Each triple is evaluated from each of its three points as the base,
-    as the two orders do; the triple is fragile when any of them lacks
-    the exact sign (a NaN from overflow has none).  Without a fragile
-    triple every float orientation has its exact sign, and the chain and the bulk
-    hull must then agree.
-    """
-    from fractions import Fraction
-    from itertools import combinations
-
-    for a, b, c in combinations(points, 3):
-        exact = orientation(*(Point(*map(Fraction, p)) for p in (a, b, c)))
-        sign = (exact > 0) - (exact < 0)
-        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-            got = orientation(Point(*p), Point(*q), Point(*r))
-            if (got > 0) - (got < 0) != sign or math.isnan(got):
-                return True
-    return False

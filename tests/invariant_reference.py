@@ -4,8 +4,8 @@ The solvers never run this module.  `check_level` checks each row of a
 level against its parents only, and reaches the whole witness set by
 induction over the levels.  The reference rebuilds a row as an object
 (`candidate_of`: a `Candidate` with its value) holding its whole witness
-set, and checks that set disk by disk with the scalar `intersects`
-(`reference_check`): the owner is a witness and lies inside its run,
+set, and checks that set against every disk of the run with one block
+of `intersects_row` (`reference_check`): the owner is a witness and lies inside its run,
 there are no more witnesses than the level, every disk of the run meets
 one, and the witnesses weigh at most the value under the weights the
 solver's values sum (the instance's in the weighted DP, ones in the
@@ -29,7 +29,7 @@ import pytest
 import diskdom.unweighted_greedy as ug
 import diskdom.weighted_dp as wdp
 from conftest import mk_instance
-from diskdom.geometry import intersects
+from diskdom.geometry import intersects_row
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.solution import VALUE_SLACK, RunLevel, SolverInvariantError, check_level
 
@@ -70,11 +70,11 @@ def reference_check(instance, cand: Candidate, weights) -> None:
         raise SolverInvariantError(f"owner outside its run: {cand}")
     if len(cand.witnesses) > cand.level:
         raise SolverInvariantError(f"more witnesses than the level: {cand}")
-    disks = instance.disks
-    for k in range(cand.length):
-        idx = (cand.start + k) % n
-        if not any(intersects(disks[idx], disks[w]) for w in cand.witnesses):
-            raise SolverInvariantError(f"disk {idx} undominated: {cand}")
+    run = (cand.start + np.arange(cand.length)) % n
+    witnesses = np.array(sorted(cand.witnesses))
+    met = intersects_row(instance.xs, instance.ys, instance.rs, run[:, None], witnesses).any(axis=1)
+    if not met.all():
+        raise SolverInvariantError(f"disk {run[np.argmin(met)]} undominated: {cand}")
     total = math.fsum(weights[sorted(cand.witnesses)].tolist())
     if total > cand.value + VALUE_SLACK * max(1.0, abs(cand.value)):
         raise SolverInvariantError(f"witnesses weigh {total}: {cand}")
@@ -190,10 +190,9 @@ def _owner_outside(rows: CheckedRows) -> None:
 
 def _undominated_tail(rows: CheckedRows) -> None:
     inst, n = rows.nbr.instance, rows.nbr.n
-    disks = inst.disks
     ends = (rows.starts + rows.lengths) % n
-    misses = [not intersects(disks[o], disks[e]) for o, e in zip(rows.owners, ends)]
-    rows.lengths[_first((rows.lengths <= n - 2) & np.array(misses))] += 1
+    misses = ~intersects_row(inst.xs, inst.ys, inst.rs, rows.owners, ends)
+    rows.lengths[_first((rows.lengths <= n - 2) & misses)] += 1
 
 
 def _parts_leave_the_run(rows: CheckedRows) -> None:

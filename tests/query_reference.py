@@ -1,8 +1,9 @@
 """Reference twins of the solvers' query structures; the solvers never run them.
 
 `NaiveNeighborIndex` answers the first-disjoint-disk queries by walking
-the cyclic order disk by disk with a scalar predicate (`walk`), where the
-production index walks a bounding-circle tree.  Its scalar runs
+the cyclic order disk by disk (`walk`), reading disk i's whole
+`intersects_row` row, where the production index walks a bounding-circle
+tree.  Its scalar runs
 (`run_after`, `run_before`) are the reference the tests hold the batched
 runs to: its batched `first_disjoint` runs the walk once per query, its
 `runs_past` asks `run_after`/`run_before` for every tail (no dominated-run
@@ -43,16 +44,12 @@ class NaiveNeighborIndex(_TreeNeighborIndex):
 
     def __init__(self, instance):
         super().__init__(instance)
-        # plain float tuples keep the scalar predicate allocation-free
-        self._pts = [(d.center.x, d.center.y, d.radius) for d in instance.disks]
+        self._rows = {}  # disk i's whole `intersects_row` row, on first use
 
     def _avoids(self, i, z):
-        xi, yi, ri = self._pts[i]
-        xz, yz, rz = self._pts[z]
-        dx = xz - xi
-        dy = yz - yi
-        rr = ri + rz
-        return dx * dx + dy * dy > rr * rr
+        if i not in self._rows:
+            self._rows[i] = intersects_row(*self._arrays, i)
+        return not self._rows[i][z]
 
     def domination_lower_bound(self):
         n = self.n
@@ -163,20 +160,18 @@ def counting_queries():
         yield asked
 
 
-def scan_farthest_ids(starts, lengths, n: int):
+def scan_farthest_ids(starts, lengths, n: int, *, ccw: bool):
     """Reference twin of `farthest_ids`: at each index, every run's reach."""
     starts = np.asarray(starts, np.int64)
     lengths = np.asarray(lengths, np.int64)
-    answers = {ccw: np.full(n, -1, np.int64) for ccw in (True, False)}
+    answer = np.full(n, -1, np.int64)
     for j in range(n):
         off = (j - starts) % n  # steps from each run's start to j
         covers = off < lengths
-        if not covers.any():
-            continue
-        for ccw, answer in answers.items():
+        if covers.any():
             reach = np.where(lengths == n, n, lengths - 1 - off if ccw else off)
             answer[j] = np.argmax(np.where(covers, reach, -1))  # ties to the smallest id
-    return answers[True], answers[False]
+    return answer
 
 
 @contextmanager

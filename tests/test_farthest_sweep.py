@@ -20,8 +20,9 @@ def _runs(rng, n, m, *, fulls=0, dupes=0):
     return starts, lengths
 
 
-def _answers(ids, n):
-    ccw_ids, cw_ids = ids
+def _answers(answer, starts, lengths, n):
+    """`answer`'s ids at every index, one call per direction."""
+    ccw_ids, cw_ids = (answer(starts, lengths, n, ccw=ccw) for ccw in (True, False))
     return [(ccw_ids[j], cw_ids[j]) for j in range(n)]
 
 
@@ -36,9 +37,8 @@ def test_sweep_matches_scan_twin():
             fulls=rng.choice([0, 0, 1, 2, 3]),
             dupes=rng.randint(0, 4),
         )
-        fast = farthest_ids(starts, lengths, n)
-        slow = scan_farthest_ids(starts, lengths, n)
-        assert _answers(fast, n) == _answers(slow, n), trial
+        fast = _answers(farthest_ids, starts, lengths, n)
+        assert fast == _answers(scan_farthest_ids, starts, lengths, n), trial
 
 
 def test_from_runs_matches_scan_twin_with_positions_as_ids():
@@ -48,9 +48,8 @@ def test_from_runs_matches_scan_twin_with_positions_as_ids():
         starts, lengths = _runs(
             rng, n, rng.randint(0, 12), fulls=rng.choice([0, 0, 2]), dupes=3
         )
-        fast = farthest_ids(starts, lengths, n)
-        slow = scan_farthest_ids(starts, lengths, n)
-        assert _answers(fast, n) == _answers(slow, n), trial
+        fast = _answers(farthest_ids, starts, lengths, n)
+        assert fast == _answers(scan_farthest_ids, starts, lengths, n), trial
 
 
 def test_duplicate_runs_answer_with_the_smallest_id():
@@ -58,15 +57,12 @@ def test_duplicate_runs_answer_with_the_smallest_id():
     wrap = (6, 4)  # 6, 7, 0, 1
     starts, lengths = zip((2, 1), wrap, wrap, wrap)
     for answer in (farthest_ids, scan_farthest_ids):
-        ccw_ids, cw_ids = answer(starts, lengths, n)
-        assert [ccw_ids[j] for j in range(n)] == [1, 1, 0, -1, -1, -1, 1, 1]
-        assert [cw_ids[j] for j in range(n)] == [1, 1, 0, -1, -1, -1, 1, 1]
+        want = [1, 1, 0, -1, -1, -1, 1, 1]
+        assert _answers(answer, starts, lengths, n) == list(zip(want, want))
 
 
 def test_several_full_runs_answer_with_the_smallest_full_id():
     n = 5
     starts, lengths = [2, 0, 0], [4, n, n]
     for answer in (farthest_ids, scan_farthest_ids):
-        ccw_ids, cw_ids = answer(starts, lengths, n)
-        assert {ccw_ids[j] for j in range(n)} == {1}
-        assert {cw_ids[j] for j in range(n)} == {1}
+        assert set(_answers(answer, starts, lengths, n)) == {(1, 1)}

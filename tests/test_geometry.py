@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskdom.geometry import (
     DuplicateCenter,
@@ -21,8 +21,16 @@ from diskdom.geometry import (
     offset_ccw,
     union_columns,
 )
-from conftest import T4_POINTS, mk_instance, tangent_chain_instances
-from hull_reference import chain_order, float_fragile
+from conftest import (
+    FOUND_CONVEX_QUAD,
+    OVERFLOW_TRIANGLE,
+    T4_POINTS,
+    mk_instance,
+    nudged,
+    tangent_chain_instances,
+)
+from exact_reference import exact_meets, exact_orientation
+from hull_reference import chain_order
 from run_reference import CyclicSublist, union_extend, union_runs
 
 
@@ -43,19 +51,12 @@ def test_intersects_false_beyond_reach():
 
 def test_intersects_matches_distance_sign_randomized():
     import random
-    from fractions import Fraction
-
-    def exact_meet(a, b):
-        dx = Fraction(b.center.x) - Fraction(a.center.x)
-        dy = Fraction(b.center.y) - Fraction(a.center.y)
-        rr = Fraction(a.radius) + Fraction(b.radius)
-        return dx * dx + dy * dy <= rr * rr
 
     rng = random.Random(1234)
     for _ in range(2000):
         a = disk(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 3))
         b = disk(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 3))
-        assert intersects(a, b) == exact_meet(a, b)
+        assert intersects(a, b) == exact_meets(a, b)
 
 
 # ------------------------------------------------------------- canonicalize
@@ -87,17 +88,11 @@ def test_canonicalize_rejects_interior_point():
         mk_instance([(0, 0, 1), (4, 0, 1), (0, 4, 1), (1, 1, 1)])
 
 
-# orientations of this triangle overflow to inf - inf = NaN, which is
-# neither a left nor a right turn
-OVERFLOW_TRIANGLE = [
-    (3.298140274240375e179, 4.136387574164211e180),
-    (-3.4471480616112906e180, -2.3099025299166354e180),
-    (1.913873263100668e180, -3.6817887757412363e180),
-]
-
-
 def test_canonicalize_rejects_interior_point_when_orientation_overflows():
     # the interior point must still fail
+    a, b, c = OVERFLOW_TRIANGLE
+    turns = {exact_orientation(p, q, (0.0, 0.0)) for p, q in ((a, b), (b, c), (c, a))}
+    assert len(turns) == 1 and 0 not in turns  # (0, 0) is strictly inside, exactly
     with pytest.raises(NotStrictlyConvex):
         mk_instance([(x, y, 1) for x, y in OVERFLOW_TRIANGLE + [(0.0, 0.0)]])
 
@@ -105,11 +100,18 @@ def test_canonicalize_rejects_interior_point_when_orientation_overflows():
 @pytest.mark.parametrize("interior", [[], [(0.0, 0.0)]])
 def test_canonicalize_warns_nothing_when_orientations_overflow(interior):
     # numpy reports overflow and inf - inf as RuntimeWarnings, which would
-    # reach stderr; canonicalize must reject the input without them
+    # reach stderr; canonicalize must decide the input without them: the
+    # lone triangle, which turns exactly, is accepted counterclockwise
+    a, b, c = OVERFLOW_TRIANGLE
+    assert min(OVERFLOW_TRIANGLE) == b and exact_orientation(b, c, a) == 1  # so b, c, a is ccw
+    points = [(x, y, 1) for x, y in OVERFLOW_TRIANGLE + interior]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NotStrictlyConvex):
-            mk_instance([(x, y, 1) for x, y in OVERFLOW_TRIANGLE + interior])
+        if interior:
+            with pytest.raises(NotStrictlyConvex):
+                mk_instance(points)
+        else:
+            assert mk_instance(points).original_index == (1, 2, 0)
 
 
 def test_canonicalize_rejects_duplicate_center():
@@ -153,13 +155,6 @@ def test_canonicalize_random_circle_orders_ccw():
             assert (b.x - a.x) * (d.y - a.y) - (b.y - a.y) * (d.x - a.x) > 0
 
 
-def _nudged(v: float, steps: int) -> float:
-    """`v` moved `steps` floats up (or down, for negative steps)."""
-    for _ in range(abs(steps)):
-        v = math.nextafter(v, math.copysign(math.inf, steps))
-    return v
-
-
 @st.composite
 def hull_inputs(draw):
     """Disks for `canonicalize`: mostly centers near or off a convex hull.
@@ -187,7 +182,7 @@ def hull_inputs(draw):
             (px, py), (qx, qy) = pts[k], pts[(k + 1) % len(pts)]
             t = draw(st.floats(0.01, 0.99))
             x, y = px + t * (qx - px), py + t * (qy - py)
-            x, y = _nudged(x, draw(st.integers(-4, 4))), _nudged(y, draw(st.integers(-4, 4)))
+            x, y = nudged(x, draw(st.integers(-4, 4))), nudged(y, draw(st.integers(-4, 4)))
             pts.insert(k + 1, (x, y))
         pts = draw(st.permutations(pts))
     scale = 2.0 ** draw(st.one_of(st.just(0), st.integers(-600, 600)))
@@ -217,40 +212,31 @@ def _bulk_order(disks, *, weighted):
 @example([disk(x, y, 1.0) for x, y in OVERFLOW_TRIANGLE], True)
 @example([disk(x * 2.0**-600, y * 2.0**-600, 1.0) for x, y, _ in T4_POINTS], True)
 @example([disk(0.0, 1.0, 1.0), disk(-0.0, 1.0, 1.0), disk(1.0, 0.0, 1.0)], True)
-@example(  # convex, but the split puts the second point below the chord, off by 3e-14
-    [
-        disk(10.0, 0.0, 1.0),
-        disk(9.557454113579018, 0.28415544588302555, 1.0),
-        disk(-4.161468365471424, 9.092974268256818, 1.0),
-        disk(2.8366218546322624, -9.589242746631385, 1.0),
-    ],
+@example(  # convex exactly; a float side test put the second point below the chord
+    [disk(x, y, 1.0) for x, y in FOUND_CONVEX_QUAD],
     False,
 )
 def test_canonicalize_agrees_with_the_scalar_chain(disks, weighted):
     """The bulk hull accepts what the scalar monotone chain accepts, in the
     same order, and rejects the rest with the same exception and message.
 
-    The two evaluate orientations from different base points, so their
-    verdicts may differ only on a float-fragile input, where some
-    orientation's sign depends on its base point; the exact predicates
-    of ROADMAP item 4 would remove that case.
+    The two evaluate orientations from different base points, which the
+    exact `orientation_row` makes irrelevant, so they agree on every input.
     """
     got, want = _outcome(_bulk_order, disks, weighted), _outcome(chain_order, disks, weighted)
-    if got != want:
-        assert {got[0], want[0]} <= {"ok", NotStrictlyConvex}, (got, want)
-        assert float_fragile([(d.center.x, d.center.y) for d in disks]), (got, want)
-        event("hull verdicts differ on a float-fragile input")
+    assert got == want
 
 
 def test_intersects_row_is_intersects_on_tangent_chains():
-    # nominally tangent neighbours sit on the rounding edge of the predicate,
-    # so any difference in operations or their order would show here
+    # nominally tangent neighbours sit on the rounding edge of a float
+    # predicate, so any float verdict would show here
     rows = 0
     for _, inst in tangent_chain_instances(range(200)):
         arrays = inst.xs, inst.ys, inst.rs
         for i in range(inst.n):
-            row = intersects_row(*arrays, i)
-            assert row.tolist() == [intersects(inst.disks[i], d) for d in inst.disks]
+            row = intersects_row(*arrays, i).tolist()
+            assert row == [exact_meets(inst.disks[i], d) for d in inst.disks]
+            assert row == [intersects(inst.disks[i], d) for d in inst.disks]
             rows += 1
     assert rows > 50
 
@@ -260,7 +246,7 @@ def test_overflowing_squares_do_not_read_as_meeting(scale):
     """Three pairwise-disjoint disks whose squares overflow: each meets only itself.
 
     Both d² and (r_i + r_j)² overflow to inf, and inf <= inf says nothing,
-    so the predicate decides such a pair again on exactly scaled operands.
+    so the predicate decides such a pair in exact arithmetic.
     Both solvers and brute force then need all three centers, and `verify`
     rejects any fewer; a tangent pair at the same scale still meets.
     """
@@ -288,9 +274,9 @@ def test_overflowing_squares_do_not_read_as_meeting(scale):
 
 
 def test_overflowing_center_difference_does_not_read_as_meeting():
-    # the centers' difference itself overflows, so the pair is decided on
-    # coordinates scaled before they are subtracted: 3.4e308 apart, radii
-    # summing to 2e308 (disjoint) and to 3.4e308 (tangent)
+    # the centers' difference itself overflows, so the pair is decided in
+    # exact arithmetic: 3.4e308 apart, radii summing to 2e308 (disjoint)
+    # and to 3.4e308 (tangent)
     for r, meets in ((1e308, False), (1.7e308, True)):
         pair = [disk(-1.7e308, 0.0, r), disk(1.7e308, 0.0, r)]
         cols = [np.array(col) for col in zip(*((d.center.x, d.center.y, d.radius) for d in pair))]

@@ -370,11 +370,11 @@ def test_build_neighbor_index_builds_the_tree_at_every_n():
 def test_tree_answers_as_the_float_predicate_at_extreme_scales(scale):
     """A scaled wide-law instance: every tree answer is the one `~intersects_row` gives.
 
-    At 2**658 every square overflows, so the predicate decides every pair
-    again on operands scaled by 2**-600, exactly as the unscaled instance
-    scaled by 2**58: it answers as the unscaled instance, and no node may
-    be skipped; at 1e-150 the tree does skip nodes, and each skip must
-    agree with the predicate.
+    At 2**658 every square overflows, so the exact predicate decides every
+    pair in integer arithmetic, where scaling by a power of two changes no
+    verdict: it answers as the unscaled instance, and no node may be
+    skipped; at 1e-150 the tree does skip nodes, and each skip must agree
+    with the predicate.
     """
     from diskdom import gen_random
 
@@ -389,19 +389,19 @@ def test_tree_answers_as_the_float_predicate_at_extreme_scales(scale):
         want = np.concatenate([_first_in_row(row, np.arange(n), ccw=ccw) for row in rows])
         got = tree.first_disjoint(i_all, j_all, ccw=ccw)
         assert got.tolist() == want.tolist()
-        if scale > 1:  # no overflowed square decides: the answers are the unscaled ones
+        if scale > 1:  # exactly scaled by a power of two: the answers are the unscaled ones
             unscaled = _TreeNeighborIndex(base).first_disjoint(i_all, j_all, ccw=ccw)
             assert got.tolist() == unscaled.tolist() and (got >= 0).any()
     assert tree._skips(i_all, j_all >> 6).any() == (scale < 1)
 
 
 def test_tree_does_not_skip_where_squares_are_subnormal():
-    """Two disks that meet with 1% to spare in exact arithmetic, at a scale of 1e-162.
+    """Two disks that meet with 2% to spare in exact arithmetic, at a scale of 1e-162.
 
-    Their squares are subnormal, and the predicate's roundings call them
-    disjoint, as `verify` does.  The bounding circle of their leaf proves
-    that they meet; only the range guard on r_i + r_min keeps the tree
-    from skipping the leaf on that proof.
+    Their squares are subnormal, so the float roundings could call them
+    disjoint; the exact predicate says they meet, and so must the tree,
+    which does not skip their leaf on its bounding circle (the range guard
+    on r_i + r_min) but evaluates it with the predicate.
     """
     from fractions import Fraction
 
@@ -409,8 +409,11 @@ def test_tree_does_not_skip_where_squares_are_subnormal():
     b = WeightedDisk(Point(4.744700532046208e-162, 4.764597878845263e-162), 3.417353947513618e-162)
     x, y, r_a, r_b = map(Fraction, (b.center.x, b.center.y, a.radius, b.radius))
     assert x * x + y * y <= (r_a + r_b) ** 2 * Fraction(98, 100)
-    assert not intersects(a, b)
+    assert intersects(a, b)
     rows = [(d.center.x, d.center.y, d.radius, d.weight) for d in (a, b)]
-    tree = _TreeNeighborIndex(Instance(*DiskColumns.from_rows(rows), (0, 1)))
+    inst = Instance(*DiskColumns.from_rows(rows), (0, 1))
+    assert intersects_row(inst.xs, inst.ys, inst.rs, np.array([[0], [1]])).all()
+    tree = _TreeNeighborIndex(inst)
+    assert not tree._skips(np.array([0, 1]), np.array([0, 0])).any()
     for ccw in (True, False):
-        assert tree.first_disjoint([0, 1], [0, 1], ccw=ccw).tolist() == [1, 0]
+        assert tree.first_disjoint([0, 1], [0, 1], ccw=ccw).tolist() == [-1, -1]

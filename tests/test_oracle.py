@@ -242,7 +242,7 @@ def test_optimal_sets_pass_structural_diagnostics():
         assert asg.dominating
         assert not asg.containment_pairs
         assert check_domination_of_assignment(inst, asg)
-        assert check_line_separable(inst, asg) in ("separable", "inconclusive")
+        assert check_line_separable(inst, asg) == "separable"
 
 
 def test_crossing_detected_on_interleaved_assignment():

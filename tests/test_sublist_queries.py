@@ -142,12 +142,12 @@ def test_min_enclosing_monotone_in_query(data):
 
 def far(runs, n, indexed=True):
     """`farthest_ids` over `runs`, or its `scan_farthest_ids` twin, as a query."""
-    answers = (farthest_ids if indexed else scan_farthest_ids)(
-        [s for s, _ in runs], [k for _, k in runs], n
-    )
+    answer = farthest_ids if indexed else scan_farthest_ids
+    starts, lengths = [s for s, _ in runs], [k for _, k in runs]
+    answers = {ccw: answer(starts, lengths, n, ccw=ccw) for ccw in (True, False)}
 
     def farthest(j, *, ccw):
-        return answers[not ccw][j]
+        return answers[ccw][j]
 
     return farthest
 
@@ -192,7 +192,7 @@ def test_far_index_rejects_bad_input():
         with pytest.raises(ValueError):
             far(bad, 6)
     with pytest.raises(ValueError):
-        farthest_ids([0, 1], [2], 6)
+        farthest_ids([0, 1], [2], 6, ccw=True)
 
 
 def test_farthest_indexed_matches_naive():
@@ -241,6 +241,6 @@ def test_build_is_deterministic():
             )
     starts = np.array([s for s, _, _, _ in runs])
     lengths = np.array([k for _, k, _, _ in runs])
-    c = farthest_ids(starts, lengths, 9)
-    d = farthest_ids(starts.copy(), lengths.copy(), 9)
-    assert all(np.array_equal(x, y) for x, y in zip(c, d))
+    for ccw in (True, False):
+        c = farthest_ids(starts, lengths, 9, ccw=ccw)
+        assert np.array_equal(c, farthest_ids(starts.copy(), lengths.copy(), 9, ccw=ccw))

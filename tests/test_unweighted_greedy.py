@@ -404,17 +404,18 @@ def test_freeze_builds_no_valued_sublists(monkeypatch):
     builds = []
     sweep = ug.farthest_ids
 
-    def arrays_only(starts, lengths, n):
+    def arrays_only(starts, lengths, n, *, ccw):
         assert starts.dtype == lengths.dtype == np.int64
         builds.append(len(starts))
-        return sweep(starts, lengths, n)
+        return sweep(starts, lengths, n, ccw=ccw)
 
     monkeypatch.setattr(ug, "farthest_ids", arrays_only)
     rng = random.Random(3)
     inst = rand_instance(rng, 12, 0.3, 1.5)
     size = solve_unweighted(inst).size
     assert size == brute_force_min(inst, "unweighted").size
-    assert len(builds) == size - 1 and builds[0] == inst.n
+    # one sweep per direction of each level a later level reads
+    assert len(builds) == 2 * (size - 1) and builds[:2] == [inst.n] * 2
 
 
 def test_strategies_and_index_modes_agree_beyond_brute_force():
