@@ -15,7 +15,7 @@ import json
 import math
 import operator
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 

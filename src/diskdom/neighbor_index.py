@@ -4,7 +4,7 @@ For a disk i and a scan origin j, `first_disjoint` returns the first
 index z, counterclockwise or clockwise from j inclusive, whose disk does
 *not* intersect disk i, and -1 when disk i meets every disk.  It answers
 arrays of (i, j) pairs at once.  The index turns the answers into the
-runs the solvers merge, as start and length arrays (`dominated_runs`,
+runs the solvers read, as start and length arrays (`dominated_runs`,
 `runs_past`), and gives the counting bound on any dominating set
 (`domination_lower_bound`), which the weighted DP asks after level 1.
 
@@ -21,7 +21,8 @@ The query flow is:
 
 - `first_disjoint` answers an array of (i, j) pairs from j's leaf, cut
   at j, and then by walking the tree; it is asked directly only for the
-  2n walks from each disk i itself that build `dominated_runs`;
+  2n walks from disk i itself, whose first misses each way bound
+  `dominated_runs`, read off with no merge;
 - `runs_past` answers the tails the solvers ask past the far end z of a
   run, from j = z±1 on.  Most need no walk: when j lies in disk i's own
   dominated run, the answer is the rest of that run, which is maximal;
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Instance, intersects_row, union_columns
+from .geometry import Instance, intersects_row
 
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _PAIRS_PER_BLOCK = 1 << 15  # pair tests per block: temporaries stay in cache
@@ -181,14 +182,6 @@ class _TreeNeighborIndex:
             )
         return out
 
-    def _runs_from(self, i, j, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The run disk i[q] meets from j[q] on, ccw or cw, walked by `first_disjoint`."""
-        n = self.n
-        f = self.first_disjoint(i, j, ccw=ccw)
-        full = f < 0
-        starts = np.where(full, 0, j if ccw else (f + 1) % n)
-        return starts, np.where(full, n, (f - j) % n if ccw else (j - f) % n)
-
     def runs_past(self, i, z, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
         """The run disk i[q] meets from z[q]+1 on ccw (z[q]-1 on cw), as start and length arrays.
 
@@ -200,7 +193,8 @@ class _TreeNeighborIndex:
            (s, off + 1) clockwise, or (0, n) when the run is full;
         2. otherwise, when disk i misses disk j (the only test of disk j):
            the empty tail, (j, 0) counterclockwise and (j + 1, 0) clockwise;
-        3. otherwise `first_disjoint` walks from j.
+        3. otherwise `first_disjoint` walks from j to the first disk f
+           missing disk i, which exists as the run is partial.
         """
         n = self.n
         i = np.asarray(i, np.int64)
@@ -215,8 +209,9 @@ class _TreeNeighborIndex:
         starts[past] = j[past] if ccw else (j[past] + 1) % n
         lengths[past] = 0
         walk = past[intersects_row(*self._arrays, i[past], j[past])]
-        if len(walk):
-            starts[walk], lengths[walk] = self._runs_from(i[walk], j[walk], ccw=ccw)
+        f, j = self.first_disjoint(i[walk], j[walk], ccw=ccw), j[walk]
+        starts[walk] = j if ccw else (f + 1) % n
+        lengths[walk] = (f - j) % n if ccw else (j - f) % n
         return starts, lengths
 
     @cached_property
@@ -226,10 +221,12 @@ class _TreeNeighborIndex:
         That is the maximal run around disk i whose disks all meet disk i,
         and (0, n) when disk i meets every disk.
         """
-        i = np.arange(self.n)
-        # the stretch clockwise up to i, then the one counterclockwise from i
-        before = self._runs_from(i, i, ccw=False)
-        return union_columns(self.n, (before, self._runs_from(i, i, ccw=True)))
+        n = self.n
+        i = np.arange(n)
+        # the first disks missed clockwise and counterclockwise bound the run
+        f_cw, f_ccw = (self.first_disjoint(i, i, ccw=ccw) for ccw in (False, True))
+        full = f_cw < 0
+        return np.where(full, 0, (f_cw + 1) % n), np.where(full, n, (f_ccw - f_cw - 1) % n)
 
     def domination_lower_bound(self) -> int:
         """Fewest disks any dominating set needs.

@@ -205,12 +205,14 @@ class RunLevel:
     c of `parents` is (level of l1, id of l1, level of l2, id of l2): the
     lower-level candidates it joins, -1 where there is no l2 and
     throughout level 1, where the owner is the witness.  `below` holds the
-    lower levels by level.  No candidate is an object: a witness set is
-    rebuilt from the parents only when `witnesses` is asked for it.  Later
-    levels read a level through its scan chains (`chains`): for a query
-    run grown from an anchor, the distinct cheapest runs containing it, a
-    staircase of runs reaching ever farther (`run_reach`) in (value, id)
-    order.  Each level type supplies them (`_chain_table`).
+    lower levels by level.  A row holds its owner and the owner's
+    dominated run: level 1 is that run, each later row a union from a
+    row of its owner.  No candidate is an object: a witness set is
+    rebuilt from the parents only when `witnesses` is asked for it.
+    Later levels read a level through its scan chains (`chains`): for a
+    query run grown from an anchor, the distinct cheapest runs containing
+    it, a staircase of runs reaching ever farther (`run_reach`) in
+    (value, id) order.  Each level type supplies them (`_chain_table`).
     """
 
     def __init__(self, instance: Instance, level: int, below, starts, lengths, owners, values,
@@ -219,7 +221,6 @@ class RunLevel:
         self.starts, self.lengths, self.owners = starts, lengths, owners
         self.values, self.parents = values, parents
         self._chains: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray]] = {}
-        self._witnesses: dict[int, frozenset[int]] = {}  # by id, as `witnesses` rebuilds them
 
     def chains(self, *, bucket: bool, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
         """Every chain of one kind, as (ptr, ids): anchor a's is ids[ptr[a]:ptr[a + 1]].
@@ -244,25 +245,21 @@ class RunLevel:
     def witnesses(self, ident: int) -> frozenset[int]:
         """Row `ident`'s witness set: the owners its parents lead to at level 1.
 
-        Walks the parents down and keeps every set it rebuilds, so each
-        candidate's set is the union of its parents' sets, built once.
+        Walks the parents down, keeping nothing: a level-t row (t >= 2)
+        unfolds into at most 2t - 2 level-1 rows, its parents sitting at
+        levels t' and t - t', or at t' and t + 1 - t', both >= 2.
         """
-        todo = [(self, ident)]
+        found, todo = set(), [(self, ident)]
         while todo:
-            level, c = todo[-1]
-            if c in level._witnesses:
-                todo.pop()
-            elif level.level == 1:
-                level._witnesses[c] = frozenset((level.owners[c].item(),))
+            level, c = todo.pop()
+            if level.level == 1:
+                found.add(level.owners[c].item())
             else:
                 t1, c1, t2, c2 = level.parents[c].tolist()
-                parents = [(level.below[t1], c1)] + ([(level.below[t2], c2)] if c2 >= 0 else [])
-                missing = [(p, pc) for p, pc in parents if pc not in p._witnesses]
-                todo += missing  # built first; c is popped once its set is kept
-                if not missing:
-                    sets = (p._witnesses[pc] for p, pc in parents)
-                    level._witnesses[c] = frozenset().union(*sets)
-        return self._witnesses[ident]
+                todo.append((level.below[t1], c1))
+                if c2 >= 0:
+                    todo.append((level.below[t2], c2))
+        return frozenset(found)
 
 
 def _chain_batch(levels: Sequence[Optional[RunLevel]], tags: np.ndarray, n: int, *,
@@ -290,11 +287,12 @@ def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw
     Each run l1 of a point's level-t' bucket chain is extended by each run
     l2 of the level-(t-t') global chain anchored just past l1's far end,
     then by the stretch the point's disk meets past l2's far end
-    (`runs_past`); the run is the union of the point's dominated run, l1,
-    l2 and that tail, at value v1 + v2.  A full l1 is a combination by
-    itself, at v1.  Rows are split-major: by t' = 1..t-1, then point by
-    point, then in l1 and l2 chain order.  Returns int64 columns owners,
-    starts, lengths, the float64 values and (m, 4) parent rows.
+    (`runs_past`); the run is the union of l1, l2 and that tail, at value
+    v1 + v2.  l1 is a row of the point, so the union holds the point's
+    dominated run (`RunLevel`).  A full l1 is a combination by itself, at
+    v1.  Rows are split-major: by t' = 1..t-1, then point by point, then
+    in l1 and l2 chain order.  Returns int64 columns owners, starts,
+    lengths, the float64 values and (m, 4) parent rows.
     """
     n = nbr.n
     splits = np.arange(1, t)
@@ -306,17 +304,18 @@ def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw
     lo, hi = ptr[q, anchor], ptr[q, anchor + 1]
     full1 = k1 == n
     row, at = expand_runs(np.where(full1, len(l2s) - 1, lo), np.where(full1, 1, hi - lo))
+    # dropped once read, so they do not sit beside the row columns at the peak
+    del anchor, lo, hi, full1
     tp, i, l1, s1, k1, v1 = splits[q[row]], i[row], l1[row], s1[row], k1[row], v1[row]
+    del q, row
     l2, s2, k2 = l2s[at], s2s[at], k2s[at]
     # the tail only where l2 is there and partial: the union saturates on a full part
     tail_s, tail_k = np.zeros_like(l1), np.zeros_like(l1)
     open_ = (k2 > 0) & (k2 < n)
     end2 = (s2 + k2 - 1) % n if ccw else s2
     tail_s[open_], tail_k[open_] = nbr.runs_past(i[open_], end2[open_], ccw=ccw)
-    dom_s, dom_k = nbr.dominated_runs
-    runs = ((dom_s[i], dom_k[i]), (s1, k1), (s2, k2), (tail_s, tail_k))
     parents = np.stack((tp, l1, np.where(l2 >= 0, t - tp, -1), l2), axis=1)
-    return (i, *union_columns(n, runs), v1 + v2s[at], parents)
+    return (i, *union_columns(n, ((s1, k1), (s2, k2), (tail_s, tail_k))), v1 + v2s[at], parents)
 
 
 def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
@@ -324,9 +323,10 @@ def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
     """Every point's combinations of a ccw run lx of level t' and a cw run ly of level t+1-t'.
 
     lx and ly walk the point's two bucket chains, ly fastest; the run is
-    the union of the point's dominated run, lx and ly, at value
-    (vx + vy) - wi, the point's weight counted once.  Splits t' = 2..t-1,
-    none at t = 2; rows and columns as `directional_combos`.
+    the union of lx and ly, which both hold the point's dominated run
+    (`RunLevel`), at value (vx + vy) - wi, the point's weight counted
+    once.  Splits t' = 2..t-1, none at t = 2; rows and columns as
+    `directional_combos`.
     """
     n = nbr.n
     splits = np.arange(2, t)
@@ -335,8 +335,6 @@ def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
     lo = ptr[q, i]
     row, at = expand_runs(lo, ptr[q, i + 1] - lo)
     tp, i = splits[q[row]], i[row]
-    dom_s, dom_k = nbr.dominated_runs
-    runs = ((dom_s[i], dom_k[i]), (sx[row], kx[row]), (sy[at], ky[at]))
     values = (vx[row] + vy[at]) - weights[i]
     parents = np.stack((tp, lx[row], t + 1 - tp, lys[at]), axis=1)
-    return (i, *union_columns(n, runs), values, parents)
+    return (i, *union_columns(n, ((sx[row], kx[row]), (sy[at], ky[at]))), values, parents)

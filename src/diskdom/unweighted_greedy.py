@@ -99,6 +99,16 @@ def _ccw_sweep(starts: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     return np.where(reach < 0, -1, base - 1 - np.where(second, k2, k1))
 
 
+def farthest_per_point(starts, lengths, owners, n: int, *, ccw: bool) -> np.ndarray:
+    """Per point, the first row it owns of farthest reach from it, ccw or cw; -1 where none."""
+    m = len(owners)
+    best = np.full(n, -1, np.int64)
+    reach = run_reach(starts, lengths, owners, n, ccw=ccw)
+    # a segmented maximum of reach * m + (m - 1 - row): equal reaches to the first row
+    np.maximum.at(best, owners, reach * m + np.arange(m - 1, -1, -1))
+    return np.where(best < 0, -1, m - 1 - best % max(m, 1))
+
+
 class GreedyLevel(RunLevel):
     """One level's candidates as columns in id order (`RunLevel`), valued by unit weights.
 
@@ -111,15 +121,11 @@ class GreedyLevel(RunLevel):
     """
 
     def _chain_table(self, bucket: bool, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The one-entry chains of one kind; a bucket's has the largest reach * m + (m - 1 - id)."""
-        n, m = self.n, len(self.starts)
+        """The one-entry chains of one kind, bucket by `farthest_per_point`."""
         if bucket:
-            reach = run_reach(self.starts, self.lengths, self.owners, n, ccw=ccw)
-            best = np.full(n, -1, dtype=np.int64)
-            np.maximum.at(best, self.owners, reach * m + np.arange(m - 1, -1, -1))
-            ids = np.where(best < 0, -1, m - 1 - best % max(m, 1))
+            ids = farthest_per_point(self.starts, self.lengths, self.owners, self.n, ccw=ccw)
         else:
-            ids = farthest_ids(self.starts, self.lengths, n, ccw=ccw)
+            ids = farthest_ids(self.starts, self.lengths, self.n, ccw=ccw)
         has = ids >= 0
         return np.concatenate(([0], np.cumsum(has))), ids[has]
 
@@ -129,18 +135,14 @@ def directional_steps(nbr, levels: Sequence[Optional[GreedyLevel]], t: int, *, c
 
     With one-entry chains, `directional_combos` gives a point at most one
     row per split; the farthest reaching wins, ties to the first row (the
-    smaller t'): a segmented maximum of reach * m + (m - 1 - row).  Points
-    with no row are left out.  Returns the columns of `directional_combos`.
+    smaller t'), by `farthest_per_point`.  Points with no row are left
+    out.  Returns the columns of `directional_combos`.
     """
     if t < 2:
         raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
-    n = nbr.n
     cols = i, s, k, *_ = directional_combos(nbr, levels, t, ccw=ccw)
-    m = len(i)
-    best = np.full(n, -1, np.int64)
-    np.maximum.at(best, i, run_reach(s, k, i, n, ccw=ccw) * m + np.arange(m - 1, -1, -1))
-    rows = m - 1 - best[best >= 0] % max(m, 1)
-    return tuple(col[rows] for col in cols)
+    rows = farthest_per_point(s, k, i, nbr.n, ccw=ccw)
+    return tuple(col[rows[rows >= 0]] for col in cols)
 
 
 def build_level(

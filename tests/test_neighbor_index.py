@@ -91,6 +91,42 @@ def test_two_disjoint_disks():
         assert list(dominated(idx, 1).indices()) == [1]
 
 
+def _ring_with_corners(n):
+    """n >= 8 disks on a circle (n even) and the dominated run each corner disk must read.
+
+    Input disk 0 meets every disk; disk n/4 misses only the disk opposite
+    it; disk n/2 misses both its neighbours.  Returns the instance and
+    {canonical disk: (start, length)}.
+    """
+    radius, step = 20.0, 2 * math.pi / n
+    side = 2 * radius * math.sin(step / 2)
+    small = 0.3 * side  # two small disks side by side miss each other
+    # opposite disks miss by less than the second farthest pair's slack
+    far = 2 * radius - small - radius * step**2 / 8
+    wide, opposite, lonely = n // 4, n // 4 + n // 2, n // 2
+    radii = {0: 1e3, wide: far}
+    inst = mk_instance([(radius * math.cos(k * step), radius * math.sin(k * step),
+                         radii.get(k, small)) for k in range(n)])
+    giant, w, z, c = inst.to_canonical([0, wide, opposite, lonely])
+    return inst, {giant: (0, n), w: ((z + 1) % n, n - 1), c: (c, 1)}
+
+
+@pytest.mark.parametrize("build", list(NEIGHBOR_INDEXES.values()), ids=list(NEIGHBOR_INDEXES))
+def test_dominated_run_corners(build):
+    # n = 1: the disk meets every disk; n = 2: both disks meet each other,
+    # or each misses exactly the other one
+    cases = [
+        (mk_instance([(1, 2, 3)]), {0: (0, 1)}),
+        (mk_instance([(0, 0, 6), (10, 0, 6)]), {0: (0, 2), 1: (0, 2)}),
+        (mk_instance([(0, 0, 1), (10, 0, 1)]), {0: (0, 1), 1: (1, 1)}),
+        _ring_with_corners(8),
+        _ring_with_corners(130),
+    ]
+    for inst, want in cases:
+        starts, lengths = build(inst).dominated_runs
+        assert {i: (starts[i].item(), lengths[i].item()) for i in want} == want
+
+
 def rand_instance(rng, n, big_fraction=0.2):
     pts = []
     angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))

@@ -8,7 +8,10 @@ names it (a call, an attribute read, a decorator, a base class, a
 `set_defaults` entry of the CLI) or when `__all__` exports it.  Code that
 only the tests call belongs beside its test, in a reference module under
 `tests/`, so the package keeps one production path per query.  Dunder
-names are read by Python itself and are not checked.
+names are read by Python itself and are not checked.  Each name a module
+imports must be read by that module itself, or exported in its
+`__all__`, so deleted code leaves no import behind; `from __future__`
+imports are compiler directives and are not checked.
 """
 
 import ast
@@ -75,24 +78,44 @@ def references(tree: ast.AST) -> set[str]:
     return names
 
 
+def imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name an import binds, `from __future__` left out."""
+    return [
+        (alias.asname or alias.name.split(".")[0], node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+
+
 def unreferenced(trees: dict[str, ast.AST]) -> list[str]:
-    """`file:line name` of each definition no module of the package refers to."""
+    """`file:line name` of each definition no module refers to, or import its module never reads."""
     used = set().union(*(references(tree) for tree in trees.values()))
     return [
         f"{name}:{line} {defined}"
         for name, tree in trees.items()
         for defined, line in definitions(tree)
         if defined not in used
+    ] + [
+        f"{name}:{line} {bound}"
+        for name, tree in trees.items()
+        for bound, line in imports(tree)
+        if bound not in references(tree)
     ]
 
 
 def test_guard_finds_unreferenced_code():
     source = """
+from __future__ import annotations
+import os.path
+from typing import Optional, Sequence
+from .geometry import union_columns as merge
 __all__ = ["exported"]
 LIMIT, SPARE = 3, 4
 STEP: int = 1
 def exported(): return LIMIT
-def called(): pass
+def called(x: Optional[int] = None): return os.sep
 def orphan(): pass
 class Base:
     _MARGIN = 0.5
@@ -107,7 +130,7 @@ Child().used()
 """
     found = unreferenced({"m.py": ast.parse(source)})
     assert sorted(entry.split()[1] for entry in found) == [
-        "SPARE", "STEP", "_unused", "method", "orphan"
+        "SPARE", "STEP", "Sequence", "_unused", "merge", "method", "orphan"
     ]
 
 
