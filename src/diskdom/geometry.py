@@ -13,6 +13,8 @@ predicates.
 Both geometric tests, `intersects_row` (do two closed disks meet) and
 `orientation_row` (which way three centers turn), are exact: a float filter
 with a forward error bound, then integer arithmetic where it cannot decide.
+`intersects_row` first tries the filter again on each pair it left undecided,
+scaled by a power of two, so pairs at extreme scales stay in numpy.
 Their scalar forms, `intersects` and `orientation`, only call them.
 """
 
@@ -97,18 +99,36 @@ def _exact_signs(formula, *operands: np.ndarray) -> np.ndarray:
     return np.array(signs, np.int8)
 
 
+def _scaled(operands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of `operands` times the power of two that puts its largest magnitude in
+    [0.5, 1), and per column whether that product is exact: no nonzero entry falls below
+    2**-1022, where a float loses precision."""
+    _, exponent = np.frexp(np.abs(operands).max(axis=0))
+    scaled = np.ldexp(operands, -exponent)
+    return scaled, ((scaled == 0) | (np.abs(scaled) >= 2.0**-1022)).all(axis=0)
+
+
 def _gap(x1, x2, y1, y2, r1, r2):
     """(r1 + r2)² - d², where d is the distance between (x1, y1) and (x2, y2)."""
     dx, dy, rr = x2 - x1, y2 - y1, r1 + r2
     return rr * rr - dx * dx - dy * dy
 
 
+def _gap_size(x1, x2, y1, y2, r1, r2):
+    """(r1 + r2)² + d²: the sum of the magnitudes of `_gap`'s terms."""
+    dx, dy, rr = x2 - x1, y2 - y1, r1 + r2
+    return rr * rr + dx * dx + dy * dy
+
+
 def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=None) -> np.ndarray:
     """`intersects(disk i, disk z)` for every z at once, as a bool array, exactly.
 
     Takes an instance's finite `xs`, `ys` and `rs` columns.  A float filter decides
-    d² <= (r_i + r_z)² within its error bound (`_unsure`), and integer arithmetic
-    (`_exact_signs`) the rest.  i of shape (B, 1) gives B rows; z, an index array
+    d² <= (r_i + r_z)² within its error bound (`_unsure`).  It tries again on each pair
+    it leaves unsure, scaled by a power of two where that is exact (`_scaled`): a
+    positive factor changes no sign, and the squares of very large or very small
+    coordinates then neither overflow nor underflow.  Integer arithmetic
+    (`_exact_signs`) decides the rest.  i of shape (B, 1) gives B rows; z, an index array
     broadcast against i, picks the disks tested (all when None): (B, 64) tests B blocks.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -134,7 +154,14 @@ def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=None) ->
         pairs = i[unsure] * len(xs) + z[unsure]
         pairs, back = np.unique(pairs, return_inverse=True)
         i, z = np.divmod(pairs, len(xs))
-        meets[unsure] = (_exact_signs(_gap, xs[i], xs[z], ys[i], ys[z], rs[i], rs[z]) >= 0)[back]
+        operands = np.array((xs[i], xs[z], ys[i], ys[z], rs[i], rs[z]))
+        scaled, exact = _scaled(operands)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            gap = _gap(*scaled)
+            meet = gap >= 0
+            left = _unsure(gap, _gap_size(*scaled)) | ~exact
+        meet[left] = _exact_signs(_gap, *operands[:, left]) >= 0
+        meets[unsure] = meet[back]
     return meets
 
 

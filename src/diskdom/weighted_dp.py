@@ -22,7 +22,8 @@ in three numpy passes (ccw, cw, bidirectional), each over all points and
 split levels: runs merged row-wise by `geometry.union_columns`, tails
 from the batched `neighbor_index.runs_past`.  `dedup_rows` then keeps
 one combination per run in each bucket, the first to arrive, replaced
-only by a strictly cheaper copy, in one sort.  No combination is an
+only by a strictly cheaper copy: one plain sort groups the copies, and
+minimum reductions per group pick the row.  No combination is an
 object: the winner's witness set is rebuilt by walking its parents, and
 `check_invariants=True` first checks every combination against its
 parents (`solution.check_level`).
@@ -34,9 +35,15 @@ scan chains: the distinct answers in order of growing query.  A chain is
 read off a staircase.  Walking a level's candidates in (value, id) order,
 the ones that reach strictly farther from the anchor than every cheaper
 candidate are exactly the chain.  A level builds all chains of one kind at
-once, as id arrays (`LevelTable._chain_table`).  A full-circle candidate
-of minimum value over levels 1..k yields the answer for size bound k, for
-every k at once (`solve_weighted_all_k`).
+once, as id arrays (`LevelTable._chain_table`), off orders it sorts once
+for all four kinds (`LevelTable._staircase_orders`).  A full-circle
+candidate of minimum value over levels 1..k yields the answer for size
+bound k, for every k at once (`solve_weighted_all_k`).
+
+Every sort on this path is plain, numpy's fastest, and numpy leaves the
+order of its equal keys open (it varies by version and CPU).  So each one
+sorts distinct keys, or only the least index among equal keys is read: no
+level, chain or answer depends on that order.
 
 The tests compare each level with a point-by-point scalar twin and the
 chains with plain-scan cheapest-enclosing queries
@@ -45,6 +52,7 @@ chains with plain-scan cheapest-enclosing queries
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -75,17 +83,39 @@ class LevelTable(RunLevel):
     (value, id) order.
     """
 
+    @cached_property
+    def _staircase_orders(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ids each kind of staircase walks, sorted once for both directions.
+
+        Bucket: every id in (owner, value, id) order.  Global: the first
+        copy of each run in (value, id) order, as a later copy never
+        reaches farther.  Each sort is plain: its keys are distinct, or only
+        the least index among equal keys is read, so neither order depends
+        on how a sort leaves equal keys.
+        """
+        n, m = self.n, len(self.values)
+        order = np.argsort(self.values)
+        v = self.values[order]
+        rank = np.cumsum(np.diff(v, prepend=v[:1]) != 0)  # per sorted value; equal values tie
+        by_value = np.sort(rank * m + order) % m  # (value, id) order
+        by_owner = by_value[np.sort(self.owners[by_value] * m + np.arange(m)) % m]
+        runs = (self.starts * (n + 1) + self.lengths)[by_value]
+        copies = np.argsort(runs)
+        first = np.minimum.reduceat(copies, np.flatnonzero(np.diff(runs[copies], prepend=-1)))
+        return by_owner, by_value[np.sort(first)]
+
     def _chain_table(self, bucket: bool, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
         """The staircases of one kind, all anchors in whole-array passes.
 
-        Bucket chains: one pass in (owner, value, id) order, where the
-        running best is a running maximum of owner * (n + 2) + reach + 1,
-        a key that grows with the owner.  Global chains: blocks of anchors
-        against the first copy of each run in (value, id) order.
+        Both walk the level's `_staircase_orders`.  Bucket chains: one pass,
+        where the running best is a running maximum of owner * (n + 2) +
+        reach + 1, a key that grows with the owner.  Global chains: blocks
+        of anchors against the first copy of each run.
         """
         n = self.n
+        by_owner, first_copies = self._staircase_orders
         if bucket:
-            order = np.lexsort((self.values, self.owners))
+            order = by_owner
             anchors = self.owners[order]
             reach = run_reach(self.starts[order], self.lengths[order], anchors, n, ccw=ccw)
             key = anchors * (n + 2) + reach + 1
@@ -93,10 +123,7 @@ class LevelTable(RunLevel):
             step = (reach >= 0) & (key > np.concatenate(([-1], best[:-1])))
             rows, ids = anchors[step], order[step]
         else:
-            order = np.argsort(self.values, kind="stable")
-            # a later copy of a run never reaches farther than its first copy
-            runs = self.starts[order] * (n + 1) + self.lengths[order]
-            order = order[np.sort(np.unique(runs, return_index=True)[1])]
+            order = first_copies
             starts, lengths = self.starts[order], self.lengths[order]
             block = max(1, CHAIN_BLOCK // max(len(order), 1))
             rows, cols = [], []
@@ -116,16 +143,23 @@ def dedup_rows(n: int, owners, starts, lengths, values) -> np.ndarray:
     Rows are combinations in arrival order within each owner.  A run's
     first row fixes its place in the owner's bucket, and its kept row is
     the first of its cheapest copies: a later copy wins only when strictly
-    cheaper.  One stable sort on the packed key (owner, start, length),
-    then value, leaves each run's copies cheapest first, equal values in
-    arrival order.
+    cheaper.  One plain sort groups each run's copies on the packed key
+    (owner, start, length); per group, minimum reductions then read the
+    least value, the first arrival at that value (the kept row) and the
+    first arrival overall (its place).  Minima do not depend on how the
+    sort leaves equal keys, so neither does the result.
     """
+    m = len(owners)
     key = (owners * n + starts) * (n + 1) + lengths
-    order = np.lexsort((values, key))
+    order = np.argsort(key)
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    kept = order[first]
-    arrival = np.minimum.reduceat(order, first) if len(order) else first
-    return kept[np.argsort(owners[kept] * len(order) + arrival)]
+    if not m:
+        return first
+    v = values[order]
+    cheapest = np.repeat(np.minimum.reduceat(v, first), np.diff(first, append=m)) == v
+    kept = np.minimum.reduceat(np.where(cheapest, order, m), first)
+    arrival = np.minimum.reduceat(order, first)
+    return kept[np.argsort(owners[kept] * m + arrival)]
 
 
 def build_level(

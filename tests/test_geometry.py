@@ -273,6 +273,37 @@ def test_overflowing_squares_do_not_read_as_meeting(scale):
     assert verify(inst, range(3))
 
 
+@pytest.mark.parametrize("scale", [2.0**658, 2.0**-560])
+def test_extreme_scales_leave_integer_arithmetic_the_pairs_scale_one_does(monkeypatch, scale):
+    """Scaled by a power of two, every square overflows or underflows, and the float
+    filter tries each pair again scaled back: integer arithmetic decides only the
+    pairs it decides at scale 1, nominally tangent ones, and every answer is the same."""
+    import diskdom.geometry as geometry
+    from diskdom import gen_random
+
+    exact, asked = geometry._exact_signs, []
+
+    def counted(formula, *operands):
+        asked.append(len(operands[0]))
+        return exact(formula, *operands)
+
+    monkeypatch.setattr(geometry, "_exact_signs", counted)
+    wide = gen_random(64, 5, "circle", "uniform(4.5,7.5)", "unit").to_instance(weighted=False)
+    instances = [wide] + [inst for _, inst in tangent_chain_instances(range(40))]
+    counts = []
+    for factor in (1.0, scale):
+        asked.clear()
+        rows = [
+            intersects_row(inst.xs * factor, inst.ys * factor, inst.rs * factor, i).tolist()
+            for inst in instances for i in range(inst.n)
+        ]
+        counts.append(sum(asked))
+        if factor == 1.0:
+            unscaled = rows
+    assert rows == unscaled
+    assert counts[1] == counts[0] > 0
+
+
 def test_overflowing_center_difference_does_not_read_as_meeting():
     # the centers' difference itself overflows, so the pair is decided in
     # exact arithmetic: 3.4e308 apart, radii summing to 2e308 (disjoint)

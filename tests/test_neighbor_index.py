@@ -407,10 +407,9 @@ def test_tree_answers_as_the_float_predicate_at_extreme_scales(scale):
     """A scaled wide-law instance: every tree answer is the one `~intersects_row` gives.
 
     At 2**658 every square overflows, so the exact predicate decides every
-    pair in integer arithmetic, where scaling by a power of two changes no
-    verdict: it answers as the unscaled instance, and no node may be
-    skipped; at 1e-150 the tree does skip nodes, and each skip must agree
-    with the predicate.
+    pair scaled back by a power of two, which changes no verdict: it answers
+    as the unscaled instance, and no node may be skipped; at 1e-150 the tree
+    does skip nodes, and each skip must agree with the predicate.
     """
     from diskdom import gen_random
 

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diskdom.weighted_dp as wdp
 from conftest import T4_POINTS, mk_instance, recording
@@ -20,7 +21,12 @@ from diskdom.weighted_dp import (
 from invariant_reference import candidate_of, checked_levels, recording_checks
 from query_reference import NEIGHBOR_INDEXES, NaiveNeighborIndex, solvers_using
 from run_reference import run_of
-from weighted_reference import bidirectional_processing, chain_of, directional_processing
+from weighted_reference import (
+    bidirectional_processing,
+    chain_of,
+    dedup_runs,
+    directional_processing,
+)
 
 
 def ccw_processing(nbr, levels, i, j, t):
@@ -430,6 +436,96 @@ def test_insert_keeps_one_candidate_per_run():
     assert kept(rows) == [4, 2, 8, 0]
     none = np.zeros(0, np.int64)
     assert dedup_rows(n, none, none, none, np.zeros(0)).tolist() == []
+
+
+@st.composite
+def arrivals(draw):
+    """A level's combination rows in arrival order, as (n, [(owner, start, length, value)]).
+
+    A few owners interleave, a few distinct runs (a full one as (0, n))
+    arrive in many copies, and values are small integers, so equal-value
+    copies are common.
+    """
+    n = draw(st.integers(1, 9))
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    run = st.tuples(st.integers(0, n - 1), st.integers(1, n))
+    runs = draw(st.lists(run.map(lambda r: (0, n) if r[1] == n else r), min_size=1, max_size=4))
+    rows = st.tuples(st.sampled_from(owners), st.sampled_from(runs), st.integers(0, 3))
+    return n, [(o, s, k, float(v)) for o, (s, k), v in draw(st.lists(rows, max_size=80))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrivals())
+def test_dedup_rows_is_the_bucket_twin(case):
+    # the rows `dedup_rows` keeps are, owner by owner, the ones the dict
+    # twin keeps of that owner's rows, by arrival tag
+    n, rows = case
+    owners, starts, lengths = (np.array([row[c] for row in rows], np.int64) for c in range(3))
+    values = np.array([row[3] for row in rows], np.float64)
+    want = []
+    for owner in sorted(set(owners.tolist())):
+        combos = [(s, k, v, tag) for tag, (o, s, k, v) in enumerate(rows) if o == owner]
+        want += [tag for *_, tag in dedup_runs(combos)]
+    assert dedup_rows(n, owners, starts, lengths, values).tolist() == want
+
+
+class TiesReversed:
+    """numpy as `weighted_dp` sees it, with every sort leaving equal keys latest first.
+
+    `argsort` takes no `kind`, and `lexsort` is not there: only plain sorts,
+    whose tie order numpy leaves open, may order a level.
+    """
+
+    def __init__(self):
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        if name == "lexsort":
+            raise AttributeError(name)
+        return getattr(np, name)
+
+    def argsort(self, keys):
+        self.sorts += 1
+        keys = np.asarray(keys)
+        return np.lexsort((-np.arange(len(keys)), keys))
+
+
+def weighted_levels(inst):
+    """Every level of the unbounded solve, its four chain tables, and the all-k answers
+    (an Infeasible one as its k)."""
+    nbr = build_neighbor_index(inst)
+    levels = [None]
+    for t in range(1, inst.n + 1):
+        levels.append(build_level(inst, nbr, levels, t))
+    chains = [level.chains(bucket=b, ccw=c) for level in levels[1:] for b, c in CHAIN_KINDS]
+    answers = solve_weighted_all_k(inst, inst.n).values()
+    return levels[1:], chains, [a.k if isinstance(a, Infeasible) else a for a in answers]
+
+
+def test_no_level_depends_on_the_tie_order_of_a_sort(monkeypatch):
+    from pathlib import Path
+
+    from diskdom import gen_random
+    from diskdom.instance_io import load_instance_document
+    from test_level_builder import small_integer_weights
+
+    corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
+    instances = [load_instance_document(p.read_text()).to_instance() for p in corpus]
+    for seed in range(4):
+        doc = gen_random(8 + 4 * seed, 90 + seed, "circle", "uniform(1.0,3.0)", "unit")
+        instances.append(small_integer_weights(doc.to_instance(), seed))
+    ties = TiesReversed()
+    for inst in instances:
+        levels, chains, answers = weighted_levels(inst)
+        with monkeypatch.context() as mp:
+            mp.setattr(wdp, "np", ties)
+            got_levels, got_chains, got_answers = weighted_levels(inst)
+        assert got_answers == answers
+        for got, want in zip(got_levels, levels, strict=True):
+            assert_same_level(got, want)
+        for got, want in zip(got_chains, chains, strict=True):
+            assert all(map(np.array_equal, got, want))
+    assert len(instances) == 12 and ties.sorts > 0
 
 
 def test_equal_value_copies_keep_the_first_witness_set():
