@@ -13,8 +13,8 @@ predicates.
 Both geometric tests, `intersects_row` (do two closed disks meet) and
 `orientation_row` (which way three centers turn), are exact: a float filter
 with a forward error bound, then integer arithmetic where it cannot decide.
-`intersects_row` first tries the filter again on each pair it left undecided,
-scaled by a power of two, so pairs at extreme scales stay in numpy.
+Both first try the filter again on each entry it left undecided, scaled by a
+power of two (`_signs`), so entries at extreme scales stay in numpy.
 Their scalar forms, `intersects` and `orientation`, only call them.
 """
 
@@ -88,47 +88,51 @@ def _unsure(value: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 def _exact_signs(formula, *operands: np.ndarray) -> np.ndarray:
-    """The sign of `formula` at each tuple of the float `operands` (1-D, finite), in
+    """The sign of `formula`'s value at each tuple of the float `operands` (1-D, finite), in
     integer arithmetic: each tuple scaled by its largest denominator, a power of two."""
     signs = []
     for values in zip(*(op.tolist() for op in operands)):
         ratios = [v.as_integer_ratio() for v in values]
         k = max(d for _, d in ratios).bit_length()
-        value = formula(*(n << (k - d.bit_length()) for n, d in ratios))
+        value, _ = formula(*(n << (k - d.bit_length()) for n, d in ratios))
         signs.append((value > 0) - (value < 0))
     return np.array(signs, np.int8)
 
 
-def _scaled(operands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column of `operands` times the power of two that puts its largest magnitude in
-    [0.5, 1), and per column whether that product is exact: no nonzero entry falls below
-    2**-1022, where a float loses precision."""
+def _signs(formula, operands: np.ndarray) -> np.ndarray:
+    """The exact sign of `formula`'s value at each column of the float `operands`, as int8:
+    the float filter (`_unsure`) on each column scaled by the power of two that puts its
+    largest magnitude in [0.5, 1), which changes no sign, then integer arithmetic
+    (`_exact_signs`) where it is unsure or a scaled entry is nonzero below 2**-1022."""
     _, exponent = np.frexp(np.abs(operands).max(axis=0))
     scaled = np.ldexp(operands, -exponent)
-    return scaled, ((scaled == 0) | (np.abs(scaled) >= 2.0**-1022)).all(axis=0)
+    inexact = ((scaled != 0) & (np.abs(scaled) < 2.0**-1022)).any(axis=0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        value, size = formula(*scaled)
+        sign = np.sign(value).astype(np.int8)
+        left = _unsure(value, size) | inexact
+    sign[left] = _exact_signs(formula, *operands[:, left])
+    return sign
 
 
 def _gap(x1, x2, y1, y2, r1, r2):
-    """(r1 + r2)² - d², where d is the distance between (x1, y1) and (x2, y2)."""
+    """(r1 + r2)² - d², d the distance from (x1, y1) to (x2, y2), and its size (r1+r2)² + d²."""
     dx, dy, rr = x2 - x1, y2 - y1, r1 + r2
-    return rr * rr - dx * dx - dy * dy
+    return rr * rr - dx * dx - dy * dy, rr * rr + dx * dx + dy * dy
 
 
-def _gap_size(x1, x2, y1, y2, r1, r2):
-    """(r1 + r2)² + d²: the sum of the magnitudes of `_gap`'s terms."""
-    dx, dy, rr = x2 - x1, y2 - y1, r1 + r2
-    return rr * rr + dx * dx + dy * dy
+def gap_signs(x1, x2, y1, y2, r1, r2) -> np.ndarray:
+    """The exact sign of (r1 + r2)² - d² (`_gap`) at each entry of the float arrays."""
+    return _signs(_gap, np.array((x1, x2, y1, y2, r1, r2), np.float64))
 
 
 def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=None) -> np.ndarray:
     """`intersects(disk i, disk z)` for every z at once, as a bool array, exactly.
 
     Takes an instance's finite `xs`, `ys` and `rs` columns.  A float filter decides
-    d² <= (r_i + r_z)² within its error bound (`_unsure`).  It tries again on each pair
-    it leaves unsure, scaled by a power of two where that is exact (`_scaled`): a
-    positive factor changes no sign, and the squares of very large or very small
-    coordinates then neither overflow nor underflow.  Integer arithmetic
-    (`_exact_signs`) decides the rest.  i of shape (B, 1) gives B rows; z, an index array
+    d² <= (r_i + r_z)² within its error bound (`_unsure`), and `gap_signs` each pair
+    it leaves unsure (a second filter on the pair scaled by a power of two, then
+    integer arithmetic).  i of shape (B, 1) gives B rows; z, an index array
     broadcast against i, picks the disks tested (all when None): (B, 64) tests B blocks.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -154,20 +158,14 @@ def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=None) ->
         pairs = i[unsure] * len(xs) + z[unsure]
         pairs, back = np.unique(pairs, return_inverse=True)
         i, z = np.divmod(pairs, len(xs))
-        operands = np.array((xs[i], xs[z], ys[i], ys[z], rs[i], rs[z]))
-        scaled, exact = _scaled(operands)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            gap = _gap(*scaled)
-            meet = gap >= 0
-            left = _unsure(gap, _gap_size(*scaled)) | ~exact
-        meet[left] = _exact_signs(_gap, *operands[:, left]) >= 0
-        meets[unsure] = meet[back]
+        meets[unsure] = (gap_signs(xs[i], xs[z], ys[i], ys[z], rs[i], rs[z]) >= 0)[back]
     return meets
 
 
 def _area(ax, ay, bx, by, cx, cy):
-    """Twice the signed area of triangle abc."""
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    """Twice the signed area of triangle abc, and its size: the sum of its terms' magnitudes."""
+    left, right = (bx - ax) * (cy - ay), (by - ay) * (cx - ax)
+    return left - right, abs(left) + abs(right)
 
 
 def orientation_row(ax, ay, bx, by, cx, cy) -> np.ndarray:
@@ -175,16 +173,16 @@ def orientation_row(ax, ay, bx, by, cx, cy) -> np.ndarray:
 
     The coordinates are finite float64 arrays, broadcast together.  A float
     filter decides every sign its forward error bound (`_unsure`) allows, and
-    integer arithmetic the rest (`_exact_signs`), 0 for collinear points.
+    `_signs` the rest, 0 for collinear points: the filter again on each
+    triangle scaled by a power of two, then integer arithmetic.
     """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        left, right = (bx - ax) * (cy - ay), (by - ay) * (cx - ax)
-        area = left - right
+        area, size = _area(ax, ay, bx, by, cx, cy)
         sign = np.sign(area).astype(np.int8)
-        unsure = _unsure(area, np.abs(left) + np.abs(right))
+        unsure = _unsure(area, size)
     if unsure.any():
-        points = (q[unsure] for q in np.broadcast_arrays(ax, ay, bx, by, cx, cy))
-        sign[unsure] = _exact_signs(_area, *points)
+        points = np.array([q[unsure] for q in np.broadcast_arrays(ax, ay, bx, by, cx, cy)])
+        sign[unsure] = _signs(_area, points)
     return sign
 
 
@@ -311,19 +309,20 @@ def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
     """Merge rows of runs, each row's parts in overlapping-or-abutting order, into one run each.
 
     The runs are (starts, lengths) array pairs over a cycle of n, starts in
-    [0, n): row q merges the q-th entry of each pair, in order.  Empty
-    parts are skipped, and a row saturates to the full cycle as soon as
-    its accumulated coverage wraps, ignoring its later parts.  Returns
-    start and length arrays, canonical: (0, 0) for an empty row, (0, n)
-    for a full one.  Raises NotConsecutive when a nonempty part of any row
-    leaves a gap against that row's coverage so far.  Each part touches
-    only the rows still open, and gaps are raised once, after every part,
-    naming the first row with one.
+    [0, n): row q merges the q-th entry of each pair, in order.  Every
+    row's first part must be nonempty (each caller's is a row's own run);
+    later empty parts are skipped, and a row saturates to the full cycle
+    as soon as its accumulated coverage wraps, ignoring its later parts.
+    Returns start and length arrays, canonical: (0, n) for a full row.
+    Raises NotConsecutive when a nonempty part of any row leaves a gap
+    against that row's coverage so far.  Each part touches only the rows
+    still open, and gaps are raised once, after every part, naming the
+    first row with one.
     """
     (s0, k0), *rest = [(np.asarray(ps, np.int64), np.asarray(pk, np.int64)) for ps, pk in runs]
     out_s, out_k = np.zeros_like(s0), np.full_like(k0, n)  # saturated rows read (0, n)
     rows = np.flatnonzero(k0 < n)  # rows still open, with their accumulated run:
-    s, length = np.where(k0 == 0, -1, s0)[rows], k0[rows]  # start -1 while empty
+    s, length = s0[rows], k0[rows]
     gap = len(s0)  # the first row with a gap so far
     # selects are arithmetic, a + mask * (b - a), and no `%` is taken: both
     # beat np.where and np.mod on int64 columns
@@ -332,20 +331,17 @@ def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
         p += (k == 0) * (s - p)  # an empty part merges as (s, 0): no change
         d = p - s  # how far past the accumulated start the part starts
         d += (d < 0) * n
-        fresh = s < 0
-        wrap = (d > length) & ~fresh  # starts past the accumulated end: must wrap behind it
+        wrap = d > length  # starts past the accumulated end: must wrap behind it
         broken = wrap & (d + k < n)
         if broken.any():
             gap = min(gap, int(rows[np.argmax(broken)]))
         grown = np.maximum(length, d + k)
-        grown += wrap * (np.maximum(k, n - d + length) - grown)
-        length = grown + fresh * (k - grown)
-        s += (fresh | wrap) * (p - s)
+        length = grown + wrap * (np.maximum(k, n - d + length) - grown)
+        s += wrap * (p - s)
         open_ = length < n
         if not open_.all():
             rows, s, length = rows[open_], s[open_], length[open_]
     if gap < len(s0):
         raise NotConsecutive(f"gap between accumulated run and the next part in row {gap}", gap)
-    empty = s < 0
-    out_s[rows], out_k[rows] = np.where(empty, 0, s), np.where(empty, 0, length)
+    out_s[rows], out_k[rows] = s, length
     return out_s, out_k

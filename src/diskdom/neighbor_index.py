@@ -185,12 +185,13 @@ class _TreeNeighborIndex:
     def runs_past(self, i, z, *, ccw: bool) -> tuple[np.ndarray, np.ndarray]:
         """The run disk i[q] meets from z[q]+1 on ccw (z[q]-1 on cw), as start and length arrays.
 
-        Each run stops just before the first disk disjoint from disk i, and
-        is (0, n) when disk i meets every disk.  With j = z+1 (z-1
-        clockwise) and disk i's dominated run (s, k):
+        Disk i[q] must miss some disk, as no tail is asked of a disk meeting
+        every disk (its rows are all full).  Each run stops just before the
+        first disk disjoint from disk i.  With j = z+1 (z-1 clockwise) and
+        disk i's dominated run (s, k):
         1. j in the run, at off = j - s: the run is maximal, so the answer
            is the rest of it, (j, k - off) counterclockwise and
-           (s, off + 1) clockwise, or (0, n) when the run is full;
+           (s, off + 1) clockwise;
         2. otherwise, when disk i misses disk j (the only test of disk j):
            the empty tail, (j, 0) counterclockwise and (j + 1, 0) clockwise;
         3. otherwise `first_disjoint` walks from j to the first disk f
@@ -203,8 +204,6 @@ class _TreeNeighborIndex:
         s, k = dom_s[i], dom_k[i]
         off = (j - s) % n
         starts, lengths = (j, k - off) if ccw else (s, off + 1)
-        full = k == n
-        starts, lengths = np.where(full, 0, starts), np.where(full, n, lengths)
         past = np.flatnonzero(off >= k)
         starts[past] = j[past] if ccw else (j[past] + 1) % n
         lengths[past] = 0

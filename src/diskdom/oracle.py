@@ -1,12 +1,10 @@
 """Ground truth the solvers are tested against.
 
 Exhaustive minimum dominating sets over domination bitmasks, solution
-verification by two independent routes (numpy predicate rows, which
-`verify` uses at every n, vs. a bitmask union kept for brute force and
-tests),
-and the structural diagnostics: additively-weighted nearest-center
-assignment, its contiguous groups, and a segment-crossing check of
-pairwise line separability.
+verification by numpy predicate rows, and the structural diagnostics:
+additively-weighted nearest-center assignment, its contiguous groups, an
+exact disk containment test, and a segment-crossing check of pairwise
+line separability.
 
 All index arguments and results here are canonical instance indices;
 `Instance.to_original` / `to_canonical` translate to the caller's input
@@ -21,12 +19,10 @@ from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Instance, intersects_row, offset_ccw, orientation
+from .geometry import Instance, gap_signs, intersects_row, offset_ccw, orientation
 from .solution import Infeasible, Solution, TooLarge, check_size_bound
 
-MASK_CAP = 4096         # n cap for build_masks' materialized bitmask rows
 BRUTE_CAP = 22          # n cap for 2^n subset enumeration
-CONTAINMENT_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,21 +34,11 @@ class DominationMasks:
 
 
 def build_masks(instance: Instance) -> DominationMasks:
-    """Each disk's row of `intersects_row`, packed into an int: bit z for disk z."""
+    """Each disk's row of `intersects_row`, packed into an int: bit z for disk z (n <= BRUTE_CAP)."""
     n = instance.n
-    if n > MASK_CAP:
-        raise TooLarge(f"domination masks capped at n <= {MASK_CAP}, got {n}")
     cols = instance.xs, instance.ys, instance.rs
     rows = (np.packbits(intersects_row(*cols, i), bitorder="little").tobytes() for i in range(n))
     return DominationMasks(tuple(int.from_bytes(row, "little") for row in rows), (1 << n) - 1)
-
-
-def verify_by_masks(instance: Instance, centers: Iterable[int]) -> bool:
-    dm = build_masks(instance)
-    got = 0
-    for c in centers:
-        got |= dm.masks[c]
-    return got == dm.universe
 
 
 def verify_by_predicate(instance: Instance, centers: Iterable[int]) -> bool:
@@ -66,8 +52,7 @@ def verify(instance: Instance, centers: Iterable[int]) -> bool:
     """True iff `centers` (canonical indices) dominate every disk.
 
     Evaluates the exact closed predicate `geometry.intersects_row`, one
-    row per center (`verify_by_predicate`), at any n; the bitmask route
-    (`verify_by_masks`, the same rows packed into ints) stays as its twin for tests.
+    row per center (`verify_by_predicate`), at any n.
     """
     centers = list(centers)
     if any(not 0 <= c < instance.n for c in centers):
@@ -155,14 +140,17 @@ class Assignment:
 def disk_containment_pairs(
     instance: Instance, indices: Sequence[int]
 ) -> tuple[tuple[int, int], ...]:
-    """Pairs (i, j) among `indices` with disk i inside disk j, up to slack."""
+    """Pairs (i, j) among `indices` with disk i inside disk j, closed, exactly.
+
+    That is r_j >= r_i and |c_i c_j| <= r_j - r_i: the sign of
+    (-r_i + r_j)² - |c_i c_j|², the closed intersection test's with -r_i.
+    """
     idx = np.asarray(indices, np.int64)
-    xs, ys, rs = (col[idx] for col in (instance.xs, instance.ys, instance.rs))
-    dx, dy = xs - xs[:, None], ys - ys[:, None]  # row i, column j: disk j's center less disk i's
-    with np.errstate(over="ignore"):  # an overflowed distance is inf, as in Python floats
-        inside = np.sqrt(dx * dx + dy * dy) + rs[:, None] <= rs + CONTAINMENT_SLACK
-    i, j = np.nonzero(inside & (idx[:, None] != idx))
-    return tuple(zip(idx[i].tolist(), idx[j].tolist()))
+    i, j = (a.ravel() for a in np.meshgrid(idx, idx, indexing="ij"))
+    i, j = i[i != j], j[i != j]
+    xs, ys, rs = instance.xs, instance.ys, instance.rs
+    inside = (rs[j] >= rs[i]) & (gap_signs(xs[i], xs[j], ys[i], ys[j], -rs[i], rs[j]) >= 0)
+    return tuple(zip(i[inside].tolist(), j[inside].tolist()))
 
 
 def voronoi_assignment(instance: Instance, centers: Iterable[int]) -> Assignment:
@@ -175,8 +163,7 @@ def voronoi_assignment(instance: Instance, centers: Iterable[int]) -> Assignment
     n = instance.n
     c = np.array(centers)
     dx, dy = instance.xs[:, None] - instance.xs[c], instance.ys[:, None] - instance.ys[c]
-    with np.errstate(over="ignore"):  # an overflowed distance is inf, as in Python floats
-        val = np.sqrt(dx * dx + dy * dy) - instance.rs[c]
+    val = np.hypot(dx, dy) - instance.rs[c]
     assigned = c[np.argmin(val, axis=1)].tolist()  # ties to the first, smallest center
     if len(set(assigned)) == 1:
         groups = ((assigned[0], (0, n)),)

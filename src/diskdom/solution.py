@@ -137,10 +137,10 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values, w
       [0, n), length in [1, n]) and holds the owner;
     * level 1: no parents (-1 throughout), the run is the owner's dominated
       run and its every disk meets the owner, the value is its weight;
-    * t >= 2: parent levels t1, t2 in [1, t), ids in range, a missing l2
-      reading (-1, -1); the owner owns l1.  With `shared` when it owns l2
-      too, t1 + t2 - shared <= t and value >= v1 + v2 - (w_i if shared) -
-      VALUE_SLACK * max(1, |value|).  The owner's dominated run, run(l1)
+    * t >= 2: parent levels t1, t2 in [1, t), ids in range (every row
+      joins two parents); the owner owns l1.  With `shared` when it owns
+      l2 too, t1 + t2 - shared <= t and value >= v1 + v2 - (w_i if shared)
+      - VALUE_SLACK * max(1, |value|).  The owner's dominated run, run(l1)
       and run(l2) merge into a consecutive union inside the run, and every
       disk of the run outside it (at most two arcs) meets the owner.
 
@@ -163,23 +163,20 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values, w
         us, uk = starts, np.zeros_like(lengths)  # no parts: every disk of the run is tested
     else:
         t1, c1, t2, c2 = parents.T
-        has2 = t2 != -1
-        bad = (t1 < 1) | (t1 >= t) | (has2 & ((t2 < 1) | (t2 >= t)))
-        _fail(t, bad, "parent level outside [1, t)")
+        _fail(t, (t1 < 1) | (t1 >= t) | (t2 < 1) | (t2 >= t), "parent level outside [1, t)")
         sizes = np.array([0, *(len(level.owners) for level in levels[1:t])])
-        t2 = has2 * t2
-        bad2 = np.where(has2, (c2 < 0) | (c2 >= sizes[t2]), c2 != -1)  # a missing l2 is (-1, -1)
-        _fail(t, (c1 < 0) | (c1 >= sizes[t1]) | bad2, "parent id out of range")
+        bad = (c1 < 0) | (c1 >= sizes[t1]) | (c2 < 0) | (c2 >= sizes[t2])
+        _fail(t, bad, "parent id out of range")
         # the parents' columns, from levels 1..t-1 laid end to end
         offsets = np.cumsum(sizes) - sizes
-        g1, g2 = offsets[t1] + c1, offsets[t2] + has2 * c2
+        g1, g2 = offsets[t1] + c1, offsets[t2] + c2
 
         def parent_col(name):
             col = np.concatenate([getattr(level, name) for level in levels[1:t]])
-            return col[g1], has2 * col[g2]  # 0 for a missing l2
+            return col[g1], col[g2]
         (o1, o2), (s1, s2), (k1, k2) = (parent_col(col) for col in ("owners", "starts", "lengths"))
         _fail(t, o1 != owners, "the owner does not own l1")
-        shared = has2 & (o2 == owners)
+        shared = o2 == owners
         _fail(t, t1 + t2 - shared > t, "more than t witnesses")
         v1, v2 = parent_col("values")
         slack = VALUE_SLACK * np.maximum(1.0, np.abs(values))
@@ -203,11 +200,11 @@ class RunLevel:
     Row c has the run (`starts[c]`, `lengths[c]`), the owner `owners[c]`
     and the value `values[c]`, a sum of the weights the solver reads.  Row
     c of `parents` is (level of l1, id of l1, level of l2, id of l2): the
-    lower-level candidates it joins, -1 where there is no l2 and
-    throughout level 1, where the owner is the witness.  `below` holds the
-    lower levels by level.  A row holds its owner and the owner's
-    dominated run: level 1 is that run, each later row a union from a
-    row of its owner.  No candidate is an object: a witness set is
+    two lower-level candidates it joins, both named in every row of a
+    level t >= 2, and -1 throughout level 1, where the owner is the
+    witness.  `below` holds the lower levels by level.  A row holds its
+    owner and the owner's dominated run: level 1 is that run, each later
+    row a union from a row of its owner.  No candidate is an object: a witness set is
     rebuilt from the parents only when `witnesses` is asked for it.
     Later levels read a level through its scan chains (`chains`): for a
     query run grown from an anchor, the distinct cheapest runs containing
@@ -256,9 +253,7 @@ class RunLevel:
                 found.add(level.owners[c].item())
             else:
                 t1, c1, t2, c2 = level.parents[c].tolist()
-                todo.append((level.below[t1], c1))
-                if c2 >= 0:
-                    todo.append((level.below[t2], c2))
+                todo += (level.below[t1], c1), (level.below[t2], c2)
         return frozenset(found)
 
 
@@ -289,32 +284,31 @@ def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw
     then by the stretch the point's disk meets past l2's far end
     (`runs_past`); the run is the union of l1, l2 and that tail, at value
     v1 + v2.  l1 is a row of the point, so the union holds the point's
-    dominated run (`RunLevel`).  A full l1 is a combination by itself, at
-    v1.  Rows are split-major: by t' = 1..t-1, then point by point, then
-    in l1 and l2 chain order.  Returns int64 columns owners, starts,
-    lengths, the float64 values and (m, 4) parent rows.
+    dominated run (`RunLevel`).  A full l1 has no far end to extend, so it
+    makes no combination: it is already a full row at level t', and every
+    row made from it would be full and no cheaper (`weighted_dp`).  Rows
+    are split-major: by t' = 1..t-1, then point by point, then in l1 and
+    l2 chain order.  Returns int64 columns owners, starts, lengths, the
+    float64 values and (m, 4) parent rows.
     """
     n = nbr.n
     splits = np.arange(1, t)
     _, q, l1, i, s1, k1, v1 = _chain_batch(levels, splits, n, bucket=True, ccw=ccw)
     ptr, _, l2s, _, s2s, k2s, v2s = _chain_batch(levels, t - splits, n, bucket=False, ccw=ccw)
-    # a full l1 stands alone: it reads the empty entry appended past every chain
-    l2s, s2s, k2s, v2s = np.append(l2s, -1), np.append(s2s, 0), np.append(k2s, 0), np.append(v2s, 0)
     anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
     lo, hi = ptr[q, anchor], ptr[q, anchor + 1]
-    full1 = k1 == n
-    row, at = expand_runs(np.where(full1, len(l2s) - 1, lo), np.where(full1, 1, hi - lo))
+    row, at = expand_runs(lo, (hi - lo) * (k1 < n))  # a full l1 reads no chain entry
     # dropped once read, so they do not sit beside the row columns at the peak
-    del anchor, lo, hi, full1
+    del anchor, lo, hi
     tp, i, l1, s1, k1, v1 = splits[q[row]], i[row], l1[row], s1[row], k1[row], v1[row]
     del q, row
     l2, s2, k2 = l2s[at], s2s[at], k2s[at]
-    # the tail only where l2 is there and partial: the union saturates on a full part
+    # the tail only where l2 is partial: the union saturates on a full part
     tail_s, tail_k = np.zeros_like(l1), np.zeros_like(l1)
-    open_ = (k2 > 0) & (k2 < n)
+    open_ = k2 < n
     end2 = (s2 + k2 - 1) % n if ccw else s2
     tail_s[open_], tail_k[open_] = nbr.runs_past(i[open_], end2[open_], ccw=ccw)
-    parents = np.stack((tp, l1, np.where(l2 >= 0, t - tp, -1), l2), axis=1)
+    parents = np.stack((tp, l1, t - tp, l2), axis=1)
     return (i, *union_columns(n, ((s1, k1), (s2, k2), (tail_s, tail_k))), v1 + v2s[at], parents)
 
 

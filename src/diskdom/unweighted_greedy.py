@@ -45,27 +45,17 @@ from .solution import (
 def farthest_ids(starts, lengths, n: int, *, ccw: bool) -> np.ndarray:
     """Per index j, the id of the run through j reaching farthest ccw, or cw.
 
-    The runs are (starts[k], lengths[k]) under ids k.  Reach from j is the
-    number of steps a run extends past j that way round, and n for a full
-    run, so a full run beats every partial one; equal reaches go to the
-    smallest id.  -1 where no run covers j.  Clockwise answers come from
-    the counterclockwise sweep (`_ccw_sweep`) over the mirrored runs:
-    mirroring the circle (index j to n - 1 - j) turns run (s, k) into
-    ((-s - k) mod n, k) and clockwise reach from j into counterclockwise
-    reach from n - 1 - j, keeping ids, so that sweep read back reversed
-    answers clockwise.
+    The runs are (starts[k], lengths[k]) under ids k, int64 arrays of at
+    least one run, every run partial: the global chains of a level below
+    the first full one, which holds a row per point at least.  Reach from
+    j is the number of steps a run extends past j that way round; equal
+    reaches go to the smallest id.  -1 where no run covers j.  Clockwise
+    answers come from the counterclockwise sweep (`_ccw_sweep`) over the
+    mirrored runs: mirroring the circle (index j to n - 1 - j) turns run
+    (s, k) into ((-s - k) mod n, k) and clockwise reach from j into
+    counterclockwise reach from n - 1 - j, keeping ids, so that sweep read
+    back reversed answers clockwise.
     """
-    starts = np.asarray(starts, np.int64)
-    lengths = np.asarray(lengths, np.int64)
-    if len(starts) != len(lengths):
-        raise ValueError("starts and lengths differ in size")
-    if len(starts) and (
-        lengths.min() < 1 or lengths.max() > n or starts.min() < 0 or starts.max() >= n
-    ):
-        raise ValueError("runs must be nonempty with starts in [0, n)")
-    full = np.flatnonzero(lengths == n)
-    if len(full) or not len(starts):
-        return np.full(n, full[0] if len(full) else -1, np.int64)
     if ccw:
         return _ccw_sweep(starts, lengths, n)
     return _ccw_sweep((-starts - lengths) % n, lengths, n)[::-1]

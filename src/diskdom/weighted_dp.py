@@ -40,6 +40,14 @@ for all four kinds (`LevelTable._staircase_orders`).  A full-circle
 candidate of minimum value over levels 1..k yields the answer for size
 bound k, for every k at once (`solve_weighted_all_k`).
 
+A full l1 makes no directional combination, not even a copy of itself
+one level up.  Weights are positive, so a row with a full part is itself
+full and no cheaper than that part, which is already a full row at a
+lower level; the answers take a full row only when it is strictly
+cheaper than every one before it, and a full row is never a part of a
+partial one.  So no answer depends on such rows, and every row of a
+level t >= 2 joins two parents.
+
 Every sort on this path is plain, numpy's fastest, and numpy leaves the
 order of its equal keys open (it varies by version and CPU).  So each one
 sorts distinct keys, or only the least index among equal keys is read: no

@@ -64,12 +64,12 @@ def farthest_entry(level, anchor: int, *, bucket: bool, ccw: bool) -> int:
 def greedy_step(nbr, levels, i: int, t: int, *, ccw: bool) -> Optional[tuple]:
     """Point i's farthest-reaching extension of its extremes, ccw or cw.
 
-    One combination per split level t': i's own level-t' extreme l1, the
-    level-(t-t') run l2 reaching farthest past l1's far end, and the
-    stretch disk i dominates beyond that (`one_way_run`), at value
-    v1 + v2.  The one reaching farthest from i wins, ties to the smaller
-    t'.  Returns (start, length, value, parent row), or None when no split
-    has both parts.
+    One combination per split level t' whose extreme l1 is partial: i's
+    own level-t' extreme l1, the level-(t-t') run l2 reaching farthest
+    past l1's far end, and the stretch disk i dominates beyond that
+    (`one_way_run`), at value v1 + v2.  The one reaching farthest from i
+    wins, ties to the smaller t'.  Returns (start, length, value, parent
+    row), or None when no split has both parts.
     """
     if t < 2:
         raise SolverInvariantError(f"a step builds level 2 or later, not level {t}")
@@ -78,24 +78,19 @@ def greedy_step(nbr, levels, i: int, t: int, *, ccw: bool) -> Optional[tuple]:
     best, best_reach = None, -1
     for tp in range(1, t):
         l1 = farthest_entry(levels[tp], i, bucket=True, ccw=ccw)
-        if l1 < 0:
+        if l1 < 0 or levels[tp].lengths[l1] == n:  # a full l1 makes no combination
             continue
         s1, k1 = _run(levels[tp], l1)
-        v = float(levels[tp].values[l1])
-        if k1 == n:
-            s, k, parent = 0, n, (tp, l1, -1, -1)
-        else:
-            other = levels[t - tp]
-            anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
-            l2 = farthest_entry(other, anchor, bucket=False, ccw=ccw)
-            if l2 < 0:
-                continue
-            s, k = one_way_run(nbr, i, dom, (s1, k1), _run(other, l2), ccw=ccw)
-            v += float(other.values[l2])
-            parent = (tp, l1, t - tp, l2)
+        other = levels[t - tp]
+        anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
+        l2 = farthest_entry(other, anchor, bucket=False, ccw=ccw)
+        if l2 < 0:
+            continue
+        s, k = one_way_run(nbr, i, dom, (s1, k1), _run(other, l2), ccw=ccw)
         r = _reach(s, k, i, n, ccw)
         if r > best_reach:
-            best, best_reach = (s, k, v, parent), r
+            v = float(levels[tp].values[l1] + other.values[l2])
+            best, best_reach = (s, k, v, (tp, l1, t - tp, l2)), r
     return best
 
 

@@ -162,9 +162,9 @@ def _first(mask) -> int:
 
 
 def _parent_owner(rows: CheckedRows, which: int) -> np.ndarray:
-    """Per row, the owner of parent `which` (0: l1, 1: l2), -1 where it is missing."""
+    """Per row, the owner of parent `which` (0: l1, 1: l2)."""
     t_, c = rows.parents[:, 2 * which], rows.parents[:, 2 * which + 1]
-    return np.array([rows.levels[a].owners[b] if b >= 0 else -1 for a, b in zip(t_, c)])
+    return np.array([rows.levels[a].owners[b] for a, b in zip(t_, c)])
 
 
 def _too_many_witnesses(rows: CheckedRows) -> None:
@@ -177,8 +177,7 @@ def _too_many_witnesses(rows: CheckedRows) -> None:
 
 def _gap(rows: CheckedRows) -> None:
     # l2 becomes the level-1 row of the opposite disk, far from the owner's runs
-    r = _first(rows.parents[:, 3] >= 0)
-    n = rows.nbr.n
+    r, n = 0, rows.nbr.n
     rows.parents[r, 3] = (rows.owners[r] + n // 2) % n
     rows.values[r] += 100.0  # no lower than the new parents allow
 
@@ -197,7 +196,7 @@ def _undominated_tail(rows: CheckedRows) -> None:
 
 def _parts_leave_the_run(rows: CheckedRows) -> None:
     # the run cut back to the owner's dominated run, though l2 reaches past it
-    r = _first((rows.parents[:, 3] >= 0) & (rows.lengths < rows.nbr.n))
+    r = _first(rows.lengths < rows.nbr.n)
     rows.starts[r], rows.lengths[r] = (x[rows.owners[r]] for x in rows.nbr.dominated_runs)
 
 
@@ -216,11 +215,12 @@ CORRUPTIONS = {
     "lowered level-1 value": (1, _set("values", lambda rows: rows.values[0] - 0.25),
                               "owner's weight"),
     "parent level >= t": (2, _set("parents", lambda rows: (2, 0, 1, 0)), "parent level"),
+    "missing l2": (2, _set("parents", lambda rows: (1, rows.owners[0], -1, -1)), "parent level"),
     "parent id out of range": (
-        2, _set("parents", lambda rows: (1, rows.nbr.n, -1, -1)), "parent id"
+        2, _set("parents", lambda rows: (1, rows.nbr.n, 1, rows.owners[0])), "parent id"
     ),
     "owner does not own l1": (
-        2, _set("parents", lambda rows: (1, (rows.owners[0] + 1) % rows.nbr.n, -1, -1)),
+        2, _set("parents", lambda rows: (1, (rows.owners[0] + 1) % rows.nbr.n, 1, rows.owners[0])),
         "does not own l1",
     ),
     "too many witnesses": (3, _too_many_witnesses, "more than t witnesses"),

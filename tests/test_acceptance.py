@@ -152,8 +152,9 @@ def test_query_structure_equivalence():
         inst = ring(n)
         fast_min = level_of_runs(inst, runs)
         slow_min = level_of_runs(inst, runs, indexed=False)  # the ScanLevelTable twin
-        starts = [s for s, _, _, _ in runs]
-        lengths = [k for _, k, _, _ in runs]
+        # farthest queries take partial runs: a full one is cut to n - 1 disks
+        starts = np.array([s for s, _, _, _ in runs], np.int64)
+        lengths = np.array([min(k, n - 1) for _, k, _, _ in runs], np.int64)
         fast_far = [farthest_ids(starts, lengths, n, ccw=ccw) for ccw in (True, False)]
         slow_far = [scan_farthest_ids(starts, lengths, n, ccw=ccw) for ccw in (True, False)]
         for _ in range(100):

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diskdom.geometry import NotStrictlyConvex, Point, WeightedDisk, canonicalize
-from diskdom.oracle import brute_force_min, build_masks, verify
+from diskdom.oracle import (
+    brute_force_min,
+    build_masks,
+    check_domination_of_assignment,
+    disk_containment_pairs,
+    verify,
+    voronoi_assignment,
+)
 from diskdom.unweighted_greedy import solve_unweighted
 from diskdom.weighted_dp import solve_weighted_unbounded
 from conftest import FOUND_CONVEX_QUAD, OVERFLOW_TRIANGLE, nudged, tangent_chain_instances
@@ -53,6 +60,22 @@ def check_solvers(inst) -> int:
             assert math.isclose(sol.weight, lightest, rel_tol=1e-12)
             assert math.isclose(ref.weight, lightest, rel_tol=1e-12)
     return smallest
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 2.0**-540, 1e200])
+def test_structural_diagnostics_hold_at_every_scale(scale):
+    """Tiny squared distances underflowed to 0 and a fixed containment slack swamped tiny
+    radii: the three disjoint disks of TRIANGLE read as all inside each other, and every
+    point was assigned to center 0, which fails to dominate them."""
+    inst = canonicalize([disk(x * scale, y * scale, scale) for x, y in TRIANGLE])
+    asg = voronoi_assignment(inst, range(3))
+    assert asg.containment_pairs == () and asg.assigned == (0, 1, 2)
+    assert check_domination_of_assignment(inst, asg)
+    # the unit disk at (1, 0) lies inside the radius-4 disk at the origin
+    nested = canonicalize([disk(0.0, 0.0, 4 * scale), disk(scale, 0.0, scale),
+                           disk(1.5 * scale, 5 * scale, scale)])
+    small, big = nested.to_canonical([1, 0])
+    assert disk_containment_pairs(nested, range(3)) == ((small, big),)
 
 
 @pytest.mark.parametrize("scale", [1e-200, 2.0**-540])

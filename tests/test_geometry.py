@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diskdom.geometry import (
+    DiskColumns,
     DuplicateCenter,
     GeometryError,
     NonFiniteValue,
@@ -304,6 +305,35 @@ def test_extreme_scales_leave_integer_arithmetic_the_pairs_scale_one_does(monkey
     assert counts[1] == counts[0] > 0
 
 
+@pytest.mark.parametrize("scale", [2.0**658, 2.0**-560])
+def test_extreme_scales_leave_integer_arithmetic_the_turns_scale_one_does(monkeypatch, scale):
+    """Scaled by a power of two, every hull turn of `canonicalize` overflows or underflows,
+    and `orientation_row` tries each again scaled back: integer arithmetic decides only
+    the turns it decides at scale 1, and the order is the same."""
+    import diskdom.geometry as geometry
+    from diskdom import gen_random
+
+    exact, asked = geometry._exact_signs, []
+
+    def counted(formula, *operands):
+        asked.append(len(operands[0]))
+        return exact(formula, *operands)
+
+    monkeypatch.setattr(geometry, "_exact_signs", counted)
+    docs = [gen_random(n, 5, "circle", "uniform(4.5,7.5)", "unit") for n in (64, 320, 4000)]
+    docs += [gen_random(12, seed, family, "unit", "unit") for seed in range(20)
+             for family in ("ellipse", "perturbed-polygon")]
+    counts, orders = [], []
+    for factor in (1.0, scale):
+        asked.clear()
+        scaled = (DiskColumns(c.xs * factor, c.ys * factor, c.rs * factor, c.ws)
+                  for c in (doc.columns for doc in docs))
+        orders.append([canonicalize(cols).original_index for cols in scaled])
+        counts.append(sum(asked))
+    assert orders[1] == orders[0]
+    assert counts[1] == counts[0]
+
+
 def test_overflowing_center_difference_does_not_read_as_meeting():
     # the centers' difference itself overflows, so the pair is decided in
     # exact arithmetic: 3.4e308 apart, radii summing to 2e308 (disjoint)
@@ -451,13 +481,14 @@ def _union_both(n, runs):
     return want, got_ints
 
 
-def _four_runs(draw, n):
+def _four_runs(draw, n, first=0):
     """Four runs over a cycle of n: random, or chained so they stay consecutive.
 
     A chained run starts inside or just past the previous one, or starts
-    behind it and reaches back into it (the wrap-behind case).
+    behind it and reaches back into it (the wrap-behind case).  The first
+    run holds at least `first` indexes.
     """
-    runs = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n)))]
+    runs = [(draw(st.integers(0, n - 1)), draw(st.integers(first, n)))]
     chained = draw(st.booleans())
     for _ in range(3):
         ps, pk = runs[-1]
@@ -553,9 +584,9 @@ def assert_columns_match_rows(n, rows):
 
 @st.composite
 def run_tables(draw):
-    """Up to six rows of four runs (`_four_runs`) over one cycle of n."""
+    """Up to six rows of four runs (`_four_runs`) over one cycle of n, each row's first nonempty."""
     n = draw(st.integers(1, 12))
-    return n, [_four_runs(draw, n) for _ in range(draw(st.integers(1, 6)))]
+    return n, [_four_runs(draw, n, first=1) for _ in range(draw(st.integers(1, 6)))]
 
 
 @given(run_tables())
@@ -567,11 +598,11 @@ def test_union_columns_matches_union_runs(case):
 
 
 def test_union_columns_matches_union_runs_exhaustively():
-    # every list of four runs over cycles of up to 4 indexes: the rows
-    # without a gap as one table, then each row with a gap alone
+    # every list of four runs, the first nonempty, over cycles of up to 4
+    # indexes: the rows without a gap as one table, then each row with a gap alone
     for n in range(1, 5):
         runs = sorted({(CyclicSublist(s, k, n).start, k) for s in range(n) for k in range(n + 1)})
-        rows = [[a, b, c, d] for a in runs for b in runs for c in runs for d in runs]
+        rows = [[a, b, c, d] for a in runs if a[1] for b in runs for c in runs for d in runs]
         want = _scalar_rows(n, rows)
         assert (NotConsecutive in want) == (n == 4)  # no smaller cycle has room for a gap
         whole = [runs_ for runs_, w in zip(rows, want) if w is not NotConsecutive]

@@ -57,8 +57,11 @@ def assert_levels_agree(inst) -> int:
             assert level.witnesses(c) == twin.witnesses(c), (t, c)
         runs = level.starts, level.lengths, level.owners, level.values, level.parents
         staircases = LevelTable(inst, t, levels, *runs)
+        # the search reads no global chain of its last, first full level, and
+        # `farthest_ids` takes partial runs only
+        final = level.cheapest_full() >= 0
         for ccw in (True, False):
-            for bucket in (True, False):
+            for bucket in (True,) if final else (True, False):
                 got = level.chains(bucket=bucket, ccw=ccw)
                 want = twin.chains(bucket=bucket, ccw=ccw)
                 assert all(map(np.array_equal, got, want)), (t, ccw, bucket)

@@ -21,11 +21,6 @@ import diskdom
 
 SOURCES = sorted(Path(diskdom.__file__).parent.glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-ALLOWED = {
-    # the documented independent twin of `verify`: whole-row masks instead
-    # of the blocked predicate, kept so the two can be compared
-    "verify_by_masks",
-}
 
 
 def _is_dunder(name: str) -> bool:
@@ -137,5 +132,4 @@ Child().used()
 def test_package_has_no_unreferenced_code():
     assert SOURCES
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    found = [entry for entry in unreferenced(trees) if entry.split()[1] not in ALLOWED]
-    assert found == []
+    assert unreferenced(trees) == []

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import T4_POINTS, mk_instance
+from mask_reference import verify_by_masks
 from run_reference import CyclicSublist
 from diskdom.geometry import WeightedDisk, canonicalize, intersects
 from diskdom.oracle import (
@@ -13,7 +14,6 @@ from diskdom.oracle import (
     check_line_separable,
     disk_containment_pairs,
     verify,
-    verify_by_masks,
     verify_by_predicate,
     voronoi_assignment,
 )

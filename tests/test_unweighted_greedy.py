@@ -79,10 +79,12 @@ def test_greedy_cw_step_t4(t4):
 
 
 def test_greedy_step_big_disk_short_circuit(big5):
+    # the big disk's level-1 run is already full, so the search ends there;
+    # a level 2 built anyway holds no step of it, as a full l1 makes none
     nbr, levels = build_levels(big5, 1)
     big = max(range(big5.n), key=lambda i: big5.disks[i].radius)
-    cand = step(nbr, levels, big, 2, ccw=True)
-    assert cand.length == big5.n and cand.witnesses == {big}
+    assert levels[1].lengths[big] == big5.n and levels[1].cheapest_full() == big
+    assert step(nbr, levels, big, 2, ccw=True) is None
 
 
 def test_greedy_step_crawls_on_disjoint_disks():
@@ -380,9 +382,9 @@ def test_no_full_candidate_by_level_n_is_a_typed_error(monkeypatch, t4):
 
 def test_first_full_candidate_of_wrong_size_is_a_typed_error(monkeypatch, t4):
     def one_witness_full(nbr, levels, t, *, ccw):
-        # every point's own level-1 run as sole parent, claiming the full circle
+        # every point's own level-1 run as both parents, claiming the full circle
         i = np.arange(t4.n)
-        parents = np.stack([np.ones_like(i), i, -np.ones_like(i), -np.ones_like(i)], axis=1)
+        parents = np.stack([np.ones_like(i), i, np.ones_like(i), i], axis=1)
         return i, np.zeros_like(i), np.full_like(i, t4.n), np.ones(t4.n), parents
 
     monkeypatch.setattr(ug, "directional_steps", one_witness_full)

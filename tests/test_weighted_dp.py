@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diskdom.weighted_dp as wdp
+from diskdom import gen_random
 from conftest import T4_POINTS, mk_instance, recording
 from diskdom.geometry import union_columns
 from diskdom.neighbor_index import build_neighbor_index
@@ -24,6 +25,7 @@ from run_reference import run_of
 from weighted_reference import (
     bidirectional_processing,
     chain_of,
+    copying_full_l1,
     dedup_runs,
     directional_processing,
 )
@@ -128,8 +130,12 @@ def test_big5_chains_end_in_full_runs(big5):
     chain = chain_of(levels[1], big, bucket=True, ccw=True)
     assert (levels[1].lengths[chain] == n).tolist() == [True]
     for t in (2, 3):
+        # the big disk's full level-1 run makes no combination: its bucket stays empty
+        assert big not in levels[t].owners.tolist()
         for anchor in range(n):
             for bucket, ccw in CHAIN_KINDS:
+                if bucket and anchor == big:
+                    continue
                 full = levels[t].lengths[chain_of(levels[t], anchor, bucket=bucket, ccw=ccw)] == n
                 assert len(full) and full[-1] and not full[:-1].any()
 
@@ -243,11 +249,18 @@ def oracle_instances():
         yield rand_instance(rng, n, spread=(0.5, 3.0))
 
 
-def holds_as_good(table, i, cand):
-    """Bucket i of `table` has a run containing cand's at no greater value."""
-    n = table.instance.n
+def holds_as_good(levels, t, i, cand):
+    """Bucket i of level t has a run containing cand's at no greater value.
+
+    A full candidate may be held at a lower level instead: the literal step
+    copies a full l1 up as a candidate by itself, which the solver leaves
+    out, as that l1 is already a full row of i.
+    """
+    n = levels[1].n
+    tables = levels[1 : t + 1] if cand.length == n else [levels[t]]
     return any(
         run_of(c, n).contains_sub(run_of(cand, n)) and c.value <= cand.value
+        for table in tables
         for c in bucket(table, i)
     )
 
@@ -265,7 +278,7 @@ def test_chain_tables_hold_every_processing_candidate(inst):
                     for ccw in (True, False):
                         cand = directional_processing(nbr, levels, i, j, t, ccw=ccw)
                         if cand is not None:
-                            assert holds_as_good(levels[t], i, cand), (t, i, j, ccw)
+                            assert holds_as_good(levels, t, i, cand), (t, i, j, ccw)
                             checked += 1
                 for x in range(n):
                     for y in range(n):
@@ -273,7 +286,7 @@ def test_chain_tables_hold_every_processing_candidate(inst):
                             continue
                         cand = bidirectional_processing(nbr, levels, i, x, y, t)
                         if cand is not None:
-                            assert holds_as_good(levels[t], i, cand), (t, i, x, y)
+                            assert holds_as_good(levels, t, i, cand), (t, i, x, y)
                             checked += 1
         assert checked > 0
 
@@ -394,7 +407,7 @@ def test_validator_rejects_bad_candidates(t4):
     level1.check()
     level2.check()
     cases = [
-        (level2.broken("parents", (1, 1, -1, -1)), "does not own l1"),
+        (level2.broken("parents", (1, 1, 1, 0)), "does not own l1"),
         (level1.broken("lengths", 4), "dominated run"),
         (level1.broken("values", 0.5), "owner's weight"),
         (level1.broken("parents", (1, 1, -1, -1)), "has parents"),
@@ -550,9 +563,7 @@ def combination_count(levels, i, t):
             near = levels[tp]
             for l1 in chain_of(near, i, bucket=True, ccw=ccw).tolist():
                 s1, k1 = int(near.starts[l1]), int(near.lengths[l1])
-                if k1 == n:
-                    count += 1
-                else:
+                if k1 < n:  # a full l1 makes no combination
                     anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
                     count += len(chain_of(levels[t - tp], anchor, bucket=False, ccw=ccw))
     for tp in range(2, t):
@@ -662,3 +673,65 @@ def test_each_level_makes_one_pass_per_combination_step(monkeypatch):
         for t in levels:
             counts = Counter(name for tt, name in calls if tt == t)
             assert counts == {"directional_combos": 2, "bidirectional_combos": 1}, (weighted, t)
+
+
+def meeting_everywhere(n):
+    """n disks on the circle of radius 10, each meeting every other: level 1 is all full."""
+    return gen_random(n, 40 + n, "circle", "uniform(30,40)", "uniform(1,10)").to_instance()
+
+
+def full_row_instances(big5):
+    """The corpus, big5 and disks meeting every disk (n 1-8), then 300 random instances."""
+    from pathlib import Path
+
+    from diskdom.instance_io import load_instance_document
+
+    corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
+    for path in corpus:
+        yield load_instance_document(path.read_text()).to_instance(), False
+    yield big5, False
+    for n in range(1, 9):
+        yield meeting_everywhere(n), False
+    laws = ("uniform(2.0,6.0)", "uniform(4.0,9.0)", "uniform(1.0,3.0)", "lognormal(1,0.6)")
+    for seed in range(300):
+        doc = gen_random(3 + seed % 10, 61_000 + seed, "circle", laws[seed % 4], "uniform(1,10)")
+        yield doc.to_instance(), True
+
+
+def test_no_answer_depends_on_full_rows_copied_up_a_level(monkeypatch, big5):
+    # the rule the DP once had: a full l1 also copied up one level by itself,
+    # at value v1.  Dropping it changes no answer for any k: such a row is
+    # full and no cheaper than its l1, already a full row a level lower
+    random_with_full_below_k = 0
+    for inst, random_ in full_row_instances(big5):
+        n = inst.n
+        without = solve_weighted_all_k(inst, n)
+        with monkeypatch.context() as mp:
+            mp.setattr(wdp, "directional_combos", copying_full_l1(wdp.directional_combos))
+            copied = solve_weighted_all_k(inst, n)
+        assert without.keys() == copied.keys()
+        for k, answer in without.items():
+            if isinstance(answer, Infeasible):
+                assert isinstance(copied[k], Infeasible) and copied[k].k == k
+            else:
+                got = copied[k]
+                assert (got.centers, got.weight, got.size) == (answer.centers, answer.weight,
+                                                               answer.size), k
+        random_with_full_below_k += random_ and not isinstance(without[n - 1], Infeasible)
+    assert random_with_full_below_k >= 200
+
+
+def test_disks_meeting_every_disk_leave_every_later_level_empty(monkeypatch):
+    for n in range(1, 9):
+        inst = meeting_everywhere(n)
+        for copy in (False, True):
+            with monkeypatch.context() as mp:
+                if copy:
+                    mp.setattr(wdp, "directional_combos", copying_full_l1(wdp.directional_combos))
+                nbr, levels = build_neighbor_index(inst), [None]
+                for t in range(1, n + 1):
+                    levels.append(build_level(inst, nbr, levels, t, check_invariants=not copy))
+            assert (levels[1].lengths == n).all()
+            # the rule once copied each full l1 up a level: n rows at each level
+            sizes = [len(level.owners) for level in levels[2:]]
+            assert sizes == [n if copy else 0] * (n - 1), (n, copy)

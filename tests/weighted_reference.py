@@ -63,8 +63,8 @@ def directional_combos(nbr, levels, i: int, t: int, *, ccw: bool) -> Iterator[tu
     For each split level t', every run l1 of i's level-t' bucket chain is
     extended by every run l2 of the level-(t-t') global chain starting just
     past l1's far end, then by the stretch disk i dominates past l2's far
-    end.  A full l1 is a combination by itself.  A run equal to the one
-    just made from the same l1 (never cheaper) is skipped.
+    end.  A full l1 makes no combination.  A run equal to the one just
+    made from the same l1 (never cheaper) is skipped.
     """
     n = nbr.n
     dom = dominated_run(nbr, i)
@@ -74,7 +74,6 @@ def directional_combos(nbr, levels, i: int, t: int, *, ccw: bool) -> Iterator[tu
         for l1 in chain_of(near, i, bucket=True, ccw=ccw).tolist():
             s1, k1, v1 = _run(near, l1)
             if k1 == n:
-                yield 0, n, v1, (tp, l1, -1, -1)
                 continue
             head, last = union_runs(n, (dom, (s1, k1))), None
             anchor = (s1 + k1) % n if ccw else (s1 - 1) % n
@@ -84,6 +83,38 @@ def directional_combos(nbr, levels, i: int, t: int, *, ccw: bool) -> Iterator[tu
                 if run != last:
                     last = run
                     yield *run, v1 + v2, (tp, l1, t - tp, l2)
+
+
+def copying_full_l1(combos):
+    """`combos` (`solution.directional_combos`) under the rule it once had: a full l1
+    is also copied up to level t by itself, at value v1.
+
+    A copy comes last among its point's rows of its split, where its l1, the
+    last entry of a bucket chain, put it.  Its parent row names l1 twice,
+    (t', l1, t', l1), so its witness set is l1's.  The tests check that no
+    answer of `solve_weighted_all_k` depends on the copies.
+    """
+
+    def variant(nbr, levels, t, *, ccw):
+        i, starts, lengths, values, parents = combos(nbr, levels, t, ccw=ccw)
+        n = nbr.n
+        copies = [  # (t', l1), by split and then by point
+            (tp, c)
+            for tp in range(1, t)
+            for c in levels[tp].chains(bucket=True, ccw=ccw)[1].tolist()
+            if levels[tp].lengths[c] == n
+        ]
+        if not copies:
+            return i, starts, lengths, values, parents
+        tp, c = np.array(copies, np.int64).T
+        owner = np.array([levels[a].owners[b] for a, b in copies], np.int64)
+        value = np.array([levels[a].values[b] for a, b in copies])
+        at = np.searchsorted(parents[:, 0] * n + i, tp * n + owner, side="right")
+        rows = np.stack((tp, c, tp, c), axis=1)
+        return (np.insert(i, at, owner), np.insert(starts, at, 0), np.insert(lengths, at, n),
+                np.insert(values, at, value), np.insert(parents, at, rows, axis=0))
+
+    return variant
 
 
 def bidi_combos(nbr, levels, i: int, t: int) -> Iterator[tuple]:
