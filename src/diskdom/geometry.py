@@ -6,9 +6,9 @@ float64 columns (center xs and ys, radii, weights), and `canonicalize`
 validates and orders whole columns at once; `WeightedDisk` objects are
 built only for code that asks for `Instance.disks`.  Every algorithm in
 this package reasons about contiguous runs of instance indices, carried
-as (start, length) pairs of integers.  The solvers merge many rows of
-runs at once with `union_columns`, which lives here next to the disk
-predicates.
+as (start, length) pairs of integers.  The solvers merge two runs per
+row, many rows at once, with `union_columns`, which lives here next to
+the disk predicates.
 
 Both geometric tests, `intersects_row` (do two closed disks meet) and
 `orientation_row` (which way three centers turn), are exact: a float filter
@@ -51,7 +51,7 @@ class NonFiniteValue(GeometryError):
 
 
 class NotConsecutive(ValueError):
-    """Runs handed to union_columns leave a gap in the cyclic order, first in row `row`."""
+    """A second run handed to union_columns leaves a gap after its first, first in row `row`."""
 
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
@@ -305,43 +305,28 @@ def offset_ccw(i: int, j: int, n: int) -> int:
     return (j - i) % n
 
 
-def union_columns(n: int, runs) -> tuple[np.ndarray, np.ndarray]:
-    """Merge rows of runs, each row's parts in overlapping-or-abutting order, into one run each.
+def union_columns(n: int, first, second) -> tuple[np.ndarray, np.ndarray]:
+    """Merge two runs per row, the second overlapping or abutting the first, into one run each.
 
-    The runs are (starts, lengths) array pairs over a cycle of n, starts in
-    [0, n): row q merges the q-th entry of each pair, in order.  Every
-    row's first part must be nonempty (each caller's is a row's own run);
-    later empty parts are skipped, and a row saturates to the full cycle
-    as soon as its accumulated coverage wraps, ignoring its later parts.
-    Returns start and length arrays, canonical: (0, n) for a full row.
-    Raises NotConsecutive when a nonempty part of any row leaves a gap
-    against that row's coverage so far.  Each part touches only the rows
-    still open, and gaps are raised once, after every part, naming the
-    first row with one.
+    `first` and `second` are (starts, lengths) array pairs over a cycle of
+    n, starts in [0, n): row q merges the q-th run of each.  Both runs of
+    every row are nonempty, and a length of n or more is the whole cycle
+    (a second run lengthened by its tail can reach past n).  Returns start
+    and length arrays, canonical: (0, n) for a full row.  Raises
+    NotConsecutive, naming the first such row, when a second run leaves a
+    gap against its first.
     """
-    (s0, k0), *rest = [(np.asarray(ps, np.int64), np.asarray(pk, np.int64)) for ps, pk in runs]
-    out_s, out_k = np.zeros_like(s0), np.full_like(k0, n)  # saturated rows read (0, n)
-    rows = np.flatnonzero(k0 < n)  # rows still open, with their accumulated run:
-    s, length = s0[rows], k0[rows]
-    gap = len(s0)  # the first row with a gap so far
+    s1, k1, s2, k2 = (np.asarray(col, np.int64) for col in (*first, *second))
     # selects are arithmetic, a + mask * (b - a), and no `%` is taken: both
     # beat np.where and np.mod on int64 columns
-    for ps, pk in rest:
-        k, p = pk[rows], ps[rows]
-        p += (k == 0) * (s - p)  # an empty part merges as (s, 0): no change
-        d = p - s  # how far past the accumulated start the part starts
-        d += (d < 0) * n
-        wrap = d > length  # starts past the accumulated end: must wrap behind it
-        broken = wrap & (d + k < n)
-        if broken.any():
-            gap = min(gap, int(rows[np.argmax(broken)]))
-        grown = np.maximum(length, d + k)
-        length = grown + wrap * (np.maximum(k, n - d + length) - grown)
-        s += wrap * (p - s)
-        open_ = length < n
-        if not open_.all():
-            rows, s, length = rows[open_], s[open_], length[open_]
-    if gap < len(s0):
-        raise NotConsecutive(f"gap between accumulated run and the next part in row {gap}", gap)
-    out_s[rows], out_k[rows] = s, length
-    return out_s, out_k
+    d = s2 - s1  # how far past the first run's start the second starts
+    d += (d < 0) * n
+    wrap = d > k1  # starts past the first run's end: must wrap behind it
+    broken = wrap & (d + k2 < n)
+    if broken.any():
+        row = int(np.argmax(broken))
+        raise NotConsecutive(f"gap between the first run and the second in row {row}", row)
+    grown = np.maximum(k1, d + k2)
+    length = grown + wrap * (np.maximum(k2, n - d + k1) - grown)
+    open_ = length < n
+    return (s1 + wrap * (s2 - s1)) * open_, np.minimum(length, n)

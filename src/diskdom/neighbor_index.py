@@ -24,7 +24,7 @@ The query flow is:
   2n walks from disk i itself, whose first misses each way bound
   `dominated_runs`, read off with no merge;
 - `runs_past` answers the tails the solvers ask past the far end z of a
-  run, from j = z±1 on.  Most need no walk: when j lies in disk i's own
+  run, from j = z±1 on, each of which lengthens that run.  Most need no walk: when j lies in disk i's own
   dominated run, the answer is the rest of that run, which is maximal;
   when disk i misses disk j, it is the empty tail.  Only the rest, which
   start outside the run on a disk i meets, walk `first_disjoint`.
@@ -187,7 +187,10 @@ class _TreeNeighborIndex:
 
         Disk i[q] must miss some disk, as no tail is asked of a disk meeting
         every disk (its rows are all full).  Each run stops just before the
-        first disk disjoint from disk i.  With j = z+1 (z-1 clockwise) and
+        first disk disjoint from disk i.  It starts right past z (clockwise,
+        ends right before z, an empty one starting at z), so a caller may
+        lengthen the run ending at z by it, clockwise moving that run's start
+        to its start.  With j = z+1 (z-1 clockwise) and
         disk i's dominated run (s, k):
         1. j in the run, at off = j - s: the run is maximal, so the answer
            is the rest of it, (j, k - off) counterclockwise and

@@ -140,8 +140,9 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values, w
     * t >= 2: parent levels t1, t2 in [1, t), ids in range (every row
       joins two parents); the owner owns l1.  With `shared` when it owns
       l2 too, t1 + t2 - shared <= t and value >= v1 + v2 - (w_i if shared)
-      - VALUE_SLACK * max(1, |value|).  The owner's dominated run, run(l1)
-      and run(l2) merge into a consecutive union inside the run, and every
+      - VALUE_SLACK * max(1, |value|).  The owner's dominated run merges
+      with run(l1), and that union with run(l2), into a consecutive union
+      inside the run (two `union_columns` passes), and every
       disk of the run outside it (at most two arcs) meets the owner.
 
     By induction over levels this is the global check of each witness set
@@ -183,7 +184,8 @@ def check_level(nbr, levels, t: int, owners, starts, lengths, parents, values, w
         low = ~(values >= v1 + v2 - shared * weights[owners] - slack)
         _fail(t, low, "value below its parents'")
         try:
-            us, uk = union_columns(n, ((dom_s[owners], dom_k[owners]), (s1, k1), (s2, k2)))
+            head = union_columns(n, (dom_s[owners], dom_k[owners]), (s1, k1))
+            us, uk = union_columns(n, head, (s2, k2))
         except NotConsecutive as exc:
             raise SolverInvariantError(f"level {t}, row {exc.row}: gap between the parts") from None
     s = np.where(lengths == n, us, starts)  # a full run may start anywhere: at the union
@@ -280,9 +282,10 @@ def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw
     """Every point's one-way level-t combinations over all splits t' + (t - t'), ccw or cw.
 
     Each run l1 of a point's level-t' bucket chain is extended by each run
-    l2 of the level-(t-t') global chain anchored just past l1's far end,
-    then by the stretch the point's disk meets past l2's far end
-    (`runs_past`); the run is the union of l1, l2 and that tail, at value
+    l2 of the level-(t-t') global chain anchored just past l1's far end.
+    A partial l2 is first lengthened by its tail, the stretch the point's
+    disk meets just past l2's far end (`runs_past`): one run, at times
+    longer than n.  The run is the union of l1 and that run, at value
     v1 + v2.  l1 is a row of the point, so the union holds the point's
     dominated run (`RunLevel`).  A full l1 has no far end to extend, so it
     makes no combination: it is already a full row at level t', and every
@@ -303,13 +306,15 @@ def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw
     tp, i, l1, s1, k1, v1 = splits[q[row]], i[row], l1[row], s1[row], k1[row], v1[row]
     del q, row
     l2, s2, k2 = l2s[at], s2s[at], k2s[at]
-    # the tail only where l2 is partial: the union saturates on a full part
-    tail_s, tail_k = np.zeros_like(l1), np.zeros_like(l1)
-    open_ = k2 < n
-    end2 = (s2 + k2 - 1) % n if ccw else s2
-    tail_s[open_], tail_k[open_] = nbr.runs_past(i[open_], end2[open_], ccw=ccw)
+    # l2 takes its tail where it is partial (a full l2 makes a full row)
+    open_ = np.flatnonzero(k2 < n)
+    end2 = (s2[open_] + k2[open_] - 1) % n if ccw else s2[open_]
+    tail_s, tail_k = nbr.runs_past(i[open_], end2, ccw=ccw)
+    k2[open_] += tail_k
+    if not ccw:
+        s2[open_] = tail_s
     parents = np.stack((tp, l1, t - tp, l2), axis=1)
-    return (i, *union_columns(n, ((s1, k1), (s2, k2), (tail_s, tail_k))), v1 + v2s[at], parents)
+    return (i, *union_columns(n, (s1, k1), (s2, k2)), v1 + v2s[at], parents)
 
 
 def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
@@ -331,4 +336,4 @@ def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
     tp, i = splits[q[row]], i[row]
     values = (vx[row] + vy[at]) - weights[i]
     parents = np.stack((tp, lx[row], t + 1 - tp, lys[at]), axis=1)
-    return (i, *union_columns(n, ((sx[row], kx[row]), (sy[at], ky[at]))), values, parents)
+    return (i, *union_columns(n, (sx[row], kx[row]), (sy[at], ky[at])), values, parents)

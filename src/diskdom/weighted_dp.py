@@ -9,7 +9,8 @@ both solvers share (`solution.directional_combos`,
 
 * counterclockwise: a run from i's own level-t' bucket, extended by the
   cheapest run from the level-(t-t') global level starting just past it,
-  plus the stretch after that which disk i dominates by itself;
+  that run lengthened by the stretch after it which disk i dominates by
+  itself;
 * clockwise: the mirror image, built by the same routine;
 * bidirectional: one run from i's bucket in each direction, meeting at i,
   with i's weight counted once.
@@ -19,8 +20,9 @@ base the unweighted search shares): each candidate's run as (start,
 length), its owner, its value, and a parent row naming the lower-level
 candidates it joins.  `build_level` makes every combination of a level
 in three numpy passes (ccw, cw, bidirectional), each over all points and
-split levels: runs merged row-wise by `geometry.union_columns`, tails
-from the batched `neighbor_index.runs_past`.  `dedup_rows` then keeps
+split levels: tails from the batched `neighbor_index.runs_past`, each
+lengthening the run it starts past, and two runs merged per row by
+`geometry.union_columns`.  `dedup_rows` then keeps
 one combination per run in each bucket, the first to arrive, replaced
 only by a strictly cheaper copy: one plain sort groups the copies, and
 minimum reductions per group pick the row.  No combination is an

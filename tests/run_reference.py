@@ -1,11 +1,12 @@
 """Reference twins of the run merge `geometry.union_columns`; the solvers never run them.
 
 `CyclicSublist` is a run of instance indices as a value, for the
-reference queries and the tests.  `union_runs` merges one row of runs
-given as (start, length) pairs, and `union_extend` merges runs given as
-`CyclicSublist` values.  Tests check that `union_columns` agrees with
-`union_runs` row by row, and `union_runs` with `union_extend`, on every
-outcome (merged run, saturation, wrap-behind and `NotConsecutive`).  The
+reference queries and the tests.  `union_runs` merges one row of any
+number of runs given as (start, length) pairs, and `union_extend` merges
+runs given as `CyclicSublist` values.  Tests check that the two-run
+`union_columns` agrees with `union_runs` row by row on every pair of
+nonempty runs, and `union_runs` with `union_extend`, on every outcome
+(merged run, saturation, wrap-behind and `NotConsecutive`).  The
 scalar level builders of `greedy_reference` and `weighted_reference`
 merge with `union_runs`, and the weighted reference steps with
 `union_extend`, so those oracles stay independent of the production merge.

@@ -481,14 +481,13 @@ def _union_both(n, runs):
     return want, got_ints
 
 
-def _four_runs(draw, n, first=0):
+def _four_runs(draw, n):
     """Four runs over a cycle of n: random, or chained so they stay consecutive.
 
     A chained run starts inside or just past the previous one, or starts
-    behind it and reaches back into it (the wrap-behind case).  The first
-    run holds at least `first` indexes.
+    behind it and reaches back into it (the wrap-behind case).
     """
-    runs = [(draw(st.integers(0, n - 1)), draw(st.integers(first, n)))]
+    runs = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n)))]
     chained = draw(st.booleans())
     for _ in range(3):
         ps, pk = runs[-1]
@@ -562,13 +561,13 @@ def _scalar_rows(n, rows):
 
 
 def _columnar(n, rows):
-    """`union_columns` of the rows, or NotConsecutive if it raises."""
-    parts = [
+    """`union_columns` of the rows of two runs, or NotConsecutive if it raises."""
+    first, second = (
         (np.array([runs[p][0] for runs in rows]), np.array([runs[p][1] for runs in rows]))
-        for p in range(len(rows[0]))
-    ]
+        for p in (0, 1)
+    )
     try:
-        starts, lengths = union_columns(n, parts)
+        starts, lengths = union_columns(n, first, second)
     except NotConsecutive:
         return NotConsecutive
     return list(zip(starts.tolist(), lengths.tolist()))
@@ -582,29 +581,54 @@ def assert_columns_match_rows(n, rows):
         assert _columnar(n, [runs]) == (one if one is NotConsecutive else [one]), (n, runs)
 
 
+def _two_runs(draw, n):
+    """Two nonempty runs over a cycle of n: random, or the second chained to the first.
+
+    A chained second run starts inside or just past the first, or starts
+    behind it and reaches back into it (the wrap-behind case).  The second
+    run may be as long as 2n - 2, as a run lengthened by its tail can be.
+    """
+    s1, k1 = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+    longest = max(n, 2 * n - 2)
+    if k1 < n and draw(st.booleans()):
+        if draw(st.booleans()):
+            s2, k2 = (s1 + draw(st.integers(0, k1))) % n, draw(st.integers(1, longest))
+        else:
+            back = draw(st.integers(1, n))
+            s2, k2 = (s1 - back) % n, draw(st.integers(back, longest))
+    else:
+        s2, k2 = draw(st.integers(0, n - 1)), draw(st.integers(1, longest))
+    return [(s1, k1), (s2, k2)]
+
+
 @st.composite
 def run_tables(draw):
-    """Up to six rows of four runs (`_four_runs`) over one cycle of n, each row's first nonempty."""
+    """Up to six rows of two nonempty runs (`_two_runs`) over one cycle of n."""
     n = draw(st.integers(1, 12))
-    return n, [_four_runs(draw, n, first=1) for _ in range(draw(st.integers(1, 6)))]
+    return n, [_two_runs(draw, n) for _ in range(draw(st.integers(1, 6)))]
 
 
 @given(run_tables())
 @settings(max_examples=400, deadline=None)
-@example((10, [[(2, 3), (4, 2), (8, 9), (0, 1)], [(0, 4), (4, 2), (5, 1), (1, 1)]]))
-@example((6, [[(0, 2), (3, 2), (0, 6), (0, 0)], [(0, 2), (1, 2), (5, 1), (0, 6)]]))
+@example((10, [[(2, 3), (8, 9)], [(0, 4), (4, 2)]]))  # wraps behind the start; abuts
+@example((6, [[(0, 2), (3, 2)], [(0, 2), (5, 1)]]))  # a gap in row 0; row 1 wraps behind
+@example((6, [[(1, 2), (3, 9)], [(4, 2), (0, 6)]]))  # a second run longer than n; a full one
 def test_union_columns_matches_union_runs(case):
     assert_columns_match_rows(*case)
 
 
 def test_union_columns_matches_union_runs_exhaustively():
-    # every list of four runs, the first nonempty, over cycles of up to 4
-    # indexes: the rows without a gap as one table, then each row with a gap alone
-    for n in range(1, 5):
-        runs = sorted({(CyclicSublist(s, k, n).start, k) for s in range(n) for k in range(n + 1)})
-        rows = [[a, b, c, d] for a in runs if a[1] for b in runs for c in runs for d in runs]
+    # every pair of nonempty runs over cycles of up to 6 indexes, the second
+    # of every start and as long as 2n - 2 (l2 lengthened by its tail reaches
+    # that far): the rows without a gap as one table, then each row with a
+    # gap alone; a second run of n or more is the whole cycle
+    for n in range(1, 7):
+        firsts = sorted({(CyclicSublist(s, k, n).start, k) for s in range(n) for k in range(1, n + 1)})
+        seconds = [(s, k) for s in range(n) for k in range(1, max(n, 2 * n - 2) + 1)]
+        rows = [[a, b] for a in firsts for b in seconds]
         want = _scalar_rows(n, rows)
-        assert (NotConsecutive in want) == (n == 4)  # no smaller cycle has room for a gap
+        assert (NotConsecutive in want) == (n >= 4)  # no smaller cycle has room for a gap
+        assert all(w == (0, n) for (_, (_, k)), w in zip(rows, want) if k >= n)
         whole = [runs_ for runs_, w in zip(rows, want) if w is not NotConsecutive]
         assert _columnar(n, whole) == [w for w in want if w is not NotConsecutive]
         for runs_ in (runs_ for runs_, w in zip(rows, want) if w is NotConsecutive):

@@ -454,3 +454,52 @@ def test_tree_does_not_skip_where_squares_are_subnormal():
     assert not tree._skips(np.array([0, 1]), np.array([0, 0])).any()
     for ccw in (True, False):
         assert tree.first_disjoint([0, 1], [0, 1], ccw=ccw).tolist() == [-1, -1]
+
+
+def _skip_counts(inst):
+    """(pairs `_skips` proves, pairs among them with a disk the exact predicate calls missed).
+
+    The pairs are every disk against every real node of every level of the
+    tree: node m of level l holds disks 64m·2**l up to 64(m+1)·2**l - 1.
+    """
+    n, tree, disks = inst.n, _TreeNeighborIndex(inst), np.arange(inst.n)
+    meets = intersects_row(inst.xs, inst.ys, inst.rs, disks[:, None])
+    skipped = wrong = 0
+    for lvl in range(tree._top + 1):
+        width = 64 << lvl
+        for m in range(-(-n // width)):
+            skip = tree._skips(disks, np.full(n, tree._offset[lvl] + m))
+            skipped += int(skip.sum())
+            wrong += int((skip & ~meets[:, m * width:(m + 1) * width].all(axis=1)).sum())
+    return skipped, wrong
+
+
+@pytest.mark.parametrize("n, law", [(320, "uniform(4.5,7.5)"), (352, "uniform(2.0,6.0)"),
+                                    (384, "uniform(1.0,3.0)"), (400, "uniform(0.5,2.0)")])
+def test_skips_only_nodes_whose_every_disk_the_predicate_meets(n, law):
+    """Wherever `_skips` proves a node, `intersects_row` meets each of its disks."""
+    from diskdom import gen_random
+
+    inst = gen_random(n, 11, "circle", law, "unit").to_instance(weighted=False)
+    assert _skip_counts(inst)[1] == 0
+
+
+def test_skips_only_nodes_whose_every_disk_meets_on_tangent_chains():
+    assert all(_skip_counts(inst)[1] == 0 for _, inst in tangent_chain_instances())
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-540, 1e-150, 2.0**658, 1e200])
+def test_skips_only_nodes_whose_every_disk_meets_at_extreme_scales(scale):
+    """The wide-law instance, scaled: every skip is one the predicate makes.
+
+    Unscaled and at 1e-150, r_i + r_min lies in the bound's safe range and
+    nodes are skipped, so the test is not vacuous; at the other scales it
+    lies outside, and none is.
+    """
+    from diskdom import gen_random
+
+    base = gen_random(320, 5, "circle", "uniform(4.5,7.5)", "unit").to_instance(weighted=False)
+    inst = replace(base, xs=base.xs * scale, ys=base.ys * scale, rs=base.rs * scale)
+    skipped, wrong = _skip_counts(inst)
+    assert wrong == 0
+    assert (skipped > 0) == (scale in (1.0, 1e-150))

@@ -495,7 +495,7 @@ def test_validators_raise_under_optimized_mode():
         "    print('greedy step to level 1')",
         "gap = ((np.array([0, 0]), np.array([1, 1])), (np.array([1, 2]), np.array([1, 1])))",
         "try:",
-        "    union_columns(4, gap)",  # row 1 leaves index 1 uncovered
+        "    union_columns(4, *gap)",  # row 1 leaves index 1 uncovered
         "except NotConsecutive as exc:",
         "    print(f'columnar union gap in row {exc.row}')",
         "for name in CORRUPTIONS:",

@@ -436,9 +436,9 @@ def test_insert_keeps_one_candidate_per_run():
     rows.append(row(1, 3, 4.0))  # strictly cheaper: replaces in place
     assert kept(rows) == [3, 1]
     # full runs from different merges all arrive as (0, n): one key
-    merges = (([(6, 3), (0, 6)], 9.0), ([(2, 5), (7, 4)], 9.0), ([(3, 2), (5, 4), (1, 2)], 9.5))
+    merges = (([(6, 3), (0, 6)], 9.0), ([(2, 5), (7, 4)], 9.0), ([(3, 2), (5, 6)], 9.5))
     for parts, value in merges:
-        s, k = union_columns(n, [(np.array([ps]), np.array([pk])) for ps, pk in parts])
+        s, k = union_columns(n, *((np.array([ps]), np.array([pk])) for ps, pk in parts))
         rows.append(row(int(s[0]), int(k[0]), value))
     assert kept(rows) == [3, 1, 4]
     rows.append(row(0, 8, 3.0))
