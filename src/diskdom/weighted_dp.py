@@ -50,6 +50,29 @@ cheaper than every one before it, and a full row is never a part of a
 partial one.  So no answer depends on such rows, and every row of a
 level t >= 2 joins two parents.
 
+Two more lemmas let the solve build fewer levels and rows, and change no
+answer (`tests/weighted_reference.unpruned_answers` is the build without
+them, and the tests compare every answer with it, centers and weight bits):
+
+* The prune.  `build_level` drops a level-t row when levels 1..t-1 hold
+  its owner and run at a value no larger (`LevelTable.cheapest_runs`, one
+  sorted array of distinct keys, extended level by level).  A combination
+  that uses the dropped row as a part has a twin that uses the lower row
+  instead: the same parts' runs, so the same run, at a lower level, and,
+  as float addition is monotone (a <= a' gives a + b <= a' + b and
+  (a + b) - w <= (a' + b) - w), a value no larger.  So a lower level
+  offers every full row the dropped one leads to, as cheap or cheaper, and
+  at equal value the lower level comes first, as the answers' rule asks.
+* The cap.  Let V be the cheapest full value over levels 1..t, and K the
+  number of prefix sums of the ascending weights at most
+  V * (1 + VALUE_SLACK).  Weights are positive, so a set of more than K
+  disks weighs at least the K + 1 lightest, more than V; the slack covers
+  the rounding of the prefix sums and of a row's value (each a float sum
+  of at most n weights).  So no set of more than K disks beats V, and an
+  optimum of at most K disks is a full row by level K:
+  `solve_weighted_all_k` stops at level min(k, K), and the answers above
+  it are the answer there.
+
 Every sort on this path is plain, numpy's fastest, and numpy leaves the
 order of its equal keys open (it varies by version and CPU).  So each one
 sorts distinct keys, or only the least index among equal keys is read: no
@@ -70,6 +93,7 @@ import numpy as np
 from .geometry import Instance
 from .neighbor_index import build_neighbor_index
 from .solution import (
+    VALUE_SLACK,
     Infeasible,
     RunLevel,
     Solution,
@@ -84,6 +108,11 @@ from .solution import (
 CHAIN_BLOCK = 1 << 16  # (anchor, candidate) cells per pass of the global staircase
 
 
+def run_keys(n: int, owners, starts, lengths) -> np.ndarray:
+    """Each row's (owner, start, length) packed into one int64 key, ordered as the triple."""
+    return (owners * n + starts) * (n + 1) + lengths
+
+
 class LevelTable(RunLevel):
     """One level's candidates as columns in id order (`RunLevel`), with every staircase.
 
@@ -92,6 +121,31 @@ class LevelTable(RunLevel):
     candidate reaching strictly farther than every one before it in
     (value, id) order.
     """
+
+    @cached_property
+    def cheapest_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (owner, run) key levels 1..t hold (`run_keys`), sorted, with its least value.
+
+        Extends the level below's array by this level's rows: a key both
+        hold keeps the lesser value, a new key is inserted in place, so no
+        level re-reads the ones below it.  It takes the array over: the
+        level below drops its copy, which nothing reads later (asked
+        again, it is rebuilt the same way).  The keys of one level are
+        distinct (`dedup_rows`), so its one sort is plain.
+        """
+        keys, values = run_keys(self.n, self.owners, self.starts, self.lengths), self.values
+        if self.level == 1:
+            order = np.argsort(keys)
+            return keys[order], values[order]
+        below = self.below[self.level - 1]
+        below_keys, below_values = below.cheapest_runs
+        del below.cheapest_runs
+        at, held = _find(below_keys, keys)
+        best = below_values.copy()
+        best[at[held]] = np.minimum(best[at[held]], values[held])
+        new = np.flatnonzero(~held)
+        new = new[np.argsort(keys[new])]
+        return np.insert(below_keys, at[new], keys[new]), np.insert(best, at[new], values[new])
 
     @cached_property
     def _staircase_orders(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +201,13 @@ class LevelTable(RunLevel):
         return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), ids
 
 
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each key sits in the nonempty `sorted_keys` (its insertion point), and whether
+    it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+
+
 def dedup_rows(n: int, owners, starts, lengths, values) -> np.ndarray:
     """The rows a level keeps, in id order: one per (owner, run).
 
@@ -160,7 +221,7 @@ def dedup_rows(n: int, owners, starts, lengths, values) -> np.ndarray:
     sort leaves equal keys, so neither does the result.
     """
     m = len(owners)
-    key = (owners * n + starts) * (n + 1) + lengths
+    key = run_keys(n, owners, starts, lengths)
     order = np.argsort(key)
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
     if not m:
@@ -185,8 +246,10 @@ def build_level(
     Level 1 holds one candidate per point: its own dominated run at its
     own weight.  Later levels hold, per point, its ccw combinations by
     split level, then its cw ones, then its bidirectional ones, deduplicated
-    by `dedup_rows`.  With `check_invariants`, every combination, same-run
-    copies included, is first checked against its parents (`check_level`).
+    by `dedup_rows`, less every run levels 1..t-1 already hold at a value no
+    larger (`LevelTable.cheapest_runs`; the prune of the module docstring).
+    With `check_invariants`, every combination, same-run copies and pruned
+    rows included, is first checked against its parents (`check_level`).
     """
     n = instance.n
     weights = instance.ws
@@ -200,6 +263,12 @@ def build_level(
     if check_invariants:
         check_level(nbr, levels, t, owners, starts, lengths, parents, values, weights)
     keep = dedup_rows(n, owners, starts, lengths, values)
+    if t > 1:
+        # a run levels 1..t-1 already hold at a value no larger is dropped
+        below_keys, below_values = levels[t - 1].cheapest_runs
+        at, held = _find(below_keys, run_keys(n, owners[keep], starts[keep], lengths[keep]))
+        dominated = held & (below_values[np.minimum(at, len(below_keys) - 1)] <= values[keep])
+        keep = keep[~dominated]
     return LevelTable(
         instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
     )
@@ -208,11 +277,15 @@ def build_level(
 def solve_weighted_all_k(
     instance: Instance, k: int, *, check_invariants: bool = False
 ) -> dict[int, Union[Solution, Infeasible]]:
-    """Every size bound k' = 1..k answered from one build of levels 1..k.
+    """Every size bound k' = 1..k answered from one build of levels 1..k at most.
 
     Level t does not depend on k, so the answer for k' is the cheapest full
     candidate over levels 1..k' (the first one at equal value), or an
-    `Infeasible(k')` value when there is none.  When the counting bound
+    `Infeasible(k')` value when there is none.  The build stops at the
+    level cap (module docstring): once the cheapest full value V so far
+    leaves room for no set of more than K disks, K read off the prefix sums
+    of the ascending weights, no level past min(k, K) is built, and every
+    answer above it is the answer there.  When the counting bound
     (`domination_lower_bound`) already exceeds k, every answer is
     Infeasible and no level is combined past level 1.
     `check_invariants=True` checks every combination of every level
@@ -224,7 +297,8 @@ def solve_weighted_all_k(
     nbr = build_neighbor_index(instance)
     levels: list[Optional[LevelTable]] = [None]
     answers: dict[int, Union[Solution, Infeasible]] = {}
-    best, answer = None, None  # the cheapest full candidate so far: its value and Solution
+    lightest = np.cumsum(np.sort(instance.ws))  # the s lightest weights' sum, s = 1..n
+    best, answer, cap = None, None, k  # the cheapest full candidate so far, and the level cap
     for t in range(1, k + 1):
         level = build_level(instance, nbr, levels, t, check_invariants=check_invariants)
         levels.append(level)
@@ -234,8 +308,11 @@ def solve_weighted_all_k(
         if c >= 0 and (best is None or level.values[c] < best):
             best = level.values[c]
             answer = solution_of(instance, level.witnesses(c), "weighted")
+            cap = min(k, int(np.searchsorted(lightest, best * (1 + VALUE_SLACK), "right")))
         answers[t] = Infeasible(t) if answer is None else answer
-    return answers
+        if t >= cap:
+            break
+    return answers | {kp: answer for kp in range(t + 1, k + 1)}
 
 
 def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:
@@ -252,5 +329,10 @@ def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False
 
 
 def solve_weighted_unbounded(instance: Instance, **kwargs) -> Solution:
-    """Minimum-weight dominating set with no size bound (k = n is always feasible)."""
+    """Minimum-weight dominating set with no size bound (k = n is always feasible).
+
+    The level cap stops the build once no set larger than the level reached
+    can be cheaper than the cheapest full row so far, so it builds about as
+    many levels as the optimum has disks, not n.
+    """
     return solve_weighted(instance, instance.n, **kwargs)

@@ -276,6 +276,19 @@ def test_scaling_smoke(tmp_path):
     )
 
 
+def test_unbounded_weighted_solve_stops_at_its_level_cap():
+    """n=60 small disks, no size bound: the optimum has 26 disks, so the level
+    cap stops the build long before level n."""
+    inst = gen_random(60, 7, "circle", "uniform(0.3,1.0)", "uniform(1,10)").to_instance()
+    t0 = time.perf_counter()
+    sol = solve_weighted_unbounded(inst)
+    elapsed = time.perf_counter() - t0
+    assert verify(inst, inst.to_canonical(sol.centers))
+    assert elapsed < 2.0
+    print(f"PASS unbounded-weighted: n=60 in {elapsed:.2f}s, size {sol.size}, "
+          f"weight {sol.weight:.6f}")
+
+
 def test_large_unweighted_solve_builds_no_matrix():
     """n=20000 on the wide law: the tree walks only the 2n dominated-run queries.
 

@@ -4,7 +4,7 @@ Each case runs `diskdom.cli.main(["solve", ...])` and compares its exit
 code and the text of the solution document it writes (None when it writes
 none) with `golden_answers.json`.  The cases are the corpus files under
 four modes, and `gen_random` instances shaped like the benchmark's
-workloads, generated here.  A change meant to keep every answer
+workloads, or solved with no size bound, generated here.  A change meant to keep every answer
 byte-identical must pass this test unedited.
 
 To pin the answers anew (only when an answer is meant to change):
@@ -31,6 +31,7 @@ RANDOM = [
     (60, range(1000, 1004), "uniform(2.0,6.0)", "uniform(1,10)", ["--weighted", "--k", "6"]),
     (2000, range(1000, 1002), "uniform(1.0,3.0)", "unit", []),
     (16000, range(1000, 1001), "uniform(4.5,7.5)", "unit", []),
+    (40, range(7, 10), "uniform(0.3,1.0)", "uniform(1,10)", ["--weighted"]),
 ]
 
 

@@ -25,9 +25,11 @@ from run_reference import run_of
 from weighted_reference import (
     bidirectional_processing,
     chain_of,
+    cheapest_below,
     copying_full_l1,
     dedup_runs,
     directional_processing,
+    unpruned_answers,
 )
 
 
@@ -136,8 +138,15 @@ def test_big5_chains_end_in_full_runs(big5):
             for bucket, ccw in CHAIN_KINDS:
                 if bucket and anchor == big:
                     continue
-                full = levels[t].lengths[chain_of(levels[t], anchor, bucket=bucket, ccw=ccw)] == n
-                assert len(full) and full[-1] and not full[:-1].any()
+                # a full run ends the chain, at level t or, where level t's full
+                # row is dropped as a lower level holds it, at a lower level >= 2
+                ends = []
+                for tp in range(2, t + 1):
+                    full = levels[tp].lengths[chain_of(levels[tp], anchor, bucket=bucket,
+                                                       ccw=ccw)] == n
+                    assert not full[:-1].any()
+                    ends.append(bool(len(full) and full[-1]))
+                assert any(ends), (t, anchor, bucket, ccw)
 
 
 def test_level_one_t4(t4):
@@ -250,17 +259,17 @@ def oracle_instances():
 
 
 def holds_as_good(levels, t, i, cand):
-    """Bucket i of level t has a run containing cand's at no greater value.
+    """Bucket i of level t or of a lower level has a run containing cand's at no greater value.
 
-    A full candidate may be held at a lower level instead: the literal step
+    A lower level may hold it instead: the solver drops a level-t row whose
+    run a lower level holds at a value no larger, and the literal step
     copies a full l1 up as a candidate by itself, which the solver leaves
     out, as that l1 is already a full row of i.
     """
     n = levels[1].n
-    tables = levels[1 : t + 1] if cand.length == n else [levels[t]]
     return any(
         run_of(c, n).contains_sub(run_of(cand, n)) and c.value <= cand.value
-        for table in tables
+        for table in levels[1 : t + 1]
         for c in bucket(table, i)
     )
 
@@ -644,6 +653,120 @@ def test_k_below_counting_bound_stops_after_level_one():
     assert all(isinstance(answers[k], Infeasible) for k in range(1, 7))
 
 
+def hub_ring(n, hub_weight, ring_weight):
+    """Disk 0 meets every disk; disks 1..n-1 are small, meeting only disk 0."""
+    angles = [2 * math.pi * k / n for k in range(n)]
+    return mk_instance([
+        (10 * math.cos(a), 10 * math.sin(a), 100.0 if k == 0 else 0.5,
+         hub_weight if k == 0 else ring_weight)
+        for k, a in enumerate(angles)
+    ])
+
+
+def counting_builds(monkeypatch):
+    """The level t of every `build_level` call made by the solver, in order."""
+    built = []
+
+    def counted(instance, nbr, levels, t, **kwargs):
+        built.append(t)
+        return build_level(instance, nbr, levels, t, **kwargs)
+
+    monkeypatch.setattr(wdp, "build_level", counted)
+    return built
+
+
+def test_level_cap_stops_once_no_larger_set_can_be_cheaper(monkeypatch):
+    # the weight-1 hub is a full row at level 1; every other disk weighs 5,
+    # so no set of two or more disks is as cheap: K = 1 and one level is built
+    built = counting_builds(monkeypatch)
+    inst = hub_ring(6, 1.0, 5.0)
+    answers = solve_weighted_all_k(inst, inst.n)
+    assert built == [1]
+    assert sorted(answers) == list(range(1, 7))
+    assert all(answers[k] == answers[1] for k in answers)
+    assert answers[1].centers == (0,) and answers[1].weight == 1.0
+
+
+def test_level_cap_builds_every_level_up_to_it(monkeypatch):
+    # the weight-10 hub is a full row at level 1, but the five ring disks
+    # weigh 1 each, so K = 5: levels 1..k are built for k <= 5, then the
+    # ring (weight 5, level 5) caps K at 5, so k = 6 builds no level 6
+    built = counting_builds(monkeypatch)
+    inst = hub_ring(6, 10.0, 1.0)
+    for k in (3, 5):
+        built.clear()
+        answers = solve_weighted_all_k(inst, k)
+        assert built == list(range(1, k + 1)), k
+        assert answers[k].weight == (10.0 if k < 5 else 5.0)
+    built.clear()
+    answers = solve_weighted_all_k(inst, 6)
+    assert built == [1, 2, 3, 4, 5]
+    assert answers[6] == answers[5] and answers[5].size == 5
+
+
+def run_table(level):
+    """A level's `cheapest_runs` as {(owner, start, length): value}, its keys checked sorted."""
+    n = level.n
+    keys, values = level.cheapest_runs
+    assert (np.diff(keys) > 0).all()
+    return {(key // (n + 1) // n, key // (n + 1) % n, key % (n + 1)): value
+            for key, value in zip(keys.tolist(), values.tolist())}
+
+
+def test_cheapest_runs_hold_each_run_of_the_levels_so_far_at_its_least_value():
+    rng = random.Random(4141)
+    for _ in range(6):
+        inst = rand_instance(rng, rng.randint(5, 12), spread=(0.3, 2.0))
+        nbr, levels = build_neighbor_index(inst), [None]
+        for t in range(1, inst.n + 1):
+            levels.append(build_level(inst, nbr, levels, t))
+            assert run_table(levels[t]) == cheapest_below(levels, t + 1), t
+            if t > 1:
+                # the level below handed its array over, and rebuilds the same one
+                assert "cheapest_runs" not in vars(levels[t - 1])
+                assert run_table(levels[t - 1]) == cheapest_below(levels, t), t
+
+
+def answer_twin_instances():
+    """The corpus, then 250 random instances: n 4-24, three families, four radius laws,
+    unit, `uniform(1,10)` and small integer weights."""
+    from pathlib import Path
+
+    from diskdom.instance_io import load_instance_document
+    from test_level_builder import small_integer_weights
+
+    corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
+    for path in corpus:
+        yield load_instance_document(path.read_text()).to_instance()
+    families = ("circle", "ellipse", "perturbed-polygon")
+    laws = ("uniform(0.3,1.0)", "uniform(1.0,3.0)", "uniform(2.0,6.0)", "lognormal(0,0.6)")
+    for seed in range(250):
+        weights = ("unit", "uniform(1,10)", "small integers")[seed % 3]
+        doc = gen_random(4 + seed % 21, 70_000 + seed, families[seed % 3], laws[seed // 3 % 4],
+                         "uniform(1,10)" if weights == "uniform(1,10)" else "unit")
+        inst = doc.to_instance()
+        yield small_integer_weights(inst, seed) if weights == "small integers" else inst
+
+
+def test_answers_match_the_unpruned_build():
+    # the cross-level prune and the level cap change no answer: centers and
+    # weight bits equal those of every level 1..n built without either
+    def key(answer):
+        if isinstance(answer, Infeasible):
+            return answer.k
+        return answer.centers, answer.weight.hex(), answer.size
+
+    capped = 0
+    for inst in answer_twin_instances():
+        with recording(wdp, "LevelTable") as built:
+            got = solve_weighted_all_k(inst, inst.n)
+        want = unpruned_answers(inst, inst.n)
+        assert got.keys() == want.keys()
+        assert [key(a) for a in got.values()] == [key(a) for a in want.values()], inst.n
+        capped += len(built) < inst.n
+    assert capped > 200  # the cap stops most of these solves before level n
+
+
 def test_each_level_makes_one_pass_per_combination_step(monkeypatch):
     # level t >= 2 combines all of its splits t' + (t - t') at once: one
     # one-way pass each way and one stitched pass, in both solvers
@@ -732,6 +855,13 @@ def test_disks_meeting_every_disk_leave_every_later_level_empty(monkeypatch):
                 for t in range(1, n + 1):
                     levels.append(build_level(inst, nbr, levels, t, check_invariants=not copy))
             assert (levels[1].lengths == n).all()
-            # the rule once copied each full l1 up a level: n rows at each level
+            # the rule once copied each full l1 up a level: n rows at each level,
+            # each a run level 1 holds at the same value, so the prune drops them
             sizes = [len(level.owners) for level in levels[2:]]
-            assert sizes == [n if copy else 0] * (n - 1), (n, copy)
+            assert sizes == [0] * (n - 1), (n, copy)
+        copies = copying_full_l1(wdp.directional_combos)
+        for t in range(2, n + 1):
+            owners, starts, lengths, values, _ = copies(nbr, levels, t, ccw=True)
+            assert len(owners) == n
+            held = zip(levels[1].starts[owners], levels[1].values[owners], starts, values)
+            assert all(s1 == s and v1 <= v for s1, v1, s, v in held), (n, t)

@@ -44,8 +44,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from conftest import mk_instance
+from diskdom import solution
 from diskdom.geometry import offset_ccw
-from diskdom.weighted_dp import LevelTable
+from diskdom.neighbor_index import build_neighbor_index
+from diskdom.solution import Infeasible, solution_of
+from diskdom.weighted_dp import LevelTable, dedup_rows
 from greedy_reference import dominated_run
 from invariant_reference import Candidate, candidate_of
 from run_reference import CyclicSublist, run_of, union_extend, union_runs
@@ -149,8 +152,22 @@ def dedup_runs(combos) -> list[tuple]:
     return [(s, k, v, parent) for (s, k), (v, parent) in kept.items()]
 
 
+def cheapest_below(levels, t: int) -> dict[tuple[int, int, int], float]:
+    """(owner, start, length) -> the least value levels 1..t-1 hold that run at."""
+    best: dict[tuple[int, int, int], float] = {}
+    for level in levels[1:t]:
+        for c in range(len(level.owners)):
+            key = int(level.owners[c]), int(level.starts[c]), int(level.lengths[c])
+            best[key] = min(best.get(key, math.inf), float(level.values[c]))
+    return best
+
+
 def build_level(instance, nbr, levels, t: int) -> LevelTable:
-    """Level t from levels 1..t-1, point by point: the twin of `weighted_dp.build_level`."""
+    """Level t from levels 1..t-1, point by point: the twin of `weighted_dp.build_level`.
+
+    A run a lower level already holds at a value no larger is dropped.
+    """
+    below = cheapest_below(levels, t)
     rows = []  # (owner, start, length, value, parent row), in id order
     for i, disk in enumerate(instance.disks):
         if t == 1:
@@ -161,11 +178,51 @@ def build_level(instance, nbr, levels, t: int) -> LevelTable:
                 directional_combos(nbr, levels, i, t, ccw=False),
                 bidi_combos(nbr, levels, i, t),
             )
-        rows += [(i, *row) for row in dedup_runs(combos)]
+        rows += [(i, s, k, v, parent) for s, k, v, parent in dedup_runs(combos)
+                 if not below.get((i, s, k), math.inf) <= v]
     owners, starts, lengths = (np.array([row[c] for row in rows], np.int64) for c in range(3))
     values = np.array([row[3] for row in rows], np.float64)
     parents = np.array([row[4] for row in rows], np.int64).reshape(-1, 4)
     return StaircaseLevelTable(instance, t, levels, starts, lengths, owners, values, parents)
+
+
+def unpruned_level(instance, nbr, levels, t: int) -> LevelTable:
+    """Level t as `weighted_dp.build_level` made it before the cross-level prune.
+
+    Every combination (`solution.directional_combos`,
+    `solution.bidirectional_combos`), deduplicated by `dedup_rows`; a run a
+    lower level holds at a value no larger stays.
+    """
+    n, weights = instance.n, instance.ws
+    if t == 1:
+        blocks = [(np.arange(n), *nbr.dominated_runs, weights, np.full((n, 4), -1))]
+    else:
+        blocks = [solution.directional_combos(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
+        blocks.append(solution.bidirectional_combos(nbr, levels, t, weights))
+    owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
+    keep = dedup_rows(n, owners, starts, lengths, values)
+    return LevelTable(
+        instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
+    )
+
+
+def unpruned_answers(instance, k: int) -> dict:
+    """`solve_weighted_all_k`'s answers from every level 1..k built, none pruned or capped.
+
+    The answer for k' is the cheapest full candidate over levels 1..k', the
+    first at equal value, or `Infeasible(k')`.
+    """
+    nbr = build_neighbor_index(instance)
+    levels, answers, best, answer = [None], {}, None, None
+    for t in range(1, k + 1):
+        level = unpruned_level(instance, nbr, levels, t)
+        levels.append(level)
+        c = level.cheapest_full()
+        if c >= 0 and (best is None or level.values[c] < best):
+            best = level.values[c]
+            answer = solution_of(instance, level.witnesses(c), "weighted")
+        answers[t] = Infeasible(t) if answer is None else answer
+    return answers
 
 
 # -- chain twins ----------------------------------------------------------------
