@@ -129,21 +129,23 @@ def gap_signs(x1, x2, y1, y2, r1, r2) -> np.ndarray:
 def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=None) -> np.ndarray:
     """`intersects(disk i, disk z)` for every z at once, as a bool array, exactly.
 
-    Takes an instance's finite `xs`, `ys` and `rs` columns.  A float filter decides
-    d² <= (r_i + r_z)² within its error bound (`_unsure`), and `gap_signs` each pair
-    it leaves unsure (a second filter on the pair scaled by a power of two, then
-    integer arithmetic).  i of shape (B, 1) gives B rows; z, an index array
-    broadcast against i, picks the disks tested (all when None): (B, 64) tests B blocks.
+    Takes an instance's finite `xs`, `ys` and `rs` columns, flat or as rows of w disks.
+    A float filter decides d² <= (r_i + r_z)² within its error bound (`_unsure`), and
+    `gap_signs` each pair it leaves unsure (a second filter on the pair scaled by a power
+    of two, then integer arithmetic).  i of shape (B, 1) gives B rows; z, an index array
+    broadcast against i, picks the disks tested (all when None), or with (B,) z the rows.
     """
+    fx, fy, fr = (np.reshape(col, -1) for col in (xs, ys, rs))  # disk i is entry i
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if z is None:  # whole rows, read from the columns
-            dx, dy, rr = xs - xs[i], ys - ys[i], rs + rs[i]
+            dx, dy, rr = xs - fx[i], ys - fy[i], rs + fr[i]
         else:  # gathered copies in the result's shape, worked in place
-            z = np.broadcast_to(z, np.broadcast(i, z).shape)
+            lead = np.shape(i)[: np.ndim(i) + 1 - xs.ndim]  # i's shape less a row's axis
+            z = np.broadcast_to(z, np.broadcast_shapes(lead, np.shape(z)))
             dx, dy, rr = xs[z], ys[z], rs[z]
-            dx -= xs[i]
-            dy -= ys[i]
-            rr += rs[i]
+            dx -= fx[i]
+            dy -= fy[i]
+            rr += fr[i]
         dx *= dx
         dy *= dy
         dx += dy
@@ -154,11 +156,11 @@ def intersects_row(xs: np.ndarray, ys: np.ndarray, rs: np.ndarray, i, z=None) ->
         dx += rr  # d² + (r_i + r_z)², the size of the terms
         unsure = _unsure(rr, dx)
     if unsure.any():  # each distinct pair once
-        i, z = np.broadcast_arrays(i, np.arange(len(xs)) if z is None else z)
-        pairs = i[unsure] * len(xs) + z[unsure]
+        i, z = np.broadcast_arrays(i, np.arange(len(fx)).reshape(xs.shape)[... if z is None else z])
+        pairs = i[unsure] * len(fx) + z[unsure]
         pairs, back = np.unique(pairs, return_inverse=True)
-        i, z = np.divmod(pairs, len(xs))
-        meets[unsure] = (gap_signs(xs[i], xs[z], ys[i], ys[z], rs[i], rs[z]) >= 0)[back]
+        i, z = np.divmod(pairs, len(fx))
+        meets[unsure] = (gap_signs(fx[i], fx[z], fy[i], fy[z], fr[i], fr[z]) >= 0)[back]
     return meets
 
 
@@ -234,9 +236,19 @@ class Instance:
     def to_original(self, canonical_indices) -> tuple[int, ...]:
         return tuple(self.original_index[i] for i in canonical_indices)
 
+    @cached_property
+    def canonical_index(self) -> np.ndarray:
+        """`original_index` inverted: the canonical index of the disk at each input position."""
+        inverse = np.empty(self.n, np.int64)
+        inverse[np.fromiter(self.original_index, np.int64, self.n)] = np.arange(self.n)
+        return inverse
+
     def to_canonical(self, original_indices) -> tuple[int, ...]:
-        inv = {orig: i for i, orig in enumerate(self.original_index)}
-        return tuple(inv[i] for i in original_indices)
+        """The canonical index of each input position; KeyError for a value outside range(n)."""
+        picked = tuple(original_indices)
+        if not all(o in range(self.n) for o in picked):
+            raise KeyError(f"not an input position of {self.n} disks: {picked}")
+        return tuple(self.canonical_index[np.array(picked, np.int64)].tolist())
 
 
 def _validate_disks(cols: DiskColumns, weighted: bool) -> None:

@@ -140,8 +140,8 @@ class InstanceDocument:
 
 def instance_document(instance: Instance, metadata: Optional[dict] = None) -> InstanceDocument:
     """Document for an existing instance, points in original input order."""
-    order = np.argsort(instance.original_index)
     cols = (instance.xs, instance.ys, instance.rs, instance.ws)
+    order = instance.canonical_index
     return InstanceDocument(DiskColumns(*(col[order] for col in cols)), dict(metadata or {}))
 
 
@@ -252,8 +252,7 @@ def load_solution_document(text: str, instance: Instance) -> SolutionDocument:
     centers = payload.get("centers")
     if not isinstance(centers, list) or not all(type(c) is int for c in centers):
         raise BadParams("centers must be a list of integers")
-    known = set(instance.original_index)
-    if len(set(centers)) != len(centers) or not set(centers) <= known:
+    if len(set(centers)) != len(centers) or not all(c in range(instance.n) for c in centers):
         raise BadParams("centers must be distinct original indices")
     size = payload.get("size")
     if type(size) is not int or size != len(centers):  # not True, nor 2.0

@@ -11,11 +11,11 @@ runs the solvers read, as start and length arrays (`dominated_runs`,
 Every answer is decided by the exact predicate `geometry.intersects_row`,
 negated, the one `verify` uses.  One index answers them at every n,
 `_TreeNeighborIndex`, and keeps no n² data: a static tree over blocks of
-64 consecutive disks stores a bounding circle of each node's centers and
-its smallest radius; a query skips every node the circle proves to meet
-disk i throughout, and evaluates the other blocks exactly, as 64-bit
-avoidance words read in the query's direction: either way, the first
-disk that misses disk i is the lowest set bit.
+64 consecutive disks stores a center C of each node and its slack, the
+least r_z - |c_z - C| over its disks; a query skips every node whose
+slack proves it to meet disk i throughout, and evaluates the other
+blocks exactly, as rows of 64-bit avoidance words read in the query's
+direction: either way, the first disk that misses disk i is the lowest set bit.
 
 The query flow is:
 
@@ -54,23 +54,23 @@ def _lowest_bit(x: np.ndarray) -> np.ndarray:
 
 
 class _TreeNeighborIndex:
-    """Bounding circles over blocks of 64 disks; only unproven blocks are evaluated.
+    """Slack bounds over blocks of 64 disks; only unproven blocks are evaluated.
 
     Leaf w holds disks 64w..64w+63, and its avoidance word has bit b set
     when disk i misses disk 64w + lanes[b]: bit b is lane b of the read
     order, lanes 0..63 counterclockwise and 63..0 clockwise.
     Over the leaves, padded to 2**top, sits a dyadic tree: node m of level
-    l covers leaves m * 2**l .. (m+1) * 2**l - 1 and stores the bounding
-    circle (C, R) of its centers and its smallest radius r_min.  When
-    |c_i - C| + R <= (r_i + r_min)(1 - 1e-9), every disk z of the node has
-    |c_i - c_z| <= r_i + r_z with a relative margin far above the rounding
-    of the bound, so disk i meets all of them, and the exact predicate
-    `intersects_row` says so too.  A node is skipped only then, and only
-    while r_i + r_min lies in [2**-500, 2**500], where the bound's
-    roundings are relative ones the margin covers.
+    l covers leaves m * 2**l .. (m+1) * 2**l - 1 and stores a float point
+    C, its slack S = min_z (r_z - |c_z - C|) and its size M = max_z (r_z + |c_z - C|).
+    It is skipped when |c_i - C| + 1e-9 (r_i + M) <= r_i + S, with r_i + M
+    in [2**-500, 2**500]: as |c_i - c_z| <= |c_i - C| + |C - c_z| exactly,
+    disk i then meets every disk z of the node, and so does the exact
+    `intersects_row`.  The margin covers the test's dozen roundings: each
+    errs by 2**-53 of a term at most r_i + M in size (|c_i - C| <= r_i + S,
+    |S| <= M), or by 2**-1075 where it underflows.  As S >= r_min - R, it
+    proves each node its centers' circle (C, R) and least radius r_min would.
     """
 
-    _MARGIN = 1 - 1e-9
     _SAFE = (2.0**-500, 2.0**500)
 
     def __init__(self, instance: Instance):
@@ -79,10 +79,10 @@ class _TreeNeighborIndex:
         self._arrays = xs, ys, rs = instance.xs, instance.ys, instance.rs
         self._leaves = leaves = -(-n // 64)
         self._top = top = (leaves - 1).bit_length()
-        # blocks are gathered from copies padded to whole leaves with copies
-        # of the last disk, whose bits `_leaf_words` clears
+        # leaves are rows of the columns padded to whole leaves with copies
+        # of the last disk, which `_leaf_words` reads as met
         pad = leaves * 64 - n
-        self._padded = tuple(np.append(col, np.full(pad, col[-1])) for col in self._arrays)
+        self._rows = tuple(np.append(c, np.full(pad, c[-1])).reshape(-1, 64) for c in self._arrays)
         # node m of level l is row offset[l] + m; the padding's nodes are
         # never visited, and hold NaN
         self._offset = np.cumsum([0] + [(1 << top) >> lvl for lvl in range(top)])
@@ -92,32 +92,31 @@ class _TreeNeighborIndex:
             owner = np.arange(n) >> (6 + lvl)
             cx = np.minimum.reduceat(xs, firsts) / 2 + np.maximum.reduceat(xs, firsts) / 2
             cy = np.minimum.reduceat(ys, firsts) / 2 + np.maximum.reduceat(ys, firsts) / 2
-            reach = np.maximum.reduceat(np.hypot(xs - cx[owner], ys - cy[owner]), firsts)
+            dist = np.hypot(xs - cx[owner], ys - cy[owner])
             nodes = self._offset[lvl] + np.arange(len(firsts))
-            stats[:, nodes] = cx, cy, reach, np.minimum.reduceat(rs, firsts)
-        self._cx, self._cy, self._reach, self._rmin = stats
+            stats[:, nodes] = (cx, cy, np.minimum.reduceat(rs - dist, firsts),
+                               np.maximum.reduceat(rs + dist, firsts))
+        self._cx, self._cy, self._slack, self._size = stats
 
-    def _leaf_words(self, i: np.ndarray, leaves: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        """Avoidance word of disk i[q] against leaf leaves[q], exactly: bit b for lane lanes[b]."""
-        last = self._leaves - 1  # its lanes past disk n - 1 are padding, with bits cleared
-        pad = np.packbits(last * 64 + lanes >= self.n, bitorder="little").view("<u8")[0]
-        keep = np.where(leaves == last, ~pad, _ONES)
+    def _leaf_words(self, i: np.ndarray, leaves: np.ndarray, ccw: bool) -> np.ndarray:
+        """Avoidance word of disk i[q] against leaf leaves[q], a row of `_rows`, exactly."""
+        order, kind = ("little", "<u8") if ccw else ("big", ">u8")  # bit b: lane b, or 63 - b
+        last = self._leaves - 1  # its lanes past disk n - 1 are padding, read as met
         words = np.empty(len(i), np.uint64)
         chunk = _PAIRS_PER_BLOCK // 64
         for lo in range(0, len(i), chunk):
             part = slice(lo, lo + chunk)
-            z = leaves[part, None] * 64 + lanes
-            block = intersects_row(*self._padded, i[part, None], z)
-            words[part] = np.packbits(~block, axis=1, bitorder="little").view("<u8")[:, 0]
-        return words & keep
+            block = intersects_row(*self._rows, i[part, None], leaves[part])
+            block[leaves[part] == last, self.n - 64 * last:] = True
+            words[part] = np.packbits(~block, axis=1, bitorder=order).view(kind)[:, 0]
+        return words
 
     def _skips(self, i: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Whether disk i[q] provably meets every disk of node nodes[q], by the exact predicate."""
         xs, ys, rs = self._arrays
-        bound = np.hypot(self._cx[nodes] - xs[i], self._cy[nodes] - ys[i]) + self._reach[nodes]
-        radii = rs[i] + self._rmin[nodes]
-        lo, hi = self._SAFE
-        return (bound <= radii * self._MARGIN) & (radii >= lo) & (radii <= hi)
+        far = rs[i] + self._size[nodes]  # r_i + M
+        lhs = np.hypot(self._cx[nodes] - xs[i], self._cy[nodes] - ys[i]) + 1e-9 * far
+        return (lhs <= rs[i] + self._slack[nodes]) & (far >= self._SAFE[0]) & (far <= self._SAFE[1])
 
     def first_disjoint(self, i, j, *, ccw: bool) -> np.ndarray:
         """First disk from j[q] on, ccw or cw, that misses disk i[q]; -1 where i[q] meets all.
@@ -137,7 +136,7 @@ class _TreeNeighborIndex:
         x = np.zeros(len(i), np.uint64)
         open_ = np.flatnonzero(~self._skips(i, j >> 6))  # leaf w is node w of level 0
         cut = _ONES << lanes[j[open_] & 63].astype(np.uint64)  # j's lane and the ones after it
-        x[open_] = self._leaf_words(i[open_], j[open_] >> 6, lanes) & cut
+        x[open_] = self._leaf_words(i[open_], j[open_] >> 6, ccw) & cut
         hit = x != 0
         out[hit] = (j[hit] >> 6) * 64 + lanes[_lowest_bit(x[hit])]
         todo = np.flatnonzero(~hit)
@@ -166,7 +165,7 @@ class _TreeNeighborIndex:
             exact = np.flatnonzero(~skip & (lvl == 0))
             found = np.zeros(len(todo), bool)
             if len(exact):
-                x = self._leaf_words(i[exact], leaf[exact], lanes)
+                x = self._leaf_words(i[exact], leaf[exact], ccw)
                 hit = x != 0
                 found[exact[hit]] = True
                 out[todo[exact[hit]]] = leaf[exact[hit]] * 64 + lanes[_lowest_bit(x[hit])]
@@ -245,5 +244,5 @@ class _TreeNeighborIndex:
 
 
 def build_neighbor_index(instance: Instance) -> _TreeNeighborIndex:
-    """The neighbor index both solvers query: the bounding-circle tree, at every n."""
+    """The neighbor index both solvers query: the slack-bound tree, at every n."""
     return _TreeNeighborIndex(instance)

@@ -2,7 +2,7 @@
 
 `NaiveNeighborIndex` answers the first-disjoint-disk queries by walking
 the cyclic order disk by disk (`walk`), reading disk i's whole
-`intersects_row` row, where the production index walks a bounding-circle
+`intersects_row` row, where the production index walks a slack-bound
 tree.  Its scalar runs
 (`run_after`, `run_before`) are the reference the tests hold the batched
 runs to: its batched `first_disjoint` runs the walk once per query, its
@@ -141,10 +141,12 @@ def counting_queries():
     """Counts `first_disjoint` queries and records the `runs_past` batches asked inside the block.
 
     Yields a dict: "walked" is the number of (i, j) pairs `first_disjoint`
-    answered, "tails" the (i, z, ccw) batches of `runs_past`, copied.
+    answered, "leaf_rows" the number of leaves `_leaf_words` evaluated
+    exactly, and "tails" the (i, z, ccw) batches of `runs_past`, copied.
     """
-    asked = {"walked": 0, "tails": []}
+    asked = {"walked": 0, "leaf_rows": 0, "tails": []}
     walk, tail = _TreeNeighborIndex.first_disjoint, _TreeNeighborIndex.runs_past
+    leaf_words = _TreeNeighborIndex._leaf_words
 
     def first_disjoint(self, i, j, *, ccw):
         asked["walked"] += len(i)
@@ -154,9 +156,14 @@ def counting_queries():
         asked["tails"].append((np.array(i, np.int64), np.array(z, np.int64), ccw))
         return tail(self, i, z, ccw=ccw)
 
+    def leaf_rows(self, i, leaves, ccw):
+        asked["leaf_rows"] += len(i)
+        return leaf_words(self, i, leaves, ccw)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_TreeNeighborIndex, "first_disjoint", first_disjoint)
         mp.setattr(_TreeNeighborIndex, "runs_past", runs_past)
+        mp.setattr(_TreeNeighborIndex, "_leaf_words", leaf_rows)
         yield asked
 
 

@@ -71,6 +71,10 @@ def test_canonicalize_square_order():
     assert inst.original_index == (1, 3, 0, 2)
     assert inst.to_original((0, 2)) == (1, 0)
     assert inst.to_canonical((1, 0)) == (0, 2)
+    assert inst.to_canonical(()) == ()
+    for bad in (-1, 4, 99):  # a value that is no input position
+        with pytest.raises(KeyError):
+            inst.to_canonical((1, bad))
 
 
 def test_canonicalize_idempotent(t4):

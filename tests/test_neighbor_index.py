@@ -398,6 +398,22 @@ def test_unweighted_solve_walks_only_the_dominated_runs_and_the_tails_outside_th
     assert (walks == 0) == (law == "uniform(4.5,7.5)")
 
 
+def test_dominated_runs_evaluate_few_leaves_exactly():
+    """The 2n dominated-run walks of a wide instance read at most 1.2 leaves each exactly.
+
+    Counted as `counting_queries` counts: each leaf `_leaf_words` evaluates,
+    the walk's first leaf included.  A slack bound that proves fewer nodes
+    sends more walks into more leaves.
+    """
+    from diskdom import gen_random
+
+    inst = gen_random(5000, 555, "circle", "uniform(4.5,7.5)", "unit").to_instance(weighted=False)
+    with counting_queries() as asked:
+        _TreeNeighborIndex(inst).dominated_runs
+    assert asked["walked"] == 2 * inst.n
+    assert asked["leaf_rows"] <= 1.2 * asked["walked"]
+
+
 def test_build_neighbor_index_builds_the_tree_at_every_n():
     """One index at every size: no cut, no n x n matrix below it."""
     for n in (1, 2, 60, 4096, 4097):
@@ -437,8 +453,8 @@ def test_tree_does_not_skip_where_squares_are_subnormal():
 
     Their squares are subnormal, so the float roundings could call them
     disjoint; the exact predicate says they meet, and so must the tree,
-    which does not skip their leaf on its bounding circle (the range guard
-    on r_i + r_min) but evaluates it with the predicate.
+    which does not skip their leaf on its slack bound (the range guard
+    on r_i + M) but evaluates it with the predicate.
     """
     from fractions import Fraction
 
@@ -456,32 +472,78 @@ def test_tree_does_not_skip_where_squares_are_subnormal():
         assert tree.first_disjoint([0, 1], [0, 1], ccw=ccw).tolist() == [-1, -1]
 
 
+def _real_nodes(tree):
+    """Each real node of every level of the tree, and its disks as a slice.
+
+    Node m of level l holds disks 64m·2**l up to 64(m+1)·2**l - 1.
+    """
+    for lvl in range(tree._top + 1):
+        width = 64 << lvl
+        for m in range(-(-tree.n // width)):
+            yield tree._offset[lvl] + m, slice(m * width, (m + 1) * width)
+
+
 def _skip_counts(inst):
     """(pairs `_skips` proves, pairs among them with a disk the exact predicate calls missed).
 
-    The pairs are every disk against every real node of every level of the
-    tree: node m of level l holds disks 64m·2**l up to 64(m+1)·2**l - 1.
+    The pairs are every disk against every real node of the tree.
     """
     n, tree, disks = inst.n, _TreeNeighborIndex(inst), np.arange(inst.n)
     meets = intersects_row(inst.xs, inst.ys, inst.rs, disks[:, None])
     skipped = wrong = 0
-    for lvl in range(tree._top + 1):
-        width = 64 << lvl
-        for m in range(-(-n // width)):
-            skip = tree._skips(disks, np.full(n, tree._offset[lvl] + m))
-            skipped += int(skip.sum())
-            wrong += int((skip & ~meets[:, m * width:(m + 1) * width].all(axis=1)).sum())
+    for node, held in _real_nodes(tree):
+        skip = tree._skips(disks, np.full(n, node))
+        skipped += int(skip.sum())
+        wrong += int((skip & ~meets[:, held].all(axis=1)).sum())
     return skipped, wrong
 
 
-@pytest.mark.parametrize("n, law", [(320, "uniform(4.5,7.5)"), (352, "uniform(2.0,6.0)"),
-                                    (384, "uniform(1.0,3.0)"), (400, "uniform(0.5,2.0)")])
+SKIP_CASES = [(320, "uniform(4.5,7.5)"), (352, "uniform(2.0,6.0)"),
+              (384, "uniform(1.0,3.0)"), (400, "uniform(0.5,2.0)")]
+
+
+def _circle_proves(tree, node, held):
+    """The bounding-circle bound, a reference for `_skips`: which disks it proves to meet the node.
+
+    The circle (C, R) holds the node's centers about its center C, and
+    r_min is its smallest radius; disk i is proved when
+    |c_i - C| + R <= (r_i + r_min)(1 - 1e-9), with r_i + r_min in the safe range.
+    """
+    xs, ys, rs = tree._arrays
+    cx, cy = tree._cx[node], tree._cy[node]
+    reach = np.hypot(xs[held] - cx, ys[held] - cy).max()
+    radii = rs + rs[held].min()
+    lo, hi = tree._SAFE
+    return (np.hypot(cx - xs, cy - ys) + reach <= radii * (1 - 1e-9)) & (radii >= lo) & (radii <= hi)
+
+
+@pytest.mark.parametrize("n, law", SKIP_CASES)
 def test_skips_only_nodes_whose_every_disk_the_predicate_meets(n, law):
     """Wherever `_skips` proves a node, `intersects_row` meets each of its disks."""
     from diskdom import gen_random
 
     inst = gen_random(n, 11, "circle", law, "unit").to_instance(weighted=False)
     assert _skip_counts(inst)[1] == 0
+
+
+@pytest.mark.parametrize("n, law", SKIP_CASES)
+def test_skips_prove_every_pair_the_bounding_circle_proves(n, law):
+    """The slack bound is never weaker than a bounding circle with the smallest radius.
+
+    Every (disk, node) pair the circle proves, `_skips` proves too, and on
+    the wide law it proves strictly more.
+    """
+    from diskdom import gen_random
+
+    inst = gen_random(n, 11, "circle", law, "unit").to_instance(weighted=False)
+    tree, disks = _TreeNeighborIndex(inst), np.arange(n)
+    circle = slack = 0
+    for node, held in _real_nodes(tree):
+        skip, proved = tree._skips(disks, np.full(n, node)), _circle_proves(tree, node, held)
+        assert not (proved & ~skip).any(), node
+        circle, slack = circle + int(proved.sum()), slack + int(skip.sum())
+    if law == "uniform(4.5,7.5)":
+        assert slack > circle
 
 
 def test_skips_only_nodes_whose_every_disk_meets_on_tangent_chains():
@@ -492,7 +554,7 @@ def test_skips_only_nodes_whose_every_disk_meets_on_tangent_chains():
 def test_skips_only_nodes_whose_every_disk_meets_at_extreme_scales(scale):
     """The wide-law instance, scaled: every skip is one the predicate makes.
 
-    Unscaled and at 1e-150, r_i + r_min lies in the bound's safe range and
+    Unscaled and at 1e-150, r_i + M lies in the bound's safe range and
     nodes are skipped, so the test is not vacuous; at the other scales it
     lies outside, and none is.
     """
