@@ -22,13 +22,13 @@ candidates it joins.  `build_level` makes every combination of a level
 in three numpy passes (ccw, cw, bidirectional), each over all points and
 split levels: tails from the batched `neighbor_index.runs_past`, each
 lengthening the run it starts past, and two runs merged per row by
-`geometry.union_columns`.  `dedup_rows` then keeps
-one combination per run in each bucket, the first to arrive, replaced
-only by a strictly cheaper copy: one plain sort groups the copies, and
-minimum reductions per group pick the row.  No combination is an
-object: the winner's witness set is rebuilt by walking its parents, and
-`check_invariants=True` first checks every combination against its
-parents (`solution.check_level`).
+`geometry.union_columns`.  One rule then decides which rows the level
+keeps (`keep_rows`): per run in each bucket, the first of its cheapest
+copies, and only when strictly cheaper than every lower level's copy
+(the prune below).  No combination is an object: the winner's witness
+set is rebuilt by walking its parents, and `check_invariants=True`
+first checks every combination against its parents
+(`solution.check_level`).
 
 Each combination asks a built level for the cheapest run containing a
 query run that grows from a fixed anchor, one index at a time.  The answer
@@ -55,8 +55,9 @@ answer (`tests/weighted_reference.unpruned_answers` is the build without
 them, and the tests compare every answer with it, centers and weight bits):
 
 * The prune.  `build_level` drops a level-t row when levels 1..t-1 hold
-  its owner and run at a value no larger (`LevelTable.cheapest_runs`, one
-  sorted array of distinct keys, extended level by level).  A combination
+  its owner and run at a value no larger (`keep_rows`, reading the run
+  table: one sorted array of distinct keys, which each level takes over
+  from the one below and extends).  A combination
   that uses the dropped row as a part has a twin that uses the lower row
   instead: the same parts' runs, so the same run, at a lower level, and,
   as float addition is monotone (a <= a' gives a + b <= a' + b and
@@ -117,35 +118,14 @@ class LevelTable(RunLevel):
     """One level's candidates as columns in id order (`RunLevel`), with every staircase.
 
     Ids run owner by owner (bucket order), and within an owner in order of
-    first arrival (`dedup_rows`).  Its chains are whole staircases: every
+    first arrival (`keep_rows`).  Its chains are whole staircases: every
     candidate reaching strictly farther than every one before it in
-    (value, id) order.
+    (value, id) order.  `build_level` leaves the run table of levels 1..t
+    (`keep_rows`) in `run_table`, and level t + 1 takes it over, leaving
+    None: one table is alive at a time.
     """
 
-    @cached_property
-    def cheapest_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every (owner, run) key levels 1..t hold (`run_keys`), sorted, with its least value.
-
-        Extends the level below's array by this level's rows: a key both
-        hold keeps the lesser value, a new key is inserted in place, so no
-        level re-reads the ones below it.  It takes the array over: the
-        level below drops its copy, which nothing reads later (asked
-        again, it is rebuilt the same way).  The keys of one level are
-        distinct (`dedup_rows`), so its one sort is plain.
-        """
-        keys, values = run_keys(self.n, self.owners, self.starts, self.lengths), self.values
-        if self.level == 1:
-            order = np.argsort(keys)
-            return keys[order], values[order]
-        below = self.below[self.level - 1]
-        below_keys, below_values = below.cheapest_runs
-        del below.cheapest_runs
-        at, held = _find(below_keys, keys)
-        best = below_values.copy()
-        best[at[held]] = np.minimum(best[at[held]], values[held])
-        new = np.flatnonzero(~held)
-        new = new[np.argsort(keys[new])]
-        return np.insert(below_keys, at[new], keys[new]), np.insert(best, at[new], values[new])
+    run_table: Optional[tuple[np.ndarray, np.ndarray]]
 
     @cached_property
     def _staircase_orders(self) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +164,7 @@ class LevelTable(RunLevel):
             reach = run_reach(self.starts[order], self.lengths[order], anchors, n, ccw=ccw)
             key = anchors * (n + 2) + reach + 1
             best = np.maximum.accumulate(key)
+            # a run that misses its owner (only in levels built from arbitrary runs) is no step
             step = (reach >= 0) & (key > np.concatenate(([-1], best[:-1])))
             rows, ids = anchors[step], order[step]
         else:
@@ -201,36 +182,45 @@ class LevelTable(RunLevel):
         return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), ids
 
 
-def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each key sits in the nonempty `sorted_keys` (its insertion point), and whether
-    it is there."""
-    at = np.searchsorted(sorted_keys, keys)
-    return at, sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+def keep_rows(n: int, owners, starts, lengths, values, runs) -> tuple[np.ndarray, tuple]:
+    """The rows a level keeps, in id order, and the run table through this level.
 
-
-def dedup_rows(n: int, owners, starts, lengths, values) -> np.ndarray:
-    """The rows a level keeps, in id order: one per (owner, run).
-
-    Rows are combinations in arrival order within each owner.  A run's
-    first row fixes its place in the owner's bucket, and its kept row is
-    the first of its cheapest copies: a later copy wins only when strictly
-    cheaper.  One plain sort groups each run's copies on the packed key
-    (owner, start, length); per group, minimum reductions then read the
-    least value, the first arrival at that value (the kept row) and the
-    first arrival overall (its place).  Minima do not depend on how the
-    sort leaves equal keys, so neither does the result.
+    Rows are level t's combinations, in arrival order within each owner.
+    `runs` is the run table of levels 1..t-1: every (owner, run) key they
+    hold (`run_keys`), sorted and distinct, with its least value.  A row is
+    kept when it is the first of its (owner, run)'s cheapest copies in the
+    level and strictly cheaper than the table's value for that key, so a
+    lower level wins ties (the prune of the module docstring).  It takes
+    its run's first-copy place: ids run owner by owner, then by first
+    arrival.  One plain sort groups the copies; per group, minimum
+    reductions read the least value, the first copy at that value and the
+    first copy overall, so nothing depends on how the sort leaves equal
+    keys.  The group keys come out sorted and distinct: one `searchsorted`
+    into the table serves the prune and the update, where a held key keeps
+    the lesser value and a new one is inserted in place.
     """
     m = len(owners)
     key = run_keys(n, owners, starts, lengths)
     order = np.argsort(key)
-    first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    if not m:
-        return first
-    v = values[order]
-    cheapest = np.repeat(np.minimum.reduceat(v, first), np.diff(first, append=m)) == v
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, v = key[first], values[order]
+    least = np.minimum.reduceat(v, first)
+    cheapest = np.repeat(least, np.diff(first, append=m)) == v
     kept = np.minimum.reduceat(np.where(cheapest, order, m), first)
     arrival = np.minimum.reduceat(order, first)
-    return kept[np.argsort(owners[kept] * m + arrival)]
+    table_keys, table_values = runs
+    at = np.searchsorted(table_keys, key)
+    held = at < len(table_keys)
+    held[held] = table_keys[at[held]] == key[held]
+    lower = np.full(len(key), np.inf)
+    lower[held] = table_values[at[held]]
+    best, new = table_values.copy(), ~held
+    best[at[held]] = np.minimum(lower[held], least[held])
+    runs = np.insert(table_keys, at[new], key[new]), np.insert(best, at[new], least[new])
+    keep = least < lower
+    kept, arrival = kept[keep], arrival[keep]
+    return kept[np.argsort(owners[kept] * m + arrival)], runs
 
 
 def build_level(
@@ -245,33 +235,32 @@ def build_level(
 
     Level 1 holds one candidate per point: its own dominated run at its
     own weight.  Later levels hold, per point, its ccw combinations by
-    split level, then its cw ones, then its bidirectional ones, deduplicated
-    by `dedup_rows`, less every run levels 1..t-1 already hold at a value no
-    larger (`LevelTable.cheapest_runs`; the prune of the module docstring).
-    With `check_invariants`, every combination, same-run copies and pruned
-    rows included, is first checked against its parents (`check_level`).
+    split level, then its cw ones, then its bidirectional ones, less every
+    row `keep_rows` drops: a later copy of a run no cheaper, or a run
+    levels 1..t-1 already hold at a value no larger.  Their run table is
+    taken over from level t-1 (`LevelTable.run_table`).  With
+    `check_invariants`, every combination, same-run copies and pruned rows
+    included, is first checked against its parents (`check_level`).
     """
     n = instance.n
     weights = instance.ws
     if t == 1:
         blocks = [(np.arange(n), *nbr.dominated_runs, weights, np.full((n, 4), -1))]
+        runs = np.zeros(0, np.int64), np.zeros(0)
     else:
         blocks = [directional_combos(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
         blocks.append(bidirectional_combos(nbr, levels, t, weights))
+        runs, levels[t - 1].run_table = levels[t - 1].run_table, None
     # concatenated block by block, each owner's rows stay in arrival order
     owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
     if check_invariants:
         check_level(nbr, levels, t, owners, starts, lengths, parents, values, weights)
-    keep = dedup_rows(n, owners, starts, lengths, values)
-    if t > 1:
-        # a run levels 1..t-1 already hold at a value no larger is dropped
-        below_keys, below_values = levels[t - 1].cheapest_runs
-        at, held = _find(below_keys, run_keys(n, owners[keep], starts[keep], lengths[keep]))
-        dominated = held & (below_values[np.minimum(at, len(below_keys) - 1)] <= values[keep])
-        keep = keep[~dominated]
-    return LevelTable(
+    keep, runs = keep_rows(n, owners, starts, lengths, values, runs)
+    level = LevelTable(
         instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
     )
+    level.run_table = runs
+    return level
 
 
 def solve_weighted_all_k(

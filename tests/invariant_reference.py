@@ -241,11 +241,3 @@ def corrupted(name: str, *, weighted: bool) -> tuple[CheckedRows, str]:
     corrupt(rows)
     return rows, words
 
-
-def rejects(rows: CheckedRows, words: str) -> bool:
-    """Whether `check_level` raises SolverInvariantError naming the rule `words` on the rows."""
-    try:
-        rows.check()
-    except SolverInvariantError as exc:
-        return words in str(exc)
-    return False

@@ -6,8 +6,6 @@ enforce the stated tolerances.
 """
 
 import csv
-import io
-import json
 import random
 import time
 from pathlib import Path

@@ -7,7 +7,6 @@ from conftest import mk_instance
 from diskdom.geometry import intersects
 from diskdom.instance_io import (
     BadParams,
-    InstanceDocument,
     SplitMix64,
     gen_figure1,
     gen_random,

@@ -12,6 +12,11 @@ names are read by Python itself and are not checked.  Each name a module
 imports must be read by that module itself, or exported in its
 `__all__`, so deleted code leaves no import behind; `from __future__`
 imports are compiler directives and are not checked.
+
+The tests keep the same rule.  Every definition in a reference module
+(`tests/*_reference.py`) is read by some module under `tests/` or
+`src/diskdom/`, and every name a test module imports is read by that
+module.  Test functions and fixtures are left out: pytest reads them.
 """
 
 import ast
@@ -20,11 +25,22 @@ from pathlib import Path
 import diskdom
 
 SOURCES = sorted(Path(diskdom.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
+
+
+def _read_by_pytest(node: ast.AST) -> bool:
+    """Whether pytest reads the definition by itself: a `test_*` function or a fixture."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return node.name.startswith("test_") or any(
+        isinstance(d, ast.Attribute) and d.attr == "fixture" for d in decorators
+    )
 
 
 def _assigned(stmt: ast.stmt) -> list[ast.Name]:
@@ -44,10 +60,11 @@ def _assigned(stmt: ast.stmt) -> list[ast.Name]:
 
 
 def definitions(tree: ast.AST) -> list[tuple[str, int]]:
-    """(name, line) of every function, method, class and module- or class-level assignment."""
+    """(name, line) of every function, method, class and module- or class-level assignment,
+    test functions and fixtures left out."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, DEFINITIONS):
+        if isinstance(node, DEFINITIONS) and not _read_by_pytest(node):
             found.append((node.name, node.lineno))
         if isinstance(node, (ast.Module, ast.ClassDef)):
             found += [(name.id, name.lineno) for stmt in node.body for name in _assigned(stmt)]
@@ -84,12 +101,17 @@ def imports(tree: ast.AST) -> list[tuple[str, int]]:
     ]
 
 
-def unreferenced(trees: dict[str, ast.AST]) -> list[str]:
-    """`file:line name` of each definition no module refers to, or import its module never reads."""
+def unreferenced(trees: dict[str, ast.AST], checked=None) -> list[str]:
+    """`file:line name` of each definition no module refers to, or import its module never reads.
+
+    Only the definitions of the modules named in `checked` are checked, every
+    module's by default; every module's imports are.
+    """
     used = set().union(*(references(tree) for tree in trees.values()))
     return [
         f"{name}:{line} {defined}"
         for name, tree in trees.items()
+        if checked is None or name in checked
         for defined, line in definitions(tree)
         if defined not in used
     ] + [
@@ -104,6 +126,7 @@ def test_guard_finds_unreferenced_code():
     source = """
 from __future__ import annotations
 import os.path
+import pytest
 from typing import Optional, Sequence
 from .geometry import union_columns as merge
 __all__ = ["exported"]
@@ -122,14 +145,33 @@ class Base:
 class Child(Base):
     pass
 Child().used()
+@pytest.fixture(scope="module")
+def ring(): pass
+def test_ring(ring): pass
 """
     found = unreferenced({"m.py": ast.parse(source)})
     assert sorted(entry.split()[1] for entry in found) == [
         "SPARE", "STEP", "Sequence", "_unused", "merge", "method", "orphan"
     ]
+    # a module whose definitions are not checked still has its imports checked
+    found = unreferenced({"m.py": ast.parse(source)}, checked=set())
+    assert sorted(entry.split()[1] for entry in found) == ["Sequence", "merge"]
 
 
 def test_package_has_no_unreferenced_code():
     assert SOURCES
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assert unreferenced(trees) == []
+
+
+def test_tests_have_no_unreferenced_code():
+    assert TESTS
+    trees = {
+        f"{path.parent.name}/{path.name}": ast.parse(path.read_text(), filename=str(path))
+        for path in SOURCES + TESTS
+    }
+    reference_modules = {
+        name for name in trees if name.startswith("tests/") and name.endswith("_reference.py")
+    }
+    assert len(reference_modules) >= 8
+    assert unreferenced(trees, reference_modules) == []

@@ -6,7 +6,7 @@ import pytest
 from conftest import T4_POINTS, mk_instance
 from mask_reference import verify_by_masks
 from run_reference import CyclicSublist
-from diskdom.geometry import WeightedDisk, canonicalize, intersects
+from diskdom.geometry import WeightedDisk, canonicalize
 from diskdom.oracle import (
     brute_force_min,
     build_masks,

@@ -14,7 +14,8 @@ from diskdom.oracle import brute_force_min, verify
 from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
 from diskdom.weighted_dp import (
     build_level,
-    dedup_rows,
+    keep_rows,
+    run_keys,
     solve_weighted,
     solve_weighted_all_k,
     solve_weighted_unbounded,
@@ -27,8 +28,8 @@ from weighted_reference import (
     chain_of,
     cheapest_below,
     copying_full_l1,
-    dedup_runs,
     directional_processing,
+    keep_runs,
     unpruned_answers,
 )
 
@@ -427,14 +428,17 @@ def test_validator_rejects_bad_candidates(t4):
             rows.check()
 
 
+NO_RUNS = np.zeros(0, np.int64), np.zeros(0)  # the run table below level 1
+
+
 def test_insert_keeps_one_candidate_per_run():
     # rows of a ring of 8, tagged by arrival; values tell the copies apart
     n = 8
 
     def kept(rows):
-        """Arrival tags of the rows `dedup_rows` keeps, in id order."""
+        """Arrival tags of the rows `keep_rows` keeps, in id order, with nothing below."""
         owners, starts, lengths, values = (np.array(col) for col in zip(*rows))
-        return dedup_rows(n, owners, starts, lengths, values.astype(np.float64)).tolist()
+        return keep_rows(n, owners, starts, lengths, values.astype(np.float64), NO_RUNS)[0].tolist()
 
     def row(start, length, value, owner=0):
         return owner, start, length, value
@@ -457,38 +461,61 @@ def test_insert_keeps_one_candidate_per_run():
     rows.insert(0, row(1, 3, 0.5, owner=3))
     assert kept(rows) == [4, 2, 8, 0]
     none = np.zeros(0, np.int64)
-    assert dedup_rows(n, none, none, none, np.zeros(0)).tolist() == []
+    keep, runs = keep_rows(n, none, none, none, np.zeros(0), NO_RUNS)
+    assert keep.tolist() == [] and all(len(col) == 0 for col in runs)
+
+
+def run_table(n, runs):
+    """A run table (`keep_rows`) as {(owner, start, length): value}, its keys checked sorted."""
+    keys, values = runs
+    assert (np.diff(keys) > 0).all()
+    return {(key // (n + 1) // n, key // (n + 1) % n, key % (n + 1)): value
+            for key, value in zip(keys.tolist(), values.tolist())}
 
 
 @st.composite
 def arrivals(draw):
-    """A level's combination rows in arrival order, as (n, [(owner, start, length, value)]).
+    """A level's combination rows in arrival order, and the run table below it, as
+    (n, [(owner, start, length, value)], {(owner, start, length): value}).
 
     A few owners interleave, a few distinct runs (a full one as (0, n))
     arrive in many copies, and values are small integers, so equal-value
-    copies are common.
+    copies are common.  The table holds keys of the same owners and runs,
+    some that no row has, at small integer values, so ties with it are
+    common too.
     """
     n = draw(st.integers(1, 9))
     owners = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     run = st.tuples(st.integers(0, n - 1), st.integers(1, n))
     runs = draw(st.lists(run.map(lambda r: (0, n) if r[1] == n else r), min_size=1, max_size=4))
     rows = st.tuples(st.sampled_from(owners), st.sampled_from(runs), st.integers(0, 3))
-    return n, [(o, s, k, float(v)) for o, (s, k), v in draw(st.lists(rows, max_size=80))]
+    key = st.tuples(st.sampled_from(owners), st.sampled_from(runs)).map(lambda k: (k[0], *k[1]))
+    below = draw(st.dictionaries(key, st.integers(0, 3).map(float), max_size=8))
+    return n, [(o, s, k, float(v)) for o, (s, k), v in draw(st.lists(rows, max_size=80))], below
 
 
 @settings(max_examples=300, deadline=None)
 @given(arrivals())
-def test_dedup_rows_is_the_bucket_twin(case):
-    # the rows `dedup_rows` keeps are, owner by owner, the ones the dict
-    # twin keeps of that owner's rows, by arrival tag
-    n, rows = case
+def test_keep_rows_is_the_bucket_twin(case):
+    # the rows `keep_rows` keeps are, owner by owner, the ones the dict twin
+    # keeps of that owner's rows, by arrival tag, and the table it returns is
+    # the one below merged with the rows at the lesser value per key
+    n, rows, below = case
     owners, starts, lengths = (np.array([row[c] for row in rows], np.int64) for c in range(3))
     values = np.array([row[3] for row in rows], np.float64)
     want = []
     for owner in sorted(set(owners.tolist())):
         combos = [(s, k, v, tag) for tag, (o, s, k, v) in enumerate(rows) if o == owner]
-        want += [tag for *_, tag in dedup_runs(combos)]
-    assert dedup_rows(n, owners, starts, lengths, values).tolist() == want
+        want += [tag for *_, tag in keep_runs(owner, combos, below)]
+    merged = dict(below)
+    for o, s, k, v in rows:
+        merged[o, s, k] = min(merged.get((o, s, k), math.inf), v)
+    keys = sorted(below, key=lambda o_s_k: run_keys(n, *o_s_k))
+    table = np.array([run_keys(n, *key) for key in keys], np.int64).reshape(-1)
+    keep, runs = keep_rows(n, owners, starts, lengths, values,
+                           (table, np.array([below[key] for key in keys], np.float64)))
+    assert keep.tolist() == want
+    assert run_table(n, runs) == merged
 
 
 class TiesReversed:
@@ -704,27 +731,16 @@ def test_level_cap_builds_every_level_up_to_it(monkeypatch):
     assert answers[6] == answers[5] and answers[5].size == 5
 
 
-def run_table(level):
-    """A level's `cheapest_runs` as {(owner, start, length): value}, its keys checked sorted."""
-    n = level.n
-    keys, values = level.cheapest_runs
-    assert (np.diff(keys) > 0).all()
-    return {(key // (n + 1) // n, key // (n + 1) % n, key % (n + 1)): value
-            for key, value in zip(keys.tolist(), values.tolist())}
-
-
-def test_cheapest_runs_hold_each_run_of_the_levels_so_far_at_its_least_value():
+def test_the_carried_run_table_holds_each_run_of_the_levels_so_far_at_its_least_value():
     rng = random.Random(4141)
     for _ in range(6):
         inst = rand_instance(rng, rng.randint(5, 12), spread=(0.3, 2.0))
         nbr, levels = build_neighbor_index(inst), [None]
         for t in range(1, inst.n + 1):
             levels.append(build_level(inst, nbr, levels, t))
-            assert run_table(levels[t]) == cheapest_below(levels, t + 1), t
-            if t > 1:
-                # the level below handed its array over, and rebuilds the same one
-                assert "cheapest_runs" not in vars(levels[t - 1])
-                assert run_table(levels[t - 1]) == cheapest_below(levels, t), t
+            assert run_table(inst.n, levels[t].run_table) == cheapest_below(levels, t + 1), t
+            # level t took the table over: the level below holds none
+            assert t == 1 or levels[t - 1].run_table is None, t
 
 
 def answer_twin_instances():

@@ -6,8 +6,10 @@ walks the lower levels' chains one answer at a time
 one just made from the same l1 or lx skipped, since it is never
 cheaper), merges with the scalar `run_reference.union_runs`, asks only
 the scalar runs of `query_reference.NaiveNeighborIndex`
-(`run_after`/`run_before`), and keeps one combination per run in a dict
-(`dedup_runs`).  It returns a
+(`run_after`/`run_before`), and keeps rows by the one rule of
+`weighted_dp.keep_rows`, point by point (`keep_runs`): one combination
+per run in a dict, less each run a lower level holds at a value no
+larger (`cheapest_below`).  It returns a
 `StaircaseLevelTable` with the same columns and parent rows as
 `weighted_dp.build_level`, so the tests compare the two builders id by
 id.  That twin level builds each chain one anchor at a time from the
@@ -48,7 +50,7 @@ from diskdom import solution
 from diskdom.geometry import offset_ccw
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.solution import Infeasible, solution_of
-from diskdom.weighted_dp import LevelTable, dedup_rows
+from diskdom.weighted_dp import LevelTable, keep_rows
 from greedy_reference import dominated_run
 from invariant_reference import Candidate, candidate_of
 from run_reference import CyclicSublist, run_of, union_extend, union_runs
@@ -139,17 +141,21 @@ def bidi_combos(nbr, levels, i: int, t: int) -> Iterator[tuple]:
                     yield *run, vx + vy - wi, (tp, lx, t + 1 - tp, ly)
 
 
-def dedup_runs(combos) -> list[tuple]:
-    """One bucket: per run, its first cheapest combination, in order of the run's first arrival.
+def keep_runs(owner: int, combos, below) -> list[tuple]:
+    """One bucket's kept combinations, in order of each run's first arrival: the twin of
+    `weighted_dp.keep_rows`.
 
-    A later copy of a run replaces the kept one only when strictly cheaper.
+    Per run, the first cheapest combination: a later copy replaces the kept
+    one only when strictly cheaper.  A run `below` (`cheapest_below`) holds
+    at a value no larger is then dropped, so a lower level wins ties.
     """
     kept: dict[tuple[int, int], tuple] = {}  # (start, length) -> (value, parent row)
     for s, k, value, parent in combos:
         old = kept.get((s, k))
         if old is None or value < old[0]:
             kept[s, k] = value, parent
-    return [(s, k, v, parent) for (s, k), (v, parent) in kept.items()]
+    return [(s, k, v, parent) for (s, k), (v, parent) in kept.items()
+            if not below.get((owner, s, k), math.inf) <= v]
 
 
 def cheapest_below(levels, t: int) -> dict[tuple[int, int, int], float]:
@@ -165,7 +171,8 @@ def cheapest_below(levels, t: int) -> dict[tuple[int, int, int], float]:
 def build_level(instance, nbr, levels, t: int) -> LevelTable:
     """Level t from levels 1..t-1, point by point: the twin of `weighted_dp.build_level`.
 
-    A run a lower level already holds at a value no larger is dropped.
+    Each bucket keeps its rows by `keep_runs`, against the least value
+    levels 1..t-1 hold each run at, read off the levels themselves.
     """
     below = cheapest_below(levels, t)
     rows = []  # (owner, start, length, value, parent row), in id order
@@ -178,8 +185,7 @@ def build_level(instance, nbr, levels, t: int) -> LevelTable:
                 directional_combos(nbr, levels, i, t, ccw=False),
                 bidi_combos(nbr, levels, i, t),
             )
-        rows += [(i, s, k, v, parent) for s, k, v, parent in dedup_runs(combos)
-                 if not below.get((i, s, k), math.inf) <= v]
+        rows += [(i, *row) for row in keep_runs(i, combos, below)]
     owners, starts, lengths = (np.array([row[c] for row in rows], np.int64) for c in range(3))
     values = np.array([row[3] for row in rows], np.float64)
     parents = np.array([row[4] for row in rows], np.int64).reshape(-1, 4)
@@ -190,8 +196,9 @@ def unpruned_level(instance, nbr, levels, t: int) -> LevelTable:
     """Level t as `weighted_dp.build_level` made it before the cross-level prune.
 
     Every combination (`solution.directional_combos`,
-    `solution.bidirectional_combos`), deduplicated by `dedup_rows`; a run a
-    lower level holds at a value no larger stays.
+    `solution.bidirectional_combos`), kept by `weighted_dp.keep_rows`
+    against an empty run table: one row per run in each bucket, and a run
+    a lower level holds at a value no larger stays.
     """
     n, weights = instance.n, instance.ws
     if t == 1:
@@ -200,7 +207,7 @@ def unpruned_level(instance, nbr, levels, t: int) -> LevelTable:
         blocks = [solution.directional_combos(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
         blocks.append(solution.bidirectional_combos(nbr, levels, t, weights))
     owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
-    keep = dedup_rows(n, owners, starts, lengths, values)
+    keep, _ = keep_rows(n, owners, starts, lengths, values, (np.zeros(0, np.int64), np.zeros(0)))
     return LevelTable(
         instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
     )
