@@ -24,8 +24,9 @@ split levels: tails from the batched `neighbor_index.runs_past`, each
 lengthening the run it starts past, and two runs merged per row by
 `geometry.union_columns`.  One rule then decides which rows the level
 keeps (`keep_rows`): per run in each bucket, the first of its cheapest
-copies, and only when strictly cheaper than every lower level's copy
-(the prune below).  No combination is an object: the winner's witness
+copies, only when strictly cheaper than every lower level's copy (the
+prune below), and in a size-k solve only at or below a ceiling (the
+ceiling below).  No combination is an object: the winner's witness
 set is rebuilt by walking its parents, and `check_invariants=True`
 first checks every combination against its parents
 (`solution.check_level`).
@@ -50,9 +51,11 @@ cheaper than every one before it, and a full row is never a part of a
 partial one.  So no answer depends on such rows, and every row of a
 level t >= 2 joins two parents.
 
-Two more lemmas let the solve build fewer levels and rows, and change no
-answer (`tests/weighted_reference.unpruned_answers` is the build without
-them, and the tests compare every answer with it, centers and weight bits):
+Three more lemmas let the solve build fewer levels and rows, and change
+no answer (`tests/weighted_reference.unpruned_answers` is the build
+without the first two, `solve_weighted_all_k` the build without the
+third, and the tests compare every answer with them, centers and weight
+bits):
 
 * The prune.  `build_level` drops a level-t row when levels 1..t-1 hold
   its owner and run at a value no larger (`keep_rows`, reading the run
@@ -73,6 +76,33 @@ them, and the tests compare every answer with it, centers and weight bits):
   optimum of at most K disks is a full row by level K:
   `solve_weighted_all_k` stops at level min(k, K), and the answers above
   it are the answer there.
+* The ceiling.  `solve_weighted` first covers the circle with level-1
+  runs, greedily (`greedy_cover`).  When the cover has at most k disks it
+  is a dominating set of size at most k, so its weight U (summed exactly
+  rounded) bounds the optimum for k, and every level drops the rows
+  valued above C = U * (1 + VALUE_SLACK) before it groups copies
+  (`greedy_ceiling`, `keep_rows`).  A row is no cheaper than either part
+  up to rounding: v1 + v2 is at least v1 and v2 as floats, and both parts
+  of a stitched row are rows of i, each at least wi, so (vx + vy) - wi is
+  at least (1 - 3u) times either, u = 2^-53.  Let T_t = C * (1 - 3u)^t.
+  By induction on t, level t's rows at or below T_t are the same with and
+  without the ceiling, in the same (value, id) order, with the same
+  witness sets.  Their parts lie at or below T_{t-1}, where the lower
+  levels agree, and every dropped row sorts after the rows kept; so the
+  staircases agree up to T_{t-1}, and so do the combinations at or below
+  T_t and their arrival order, the first cheapest copy of each of their
+  runs, and the place it takes, since ids follow the kept copies'
+  arrival and no dropped copy moves one.  A prune of theirs reads a run
+  table value no larger than the row, held by a row the builds share.
+  The answer for k weighs the optimum, at most U, up to the rounding of a
+  row's value and of U, well below T_k (k * 2^-50 is far below
+  VALUE_SLACK), and no full row below it is new, so the answer and its
+  tie-break stand.  The cap's argument holds with C for V, as U bounds
+  the optimum, so the cap starts at min(k, K(C)); and the counting
+  bound, at most the cover's size, is not asked.  No full row by the cap
+  means the lemma broke, and raises SolverInvariantError.
+  `solve_weighted_all_k` takes no ceiling: its answers for k' below the
+  cover's size may weigh more than U.
 
 Every sort on this path is plain, numpy's fastest, and numpy leaves the
 order of its equal keys open (it varies by version and CPU).  So each one
@@ -86,6 +116,7 @@ chains with plain-scan cheapest-enclosing queries
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -98,6 +129,7 @@ from .solution import (
     Infeasible,
     RunLevel,
     Solution,
+    SolverInvariantError,
     bidirectional_combos,
     check_level,
     check_size_bound,
@@ -117,10 +149,10 @@ def run_keys(n: int, owners, starts, lengths) -> np.ndarray:
 class LevelTable(RunLevel):
     """One level's candidates as columns in id order (`RunLevel`), with every staircase.
 
-    Ids run owner by owner (bucket order), and within an owner in order of
-    first arrival (`keep_rows`).  Its chains are whole staircases: every
-    candidate reaching strictly farther than every one before it in
-    (value, id) order.  `build_level` leaves the run table of levels 1..t
+    Ids run owner by owner (bucket order), and within an owner in the order
+    the kept copies arrived (`keep_rows`).  Its chains are whole
+    staircases: every candidate reaching strictly farther than every one
+    before it in (value, id) order.  `build_level` leaves the run table of levels 1..t
     (`keep_rows`) in `run_table`, and level t + 1 takes it over, leaving
     None: one table is alive at a time.
     """
@@ -182,23 +214,30 @@ class LevelTable(RunLevel):
         return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), ids
 
 
-def keep_rows(n: int, owners, starts, lengths, values, runs) -> tuple[np.ndarray, tuple]:
+def keep_rows(n: int, owners, starts, lengths, values, runs,
+              ceiling: float = math.inf) -> tuple[np.ndarray, tuple]:
     """The rows a level keeps, in id order, and the run table through this level.
 
     Rows are level t's combinations, in arrival order within each owner.
     `runs` is the run table of levels 1..t-1: every (owner, run) key they
-    hold (`run_keys`), sorted and distinct, with its least value.  A row is
-    kept when it is the first of its (owner, run)'s cheapest copies in the
-    level and strictly cheaper than the table's value for that key, so a
-    lower level wins ties (the prune of the module docstring).  It takes
-    its run's first-copy place: ids run owner by owner, then by first
-    arrival.  One plain sort groups the copies; per group, minimum
-    reductions read the least value, the first copy at that value and the
-    first copy overall, so nothing depends on how the sort leaves equal
-    keys.  The group keys come out sorted and distinct: one `searchsorted`
-    into the table serves the prune and the update, where a held key keeps
-    the lesser value and a new one is inserted in place.
+    hold (`run_keys`), sorted and distinct, with its least value.  Rows
+    valued above `ceiling` are dropped first (the ceiling of the module
+    docstring; none without one), so they enter neither the level nor the
+    table.  A row is then kept when it is the first of its (owner, run)'s
+    cheapest copies in the level and strictly cheaper than the table's
+    value for that key, so a lower level wins ties (the prune of the
+    module docstring).  Ids run owner by owner, then in the order the kept
+    copies arrived: no dropped copy moves a kept row.  One plain sort
+    groups the copies; per group, minimum reductions read the least value
+    and the first copy at that value, so nothing depends on how the sort
+    leaves equal keys.  The group keys come out sorted and distinct: one
+    `searchsorted` into the table serves the prune and the update, where a
+    held key keeps the lesser value and a new one is inserted in place.
     """
+    if ceiling < math.inf:  # only rows at or below it are grouped; without one, none is copied
+        cheap = np.flatnonzero(values <= ceiling)
+        keep, runs = keep_rows(n, owners[cheap], starts[cheap], lengths[cheap], values[cheap], runs)
+        return cheap[keep], runs
     m = len(owners)
     key = run_keys(n, owners, starts, lengths)
     order = np.argsort(key)
@@ -208,7 +247,6 @@ def keep_rows(n: int, owners, starts, lengths, values, runs) -> tuple[np.ndarray
     least = np.minimum.reduceat(v, first)
     cheapest = np.repeat(least, np.diff(first, append=m)) == v
     kept = np.minimum.reduceat(np.where(cheapest, order, m), first)
-    arrival = np.minimum.reduceat(order, first)
     table_keys, table_values = runs
     at = np.searchsorted(table_keys, key)
     held = at < len(table_keys)
@@ -218,9 +256,8 @@ def keep_rows(n: int, owners, starts, lengths, values, runs) -> tuple[np.ndarray
     best, new = table_values.copy(), ~held
     best[at[held]] = np.minimum(lower[held], least[held])
     runs = np.insert(table_keys, at[new], key[new]), np.insert(best, at[new], least[new])
-    keep = least < lower
-    kept, arrival = kept[keep], arrival[keep]
-    return kept[np.argsort(owners[kept] * m + arrival)], runs
+    kept = kept[least < lower]
+    return kept[np.argsort(owners[kept] * m + kept)], runs
 
 
 def build_level(
@@ -229,6 +266,7 @@ def build_level(
     levels: Sequence[Optional[LevelTable]],
     t: int,
     *,
+    ceiling: float = math.inf,
     check_invariants: bool = False,
 ) -> LevelTable:
     """Level t, combined from levels 1..t-1 (`levels[t']`).
@@ -236,11 +274,12 @@ def build_level(
     Level 1 holds one candidate per point: its own dominated run at its
     own weight.  Later levels hold, per point, its ccw combinations by
     split level, then its cw ones, then its bidirectional ones, less every
-    row `keep_rows` drops: a later copy of a run no cheaper, or a run
-    levels 1..t-1 already hold at a value no larger.  Their run table is
-    taken over from level t-1 (`LevelTable.run_table`).  With
-    `check_invariants`, every combination, same-run copies and pruned rows
-    included, is first checked against its parents (`check_level`).
+    row `keep_rows` drops: a row valued above `ceiling`, a later copy of a
+    run no cheaper, or a run levels 1..t-1 already hold at a value no
+    larger.  Their run table is taken over from level t-1
+    (`LevelTable.run_table`).  With `check_invariants`, every combination,
+    same-run copies, pruned rows and rows above the ceiling included, is
+    first checked against its parents (`check_level`).
     """
     n = instance.n
     weights = instance.ws
@@ -255,12 +294,93 @@ def build_level(
     owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
     if check_invariants:
         check_level(nbr, levels, t, owners, starts, lengths, parents, values, weights)
-    keep, runs = keep_rows(n, owners, starts, lengths, values, runs)
+    keep, runs = keep_rows(n, owners, starts, lengths, values, runs, ceiling)
     level = LevelTable(
         instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
     )
     level.run_table = runs
     return level
+
+
+def greedy_cover(nbr) -> np.ndarray:
+    """A set of disks whose dominated runs cover the circle, in ascending canonical order.
+
+    Chvatal's greedy set cover over the level-1 runs (`dominated_runs`):
+    it takes the disk of least weight per still-uncovered disk in its run,
+    ties to the smaller id, until every disk is covered, and then drops
+    each pick the other picks still cover, heaviest first (ties to the
+    smaller id).  Every disk of a disk's run meets it, so the set dominates.
+    """
+    n, weights = nbr.n, nbr.instance.ws
+    starts, lengths = nbr.dominated_runs
+
+    def run(i: int) -> np.ndarray:
+        return (starts[i] + np.arange(lengths[i])) % n
+
+    uncovered, picks = np.ones(n, bool), []
+    while uncovered.any():
+        # uncovered disks per run, off prefix counts over the circle laid out twice
+        before = np.concatenate(([0], np.cumsum(np.tile(uncovered, 2))))
+        count = before[starts + lengths] - before[starts]
+        i = int(np.argmin(np.where(count > 0, weights / np.maximum(count, 1), np.inf)))
+        picks.append(i)
+        uncovered[run(i)] = False
+    covers = np.bincount(np.concatenate([run(i) for i in picks]), minlength=n)
+    for i in sorted(picks, key=lambda i: (-weights[i], i)):
+        if covers[run(i)].min() > 1:
+            covers[run(i)] -= 1
+            picks.remove(i)
+    return np.sort(np.array(picks, np.int64))
+
+
+def greedy_ceiling(nbr, k: int) -> float:
+    """The ceiling above which a size-k solve drops rows (module docstring), or inf for none.
+
+    The `greedy_cover`'s weight U, summed exactly rounded, times
+    1 + VALUE_SLACK; inf when the cover has more than k disks.
+    """
+    cover = greedy_cover(nbr)
+    if len(cover) > k:
+        return math.inf
+    return math.fsum(nbr.instance.ws[cover].tolist()) * (1 + VALUE_SLACK)
+
+
+def level_answers(instance: Instance, nbr, k: int, ceiling: float,
+                  check_invariants: bool) -> dict[int, Union[Solution, Infeasible]]:
+    """The cheapest full candidate over levels 1..k', per k' = 1..k, rows above `ceiling` dropped.
+
+    The build stops at the level cap, which starts at min(k, K(ceiling))
+    (module docstring).  With no ceiling, when the counting bound
+    (`domination_lower_bound`) already exceeds k, every answer is
+    Infeasible and no level is combined past level 1.  With a ceiling, a
+    cover of at most k disks is in hand, so that bound is not asked, and
+    only the answer for k is exact: when no full row at or below the
+    ceiling appears by the cap, SolverInvariantError is raised.
+    """
+    n = instance.n
+    levels: list[Optional[LevelTable]] = [None]
+    answers: dict[int, Union[Solution, Infeasible]] = {}
+    lightest = np.cumsum(np.sort(instance.ws))  # the s lightest weights' sum, s = 1..n
+    best, answer = None, None  # the cheapest full candidate so far
+    cap = min(k, int(np.searchsorted(lightest, ceiling, "right")))  # the level cap
+    for t in range(1, k + 1):
+        level = build_level(
+            instance, nbr, levels, t, ceiling=ceiling, check_invariants=check_invariants
+        )
+        levels.append(level)
+        if t == 1 and ceiling == math.inf and k < n and nbr.domination_lower_bound() > k:
+            return {kp: Infeasible(kp) for kp in range(1, k + 1)}
+        c = level.cheapest_full()
+        if c >= 0 and (best is None or level.values[c] < best):
+            best = level.values[c]
+            answer = solution_of(instance, level.witnesses(c), "weighted")
+            cap = min(cap, int(np.searchsorted(lightest, best * (1 + VALUE_SLACK), "right")))
+        answers[t] = Infeasible(t) if answer is None else answer
+        if t >= cap:
+            break
+    if answer is None and ceiling < math.inf:
+        raise SolverInvariantError(f"no full row at or below the ceiling {ceiling!r} by level {t}")
+    return answers | {kp: answer for kp in range(t + 1, k + 1)}
 
 
 def solve_weighted_all_k(
@@ -276,42 +396,30 @@ def solve_weighted_all_k(
     of the ascending weights, no level past min(k, K) is built, and every
     answer above it is the answer there.  When the counting bound
     (`domination_lower_bound`) already exceeds k, every answer is
-    Infeasible and no level is combined past level 1.
-    `check_invariants=True` checks every combination of every level
-    (`check_level`) and raises SolverInvariantError on a broken one; it
-    changes no answer.
+    Infeasible and no level is combined past level 1.  No ceiling drops
+    rows: an answer for k' below the greedy cover's size may weigh more
+    than that cover (module docstring).  `check_invariants=True` checks
+    every combination of every level (`check_level`) and raises
+    SolverInvariantError on a broken one; it changes no answer.
     """
     check_size_bound("k", k, instance.n)
-    n = instance.n
-    nbr = build_neighbor_index(instance)
-    levels: list[Optional[LevelTable]] = [None]
-    answers: dict[int, Union[Solution, Infeasible]] = {}
-    lightest = np.cumsum(np.sort(instance.ws))  # the s lightest weights' sum, s = 1..n
-    best, answer, cap = None, None, k  # the cheapest full candidate so far, and the level cap
-    for t in range(1, k + 1):
-        level = build_level(instance, nbr, levels, t, check_invariants=check_invariants)
-        levels.append(level)
-        if t == 1 and k < n and nbr.domination_lower_bound() > k:
-            return {kp: Infeasible(kp) for kp in range(1, k + 1)}
-        c = level.cheapest_full()
-        if c >= 0 and (best is None or level.values[c] < best):
-            best = level.values[c]
-            answer = solution_of(instance, level.witnesses(c), "weighted")
-            cap = min(k, int(np.searchsorted(lightest, best * (1 + VALUE_SLACK), "right")))
-        answers[t] = Infeasible(t) if answer is None else answer
-        if t >= cap:
-            break
-    return answers | {kp: answer for kp in range(t + 1, k + 1)}
+    return level_answers(instance, build_neighbor_index(instance), k, math.inf, check_invariants)
 
 
 def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False) -> Solution:
     """Minimum-weight dominating set of size at most k, or Infeasible.
 
     Deterministic for fixed inputs; `solve_weighted_all_k`'s answer for k,
-    `check_invariants` included.  When the counting bound already exceeds
-    k, Infeasible is raised right after level 1.
+    `check_invariants` included, from fewer rows: when the `greedy_cover`
+    has at most k disks, every row valued above its ceiling is dropped
+    (module docstring) and the counting bound is not asked.  Otherwise,
+    when the counting bound already exceeds k, Infeasible is raised right
+    after level 1.
     """
-    answer = solve_weighted_all_k(instance, k, check_invariants=check_invariants)[k]
+    check_size_bound("k", k, instance.n)
+    nbr = build_neighbor_index(instance)
+    ceiling = greedy_ceiling(nbr, k)
+    answer = level_answers(instance, nbr, k, ceiling, check_invariants)[k]
     if isinstance(answer, Infeasible):
         raise answer
     return answer
@@ -320,8 +428,11 @@ def solve_weighted(instance: Instance, k: int, *, check_invariants: bool = False
 def solve_weighted_unbounded(instance: Instance, **kwargs) -> Solution:
     """Minimum-weight dominating set with no size bound (k = n is always feasible).
 
-    The level cap stops the build once no set larger than the level reached
-    can be cheaper than the cheapest full row so far, so it builds about as
-    many levels as the optimum has disks, not n.
+    The greedy cover always fits in n disks, so its ceiling drops every row
+    dearer than it and the level cap starts at the count of lightest
+    weights it leaves room for; the cap then stops the build once no set
+    larger than the level reached can be cheaper than the cheapest full
+    row so far, so it builds about as many levels as the optimum has
+    disks, not n.
     """
     return solve_weighted(instance, instance.n, **kwargs)

@@ -11,7 +11,7 @@ from conftest import T4_POINTS, mk_instance, recording
 from diskdom.geometry import union_columns
 from diskdom.neighbor_index import build_neighbor_index
 from diskdom.oracle import brute_force_min, verify
-from diskdom.solution import Infeasible, InvalidK, SolverInvariantError
+from diskdom.solution import VALUE_SLACK, Infeasible, InvalidK, SolverInvariantError
 from diskdom.weighted_dp import (
     build_level,
     keep_rows,
@@ -446,20 +446,20 @@ def test_insert_keeps_one_candidate_per_run():
     # the second copy of run (1, 3) has an equal value: dropped
     rows = [row(1, 3, 5.0), row(4, 2, 1.0), row(1, 3, 5.0)]
     assert kept(rows) == [0, 1]
-    rows.append(row(1, 3, 4.0))  # strictly cheaper: replaces in place
-    assert kept(rows) == [3, 1]
+    rows.append(row(1, 3, 4.0))  # strictly cheaper: replaces it, in its own arrival place
+    assert kept(rows) == [1, 3]
     # full runs from different merges all arrive as (0, n): one key
     merges = (([(6, 3), (0, 6)], 9.0), ([(2, 5), (7, 4)], 9.0), ([(3, 2), (5, 6)], 9.5))
     for parts, value in merges:
         s, k = union_columns(n, *((np.array([ps]), np.array([pk])) for ps, pk in parts))
         rows.append(row(int(s[0]), int(k[0]), value))
-    assert kept(rows) == [3, 1, 4]
+    assert kept(rows) == [1, 3, 4]
     rows.append(row(0, 8, 3.0))
-    assert kept(rows) == [3, 1, 7]
+    assert kept(rows) == [1, 3, 7]
     # another bucket holding the same run keeps its own copy; ids follow
-    # bucket order, then first arrival within the bucket
+    # bucket order, then the kept copies' arrival within the bucket
     rows.insert(0, row(1, 3, 0.5, owner=3))
-    assert kept(rows) == [4, 2, 8, 0]
+    assert kept(rows) == [2, 4, 8, 0]
     none = np.zeros(0, np.int64)
     keep, runs = keep_rows(n, none, none, none, np.zeros(0), NO_RUNS)
     assert keep.tolist() == [] and all(len(col) == 0 for col in runs)
@@ -475,14 +475,16 @@ def run_table(n, runs):
 
 @st.composite
 def arrivals(draw):
-    """A level's combination rows in arrival order, and the run table below it, as
-    (n, [(owner, start, length, value)], {(owner, start, length): value}).
+    """A level's combination rows in arrival order, the run table below it and a
+    ceiling, as (n, [(owner, start, length, value)], {(owner, start, length): value},
+    ceiling).
 
     A few owners interleave, a few distinct runs (a full one as (0, n))
     arrive in many copies, and values are small integers, so equal-value
     copies are common.  The table holds keys of the same owners and runs,
     some that no row has, at small integer values, so ties with it are
-    common too.
+    common too.  The ceiling is none (inf) or one of those integers, so
+    some values lie above it and some exactly at it.
     """
     n = draw(st.integers(1, 9))
     owners = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
@@ -491,7 +493,9 @@ def arrivals(draw):
     rows = st.tuples(st.sampled_from(owners), st.sampled_from(runs), st.integers(0, 3))
     key = st.tuples(st.sampled_from(owners), st.sampled_from(runs)).map(lambda k: (k[0], *k[1]))
     below = draw(st.dictionaries(key, st.integers(0, 3).map(float), max_size=8))
-    return n, [(o, s, k, float(v)) for o, (s, k), v in draw(st.lists(rows, max_size=80))], below
+    ceiling = draw(st.sampled_from((math.inf, 0.0, 1.0, 2.0)))
+    rows = [(o, s, k, float(v)) for o, (s, k), v in draw(st.lists(rows, max_size=80))]
+    return n, rows, below, ceiling
 
 
 @settings(max_examples=300, deadline=None)
@@ -499,21 +503,23 @@ def arrivals(draw):
 def test_keep_rows_is_the_bucket_twin(case):
     # the rows `keep_rows` keeps are, owner by owner, the ones the dict twin
     # keeps of that owner's rows, by arrival tag, and the table it returns is
-    # the one below merged with the rows at the lesser value per key
-    n, rows, below = case
+    # the one below merged with the rows at or below the ceiling, at the
+    # lesser value per key
+    n, rows, below, ceiling = case
     owners, starts, lengths = (np.array([row[c] for row in rows], np.int64) for c in range(3))
     values = np.array([row[3] for row in rows], np.float64)
     want = []
     for owner in sorted(set(owners.tolist())):
         combos = [(s, k, v, tag) for tag, (o, s, k, v) in enumerate(rows) if o == owner]
-        want += [tag for *_, tag in keep_runs(owner, combos, below)]
+        want += [tag for *_, tag in keep_runs(owner, combos, below, ceiling)]
     merged = dict(below)
     for o, s, k, v in rows:
-        merged[o, s, k] = min(merged.get((o, s, k), math.inf), v)
+        if v <= ceiling:
+            merged[o, s, k] = min(merged.get((o, s, k), math.inf), v)
     keys = sorted(below, key=lambda o_s_k: run_keys(n, *o_s_k))
     table = np.array([run_keys(n, *key) for key in keys], np.int64).reshape(-1)
     keep, runs = keep_rows(n, owners, starts, lengths, values,
-                           (table, np.array([below[key] for key in keys], np.float64)))
+                           (table, np.array([below[key] for key in keys], np.float64)), ceiling)
     assert keep.tolist() == want
     assert run_table(n, runs) == merged
 
@@ -749,38 +755,148 @@ def answer_twin_instances():
     from pathlib import Path
 
     from diskdom.instance_io import load_instance_document
-    from test_level_builder import small_integer_weights
 
     corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
     for path in corpus:
         yield load_instance_document(path.read_text()).to_instance()
+    for seed in range(250):
+        yield random_twin_instance(seed)
+
+
+def random_twin_instance(seed):
+    """Random answer twin `seed`: n 4-24, three families, four radius laws, unit,
+    `uniform(1,10)` and small integer weights, each chosen by the seed."""
+    from test_level_builder import small_integer_weights
+
     families = ("circle", "ellipse", "perturbed-polygon")
     laws = ("uniform(0.3,1.0)", "uniform(1.0,3.0)", "uniform(2.0,6.0)", "lognormal(0,0.6)")
-    for seed in range(250):
-        weights = ("unit", "uniform(1,10)", "small integers")[seed % 3]
-        doc = gen_random(4 + seed % 21, 70_000 + seed, families[seed % 3], laws[seed // 3 % 4],
-                         "uniform(1,10)" if weights == "uniform(1,10)" else "unit")
-        inst = doc.to_instance()
-        yield small_integer_weights(inst, seed) if weights == "small integers" else inst
+    weights = ("unit", "uniform(1,10)", "small integers")[seed % 3]
+    doc = gen_random(4 + seed % 21, 70_000 + seed, families[seed % 3], laws[seed // 3 % 4],
+                     "uniform(1,10)" if weights == "uniform(1,10)" else "unit")
+    inst = doc.to_instance()
+    return small_integer_weights(inst, seed) if weights == "small integers" else inst
+
+
+def answer_key(answer):
+    """An answer's centers, weight bits and size, or an Infeasible one's k."""
+    if isinstance(answer, Infeasible):
+        return answer.k
+    return answer.centers, answer.weight.hex(), answer.size
 
 
 def test_answers_match_the_unpruned_build():
     # the cross-level prune and the level cap change no answer: centers and
     # weight bits equal those of every level 1..n built without either
-    def key(answer):
-        if isinstance(answer, Infeasible):
-            return answer.k
-        return answer.centers, answer.weight.hex(), answer.size
-
     capped = 0
     for inst in answer_twin_instances():
         with recording(wdp, "LevelTable") as built:
             got = solve_weighted_all_k(inst, inst.n)
         want = unpruned_answers(inst, inst.n)
         assert got.keys() == want.keys()
-        assert [key(a) for a in got.values()] == [key(a) for a in want.values()], inst.n
+        assert list(map(answer_key, got.values())) == list(map(answer_key, want.values())), inst.n
         capped += len(built) < inst.n
     assert capped > 200  # the cap stops most of these solves before level n
+
+
+
+
+def test_solve_weighted_is_the_all_k_answer():
+    # the ceiling changes no answer: for every k <= 8, `solve_weighted` (a
+    # ceiling when the greedy cover fits in k disks) answers as the build
+    # without one, centers and weight bits, or Infeasible alike
+    # (`solve_weighted_all_k`'s answer for k is the same for every bound >= k)
+    ceilings = {True: 0, False: 0}  # whether the solve had a ceiling
+    for inst in answer_twin_instances():
+        top = min(inst.n, 8)
+        want = solve_weighted_all_k(inst, top)
+        cover = len(wdp.greedy_cover(build_neighbor_index(inst)))
+        for k in range(1, top + 1):
+            try:
+                got = solve_weighted(inst, k)
+            except Infeasible as exc:
+                got = exc
+            assert answer_key(got) == answer_key(want[k]), (inst.n, k)
+            ceilings[cover <= k] += 1
+    assert min(ceilings.values()) > 300
+
+
+def test_rows_below_the_cover_weight_are_the_same_with_the_ceiling():
+    # the ceiling lemma level by level: each level's rows valued at most the
+    # cover's weight U are the same with and without the ceiling, in the same
+    # (owner, value, id) order, with the same witness sets.  On these answer
+    # twins, placing a kept row at its run's first copy, which may lie above
+    # the ceiling, instead of at the kept copy reorders such rows
+    def rows(level, most):
+        ids = np.flatnonzero(level.values <= most)
+        ids = ids[np.lexsort((ids, level.values[ids], level.owners[ids]))]
+        return [(int(level.owners[c]), int(level.starts[c]), int(level.lengths[c]),
+                 level.values[c].hex(), level.witnesses(c)) for c in ids.tolist()]
+
+    for seed in (248, 437, 545, 692, 752, 836):
+        inst = random_twin_instance(seed)
+        nbr = build_neighbor_index(inst)
+        ceiling = wdp.greedy_ceiling(nbr, 8)
+        assert ceiling < math.inf
+        plain, capped = [None], [None]
+        for t in range(1, 9):
+            plain.append(build_level(inst, nbr, plain, t))
+            capped.append(build_level(inst, nbr, capped, t, ceiling=ceiling))
+            most = ceiling / (1 + VALUE_SLACK)
+            assert rows(plain[t], most) == rows(capped[t], most), (seed, t)
+
+
+def k6_family(count):
+    """The `weighted_k6` benchmark's instances: n = 60 on a circle, radii 2-6, weights 1-10."""
+    for i in range(count):
+        yield gen_random(60, 1000 + i, "circle", "uniform(2.0,6.0)", "uniform(1,10)").to_instance()
+
+
+def test_the_ceiling_halves_the_rows_kept_and_comes_from_a_cover():
+    # on the k = 6 benchmark family, the rows kept at levels >= 2 with the
+    # ceiling are at most half of those without it, and each ceiling comes
+    # from a greedy set that dominates in at most k disks
+    k, rows = 6, {True: 0, False: 0}
+    for inst in k6_family(12):
+        nbr = build_neighbor_index(inst)
+        cover = wdp.greedy_cover(nbr)
+        if wdp.greedy_ceiling(nbr, k) < math.inf:
+            assert len(cover) <= k and verify(inst, cover.tolist())
+            assert wdp.greedy_ceiling(nbr, k) == math.fsum(inst.ws[cover]) * (1 + VALUE_SLACK)
+        else:
+            assert len(cover) > k
+        for ceiling in (True, False):
+            with recording(wdp, "LevelTable") as built:
+                (solve_weighted if ceiling else solve_weighted_all_k)(inst, k)
+            rows[ceiling] += sum(len(level.owners) for level in built if level.level >= 2)
+    assert rows[True] * 2 <= rows[False], rows
+
+
+def test_a_cover_in_hand_skips_the_counting_bound(monkeypatch):
+    # a greedy cover of at most k disks already shows a dominating set fits,
+    # so the counting bound is not asked; without a ceiling it is
+    asked, instances = [], list(k6_family(3))
+    index = type(build_neighbor_index(instances[0]))
+    bound = index.domination_lower_bound
+    monkeypatch.setattr(index, "domination_lower_bound",
+                        lambda self: asked.append(1) or bound(self))
+    for inst in instances:
+        nbr = build_neighbor_index(inst)
+        assert wdp.greedy_ceiling(nbr, 6) < math.inf
+        solve_weighted(inst, 6)
+        assert asked == []
+    solve_weighted_all_k(inst, 6)
+    assert asked == [1]
+
+
+def test_a_ceiling_below_the_optimum_raises_an_invariant_error(monkeypatch):
+    # the ceiling lemma says the answer lies at or below the ceiling; a
+    # ceiling under the optimum breaks it, which is an error, not Infeasible
+    for inst in k6_family(3):
+        optimum = solve_weighted(inst, 6).weight
+        with monkeypatch.context() as mp:
+            mp.setattr(wdp, "greedy_ceiling", lambda nbr, k: 0.99 * optimum)
+            with pytest.raises(SolverInvariantError, match="ceiling"):
+                solve_weighted(inst, 6)
 
 
 def test_each_level_makes_one_pass_per_combination_step(monkeypatch):

@@ -141,18 +141,21 @@ def bidi_combos(nbr, levels, i: int, t: int) -> Iterator[tuple]:
                     yield *run, vx + vy - wi, (tp, lx, t + 1 - tp, ly)
 
 
-def keep_runs(owner: int, combos, below) -> list[tuple]:
-    """One bucket's kept combinations, in order of each run's first arrival: the twin of
+def keep_runs(owner: int, combos, below, ceiling: float = math.inf) -> list[tuple]:
+    """One bucket's kept combinations, in the order the kept ones arrived: the twin of
     `weighted_dp.keep_rows`.
 
-    Per run, the first cheapest combination: a later copy replaces the kept
-    one only when strictly cheaper.  A run `below` (`cheapest_below`) holds
-    at a value no larger is then dropped, so a lower level wins ties.
+    Combinations valued above `ceiling` are skipped.  Per run, the first
+    cheapest combination: a later copy replaces the kept one only when
+    strictly cheaper, and then takes its own arrival place.  A run `below`
+    (`cheapest_below`) holds at a value no larger is then dropped, so a
+    lower level wins ties.
     """
     kept: dict[tuple[int, int], tuple] = {}  # (start, length) -> (value, parent row)
     for s, k, value, parent in combos:
         old = kept.get((s, k))
-        if old is None or value < old[0]:
+        if value <= ceiling and (old is None or value < old[0]):
+            kept.pop((s, k), None)
             kept[s, k] = value, parent
     return [(s, k, v, parent) for (s, k), (v, parent) in kept.items()
             if not below.get((owner, s, k), math.inf) <= v]
