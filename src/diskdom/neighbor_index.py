@@ -132,6 +132,8 @@ class _TreeNeighborIndex:
         """
         i, j = np.asarray(i, np.int64), np.asarray(j, np.int64)
         out = np.full(len(i), -1, np.int64)
+        if not len(i):  # an empty batch costs no numpy pass
+            return out
         lanes = np.arange(64) if ccw else np.arange(63, -1, -1)  # the read order of leaf words
         x = np.zeros(len(i), np.uint64)
         open_ = np.flatnonzero(~self._skips(i, j >> 6))  # leaf w is node w of level 0

@@ -9,6 +9,7 @@ them under unit weights, its chains cut to their farthest entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
@@ -278,21 +279,24 @@ def _chain_batch(levels: Sequence[Optional[RunLevel]], tags: np.ndarray, n: int,
     return (ptr, np.repeat(np.arange(len(tags)), sizes), ids, *cols)
 
 
-def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw: bool) -> tuple:
+def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw: bool,
+                       ceiling: float = math.inf) -> tuple:
     """Every point's one-way level-t combinations over all splits t' + (t - t'), ccw or cw.
 
     Each run l1 of a point's level-t' bucket chain is extended by each run
-    l2 of the level-(t-t') global chain anchored just past l1's far end.
-    A partial l2 is first lengthened by its tail, the stretch the point's
-    disk meets just past l2's far end (`runs_past`): one run, at times
-    longer than n.  The run is the union of l1 and that run, at value
-    v1 + v2.  l1 is a row of the point, so the union holds the point's
-    dominated run (`RunLevel`).  A full l1 has no far end to extend, so it
-    makes no combination: it is already a full row at level t', and every
-    row made from it would be full and no cheaper (`weighted_dp`).  Rows
-    are split-major: by t' = 1..t-1, then point by point, then in l1 and
-    l2 chain order.  Returns int64 columns owners, starts, lengths, the
-    float64 values and (m, 4) parent rows.
+    l2 of the level-(t-t') global chain anchored just past l1's far end,
+    at value v1 + v2.  A pair valued above `ceiling` (none without one)
+    makes no row: it is dropped as soon as it is paired, before l2's
+    columns are gathered or its tail is asked for.  A partial l2 is first
+    lengthened by its tail, the stretch the point's disk meets just past
+    l2's far end (`runs_past`): one run, at times longer than n.  The run
+    is the union of l1 and that run.  l1 is a row of the point, so the
+    union holds the point's dominated run (`RunLevel`).  A full l1 has no
+    far end to extend, so it makes no combination: it is already a full
+    row at level t', and every row made from it would be full and no
+    cheaper (`weighted_dp`).  Rows are split-major: by t' = 1..t-1, then
+    point by point, then in l1 and l2 chain order.  Returns int64 columns
+    owners, starts, lengths, the float64 values and (m, 4) parent rows.
     """
     n = nbr.n
     splits = np.arange(1, t)
@@ -303,7 +307,11 @@ def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw
     row, at = expand_runs(lo, (hi - lo) * (k1 < n))  # a full l1 reads no chain entry
     # dropped once read, so they do not sit beside the row columns at the peak
     del anchor, lo, hi
-    tp, i, l1, s1, k1, v1 = splits[q[row]], i[row], l1[row], s1[row], k1[row], v1[row]
+    values = v1[row] + v2s[at]
+    if ceiling < math.inf:
+        cheap = np.flatnonzero(values <= ceiling)
+        row, at, values = row[cheap], at[cheap], values[cheap]
+    tp, i, l1, s1, k1 = splits[q[row]], i[row], l1[row], s1[row], k1[row]
     del q, row
     l2, s2, k2 = l2s[at], s2s[at], k2s[at]
     # l2 takes its tail where it is partial (a full l2 makes a full row)
@@ -314,18 +322,19 @@ def directional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int, *, ccw
     if not ccw:
         s2[open_] = tail_s
     parents = np.stack((tp, l1, t - tp, l2), axis=1)
-    return (i, *union_columns(n, (s1, k1), (s2, k2)), v1 + v2s[at], parents)
+    return (i, *union_columns(n, (s1, k1), (s2, k2)), values, parents)
 
 
 def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
-                         weights: np.ndarray) -> tuple:
+                         weights: np.ndarray, ceiling: float = math.inf) -> tuple:
     """Every point's combinations of a ccw run lx of level t' and a cw run ly of level t+1-t'.
 
     lx and ly walk the point's two bucket chains, ly fastest; the run is
     the union of lx and ly, which both hold the point's dominated run
     (`RunLevel`), at value (vx + vy) - wi, the point's weight counted
-    once.  Splits t' = 2..t-1, none at t = 2; rows and columns as
-    `directional_combos`.
+    once.  A pair valued above `ceiling` (none without one) is dropped
+    before the union.  Splits t' = 2..t-1, none at t = 2; rows and columns
+    as `directional_combos`.
     """
     n = nbr.n
     splits = np.arange(2, t)
@@ -333,7 +342,10 @@ def bidirectional_combos(nbr, levels: Sequence[Optional[RunLevel]], t: int,
     ptr, _, lys, _, sy, ky, vy = _chain_batch(levels, t + 1 - splits, n, bucket=True, ccw=False)
     lo = ptr[q, i]
     row, at = expand_runs(lo, ptr[q, i + 1] - lo)
+    values = (vx[row] + vy[at]) - weights[i[row]]
+    if ceiling < math.inf:
+        cheap = np.flatnonzero(values <= ceiling)
+        row, at, values = row[cheap], at[cheap], values[cheap]
     tp, i = splits[q[row]], i[row]
-    values = (vx[row] + vy[at]) - weights[i]
     parents = np.stack((tp, lx[row], t + 1 - tp, lys[at]), axis=1)
     return (i, *union_columns(n, (sx[row], kx[row]), (sy[at], ky[at])), values, parents)

@@ -22,13 +22,13 @@ candidates it joins.  `build_level` makes every combination of a level
 in three numpy passes (ccw, cw, bidirectional), each over all points and
 split levels: tails from the batched `neighbor_index.runs_past`, each
 lengthening the run it starts past, and two runs merged per row by
-`geometry.union_columns`.  One rule then decides which rows the level
-keeps (`keep_rows`): per run in each bucket, the first of its cheapest
-copies, only when strictly cheaper than every lower level's copy (the
-prune below), and in a size-k solve only at or below a ceiling (the
-ceiling below).  No combination is an object: the winner's witness
-set is rebuilt by walking its parents, and `check_invariants=True`
-first checks every combination against its parents
+`geometry.union_columns`.  In a size-k solve a pair of parts valued
+above a ceiling makes no row at all (the ceiling below).  One rule then
+decides which rows the level keeps (`keep_rows`): per run in each
+bucket, the first of its cheapest copies, only when strictly cheaper
+than every lower level's copy (the prune below).  No combination is an
+object: the winner's witness set is rebuilt by walking its parents, and
+`check_invariants=True` first checks every row made against its parents
 (`solution.check_level`).
 
 Each combination asks a built level for the cheapest run containing a
@@ -79,9 +79,17 @@ bits):
 * The ceiling.  `solve_weighted` first covers the circle with level-1
   runs, greedily (`greedy_cover`).  When the cover has at most k disks it
   is a dominating set of size at most k, so its weight U (summed exactly
-  rounded) bounds the optimum for k, and every level drops the rows
-  valued above C = U * (1 + VALUE_SLACK) before it groups copies
-  (`greedy_ceiling`, `keep_rows`).  A row is no cheaper than either part
+  rounded) bounds the optimum for k, and no level makes a row valued
+  above C = U * (1 + VALUE_SLACK) (`greedy_ceiling`): level 1 keeps the
+  disks weighing at most C, and the combination steps drop each pair of
+  parts whose value, v1 + v2 or (vx + vy) - wi, exceeds C before its
+  tail, union or parent row is made.  That test is the very float
+  expression that becomes the row's value, so from the same lower levels
+  the steps make exactly the rows at or below C that they make without
+  a ceiling, in the same arrival order, and `keep_rows` sees what it saw
+  when it dropped the rows above C itself.  So the argument below, which
+  reads as if every row were made and those above C then dropped, holds
+  as it stands.  A row is no cheaper than either part
   up to rounding: v1 + v2 is at least v1 and v2 as floats, and both parts
   of a stitched row are rows of i, each at least wi, so (vx + vy) - wi is
   at least (1 - 3u) times either, u = 2^-53.  Let T_t = C * (1 - 3u)^t.
@@ -214,30 +222,24 @@ class LevelTable(RunLevel):
         return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), ids
 
 
-def keep_rows(n: int, owners, starts, lengths, values, runs,
-              ceiling: float = math.inf) -> tuple[np.ndarray, tuple]:
+def keep_rows(n: int, owners, starts, lengths, values, runs) -> tuple[np.ndarray, tuple]:
     """The rows a level keeps, in id order, and the run table through this level.
 
-    Rows are level t's combinations, in arrival order within each owner.
+    Rows are level t's combinations, in arrival order within each owner;
+    under a ceiling, only those at or below it were made (`build_level`).
     `runs` is the run table of levels 1..t-1: every (owner, run) key they
-    hold (`run_keys`), sorted and distinct, with its least value.  Rows
-    valued above `ceiling` are dropped first (the ceiling of the module
-    docstring; none without one), so they enter neither the level nor the
-    table.  A row is then kept when it is the first of its (owner, run)'s
-    cheapest copies in the level and strictly cheaper than the table's
-    value for that key, so a lower level wins ties (the prune of the
-    module docstring).  Ids run owner by owner, then in the order the kept
-    copies arrived: no dropped copy moves a kept row.  One plain sort
-    groups the copies; per group, minimum reductions read the least value
-    and the first copy at that value, so nothing depends on how the sort
-    leaves equal keys.  The group keys come out sorted and distinct: one
-    `searchsorted` into the table serves the prune and the update, where a
-    held key keeps the lesser value and a new one is inserted in place.
+    hold (`run_keys`), sorted and distinct, with its least value.  A row is
+    kept when it is the first of its (owner, run)'s cheapest copies in the
+    level and strictly cheaper than the table's value for that key, so a
+    lower level wins ties (the prune of the module docstring).  Ids run
+    owner by owner, then in the order the kept copies arrived: no dropped
+    copy moves a kept row.  One plain sort groups the copies; per group,
+    minimum reductions read the least value and the first copy at that
+    value, so nothing depends on how the sort leaves equal keys.  The
+    group keys come out sorted and distinct: one `searchsorted` into the
+    table serves the prune and the update, where a held key keeps the
+    lesser value and a new one is inserted in place.
     """
-    if ceiling < math.inf:  # only rows at or below it are grouped; without one, none is copied
-        cheap = np.flatnonzero(values <= ceiling)
-        keep, runs = keep_rows(n, owners[cheap], starts[cheap], lengths[cheap], values[cheap], runs)
-        return cheap[keep], runs
     m = len(owners)
     key = run_keys(n, owners, starts, lengths)
     order = np.argsort(key)
@@ -273,28 +275,31 @@ def build_level(
 
     Level 1 holds one candidate per point: its own dominated run at its
     own weight.  Later levels hold, per point, its ccw combinations by
-    split level, then its cw ones, then its bidirectional ones, less every
-    row `keep_rows` drops: a row valued above `ceiling`, a later copy of a
-    run no cheaper, or a run levels 1..t-1 already hold at a value no
-    larger.  Their run table is taken over from level t-1
-    (`LevelTable.run_table`).  With `check_invariants`, every combination,
-    same-run copies, pruned rows and rows above the ceiling included, is
-    first checked against its parents (`check_level`).
+    split level, then its cw ones, then its bidirectional ones.  No row
+    valued above `ceiling` is made, at level 1 or by the combination
+    steps.  `keep_rows` then drops a later copy of a run no cheaper, and
+    a run levels 1..t-1 already hold at a value no larger.  Their run
+    table is taken over from level t-1 (`LevelTable.run_table`).  With
+    `check_invariants`, every row made, same-run copies and pruned rows
+    included, is first checked against its parents (`check_level`).
     """
     n = instance.n
     weights = instance.ws
     if t == 1:
-        blocks = [(np.arange(n), *nbr.dominated_runs, weights, np.full((n, 4), -1))]
+        cheap = np.flatnonzero(weights <= ceiling)
+        dom_s, dom_k = nbr.dominated_runs
+        blocks = [(cheap, dom_s[cheap], dom_k[cheap], weights[cheap], np.full((len(cheap), 4), -1))]
         runs = np.zeros(0, np.int64), np.zeros(0)
     else:
-        blocks = [directional_combos(nbr, levels, t, ccw=ccw) for ccw in (True, False)]
-        blocks.append(bidirectional_combos(nbr, levels, t, weights))
+        blocks = [directional_combos(nbr, levels, t, ccw=ccw, ceiling=ceiling)
+                  for ccw in (True, False)]
+        blocks.append(bidirectional_combos(nbr, levels, t, weights, ceiling))
         runs, levels[t - 1].run_table = levels[t - 1].run_table, None
     # concatenated block by block, each owner's rows stay in arrival order
     owners, starts, lengths, values, parents = (np.concatenate(col) for col in zip(*blocks))
     if check_invariants:
         check_level(nbr, levels, t, owners, starts, lengths, parents, values, weights)
-    keep, runs = keep_rows(n, owners, starts, lengths, values, runs, ceiling)
+    keep, runs = keep_rows(n, owners, starts, lengths, values, runs)
     level = LevelTable(
         instance, t, levels, starts[keep], lengths[keep], owners[keep], values[keep], parents[keep]
     )

@@ -414,6 +414,18 @@ def test_dominated_runs_evaluate_few_leaves_exactly():
     assert asked["leaf_rows"] <= 1.2 * asked["walked"]
 
 
+@pytest.mark.parametrize("n", [1, 60, 5000])
+def test_an_empty_batch_answers_empty_and_evaluates_nothing(n, monkeypatch):
+    """An empty batch of queries gives an empty int64 answer, both ways, and
+    neither proves a node nor evaluates a leaf."""
+    tree = _TreeNeighborIndex(_ring_with_giant(n))
+    for name in ("_skips", "_leaf_words"):
+        monkeypatch.setattr(tree, name, lambda *args: pytest.fail(f"{name} asked"))
+    for ccw in (True, False):
+        got = tree.first_disjoint(np.zeros(0, np.int64), np.zeros(0, np.int64), ccw=ccw)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+
 def test_build_neighbor_index_builds_the_tree_at_every_n():
     """One index at every size: no cut, no n x n matrix below it."""
     for n in (1, 2, 60, 4096, 4097):

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -475,16 +476,14 @@ def run_table(n, runs):
 
 @st.composite
 def arrivals(draw):
-    """A level's combination rows in arrival order, the run table below it and a
-    ceiling, as (n, [(owner, start, length, value)], {(owner, start, length): value},
-    ceiling).
+    """A level's combination rows in arrival order and the run table below it, as
+    (n, [(owner, start, length, value)], {(owner, start, length): value}).
 
     A few owners interleave, a few distinct runs (a full one as (0, n))
     arrive in many copies, and values are small integers, so equal-value
     copies are common.  The table holds keys of the same owners and runs,
     some that no row has, at small integer values, so ties with it are
-    common too.  The ceiling is none (inf) or one of those integers, so
-    some values lie above it and some exactly at it.
+    common too.
     """
     n = draw(st.integers(1, 9))
     owners = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
@@ -493,9 +492,8 @@ def arrivals(draw):
     rows = st.tuples(st.sampled_from(owners), st.sampled_from(runs), st.integers(0, 3))
     key = st.tuples(st.sampled_from(owners), st.sampled_from(runs)).map(lambda k: (k[0], *k[1]))
     below = draw(st.dictionaries(key, st.integers(0, 3).map(float), max_size=8))
-    ceiling = draw(st.sampled_from((math.inf, 0.0, 1.0, 2.0)))
     rows = [(o, s, k, float(v)) for o, (s, k), v in draw(st.lists(rows, max_size=80))]
-    return n, rows, below, ceiling
+    return n, rows, below
 
 
 @settings(max_examples=300, deadline=None)
@@ -503,23 +501,21 @@ def arrivals(draw):
 def test_keep_rows_is_the_bucket_twin(case):
     # the rows `keep_rows` keeps are, owner by owner, the ones the dict twin
     # keeps of that owner's rows, by arrival tag, and the table it returns is
-    # the one below merged with the rows at or below the ceiling, at the
-    # lesser value per key
-    n, rows, below, ceiling = case
+    # the one below merged with the rows, at the lesser value per key
+    n, rows, below = case
     owners, starts, lengths = (np.array([row[c] for row in rows], np.int64) for c in range(3))
     values = np.array([row[3] for row in rows], np.float64)
     want = []
     for owner in sorted(set(owners.tolist())):
         combos = [(s, k, v, tag) for tag, (o, s, k, v) in enumerate(rows) if o == owner]
-        want += [tag for *_, tag in keep_runs(owner, combos, below, ceiling)]
+        want += [tag for *_, tag in keep_runs(owner, combos, below)]
     merged = dict(below)
     for o, s, k, v in rows:
-        if v <= ceiling:
-            merged[o, s, k] = min(merged.get((o, s, k), math.inf), v)
+        merged[o, s, k] = min(merged.get((o, s, k), math.inf), v)
     keys = sorted(below, key=lambda o_s_k: run_keys(n, *o_s_k))
     table = np.array([run_keys(n, *key) for key in keys], np.int64).reshape(-1)
     keep, runs = keep_rows(n, owners, starts, lengths, values,
-                           (table, np.array([below[key] for key in keys], np.float64)), ceiling)
+                           (table, np.array([below[key] for key in keys], np.float64)))
     assert keep.tolist() == want
     assert run_table(n, runs) == merged
 
@@ -558,14 +554,10 @@ def weighted_levels(inst):
 
 
 def test_no_level_depends_on_the_tie_order_of_a_sort(monkeypatch):
-    from pathlib import Path
-
     from diskdom import gen_random
-    from diskdom.instance_io import load_instance_document
     from test_level_builder import small_integer_weights
 
-    corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
-    instances = [load_instance_document(p.read_text()).to_instance() for p in corpus]
+    instances = list(corpus_instances())
     for seed in range(4):
         doc = gen_random(8 + 4 * seed, 90 + seed, "circle", "uniform(1.0,3.0)", "unit")
         instances.append(small_integer_weights(doc.to_instance(), seed))
@@ -749,9 +741,8 @@ def test_the_carried_run_table_holds_each_run_of_the_levels_so_far_at_its_least_
             assert t == 1 or levels[t - 1].run_table is None, t
 
 
-def answer_twin_instances():
-    """The corpus, then 250 random instances: n 4-24, three families, four radius laws,
-    unit, `uniform(1,10)` and small integer weights."""
+def corpus_instances():
+    """The instances of the repository's `corpus/` directory, by file name."""
     from pathlib import Path
 
     from diskdom.instance_io import load_instance_document
@@ -759,6 +750,12 @@ def answer_twin_instances():
     corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
     for path in corpus:
         yield load_instance_document(path.read_text()).to_instance()
+
+
+def answer_twin_instances():
+    """The corpus, then 250 random instances: n 4-24, three families, four radius laws,
+    unit, `uniform(1,10)` and small integer weights."""
+    yield from corpus_instances()
     for seed in range(250):
         yield random_twin_instance(seed)
 
@@ -843,6 +840,61 @@ def test_rows_below_the_cover_weight_are_the_same_with_the_ceiling():
             capped.append(build_level(inst, nbr, capped, t, ceiling=ceiling))
             most = ceiling / (1 + VALUE_SLACK)
             assert rows(plain[t], most) == rows(capped[t], most), (seed, t)
+
+
+def cut_ceilings(values):
+    """No ceiling, then a few of `values` themselves, each with its float either side."""
+    distinct = np.unique(values)
+    picks = distinct[np.linspace(0, len(distinct) - 1, 4).astype(int)] if len(distinct) else []
+    return [math.inf, *(c for v in picks
+                        for c in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf)))]
+
+
+def test_the_steps_make_exactly_the_uncut_rows_at_or_below_the_ceiling():
+    # the ceiling where rows are made: with a ceiling C, each combination
+    # step returns exactly the rows it makes without one that are valued at
+    # most C, in the same order, every column bit for bit, and no row above
+    # C asks `runs_past` for a tail.  Level 1 keeps the disks weighing at
+    # most C.  C is none, a row value, or one float either side of one, and
+    # small integer weights make many rows tie at C
+    from diskdom import solution
+
+    def expect(cols, ceiling):
+        cheap = cols[3] <= ceiling
+        return [col[cheap] for col in cols]
+
+    def assert_same_rows(got, want):
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+    instances = [*corpus_instances(), *map(random_twin_instance, range(0, 250, 5))]
+    ties = 0
+    for inst in instances:
+        n, nbr, levels = inst.n, build_neighbor_index(inst), [None]
+        tails = []
+        runs_past = nbr.runs_past
+        nbr.runs_past = lambda i, z, *, ccw: tails.append(len(i)) or runs_past(i, z, ccw=ccw)
+        for ceiling in cut_ceilings(inst.ws):
+            level = build_level(inst, nbr, [None], 1, ceiling=ceiling)
+            assert level.owners.tolist() == np.flatnonzero(inst.ws <= ceiling).tolist()
+        for t in range(1, min(n, 6) + 1):
+            levels.append(build_level(inst, nbr, levels, t))
+        for t in range(2, len(levels)):
+            steps = [partial(solution.directional_combos, nbr, levels, t, ccw=True),
+                     partial(solution.directional_combos, nbr, levels, t, ccw=False),
+                     partial(solution.bidirectional_combos, nbr, levels, t, inst.ws)]
+            for directional, step in zip((True, True, False), steps):
+                uncut = step(ceiling=math.inf)
+                for ceiling in cut_ceilings(uncut[3]):
+                    tails.clear()
+                    got = step(ceiling=ceiling)
+                    assert_same_rows(got, expect(uncut, ceiling))
+                    ties += int((got[3] == ceiling).sum())
+                    # runs_past answers only the rows made with a partial l2
+                    t2, l2 = got[4][:, 2].tolist(), got[4][:, 3].tolist()
+                    partial_l2 = sum(levels[a].lengths[b] < n for a, b in zip(t2, l2))
+                    assert sum(tails) == (partial_l2 if directional else 0), (inst.n, t, ceiling)
+    assert ties > 50_000, ties
 
 
 def k6_family(count):
@@ -937,13 +989,8 @@ def meeting_everywhere(n):
 
 def full_row_instances(big5):
     """The corpus, big5 and disks meeting every disk (n 1-8), then 300 random instances."""
-    from pathlib import Path
-
-    from diskdom.instance_io import load_instance_document
-
-    corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
-    for path in corpus:
-        yield load_instance_document(path.read_text()).to_instance(), False
+    for inst in corpus_instances():
+        yield inst, False
     yield big5, False
     for n in range(1, 9):
         yield meeting_everywhere(n), False

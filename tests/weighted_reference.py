@@ -96,18 +96,19 @@ def copying_full_l1(combos):
 
     A copy comes last among its point's rows of its split, where its l1, the
     last entry of a bucket chain, put it.  Its parent row names l1 twice,
-    (t', l1, t', l1), so its witness set is l1's.  The tests check that no
-    answer of `solve_weighted_all_k` depends on the copies.
+    (t', l1, t', l1), so its witness set is l1's.  Like every row, a copy
+    valued above `ceiling` is not made.  The tests check that no answer of
+    `solve_weighted_all_k` depends on the copies.
     """
 
-    def variant(nbr, levels, t, *, ccw):
-        i, starts, lengths, values, parents = combos(nbr, levels, t, ccw=ccw)
+    def variant(nbr, levels, t, *, ccw, ceiling=math.inf):
+        i, starts, lengths, values, parents = combos(nbr, levels, t, ccw=ccw, ceiling=ceiling)
         n = nbr.n
         copies = [  # (t', l1), by split and then by point
             (tp, c)
             for tp in range(1, t)
             for c in levels[tp].chains(bucket=True, ccw=ccw)[1].tolist()
-            if levels[tp].lengths[c] == n
+            if levels[tp].lengths[c] == n and levels[tp].values[c] <= ceiling
         ]
         if not copies:
             return i, starts, lengths, values, parents
@@ -141,20 +142,19 @@ def bidi_combos(nbr, levels, i: int, t: int) -> Iterator[tuple]:
                     yield *run, vx + vy - wi, (tp, lx, t + 1 - tp, ly)
 
 
-def keep_runs(owner: int, combos, below, ceiling: float = math.inf) -> list[tuple]:
+def keep_runs(owner: int, combos, below) -> list[tuple]:
     """One bucket's kept combinations, in the order the kept ones arrived: the twin of
     `weighted_dp.keep_rows`.
 
-    Combinations valued above `ceiling` are skipped.  Per run, the first
-    cheapest combination: a later copy replaces the kept one only when
-    strictly cheaper, and then takes its own arrival place.  A run `below`
-    (`cheapest_below`) holds at a value no larger is then dropped, so a
-    lower level wins ties.
+    Per run, the first cheapest combination: a later copy replaces the
+    kept one only when strictly cheaper, and then takes its own arrival
+    place.  A run `below` (`cheapest_below`) holds at a value no larger is
+    then dropped, so a lower level wins ties.
     """
     kept: dict[tuple[int, int], tuple] = {}  # (start, length) -> (value, parent row)
     for s, k, value, parent in combos:
         old = kept.get((s, k))
-        if value <= ceiling and (old is None or value < old[0]):
+        if old is None or value < old[0]:
             kept.pop((s, k), None)
             kept[s, k] = value, parent
     return [(s, k, v, parent) for (s, k), (v, parent) in kept.items()
